@@ -452,8 +452,11 @@ func (ev *Evaluator) modDown(accQ, accP *ring.Poly, lvl int, out *ring.Poly) {
 	rq.ForEachLimbBlock(lvl, func(i, lo, hi int) {
 		q := rq.Moduli[i].Q
 		pInv, pInvShoup := ctx.pInvModQ[i], ctx.pInvModQShoup[i]
-		a, b, o := accQ.Coeffs[i], tmp.Coeffs[i], out.Coeffs[i]
-		for t := lo; t < hi; t++ {
+		o := out.Coeffs[i][lo:hi:hi]
+		a := accQ.Coeffs[i][lo:hi:hi]
+		b := tmp.Coeffs[i][lo:hi:hi]
+		a, b = a[:len(o)], b[:len(o)]
+		for t := range o {
 			o[t] = mod.MulShoup(mod.Sub(a[t], b[t], q), pInv, pInvShoup, q)
 		}
 	})

@@ -15,19 +15,23 @@ import (
 // multiple of Q (the classic approximate conversion, whose overflow is
 // absorbed by key-switching noise).
 //
-// The first stage multiplies each source residue by (Q/q_j)^-1 mod q_j (the
-// BConvU's ModMult in Section 5.2); the second stage is the coefficient-wise
-// multiply-accumulate Σ_j f(y_j)·(Q/q_j) mod p_i (the MMAU), where f takes
+// The conversion is a dense matrix product, digits × constants, and runs as
+// one: stage 1 multiplies each source residue by (Q/q_j)^-1 mod q_j (the
+// BConvU's ModMult in Section 5.2), giving the digit vector y of every
+// coefficient; stage 2 is the dot product Σ_j f(y_j)·(Q/q_j) mod p_i of that
+// vector with one row of constants per target limb (the MMAU), where f takes
 // the *centered* representative f(y) = y - q_j·[y > q_j/2]. The centered
 // form keeps the conversion overflow in (-nf/2·Q, nf/2·Q) instead of
 // [0, nf·Q) and — crucially for hoisted key-switching — makes the conversion
 // exactly negation-equivariant: Convert(-x) = -Convert(x) residue for
 // residue, so the Galois automorphism (a signed coefficient permutation)
-// commutes bit-exactly with ModUp. Both stages fan out across the attached
-// execution engine — stage 1 over source limbs × coefficient blocks, stage 2
-// over target limbs × coefficient blocks (the 2-D sharding keeps short bases
-// parallel, see Engine.RunBlocks) — and the stage-1 intermediates live in a
-// sync.Pool so repeated conversions allocate nothing.
+// commutes bit-exactly with ModUp.
+//
+// Both stages are fused over tiles of convTile coefficients, one engine task
+// per tile: a tile's digits are written coefficient-major into a pooled
+// scratch small enough to stay in cache, then read back once per target
+// limb, so the digits never travel through memory and no barrier separates
+// the stages.
 type BasisExtender struct {
 	from, to []*Modulus
 
@@ -35,31 +39,33 @@ type BasisExtender struct {
 	// stage-1 input is in M-form, so the fused REDC product
 	// REDC(x·R · (Q/q_j)^-1) is the *true* digit y_j — exactly what stage 2
 	// needs, since the centered y_j crosses moduli as an integer. The stage-2
-	// tables are the opposite: qhatTo and negQTo carry the target-modulus
-	// M-form, so the Barrett fold of the 128-bit sum Σ y_j·[Q/q_j]·R lands
-	// directly in Montgomery form over the target base.
-	qhatInv  []uint64   // [(Q/q_j)^-1]_{q_j}, plain form
-	qhatTo   [][]uint64 // qhatTo[j][i] = [Q/q_j]·R mod to[i].Q (M-form)
-	halfFrom []uint64   // (q_j-1)/2, the centering threshold per source limb
-	negQTo   []uint64   // [-Q]·R mod to[i].Q (M-form), the centering correction
+	// table is the opposite: its constants carry the target-modulus M-form,
+	// so the Barrett fold of the 128-bit sum Σ y_j·[Q/q_j]·R lands directly
+	// in Montgomery form over the target base.
+	qhatInv []uint64 // [(Q/q_j)^-1]_{q_j}, plain form
 
-	// lazyStage2 selects the 128-bit lazy accumulation in stage 2; it is
-	// cleared at construction when nf unreduced products could overflow
-	// 128 bits (very wide moduli × very long source bases), falling back
-	// to per-term modular reduction.
-	lazyStage2 bool
+	// qhatTo[i] is target limb i's row of stage-2 constants, nf+1 wide:
+	// [Q/q_j]·R mod p_i for each source limb j, then [-Q]·R mod p_i. The
+	// last entry pairs with the digit vector's last entry, the number of
+	// digits above their threshold: y_j - q_j contributes y_j·(Q/q_j) - Q,
+	// so the centering correction is one more term of the same dot product.
+	qhatTo [][]uint64
+
+	// chunk is how many dot-product terms a 128-bit accumulator is certain to
+	// hold; sums longer than that are reduced every chunk terms. Only very
+	// wide moduli × very long source bases get there (more than 16 limbs of
+	// 62-bit primes) — every parameter set in the repository sums a whole row
+	// lazily and reduces once.
+	chunk int
 
 	exec    *Engine
-	scratch sync.Pool // *convScratch, the stage-1 rows
-	accPool sync.Pool // *[]uint64, per-task stage-2 accumulator blocks
+	scratch sync.Pool // *[]uint64, one tile of digit vectors
 }
 
-// convScratch is a pooled block of len(from) stage-1 rows backed by one
-// contiguous buffer.
-type convScratch struct {
-	backing []uint64
-	rows    [][]uint64
-}
+// convTile is the number of coefficients converted per engine task. The
+// tile's digit vectors (convTile × (nf+1) words, 58 KiB at the 28-limb INS-1
+// basis) are re-read once per target limb and must stay cache-resident.
+const convTile = 256
 
 // NewBasisExtender precomputes the conversion tables from the source to the
 // target base. The bases must be disjoint prime sets. The extender starts on
@@ -81,48 +87,46 @@ func NewBasisExtender(from, to []*Modulus) (*BasisExtender, error) {
 	for _, m := range from {
 		q.Mul(q, new(big.Int).SetUint64(m.Q))
 	}
+	nf := len(from)
 	be := &BasisExtender{
-		from:     from,
-		to:       to,
-		qhatInv:  make([]uint64, len(from)),
-		qhatTo:   make([][]uint64, len(from)),
-		halfFrom: make([]uint64, len(from)),
-		negQTo:   make([]uint64, len(to)),
-		exec:     DefaultEngine(),
+		from:    from,
+		to:      to,
+		qhatInv: make([]uint64, nf),
+		qhatTo:  make([][]uint64, len(to)),
+		exec:    DefaultEngine(),
+	}
+	for i := range be.qhatTo {
+		be.qhatTo[i] = make([]uint64, nf+1)
 	}
 	tmp := new(big.Int)
+	maxFrom, maxTo := uint64(0), uint64(0)
 	for j, m := range from {
 		qj := new(big.Int).SetUint64(m.Q)
 		qhat := new(big.Int).Quo(q, qj)
 		inv := new(big.Int).ModInverse(tmp.Mod(qhat, qj), qj)
 		be.qhatInv[j] = inv.Uint64()
-		be.qhatTo[j] = make([]uint64, len(to))
 		for i, mt := range to {
-			be.qhatTo[j][i] = mt.MRed.MForm(tmp.Mod(qhat, new(big.Int).SetUint64(mt.Q)).Uint64())
+			be.qhatTo[i][j] = mt.MRed.MForm(tmp.Mod(qhat, new(big.Int).SetUint64(mt.Q)).Uint64())
 		}
-		be.halfFrom[j] = m.Q >> 1
-	}
-	maxFrom, maxTo := uint64(0), uint64(0)
-	for _, m := range from {
-		if m.Q > maxFrom {
-			maxFrom = m.Q
-		}
+		maxFrom = max(maxFrom, m.Q)
 	}
 	for i, mt := range to {
 		qmod := tmp.Mod(q, new(big.Int).SetUint64(mt.Q)).Uint64()
-		be.negQTo[i] = mt.MRed.MForm(mod.Neg(qmod, mt.Q))
-		if mt.Q > maxTo {
-			maxTo = mt.Q
-		}
+		be.qhatTo[i][nf] = mt.MRed.MForm(mod.Neg(qmod, mt.Q))
+		maxTo = max(maxTo, mt.Q)
 	}
-	// Lazy stage 2 sums nf terms, each below q_src·q_tgt (product plus the
-	// conditional centering correction); verify the worst case fits 128
-	// bits, else keep the per-term reduced loop.
-	bound := new(big.Int).SetUint64(maxFrom)
-	bound.Mul(bound, new(big.Int).SetUint64(maxTo))
-	bound.Mul(bound, big.NewInt(int64(len(from))))
-	limit := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 128), big.NewInt(1))
-	be.lazyStage2 = bound.Cmp(limit) <= 0
+	// A run of m terms sums to at most m·(q_src-1)·(q_tgt-1), plus — once
+	// each — a reduced carry-in below q_tgt and the correction term, at most
+	// nf·(q_tgt-1); chunk is the largest m for which that fits 128 bits
+	// (never below 15: moduli stay under 2^62).
+	term := new(big.Int).SetUint64(maxFrom - 1)
+	term.Mul(term, new(big.Int).SetUint64(maxTo-1))
+	room := new(big.Int).Lsh(big.NewInt(1), 128)
+	room.Sub(room, tmp.Mul(big.NewInt(int64(nf+1)), new(big.Int).SetUint64(maxTo)))
+	be.chunk = nf + 1
+	if m := room.Quo(room, term); m.IsInt64() && m.Int64() < int64(be.chunk) {
+		be.chunk = int(m.Int64())
+	}
 	return be, nil
 }
 
@@ -130,131 +134,98 @@ func NewBasisExtender(from, to []*Modulus) (*BasisExtender, error) {
 // stays with the caller, exactly as for Ring.SetEngine.
 func (be *BasisExtender) SetEngine(e *Engine) { be.exec = e }
 
-// getScratch borrows a stage-1 block with nf rows of length n.
-func (be *BasisExtender) getScratch(nf, n int) *convScratch {
-	s, _ := be.scratch.Get().(*convScratch)
-	if s == nil || cap(s.backing) < nf*n {
-		s = &convScratch{backing: make([]uint64, nf*n), rows: make([][]uint64, nf)}
-	}
-	for j := 0; j < nf; j++ {
-		s.rows[j] = s.backing[j*n : (j+1)*n : (j+1)*n]
-	}
-	return s
-}
-
 // Convert performs the base conversion on coefficient-domain rows. in must
-// hold len(from) rows; out receives len(to) rows. Rows are length-N slices.
+// hold len(from) rows; out receives len(to) rows, each at least as long as
+// in[0]. Inputs and outputs are in M-form.
 //
-// Stage 2 uses the centered representative of each stage-1 residue: when
+// Stage 2 uses the centered representative of each stage-1 digit: when
 // y_j > q_j/2 the term contributes (y_j - q_j)·(Q/q_j) = y_j·(Q/q_j) - Q, so
-// the running sum gets the precomputed correction [-Q]_{p_i}. This makes
-// Convert(-x) bit-identical to -Convert(x) (f(q_j - y) = -f(y) exactly for
-// odd q_j), the property the hoisted key-switch relies on to permute
-// decomposed slices instead of re-decomposing permuted ciphertexts.
+// the sum gets the precomputed correction [-Q]_{p_i} once per such digit.
+// This makes Convert(-x) bit-identical to -Convert(x) (f(q_j - y) = -f(y)
+// exactly for odd q_j), the property the hoisted key-switch relies on to
+// permute decomposed slices instead of re-decomposing permuted ciphertexts.
+// The sum is exact in 128 bits and reduced to the canonical residue, so the
+// output does not depend on the tiling or on the engine's shape.
 func (be *BasisExtender) Convert(in, out [][]uint64) {
 	nf, nt := len(be.from), len(be.to)
 	if len(in) < nf || len(out) < nt {
 		panic("ring: BasisExtender.Convert: row count mismatch")
 	}
 	n := len(in[0])
-	scratch := be.getScratch(nf, n)
-	stage1 := scratch.rows[:nf]
-	// Stage 1: y_j = [x_j * (Q/q_j)^-1]_{q_j}, sharded over source limbs ×
-	// coefficient blocks (each task writes a disjoint segment of one row).
-	// The input residues are in M-form and qhatInv is plain, so the fused
-	// REDC strips the R factor and the digits come out as true residues.
-	be.exec.RunBlocks(nf, n, func(j, lo, hi int) {
-		mr := be.from[j].MRed
+	be.exec.Run((n+convTile-1)/convTile, func(t int) {
+		lo := t * convTile
+		be.convertTile(in, out, lo, min(lo+convTile, n))
+	})
+}
+
+// convertTile converts coefficients [lo, hi) of every row.
+func (be *BasisExtender) convertTile(in, out [][]uint64, lo, hi int) {
+	nf := len(be.from)
+	stride := nf + 1
+	sp, _ := be.scratch.Get().(*[]uint64)
+	if sp == nil {
+		s := make([]uint64, convTile*stride)
+		sp = &s
+	}
+	// yT holds one digit vector per coefficient: y_0 .. y_{nf-1}, then the
+	// count of digits above their centering threshold.
+	yT := (*sp)[:(hi-lo)*stride]
+	for k := nf; k < len(yT); k += stride {
+		yT[k] = 0
+	}
+	// Stage 1: y_j = [x_j * (Q/q_j)^-1]_{q_j}. The input residues are in
+	// M-form and qhatInv is plain, so the fused REDC strips the R factor and
+	// the digits come out as true residues. Source limb outer: each input
+	// row segment is read contiguously with its constants in registers, and
+	// the strided stores stay inside the cache-resident tile.
+	for j, m := range be.from {
+		mr := m.MRed
 		w := be.qhatInv[j]
-		row := stage1[j][lo:hi:hi]
-		src := in[j][lo:hi:hi]
-		src = src[:len(row)]
-		for k := range row {
-			row[k] = mr.Mul(src[k], w)
+		half := m.Q >> 1 // (q_j-1)/2, the centering threshold
+		for k, x := range in[j][lo:hi] {
+			y := mr.Mul(x, w)
+			yT[k*stride+j] = y
+			yT[k*stride+nf] += (half - y) >> 63 // y > half, branch-free
 		}
-	})
-	// Stage 2: out_i = Σ_j f(y_j) * [Q/q_j]_{p_i} (coefficient-wise MAC),
-	// sharded over target limbs × coefficient blocks; every task reads the
-	// same coefficient range of all stage-1 rows, and the barrier between
-	// the two RunBlocks calls is the stage-1/stage-2 dependency. The MAC
-	// iterates source limb outer, coefficient inner, folding each stage-1
-	// row into a pooled per-task accumulator block: every slice is walked
-	// contiguously with a shared induction variable, so the inner loops
-	// carry no bounds checks (the coefficient-outer form paid five per
-	// term). Normally the sum is accumulated lazily in 128 bits per
-	// coefficient (planar: low words then high words) and reduced once
-	// (mod.Reduce128 takes arbitrary 128-bit inputs; lazyStage2 certifies
-	// the worst case cannot overflow), which produces the same canonical
-	// residues as a chain of reduced adds at a fraction of the cost —
-	// 128-bit accumulation is exact, so the summation order is immaterial;
-	// pathologically wide bases take the reduced per-term path.
-	be.exec.RunBlocks(nt, n, func(i, lo, hi int) {
-		br := be.to[i].BRed
-		qi := be.to[i].Q
-		negQ := be.negQTo[i]
-		w := hi - lo
-		bp, _ := be.accPool.Get().(*[]uint64)
-		if bp == nil || cap(*bp) < 2*w {
-			b := make([]uint64, 2*w)
-			bp = &b
-		}
-		buf := (*bp)[:cap(*bp)]
-		if be.lazyStage2 {
-			aLo := buf[0:w:w]
-			aHi := buf[w : 2*w : 2*w]
-			aHi = aHi[:len(aLo)]
-			for k := range aLo {
-				aLo[k], aHi[k] = 0, 0
-			}
-			for j := 0; j < nf; j++ {
-				y := stage1[j][lo:hi:hi]
-				qh := be.qhatTo[j][i]
-				halfJ := be.halfFrom[j]
-				y = y[:len(aLo)]
-				for k := range y {
-					pHi, pLo := bits.Mul64(y[k], qh)
-					var c uint64
-					if y[k] > halfJ {
-						pLo, c = bits.Add64(pLo, negQ, 0)
-						pHi += c
-					}
-					aLo[k], c = bits.Add64(aLo[k], pLo, 0)
-					aHi[k] += pHi + c
-				}
-			}
-			dst := out[i][lo:hi:hi]
-			dst = dst[:len(aLo)]
-			for k := range dst {
-				dst[k] = br.Reduce128(aHi[k], aLo[k])
-			}
-			be.accPool.Put(bp)
-			return
-		}
-		acc := buf[0:w:w]
-		for k := range acc {
-			acc[k] = 0
-		}
-		for j := 0; j < nf; j++ {
-			y := stage1[j][lo:hi:hi]
-			qh := be.qhatTo[j][i]
-			halfJ := be.halfFrom[j]
-			y = y[:len(acc)]
-			for k := range y {
-				v := br.Mul(y[k], qh)
-				if y[k] > halfJ {
-					v = mod.Add(v, negQ, qi)
-				}
-				acc[k] = mod.Add(acc[k], v, qi)
-			}
-		}
-		dst := out[i][lo:hi:hi]
-		dst = dst[:len(acc)]
+	}
+	// Stage 2: out_i = Σ_j f(y_j) * [Q/q_j]_{p_i}, one dot product per
+	// target limb and coefficient.
+	for i, m := range be.to {
+		w := be.qhatTo[i]
+		dst := out[i][lo:hi]
 		for k := range dst {
-			dst[k] = acc[k]
+			dst[k] = dotMod(yT[k*stride:(k+1)*stride], w, be.chunk, m.BRed)
 		}
-		be.accPool.Put(bp)
-	})
-	be.scratch.Put(scratch)
+	}
+	be.scratch.Put(sp)
+}
+
+// dotMod returns Σ y[k]·w[k] mod q, the stage-2 kernel of BConv, for vectors
+// of equal length. Products accumulate unreduced in 128 bits and are reduced
+// once at the end (mod.Reduce128 takes arbitrary 128-bit inputs); vectors
+// longer than chunk, the count of terms the accumulator is certain to hold,
+// are also reduced every chunk terms. Either way the result is the canonical
+// residue of the exact integer sum.
+func dotMod(y, w []uint64, chunk int, br mod.Barrett) uint64 {
+	var hi, lo uint64
+	for len(y) > chunk && len(w) > chunk {
+		hi, lo = dot128(y[:chunk], w[:chunk], hi, lo)
+		hi, lo = 0, br.Reduce128(hi, lo)
+		y, w = y[chunk:], w[chunk:]
+	}
+	return br.Reduce128(dot128(y, w, hi, lo))
+}
+
+// dot128 adds Σ y[k]·w[k] to the 128-bit accumulator (hi, lo): two loads, a
+// multiply and an add-with-carry per term, the accumulator in registers.
+func dot128(y, w []uint64, hi, lo uint64) (uint64, uint64) {
+	for k := 0; k < len(y) && k < len(w); k++ {
+		pHi, pLo := bits.Mul64(y[k], w[k])
+		var c uint64
+		lo, c = bits.Add64(lo, pLo, 0)
+		hi, _ = bits.Add64(hi, pHi, c)
+	}
+	return hi, lo
 }
 
 // DivRoundByLastModulusNTT divides p (rows [0..level], NTT domain) by the

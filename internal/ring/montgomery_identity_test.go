@@ -150,102 +150,185 @@ func TestMontgomeryKernelsBitIdenticalToBarrett(t *testing.T) {
 	}
 }
 
+// bconvQhat returns the big-integer constants Q/q_j of a source base,
+// Q = Π q_j.
+func bconvQhat(from []*Modulus) []*big.Int {
+	bigQ := big.NewInt(1)
+	for _, m := range from {
+		bigQ.Mul(bigQ, new(big.Int).SetUint64(m.Q))
+	}
+	qhat := make([]*big.Int, len(from))
+	for j, m := range from {
+		qhat[j] = new(big.Int).Quo(bigQ, new(big.Int).SetUint64(m.Q))
+	}
+	return qhat
+}
+
+// bconvOracle evaluates the exact centered BConv formula in big.Int
+// arithmetic on true residues x[j][k]: y_j = x_j·(Q/q_j)^-1 mod q_j, then
+// Σ_j f(y_j)·(Q/q_j) mod p_i with f the centered representative.
+func bconvOracle(from, to []*Modulus, x [][]uint64) [][]uint64 {
+	qhat := bconvQhat(from)
+	inv := make([]*big.Int, len(from))
+	for j, m := range from {
+		qb := new(big.Int).SetUint64(m.Q)
+		inv[j] = new(big.Int).ModInverse(new(big.Int).Mod(qhat[j], qb), qb)
+	}
+	n := len(x[0])
+	sums := make([]*big.Int, n)
+	y := new(big.Int)
+	for k := range sums {
+		sums[k] = new(big.Int)
+		for j, m := range from {
+			qb := new(big.Int).SetUint64(m.Q)
+			y.Mul(y.SetUint64(x[j][k]), inv[j])
+			y.Mod(y, qb)
+			if y.Uint64() > m.Q>>1 {
+				y.Sub(y, qb) // centered representative
+			}
+			sums[k].Add(sums[k], y.Mul(y, qhat[j]))
+		}
+	}
+	want := make([][]uint64, len(to))
+	for i, m := range to {
+		want[i] = make([]uint64, n)
+		pb := new(big.Int).SetUint64(m.Q)
+		for k := range want[i] {
+			want[i][k] = y.Mod(sums[k], pb).Uint64()
+		}
+	}
+	return want
+}
+
+// bconvBoundaryInputs returns n ≥ 5+len(from) coefficients of true residues
+// over from: uniform, except for planted stage-1 digits at the centering
+// boundaries. Coefficients 0..3 carry y = 0, (q-1)/2, (q+1)/2 and q-1 on
+// every limb at once — the last is the worst case for the 128-bit
+// accumulator, every product and the full nf·[-Q] correction — coefficient
+// 4+j straddles the threshold on limb j alone, and the final coefficient,
+// which a ragged n puts in a partial tile, repeats the worst case.
+func bconvBoundaryInputs(rng *rand.Rand, from []*Modulus, n int) [][]uint64 {
+	qhat := bconvQhat(from)
+	x := make([][]uint64, len(from))
+	for j, m := range from {
+		q := m.Q
+		// A digit y is planted as x = y·(Q/q_j) mod q_j.
+		qh := new(big.Int).Mod(qhat[j], new(big.Int).SetUint64(q)).Uint64()
+		x[j] = make([]uint64, n)
+		for k := range x[j] {
+			x[j][k] = uniformUint64(rng, q)
+		}
+		for k, y := range []uint64{0, (q - 1) / 2, (q + 1) / 2, q - 1} {
+			x[j][k] = mod.Mul(y, qh, q)
+		}
+		for k := range from {
+			y := (q - 1) / 2
+			if k == j {
+				y++
+			}
+			x[j][4+k] = mod.Mul(y, qh, q)
+		}
+		x[j][n-1] = mod.Mul(q-1, qh, q)
+	}
+	return x
+}
+
+// mformRows converts true-residue rows to M-form, as ModUp presents them.
+func mformRows(ms []*Modulus, x [][]uint64) [][]uint64 {
+	out := make([][]uint64, len(x))
+	for j := range x {
+		out[j] = make([]uint64, len(x[j]))
+		for k, v := range x[j] {
+			out[j][k] = ms[j].MRed.MForm(v)
+		}
+	}
+	return out
+}
+
+// bconvShapes are the conversions the BConv identity tests run: a short
+// ModUp, and the INS-1 key-switch shape (28 source limbs around 2^60, 28
+// target limbs around 2^61) over a row length that leaves the last tile
+// partial.
+var bconvShapes = []struct {
+	name                       string
+	logN, bitsFrom, nf, bitsTo int
+	nt, n                      int
+}{
+	{"3to2", 5, 45, 3, 46, 2, 1 << 5},
+	{"ins1_28to28", 5, 60, 28, 61, 28, convTile + 44},
+}
+
 // TestBasisExtenderBitIdenticalAcrossEngines pins BConv to a serial big.Int
 // implementation of the exact centered formula, for M-form inputs and
 // outputs, under every engine shape.
 func TestBasisExtenderBitIdenticalAcrossEngines(t *testing.T) {
-	const logN = 5
-	primesQ, err := mod.GenerateNTTPrimes(45, logN, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	primesP, err := mod.GenerateNTTPrimes(46, logN, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rQ, err := NewRing(logN, primesQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rP, err := NewRing(logN, primesP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 1 << logN
-
-	// True-residue inputs.
-	rng := rand.New(rand.NewSource(5))
-	xTrue := make([][]uint64, len(primesQ))
-	for j, q := range primesQ {
-		xTrue[j] = make([]uint64, n)
-		for k := range xTrue[j] {
-			xTrue[j][k] = rng.Uint64() % q
-		}
-	}
-
-	// Reference: y_j = x_j·(Q/q_j)^-1 mod q_j, out_i = Σ_j f(y_j)·(Q/q_j)
-	// mod p_i with the centered f.
-	bigQ := big.NewInt(1)
-	for _, q := range primesQ {
-		bigQ.Mul(bigQ, new(big.Int).SetUint64(q))
-	}
-	want := make([][]uint64, len(primesP))
-	for i, p := range primesP {
-		want[i] = make([]uint64, n)
-		pb := new(big.Int).SetUint64(p)
-		for k := 0; k < n; k++ {
-			acc := new(big.Int)
-			for j, q := range primesQ {
-				qb := new(big.Int).SetUint64(q)
-				qhat := new(big.Int).Quo(bigQ, qb)
-				inv := new(big.Int).ModInverse(new(big.Int).Mod(qhat, qb), qb)
-				y := new(big.Int).Mul(new(big.Int).SetUint64(xTrue[j][k]), inv)
-				y.Mod(y, qb)
-				if y.Uint64() > q>>1 {
-					y.Sub(y, qb) // centered representative
+	for _, s := range bconvShapes {
+		t.Run(s.name, func(t *testing.T) {
+			from, to := bconvBases(t, s.logN, s.bitsFrom, s.nf, s.bitsTo, s.nt)
+			xTrue := bconvBoundaryInputs(rand.New(rand.NewSource(5)), from, s.n)
+			want := bconvOracle(from, to, xTrue)
+			for _, cfg := range identityConfigs {
+				e := NewEngine(cfg.workers)
+				if cfg.block > 0 {
+					e.SetBlockSize(cfg.block)
 				}
-				acc.Add(acc, y.Mul(y, qhat))
-			}
-			want[i][k] = new(big.Int).Mod(acc, pb).Uint64()
-		}
-	}
-
-	for _, cfg := range identityConfigs {
-		e := NewEngine(cfg.workers)
-		if cfg.block > 0 {
-			e.SetBlockSize(cfg.block)
-		}
-		be, err := NewBasisExtender(rQ.Moduli, rP.Moduli)
-		if err != nil {
-			t.Fatal(err)
-		}
-		be.SetEngine(e)
-
-		// M-form inputs, as ModUp presents them.
-		in := make([][]uint64, len(primesQ))
-		for j := range in {
-			mr := rQ.Moduli[j].MRed
-			in[j] = make([]uint64, n)
-			for k := range in[j] {
-				in[j][k] = mr.MForm(xTrue[j][k])
-			}
-		}
-		out := make([][]uint64, len(primesP))
-		for i := range out {
-			out[i] = make([]uint64, n)
-		}
-		be.Convert(in, out)
-		for i := range out {
-			mr := rP.Moduli[i].MRed
-			for k := range out[i] {
-				if got := mr.IForm(out[i][k]); got != want[i][k] {
-					t.Fatalf("workers=%d block=%d: target limb %d coeff %d: got %d want %d",
-						cfg.workers, cfg.block, i, k, got, want[i][k])
+				be, err := NewBasisExtender(from, to)
+				if err != nil {
+					t.Fatal(err)
 				}
+				be.SetEngine(e)
+				assertConvertMatches(t, fmt.Sprintf("workers=%d block=%d", cfg.workers, cfg.block), be, xTrue, want)
+				e.Close()
+			}
+		})
+	}
+}
+
+// assertConvertMatches runs be.Convert on the M-form of xTrue and compares
+// the outputs, taken back out of M-form, with want.
+func assertConvertMatches(t *testing.T, label string, be *BasisExtender, xTrue, want [][]uint64) {
+	t.Helper()
+	out := make([][]uint64, len(be.to))
+	for i := range out {
+		out[i] = make([]uint64, len(xTrue[0]))
+	}
+	be.Convert(mformRows(be.from, xTrue), out)
+	for i := range out {
+		mr := be.to[i].MRed
+		for k := range out[i] {
+			if got := mr.IForm(out[i][k]); got != want[i][k] {
+				t.Fatalf("%s: target limb %d coeff %d: got %d want %d", label, i, k, got, want[i][k])
 			}
 		}
-		e.Close()
 	}
+}
+
+// TestBasisExtenderChunkedReduction covers bases too wide for one lazy
+// 128-bit sum: with 17 source limbs just below 2^62 and targets as wide, 18
+// unreduced terms can pass 2^128, so the dot product reduces part-way. No
+// parameter set reaches this; the oracle is the same big.Int formula.
+func TestBasisExtenderChunkedReduction(t *testing.T) {
+	const logN, nf, nt = 4, 17, 2
+	var primes []uint64
+	for c := uint64(1)<<mod.MaxModulusBits - 2<<logN + 1; len(primes) < nf+nt; c -= 2 << logN {
+		if mod.IsPrime(c) {
+			primes = append(primes, c)
+		}
+	}
+	r, err := NewRing(logN, primes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := r.Moduli[:nf], r.Moduli[nf:]
+	be, err := NewBasisExtender(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if be.chunk > nf {
+		t.Fatalf("chunk = %d: the %d-term sum is never reduced part-way, the test lost its subject", be.chunk, nf+1)
+	}
+	xTrue := bconvBoundaryInputs(rand.New(rand.NewSource(6)), from, convTile+nf+5)
+	assertConvertMatches(t, "17x62-bit", be, xTrue, bconvOracle(from, to, xTrue))
 }
 
 // TestDivRoundBitIdenticalAcrossEngines checks the four-pass rescale produces

@@ -52,8 +52,10 @@
 // (level+1): low-level ciphertexts keep the whole pool busy, exactly as the
 // paper's PE grid distributes both limbs and coefficients. Full rows take
 // the fused radix-4 kernel; sharded rows run the per-stage radix-2 schedule
-// with barriers between stages. Outputs are bit-identical to serial
-// execution at every (worker, block) configuration.
+// with barriers between stages. Base conversion, the one coefficient-wise
+// family, is instead cut into fixed coefficient tiles that each carry every
+// limb (BasisExtender). Outputs are bit-identical to serial execution at
+// every (worker, block) configuration.
 package ring
 
 import (

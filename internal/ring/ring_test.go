@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -20,6 +21,26 @@ func testRing(t testing.TB, logN, nPrimes int) *Ring {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// bconvBases returns disjoint source and target bases for BasisExtender
+// tests: nf primes of bitsFrom bits and nt primes of bitsTo bits (the widths
+// must differ), each NTT-friendly at logN.
+func bconvBases(t testing.TB, logN, bitsFrom, nf, bitsTo, nt int) (from, to []*Modulus) {
+	t.Helper()
+	var bases [2][]*Modulus
+	for i, s := range [2]struct{ bits, count int }{{bitsFrom, nf}, {bitsTo, nt}} {
+		primes, err := mod.GenerateNTTPrimes(s.bits, logN, s.count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRing(logN, primes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases[i] = r.Moduli
+	}
+	return bases[0], bases[1]
 }
 
 func TestNewRingErrors(t *testing.T) {
@@ -378,39 +399,42 @@ func TestBasisExtenderNegationEquivariance(t *testing.T) {
 	// The hoisted key-switch permutes decomposed slices with the signed
 	// automorphism permutation instead of re-decomposing the permuted
 	// ciphertext; the two orders agree bit for bit only because the centered
-	// BConv satisfies Convert(-x) = -Convert(x) residue for residue.
-	rQ := testRing(t, 6, 3)
-	primesP, err := mod.GenerateNTTPrimes(55, 6, 3)
-	if err != nil {
-		t.Fatal(err)
+	// BConv satisfies Convert(-x) = -Convert(x) residue for residue. The
+	// planted digits sit on the centering boundaries, where negation swaps
+	// (q-1)/2 with (q+1)/2 and must keep f(0) = 0.
+	negRows := func(ms []*Modulus, rows [][]uint64) {
+		for j, row := range rows {
+			for k, v := range row {
+				row[k] = mod.Neg(v, ms[j].Q)
+			}
+		}
 	}
-	rP, err := NewRing(6, primesP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	be, err := NewBasisExtender(rQ.Moduli, rP.Moduli)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(37))
-	lvl := rQ.MaxLevel()
-	in := rQ.NewPolyLevel(lvl)
-	rQ.SampleUniform(rng, in, lvl)
-	// Force a few exact-zero residue columns to hit the f(0)=0 edge case.
-	for i := 0; i <= lvl; i++ {
-		in.Coeffs[i][3] = 0
-		in.Coeffs[i][7] = 0
-	}
-	neg := rQ.NewPolyLevel(lvl)
-	rQ.Neg(in, neg, lvl)
-	lp := rP.MaxLevel()
-	out := rP.NewPolyLevel(lp)
-	outNeg := rP.NewPolyLevel(lp)
-	be.Convert(in.Coeffs, out.Coeffs)
-	be.Convert(neg.Coeffs, outNeg.Coeffs)
-	rP.Neg(outNeg, outNeg, lp)
-	if !rP.Equal(out, outNeg, lp) {
-		t.Fatal("Convert(-x) != -Convert(x): centered BConv is not negation-equivariant")
+	for _, s := range bconvShapes {
+		t.Run(s.name, func(t *testing.T) {
+			from, to := bconvBases(t, s.logN, s.bitsFrom, s.nf, s.bitsTo, s.nt)
+			be, err := NewBasisExtender(from, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := mformRows(from, bconvBoundaryInputs(rand.New(rand.NewSource(37)), from, s.n))
+			out := make([][]uint64, s.nt)
+			outNeg := make([][]uint64, s.nt)
+			for i := range out {
+				out[i] = make([]uint64, s.n)
+				outNeg[i] = make([]uint64, s.n)
+			}
+			be.Convert(in, out)
+			negRows(from, in)
+			be.Convert(in, outNeg)
+			negRows(to, outNeg)
+			for i := range out {
+				for k := range out[i] {
+					if out[i][k] != outNeg[i][k] {
+						t.Fatalf("target limb %d coeff %d: Convert(-x) != -Convert(x): centered BConv is not negation-equivariant", i, k)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -577,18 +601,41 @@ func BenchmarkNTT(b *testing.B) {
 	}
 }
 
+// BenchmarkBConv times Convert at the three ModUp shapes the bench/ workloads
+// run (source limbs → target limbs at the workload's ring degree) and reports
+// ns per output coefficient — the same quantity as the benchmark's
+// ring.bconv_ns_per_out_coeff, so the micro and the traced numbers compare
+// directly. Worker count follows -cpu (the shared DefaultEngine).
 func BenchmarkBConv(b *testing.B) {
-	rQ := testRing(b, 13, 8)
-	primesP, _ := mod.GenerateNTTPrimes(50, 13, 4)
-	rP, _ := NewRing(13, primesP)
-	be, _ := NewBasisExtender(rQ.Moduli, rP.Moduli)
-	rng := rand.New(rand.NewSource(22))
-	in := rQ.NewPolyLevel(7)
-	rQ.SampleUniform(rng, in, 7)
-	out := rP.NewPolyLevel(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		be.Convert(in.Coeffs, out.Coeffs)
+	for _, s := range []struct{ nf, nt, logN, bitsFrom, bitsTo int }{
+		{28, 28, 12, 60, 61}, // boot_ins1_n12: dnum=1, the whole chain → P
+		{3, 12, 14, 45, 55},  // nnlayer_dnum4_n14
+		{3, 9, 17, 50, 60},   // prim_dnum3_n17: rows leave the cache
+	} {
+		from, to := bconvBases(b, s.logN, s.bitsFrom, s.nf, s.bitsTo, s.nt)
+		be, err := NewBasisExtender(from, to)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 1 << s.logN
+		rng := rand.New(rand.NewSource(22))
+		in := make([][]uint64, s.nf)
+		for j := range in {
+			in[j] = make([]uint64, n)
+			for k := range in[j] {
+				in[j][k] = uniformUint64(rng, from[j].Q)
+			}
+		}
+		out := make([][]uint64, s.nt)
+		for i := range out {
+			out[i] = make([]uint64, n)
+		}
+		b.Run(fmt.Sprintf("%dto%d/logN=%d", s.nf, s.nt, s.logN), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				be.Convert(in, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.nt*n), "ns/out-coeff")
+		})
 	}
 }
 

@@ -16,7 +16,9 @@ type EngineStats struct {
 	Tasks, StolenTasks atomic.Int64
 	// HelpersBusy is a point-in-time gauge of helper workers currently
 	// executing tasks (worker occupancy; the caller's own goroutine is not
-	// counted).
+	// counted). A helper lowers it after finishing its last task, which can
+	// be after the dispatch it served has returned: on an idle engine the
+	// gauge is eventually zero, not zero the instant Run returns.
 	HelpersBusy atomic.Int64
 	// BlockRuns counts RunBlocks dispatches; ShardedRuns the subset that
 	// actually split rows into >1 coefficient blocks. ShardLastRows and
