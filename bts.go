@@ -58,6 +58,23 @@
 // report the measured speedups and CI archives both as the repo's
 // perf-trajectory record.
 //
+// A product that is going to be rescaled anyway should be one call:
+// ckks.Evaluator.MulRelinRescale(a, b) returns what Rescale(MulRelin(a, b))
+// returns — same level, same tracked scale — but divides once, by P·q_ℓ,
+// where the pair divides by P and then again by q_ℓ. The key-switch spends
+// its forward NTTs only on the rows base conversion wrote (its own
+// decomposition group never leaves the NTT domain), so with that a
+// dnum = 1 product costs 3·nq + 3·np limb transforms instead of
+// 6·nq + 3·np (nq active primes, np special primes). The fused form is not
+// bit-identical to the pair: the approximate base conversion's overflow,
+// up to (np+1)/2 units per coefficient, lands after the division by q_ℓ
+// instead of before it, so the result carries a few units more coefficient
+// noise (measured at Δ = 2^40: slot error 2^-31.4 → 2^-30.3 at dnum = 1,
+// unchanged at dnum = 6). That is invisible wherever the scale leaves a
+// dozen bits of headroom — the Chebyshev evaluator, hence EvalMod, uses it
+// for every product — and MulRelin and Rescale stay as they are for
+// callers that need the product unrescaled or want the last bit.
+//
 // # Montgomery ring core
 //
 // The RNS residue arithmetic underneath all of this runs end-to-end in

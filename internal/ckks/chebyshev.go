@@ -69,19 +69,63 @@ func chebDivide(p []float64, g int) (q, r []float64) {
 	return q, r
 }
 
+// chebZeroTol is the magnitude below which a Chebyshev coefficient counts as
+// zero. trimCheb, the leaves and the support pass that decides which basis
+// elements get built all test through chebNonZero, so they cannot disagree
+// about which T_k a leaf reads.
+const chebZeroTol = 1e-14
+
+func chebNonZero(c float64) bool { return math.Abs(c) >= chebZeroTol }
+
 // trimCheb removes trailing (near-)zero coefficients.
 func trimCheb(p []float64) []float64 {
 	d := len(p)
-	for d > 0 && math.Abs(p[d-1]) < 1e-14 {
+	for d > 0 && !chebNonZero(p[d-1]) {
 		d--
 	}
 	return p[:d]
 }
 
+// chebGiant returns the giant step a degree-d polynomial is divided by: the
+// largest bs·2^j not above d.
+func chebGiant(d, bs int) int {
+	g := bs
+	for g*2 <= d {
+		g *= 2
+	}
+	return g
+}
+
+// chebSupport is evalChebPS without the ciphertexts: it marks in need every
+// basis index the evaluation of coeffs reads — the T_k its leaves combine
+// and the giants its inner nodes multiply by.
+func chebSupport(coeffs []float64, bs int, need []bool) {
+	coeffs = trimCheb(coeffs)
+	if len(coeffs) <= bs {
+		for k := 1; k < len(coeffs); k++ {
+			if chebNonZero(coeffs[k]) {
+				need[k] = true
+			}
+		}
+		return
+	}
+	g := chebGiant(len(coeffs)-1, bs)
+	need[g] = true
+	qc, rc := chebDivide(coeffs, g)
+	chebSupport(qc, bs, need)
+	chebSupport(rc, bs, need)
+}
+
 // EvalChebyshev homomorphically evaluates Σ c_k T_k(t) on a ciphertext
-// encoding t ∈ [-1,1], with the Paterson–Stockmeyer strategy: a baby-step
-// basis T_1..T_bs, giant powers T_{2^j·bs}, and recursive Chebyshev division.
-// Multiplicative depth ≈ ceil(log2(degree))+1. The result keeps scale ≈ Δ.
+// encoding t ∈ [-1,1], with the Paterson–Stockmeyer strategy: baby steps
+// T_k, k ≤ bs, giant steps T_{2^j·bs}, and recursive Chebyshev division.
+// The basis is demand-driven: a dry run of the recursion (chebSupport) names
+// the T_k that are actually read, and only those and what chebPower needs to
+// reach them are built — an odd polynomial such as the bootstrap's scaled
+// sine never pays for T_6, T_10, T_12 or T_14. Multiplicative depth
+// ≈ ceil(log2(degree))+1. The result keeps scale ≈ Δ. Every product is a
+// MulRelinRescale, and every intermediate goes back to the ciphertext pool;
+// ct is only read.
 func (ev *Evaluator) EvalChebyshev(ct *Ciphertext, coeffs []float64) (*Ciphertext, error) {
 	coeffs = trimCheb(append([]float64(nil), coeffs...))
 	if len(coeffs) == 0 {
@@ -97,16 +141,19 @@ func (ev *Evaluator) EvalChebyshev(ct *Ciphertext, coeffs []float64) (*Ciphertex
 	// Baby-step count: 2^ceil(m/2) for degree < 2^m.
 	m := bitsFor(degree + 1)
 	bs := 1 << ((m + 1) / 2)
+	need := make([]bool, degree+1)
+	chebSupport(coeffs, bs, need)
 	basis := map[int]*Ciphertext{1: ct}
-	// T_1..T_bs.
-	for k := 2; k <= bs; k++ {
-		ev.chebPower(basis, k)
-	}
-	// Giant powers T_{2bs}, T_{4bs}, ... up to degree.
-	for g := 2 * bs; g <= degree; g *= 2 {
-		ev.chebPower(basis, g)
+	for k, read := range need {
+		if read {
+			ev.chebPower(basis, k)
+		}
 	}
 	out := ev.evalChebPS(coeffs, basis, bs)
+	delete(basis, 1) // the caller's
+	for _, t := range basis {
+		ev.ctx.PutCiphertext(t)
+	}
 	ev.endSpan(&sp, out)
 	return out, nil
 }
@@ -119,88 +166,98 @@ func bitsFor(v int) int {
 	return b
 }
 
-// chebPower inserts T_k into the basis using T_{a+b} = 2·T_a·T_b - T_{|a-b|}.
+// chebPower inserts T_k into the basis using T_{a+b} = 2·T_a·T_b - T_{a-b}
+// with a the largest power of two below k (a = b = k/2 when k is one): the
+// powers of two are shared by every k, so a sparse support costs one product
+// per element plus that chain, and T_k still sits at depth ⌈log2 k⌉ —
+// T_a is at depth log2 a, and T_b and T_{a-b}, both below a, no deeper.
 func (ev *Evaluator) chebPower(basis map[int]*Ciphertext, k int) {
 	if _, ok := basis[k]; ok {
 		return
 	}
-	a := k / 2
+	a := 1 << (bitsFor(k) - 1)
 	b := k - a
 	ev.chebPower(basis, a)
 	ev.chebPower(basis, b)
-	ta, tb := basis[a], basis[b]
-	prod := ev.Rescale(ev.MulRelin(ta, tb))
+	prod := ev.MulRelinRescale(basis[a], basis[b])
 	dbl := ev.Add(prod, prod)
 	var out *Ciphertext
 	if a == b {
 		out = ev.AddConst(dbl, -1) // T_{2a} = 2T_a² - 1
 	} else {
-		d := a - b
-		if d < 0 {
-			d = -d
-		}
-		ev.chebPower(basis, d)
-		out = ev.Sub(dbl, basis[d])
+		ev.chebPower(basis, a-b)
+		out = ev.Sub(dbl, basis[a-b])
 	}
+	ev.ctx.PutCiphertext(dbl)
+	ev.ctx.PutCiphertext(prod)
 	basis[k] = out
 }
 
-// evalChebPS is the recursive Paterson–Stockmeyer evaluation.
+// evalChebPS is the recursive Paterson–Stockmeyer evaluation: p = q·T_g + r,
+// one product per inner node — there is never a sum of degree-2 terms whose
+// relinearization could be shared.
 func (ev *Evaluator) evalChebPS(coeffs []float64, basis map[int]*Ciphertext, bs int) *Ciphertext {
 	coeffs = trimCheb(coeffs)
 	if len(coeffs) <= bs {
 		return ev.chebLinearCombo(coeffs, basis)
 	}
-	d := len(coeffs) - 1
-	g := bs
-	for g*2 <= d {
-		g *= 2
-	}
+	g := chebGiant(len(coeffs)-1, bs)
 	qc, rc := chebDivide(coeffs, g)
 	q := ev.evalChebPS(qc, basis, bs)
 	r := ev.evalChebPS(rc, basis, bs)
-	prod := ev.Rescale(ev.MulRelin(q, basis[g]))
-	return ev.Add(prod, r)
+	prod := ev.MulRelinRescale(q, basis[g])
+	out := ev.Add(prod, r)
+	ev.ctx.PutCiphertext(prod)
+	ev.ctx.PutCiphertext(r)
+	ev.ctx.PutCiphertext(q)
+	return out
 }
 
-// chebLinearCombo computes Σ_{k≤deg<bs} c_k·T_k + c_0 in one level.
+// chebLinearCombo computes Σ_{k≤deg<bs} c_k·T_k + c_0 in one level: the
+// terms are folded straight from the basis elements' rows into one
+// accumulator at the lowest level among them, then rescaled once.
 func (ev *Evaluator) chebLinearCombo(coeffs []float64, basis map[int]*Ciphertext) *Ciphertext {
-	// Find the lowest level among the basis elements we need.
 	lvl := basis[1].Level
 	for k := 1; k < len(coeffs); k++ {
-		if math.Abs(coeffs[k]) > 1e-14 && basis[k].Level < lvl {
-			lvl = basis[k].Level
+		if !chebNonZero(coeffs[k]) {
+			continue
 		}
+		t := basis[k]
+		if t == nil {
+			panic(fmt.Sprintf("ckks: Chebyshev leaf reads T_%d, which the support pass did not build", k))
+		}
+		lvl = min(lvl, t.Level)
 	}
+	rq := ev.ctx.RingQ
 	cScale := float64(ev.params().Q[lvl])
 	var acc *Ciphertext
 	for k := 1; k < len(coeffs); k++ {
-		if math.Abs(coeffs[k]) <= 1e-14 {
+		if !chebNonZero(coeffs[k]) {
 			continue
 		}
-		t := basis[k].CopyNew(ev.ctx)
-		if t.Level > lvl {
-			t.DropLevel(lvl)
-		}
-		term := ev.MulConst(t, complex(coeffs[k], 0), cScale)
+		t := basis[k]
+		c := int64(math.Round(coeffs[k] * cScale))
 		if acc == nil {
-			acc = term
+			acc = ev.ctx.getCiphertextNoZero(lvl, t.Scale*cScale)
+			rq.MulScalarInt64(t.C0, c, acc.C0, lvl)
+			rq.MulScalarInt64(t.C1, c, acc.C1, lvl)
 		} else {
-			ev.AddInPlace(acc, term)
+			acc.Scale = checkScales(acc.Scale, t.Scale*cScale, "EvalChebyshev")
+			rq.MulScalarInt64AndAdd(t.C0, c, acc.C0, lvl)
+			rq.MulScalarInt64AndAdd(t.C1, c, acc.C1, lvl)
 		}
 	}
 	if acc == nil {
 		// Constant polynomial: build an encryption of c_0 at the basis scale.
-		z := ev.MulConst(basis[1], 0, cScale)
-		acc = z
+		acc = ev.ctx.GetCiphertext(lvl, basis[1].Scale*cScale)
 	}
+	ev.observeMargin(acc)
 	out := ev.Rescale(acc)
-	c0 := 0.0
-	if len(coeffs) > 0 {
-		c0 = coeffs[0]
-	}
-	if c0 != 0 {
-		out = ev.AddConst(out, complex(c0, 0))
+	ev.ctx.PutCiphertext(acc)
+	if len(coeffs) > 0 && coeffs[0] != 0 {
+		shifted := ev.AddConst(out, complex(coeffs[0], 0))
+		ev.ctx.PutCiphertext(out)
+		out = shifted
 	}
 	return out
 }

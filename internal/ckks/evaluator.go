@@ -248,15 +248,49 @@ func (ev *Evaluator) MulByI(ct *Ciphertext) *Ciphertext {
 
 // MulRelin returns ct0 ⊗ ct1 followed by relinearization (HMult, Eqs. 3-4).
 // The output scale is the product of the input scales; callers normally
-// Rescale afterwards.
+// Rescale afterwards, or call MulRelinRescale to get both in one division.
 func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext) *Ciphertext {
+	return ev.mulRelin(ct0, ct1, 0)
+}
+
+// MulRelinRescale returns Rescale(MulRelin(ct0, ct1)) — the same level and
+// the same tracked scale, exactly — from a single division: relinearization
+// already divides by P, and here that ModDown divides by P·q_ℓ at once
+// instead of handing a level-ℓ product to a second pass that divides by q_ℓ.
+// Per product at nq = ℓ+1 active primes that is one 1-row iNTT in place of
+// Rescale's 2·(nq−1) NTTs, 2 iNTTs, copy and two element-wise passes.
+//
+// The price is noise. The key-switch's base conversion is approximate — it
+// may be off by a multiple u·P, |u| ≤ (np+1)/2, which the unfused pair
+// divides by q_ℓ along with everything else; fused, the overflow is a
+// multiple of P·q_ℓ and survives the division whole, so the result differs
+// from the unfused one by up to (np+1)/2 units per coefficient of each
+// component (times the secret on C1). That is a few bits above the rescale
+// rounding floor and far below the message at any usable scale, but it is
+// not bit-identical to the two-step form, which stays available for callers
+// that want the last bit. Panics on a level-0 operand, like Rescale.
+func (ev *Evaluator) MulRelinRescale(ct0, ct1 *Ciphertext) *Ciphertext {
+	return ev.mulRelin(ct0, ct1, 1)
+}
+
+// mulRelin is HMult with the last `drop` primes divided out alongside P.
+// The tensor terms d0, d1 are lifted into the extended basis (P·d_i added to
+// the key-switch accumulators over Q; it vanishes over P) so one ModDown per
+// component yields d_i + ks_i directly in the output — with drop = 0 that is
+// the same residue, word for word, as dividing first and adding d_i after:
+// (P·d + acc − conv)·P⁻¹ ≡ d + (acc − conv)·P⁻¹.
+func (ev *Evaluator) mulRelin(ct0, ct1 *Ciphertext, drop int) *Ciphertext {
 	if ev.rlk == nil {
 		panic("ckks: MulRelin without relinearization key")
 	}
-	ev.counters.Mult.Add(1)
-	sp := ev.begin(spanMulRelin)
-	rq := ev.ctx.RingQ
 	lvl := alignLevels(ct0, ct1)
+	if drop > lvl {
+		panic("ckks: cannot rescale a level-0 ciphertext")
+	}
+	ev.counters.Mult.Add(1)
+	ev.counters.Rescale.Add(int64(drop))
+	sp := ev.begin(spanMulRelin)
+	rq, rp := ev.ctx.RingQ, ev.ctx.RingP
 
 	d0 := rq.GetPolyNoZero()
 	d1 := rq.GetPolyNoZero()
@@ -266,14 +300,24 @@ func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext) *Ciphertext {
 	rq.MulCoeffsAndAdd(ct0.C1, ct1.C0, d1, lvl)
 	rq.MulCoeffs(ct0.C1, ct1.C1, d2, lvl)
 
-	ks0 := rq.GetPolyNoZero()
-	ks1 := rq.GetPolyNoZero()
-	ev.keySwitch(d2, lvl, ev.rlk, ks0, ks1)
-	out := ev.ctx.getCiphertextNoZero(lvl, ct0.Scale*ct1.Scale)
-	rq.Add(d0, ks0, out.C0, lvl)
-	rq.Add(d1, ks1, out.C1, lvl)
-	rq.PutPoly(ks1)
-	rq.PutPoly(ks0)
+	accQ0, accP0 := rq.GetPolyNoZero(), rp.GetPolyNoZero()
+	accQ1, accP1 := rq.GetPolyNoZero(), rp.GetPolyNoZero()
+	ev.keySwitchMAC(d2, lvl, ev.rlk, accQ0, accP0, accQ1, accP1)
+	// d_i enters the extended basis as the integer P·d_i: zero over P.
+	rq.MulLimbScalarsAndAdd(d0, ev.ctx.pModQ, ev.ctx.pModQShoup, accQ0, lvl)
+	rq.MulLimbScalarsAndAdd(d1, ev.ctx.pModQ, ev.ctx.pModQShoup, accQ1, lvl)
+
+	scale := ct0.Scale * ct1.Scale
+	for i := lvl; i > lvl-drop; i-- {
+		scale /= float64(rq.Moduli[i].Q)
+	}
+	out := ev.ctx.getCiphertextNoZero(lvl-drop, scale)
+	ev.modDown(accQ0, accP0, lvl, drop, out.C0)
+	ev.modDown(accQ1, accP1, lvl, drop, out.C1)
+	rp.PutPoly(accP1)
+	rq.PutPoly(accQ1)
+	rp.PutPoly(accP0)
+	rq.PutPoly(accQ0)
 	rq.PutPoly(d2)
 	rq.PutPoly(d1)
 	rq.PutPoly(d0)
@@ -348,78 +392,85 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, g uint64) *Ciphertext {
 // keySwitch recombines d (NTT domain, level lvl), decryptable under the
 // switching key's source secret, into the pair (ks0, ks1) decryptable under
 // s; the caller supplies ks0 and ks1 (typically from the scratch pool). This
-// is the pipeline of Fig. 3(a): per decomposition slice, iNTT → BConv
-// (ModUp) → NTT → multiply-accumulate with the evk, then a final ModDown
-// dividing by P (the subtraction-scaling-addition the paper fuses as SSA).
-//
-// This is the single-use form: it streams one slice at a time through a
-// reused scratch pair, so it holds two temporaries regardless of β and
-// allocates nothing per call. Rotation-heavy callers that reuse one
-// decomposition across many rotations instead materialize every slice with
-// decomposeNTT (hoisting.go); the two paths perform the identical op
-// sequence per slice, so their outputs are bit-identical.
+// is the pipeline of Fig. 3(a) in its two halves: keySwitchMAC (per slice,
+// ModUp and multiply-accumulate with the evk) and one modDown per component
+// (the subtraction-scaling-addition the paper fuses as SSA).
 func (ev *Evaluator) keySwitch(d *ring.Poly, lvl int, swk *SwitchingKey, ks0, ks1 *ring.Poly) {
+	rq, rp := ev.ctx.RingQ, ev.ctx.RingP
+	accQ0, accP0 := rq.GetPolyNoZero(), rp.GetPolyNoZero()
+	accQ1, accP1 := rq.GetPolyNoZero(), rp.GetPolyNoZero()
+	ev.keySwitchMAC(d, lvl, swk, accQ0, accP0, accQ1, accP1)
+	ev.modDown(accQ0, accP0, lvl, 0, ks0)
+	ev.modDown(accQ1, accP1, lvl, 0, ks1)
+	rp.PutPoly(accP1)
+	rq.PutPoly(accQ1)
+	rp.PutPoly(accP0)
+	rq.PutPoly(accQ0)
+}
+
+// keySwitchMAC is the decomposition and multiply-accumulate half of the
+// key-switch: it overwrites (accQ0, accP0) and (accQ1, accP1) with
+// Σ_j ModUp(d)_j ⊙ evk_j for the two key components, in the extended basis
+// QP and still to be divided by P (callers may pass unzeroed scratch) — the
+// streaming counterpart of keySwitchHoistedLazy.
+//
+// It is the single-use form: one slice at a time through a reused scratch
+// pair, so it holds two temporaries regardless of β. Rotation-heavy callers
+// that reuse one decomposition across many rotations instead materialize
+// every slice with decomposeNTT (hoisting.go); the two paths run the same
+// modUpSlice per slice and sum the same products, so their outputs are
+// bit-identical.
+func (ev *Evaluator) keySwitchMAC(d *ring.Poly, lvl int, swk *SwitchingKey, accQ0, accP0, accQ1, accP1 *ring.Poly) {
 	sp := ev.begin(spanKeySwitch)
 	sp.SetLevel(lvl)
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
 	lp := rp.MaxLevel()
-	beta := ctx.Params.Beta(lvl)
 
 	dCoeff := rq.GetPolyNoZero()
 	rq.CopyLevel(dCoeff, d, lvl)
 	rq.INTT(dCoeff, lvl)
 
-	accQ0 := rq.GetPoly(lvl)
-	accQ1 := rq.GetPoly(lvl)
-	accP0 := rp.GetPoly(lp)
-	accP1 := rp.GetPoly(lp)
-
-	// tmpQ/tmpP are fully overwritten each slice (copied rows + BConv
-	// output), so they skip the zeroing pass; only the accumulators above
-	// need zeroed memory. dst is the BConv target-row view, reused across
-	// slices.
+	// tmpQ/tmpP are fully overwritten each slice (group rows + BConv
+	// output); dst is the BConv target-row view, reused across slices.
 	tmpQ := rq.GetPolyNoZero()
 	tmpP := rp.GetPolyNoZero()
 	dst := make([][]uint64, 0, lvl+1+lp)
 
-	for j := 0; j < beta; j++ {
-		dst = ev.modUpSlice(j, lvl, dCoeff, tmpQ, tmpP, dst)
-
-		// Multiply-accumulate with the evk slice (element-wise, Fig. 3a).
-		rq.MulCoeffsAndAdd(tmpQ, swk.Value[j][0].Q, accQ0, lvl)
-		rp.MulCoeffsAndAdd(tmpP, swk.Value[j][0].P, accP0, lp)
-		rq.MulCoeffsAndAdd(tmpQ, swk.Value[j][1].Q, accQ1, lvl)
-		rp.MulCoeffsAndAdd(tmpP, swk.Value[j][1].P, accP1, lp)
+	// Multiply-accumulate with the evk slice (element-wise, Fig. 3a); the
+	// first slice writes the accumulators, so nobody has to zero them.
+	mulQ, mulP := rq.MulCoeffs, rp.MulCoeffs
+	for j := 0; j < ctx.Params.Beta(lvl); j++ {
+		dst = ev.modUpSlice(j, lvl, d, dCoeff, tmpQ, tmpP, dst)
+		mulQ(tmpQ, swk.Value[j][0].Q, accQ0, lvl)
+		mulP(tmpP, swk.Value[j][0].P, accP0, lp)
+		mulQ(tmpQ, swk.Value[j][1].Q, accQ1, lvl)
+		mulP(tmpP, swk.Value[j][1].P, accP1, lp)
+		mulQ, mulP = rq.MulCoeffsAndAdd, rp.MulCoeffsAndAdd
 	}
-
-	ev.modDown(accQ0, accP0, lvl, ks0)
-	ev.modDown(accQ1, accP1, lvl, ks1)
 
 	rp.PutPoly(tmpP)
 	rq.PutPoly(tmpQ)
-	rp.PutPoly(accP1)
-	rp.PutPoly(accP0)
-	rq.PutPoly(accQ1)
-	rq.PutPoly(accQ0)
 	rq.PutPoly(dCoeff)
 	ev.endSpan(&sp, nil)
 }
 
-// modUpSlice runs one decomposition slice of the Fig. 3(a) pipeline: the
+// modUpSlice runs one decomposition slice of the Fig. 3(a) pipeline. The
 // residues of group j of dCoeff (coefficient domain, level lvl) are extended
-// to the rest of the QP basis (ModUp/BConv), the group rows copied through,
-// and both halves brought to the NTT domain. tmpQ and tmpP are fully
+// to the rest of the QP basis (ModUp/BConv) and only those rows — the
+// out-of-group q-rows and the p-rows — go through the forward NTT. The
+// group's own rows are copied from d, the NTT-domain polynomial dCoeff was
+// taken from: NTT(iNTT(x)) = x word for word, because both transforms end in
+// canonical residues, so transforming them back would recompute what d
+// already holds (with dnum = 1 that is every q-row). tmpQ and tmpP are fully
 // overwritten; dst is the reusable BConv target-row view, returned for reuse
-// across slices. Both the streaming keySwitch and the hoisted decomposeNTT
-// run exactly this body per slice — sharing it is what keeps their outputs
-// bit-identical.
-func (ev *Evaluator) modUpSlice(j, lvl int, dCoeff, tmpQ, tmpP *ring.Poly, dst [][]uint64) [][]uint64 {
+// across slices. Both the streaming keySwitchMAC and the hoisted
+// decomposeNTT run exactly this body per slice — sharing it is what keeps
+// their outputs bit-identical.
+func (ev *Evaluator) modUpSlice(j, lvl int, d, dCoeff, tmpQ, tmpP *ring.Poly, dst [][]uint64) [][]uint64 {
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
-	lp := rp.MaxLevel()
 	lo, hi := ctx.groupRange(j, lvl)
-	src := dCoeff.Coeffs[lo : hi+1]
 	dst = dst[:0]
 	for i := 0; i <= lvl; i++ {
 		if i < lo || i > hi {
@@ -427,37 +478,50 @@ func (ev *Evaluator) modUpSlice(j, lvl int, dCoeff, tmpQ, tmpP *ring.Poly, dst [
 		}
 	}
 	dst = append(dst, tmpP.Coeffs...)
-	ctx.modUpExtender(j, lvl).Convert(src, dst)
+	ctx.modUpExtender(j, lvl).Convert(dCoeff.Coeffs[lo:hi+1], dst)
 	for i := lo; i <= hi; i++ {
-		copy(tmpQ.Coeffs[i], dCoeff.Coeffs[i])
+		copy(tmpQ.Coeffs[i], d.Coeffs[i])
 	}
-	rq.NTT(tmpQ, lvl)
-	rp.NTT(tmpP, lp)
+	rq.NTTExcept(tmpQ, lvl, lo, hi)
+	rp.NTT(tmpP, rp.MaxLevel())
 	return dst
 }
 
-// modDown divides (accQ, accP) by P into out: BConv the P-part onto the
-// q-basis, subtract, and scale by P^-1 mod q_i (the 1/P step of Eq. 4). The
-// final fused subtract-scale runs limb × coefficient-block sharded with the
-// cached Shoup companions of P^-1, so it stays parallel at low levels.
-func (ev *Evaluator) modDown(accQ, accP *ring.Poly, lvl int, out *ring.Poly) {
+// modDown divides the extended polynomial (accQ, accP) — rows [0..lvl] over Q
+// and the full P basis, NTT domain — by D = P·q_{lvl-drop+1}···q_lvl with
+// rounding, into rows [0..lvl-drop] of out. drop = 0 is the 1/P step of
+// Eq. 4; drop = 1 is that step and the HRescale that would follow it, as one
+// division (see MulRelinRescale). The residues modulo D's own primes — the
+// p-rows and the dropped q-rows — go back to the coefficient domain (in
+// place: both accumulators are consumed), one BConv carries them onto the
+// surviving q-basis, one NTT brings that back, and a fused subtract-scale by
+// D^-1 finishes; the centered BConv is what makes the quotient rounded. That
+// last pass runs limb × coefficient-block sharded with cached Shoup
+// companions, so it stays parallel at low levels.
+func (ev *Evaluator) modDown(accQ, accP *ring.Poly, lvl, drop int, out *ring.Poly) {
 	ev.counters.ModDown.Add(1)
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
-	lp := rp.MaxLevel()
-	rp.INTT(accP, lp)
+	keep := lvl - drop
+	tab := ctx.modDownTables(lvl, drop)
+	rp.INTT(accP, rp.MaxLevel())
+	src := accP.Coeffs
+	for i := keep + 1; i <= lvl; i++ {
+		rq.INTTRow(accQ.Coeffs[i], i)
+		src = append(src[:len(src):len(src)], accQ.Coeffs[i])
+	}
 	tmp := rq.GetPolyNoZero()
-	ctx.modDownExtender(lvl).Convert(accP.Coeffs, tmp.Coeffs)
-	rq.NTT(tmp, lvl)
-	rq.ForEachLimbBlock(lvl, func(i, lo, hi int) {
+	tab.ext.Convert(src, tmp.Coeffs[:keep+1])
+	rq.NTT(tmp, keep)
+	rq.ForEachLimbBlock(keep, func(i, lo, hi int) {
 		q := rq.Moduli[i].Q
-		pInv, pInvShoup := ctx.pInvModQ[i], ctx.pInvModQShoup[i]
+		inv, invShoup := tab.inv[i], tab.invShoup[i]
 		o := out.Coeffs[i][lo:hi:hi]
 		a := accQ.Coeffs[i][lo:hi:hi]
 		b := tmp.Coeffs[i][lo:hi:hi]
 		a, b = a[:len(o)], b[:len(o)]
 		for t := range o {
-			o[t] = mod.MulShoup(mod.Sub(a[t], b[t], q), pInv, pInvShoup, q)
+			o[t] = mod.MulShoup(mod.Sub(a[t], b[t], q), inv, invShoup, q)
 		}
 	})
 	rq.PutPoly(tmp)

@@ -101,7 +101,7 @@ func (ev *Evaluator) decomposeNTT(d *ring.Poly, lvl int) *HoistedDecomposition {
 	for j := 0; j < beta; j++ {
 		tmpQ := rq.GetPolyNoZero()
 		tmpP := rp.GetPolyNoZero()
-		dst = ev.modUpSlice(j, lvl, dCoeff, tmpQ, tmpP, dst)
+		dst = ev.modUpSlice(j, lvl, d, dCoeff, tmpQ, tmpP, dst)
 		hd.q = append(hd.q, tmpQ)
 		hd.p = append(hd.p, tmpP)
 	}
@@ -212,8 +212,8 @@ func (ev *Evaluator) keySwitchHoisted(g uint64, hd *HoistedDecomposition, swk *S
 	accP0 := rp.GetPolyNoZero()
 	accP1 := rp.GetPolyNoZero()
 	ev.keySwitchHoistedLazy(g, hd, swk, accQ0, accP0, accQ1, accP1)
-	ev.modDown(accQ0, accP0, lvl, ks0)
-	ev.modDown(accQ1, accP1, lvl, ks1)
+	ev.modDown(accQ0, accP0, lvl, 0, ks0)
+	ev.modDown(accQ1, accP1, lvl, 0, ks1)
 	rp.PutPoly(accP1)
 	rp.PutPoly(accP0)
 	rq.PutPoly(accQ1)

@@ -360,8 +360,8 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphe
 		// baby products out of the extended basis at once.
 		inner := ctx.getCiphertextNoZero(lvl, scale)
 		if hasExt {
-			ev.modDown(ext0, extP0, lvl, inner.C0)
-			ev.modDown(ext1, extP1, lvl, inner.C1)
+			ev.modDown(ext0, extP0, lvl, 0, inner.C0)
+			ev.modDown(ext1, extP1, lvl, 0, inner.C1)
 			rq.Add(inner.C0, plain0, inner.C0, lvl)
 			rq.Add(inner.C1, plain1, inner.C1, lvl)
 		} else {

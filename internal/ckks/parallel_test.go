@@ -62,7 +62,8 @@ func TestEvaluatorParallelEquivalence(t *testing.T) {
 		cmul := ts.eval.Rescale(ts.eval.MulConst(sum, complex(0.5, -0.25), ts.params.Scale))
 		cadd := ts.eval.AddConst(cmul, complex(-1.25, 0.5))
 		sq := ts.eval.Rescale(ts.eval.Square(cadd))
-		return []*Ciphertext{ct0, ct1, prod, rot, conj, sum, cmul, cadd, sq}
+		fused := ts.eval.MulRelinRescale(cadd, sq)
+		return []*Ciphertext{ct0, ct1, prod, rot, conj, sum, cmul, cadd, sq, fused}
 	}
 	outS := run(s)
 	outP := run(p)
@@ -182,7 +183,8 @@ func TestShardedEvaluatorEquivalence(t *testing.T) {
 		out = append(out, rot, conj, sum, cadd)
 		if lvl >= 1 {
 			prod := ts.eval.Rescale(ts.eval.MulRelin(cadd, ct1))
-			out = append(out, prod)
+			fused := ts.eval.MulRelinRescale(cadd, ct1)
+			out = append(out, prod, fused)
 		}
 		return out
 	}

@@ -44,6 +44,19 @@
 // (Bootstrapper.SetDenseTransforms). `btsbench -experiment bootstrap`
 // measures both pipelines and CI archives the report.
 //
+// # One division per multiplication
+//
+// HMult is a tensor product, a key-switch of its degree-2 term and — almost
+// always — a rescale. The key-switch ends by dividing by P (modDown), the
+// rescale by dividing by q_ℓ; MulRelinRescale has modDown divide by P·q_ℓ
+// in one pass, so the second division's transforms and passes never run.
+// Call it wherever the product would be rescaled next; it returns the level
+// and scale Rescale(MulRelin(·)) would, and a few units more coefficient
+// noise (the base conversion's overflow is no longer divided by q_ℓ — see
+// the method's comment). EvalChebyshev, and with it the bootstrap's EvalMod,
+// multiplies only this way. MulRelin and Rescale remain, and remain
+// bit-identical to what they were.
+//
 // # Montgomery ring core
 //
 // Every polynomial this package holds in RNS residues — ciphertext
@@ -226,16 +239,16 @@ type Context struct {
 	RingQ  *ring.Ring // R over the q-chain
 	RingP  *ring.Ring // R over the special p-chain
 
-	pModQ         []uint64 // [P]_{q_i}, used when generating switching keys
-	pInvModQ      []uint64 // [P^-1]_{q_i}, used by ModDown
-	pInvModQShoup []uint64 // Shoup companions of pInvModQ
+	pModQ      []uint64 // [P]_{q_i}: switching-key generation, and lifting HMult's d0, d1 into the QP basis
+	pModQShoup []uint64 // Shoup companions of pModQ
+	pInvModQ   []uint64 // [P^-1]_{q_i}, the seed of every ModDown divisor inverse
 
 	// cacheMu guards the lazily-populated extender caches below so several
 	// ciphertexts can be evaluated concurrently on one context (the serving
 	// runtime's batch scheduler keeps many jobs in flight per context).
 	cacheMu      sync.RWMutex
 	modUpCache   map[[2]int]*ring.BasisExtender // (group j, level) → extender
-	modDownCache map[int]*ring.BasisExtender    // level → extender P→C_level
+	modDownCache map[[2]int]*modDownTables      // (level, drop) → divisor tables
 
 	engine *ring.Engine
 
@@ -272,7 +285,7 @@ func NewContext(params Parameters) (*Context, error) {
 		RingQ:        rq,
 		RingP:        rp,
 		modUpCache:   make(map[[2]int]*ring.BasisExtender),
-		modDownCache: make(map[int]*ring.BasisExtender),
+		modDownCache: make(map[[2]int]*modDownTables),
 		engine:       ring.DefaultEngine(),
 	}
 	ctx.cumLogQ = make([]float64, len(params.Q))
@@ -282,16 +295,16 @@ func NewContext(params Parameters) (*Context, error) {
 		ctx.cumLogQ[i] = logQ
 	}
 	ctx.pModQ = make([]uint64, len(params.Q))
+	ctx.pModQShoup = make([]uint64, len(params.Q))
 	ctx.pInvModQ = make([]uint64, len(params.Q))
-	ctx.pInvModQShoup = make([]uint64, len(params.Q))
 	for i, q := range params.Q {
 		pm := uint64(1)
 		for _, pj := range params.P {
 			pm = mod.Mul(pm, pj%q, q)
 		}
 		ctx.pModQ[i] = pm
+		ctx.pModQShoup[i] = mod.ShoupPrecomp(pm, q)
 		ctx.pInvModQ[i] = mod.Inv(pm, q)
-		ctx.pInvModQShoup[i] = mod.ShoupPrecomp(ctx.pInvModQ[i], q)
 	}
 	return ctx, nil
 }
@@ -312,8 +325,8 @@ func (ctx *Context) SetWorkers(n int) {
 	for _, be := range ctx.modUpCache {
 		be.SetEngine(ctx.engine)
 	}
-	for _, be := range ctx.modDownCache {
-		be.SetEngine(ctx.engine)
+	for _, t := range ctx.modDownCache {
+		t.ext.SetEngine(ctx.engine)
 	}
 	ctx.cacheMu.Unlock()
 	ctx.attachStats()
@@ -392,8 +405,8 @@ func (ctx *Context) Close() {
 	for _, be := range ctx.modUpCache {
 		be.SetEngine(ctx.engine)
 	}
-	for _, be := range ctx.modDownCache {
-		be.SetEngine(ctx.engine)
+	for _, t := range ctx.modDownCache {
+		t.ext.SetEngine(ctx.engine)
 	}
 	ctx.cacheMu.Unlock()
 	ctx.attachStats()
@@ -447,27 +460,49 @@ func (ctx *Context) modUpExtender(j, level int) *ring.BasisExtender {
 	return be
 }
 
-// modDownExtender returns the BasisExtender converting the special basis P to
-// the active q-basis at the given level, cached per level. Safe for
-// concurrent use.
-func (ctx *Context) modDownExtender(level int) *ring.BasisExtender {
+// modDownTables is what one ModDown needs to divide by D = P·q_{level-drop+1}
+// ···q_level: the extender from D's basis — the special primes, then the
+// dropped q-primes in chain order — onto the surviving q-basis, and
+// [D^-1]_{q_i} with its Shoup companions for each surviving prime.
+type modDownTables struct {
+	ext           *ring.BasisExtender
+	inv, invShoup []uint64
+}
+
+// modDownTables returns the tables of the ModDown that divides a level-`level`
+// extended polynomial by P and by its last `drop` q-primes, cached per
+// (level, drop). Safe for concurrent use.
+func (ctx *Context) modDownTables(level, drop int) *modDownTables {
+	key := [2]int{level, drop}
 	ctx.cacheMu.RLock()
-	be, ok := ctx.modDownCache[level]
+	t, ok := ctx.modDownCache[key]
 	ctx.cacheMu.RUnlock()
 	if ok {
-		return be
+		return t
 	}
-	be, err := ring.NewBasisExtender(ctx.RingP.Moduli, ctx.RingQ.Moduli[:level+1])
+	keep := level - drop + 1 // surviving q-primes
+	dropped := ctx.RingQ.Moduli[keep : level+1]
+	from := append(append([]*ring.Modulus(nil), ctx.RingP.Moduli...), dropped...)
+	ext, err := ring.NewBasisExtender(from, ctx.RingQ.Moduli[:keep])
 	if err != nil {
-		panic(fmt.Sprintf("ckks: modDownExtender(%d): %v", level, err))
+		panic(fmt.Sprintf("ckks: modDownTables(%d,%d): %v", level, drop, err))
+	}
+	t = &modDownTables{ext: ext, inv: make([]uint64, keep), invShoup: make([]uint64, keep)}
+	for i := range t.inv {
+		q := ctx.RingQ.Moduli[i].Q
+		inv := ctx.pInvModQ[i]
+		for _, m := range dropped {
+			inv = mod.Mul(inv, mod.Inv(m.Q%q, q), q)
+		}
+		t.inv[i], t.invShoup[i] = inv, mod.ShoupPrecomp(inv, q)
 	}
 	ctx.cacheMu.Lock()
-	if prior, ok := ctx.modDownCache[level]; ok {
-		be = prior
+	if prior, ok := ctx.modDownCache[key]; ok {
+		t = prior // another goroutine won the build race
 	} else {
-		be.SetEngine(ctx.engine)
-		ctx.modDownCache[level] = be
+		t.ext.SetEngine(ctx.engine)
+		ctx.modDownCache[key] = t
 	}
 	ctx.cacheMu.Unlock()
-	return be
+	return t
 }

@@ -136,7 +136,16 @@ func TestConcurrentEvaluation(t *testing.T) {
 		go func(f int) {
 			defer wg.Done()
 			rot := s.eval.Rotate(ct, 1+f%2)
-			prod := s.eval.Rescale(s.eval.MulRelin(rot, ct))
+			// Odd flights take the fused division, so both ModDown table
+			// sets are built and read under contention.
+			var prod *Ciphertext
+			if f%2 == 1 {
+				prod = s.eval.MulRelinRescale(rot, ct)
+			} else {
+				mul := s.eval.MulRelin(rot, ct)
+				prod = s.eval.Rescale(mul)
+				s.ctx.PutCiphertext(mul)
+			}
 			results[f] = s.eval.Add(prod, prod)
 			s.ctx.PutCiphertext(rot)
 			s.ctx.PutCiphertext(prod)

@@ -89,7 +89,7 @@ func TestTracedEvaluationBitIdentical(t *testing.T) {
 	run := func(ev *Evaluator) *Ciphertext {
 		r := ev.Rotate(ct, 3)
 		m := ev.Rescale(ev.MulRelin(r, ct))
-		return ev.Add(m, r)
+		return ev.Add(ev.MulRelinRescale(m, r), m)
 	}
 	plain := run(s.eval)
 

@@ -148,3 +148,83 @@ func TestFusedRadix4LazyWindowWorstCase(t *testing.T) {
 		}
 	}
 }
+
+// TestNTTInverseRoundTripIsIdentity pins the fact the key-switch relies on
+// to leave its own decomposition group in the NTT domain: both transforms
+// end in canonical residues, so NTT(INTT(x)) and INTT(NTT(x)) give x back
+// word for word — on the fused radix-4 schedule and on the stage-sharded
+// one, for the extreme rows as well as random ones. NTTExcept rides along:
+// it must transform exactly the rows it is not told to skip.
+func TestNTTInverseRoundTripIsIdentity(t *testing.T) {
+	for _, logN := range []int{8, 9} {
+		primes60, err := mod.GenerateNTTPrimes(60, logN, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		primes45, err := mod.GenerateNTTPrimes(45, logN, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		primes := append(append([]uint64{}, primes60...), primes45...)
+		level := len(primes) - 1
+		n := 1 << logN
+		// Four rows (and, below, one) on eight workers: the rows cannot fill
+		// the pool, so blocks of 16 and 33 take the stage-sharded schedule
+		// and blocks of N the fused radix-4 rows.
+		for _, cfg := range []struct{ workers, block int }{
+			{0, 0}, {8, 16}, {8, 33}, {8, n},
+		} {
+			r, err := NewRing(logN, primes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(cfg.workers)
+			if cfg.block > 0 {
+				e.SetBlockSize(cfg.block)
+			}
+			r.SetEngine(e)
+			rng := rand.New(rand.NewSource(4321))
+			zero, top, random := r.NewPolyLevel(level), r.NewPolyLevel(level), r.NewPolyLevel(level)
+			for i, m := range r.Moduli {
+				for j := range top.Coeffs[i] {
+					top.Coeffs[i][j] = m.Q - 1
+				}
+			}
+			r.SampleUniform(rng, random, level)
+			for name, x := range map[string]*Poly{"all-0": zero, "all-(q-1)": top, "random": random} {
+				for _, lvl := range []int{0, level} {
+					y := r.CopyNew(x, lvl)
+					r.INTT(y, lvl)
+					r.NTT(y, lvl)
+					if !r.Equal(x, y, lvl) {
+						t.Fatalf("logN=%d workers=%d block=%d level=%d %s: NTT(INTT(x)) != x", logN, cfg.workers, cfg.block, lvl, name)
+					}
+					r.NTT(y, lvl)
+					r.INTT(y, lvl)
+					if !r.Equal(x, y, lvl) {
+						t.Fatalf("logN=%d workers=%d block=%d level=%d %s: INTT(NTT(x)) != x", logN, cfg.workers, cfg.block, lvl, name)
+					}
+				}
+			}
+
+			full := r.CopyNew(random, level)
+			r.NTT(full, level)
+			for _, skip := range [][2]int{{0, level}, {0, 0}, {1, 2}, {level, level}, {2, level + 3}} {
+				got := r.CopyNew(random, level)
+				r.NTTExcept(got, level, skip[0], skip[1])
+				for i := 0; i <= level; i++ {
+					want := full.Coeffs[i]
+					if i >= skip[0] && i <= skip[1] {
+						want = random.Coeffs[i]
+					}
+					for j := range want {
+						if got.Coeffs[i][j] != want[j] {
+							t.Fatalf("logN=%d workers=%d block=%d: NTTExcept skip %v wrong at row %d", logN, cfg.workers, cfg.block, skip, i)
+						}
+					}
+				}
+			}
+			e.Close()
+		}
+	}
+}

@@ -58,6 +58,26 @@ func (r *Ring) INTT(p *Poly, level int) {
 	r.inttRows(p.Coeffs[:level+1], r.Moduli[:level+1])
 }
 
+// NTTExcept is NTT on rows [0..level] of p minus rows [skipLo..skipHi], which
+// are left untouched — for callers that already hold those rows in the NTT
+// domain (the key-switch's own decomposition group, see ckks.modUpSlice).
+// The remaining rows go through one dispatch, exactly as NTT's would.
+func (r *Ring) NTTExcept(p *Poly, level, skipLo, skipHi int) {
+	n := skipLo + max(level-skipHi, 0)
+	if n == 0 {
+		return
+	}
+	rows := make([][]uint64, 0, n)
+	ms := make([]*Modulus, 0, n)
+	for i := 0; i <= level; i++ {
+		if i < skipLo || i > skipHi {
+			rows = append(rows, p.Coeffs[i])
+			ms = append(ms, r.Moduli[i])
+		}
+	}
+	r.nttRows(rows, ms)
+}
+
 // NTTRow transforms a single residue polynomial at prime index i. The
 // transform is sharded across the engine like NTT (a one-row call is the
 // worst case for limb-only dispatch).

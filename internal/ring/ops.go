@@ -116,12 +116,7 @@ func (r *Ring) MulScalarInt64(a *Poly, s int64, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		m := r.Moduli[i]
 		q := m.Q
-		var w uint64
-		if s >= 0 {
-			w = m.BRed.Reduce(uint64(s))
-		} else {
-			w = mod.Neg(m.BRed.Reduce(uint64(-s)), q)
-		}
+		w := m.reduceInt64(s)
 		ws := mod.ShoupPrecomp(w, q)
 		ra := a.Coeffs[i][lo:hi:hi]
 		ro := out.Coeffs[i][lo:hi:hi]
@@ -130,6 +125,44 @@ func (r *Ring) MulScalarInt64(a *Poly, s int64, out *Poly, level int) {
 			ro[j] = mod.MulShoup(ra[j], w, ws, q)
 		}
 	})
+}
+
+// MulScalarInt64AndAdd sets out += a * s on rows [0..level]: MulScalarInt64
+// and Add in one pass, with no temporary for the product. It is the term
+// c_k·T_k of a linear combination of ciphertexts (the Chebyshev leaves).
+func (r *Ring) MulScalarInt64AndAdd(a *Poly, s int64, out *Poly, level int) {
+	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
+		m := r.Moduli[i]
+		q := m.Q
+		w := m.reduceInt64(s)
+		mulShoupAddRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w, mod.ShoupPrecomp(w, q), q)
+	})
+}
+
+// MulLimbScalarsAndAdd sets out += a * w[i] on each row i of [0..level], for
+// per-prime plain constants w (canonical residues) with their Shoup
+// companions ws — a big integer such as P given by its residues.
+func (r *Ring) MulLimbScalarsAndAdd(a *Poly, w, ws []uint64, out *Poly, level int) {
+	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
+		mulShoupAddRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w[i], ws[i], r.Moduli[i].Q)
+	})
+}
+
+// mulShoupAddRow sets out[j] += a[j]·w mod q over the rows' common length, w
+// with its Shoup companion ws: a load, a Shoup multiply, an add and a store
+// per word, no bounds check (CI asserts that by name).
+func mulShoupAddRow(a, out []uint64, w, ws, q uint64) {
+	for j := 0; j < len(a) && j < len(out); j++ {
+		out[j] = mod.Add(out[j], mod.MulShoup(a[j], w, ws, q), q)
+	}
+}
+
+// reduceInt64 returns the canonical residue of the signed scalar s.
+func (m *Modulus) reduceInt64(s int64) uint64 {
+	if s >= 0 {
+		return m.BRed.Reduce(uint64(s))
+	}
+	return mod.Neg(m.BRed.Reduce(uint64(-s)), m.Q)
 }
 
 // GaloisElement returns 5^r mod 2N, the automorphism exponent implementing a

@@ -145,9 +145,10 @@ func TestCancelDoesNotStallOtherTenants(t *testing.T) {
 	bErrs := make([]error, 4)
 	for f := 0; f < 4; f++ {
 		wg.Add(1)
+		in := encryptConst(t, clB, params, 0.2) // an Encryptor is single-goroutine
 		go func(f int) {
 			defer wg.Done()
-			ct, err := srv.Submit("b", ops, []*ckks.Ciphertext{encryptConst(t, clB, params, 0.2)})
+			ct, err := srv.Submit("b", ops, []*ckks.Ciphertext{in})
 			if ct != nil {
 				srv.Context().PutCiphertext(ct)
 			}
@@ -374,9 +375,10 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	var wg sync.WaitGroup
 	for f := 0; f < flights; f++ {
 		wg.Add(1)
+		in := encryptConst(t, cl, params, 0.3) // an Encryptor is single-goroutine
 		go func(f int) {
 			defer wg.Done()
-			ct, err := srv.Submit("t", ops, []*ckks.Ciphertext{encryptConst(t, cl, params, 0.3)})
+			ct, err := srv.Submit("t", ops, []*ckks.Ciphertext{in})
 			if ct != nil {
 				srv.Context().PutCiphertext(ct)
 			}

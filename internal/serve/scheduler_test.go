@@ -61,14 +61,17 @@ func TestLingerIsPerSession(t *testing.T) {
 	deadlineStart := time.Now()
 	time.Sleep(50 * time.Millisecond)
 
-	// A full batch for B arrives behind A's lingering job.
+	// A full batch for B arrives behind A's lingering job. The inputs are
+	// encrypted here, not in the goroutines: an Encryptor's RNG is not
+	// safe for concurrent use.
 	var wg sync.WaitGroup
 	bErrs := make([]error, 4)
 	for f := 0; f < 4; f++ {
 		wg.Add(1)
+		in := encrypt(clB)
 		go func(f int) {
 			defer wg.Done()
-			ct, err := srv.Submit("tenant-b", ops, []*ckks.Ciphertext{encrypt(clB)})
+			ct, err := srv.Submit("tenant-b", ops, []*ckks.Ciphertext{in})
 			if ct != nil {
 				srv.Context().PutCiphertext(ct)
 			}
