@@ -53,10 +53,9 @@
 // SlotToCoeff are chains of sparse radix stages (ckks.TransformChain over
 // the encoder's butterfly-group factorization, dft.go) instead of dense
 // slots×slots matrices, spending ~1.8× fewer key-switch ops and ~2.2×
-// fewer rotation keys at equal precision for one extra level per
-// transform. `btsbench -experiment hoisting` and `-experiment bootstrap`
-// report the measured speedups and CI archives both as the repo's
-// perf-trajectory record.
+// fewer rotation keys for one extra level per transform. The hoisted
+// transform and the factored chains are the only implementations; the eager
+// BSGS evaluator and the dense transforms survive as test oracles.
 //
 // A product that is going to be rescaled anyway should be one call:
 // ckks.Evaluator.MulRelinRescale(a, b) returns what Rescale(MulRelin(a, b))
@@ -90,15 +89,15 @@
 // fused radix-4 (merged two-layer) butterflies: twiddle triples precomputed
 // per modulus (mod.FusedNTTTwiddles), four coefficients per butterfly,
 // intermediates on a widened [0, 4q) lazy window with one REDC per multiply
-// — halving the passes over each row relative to the per-stage radix-2
-// kernels, which are retained for the sharded stage-barrier schedule and as
-// the fused kernels' in-family baseline. The pre-Montgomery Barrett kernels
-// are retained as the bit-identity reference (internal/ring/reference.go);
-// `btsbench -experiment table2` measures the per-kernel speedups (including
-// ns/butterfly and effective GB/s for the transforms), runs the N=2^17
+// — halving the passes over each row relative to radix-2; rows too few to
+// fill the worker pool run a per-stage radix-2 schedule sharded across
+// coefficient blocks instead. A radix-2 row kernel and the pre-Montgomery
+// Barrett kernels remain in internal/ring's tests as bit-identity oracles.
+// The benchmark in bench/ (go run ./bench) reports the kernels per layer —
+// ns/butterfly, GB/s, REDC — beside T_mult,a/slot, and
+// TestTable2PaperInstance (build tag paperinstance) bootstraps the N=2^17
 // Table 2 paper instance (ckks.Table2Literal) through the S=3 factored
-// bootstrap, and appends a 1/2/4/8-worker bootstrap scaling table, with CI
-// archiving the report as BENCH_table2.json.
+// pipeline.
 //
 // # Serving runtime
 //
@@ -132,18 +131,18 @@
 //     queue depth, p50/p90/p99 latency) are exported as JSON.
 //
 //   - cmd/btsserve wraps the scheduler in an HTTP daemon speaking the wire
-//     format, and `btsbench -experiment serve -clients K` is the matching
-//     load generator, reporting ops/sec and latency percentiles as JSON;
-//     `btsbench -experiment dag` measures the register model's wire and
-//     key-switch savings against per-op round trips.
+//     format, and `btsbench -experiment serve -addr HOST:PORT -clients K`
+//     is the matching load generator, reporting ops/sec and latency
+//     percentiles as JSON; `btsbench -experiment dag -addr HOST:PORT` checks
+//     the register model's wire and key-switch savings against per-op round
+//     trips.
 //
 // # Observability
 //
 // The serving stack is instrumented end to end by internal/telemetry, a
 // dependency-free tracing and metrics layer whose hooks are nil-guarded
-// pointers: with telemetry detached every hook is a single nil check, so
-// the Table 2 kernel gate (`btsbench -experiment table2`) asserts the
-// instrumented kernel sweep stays within 2% of the plain one.
+// pointers: with telemetry detached every hook is a single nil check; the
+// benchmark reports what attaching them costs as telemetry.overhead_ratio.
 //
 // Metrics. btsserve exposes Prometheus text-format 0.0.4 on GET /metrics
 // (and expvar JSON on /debug/vars) unless started with -metrics=false.
@@ -177,9 +176,9 @@
 // ckks.<primitive> (keyswitch, mulrelin, rescale, decompose, ...) and,
 // under op.bootstrap, the four pipeline phases bootstrap.modraise /
 // coeff_to_slot / eval_mod / slot_to_coeff. Op spans carry the result
-// level and noise margin as attributes. `btsbench -experiment table2`
-// prints the same phase breakdown for the timed bootstrap, and
-// /v1/stats reports each session's op mix, latency-reservoir window and
+// level and noise margin as attributes. The benchmark's boot workload
+// reports the same phase breakdown (ckks.{modraise,cts,evalmod,stc}_share),
+// and /v1/stats reports each session's op mix, latency-reservoir window and
 // noise floor alongside the existing percentiles. -pprof additionally
 // mounts net/http/pprof under /debug/pprof/.
 //

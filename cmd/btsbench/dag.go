@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"time"
@@ -47,7 +46,7 @@ type dagReport struct {
 
 // dagBench runs the DAG-vs-flat comparison: the same 3-stage pipeline —
 // each stage a 4-way rotation fan, summed, scaled by a plaintext half and
-// rescaled — executed twice against the same daemon.
+// rescaled — executed twice against the daemon at base.
 //
 // The flat phase plays a register-less client: every op is its own
 // round-trip job, so each stage uploads its operands and downloads its
@@ -61,43 +60,12 @@ type dagReport struct {
 // per-session op mix), decrypt to the plaintext model, and produce a
 // ciphertext bit-identical to the flat reference — auto-hoisting must not
 // change results.
-func dagBench(workers int, addr string) {
+func dagBench(base string) {
 	report := dagReport{
 		Experiment: "dag",
 		Stages:     3,
 		WireGate:   5.0,
 		KSGate:     1.5,
-	}
-
-	var base string
-	if addr == "" {
-		params, err := ckks.NewParameters(ckks.ParametersLiteral{
-			LogN: 12, LogQ: []int{50, 40, 40, 40, 40, 40, 40, 40}, LogP: 51,
-			Dnum: 3, LogScale: 40, H: 64,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dag bench setup: %v\n", err)
-			os.Exit(1)
-		}
-		srv, err := serve.New(serve.Config{Params: params, Workers: workers})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dag bench setup: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dag bench listen: %v\n", err)
-			os.Exit(1)
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-		defer httpSrv.Close()
-		base = "http://" + ln.Addr().String()
-	} else if len(addr) > 7 && addr[:7] == "http://" {
-		base = addr
-	} else {
-		base = "http://" + addr
 	}
 
 	fetched, _, err := serve.FetchParams(base)
@@ -106,8 +74,7 @@ func dagBench(workers int, addr string) {
 		os.Exit(1)
 	}
 	// Three rescales, one per stage: the toy preset's MaxLevel()=3 is
-	// exactly enough, so the same workload drives both the in-process
-	// LogN=12 daemon and the CI smoke server.
+	// exactly enough.
 	if fetched.MaxLevel() < report.Stages {
 		fmt.Fprintf(os.Stderr, "dag bench: daemon has %d levels, need %d\n", fetched.MaxLevel(), report.Stages)
 		os.Exit(1)

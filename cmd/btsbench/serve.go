@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -39,47 +38,14 @@ type serveLatency struct {
 	Max float64 `json:"max"`
 }
 
-// serveBench drives a btsserve daemon with `clients` concurrent tenants for
-// `duration`. With addr == "" it stands up an in-process daemon on loopback
-// (self-contained benchmark); with addr set it targets an already-running
-// daemon (the CI smoke test starts the real binary and points the bench at
-// it). Each tenant opens its own session, pre-encrypts a pair of input
-// vectors, and loops submitting a 4-op job (HRot → HMult → HRescale → HAdd)
-// over the wire format; the last response of every tenant is decrypted and
-// checked against the expected plaintext result. The report goes to stdout
-// as JSON (progress chatter goes to stderr), so CI can archive it as an
-// artifact.
-func serveBench(clients int, duration time.Duration, workers int, addr string) {
-	var base string
-	if addr == "" {
-		params, err := ckks.NewParameters(ckks.ParametersLiteral{
-			LogN: 12, LogQ: []int{50, 40, 40, 40, 40, 40, 40, 40}, LogP: 51,
-			Dnum: 3, LogScale: 40, H: 64,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve bench setup: %v\n", err)
-			os.Exit(1)
-		}
-		srv, err := serve.New(serve.Config{Params: params, Workers: workers, BatchSize: clients, Parallel: clients})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve bench setup: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve bench listen: %v\n", err)
-			os.Exit(1)
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go func() { _ = httpSrv.Serve(ln) }()
-		defer httpSrv.Close()
-		base = "http://" + ln.Addr().String()
-	} else if len(addr) > 7 && addr[:7] == "http://" {
-		base = addr
-	} else {
-		base = "http://" + addr
-	}
+// serveBench drives the btsserve daemon at base with `clients` concurrent
+// tenants for `duration`. Each tenant opens its own session, pre-encrypts a
+// pair of input vectors, and loops submitting a 4-op job (HRot → HMult →
+// HRescale → HAdd) over the wire format; the last response of every tenant
+// is decrypted and checked against the expected plaintext result. The report
+// goes to stdout as JSON (progress chatter goes to stderr), so CI can archive
+// it as an artifact.
+func serveBench(base string, clients int, duration time.Duration) {
 	fmt.Fprintf(os.Stderr, "serve bench: daemon on %s, %d clients, %s\n", base, clients, duration)
 
 	fetched, _, err := serve.FetchParams(base)

@@ -55,15 +55,12 @@
 // production-hardened lattice parameters):
 //
 //	toy    N=2^11, 4 levels  — the quickstart instance, fastest turnaround
-//	small  N=2^12, 8 levels  — the speedup-experiment instance (default)
+//	small  N=2^12, 8 levels  — the default
 //	boot   N=2^10, 15 levels — bootstrappable chain; enables the
 //	                           "bootstrap" op for sessions whose rotation
-//	                           keys cover the advertised set. The daemon
-//	                           runs the factored two-stage radix
-//	                           CoeffToSlot/SlotToCoeff pipeline, so the
-//	                           advertised rotation set (and every tenant's
-//	                           key upload) is a fraction of the dense
-//	                           transform's requirement
+//	                           keys cover the advertised set: the rotations
+//	                           of the two-stage radix CoeffToSlot and
+//	                           SlotToCoeff chains
 //
 // The daemon exits gracefully on SIGINT/SIGTERM: it stops accepting
 // connections, drains queued and in-flight jobs (bounded by -drain-timeout),

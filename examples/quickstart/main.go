@@ -29,8 +29,8 @@
 //	}, ctA, ctB)
 //	fmt.Println(encoder.Decode(decryptor.DecryptNew(res)))
 //
-// `go run ./cmd/btsbench -experiment serve -clients 4` load-tests the
-// daemon and prints a JSON throughput/latency report.
+// `go run ./cmd/btsbench -experiment serve -clients 4 -addr 127.0.0.1:8631`
+// load-tests the daemon and prints a JSON throughput/latency report.
 package main
 
 import (

@@ -24,8 +24,7 @@ type BootstrapParams struct {
 	// in exactly this grouped-FFT form; see dft.go). Each stage consumes one
 	// level but touches only O(2^(logSlots/stages)) diagonals, so raising the
 	// stage count trades depth for a multiplicative drop in rotations and
-	// key-switch work. Both zero selects the dense single-stage matrices
-	// only; otherwise both must be in [1, log2(slots)].
+	// key-switch work. Both must lie in [1, log2(slots)].
 	CtSStages int
 	StCStages int
 }
@@ -39,45 +38,27 @@ func DefaultBootstrapParams() BootstrapParams {
 	return BootstrapParams{K: 6, SineDegree: 63, CtSStages: 2, StCStages: 2}
 }
 
-// Staged reports whether the factored (radix-stage) transform pipeline is
-// configured.
-func (bp BootstrapParams) Staged() bool { return bp.CtSStages > 0 || bp.StCStages > 0 }
-
 // MinLevels returns the number of levels the pipeline requires (L_boot).
 //
 // Depth accounting, per phase:
 //
-//   - CoeffToSlot: the dense reference encodes U^{-1}·(Δ/q0) at a two-prime
-//     scale (the Δ/q0 factor would otherwise starve the plaintext of
-//     precision) and so consumes 2 levels; the staged pipeline consumes one
-//     level per radix stage (CtSStages), each stage at single-prime scale
-//     with the Δ/q0 factor spread evenly across stages.
+//   - CoeffToSlot: one level per radix stage (CtSStages), each stage at
+//     single-prime scale with the Δ/q0 factor spread evenly across stages.
 //   - Normalization into the Chebyshev domain: 1 level.
 //   - EvalMod: ceil(log2(SineDegree+1))+1 levels per conjugate half (both
 //     halves run at the same levels).
-//   - SlotToCoeff: 1 level dense, StCStages levels staged.
+//   - SlotToCoeff: one level per radix stage (StCStages).
 //   - 1 level of margin so the refreshed ciphertext supports at least one
 //     multiplication.
 //
 // The trade-off dial (Table 2): stage count S splits logSlots butterfly
 // layers into S groups of ~2^(logSlots/S) diagonals each, so rotations per
-// transform fall roughly geometrically in S while depth grows by S-1 over
-// the dense matrix's fixed cost. S=2 at 2^9 slots turns a 512-diagonal
-// dense transform into 32+31-diagonal stages — ~4× fewer rotations for one
-// extra level per transform. When the staged pipeline is enabled the dense
-// reference matrices remain available on demand (the equivalence oracle), so
-// the budget is the maximum of the two accountings.
+// transform fall roughly geometrically in S while depth grows by one level
+// per extra stage. S=2 at 2^9 slots turns a 512-diagonal dense transform
+// into 32+31-diagonal stages — ~4× fewer rotations for one extra level per
+// transform.
 func (bp BootstrapParams) MinLevels() int {
-	chebDepth := bitsFor(bp.SineDegree+1) + 1
-	dense := 2 + 1 + chebDepth + 1 + 1
-	if !bp.Staged() {
-		return dense
-	}
-	staged := bp.CtSStages + 1 + chebDepth + bp.StCStages + 1
-	if staged > dense {
-		return staged
-	}
-	return dense
+	return bp.CtSStages + 1 + bitsFor(bp.SineDegree+1) + 1 + bp.StCStages + 1
 }
 
 // Bootstrapper refreshes exhausted ciphertexts: it takes a level-0 ct and
@@ -91,33 +72,20 @@ func (bp BootstrapParams) MinLevels() int {
 // slot-wise EvalMod between them — see dft.go. Every stage runs on the
 // hoisted key-switching pipeline (hoisting.go): one decomposition per stage
 // input, a gather-MAC per baby rotation, one deferred ModDown per giant
-// step. The dense single-stage matrices are kept as the reference oracle —
-// SetDenseTransforms(true) routes Bootstrap through them for
-// equivalence-within-precision and cost comparisons (btsbench -experiment
-// bootstrap).
+// step.
 type Bootstrapper struct {
 	ctx     *Context
 	encoder *Encoder
 	eval    *Evaluator
 	bp      BootstrapParams
 
-	// Factored pipeline (nil when bp.Staged() is false).
 	ctsChain *TransformChain
 	stcChain *TransformChain
 
-	// Dense single-stage reference.
-	cts *LinearTransform // CoeffToSlot: U^-1 · (Δ/q0), two-prime scale
-	stc *LinearTransform // SlotToCoeff: U · (q0/Δ), one-prime scale
+	sineCoeffs []float64
 
-	// dense routes Bootstrap through the reference matrices.
-	dense bool
-
-	sineCoeffs     []float64
-	stcLevelDense  int
-	stcLevelStaged int
-
-	// scaleBoost is the exact power-of-two working-scale boost of the staged
-	// pipeline (1 on uniform chains; see bootScaleBoost).
+	// scaleBoost is the exact power-of-two working-scale boost between
+	// ModRaise and SlotToCoeff (1 on uniform chains; see bootScaleBoost).
 	scaleBoost float64
 
 	// Phase-timing accumulators (see LastPhases/PhaseTotals). Guarded by a
@@ -178,19 +146,18 @@ func (bt *Bootstrapper) recordPhases(p BootstrapPhases) {
 	bt.phaseMu.Unlock()
 }
 
-// NewBootstrapper precomputes the staged CoeffToSlot/SlotToCoeff chains, the
-// dense reference matrices, and the sine approximation. The evaluator must
-// hold a relinearization key and rotation keys covering Rotations() (plus
-// conjugation).
+// NewBootstrapper precomputes the CoeffToSlot/SlotToCoeff chains and the
+// sine approximation. The evaluator must hold a relinearization key and
+// rotation keys covering Rotations() (plus conjugation).
 func NewBootstrapper(ctx *Context, encoder *Encoder, eval *Evaluator, bp BootstrapParams) (*Bootstrapper, error) {
+	if bp.CtSStages < 1 || bp.StCStages < 1 {
+		return nil, fmt.Errorf("ckks: bootstrap needs at least one stage per transform (got CtS=%d, StC=%d)",
+			bp.CtSStages, bp.StCStages)
+	}
 	p := ctx.Params
 	L := p.MaxLevel()
 	if L < bp.MinLevels() {
 		return nil, fmt.Errorf("ckks: L=%d below bootstrapping budget %d", L, bp.MinLevels())
-	}
-	if bp.Staged() && (bp.CtSStages < 1 || bp.StCStages < 1) {
-		return nil, fmt.Errorf("ckks: staged bootstrap requires both stage counts (got CtS=%d, StC=%d)",
-			bp.CtSStages, bp.StCStages)
 	}
 	q0 := float64(p.Q[0])
 	delta := p.Scale
@@ -198,37 +165,22 @@ func NewBootstrapper(ctx *Context, encoder *Encoder, eval *Evaluator, bp Bootstr
 
 	bt := &Bootstrapper{ctx: ctx, encoder: encoder, eval: eval, bp: bp}
 
-	// The dense single-stage reference matrices are built lazily (see
-	// ensureDense): probing the special FFT column by column costs
-	// O(n²·log n) float work and O(n²) complex storage, which is fine at the
-	// test slot counts but prohibitive at the paper instance's 2^16 slots —
-	// a staged bootstrapper must stay constructible there without ever
-	// paying for the oracle it doesn't use. The non-staged configuration is
-	// the dense path, so it builds the matrices up front.
-	if !bp.Staged() {
-		if err := bt.ensureDense(); err != nil {
-			return nil, err
-		}
+	// CoeffToSlot = CtSStages-stage inverse DFT with the Δ/q0 normalization
+	// spread across stages; SlotToCoeff = StCStages-stage forward DFT
+	// carrying q0/Δ, starting where EvalMod leaves off. The SlotToCoeff chain
+	// also sheds the bootstrap working-scale boost (see scaleBoost below):
+	// its last stage is encoded at 1/boost times the prime's scale, so the
+	// refreshed ciphertext leaves at the input scale.
+	var err error
+	bt.ctsChain, err = encoder.EncodeDFTStages(DFTInverse, bp.CtSStages, L, delta/q0)
+	if err != nil {
+		return nil, fmt.Errorf("ckks: CoeffToSlot: %w", err)
 	}
-
-	// Factored chains: CoeffToSlot = CtSStages-stage inverse DFT with the
-	// Δ/q0 normalization spread across stages; SlotToCoeff = StCStages-stage
-	// forward DFT carrying q0/Δ, starting where EvalMod leaves off. The
-	// SlotToCoeff chain also sheds the bootstrap working-scale boost (see
-	// scaleBoost below): its last stage is encoded at 1/boost times the
-	// prime's scale, so the refreshed ciphertext leaves at the input scale.
-	if bp.Staged() {
-		var err error
-		bt.ctsChain, err = encoder.EncodeDFTStages(DFTInverse, bp.CtSStages, L, delta/q0)
-		if err != nil {
-			return nil, fmt.Errorf("ckks: staged CoeffToSlot: %w", err)
-		}
-		bt.stcLevelStaged = L - bp.CtSStages - 1 - chebDepth
-		bt.scaleBoost = bootScaleBoost(p, bt.stcLevelStaged)
-		bt.stcChain, err = encoder.EncodeDFTStagesShifted(DFTForward, bp.StCStages, bt.stcLevelStaged, q0/delta, 1/bt.scaleBoost)
-		if err != nil {
-			return nil, fmt.Errorf("ckks: staged SlotToCoeff: %w", err)
-		}
+	stcLevel := L - bp.CtSStages - 1 - chebDepth
+	bt.scaleBoost = bootScaleBoost(p, stcLevel)
+	bt.stcChain, err = encoder.EncodeDFTStagesShifted(DFTForward, bp.StCStages, stcLevel, q0/delta, 1/bt.scaleBoost)
+	if err != nil {
+		return nil, fmt.Errorf("ckks: SlotToCoeff: %w", err)
 	}
 
 	k := bp.K
@@ -238,7 +190,7 @@ func NewBootstrapper(ctx *Context, encoder *Encoder, eval *Evaluator, bp Bootstr
 	return bt, nil
 }
 
-// bootScaleBoost returns the exact power-of-two factor by which the staged
+// bootScaleBoost returns the exact power-of-two factor by which the
 // pipeline raises the ciphertext scale between ModRaise and SlotToCoeff.
 //
 // EvalMod's precision is bounded by noise relative to the working scale: the
@@ -265,121 +217,15 @@ func bootScaleBoost(p Parameters, stcLevel int) float64 {
 	return float64(uint64(1) << (primeBits - scaleBits))
 }
 
-// Evaluator returns the evaluator the bootstrapper runs on (the one passed
-// to NewBootstrapper) — benchmarks use it to toggle the transform path.
-func (bt *Bootstrapper) Evaluator() *Evaluator { return bt.eval }
-
-// SetDenseTransforms routes Bootstrap through the dense single-stage
-// reference matrices (true) or the factored stage chains (false, the
-// default when BootstrapParams configures stages). The dense path needs
-// rotation keys covering DenseRotations(); tests and benchmarks that toggle
-// should generate AllRotations(). Enabling the dense path builds the
-// reference matrices on first use (they are lazy, see NewBootstrapper) and
-// panics if that construction fails — at large slot counts prefer never
-// enabling it. Must not be toggled concurrently with Bootstrap.
-func (bt *Bootstrapper) SetDenseTransforms(dense bool) {
-	if dense {
-		if err := bt.ensureDense(); err != nil {
-			panic(fmt.Sprintf("ckks: SetDenseTransforms: %v", err))
-		}
-	}
-	bt.dense = dense
-}
-
-// ensureDense builds the dense single-stage reference matrices on first use:
-// matrix columns are obtained by probing the special FFT with basis vectors —
-// the homomorphic linear transform of the paper's bootstrapping in
-// single-stage (full-radix) form.
-func (bt *Bootstrapper) ensureDense() error {
-	if bt.cts != nil {
-		return nil
-	}
-	p := bt.ctx.Params
-	L := p.MaxLevel()
-	n := p.Slots()
-	q0 := float64(p.Q[0])
-	delta := p.Scale
-	chebDepth := bitsFor(bt.bp.SineDegree+1) + 1
-	encoder := bt.encoder
-
-	ctsCols := probeColumns(n, func(v []complex128) { encoder.fftSpecialInv(v) })
-	stcCols := probeColumns(n, func(v []complex128) { encoder.fftSpecial(v) })
-
-	ctsFactor := complex(delta/q0, 0)
-	ctsDiags := MatrixFromFunc(n, func(r, c int) complex128 { return ctsCols[c][r] * ctsFactor }, 0)
-	stcFactor := complex(q0/delta, 0)
-	stcDiags := MatrixFromFunc(n, func(r, c int) complex128 { return stcCols[c][r] * stcFactor }, 0)
-
-	ctsScale := float64(p.Q[L]) * float64(p.Q[L-1])
-	cts, err := NewLinearTransform(encoder, ctsDiags, L, ctsScale)
-	if err != nil {
-		return err
-	}
-
-	bt.stcLevelDense = L - 3 - chebDepth
-	if bt.stcLevelDense < 1 {
-		return fmt.Errorf("ckks: dense SlotToCoeff level %d too low", bt.stcLevelDense)
-	}
-	stc, err := NewLinearTransform(encoder, stcDiags, bt.stcLevelDense, float64(p.Q[bt.stcLevelDense]))
-	if err != nil {
-		return err
-	}
-	bt.cts = cts
-	bt.stc = stc
-	return nil
-}
-
-// useDense reports whether Bootstrap currently routes through the dense
-// reference matrices.
-func (bt *Bootstrapper) useDense() bool { return bt.dense || !bt.bp.Staged() }
-
-// Chains returns the factored CoeffToSlot and SlotToCoeff chains (nil, nil
-// when the staged pipeline is disabled) — benchmarks read their stage
-// shapes.
+// Chains returns the CoeffToSlot and SlotToCoeff chains — benchmarks read
+// their stage shapes.
 func (bt *Bootstrapper) Chains() (cts, stc *TransformChain) { return bt.ctsChain, bt.stcChain }
 
-// probeColumns applies transform to each basis vector, returning columns.
-func probeColumns(n int, transform func([]complex128)) [][]complex128 {
-	cols := make([][]complex128, n)
-	for k := 0; k < n; k++ {
-		v := make([]complex128, n)
-		v[k] = 1
-		transform(v)
-		cols[k] = v
-	}
-	return cols
-}
-
-// Rotations returns the rotation amounts the *default* transform path needs
-// (conjugation is requested separately via GenRotationKeys(..., true)): the
-// union of the stage chains' rotations when the factored pipeline is
-// configured, the dense matrices' otherwise. Serving deployments advertise
-// exactly this set — with the factored pipeline it is a fraction of the
-// dense requirement, which shrinks every tenant's key upload.
+// Rotations returns the rotation amounts the two chains need (conjugation is
+// requested separately via GenRotationKeys(..., true)). Serving deployments
+// advertise exactly this set.
 func (bt *Bootstrapper) Rotations() []int {
-	if bt.bp.Staged() {
-		return dedupRotations(bt.ctsChain.Rotations(), bt.stcChain.Rotations())
-	}
-	return bt.DenseRotations()
-}
-
-// DenseRotations returns the rotation amounts of the dense reference path,
-// building the lazy dense matrices if needed (it panics if that fails, like
-// SetDenseTransforms).
-func (bt *Bootstrapper) DenseRotations() []int {
-	if err := bt.ensureDense(); err != nil {
-		panic(fmt.Sprintf("ckks: DenseRotations: %v", err))
-	}
-	return dedupRotations(bt.cts.Rotations(), bt.stc.Rotations())
-}
-
-// AllRotations returns the union of the staged and dense paths' rotation
-// amounts — the key set needed to toggle SetDenseTransforms at runtime.
-func (bt *Bootstrapper) AllRotations() []int {
-	if !bt.bp.Staged() {
-		return bt.DenseRotations()
-	}
-	return dedupRotations(bt.Rotations(), bt.DenseRotations())
+	return dedupRotations(bt.ctsChain.Rotations(), bt.stcChain.Rotations())
 }
 
 func dedupRotations(lists ...[]int) []int {
@@ -398,13 +244,13 @@ func dedupRotations(lists ...[]int) []int {
 
 // Bootstrap refreshes ct (which must be at level 0) and returns an
 // equivalent ciphertext with levels restored: L - (CtSStages + 1 + EvalMod +
-// StCStages) on the staged path, L - 11 on the dense reference. The message
-// must satisfy |m_coeff| ≪ q0 (true whenever Scale·|z| ≪ q0).
+// StCStages). The message must satisfy |m_coeff| ≪ q0 (true whenever
+// Scale·|z| ≪ q0).
 //
-// On the staged path the CoeffToSlot chain leaves the slots bit-reversed;
-// steps 3-6 (conjugate split, normalization, EvalMod, recombination) are all
-// slot-wise and therefore commute with that permutation, and the SlotToCoeff
-// chain consumes it — no repacking step exists anywhere.
+// The CoeffToSlot chain leaves the slots bit-reversed; steps 3-6 (conjugate
+// split, normalization, EvalMod, recombination) are all slot-wise and
+// therefore commute with that permutation, and the SlotToCoeff chain
+// consumes it — no repacking step exists anywhere.
 func (bt *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	return bt.BootstrapWith(bt.eval, ct)
 }
@@ -426,7 +272,7 @@ func (bt *Bootstrapper) BootstrapWith(ev *Evaluator, ct *Ciphertext) (*Ciphertex
 	// the plaintext becomes m + q0·I with small I (Section 2.4).
 	sp := ev.begin(spanBootModRaise)
 	raised := bt.modRaise(ev, ct)
-	if !bt.useDense() && bt.scaleBoost > 1 {
+	if bt.scaleBoost > 1 {
 		// Raise the working scale to the bootstrap section's prime size: an
 		// exact, noise-free integer scalar multiply (no level consumed).
 		// Every rounding and key-switch noise between here and SlotToCoeff
@@ -439,20 +285,11 @@ func (bt *Bootstrapper) BootstrapWith(ev *Evaluator, ct *Ciphertext) (*Ciphertex
 	t0 = time.Now()
 
 	// 2. CoeffToSlot: slots now hold (c_j + i·c_{j+n})/q0·(1/Δ-normalized),
-	// in bit-reversed slot order on the staged path.
+	// in bit-reversed slot order.
 	sp = ev.begin(spanBootCoeffToSlot)
-	var ctv *Ciphertext
-	var stcLevel int
-	if bt.useDense() {
-		ctv = ev.Rescale(ev.Rescale(ev.LinearTransform(raised, bt.cts)))
-		stcLevel = bt.stcLevelDense
-	} else {
-		var err error
-		ctv, err = ev.TransformChain(raised, bt.ctsChain)
-		if err != nil {
-			return nil, err
-		}
-		stcLevel = bt.stcLevelStaged
+	ctv, err := ev.TransformChain(raised, bt.ctsChain)
+	if err != nil {
+		return nil, err
 	}
 	ev.endSpan(&sp, ctv)
 	ph.CoeffToSlot = time.Since(t0)
@@ -482,6 +319,7 @@ func (bt *Bootstrapper) BootstrapWith(ev *Evaluator, ct *Ciphertext) (*Ciphertex
 
 	// 6. Recombine the real and imaginary halves.
 	comb := ev.Add(sR, ev.MulByI(sI))
+	stcLevel := bt.stcChain.Level()
 	if comb.Level < stcLevel {
 		return nil, fmt.Errorf("ckks: level budget error: EvalMod output %d below SlotToCoeff level %d", comb.Level, stcLevel)
 	}
@@ -494,14 +332,9 @@ func (bt *Bootstrapper) BootstrapWith(ev *Evaluator, ct *Ciphertext) (*Ciphertex
 
 	// 7. SlotToCoeff back to the coefficient embedding.
 	sp = ev.begin(spanBootSlotToCoeff)
-	var out *Ciphertext
-	if bt.useDense() {
-		out = ev.Rescale(ev.LinearTransform(comb, bt.stc))
-	} else {
-		out, err = ev.TransformChain(comb, bt.stcChain)
-		if err != nil {
-			return nil, err
-		}
+	out, err := ev.TransformChain(comb, bt.stcChain)
+	if err != nil {
+		return nil, err
 	}
 	ev.endSpan(&sp, out)
 	ph.SlotToCoeff = time.Since(t0)

@@ -205,9 +205,7 @@ func bootSetup(t testing.TB) (*testSetup, *Bootstrapper) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// AllRotations covers both the staged default path and the dense
-	// reference, so tests can toggle SetDenseTransforms on one key set.
-	rtks := kg.GenRotationKeys(sk, bt0.AllRotations(), true)
+	rtks := kg.GenRotationKeys(sk, bt0.Rotations(), true)
 	eval := NewEvaluator(ctx, encoder, rlk, rtks)
 	bt, err := NewBootstrapper(ctx, encoder, eval, DefaultBootstrapParams())
 	if err != nil {
@@ -261,6 +259,77 @@ func TestBootstrapRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBootstrapMixedChain bootstraps on a chain whose bootstrap section
+// uses wider primes than the working scale — the layout of Table2Literal at
+// LogN=12: a 55-bit base prime, 45-bit primes for the SlotToCoeff stages and
+// the levels left after refresh, 55-bit primes from the bootstrap section up,
+// and three stages per transform. That is the one configuration that turns
+// on the working-scale boost, so it pins the boost's round trip: raised after
+// ModRaise, shed by the last SlotToCoeff stage.
+func TestBootstrapMixedChain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mixed-chain bootstrap is expensive; skipped with -short")
+	}
+	// 2^11 slots factor into radix-16/16/8 stages; L=16 covers MinLevels 15
+	// with one working level to spare. The bootstrap section starts at
+	// stcLevel+1 = (16-3-1-7)+1 = 6.
+	logQ := []int{55}
+	for lvl := 1; lvl <= 16; lvl++ {
+		if lvl >= 6 {
+			logQ = append(logQ, 55)
+		} else {
+			logQ = append(logQ, 45)
+		}
+	}
+	params, err := NewParameters(ParametersLiteral{LogN: 12, LogQ: logQ, LogP: 55, Dnum: 2, LogScale: 45, H: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := NewContext(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := BootstrapParams{K: 6, SineDegree: 63, CtSStages: 3, StCStages: 3}
+	kg := NewKeyGenerator(ctx, 9301)
+	sk := kg.GenSecretKey()
+	rlk := kg.GenRelinearizationKey(sk)
+	encoder := NewEncoder(ctx)
+	bt0, err := NewBootstrapper(ctx, encoder, NewEvaluator(ctx, encoder, rlk, nil), bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := NewEvaluator(ctx, encoder, rlk, kg.GenRotationKeys(sk, bt0.Rotations(), true))
+	bt, err := NewBootstrapper(ctx, encoder, eval, bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bt.scaleBoost <= 1 {
+		t.Fatalf("scale boost %g: the wide bootstrap section did not arm it", bt.scaleBoost)
+	}
+
+	rng := rand.New(rand.NewSource(9303))
+	values := randomComplex(rng, params.Slots(), 0.7)
+	pt, _ := encoder.Encode(values, 0, params.Scale)
+	ct, err := NewEncryptorSK(ctx, sk, 9302).EncryptNew(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := bt.Bootstrap(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := maxErr(encoder.Decode(NewDecryptor(ctx, sk).DecryptNew(out)), values)
+	_, stc := bt.Chains()
+	t.Logf("mixed chain: boost 2^%.0f, output level %d, scale 2^%.2f, max error %.3g",
+		math.Log2(bt.scaleBoost), out.Level, math.Log2(out.Scale), e)
+	if e > 2e-2 {
+		t.Fatalf("bootstrap error %g above the 2e-2 budget", e)
+	}
+	if out.Level != stc.OutputLevel() || out.Level < 1 {
+		t.Fatalf("output level %d, want the SlotToCoeff chain's %d (≥ 1)", out.Level, stc.OutputLevel())
+	}
+}
+
 func TestBootstrapRejectsNonZeroLevel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("uses the bootstrapping setup; skipped with -short")
@@ -277,10 +346,6 @@ func TestBootstrapParamsBudget(t *testing.T) {
 	bp := DefaultBootstrapParams()
 	if got := bp.MinLevels(); got != 13 {
 		t.Fatalf("MinLevels=%d want 13 (2-stage CtS + 1 norm + 7 EvalMod + 2-stage StC + 1 margin)", got)
-	}
-	dense := BootstrapParams{K: bp.K, SineDegree: bp.SineDegree}
-	if got := dense.MinLevels(); got != 12 {
-		t.Fatalf("dense MinLevels=%d want 12 (2 CtS + 1 norm + 7 EvalMod + 1 StC + 1 rescale)", got)
 	}
 	// A chain shorter than the budget must be rejected.
 	params, err := NewParameters(ParametersLiteral{

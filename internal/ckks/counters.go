@@ -40,8 +40,7 @@ type OpCounters struct {
 // snapshot: full key-switch pipelines (multiplications and full rotations)
 // plus hoisted rotations, which still pay the per-slice MAC against the
 // rotation key even though they skip the decomposition. This is the metric
-// the staged-vs-dense bootstrap gate compares (btsbench -experiment
-// bootstrap).
+// the staged-vs-dense bootstrap test compares.
 func (c OpCounters) KeySwitchTotal() int64 {
 	return c.Mult + c.FullRot + c.HoistedRot
 }

@@ -118,6 +118,10 @@ func composeDiags(a, b map[int][]complex128, n int) map[int][]complex128 {
 	return out
 }
 
+func cabs(c complex128) float64 {
+	return math.Hypot(real(c), imag(c))
+}
+
 // DFTStageDiags returns the numStages merged diagonal maps of the factored
 // special FFT, in homomorphic application order. The stages' matrix product
 // equals B·U^{-1} for DFTInverse (the 1/n normalization folded in as 1/2 per

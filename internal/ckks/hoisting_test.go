@@ -108,9 +108,7 @@ func TestLinearTransformHoistedPrecision(t *testing.T) {
 	}
 
 	hoisted := s.eval.Rescale(s.eval.LinearTransform(ct, lt))
-	s.eval.SetEagerTransforms(true)
-	eager := s.eval.Rescale(s.eval.LinearTransform(ct, lt))
-	s.eval.SetEagerTransforms(false)
+	eager := s.eval.Rescale(s.eval.linearTransformEager(ct, lt))
 
 	errHoisted := maxErr(s.encoder.Decode(s.dec.DecryptNew(hoisted)), want)
 	errEager := maxErr(s.encoder.Decode(s.dec.DecryptNew(eager)), want)
@@ -146,7 +144,7 @@ func TestLinearTransformN1Override(t *testing.T) {
 		}
 	}
 	for _, n1 := range []int{1, 2, 8, 16} {
-		lt, err := NewLinearTransformN1(s.encoder, diags, lvl, float64(s.params.Q[lvl]), n1)
+		lt, err := newLinearTransformN1(s.encoder, diags, lvl, float64(s.params.Q[lvl]), n1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,9 +153,6 @@ func TestLinearTransformN1Override(t *testing.T) {
 			t.Fatalf("n1=%d: transform error %g", n1, e)
 		}
 		s.ctx.PutCiphertext(out)
-	}
-	if _, err := NewLinearTransformN1(s.encoder, diags, lvl, float64(s.params.Q[lvl]), 3); err == nil {
-		t.Fatal("expected error for non-power-of-two n1")
 	}
 }
 
@@ -215,7 +210,7 @@ func TestLinearTransformChunkedLazyMAC(t *testing.T) {
 		diags[k] = d
 	}
 	// n1 = slots puts every diagonal in one giant group (> budget terms).
-	lt, err := NewLinearTransformN1(encoder, diags, lvl, float64(params.Q[lvl]), n)
+	lt, err := newLinearTransformN1(encoder, diags, lvl, float64(params.Q[lvl]), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +224,7 @@ func TestLinearTransformChunkedLazyMAC(t *testing.T) {
 		}
 	}
 	hoisted := eval.Rescale(eval.LinearTransform(ct, lt))
-	eval.SetEagerTransforms(true)
-	eager := eval.Rescale(eval.LinearTransform(ct, lt))
+	eager := eval.Rescale(eval.linearTransformEager(ct, lt))
 	errHoisted := maxErr(encoder.Decode(dec.DecryptNew(hoisted)), want)
 	errEager := maxErr(encoder.Decode(dec.DecryptNew(eager)), want)
 	t.Logf("chunked transform (budget %d, %d diags): hoisted err %.3g, eager err %.3g", budget, n, errHoisted, errEager)
@@ -242,46 +236,66 @@ func TestLinearTransformChunkedLazyMAC(t *testing.T) {
 	}
 }
 
-// TestBootstrapHoistedRegression runs the full small-N bootstrap through
-// both transform paths: the hoisted pipeline must restore the same levels
-// and be no less precise than the eager reference beyond noise jitter.
+// TestBootstrapHoistedRegression runs the bootstrapper's own CoeffToSlot and
+// SlotToCoeff chains hoisted and through the eager oracle, stage by stage on
+// the same input: both must land within the transform budget of the plain
+// result and of each other, and the hoisted chain must be no less precise
+// than the eager one beyond noise jitter. Inputs are sized the way the
+// bootstrap feeds each chain — CoeffToSlot sees slot values amplified by
+// q0/Δ and scales them back down, SlotToCoeff the reverse — so both outputs
+// are O(1).
 func TestBootstrapHoistedRegression(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full bootstrap comparison is expensive; skipped with -short")
+		t.Skip("chain comparison at the bootstrapping instance is expensive; skipped with -short")
 	}
 	s, bt := bootSetup(t)
 	defer s.ctx.Close()
 	rng := rand.New(rand.NewSource(57))
 	n := s.params.Slots()
-	values := randomComplex(rng, n, 0.7)
-	pt, _ := s.encoder.Encode(values, 0, s.params.Scale)
-	ct, err := s.enc.EncryptNew(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q0OverDelta := float64(s.params.Q[0]) / s.params.Scale
+	cts, stc := bt.Chains()
+	for _, tc := range []struct {
+		name  string
+		chain *TransformChain
+		in    float64 // input slot magnitude relative to the plain operand
+		plain func([]complex128)
+	}{
+		{"CoeffToSlot", cts, q0OverDelta, func(v []complex128) { s.encoder.fftSpecialInv(v); bitReverseInPlace(v) }},
+		{"SlotToCoeff", stc, 1 / q0OverDelta, func(v []complex128) { bitReverseInPlace(v); s.encoder.fftSpecial(v) }},
+	} {
+		values := randomComplex(rng, n, 0.7)
+		in := make([]complex128, n)
+		for i := range in {
+			in[i] = values[i] * complex(tc.in, 0)
+		}
+		pt, _ := s.encoder.Encode(in, tc.chain.Level(), s.params.Scale)
+		ct, err := s.enc.EncryptNew(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hoisted, err := s.eval.TransformChain(ct, tc.chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eager := s.eval.transformChainEager(ct, tc.chain)
+		if hoisted.Level != eager.Level || hoisted.Level != tc.chain.OutputLevel() {
+			t.Fatalf("%s: hoisted output level %d, eager %d, chain %d", tc.name, hoisted.Level, eager.Level, tc.chain.OutputLevel())
+		}
 
-	hoisted, err := bt.Bootstrap(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.eval.SetEagerTransforms(true)
-	eager, err := bt.Bootstrap(ct)
-	s.eval.SetEagerTransforms(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if hoisted.Level != eager.Level {
-		t.Fatalf("hoisted bootstrap restored level %d, eager %d", hoisted.Level, eager.Level)
-	}
-	errHoisted := maxErr(s.encoder.Decode(s.dec.DecryptNew(hoisted)), values)
-	errEager := maxErr(s.encoder.Decode(s.dec.DecryptNew(eager)), values)
-	t.Logf("bootstrap: hoisted err %.3g, eager err %.3g", errHoisted, errEager)
-	if errHoisted > 2e-2 {
-		t.Fatalf("hoisted bootstrap error %g above budget 2e-2", errHoisted)
-	}
-	if errHoisted > 2*errEager+1e-9 {
-		t.Fatalf("hoisted bootstrap error %g worse than eager %g beyond jitter", errHoisted, errEager)
+		want := append([]complex128(nil), values...)
+		tc.plain(want)
+		hoistedVals := s.encoder.Decode(s.dec.DecryptNew(hoisted))
+		eagerVals := s.encoder.Decode(s.dec.DecryptNew(eager))
+		errHoisted := maxErr(hoistedVals, want)
+		errEager := maxErr(eagerVals, want)
+		delta := maxErr(hoistedVals, eagerVals)
+		t.Logf("%s (%d stages): hoisted err %.3g, eager err %.3g, delta %.3g", tc.name, tc.chain.Depth(), errHoisted, errEager, delta)
+		if errHoisted > 1e-4 || delta > 1e-4 {
+			t.Fatalf("%s: hoisted error %g / hoisted-eager delta %g above budget 1e-4", tc.name, errHoisted, delta)
+		}
+		if errHoisted > 2*errEager+1e-9 {
+			t.Fatalf("%s: hoisted error %g worse than eager %g beyond jitter", tc.name, errHoisted, errEager)
+		}
 	}
 }
 

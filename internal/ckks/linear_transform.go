@@ -33,28 +33,21 @@ type LinearTransform struct {
 // (diags[k][j] = M[j][(j+k) mod slots]) at the given level and plaintext
 // scale. Slots must equal the parameter slot count; zero diagonals may be
 // omitted from the map. The baby-step count n1 is chosen by the hoisted
-// cost model (see bsgsSplit); use NewLinearTransformN1 to pin it explicitly.
+// cost model (see bsgsSplit).
 func NewLinearTransform(enc *Encoder, diags map[int][]complex128, level int, scale float64) (*LinearTransform, error) {
-	return NewLinearTransformN1(enc, diags, level, scale, 0)
+	keys := make([]int, 0, len(diags))
+	for k := range diags {
+		keys = append(keys, k)
+	}
+	return newLinearTransformN1(enc, diags, level, scale, bsgsSplit(keys, enc.Slots()))
 }
 
-// NewLinearTransformN1 is NewLinearTransform with an explicit baby-step
-// count n1 (a power of two ≤ slots); n1 = 0 selects the cost-model split.
-// Pinning n1 is the experimentation knob for the hoisting cost model — see
-// `btsbench -experiment hoisting`.
-func NewLinearTransformN1(enc *Encoder, diags map[int][]complex128, level int, scale float64, n1 int) (*LinearTransform, error) {
+// newLinearTransformN1 is NewLinearTransform with the baby-step count n1 (a
+// power of two ≤ slots) given instead of chosen.
+func newLinearTransformN1(enc *Encoder, diags map[int][]complex128, level int, scale float64, n1 int) (*LinearTransform, error) {
 	n := enc.Slots()
 	if len(diags) == 0 {
 		return nil, fmt.Errorf("ckks: linear transform with no diagonals")
-	}
-	if n1 == 0 {
-		keys := make([]int, 0, len(diags))
-		for k := range diags {
-			keys = append(keys, k)
-		}
-		n1 = bsgsSplit(keys, n)
-	} else if n1 < 1 || n1 > n || n1&(n1-1) != 0 {
-		return nil, fmt.Errorf("ckks: baby-step count %d is not a power of two in [1,%d]", n1, n)
 	}
 	lt := &LinearTransform{
 		diags:  make(map[int]*Plaintext, len(diags)),
@@ -88,10 +81,8 @@ func NewLinearTransformN1(enc *Encoder, diags map[int][]complex128, level int, s
 // giantStepCost is the cost of a giant-step rotation (a full key-switch:
 // iNTT + β·(BConv + NTT) + MAC + ModDown) relative to a hoisted baby step
 // (an NTT-domain permutation + MAC against the shared decomposition). The
-// value is a host-measured round figure — `btsbench -experiment hoisting`
-// reports the live ratio — and only steers the BSGS split, so being off by
-// 2× shifts n1 by at most one power of two. Pin n1 per transform with
-// NewLinearTransformN1 to experiment with other splits.
+// value is a host-measured round figure and only steers the BSGS split, so
+// being off by 2× shifts n1 by at most one power of two.
 const giantStepCost = 8.0
 
 // bsgsSplit picks the baby-step count n1 (a power of two) minimizing the
@@ -204,14 +195,8 @@ func (lt *LinearTransform) byGiantStep() (byGiant map[int][]int, giants []int, b
 // decomposed once, each baby step costs a slice permutation + MAC kept in
 // the extended QP basis, every diagonal is folded in with an element-wise
 // plaintext product there, and each giant step pays a single deferred
-// ModDown per ciphertext component plus one full rotation. The eager
-// reference path (one key-switch per baby step, one ModDown per diagonal
-// group) remains available via LinearTransformEager and the
-// SetEagerTransforms toggle.
+// ModDown per ciphertext component plus one full rotation.
 func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
-	if ev.eagerTransforms || lt.diagsP == nil {
-		return ev.LinearTransformEager(ct, lt)
-	}
 	sp := ev.begin(spanLinear)
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
@@ -398,79 +383,4 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphe
 	}
 	ev.endSpan(&sp, out)
 	return out
-}
-
-// LinearTransformEager is the reference BSGS evaluation: every baby step is
-// a full naive rotation (its own decomposition) and every diagonal product
-// goes through a ModDown'd ciphertext. It exists for benchmarking and
-// error-budget comparison against the hoisted path; results agree with
-// LinearTransform up to the (smaller) deferred-ModDown rounding noise.
-func (ev *Evaluator) LinearTransformEager(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
-	ctx := ev.ctx
-	byGiant, giants, need := lt.byGiantStep()
-	// Baby-step rotations of the input.
-	babies := map[int]*Ciphertext{}
-	for b := range need {
-		if b == 0 {
-			babies[0] = ct
-		} else {
-			babies[b] = ev.Rotate(ct, b)
-		}
-	}
-
-	var out *Ciphertext
-	for _, g := range giants {
-		var inner *Ciphertext
-		for _, k := range byGiant[g] {
-			term := ev.MulPlain(babies[k%lt.n1], lt.diags[k])
-			if inner == nil {
-				inner = term
-			} else {
-				ev.AddInPlace(inner, term)
-				ctx.PutCiphertext(term)
-			}
-		}
-		if g != 0 {
-			rot := ev.Rotate(inner, g*lt.n1)
-			ctx.PutCiphertext(inner)
-			inner = rot
-		}
-		if out == nil {
-			out = inner
-		} else {
-			ev.AddInPlace(out, inner)
-			ctx.PutCiphertext(inner)
-		}
-	}
-	for b, baby := range babies {
-		if b != 0 {
-			ctx.PutCiphertext(baby)
-		}
-	}
-	return out
-}
-
-// MatrixFromFunc builds the diagonal representation of an arbitrary n×n
-// complex matrix given entry-wise, dropping diagonals whose largest entry is
-// below dropTol (0 keeps everything).
-func MatrixFromFunc(n int, entry func(row, col int) complex128, dropTol float64) map[int][]complex128 {
-	diags := map[int][]complex128{}
-	for k := 0; k < n; k++ {
-		d := make([]complex128, n)
-		maxAbs := 0.0
-		for j := 0; j < n; j++ {
-			d[j] = entry(j, (j+k)%n)
-			if a := cabs(d[j]); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		if maxAbs > dropTol {
-			diags[k] = d
-		}
-	}
-	return diags
-}
-
-func cabs(c complex128) float64 {
-	return math.Hypot(real(c), imag(c))
 }

@@ -90,7 +90,7 @@ func TestLinearTransformParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	n := s.params.Slots()
 	v := randomComplex(rng, n, 1)
-	diags := MatrixFromFunc(n, func(r, c int) complex128 {
+	diags := matrixFromFunc(n, func(r, c int) complex128 {
 		return complex(float64(1+(r+2*c)%5)/5, float64(r%3)/3)
 	}, 0)
 

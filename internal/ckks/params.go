@@ -29,8 +29,8 @@
 // group; bsgsSplit weights the BSGS split accordingly (over the transform's
 // actual diagonal indices, which is what makes sparse stages cheap). The
 // deferred ModDown also *reduces* noise: its rounding enters once per giant
-// step, unscaled by the plaintext, instead of once per rotation. `btsbench
-// -experiment hoisting` measures both paths and CI archives the report.
+// step, unscaled by the plaintext, instead of once per rotation. The eager
+// evaluation survives only in the tests, as the hoisted path's oracle.
 //
 // # Factored bootstrap transforms
 //
@@ -39,10 +39,8 @@
 // sparse few-diagonal LinearTransform, chained by a TransformChain with one
 // rescale between stages. Two stages at 2^9 slots turn a 512-diagonal dense
 // matrix into 32+31-diagonal stages — ~1.8× fewer key-switch ops and a
-// ~2.2× smaller rotation-key set for one extra level per transform — with
-// the dense matrices kept as the equivalence oracle
-// (Bootstrapper.SetDenseTransforms). `btsbench -experiment bootstrap`
-// measures both pipelines and CI archives the report.
+// ~2.2× smaller rotation-key set for one extra level per transform. The
+// dense matrices survive only in the tests, as the equivalence oracle.
 //
 // # One division per multiplication
 //
@@ -72,9 +70,7 @@
 // multiplying by a *plain* precomputed constant (pModQ, P^-1 via its Shoup
 // companions, rescale q_ℓ^-1) is form-preserving: (x·R)·c mod q is (x·c)·R
 // mod q. The payoff is one 3-multiply reduction per butterfly, MAC and
-// element-wise product where the Barrett path paid roughly twice that;
-// `btsbench -experiment table2` measures the per-kernel speedups against
-// the retained Barrett reference loops and CI archives the report.
+// element-wise product where the Barrett path paid roughly twice that.
 package ckks
 
 import (

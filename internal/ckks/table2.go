@@ -31,9 +31,9 @@ package ckks
 // direction: 2^16 slots split into radix-64/32/32 stage matrices
 // (DFTStageDiags depths 6+5+5 = logSlots), trading 2 extra levels per
 // transform against the dense matrix's 2^16 diagonals. Depth budget per
-// MinLevels: 3 (CtS) + 1 (normalize) + 10 (EvalMod, degree-255 sine) +
-// 3 (StC) + 1 (margin) = 18 ≤ L = 27, leaving a 9-level working budget
-// after refresh. K = 25 covers the modulus-raise overflow of an H = 192
+// MinLevels: 3 (CtS) + 1 (normalize) + 9 (EvalMod, degree-255 sine) +
+// 3 (StC) + 1 (margin) = 17 ≤ L = 27; the refreshed ciphertext leaves at
+// level 27 − 16 = 11. K = 25 covers the modulus-raise overflow of an H = 192
 // secret with margin (|I| concentrates near sqrt(H) ≈ 14), and
 // 2πK ≈ 157 < 255 keeps the Chebyshev sine approximation convergent.
 

@@ -3,8 +3,8 @@
 // analysis (Figs. 1-2), the complexity breakdown (Fig. 3b), the hardware
 // tables (Tables 3-4), the simulator-driven results (Figs. 6-10, Tables
 // 5-6) and the §6.3 slowdown discussion. Each experiment returns structured
-// rows so that cmd/btsbench, the root benchmark harness, and EXPERIMENTS.md
-// all share one source of truth.
+// rows so that the root benchmark harness (bench_test.go) and EXPERIMENTS.md
+// share one source of truth.
 package eval
 
 import (

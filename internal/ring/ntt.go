@@ -13,24 +13,16 @@ package ring
 // constant maps x ↦ x·w mod q regardless of x's own form, the network
 // preserves the package's Montgomery-form invariant without any conversion.
 //
-// Three kernels implement the network, forming the ring's kernel hierarchy
-// (slowest/simplest first):
-//
-//   - NTTBarrett (reference.go): plain-form, fully reduced at every
-//     butterfly. The bit-identity oracle; never on the serving path.
-//   - nttRowRadix2: scalar Montgomery radix-2 rows, intermediates lazy in
-//     [0, 2q). Retained as NTTRadix2 for benchmarks and the identity sweep,
-//     and — as nttStageRange, its per-stage form — as the building block of
-//     the sharded schedule below.
-//   - nttRowRadix4 (the production row kernel): merged two-layer (radix-4)
-//     butterflies. Each fused pass loads one interleaved twiddle triple per
-//     group (Modulus.psiFused), processes 4 coefficients per butterfly
-//     through re-sliced bounds-check-free views, and lets intermediates ride
-//     a widened [0, 4q) lazy window across the two merged layers — one REDC
-//     per multiply, conditional corrections only where a following sum
-//     could exceed 4q and at pass end — halving the passes over the row
-//     (and with them the loads, stores and loop overhead) relative to
-//     radix-2. An odd log2(N) is handled by one leading radix-2 stage.
+// The row kernel, nttRowRadix4, merges two layers into one pass of radix-4
+// butterflies. Each fused pass loads one interleaved twiddle triple per
+// group (Modulus.psiFused), processes 4 coefficients per butterfly through
+// re-sliced bounds-check-free views, and lets intermediates ride a widened
+// [0, 4q) lazy window across the two merged layers — one REDC per multiply,
+// conditional corrections only where a following sum could exceed 4q and at
+// pass end — halving the passes over the row (and with them the loads,
+// stores and loop overhead) relative to radix-2. An odd log2(N) is handled
+// by one leading radix-2 stage. The tests pin it to a radix-2 row kernel
+// and a plain-form Barrett transform (reference_test.go).
 //
 // Dispatch is two-dimensional (Engine.RunBlocks): when the active rows alone
 // can occupy the pool, each row runs the fused radix-4 kernel as one task
@@ -40,10 +32,10 @@ package ring
 // radix-2 butterflies sharded into contiguous index blocks across all rows
 // (the coefficient dimension of the PE grid): butterflies within one stage
 // touch disjoint (j, j+t) pairs, so they are order-independent, and a
-// barrier between stages preserves the network's data dependencies. All
-// three kernels and both schedules produce bit-identical outputs: lazy
-// representatives may differ mid-network, but every path ends with the same
-// normalization to canonical residues.
+// barrier between stages preserves the network's data dependencies. Both
+// schedules produce bit-identical outputs: lazy representatives may differ
+// mid-network, but every path ends with the same normalization to canonical
+// residues.
 func (r *Ring) NTT(p *Poly, level int) {
 	r.nttRows(p.Coeffs[:level+1], r.Moduli[:level+1])
 }
@@ -89,22 +81,6 @@ func (r *Ring) NTTRow(row []uint64, i int) {
 // sharded like NTTRow.
 func (r *Ring) INTTRow(row []uint64, i int) {
 	r.inttRows([][]uint64{row}, r.Moduli[i:i+1])
-}
-
-// NTTRadix2 is the scalar Montgomery radix-2 forward transform on rows
-// [0..level] of p, one engine task per row. It is the PR 6 production kernel
-// kept as the fused kernels' in-family baseline: the identity sweep pins
-// radix-4 to it (and both to the Barrett oracle), and the table2 bench
-// reports the fused speedup against it. Production dispatch (NTT) never
-// picks it — full rows go radix-4, sharded rows go through nttStageRange.
-func (r *Ring) NTTRadix2(p *Poly, level int) {
-	r.exec.Run(level+1, func(i int) { r.nttRowRadix2(p.Coeffs[i], r.Moduli[i]) })
-}
-
-// INTTRadix2 is the scalar Montgomery radix-2 inverse counterpart of
-// NTTRadix2.
-func (r *Ring) INTTRadix2(p *Poly, level int) {
-	r.exec.Run(level+1, func(i int) { r.inttRowRadix2(p.Coeffs[i], r.Moduli[i]) })
 }
 
 // nttRows forward-transforms rows[i] under moduli ms[i], picking between the
@@ -447,76 +423,6 @@ func (r *Ring) inttRowRadix4(a []uint64, m *Modulus) {
 			x[j] = s
 			y[j] = mr.MulLazy(u+twoQ-v, w)
 		}
-	}
-	nInvM := m.nInvM
-	for j := range a {
-		a[j] = mr.Mul(a[j], nInvM)
-	}
-}
-
-func (r *Ring) nttRowRadix2(a []uint64, m *Modulus) {
-	n := r.N
-	q := m.Q
-	twoQ := 2 * q
-	mr := m.MRed
-	t := n
-	for mLen := 1; mLen < n; mLen <<= 1 {
-		t >>= 1
-		for i := 0; i < mLen; i++ {
-			w := m.psiRev[mLen+i]
-			base := 2 * i * t
-			x := a[base : base+t : base+t]
-			y := a[base+t : base+2*t : base+2*t]
-			y = y[:len(x)]
-			for j := range x {
-				u := x[j]
-				v := mr.MulLazy(y[j], w)
-				s := u + v
-				if s >= twoQ {
-					s -= twoQ
-				}
-				d := u + twoQ - v
-				if d >= twoQ {
-					d -= twoQ
-				}
-				x[j] = s
-				y[j] = d
-			}
-		}
-	}
-	for j := range a {
-		if a[j] >= q {
-			a[j] -= q
-		}
-	}
-}
-
-func (r *Ring) inttRowRadix2(a []uint64, m *Modulus) {
-	n := r.N
-	twoQ := 2 * m.Q
-	mr := m.MRed
-	t := 1
-	for mLen := n; mLen > 1; mLen >>= 1 {
-		j1 := 0
-		h := mLen >> 1
-		for i := 0; i < h; i++ {
-			w := m.psiInvRev[h+i]
-			x := a[j1 : j1+t : j1+t]
-			y := a[j1+t : j1+2*t : j1+2*t]
-			y = y[:len(x)]
-			for j := range x {
-				u := x[j]
-				v := y[j]
-				s := u + v
-				if s >= twoQ {
-					s -= twoQ
-				}
-				x[j] = s
-				y[j] = mr.MulLazy(u+twoQ-v, w)
-			}
-			j1 += 2 * t
-		}
-		t <<= 1
 	}
 	nInvM := m.nInvM
 	for j := range a {

@@ -13,8 +13,7 @@ import (
 // primes, 60-bit bootstrap-section primes). They time the scalar Montgomery
 // radix-2 kernel against the fused radix-4 kernel directly — serial engine,
 // one row, no dispatch — so a fused-kernel regression shows up in
-// `go test -bench NTTKernel ./internal/ring` without a full btsbench table2
-// run. b.SetBytes reports the algorithmic stream rate (one load + one store
+// `go test -bench NTTKernel ./internal/ring`. b.SetBytes reports the algorithmic stream rate (one load + one store
 // per coefficient per radix-2 stage equivalent), making the fused kernels'
 // traffic savings visible as a higher MB/s at equal algorithmic bytes.
 

@@ -1,0 +1,209 @@
+package ring
+
+import "bts/internal/mod"
+
+// Reference kernels: the slower transforms and element-wise loops the
+// production kernels are pinned bit-identical to. None of them is reachable
+// from non-test code.
+//
+// The Barrett kernels are the pre-Montgomery implementations of the ring's
+// multiplicative hot paths: the bit-identity tests check that
+// IForm(kernel_M(MForm(x))) reproduces kernel_Barrett(x) exactly. They
+// operate on true-residue (non-Montgomery) polynomials and use per-multiply
+// Barrett reduction throughout.
+//
+// The radix-2 Montgomery transforms (NTTRadix2/INTTRadix2) are the in-family
+// baseline of the fused radix-4 row kernels: one REDC-lazy twiddle multiply
+// per butterfly, values held < 2q, one normalization pass at the end.
+
+// refTwiddles returns m's twiddle tables in plain form, as the Barrett
+// transforms need them.
+func (m *Modulus) refTwiddles() (psiRev, psiInvRev []uint64) {
+	psiRev = make([]uint64, len(m.psiRev))
+	psiInvRev = make([]uint64, len(m.psiInvRev))
+	for i := range m.psiRev {
+		psiRev[i] = m.MRed.IForm(m.psiRev[i])
+		psiInvRev[i] = m.MRed.IForm(m.psiInvRev[i])
+	}
+	return psiRev, psiInvRev
+}
+
+// NTTBarrett is the Barrett-reduction reference forward transform on plain
+// (true-residue) rows [0..level] of p, fully reduced at every butterfly.
+func (r *Ring) NTTBarrett(p *Poly, level int) {
+	r.exec.Run(level+1, func(i int) {
+		m := r.Moduli[i]
+		psiRev, _ := m.refTwiddles()
+		a := p.Coeffs[i]
+		n := r.N
+		q := m.Q
+		br := m.BRed
+		t := n
+		for mLen := 1; mLen < n; mLen <<= 1 {
+			t >>= 1
+			for g := 0; g < mLen; g++ {
+				w := psiRev[mLen+g]
+				base := 2 * g * t
+				for j := base; j < base+t; j++ {
+					u := a[j]
+					v := br.Mul(a[j+t], w)
+					a[j] = mod.Add(u, v, q)
+					a[j+t] = mod.Sub(u, v, q)
+				}
+			}
+		}
+	})
+}
+
+// INTTBarrett is the Barrett-reduction reference inverse transform on plain
+// rows [0..level] of p.
+func (r *Ring) INTTBarrett(p *Poly, level int) {
+	r.exec.Run(level+1, func(i int) {
+		m := r.Moduli[i]
+		_, psiInvRev := m.refTwiddles()
+		a := p.Coeffs[i]
+		n := r.N
+		q := m.Q
+		br := m.BRed
+		t := 1
+		for mLen := n; mLen > 1; mLen >>= 1 {
+			j1 := 0
+			h := mLen >> 1
+			for g := 0; g < h; g++ {
+				w := psiInvRev[h+g]
+				for j := j1; j < j1+t; j++ {
+					u := a[j]
+					v := a[j+t]
+					a[j] = mod.Add(u, v, q)
+					a[j+t] = br.Mul(mod.Sub(u, v, q), w)
+				}
+				j1 += 2 * t
+			}
+			t <<= 1
+		}
+		for j := 0; j < n; j++ {
+			a[j] = br.Mul(a[j], m.NInv)
+		}
+	})
+}
+
+// MulCoeffsBarrett is the Barrett reference for MulCoeffs on plain operands.
+func (r *Ring) MulCoeffsBarrett(a, b, out *Poly, level int) {
+	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
+		br := r.Moduli[i].BRed
+		ra, rb, ro := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
+		for j := lo; j < hi; j++ {
+			ro[j] = br.Mul(ra[j], rb[j])
+		}
+	})
+}
+
+// MulCoeffsAndAddBarrett is the Barrett reference for MulCoeffsAndAdd on
+// plain operands.
+func (r *Ring) MulCoeffsAndAddBarrett(a, b, out *Poly, level int) {
+	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
+		br := r.Moduli[i].BRed
+		q := r.Moduli[i].Q
+		ra, rb, ro := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
+		for j := lo; j < hi; j++ {
+			ro[j] = mod.Add(ro[j], br.Mul(ra[j], rb[j]), q)
+		}
+	})
+}
+
+// MulScalarBarrett is the Barrett+Shoup reference for MulScalar on plain
+// operands (the constant-multiply discipline the ring used before the
+// Montgomery refactor).
+func (r *Ring) MulScalarBarrett(a *Poly, s uint64, out *Poly, level int) {
+	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
+		m := r.Moduli[i]
+		w := m.BRed.Reduce(s)
+		ws := mod.ShoupPrecomp(w, m.Q)
+		ra, ro := a.Coeffs[i], out.Coeffs[i]
+		for j := lo; j < hi; j++ {
+			ro[j] = mod.MulShoup(ra[j], w, ws, m.Q)
+		}
+	})
+}
+
+// NTTRadix2 is the scalar Montgomery radix-2 forward transform on rows
+// [0..level] of p, one engine task per row.
+func (r *Ring) NTTRadix2(p *Poly, level int) {
+	r.exec.Run(level+1, func(i int) { r.nttRowRadix2(p.Coeffs[i], r.Moduli[i]) })
+}
+
+// INTTRadix2 is the scalar Montgomery radix-2 inverse counterpart of
+// NTTRadix2.
+func (r *Ring) INTTRadix2(p *Poly, level int) {
+	r.exec.Run(level+1, func(i int) { r.inttRowRadix2(p.Coeffs[i], r.Moduli[i]) })
+}
+
+func (r *Ring) nttRowRadix2(a []uint64, m *Modulus) {
+	n := r.N
+	q := m.Q
+	twoQ := 2 * q
+	mr := m.MRed
+	t := n
+	for mLen := 1; mLen < n; mLen <<= 1 {
+		t >>= 1
+		for i := 0; i < mLen; i++ {
+			w := m.psiRev[mLen+i]
+			base := 2 * i * t
+			x := a[base : base+t : base+t]
+			y := a[base+t : base+2*t : base+2*t]
+			y = y[:len(x)]
+			for j := range x {
+				u := x[j]
+				v := mr.MulLazy(y[j], w)
+				s := u + v
+				if s >= twoQ {
+					s -= twoQ
+				}
+				d := u + twoQ - v
+				if d >= twoQ {
+					d -= twoQ
+				}
+				x[j] = s
+				y[j] = d
+			}
+		}
+	}
+	for j := range a {
+		if a[j] >= q {
+			a[j] -= q
+		}
+	}
+}
+
+func (r *Ring) inttRowRadix2(a []uint64, m *Modulus) {
+	n := r.N
+	twoQ := 2 * m.Q
+	mr := m.MRed
+	t := 1
+	for mLen := n; mLen > 1; mLen >>= 1 {
+		j1 := 0
+		h := mLen >> 1
+		for i := 0; i < h; i++ {
+			w := m.psiInvRev[h+i]
+			x := a[j1 : j1+t : j1+t]
+			y := a[j1+t : j1+2*t : j1+2*t]
+			y = y[:len(x)]
+			for j := range x {
+				u := x[j]
+				v := y[j]
+				s := u + v
+				if s >= twoQ {
+					s -= twoQ
+				}
+				x[j] = s
+				y[j] = mr.MulLazy(u+twoQ-v, w)
+			}
+			j1 += 2 * t
+		}
+		t <<= 1
+	}
+	nInvM := m.nInvM
+	for j := range a {
+		a[j] = mr.Mul(a[j], nInvM)
+	}
+}

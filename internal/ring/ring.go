@@ -27,23 +27,23 @@
 // Serialization converts at the wire boundary, so encoded bytes carry true
 // canonical residues.
 //
-// # Kernel hierarchy
+// # Transform kernels
 //
-// The negacyclic transforms come in three tiers, each pinned bit-identical
-// to the next by the test suite:
+// The negacyclic transforms run one of two schedules, bit-identical to each
+// other:
 //
-//   - Barrett reference (reference.go): plain-residue radix-2 loops with no
-//     lazy reduction — the slow, obviously-correct oracle every production
-//     kernel is compared against.
-//   - Scalar Montgomery radix-2 (NTTRadix2/INTTRadix2 and the
-//     nttStageRange/inttStageRange per-stage bodies): one REDC-lazy twiddle
-//     multiply per butterfly, values held < 2q, one normalization pass at
-//     the end. The per-stage form is what the sharded schedule dispatches.
-//   - Fused radix-4 (nttRowRadix4/inttRowRadix4): two consecutive radix-2
-//     layers merged into one pass over the row, four coefficients per
-//     butterfly, twiddle triples interleaved per group
+//   - Fused radix-4 rows (nttRowRadix4/inttRowRadix4): two consecutive
+//     radix-2 layers merged into one pass over the row, four coefficients
+//     per butterfly, twiddle triples interleaved per group
 //     (mod.FusedNTTTwiddles), intermediates on a widened [0, 4q) lazy
-//     window. This is the production row kernel.
+//     window.
+//   - Stage-sharded radix-2 (nttStageRange/inttStageRange): one REDC-lazy
+//     twiddle multiply per butterfly, values held < 2q, the butterflies of
+//     each stage split into coefficient blocks across workers.
+//
+// The test suite pins both to a radix-2 Montgomery row kernel and to
+// plain-residue Barrett loops with no lazy reduction — the slow,
+// obviously-correct oracles (reference_test.go).
 //
 // All kernels dispatch through a two-dimensional execution engine (Engine,
 // see exec.go) that parallelizes across RNS limbs and, when the active limbs
@@ -94,11 +94,6 @@ type Modulus struct {
 	// instead of gathering from two halves of psiRev/psiInvRev per group.
 	psiFused    []uint64
 	psiInvFused []uint64
-
-	// refOnce lazily builds the plain-form Barrett reference twiddles used
-	// only by the reference kernels (bit-identity tests, bench baselines).
-	refOnce sync.Once
-	ref     *refTables
 }
 
 // Ring is R_Q for a fixed degree N and a chain of prime moduli. CKKS uses two

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -258,6 +259,118 @@ func TestDAGFlatEquivalence(t *testing.T) {
 	}
 	if !bytes.Equal(fb, db) {
 		t.Fatal("hoisted DAG output differs from the flat roth reference")
+	}
+
+	// The same promise at pipeline scale, and what it buys. Each stage fans
+	// four rotations off its input, sums them, halves and rescales; a
+	// register-less client pays one round trip per op, the DAG form one job
+	// in total. The DAG run must be bit-identical while moving ≥5x fewer wire
+	// bytes and spending ≥1.5x fewer full rotations plus decompositions —
+	// counts, not timings, so both bars hold on any host.
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	fan := []int{1, 2, 4, 8}
+	cl2 := newClientSide(t, params, 731, fan)
+	api := NewClient(ts.URL, cl2.ctx)
+	for _, name := range []string{"flat", "dag"} {
+		if err := api.OpenSession(name, cl2.rlk, cl2.rtks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pt, _ = cl2.encoder.Encode(a, params.MaxLevel(), params.Scale)
+	x, err := cl2.enc.EncryptNew(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := []float64{0.5}
+	stages := params.MaxLevel() // one rescale per stage
+	bg := context.Background()
+
+	api.ResetWireBytes()
+	cur := x
+	for s := 0; s < stages; s++ {
+		var sum *ckks.Ciphertext
+		for _, by := range fan {
+			r, err := api.Do("flat", []Op{{Kind: OpRotate, A: 0, By: by}}, cur)
+			if err != nil {
+				t.Fatalf("flat rotate: %v", err)
+			}
+			if sum == nil {
+				sum = r
+			} else if sum, err = api.Do("flat", []Op{{Kind: OpAdd, A: 0, B: 1}}, sum, r); err != nil {
+				t.Fatalf("flat add: %v", err)
+			}
+		}
+		// pmul has no slot form: it rides as a single-op DAG job, which
+		// round-trips its operand exactly like the ops around it.
+		p, err := api.DoDAG(bg, "flat", []string{"$t"}, []Op{{Kind: OpMulPlain, Ra: "$t", Out: "$p", Vals: half}}, []string{"$p"}, sum)
+		if err != nil {
+			t.Fatalf("flat pmul: %v", err)
+		}
+		if cur, err = api.Do("flat", []Op{{Kind: OpRescale, A: 0}}, p[0]); err != nil {
+			t.Fatalf("flat rescale: %v", err)
+		}
+	}
+	flatIn, flatOut := api.WireBytes()
+
+	var ops []Op
+	in := "$x0"
+	for s := 0; s < stages; s++ {
+		reg := func(name string) string { return fmt.Sprintf("$s%d%s", s, name) }
+		for _, by := range fan {
+			ops = append(ops, dagRot(in, reg(fmt.Sprint("r", by)), by))
+		}
+		out := fmt.Sprintf("$x%d", s+1)
+		ops = append(ops,
+			dagAdd(reg("r1"), reg("r2"), reg("a")),
+			dagAdd(reg("a"), reg("r4"), reg("b")),
+			dagAdd(reg("b"), reg("r8"), reg("sum")),
+			Op{Kind: OpMulPlain, Ra: reg("sum"), Out: reg("p"), Vals: half},
+			Op{Kind: OpRescale, Ra: reg("p"), Out: out},
+		)
+		in = out
+	}
+	api.ResetWireBytes()
+	outs, err := api.DoDAG(bg, "dag", []string{"$x0"}, ops, []string{in}, x)
+	if err != nil {
+		t.Fatalf("pipeline DAG job: %v", err)
+	}
+	dagIn, dagOut := api.WireBytes()
+
+	codec2 := wire.NewCodec(cl2.ctx)
+	fb, _ = codec2.MarshalCiphertext(cur)
+	db, _ = codec2.MarshalCiphertext(outs[0])
+	if !bytes.Equal(fb, db) {
+		t.Fatal("pipeline DAG output differs from the per-op round trips")
+	}
+	want := a
+	for s := 0; s < stages; s++ {
+		next := make([]complex128, slots)
+		for i := range next {
+			for _, by := range fan {
+				next[i] += want[(i+by)%slots]
+			}
+			next[i] *= 0.5
+		}
+		want = next
+	}
+	if e := maxAbsErr(cl2.encoder.Decode(cl2.dec.DecryptNew(outs[0])), want); e > 1e-2 {
+		t.Fatalf("pipeline result error %g", e)
+	}
+
+	keySwitches := map[string]int64{}
+	for _, ss := range srv.Stats().Sessions {
+		keySwitches[ss.Session] = ss.OpMix.FullRot + ss.OpMix.Decompose
+	}
+	wireRatio := float64(flatIn+flatOut) / float64(dagIn+dagOut)
+	ksRatio := float64(keySwitches["flat"]) / float64(keySwitches["dag"])
+	t.Logf("%d stages: wire bytes %d flat / %d DAG (%.1fx), full rotations + decompositions %d / %d (%.2fx)",
+		stages, flatIn+flatOut, dagIn+dagOut, wireRatio, keySwitches["flat"], keySwitches["dag"], ksRatio)
+	if wireRatio < 5 {
+		t.Fatalf("DAG pipeline moves only %.1fx fewer wire bytes, want ≥5x", wireRatio)
+	}
+	if ksRatio < 1.5 {
+		t.Fatalf("DAG pipeline spends only %.2fx fewer full rotations + decompositions, want ≥1.5x", ksRatio)
 	}
 }
 

@@ -80,7 +80,7 @@
 // The package exposes the runtime three ways: the embeddable Server type,
 // an http.Handler speaking the internal/wire format (cmd/btsserve wraps it
 // in a daemon), and a Client for the other side of the socket (used by
-// `btsbench -experiment serve` and the end-to-end tests).
+// cmd/btsbench, the benchmark's serve workload and the end-to-end tests).
 package serve
 
 import (

@@ -74,8 +74,7 @@ type CalibrationReport struct {
 
 // DefaultBabyCostRatio is the fallback full-over-hoisted rotation cost ratio
 // used when no measured value is supplied — the same host-measured round
-// figure internal/ckks's BSGS split model uses (`btsbench -experiment
-// hoisting` reports the live value as baby_giant_cost_ratio).
+// figure internal/ckks's BSGS split model uses (giantStepCost).
 const DefaultBabyCostRatio = 8.0
 
 // CrossCheckBootstrap compares the op mix of tr (typically

@@ -16,9 +16,8 @@
 // separately: the ckks evaluator's op counters report full rotations
 // (giants, conjugations) apart from hoisted babies, and the report
 // re-expresses the measured mix in full-key-switch equivalents before
-// comparing against the trace. `btsbench -experiment bootstrap` runs this
-// cross-check against the real LogN=10 software bootstrap and archives it in
-// BENCH_bootstrap.json.
+// comparing against the trace. The benchmark's boot workload (bench/boot.go)
+// runs this cross-check against the real software bootstrap.
 //
 // A second calibration caveat arrived with coefficient-block sharding
 // (ring.Engine.RunBlocks): software timings of *low-level* ops (active
@@ -28,9 +27,9 @@
 // cross-check must therefore not model the host as "limb-parallel only":
 // per-op wall times at level ≤ 3 are now roughly level-independent up to
 // the block-size floor (1024 coefficients), whereas traces replayed here
-// assume the accelerator's fixed lane mapping throughout.
-// `btsbench -experiment sharding` reports the measured low-level timings
-// (BENCH_sharding.json) to calibrate against.
+// assume the accelerator's fixed lane mapping throughout. The benchmark's
+// ring.ntt_sharded_ns_per_bfly is the measured low-level figure to
+// calibrate against.
 package sim
 
 import (
