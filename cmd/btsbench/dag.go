@@ -1,78 +1,47 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"time"
 
 	"bts/internal/ckks"
 	"bts/internal/serve"
-	"bts/internal/wire"
 )
 
-// dagReport is the JSON document the dag experiment prints to stdout: the
-// wire-traffic and key-switch savings of submitting a chained rotation-fan
-// pipeline as one register-addressed DAG job versus the per-op round-trip
-// equivalent a register-less client is forced into.
+// dagReport is the JSON document the dag experiment prints to stdout.
 type dagReport struct {
-	Experiment string `json:"experiment"`
-	Stages     int    `json:"stages"`
-	OpsPerRun  int    `json:"ops_per_run"`
-
-	FlatWireBytes int64   `json:"flat_wire_bytes"`
-	DAGWireBytes  int64   `json:"dag_wire_bytes"`
-	WireRatio     float64 `json:"wire_ratio"`
-	WireGate      float64 `json:"wire_gate"`
-
-	FlatFullRot   int64   `json:"flat_full_rot"`
-	FlatDecompose int64   `json:"flat_decompose"`
-	DAGFullRot    int64   `json:"dag_full_rot"`
-	DAGHoistedRot int64   `json:"dag_hoisted_rot"`
-	DAGDecompose  int64   `json:"dag_decompose"`
-	KSRatio       float64 `json:"ks_ratio"`
-	KSGate        float64 `json:"ks_gate"`
-
-	FlatMs       float64 `json:"flat_ms"`
-	DAGMs        float64 `json:"dag_ms"`
-	BitIdentical bool    `json:"bit_identical"`
-	Verified     bool    `json:"verified"`
+	Experiment string  `json:"experiment"`
+	Stages     int     `json:"stages"`
+	OpsPerRun  int     `json:"ops_per_run"`
+	WireBytes  int64   `json:"wire_bytes"`
+	Ms         float64 `json:"ms"`
+	MaxErr     float64 `json:"max_err"`
+	Verified   bool    `json:"verified"`
 
 	Params map[string]any `json:"params"`
 }
 
-// dagBench runs the DAG-vs-flat comparison: the same 3-stage pipeline —
-// each stage a 4-way rotation fan, summed, scaled by a plaintext half and
-// rescaled — executed twice against the daemon at base.
-//
-// The flat phase plays a register-less client: every op is its own
-// round-trip job, so each stage uploads its operands and downloads its
-// result just to feed the next request. The DAG phase submits the whole
-// pipeline as one register-addressed job: one ciphertext up, one down, and
-// the scheduler's fan detector serves each stage's four rotations from a
-// single hoisted decomposition.
-//
-// Gates (exit 1 on failure): the DAG run must move ≥5x fewer wire bytes,
-// spend ≥1.5x fewer key-switch decompositions (FullRot+Decompose from the
-// per-session op mix), decrypt to the plaintext model, and produce a
-// ciphertext bit-identical to the flat reference — auto-hoisting must not
-// change results.
+// dagBench submits a 3-stage pipeline — each stage a 4-way rotation fan,
+// summed, scaled by a plaintext half and rescaled — to the daemon at base as
+// one register-addressed DAG job, which exercises the daemon's registers and
+// its fan detector's shared decompositions. It exits 1 unless the result
+// decrypts to the plaintext model. The comparison against per-op round trips
+// (bit identity, wire bytes, key-switch counts) is TestDAGFlatEquivalence in
+// internal/serve.
 func dagBench(base string) {
-	report := dagReport{
-		Experiment: "dag",
-		Stages:     3,
-		WireGate:   5.0,
-		KSGate:     1.5,
+	report := dagReport{Experiment: "dag", Stages: 3}
+	die := func(phase string, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dag bench %s: %v\n", phase, err)
+			os.Exit(1)
+		}
 	}
 
 	fetched, _, err := serve.FetchParams(base)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dag bench params: %v\n", err)
-		os.Exit(1)
-	}
+	die("params", err)
 	// Three rescales, one per stage: the toy preset's MaxLevel()=3 is
 	// exactly enough.
 	if fetched.MaxLevel() < report.Stages {
@@ -85,26 +54,16 @@ func dagBench(base string) {
 	fmt.Fprintf(os.Stderr, "dag bench: daemon on %s, %d-stage rotation-fan pipeline\n", base, report.Stages)
 
 	ctx, err := ckks.NewContext(fetched)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dag bench context: %v\n", err)
-		os.Exit(1)
-	}
+	die("context", err)
 	rots := []int{1, 2, 4, 8}
 	kg := ckks.NewKeyGenerator(ctx, 4242)
 	sk := kg.GenSecretKey()
-	rlk := kg.GenRelinearizationKey(sk)
-	rtks := kg.GenRotationKeys(sk, rots, true)
 	encoder := ckks.NewEncoder(ctx)
 	enc := ckks.NewEncryptorSK(ctx, sk, 4243)
 	dec := ckks.NewDecryptor(ctx, sk)
 
 	api := serve.NewClient(base, ctx)
-	for _, name := range []string{"flat", "dag"} {
-		if err := api.OpenSession(name, rlk, rtks); err != nil {
-			fmt.Fprintf(os.Stderr, "dag bench session %s: %v\n", name, err)
-			os.Exit(1)
-		}
-	}
+	die("session", api.OpenSession("dag", kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, rots, true)))
 
 	slots := fetched.Slots()
 	a := make([]complex128, slots)
@@ -113,55 +72,12 @@ func dagBench(base string) {
 	}
 	pt, _ := encoder.Encode(a, fetched.MaxLevel(), fetched.Scale)
 	ct0, err := enc.EncryptNew(pt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dag bench encrypt: %v\n", err)
-		os.Exit(1)
-	}
+	die("encrypt", err)
 	const half = 0.5
 	halfVals := []float64{half}
-	bg := context.Background()
 
-	die := func(phase string, err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dag bench %s: %v\n", phase, err)
-			os.Exit(1)
-		}
-	}
-
-	// Flat phase: one round trip per op. The pmul rides as a single-op
-	// client-bound DAG job (pmul has no slot form), which round-trips its
-	// operand exactly like the legacy ops around it.
-	api.ResetWireBytes()
-	t0 := time.Now()
-	cur := ct0
-	for s := 0; s < report.Stages; s++ {
-		fan := make([]*ckks.Ciphertext, len(rots))
-		for i, by := range rots {
-			fan[i], err = api.Do("flat", []serve.Op{{Kind: serve.OpRotate, A: 0, By: by}}, cur)
-			die("flat rot", err)
-		}
-		s1, err := api.Do("flat", []serve.Op{{Kind: serve.OpAdd, A: 0, B: 1}}, fan[0], fan[1])
-		die("flat add", err)
-		s2, err := api.Do("flat", []serve.Op{{Kind: serve.OpAdd, A: 0, B: 1}}, fan[2], fan[3])
-		die("flat add", err)
-		sum, err := api.Do("flat", []serve.Op{{Kind: serve.OpAdd, A: 0, B: 1}}, s1, s2)
-		die("flat add", err)
-		pouts, err := api.DoDAG(bg, "flat", []string{"$t"},
-			[]serve.Op{{Kind: serve.OpMulPlain, Ra: "$t", Out: "$p", Vals: halfVals}},
-			[]string{"$p"}, sum)
-		die("flat pmul", err)
-		cur, err = api.Do("flat", []serve.Op{{Kind: serve.OpRescale, A: 0}}, pouts[0])
-		die("flat rescale", err)
-	}
-	report.FlatMs = time.Since(t0).Seconds() * 1e3
-	flatIn, flatOut := api.WireBytes()
-	report.FlatWireBytes = flatIn + flatOut
-	flatCt := cur
-
-	// DAG phase: the same pipeline as one job over named registers.
 	var ops []serve.Op
 	curReg := "$x0"
-	opCount := 0
 	for s := 0; s < report.Stages; s++ {
 		r := func(name string) string { return fmt.Sprintf("$s%d%s", s, name) }
 		for _, by := range rots {
@@ -176,25 +92,15 @@ func dagBench(base string) {
 		)
 		curReg = fmt.Sprintf("$x%d", s+1)
 	}
-	opCount = len(ops)
-	report.OpsPerRun = opCount
+	report.OpsPerRun = len(ops)
 
 	api.ResetWireBytes()
-	t1 := time.Now()
-	outs, err := api.DoDAG(bg, "dag", []string{"$x0"}, ops, []string{curReg}, ct0)
-	die("dag job", err)
-	report.DAGMs = time.Since(t1).Seconds() * 1e3
-	dagIn, dagOut := api.WireBytes()
-	report.DAGWireBytes = dagIn + dagOut
-	dagCt := outs[0]
-
-	// Bit identity: auto-hoisting must not change the ciphertext.
-	codec := wire.NewCodec(ctx)
-	fb, err := codec.MarshalCiphertext(flatCt)
-	die("marshal flat", err)
-	db, err := codec.MarshalCiphertext(dagCt)
-	die("marshal dag", err)
-	report.BitIdentical = bytes.Equal(fb, db)
+	t0 := time.Now()
+	outs, err := api.DoDAG(context.Background(), "dag", []string{"$x0"}, ops, []string{curReg}, ct0)
+	die("job", err)
+	report.Ms = time.Since(t0).Seconds() * 1e3
+	in, out := api.WireBytes()
+	report.WireBytes = in + out
 
 	// Plaintext model: stage(v)[i] = (v[i+1]+v[i+2]+v[i+4]+v[i+8]) / 2.
 	want := a
@@ -208,60 +114,20 @@ func dagBench(base string) {
 		}
 		want = next
 	}
-	got := encoder.Decode(dec.DecryptNew(dagCt))
-	maxErr := 0.0
+	got := encoder.Decode(dec.DecryptNew(outs[0]))
 	for i := range want {
-		if d := real(got[i]) - real(want[i]); d > maxErr {
-			maxErr = d
-		} else if -d > maxErr {
-			maxErr = -d
+		if d := real(got[i]) - real(want[i]); d > report.MaxErr {
+			report.MaxErr = d
+		} else if -d > report.MaxErr {
+			report.MaxErr = -d
 		}
 	}
-	numericOK := maxErr < 1e-2
+	report.Verified = report.MaxErr < 1e-2
 
-	// Key-switch spend per phase from the per-session op mix: a naive
-	// rotation is one FullRot (with its own embedded decomposition), a
-	// hoisted fan is one Decompose amortized over its HoistedRots.
-	var stats serve.Stats
-	if resp, err := http.Get(base + "/v1/stats"); err == nil {
-		_ = json.NewDecoder(resp.Body).Decode(&stats)
-		resp.Body.Close()
-	}
-	for _, ss := range stats.Sessions {
-		switch ss.Session {
-		case "flat":
-			report.FlatFullRot = ss.OpMix.FullRot
-			report.FlatDecompose = ss.OpMix.Decompose
-		case "dag":
-			report.DAGFullRot = ss.OpMix.FullRot
-			report.DAGHoistedRot = ss.OpMix.HoistedRot
-			report.DAGDecompose = ss.OpMix.Decompose
-		}
-	}
-	if d := report.DAGFullRot + report.DAGDecompose; d > 0 {
-		report.KSRatio = float64(report.FlatFullRot+report.FlatDecompose) / float64(d)
-	}
-	if report.DAGWireBytes > 0 {
-		report.WireRatio = float64(report.FlatWireBytes) / float64(report.DAGWireBytes)
-	}
-
-	report.Verified = report.BitIdentical && numericOK &&
-		report.WireRatio >= report.WireGate && report.KSRatio >= report.KSGate
-	out, _ := json.MarshalIndent(report, "", "  ")
-	fmt.Println(string(out))
-	if !numericOK {
-		fmt.Fprintf(os.Stderr, "dag bench: result error %g exceeds 1e-2\n", maxErr)
-	}
-	if !report.BitIdentical {
-		fmt.Fprintln(os.Stderr, "dag bench: hoisted DAG output is not bit-identical to the flat reference")
-	}
-	if report.WireRatio < report.WireGate {
-		fmt.Fprintf(os.Stderr, "dag bench: wire ratio %.1fx below the %.1fx gate\n", report.WireRatio, report.WireGate)
-	}
-	if report.KSRatio < report.KSGate {
-		fmt.Fprintf(os.Stderr, "dag bench: key-switch ratio %.2fx below the %.2fx gate\n", report.KSRatio, report.KSGate)
-	}
+	doc, _ := json.MarshalIndent(report, "", "  ")
+	fmt.Println(string(doc))
 	if !report.Verified {
+		fmt.Fprintf(os.Stderr, "dag bench: result error %g exceeds 1e-2\n", report.MaxErr)
 		os.Exit(1)
 	}
 }

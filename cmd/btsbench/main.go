@@ -9,12 +9,9 @@
 // throughput/latency report (jobs/s, HE ops/s, p50/p90/p99 latency) to
 // stdout.
 //
-// The dag experiment submits a chained rotation-fan pipeline twice: as one
-// register-addressed DAG job and as the per-op round trips a register-less
-// client is forced into. It prints both runs' wire bytes and key-switch
-// counts and requires the DAG run to be bit-identical to the round trips,
-// to decrypt to the plaintext model, and to move ≥5x fewer wire bytes with
-// ≥1.5x fewer key-switch decompositions.
+// The dag experiment submits a chained rotation-fan pipeline as one
+// register-addressed DAG job, prints its wire bytes and latency, and
+// requires the result to decrypt to the plaintext model.
 //
 // Either experiment exits non-zero when verification fails. Performance is
 // measured by the benchmark in bench/ (go run ./bench), not by this command.

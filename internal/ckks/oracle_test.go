@@ -1,5 +1,7 @@
 package ckks
 
+import "fmt"
+
 // Reference evaluations the production paths are checked against: the eager
 // BSGS evaluator (the hoisted LinearTransform's oracle) and the dense,
 // unfactored bootstrap transforms (the staged chains' oracle). Nothing
@@ -97,36 +99,53 @@ func matrixFromFunc(n int, entry func(row, col int) complex128, dropTol float64)
 	return diags
 }
 
-// denseChains returns the unfactored counterparts of bt's chains: the
-// special FFT probed column by column into the dense matrices U⁻¹·(Δ/q0)
-// and U·(q0/Δ), each encoded as a one-stage TransformChain at the level and
-// scale where bt's own chain starts (the StC stage also sheds bt's
-// working-scale boost). They consume one level each, so they can stand in
-// for the chains of a bootstrapper built with one stage per transform. The
-// slots stay in natural order throughout, where the factored chains leave
-// them bit-reversed in between.
+// denseChains returns the unfactored counterparts of the chains of bt, a
+// bootstrapper built with CtSStages 2 and StCStages 1: the special FFT
+// probed column by column into the dense matrices U⁻¹ and U. CoeffToSlot is
+// the dense U⁻¹ followed by a one-diagonal stage carrying Δ/q0: folding the
+// factor into the dense matrix's single-prime plaintext would starve its
+// entries of precision (≈1e-2 bootstrap error instead of ≈4e-4), so it
+// spends a second level, as the two-prime dense encoding once did.
+// SlotToCoeff is the dense U·(q0/Δ) in one stage that also sheds bt's
+// working-scale boost. Each stage sits at the level and scale where bt's own
+// stage does. The slots stay in natural order throughout, where the factored
+// chains leave them bit-reversed in between.
 func denseChains(bt *Bootstrapper) (cts, stc *TransformChain, err error) {
+	if bt.ctsChain.Depth() != 2 || bt.stcChain.Depth() != 1 {
+		return nil, nil, fmt.Errorf("dense chains replace a {CtS 2, StC 1} bootstrapper's, got {%d, %d}",
+			bt.ctsChain.Depth(), bt.stcChain.Depth())
+	}
 	p := bt.ctx.Params
 	n := p.Slots()
 	enc := bt.encoder
-	dense := func(transform func([]complex128), factor float64, level int, scale float64) (*TransformChain, error) {
+	dense := func(transform func([]complex128), factor float64, level int, scale float64) (*LinearTransform, error) {
 		cols := probeColumns(n, transform)
 		f := complex(factor, 0)
 		diags := matrixFromFunc(n, func(r, c int) complex128 { return cols[c][r] * f }, 0)
-		lt, err := NewLinearTransform(enc, diags, level, scale)
-		if err != nil {
-			return nil, err
-		}
-		return NewTransformChain(lt)
+		return NewLinearTransform(enc, diags, level, scale)
 	}
 	q0, delta := float64(p.Q[0]), p.Scale
 	ctsLevel, stcLevel := bt.ctsChain.Level(), bt.stcChain.Level()
-	cts, err = dense(enc.fftSpecialInv, delta/q0, ctsLevel, float64(p.Q[ctsLevel]))
+	u, err := dense(enc.fftSpecialInv, 1, ctsLevel, float64(p.Q[ctsLevel]))
 	if err != nil {
 		return nil, nil, err
 	}
-	stc, err = dense(enc.fftSpecial, q0/delta, stcLevel, float64(p.Q[stcLevel])/bt.scaleBoost)
+	diag := make([]complex128, n)
+	for j := range diag {
+		diag[j] = complex(delta/q0, 0)
+	}
+	norm, err := NewLinearTransform(enc, map[int][]complex128{0: diag}, ctsLevel-1, float64(p.Q[ctsLevel-1]))
 	if err != nil {
+		return nil, nil, err
+	}
+	if cts, err = NewTransformChain(u, norm); err != nil {
+		return nil, nil, err
+	}
+	v, err := dense(enc.fftSpecial, q0/delta, stcLevel, float64(p.Q[stcLevel])/bt.scaleBoost)
+	if err != nil {
+		return nil, nil, err
+	}
+	if stc, err = NewTransformChain(v); err != nil {
 		return nil, nil, err
 	}
 	return cts, stc, nil
