@@ -79,20 +79,23 @@
 // The RNS residue arithmetic underneath all of this runs end-to-end in
 // Montgomery representation: every polynomial the library holds — ciphertext
 // components, plaintexts, evaluation keys, key-switching decomposition
-// slices — stores residues as x·R mod q (R = 2^64), so every butterfly,
-// element-wise product and lazy MAC reduces with one fused 3-multiply REDC
-// instead of a wider Barrett pass, and multiplication by precomputed plain
-// constants (rescale inverses, P mod q) is form-preserving and free of
-// conversions. Residues enter M-form at the encode/sampling boundary and
-// leave it only at decode time and in the wire format, which transports
-// true canonical residues (internal/wire). The NTT/iNTT inner kernels are
-// fused radix-4 (merged two-layer) butterflies: twiddle triples precomputed
-// per modulus (mod.FusedNTTTwiddles), four coefficients per butterfly,
-// intermediates on a widened [0, 4q) lazy window with one REDC per multiply
-// — halving the passes over each row relative to radix-2; rows too few to
-// fill the worker pool run a per-stage radix-2 schedule sharded across
-// coefficient blocks instead. A radix-2 row kernel and the pre-Montgomery
-// Barrett kernels remain in internal/ring's tests as bit-identity oracles.
+// slices — stores residues as x·R mod q (R = 2^64), so every element-wise
+// product of two data words and every lazy MAC reduces with one fused
+// 3-multiply REDC instead of a wider Barrett pass, and multiplication by
+// precomputed plain constants (twiddle factors, rescale inverses, P mod q)
+// is form-preserving and free of conversions. Residues enter M-form at the
+// encode/sampling boundary and leave it only at decode time and in the wire
+// format, which transports true canonical residues (internal/wire). The
+// NTT/iNTT inner kernels are fused radix-4 (merged two-layer) Harvey
+// butterflies: one table per direction holds each plain twiddle beside its
+// Shoup companion, every twiddle product is one wide multiply on the
+// critical path, four coefficients share a butterfly, intermediates ride a
+// [0, 4q) lazy window, and the last pass leaves canonical residues (the
+// inverse's with N^-1 folded in) — halving the passes over each row
+// relative to radix-2; rows too few to fill the worker pool run a per-stage
+// radix-2 schedule sharded across coefficient blocks instead. A radix-2
+// Montgomery row kernel and the pre-Montgomery Barrett kernels remain in
+// internal/ring's tests as bit-identity oracles.
 // The benchmark in bench/ (go run ./bench) reports the kernels per layer —
 // ns/butterfly, GB/s, REDC — beside T_mult,a/slot, and
 // TestTable2PaperInstance (build tag paperinstance) bootstraps the N=2^17

@@ -17,7 +17,8 @@ type BootstrapParams struct {
 	// with the secret Hamming weight H).
 	K float64
 	// SineDegree is the Chebyshev degree approximating sin(2πy)/(2π) over
-	// [-K, K]. Depth consumed by EvalMod is ceil(log2(deg+1))+1.
+	// [-K, K]. The depth EvalMod consumes is counted by a dry run of the
+	// Chebyshev evaluation of the interpolant (see MinLevels).
 	SineDegree int
 	// CtSStages and StCStages factor CoeffToSlot and SlotToCoeff into that
 	// many radix stages (the paper's Table 2 evaluates the linear transforms
@@ -43,10 +44,13 @@ func DefaultBootstrapParams() BootstrapParams {
 // Depth accounting, per phase:
 //
 //   - CoeffToSlot: one level per radix stage (CtSStages), each stage at
-//     single-prime scale with the Δ/q0 factor spread evenly across stages.
-//   - Normalization into the Chebyshev domain: 1 level.
-//   - EvalMod: ceil(log2(SineDegree+1))+1 levels per conjugate half (both
-//     halves run at the same levels).
+//     single-prime scale with the Δ/(2K·q0) factor — the coefficient
+//     scaling and the map into the Chebyshev domain t = y/K — spread
+//     evenly across stages.
+//   - EvalMod: the depth of the Chebyshev evaluation of the scaled sine,
+//     counted by the same dry run EvalChebyshev makes (chebDepth) — 8 for
+//     Table2BootstrapParams, whose degree-255 sine trims to degree 209.
+//     Both conjugate halves run at the same levels.
 //   - SlotToCoeff: one level per radix stage (StCStages).
 //   - 1 level of margin so the refreshed ciphertext supports at least one
 //     multiplication.
@@ -58,7 +62,27 @@ func DefaultBootstrapParams() BootstrapParams {
 // into 32+31-diagonal stages — ~4× fewer rotations for one extra level per
 // transform.
 func (bp BootstrapParams) MinLevels() int {
-	return bp.CtSStages + 1 + bitsFor(bp.SineDegree+1) + 1 + bp.StCStages + 1
+	return bp.CtSStages + bp.evalModDepth() + bp.StCStages + 1
+}
+
+// stcLevel returns the level SlotToCoeff starts at on a chain with maximum
+// level L: what CoeffToSlot's stages and EvalMod's depth leave. The levels
+// above it are the bootstrap section (see bootScaleBoost, Table2Literal).
+func (bp BootstrapParams) stcLevel(L int) int {
+	return L - bp.CtSStages - bp.evalModDepth()
+}
+
+// evalModDepth returns the levels EvalMod consumes.
+func (bp BootstrapParams) evalModDepth() int { return chebDepth(bp.sineCoeffs()) }
+
+// sineCoeffs returns EvalMod's polynomial: the Chebyshev interpolant of the
+// scaled sine sin(2πK·t)/(2π) on t ∈ [-1, 1], which realizes y ↦ y mod 1
+// for y = K·t near the integers.
+func (bp BootstrapParams) sineCoeffs() []float64 {
+	k := bp.K
+	return ChebyshevCoeffs(func(t float64) float64 {
+		return math.Sin(2*math.Pi*k*t) / (2 * math.Pi)
+	}, -1, 1, bp.SineDegree)
 }
 
 // Bootstrapper refreshes exhausted ciphertexts: it takes a level-0 ct and
@@ -77,7 +101,6 @@ type Bootstrapper struct {
 	ctx     *Context
 	encoder *Encoder
 	eval    *Evaluator
-	bp      BootstrapParams
 
 	ctsChain *TransformChain
 	stcChain *TransformChain
@@ -161,32 +184,27 @@ func NewBootstrapper(ctx *Context, encoder *Encoder, eval *Evaluator, bp Bootstr
 	}
 	q0 := float64(p.Q[0])
 	delta := p.Scale
-	chebDepth := bitsFor(bp.SineDegree+1) + 1
 
-	bt := &Bootstrapper{ctx: ctx, encoder: encoder, eval: eval, bp: bp}
+	bt := &Bootstrapper{ctx: ctx, encoder: encoder, eval: eval, sineCoeffs: bp.sineCoeffs()}
 
-	// CoeffToSlot = CtSStages-stage inverse DFT with the Δ/q0 normalization
-	// spread across stages; SlotToCoeff = StCStages-stage forward DFT
-	// carrying q0/Δ, starting where EvalMod leaves off. The SlotToCoeff chain
-	// also sheds the bootstrap working-scale boost (see scaleBoost below):
-	// its last stage is encoded at 1/boost times the prime's scale, so the
-	// refreshed ciphertext leaves at the input scale.
+	// CoeffToSlot = CtSStages-stage inverse DFT carrying Δ/q0 and the 1/(2K)
+	// that maps each conjugate half into the Chebyshev domain, spread across
+	// stages; SlotToCoeff = StCStages-stage forward DFT carrying q0/Δ,
+	// starting where EvalMod leaves off. The SlotToCoeff chain also sheds the
+	// bootstrap working-scale boost (see scaleBoost below): its last stage is
+	// encoded at 1/boost times the prime's scale, so the refreshed ciphertext
+	// leaves at the input scale.
 	var err error
-	bt.ctsChain, err = encoder.EncodeDFTStages(DFTInverse, bp.CtSStages, L, delta/q0)
+	bt.ctsChain, err = encoder.EncodeDFTStages(DFTInverse, bp.CtSStages, L, delta/(2*bp.K*q0))
 	if err != nil {
 		return nil, fmt.Errorf("ckks: CoeffToSlot: %w", err)
 	}
-	stcLevel := L - bp.CtSStages - 1 - chebDepth
+	stcLevel := bp.stcLevel(L)
 	bt.scaleBoost = bootScaleBoost(p, stcLevel)
 	bt.stcChain, err = encoder.EncodeDFTStagesShifted(DFTForward, bp.StCStages, stcLevel, q0/delta, 1/bt.scaleBoost)
 	if err != nil {
 		return nil, fmt.Errorf("ckks: SlotToCoeff: %w", err)
 	}
-
-	k := bp.K
-	bt.sineCoeffs = ChebyshevCoeffs(func(t float64) float64 {
-		return math.Sin(2*math.Pi*k*t) / (2 * math.Pi)
-	}, -1, 1, bp.SineDegree)
 	return bt, nil
 }
 
@@ -243,14 +261,14 @@ func dedupRotations(lists ...[]int) []int {
 }
 
 // Bootstrap refreshes ct (which must be at level 0) and returns an
-// equivalent ciphertext with levels restored: L - (CtSStages + 1 + EvalMod +
-// StCStages). The message must satisfy |m_coeff| ≪ q0 (true whenever
-// Scale·|z| ≪ q0).
+// equivalent ciphertext with levels restored: L - (CtSStages + EvalMod +
+// StCStages), EvalMod's depth counted as in MinLevels. The message must
+// satisfy |m_coeff| ≪ q0 (true whenever Scale·|z| ≪ q0).
 //
-// The CoeffToSlot chain leaves the slots bit-reversed; steps 3-6 (conjugate
-// split, normalization, EvalMod, recombination) are all slot-wise and
-// therefore commute with that permutation, and the SlotToCoeff chain
-// consumes it — no repacking step exists anywhere.
+// The CoeffToSlot chain leaves the slots bit-reversed; steps 3-5 (conjugate
+// split, EvalMod, recombination) are all slot-wise and therefore commute
+// with that permutation, and the SlotToCoeff chain consumes it — no
+// repacking step exists anywhere.
 func (bt *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	return bt.BootstrapWith(bt.eval, ct)
 }
@@ -284,8 +302,8 @@ func (bt *Bootstrapper) BootstrapWith(ev *Evaluator, ct *Ciphertext) (*Ciphertex
 	ph.ModRaise = time.Since(t0)
 	t0 = time.Now()
 
-	// 2. CoeffToSlot: slots now hold (c_j + i·c_{j+n})/q0·(1/Δ-normalized),
-	// in bit-reversed slot order.
+	// 2. CoeffToSlot: slots now hold (c_j + i·c_{j+n})/(2K·q0)
+	// (1/Δ-normalized), in bit-reversed slot order.
 	sp = ev.begin(spanBootCoeffToSlot)
 	ctv, err := ev.TransformChain(raised, bt.ctsChain)
 	if err != nil {
@@ -297,17 +315,13 @@ func (bt *Bootstrapper) BootstrapWith(ev *Evaluator, ct *Ciphertext) (*Ciphertex
 
 	sp = ev.begin(spanBootEvalMod)
 	// 3. Conjugate split into two real-valued ciphertexts holding 2·Re(v)
-	// and 2·Im(v); the factor 2 is folded into the normalization constant
-	// so that every Chebyshev basis element keeps scale ≈ Δ.
+	// and 2·Im(v): with CoeffToSlot's 1/(2K) they are the Chebyshev-domain
+	// arguments t = y/K of the coefficients y = c/q0, at no level.
 	conj := ev.Conjugate(ctv)
 	ctR := ev.Add(ctv, conj)
 	ctI := ev.MulByI(ev.Sub(conj, ctv))
 
-	// 4. Normalize to the Chebyshev domain t = y/K (and divide by 2).
-	ctR = bt.normalize(ev, ctR)
-	ctI = bt.normalize(ev, ctI)
-
-	// 5. EvalMod: the scaled sine realizes y ↦ y mod 1 = m_j/q0 per slot.
+	// 4. EvalMod: the scaled sine realizes y ↦ y mod 1 = m_j/q0 per slot.
 	sR, err := ev.EvalChebyshev(ctR, bt.sineCoeffs)
 	if err != nil {
 		return nil, err
@@ -317,20 +331,18 @@ func (bt *Bootstrapper) BootstrapWith(ev *Evaluator, ct *Ciphertext) (*Ciphertex
 		return nil, err
 	}
 
-	// 6. Recombine the real and imaginary halves.
+	// 5. Recombine the real and imaginary halves. EvalMod's depth was
+	// budgeted from the same dry run EvalChebyshev makes, so it lands exactly
+	// where SlotToCoeff starts; anything else is a budget bug.
 	comb := ev.Add(sR, ev.MulByI(sI))
-	stcLevel := bt.stcChain.Level()
-	if comb.Level < stcLevel {
-		return nil, fmt.Errorf("ckks: level budget error: EvalMod output %d below SlotToCoeff level %d", comb.Level, stcLevel)
-	}
-	if comb.Level > stcLevel {
-		comb.DropLevel(stcLevel)
+	if stcLevel := bt.stcChain.Level(); comb.Level != stcLevel {
+		return nil, fmt.Errorf("ckks: level budget error: EvalMod output at level %d, SlotToCoeff starts at %d", comb.Level, stcLevel)
 	}
 	ev.endSpan(&sp, comb)
 	ph.EvalMod = time.Since(t0)
 	t0 = time.Now()
 
-	// 7. SlotToCoeff back to the coefficient embedding.
+	// 6. SlotToCoeff back to the coefficient embedding.
 	sp = ev.begin(spanBootSlotToCoeff)
 	out, err := ev.TransformChain(comb, bt.stcChain)
 	if err != nil {
@@ -340,11 +352,6 @@ func (bt *Bootstrapper) BootstrapWith(ev *Evaluator, ct *Ciphertext) (*Ciphertex
 	ph.SlotToCoeff = time.Since(t0)
 	bt.recordPhases(ph)
 	return out, nil
-}
-
-func (bt *Bootstrapper) normalize(ev *Evaluator, ct *Ciphertext) *Ciphertext {
-	q := float64(bt.ctx.Params.Q[ct.Level])
-	return ev.Rescale(ev.MulConst(ct, complex(1/(2*bt.bp.K), 0), q))
 }
 
 // modRaise lifts a level-0 ciphertext to the full modulus chain by centering

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -270,12 +271,13 @@ func TestBootstrapMixedChain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mixed-chain bootstrap is expensive; skipped with -short")
 	}
-	// 2^11 slots factor into radix-16/16/8 stages; L=16 covers MinLevels 15
-	// with one working level to spare. The bootstrap section starts at
-	// stcLevel+1 = (16-3-1-7)+1 = 6.
+	// 2^11 slots factor into radix-16/16/8 stages; L=16 covers MinLevels 14
+	// with two working levels to spare. The bootstrap section starts at
+	// stcLevel+1 = (16-3-7)+1 = 7: 3 CoeffToSlot stages and EvalMod's 7
+	// levels.
 	logQ := []int{55}
 	for lvl := 1; lvl <= 16; lvl++ {
-		if lvl >= 6 {
+		if lvl >= 7 {
 			logQ = append(logQ, 55)
 		} else {
 			logQ = append(logQ, 45)
@@ -325,8 +327,8 @@ func TestBootstrapMixedChain(t *testing.T) {
 	if e > 2e-2 {
 		t.Fatalf("bootstrap error %g above the 2e-2 budget", e)
 	}
-	if out.Level != stc.OutputLevel() || out.Level < 1 {
-		t.Fatalf("output level %d, want the SlotToCoeff chain's %d (≥ 1)", out.Level, stc.OutputLevel())
+	if out.Level != stc.OutputLevel() || out.Level != 3 {
+		t.Fatalf("output level %d, want the SlotToCoeff chain's %d (16 - 3 - 7 - 3 = 3)", out.Level, stc.OutputLevel())
 	}
 }
 
@@ -342,10 +344,31 @@ func TestBootstrapRejectsNonZeroLevel(t *testing.T) {
 	}
 }
 
+// TestBootstrapRejectsLevelBudgetMismatch swaps in a sine shallower than
+// the one the chains were budgeted for: EvalMod then finishes above the
+// SlotToCoeff level, which is a budgeting bug and must come back as an
+// error rather than be papered over by dropping the spare level.
+func TestBootstrapRejectsLevelBudgetMismatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("uses the bootstrapping setup; skipped with -short")
+	}
+	s, bt := bootSetup(t)
+	bt.sineCoeffs = bt.sineCoeffs[:16] // degree 15: fewer levels than the 7 budgeted
+	pt, _ := s.encoder.Encode([]complex128{0.1}, 0, s.params.Scale)
+	ct, _ := s.enc.EncryptNew(pt)
+	_, err := bt.Bootstrap(ct)
+	if err == nil || !strings.Contains(err.Error(), "level budget") {
+		t.Fatalf("got %v, want a level budget error", err)
+	}
+}
+
 func TestBootstrapParamsBudget(t *testing.T) {
 	bp := DefaultBootstrapParams()
-	if got := bp.MinLevels(); got != 13 {
-		t.Fatalf("MinLevels=%d want 13 (2-stage CtS + 1 norm + 7 EvalMod + 2-stage StC + 1 margin)", got)
+	if got := bp.MinLevels(); got != 12 {
+		t.Fatalf("MinLevels=%d want 12 (2-stage CtS + 7 EvalMod + 2-stage StC + 1 margin)", got)
+	}
+	if got := Table2BootstrapParams().MinLevels(); got != 15 {
+		t.Fatalf("Table 2 MinLevels=%d want 15 (3-stage CtS + 8 EvalMod + 3-stage StC + 1 margin)", got)
 	}
 	// A chain shorter than the budget must be rejected.
 	params, err := NewParameters(ParametersLiteral{

@@ -98,22 +98,44 @@ func chebGiant(d, bs int) int {
 
 // chebSupport is evalChebPS without the ciphertexts: it marks in need every
 // basis index the evaluation of coeffs reads — the T_k its leaves combine
-// and the giants its inner nodes multiply by.
-func chebSupport(coeffs []float64, bs int, need []bool) {
+// and the giants its inner nodes multiply by — and returns the levels the
+// evaluation consumes. chebPower builds T_k at depth ⌈log2 k⌉ = bitsFor(k);
+// a leaf rescales once below its deepest T_k, an inner node once below the
+// deeper of its quotient and T_g, and a sum sits at the deeper operand's
+// level.
+func chebSupport(coeffs []float64, bs int, need []bool) (depth int) {
 	coeffs = trimCheb(coeffs)
 	if len(coeffs) <= bs {
 		for k := 1; k < len(coeffs); k++ {
 			if chebNonZero(coeffs[k]) {
 				need[k] = true
+				depth = max(depth, bitsFor(k))
 			}
 		}
-		return
+		return depth + 1
 	}
 	g := chebGiant(len(coeffs)-1, bs)
 	need[g] = true
 	qc, rc := chebDivide(coeffs, g)
-	chebSupport(qc, bs, need)
-	chebSupport(rc, bs, need)
+	dq := chebSupport(qc, bs, need)
+	dr := chebSupport(rc, bs, need)
+	return max(max(dq, bitsFor(g))+1, dr)
+}
+
+// chebPlan is the dry run of EvalChebyshev on trimmed coeffs: the baby-step
+// count, the basis indices the evaluation reads and the levels it consumes.
+// Baby steps number 2^ceil(m/2) for degree < 2^m.
+func chebPlan(coeffs []float64) (bs int, need []bool, depth int) {
+	degree := len(coeffs) - 1
+	bs = 1 << ((bitsFor(degree+1) + 1) / 2)
+	need = make([]bool, degree+1)
+	return bs, need, chebSupport(coeffs, bs, need)
+}
+
+// chebDepth returns the levels EvalChebyshev consumes evaluating coeffs.
+func chebDepth(coeffs []float64) int {
+	_, _, depth := chebPlan(trimCheb(coeffs))
+	return depth
 }
 
 // EvalChebyshev homomorphically evaluates Σ c_k T_k(t) on a ciphertext
@@ -122,10 +144,11 @@ func chebSupport(coeffs []float64, bs int, need []bool) {
 // The basis is demand-driven: a dry run of the recursion (chebSupport) names
 // the T_k that are actually read, and only those and what chebPower needs to
 // reach them are built — an odd polynomial such as the bootstrap's scaled
-// sine never pays for T_6, T_10, T_12 or T_14. Multiplicative depth
-// ≈ ceil(log2(degree))+1. The result keeps scale ≈ Δ. Every product is a
-// MulRelinRescale, and every intermediate goes back to the ciphertext pool;
-// ct is only read.
+// sine never pays for T_6, T_10, T_12 or T_14. The same dry run gives the
+// multiplicative depth (chebDepth): 8 levels for the bootstrap's degree-255
+// sine on K = 25, whose coefficients trim to degree 209. The result keeps
+// scale ≈ Δ. Every product is a MulRelinRescale, and every intermediate goes
+// back to the ciphertext pool; ct is only read.
 func (ev *Evaluator) EvalChebyshev(ct *Ciphertext, coeffs []float64) (*Ciphertext, error) {
 	coeffs = trimCheb(append([]float64(nil), coeffs...))
 	if len(coeffs) == 0 {
@@ -138,11 +161,7 @@ func (ev *Evaluator) EvalChebyshev(ct *Ciphertext, coeffs []float64) (*Ciphertex
 		return ev.AddConst(out, complex(coeffs[0], 0)), nil
 	}
 	sp := ev.begin(spanChebyshev)
-	// Baby-step count: 2^ceil(m/2) for degree < 2^m.
-	m := bitsFor(degree + 1)
-	bs := 1 << ((m + 1) / 2)
-	need := make([]bool, degree+1)
-	chebSupport(coeffs, bs, need)
+	bs, need, _ := chebPlan(coeffs)
 	basis := map[int]*Ciphertext{1: ct}
 	for k, read := range need {
 		if read {

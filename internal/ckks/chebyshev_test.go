@@ -25,20 +25,13 @@ func chebSetup(t testing.TB) (*testSetup, *Ciphertext, []complex128) {
 	return s, ct, values
 }
 
-// sineCoeffs is the bootstrap's scaled sine on [-k, k], an odd polynomial.
-func sineCoeffs(k float64, degree int) []float64 {
-	return ChebyshevCoeffs(func(t float64) float64 { return math.Sin(2*math.Pi*k*t) / (2 * math.Pi) }, -1, 1, degree)
-}
-
 // chebPredictMults counts the products EvalChebyshev must spend on coeffs:
 // one per inner node of the Paterson–Stockmeyer recursion, and one per basis
 // element in the closure of the support set under chebPower's split
 // k = 2^j + r (which also reads T_{2^j - r}).
 func chebPredictMults(coeffs []float64) int {
 	coeffs = trimCheb(coeffs)
-	bs := 1 << ((bitsFor(len(coeffs)) + 1) / 2)
-	need := make([]bool, len(coeffs))
-	chebSupport(coeffs, bs, need)
+	bs, need, _ := chebPlan(coeffs)
 	built := map[int]bool{1: true}
 	var build func(k int)
 	build = func(k int) {
@@ -77,7 +70,11 @@ func chebPredictMults(coeffs []float64) int {
 // through the evaluator: values against the float reference, the product
 // count against the support set — an odd polynomial must not pay for the
 // even baby steps, a dense one pays what it always did — and the output
-// level, which the sparser basis must not change.
+// level, which the sparser basis must not change. The levels consumed must
+// equal the dry run's depth (chebDepth), which the bootstrap budgets EvalMod
+// by: the two sines are DefaultBootstrapParams' and Table2BootstrapParams'
+// own, the latter trimming from degree 255 to 209 and so one level under
+// ceil(log2(256))+1.
 func TestEvalChebyshevDemandDrivenBasis(t *testing.T) {
 	s, ct, values := chebSetup(t)
 	rng := rand.New(rand.NewSource(152))
@@ -96,8 +93,8 @@ func TestEvalChebyshevDemandDrivenBasis(t *testing.T) {
 		mults     int // 0: only the prediction is checked
 		levelCost int
 	}{
-		{"odd-63", sineCoeffs(6, 63), 0, 7},
-		{"odd-255-K25", sineCoeffs(25, 255), 27, 8},
+		{"odd-63", DefaultBootstrapParams().sineCoeffs(), 0, 7},
+		{"odd-255-K25", Table2BootstrapParams().sineCoeffs(), 27, 8},
 		{"dense-63", dense, 16, 7},
 	} {
 		s.eval.ResetCounters()
@@ -113,6 +110,9 @@ func TestEvalChebyshevDemandDrivenBasis(t *testing.T) {
 		}
 		if out.Level != top-c.levelCost {
 			t.Errorf("%s: output level %d, want %d", c.name, out.Level, top-c.levelCost)
+		}
+		if d := chebDepth(c.coeffs); d != c.levelCost {
+			t.Errorf("%s: dry-run depth %d, evaluation consumed %d levels", c.name, d, top-out.Level)
 		}
 		dec := s.encoder.Decode(s.dec.DecryptNew(out))
 		worst := 0.0
@@ -146,7 +146,7 @@ func TestChebyshevLeafNamesMissingBasis(t *testing.T) {
 // sine on K = 25) and reports the products it spends.
 func BenchmarkEvalChebyshev(b *testing.B) {
 	s, ct, _ := chebSetup(b)
-	coeffs := sineCoeffs(25, 255)
+	coeffs := Table2BootstrapParams().sineCoeffs()
 	s.eval.ResetCounters()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

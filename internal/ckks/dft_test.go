@@ -278,10 +278,10 @@ func TestBootstrapLevelBudget(t *testing.T) {
 		ctsStages, stcStages int
 		wantMin              int
 	}{
-		{1, 1, 11},
-		{2, 2, 13},
-		{2, 3, 14},
-		{3, 3, 15},
+		{1, 1, 10},
+		{2, 2, 12},
+		{2, 3, 13},
+		{3, 3, 14},
 	} {
 		bp := BootstrapParams{K: 6, SineDegree: 63, CtSStages: tc.ctsStages, StCStages: tc.stcStages}
 		if got := bp.MinLevels(); got != tc.wantMin {
@@ -327,8 +327,8 @@ func TestBootstrapLevelBudget(t *testing.T) {
 // reference is a bootstrapper with two CoeffToSlot stages and one
 // SlotToCoeff stage whose chains are replaced by the probed dense matrices
 // (denseChains), running on an evaluator that holds their rotation keys. It
-// spends a second CoeffToSlot level on the Δ/q0 factor, so its error
-// (≈3.7e-4) is as small as the staged pipeline's, and the staged error may
+// spends a second CoeffToSlot level on the Δ/(2K·q0) factor, so its error
+// (≈1.4e-4) is as small as the staged pipeline's, and the staged error may
 // not exceed twice it.
 func TestBootstrapStagedMatchesDense(t *testing.T) {
 	if testing.Short() {
@@ -351,7 +351,7 @@ func TestBootstrapStagedMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref.ctsChain, ref.stcChain, err = denseChains(ref); err != nil {
+		if ref.ctsChain, ref.stcChain, err = denseChains(ref, denseBP.K); err != nil {
 			t.Fatal(err)
 		}
 		denseEval := NewEvaluator(s.ctx, s.encoder, s.rlk, s.kg.GenRotationKeys(s.sk, ref.Rotations(), true))

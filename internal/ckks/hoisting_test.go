@@ -242,8 +242,8 @@ func TestLinearTransformChunkedLazyMAC(t *testing.T) {
 // result and of each other, and the hoisted chain must be no less precise
 // than the eager one beyond noise jitter. Inputs are sized the way the
 // bootstrap feeds each chain — CoeffToSlot sees slot values amplified by
-// q0/Δ and scales them back down, SlotToCoeff the reverse — so both outputs
-// are O(1).
+// 2K·q0/Δ and scales them back down, SlotToCoeff sees them shrunk by q0/Δ
+// and scales them back up — so both outputs are O(1).
 func TestBootstrapHoistedRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chain comparison at the bootstrapping instance is expensive; skipped with -short")
@@ -260,7 +260,7 @@ func TestBootstrapHoistedRegression(t *testing.T) {
 		in    float64 // input slot magnitude relative to the plain operand
 		plain func([]complex128)
 	}{
-		{"CoeffToSlot", cts, q0OverDelta, func(v []complex128) { s.encoder.fftSpecialInv(v); bitReverseInPlace(v) }},
+		{"CoeffToSlot", cts, 2 * DefaultBootstrapParams().K * q0OverDelta, func(v []complex128) { s.encoder.fftSpecialInv(v); bitReverseInPlace(v) }},
 		{"SlotToCoeff", stc, 1 / q0OverDelta, func(v []complex128) { bitReverseInPlace(v); s.encoder.fftSpecial(v) }},
 	} {
 		values := randomComplex(rng, n, 0.7)

@@ -100,17 +100,19 @@ func matrixFromFunc(n int, entry func(row, col int) complex128, dropTol float64)
 }
 
 // denseChains returns the unfactored counterparts of the chains of bt, a
-// bootstrapper built with CtSStages 2 and StCStages 1: the special FFT
-// probed column by column into the dense matrices U⁻¹ and U. CoeffToSlot is
-// the dense U⁻¹ followed by a one-diagonal stage carrying Δ/q0: folding the
-// factor into the dense matrix's single-prime plaintext would starve its
-// entries of precision (≈1e-2 bootstrap error instead of ≈4e-4), so it
-// spends a second level, as the two-prime dense encoding once did.
-// SlotToCoeff is the dense U·(q0/Δ) in one stage that also sheds bt's
+// bootstrapper built with CtSStages 2, StCStages 1 and sine range K = k: the
+// special FFT probed column by column into the dense matrices U⁻¹ and U.
+// CoeffToSlot is the dense U⁻¹ followed by a one-diagonal stage carrying
+// Δ/(2K·q0) — the coefficient scaling and the map into the Chebyshev
+// domain, as bt's own chain carries them: folding the factor into the dense
+// matrix's single-prime plaintext would starve its entries of precision
+// (≈1e-2 bootstrap error with Δ/q0 alone folded, against ≈4e-4), so it spends a second level, as
+// the two-prime dense encoding once did. SlotToCoeff is the dense U·(q0/Δ)
+// in one stage that also sheds bt's
 // working-scale boost. Each stage sits at the level and scale where bt's own
 // stage does. The slots stay in natural order throughout, where the factored
 // chains leave them bit-reversed in between.
-func denseChains(bt *Bootstrapper) (cts, stc *TransformChain, err error) {
+func denseChains(bt *Bootstrapper, k float64) (cts, stc *TransformChain, err error) {
 	if bt.ctsChain.Depth() != 2 || bt.stcChain.Depth() != 1 {
 		return nil, nil, fmt.Errorf("dense chains replace a {CtS 2, StC 1} bootstrapper's, got {%d, %d}",
 			bt.ctsChain.Depth(), bt.stcChain.Depth())
@@ -132,7 +134,7 @@ func denseChains(bt *Bootstrapper) (cts, stc *TransformChain, err error) {
 	}
 	diag := make([]complex128, n)
 	for j := range diag {
-		diag[j] = complex(delta/q0, 0)
+		diag[j] = complex(delta/(2*k*q0), 0)
 	}
 	norm, err := NewLinearTransform(enc, map[int][]complex128{0: diag}, ctsLevel-1, float64(p.Q[ctsLevel-1]))
 	if err != nil {

@@ -15,39 +15,38 @@ package ckks
 // Real CKKS bootstrap implementations (including the paper's software
 // baseline) therefore allocate base-prime-sized moduli to the bootstrap
 // section of the chain and run that span at the larger working scale. This
-// instance does the same: levels 15..27 — EvalMod's 9 rescaling levels plus
-// normalize and the 3 CoeffToSlot stages — use 60-bit primes, while levels
-// 1..14 (the 3 SlotToCoeff stages and the 11 post-refresh multiplication
-// levels) keep the model's 50-bit size, so the refreshed ciphertext and all
-// downstream arithmetic run at Δ = 2^50 exactly as in Table 4. The
-// Bootstrapper detects the section boundary and raises the working scale
-// with an exact ×2^10 after ModRaise (see bootScaleBoost), which drops the
-// bootstrap's noise floor by the same 2^10. Cost of the deviation:
-// log Q = 1540 instead of 1410 (log PQ ≈ 3220 vs 3090); Section 3's
-// security model still puts the instance at λ ≈ 128.3 ≥ 128
-// (`btsparams -preset table2` prints the realized chain and margin).
+// instance does the same: levels 17..27 — EvalMod's 8 rescaling levels and
+// the 3 CoeffToSlot stages — use 60-bit primes, while levels 1..16 (the 3
+// SlotToCoeff stages and the 13 post-refresh multiplication levels) keep
+// the model's 50-bit size, so the refreshed ciphertext and all downstream
+// arithmetic run at Δ = 2^50 exactly as in Table 4. The Bootstrapper
+// detects the section boundary and raises the working scale with an exact
+// ×2^10 after ModRaise (see bootScaleBoost), which drops the bootstrap's
+// noise floor by the same 2^10. Cost of the deviation: log Q = 1520 instead
+// of 1410 (log PQ ≈ 3200 vs 3090); Section 3's security model still puts
+// the instance at λ ≈ 129.1 ≥ 128 (`btsparams -preset table2` prints the
+// realized chain and margin).
 //
 // The bootstrap pipeline runs the factored transforms at S = 3 stages per
 // direction: 2^16 slots split into radix-64/32/32 stage matrices
 // (DFTStageDiags depths 6+5+5 = logSlots), trading 2 extra levels per
 // transform against the dense matrix's 2^16 diagonals. Depth budget per
-// MinLevels: 3 (CtS) + 1 (normalize) + 9 (EvalMod, degree-255 sine) +
-// 3 (StC) + 1 (margin) = 17 ≤ L = 27; the refreshed ciphertext leaves at
-// level 27 − 16 = 11. K = 25 covers the modulus-raise overflow of an H = 192
-// secret with margin (|I| concentrates near sqrt(H) ≈ 14), and
+// MinLevels: 3 (CtS) + 8 (EvalMod, the degree-255 sine trimmed to degree
+// 209) + 3 (StC) + 1 (margin) = 15 ≤ L = 27; the refreshed ciphertext
+// leaves at level 27 − 14 = 13. K = 25 covers the modulus-raise overflow of
+// an H = 192 secret with margin (|I| concentrates near sqrt(H) ≈ 14), and
 // 2πK ≈ 157 < 255 keeps the Chebyshev sine approximation convergent.
 
 // Table2Literal returns the paper-parameter CKKS instance of Table 2
 // (INS-1): N = 2^17, L = 27, dnum = 1, with 60-bit primes on the bootstrap
-// section (levels 15..27) and 50-bit primes elsewhere (see the chain-layout
-// comment above).
+// section (the levels above Table2BootstrapParams' SlotToCoeff start,
+// 17..27) and 50-bit primes elsewhere (see the chain-layout comment above).
 func Table2Literal() ParametersLiteral {
+	const L = 27
+	section := Table2BootstrapParams().stcLevel(L) + 1
 	logQ := []int{60}
-	for lvl := 1; lvl <= 27; lvl++ {
-		if lvl >= 15 {
-			// Bootstrap section: normalize + EvalMod + CoeffToSlot levels.
-			// 15 = stcLevel+1 with stcLevel = L - CtSStages - 1 - chebDepth
-			// = 27 - 3 - 1 - 9 (see Table2BootstrapParams).
+	for lvl := 1; lvl <= L; lvl++ {
+		if lvl >= section {
 			logQ = append(logQ, 60)
 		} else {
 			logQ = append(logQ, 50)

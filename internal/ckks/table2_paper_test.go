@@ -17,7 +17,7 @@ import (
 //	go test -tags paperinstance -run TestTable2PaperInstance -timeout 2h -v ./internal/ckks/
 //
 // It requires the refreshed ciphertext to decrypt within 2e-2 of the input
-// and to leave at level 11, and logs the set-up and bootstrap wall times, the
+// and to leave at level 13, and logs the set-up and bootstrap wall times, the
 // phase breakdown and the evaluator's op counts. The engine runs on
 // GOMAXPROCS workers; set GOMAXPROCS to time another worker count.
 func TestTable2PaperInstance(t *testing.T) {
@@ -80,7 +80,7 @@ func TestTable2PaperInstance(t *testing.T) {
 	if e > 2e-2 {
 		t.Fatalf("bootstrap error %g above the 2e-2 budget", e)
 	}
-	if out.Level != 11 {
-		t.Fatalf("output level %d, want 11", out.Level)
+	if out.Level != 13 {
+		t.Fatalf("output level %d, want 13", out.Level)
 	}
 }

@@ -125,16 +125,26 @@ func ShoupPrecomp(w, q uint64) uint64 {
 	return hi
 }
 
-// MulShoup returns x*w mod q where wShoup = ShoupPrecomp(w, q).
-// x must be < q; w must be < q. This is the fastest multiplication available
-// and is used for all twiddle-factor products inside the NTT.
+// MulShoup returns x*w mod q, canonical, where wShoup = ShoupPrecomp(w, q)
+// and w < q. x may be any 64-bit value: MulShoupLazy's bound leaves one
+// conditional subtraction to do.
 func MulShoup(x, w, wShoup, q uint64) uint64 {
-	hi, _ := bits.Mul64(x, wShoup)
-	r := x*w - hi*q
+	r := MulShoupLazy(x, w, wShoup, q)
 	if r >= q {
 		r -= q
 	}
 	return r
+}
+
+// MulShoupLazy returns a representative of x*w mod q in [0, 2q), where
+// wShoup = ShoupPrecomp(w, q) and w < q, for any 64-bit x (Harvey's bound:
+// the quotient estimate hi(x·wShoup) undershoots ⌊x·w/q⌋ by at most one,
+// and 2q < 2^64 lets the wrapped difference stand for the true one). One
+// wide multiply sits on the critical path; it is the NTT butterfly's twiddle
+// product.
+func MulShoupLazy(x, w, wShoup, q uint64) uint64 {
+	hi, _ := bits.Mul64(x, wShoup)
+	return x*w - hi*q
 }
 
 // Pow returns a^e mod q by square-and-multiply.

@@ -119,6 +119,33 @@ func TestMulShoup(t *testing.T) {
 	}
 }
 
+// TestMulShoupLazyBounds drives the Shoup product at the edges of its input
+// range — x up to 2^64−1, where the NTT butterflies feed it lazy sums — on
+// moduli up to MaxModulusBits wide: the result must be < 2q and congruent
+// to x·w, and MulShoup must return its canonical residue.
+func TestMulShoupLazyBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for _, q := range montgomeryTestPrimes(t) {
+		ws := []uint64{0, 1, q - 1}
+		for i := 0; i < 16; i++ {
+			ws = append(ws, rng.Uint64()%q)
+		}
+		for _, w := range ws {
+			wShoup := ShoupPrecomp(w, q)
+			for _, x := range []uint64{0, q - 1, 4*q - 1, ^uint64(0), rng.Uint64()} {
+				want := Mul(x, w, q)
+				lazy := MulShoupLazy(x, w, wShoup, q)
+				if lazy >= 2*q || lazy%q != want {
+					t.Fatalf("q=%d: MulShoupLazy(%d,%d)=%d, want a value < 2q congruent to %d", q, x, w, lazy, want)
+				}
+				if got := MulShoup(x, w, wShoup, q); got != want {
+					t.Fatalf("q=%d: MulShoup(%d,%d)=%d want %d", q, x, w, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPowInv(t *testing.T) {
 	for _, q := range testModuli {
 		if !IsPrime(q) {

@@ -14,9 +14,9 @@ import (
 // straight back to M-form: REDC(aR · bR) = abR. Multiplication by a plain
 // (non-M-form) constant likewise preserves the operand's form, because
 // (aR)·w ≡ (aw)R. The ring layer exploits both identities: operand×operand
-// kernels keep both sides in M-form, while constant tables may be stored in
-// either form depending on whether the output must be a true value (base
-// conversion's cross-modulus digits) or stay in M-form (twiddle factors).
+// kernels keep both sides in M-form, while fixed constants (twiddle factors,
+// scalars) stay plain and multiply on the Shoup discipline, which preserves
+// the operand's form for the same reason.
 //
 // The lazy variants return a representative < 2q instead of canonical < q,
 // saving the trailing conditional subtraction; q < 2^62 leaves two headroom
@@ -85,7 +85,7 @@ func (mr Montgomery) Mul(a, b uint64) uint64 {
 }
 
 // MulLazy returns REDC(a·b) with the result < 2q, under the same validity
-// bound as Mul. This is the butterfly multiply of the lazy NTT.
+// bound as Mul.
 func (mr Montgomery) MulLazy(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
 	return mr.REDCLazy(hi, lo)
@@ -95,51 +95,6 @@ func (mr Montgomery) MulLazy(a, b uint64) uint64 {
 // residue into Montgomery form.
 func (mr Montgomery) MForm(x uint64) uint64 {
 	return mr.Mul(x, mr.R2)
-}
-
-// Fused twiddle-pair tables for radix-4 (merged two-layer) butterfly
-// networks.
-//
-// A radix-4 Cooley–Tukey butterfly merges two consecutive radix-2 stages: the
-// group indexed k = mLen+g in the first merged layer consumes twiddle tw[k],
-// and its two child groups in the second layer consume the adjacent pair
-// tw[2k], tw[2k+1] (the bit-reversed Longa–Naehrig layout keeps children of
-// group k exactly at 2k and 2k+1). The fused tables below interleave each
-// group's three twiddles into one cache-resident triple so the merged kernel
-// issues a single streaming load per group instead of gathering from two
-// halves of the per-stage table. Entries keep whatever form the source table
-// has — the ring passes Montgomery-form tables, and the layout is
-// form-agnostic.
-
-// FusedNTTTwiddles builds the forward radix-4 triple table from a
-// bit-reversed twiddle table tw of power-of-two length n ≥ 4: entry k of the
-// result (k in [1, n/2), three words at 3k) is {tw[k], tw[2k], tw[2k+1]} —
-// first-layer twiddle, then the second-layer pair.
-func FusedNTTTwiddles(tw []uint64) []uint64 {
-	n := len(tw)
-	out := make([]uint64, 3*(n/2))
-	for k := 1; k < n/2; k++ {
-		out[3*k] = tw[k]
-		out[3*k+1] = tw[2*k]
-		out[3*k+2] = tw[2*k+1]
-	}
-	return out
-}
-
-// FusedINTTTwiddles builds the inverse (Gentleman–Sande) radix-4 triple table
-// from a bit-reversed inverse twiddle table: entry k is
-// {tw[2k], tw[2k+1], tw[k]} — the first merged layer consumes the child pair
-// and the second layer the parent twiddle, the mirror image of the forward
-// order.
-func FusedINTTTwiddles(tw []uint64) []uint64 {
-	n := len(tw)
-	out := make([]uint64, 3*(n/2))
-	for k := 1; k < n/2; k++ {
-		out[3*k] = tw[2*k]
-		out[3*k+1] = tw[2*k+1]
-		out[3*k+2] = tw[k]
-	}
-	return out
 }
 
 // IForm returns x·R^-1 mod q (canonical) for any 64-bit x, converting a

@@ -182,27 +182,3 @@ func BenchmarkMontgomeryMulLazy(b *testing.B) {
 	}
 	_ = x
 }
-
-func TestFusedTwiddleTables(t *testing.T) {
-	for _, n := range []int{4, 8, 64} {
-		tw := make([]uint64, n)
-		for i := range tw {
-			tw[i] = uint64(1000 + i) // distinct sentinels, layout-only check
-		}
-		fwd := FusedNTTTwiddles(tw)
-		inv := FusedINTTTwiddles(tw)
-		if len(fwd) != 3*(n/2) || len(inv) != 3*(n/2) {
-			t.Fatalf("n=%d: table lengths %d/%d, want %d", n, len(fwd), len(inv), 3*(n/2))
-		}
-		for k := 1; k < n/2; k++ {
-			if fwd[3*k] != tw[k] || fwd[3*k+1] != tw[2*k] || fwd[3*k+2] != tw[2*k+1] {
-				t.Fatalf("n=%d: forward triple %d = {%d,%d,%d}, want {tw[%d],tw[%d],tw[%d]}",
-					n, k, fwd[3*k], fwd[3*k+1], fwd[3*k+2], k, 2*k, 2*k+1)
-			}
-			if inv[3*k] != tw[2*k] || inv[3*k+1] != tw[2*k+1] || inv[3*k+2] != tw[k] {
-				t.Fatalf("n=%d: inverse triple %d = {%d,%d,%d}, want {tw[%d],tw[%d],tw[%d]}",
-					n, k, inv[3*k], inv[3*k+1], inv[3*k+2], 2*k, 2*k+1, k)
-			}
-		}
-	}
-}

@@ -34,7 +34,9 @@ func fusedSweepConfigs() []struct{ workers, block int } {
 func TestFusedRadix4BitIdentity(t *testing.T) {
 	// Both log2(N) parities: even logN runs pure fused passes, odd logN
 	// additionally exercises the radix-2 head (NTT) and tail (iNTT) stages.
-	for _, logN := range []int{5, 6} {
+	// logN 2 and 3 are the degenerate kernels: one inverse pass that is both
+	// the first and the last, and a radix-2 head straight into the last pass.
+	for _, logN := range []int{2, 3, 5, 6} {
 		const nPrimes = 4
 		// 60-bit primes sit at the top of the lazy window's headroom (the
 		// fused kernels' 4q bound is tightest there); a 45-bit chain rides
@@ -151,21 +153,22 @@ func TestFusedRadix4LazyWindowWorstCase(t *testing.T) {
 
 // TestNTTInverseRoundTripIsIdentity pins the fact the key-switch relies on
 // to leave its own decomposition group in the NTT domain: both transforms
-// end in canonical residues, so NTT(INTT(x)) and INTT(NTT(x)) give x back
-// word for word — on the fused radix-4 schedule and on the stage-sharded
-// one, for the extreme rows as well as random ones. NTTExcept rides along:
-// it must transform exactly the rows it is not told to skip.
+// end in canonical residues — their last stage reduces, no pass follows —
+// so NTT(INTT(x)) and INTT(NTT(x)) give x back word for word, on the fused
+// radix-4 schedule and on the stage-sharded one, for the extreme rows as
+// well as random ones, under 60- and 61-bit primes at both log2(N)
+// parities. NTTExcept rides along: it must transform exactly the rows it is
+// not told to skip.
 func TestNTTInverseRoundTripIsIdentity(t *testing.T) {
 	for _, logN := range []int{8, 9} {
-		primes60, err := mod.GenerateNTTPrimes(60, logN, 2)
-		if err != nil {
-			t.Fatal(err)
+		var primes []uint64
+		for _, bits := range []int{61, 60, 45} {
+			ps, err := mod.GenerateNTTPrimes(bits, logN, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			primes = append(primes, ps...)
 		}
-		primes45, err := mod.GenerateNTTPrimes(45, logN, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		primes := append(append([]uint64{}, primes60...), primes45...)
 		level := len(primes) - 1
 		n := 1 << logN
 		// Four rows (and, below, one) on eight workers: the rows cannot fill
@@ -193,16 +196,19 @@ func TestNTTInverseRoundTripIsIdentity(t *testing.T) {
 			r.SampleUniform(rng, random, level)
 			for name, x := range map[string]*Poly{"all-0": zero, "all-(q-1)": top, "random": random} {
 				for _, lvl := range []int{0, level} {
+					where := fmt.Sprintf("logN=%d workers=%d block=%d level=%d %s", logN, cfg.workers, cfg.block, lvl, name)
 					y := r.CopyNew(x, lvl)
 					r.INTT(y, lvl)
+					assertCanonical(t, r, y, lvl, where+": INTT")
 					r.NTT(y, lvl)
+					assertCanonical(t, r, y, lvl, where+": NTT")
 					if !r.Equal(x, y, lvl) {
-						t.Fatalf("logN=%d workers=%d block=%d level=%d %s: NTT(INTT(x)) != x", logN, cfg.workers, cfg.block, lvl, name)
+						t.Fatalf("%s: NTT(INTT(x)) != x", where)
 					}
 					r.NTT(y, lvl)
 					r.INTT(y, lvl)
 					if !r.Equal(x, y, lvl) {
-						t.Fatalf("logN=%d workers=%d block=%d level=%d %s: INTT(NTT(x)) != x", logN, cfg.workers, cfg.block, lvl, name)
+						t.Fatalf("%s: INTT(NTT(x)) != x", where)
 					}
 				}
 			}
@@ -225,6 +231,19 @@ func TestNTTInverseRoundTripIsIdentity(t *testing.T) {
 				}
 			}
 			e.Close()
+		}
+	}
+}
+
+// assertCanonical fails t unless every residue of p's rows [0..level] is
+// below its modulus.
+func assertCanonical(t *testing.T, r *Ring, p *Poly, level int, where string) {
+	t.Helper()
+	for i := 0; i <= level; i++ {
+		for j, v := range p.Coeffs[i] {
+			if v >= r.Moduli[i].Q {
+				t.Fatalf("%s: row %d coeff %d = %d not below q = %d", where, i, j, v, r.Moduli[i].Q)
+			}
 		}
 	}
 }

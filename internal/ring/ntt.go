@@ -1,5 +1,7 @@
 package ring
 
+import "bts/internal/mod"
+
 // NTT transforms rows [0..level] of p in place from coefficient domain to the
 // NTT (evaluation) domain. The transform is the negacyclic number-theoretic
 // transform: polynomial multiplication in R_q becomes element-wise
@@ -8,21 +10,23 @@ package ring
 // The implementation is the standard in-place Cooley–Tukey decimation-in-time
 // network with twiddle factors stored in bit-reversed order, i.e. the exact
 // butterfly the paper's NTTU executes (Butterfly_NTT: X' = X+W·Y, Y' = X-W·Y).
-// Twiddles live in Montgomery form and every butterfly multiply is one lazy
-// REDC (mod.Montgomery.MulLazy); because a REDC multiply by an M-form
-// constant maps x ↦ x·w mod q regardless of x's own form, the network
-// preserves the package's Montgomery-form invariant without any conversion.
+// Every butterfly is Harvey's: the twiddle is a plain residue w with its
+// Shoup companion w′ (Modulus.psiShoup), and the product
+// x·w − hi(x·w′)·q ∈ [0, 2q) (mod.MulShoupLazy) puts one wide multiply on the
+// critical path and accepts any 64-bit x, so values ride a [0, 4q) lazy
+// window between stages. A multiply by a plain constant maps x ↦ x·w mod q
+// in whichever form x is in, so the network preserves the package's
+// Montgomery-form invariant without any conversion.
 //
 // The row kernel, nttRowRadix4, merges two layers into one pass of radix-4
-// butterflies. Each fused pass loads one interleaved twiddle triple per
-// group (Modulus.psiFused), processes 4 coefficients per butterfly through
-// re-sliced bounds-check-free views, and lets intermediates ride a widened
-// [0, 4q) lazy window across the two merged layers — one REDC per multiply,
-// conditional corrections only where a following sum could exceed 4q and at
-// pass end — halving the passes over the row (and with them the loads,
-// stores and loop overhead) relative to radix-2. An odd log2(N) is handled
-// by one leading radix-2 stage. The tests pin it to a radix-2 row kernel
-// and a plain-form Barrett transform (reference_test.go).
+// butterflies (nttQuartets). Group k reads twiddle pair k and the adjacent
+// pairs 2k, 2k+1 of the one table — two sequential streams — and transforms
+// 4 coefficients per butterfly through bounds-check-free views, halving the
+// passes over the row (and with them the loads, stores and loop overhead)
+// relative to radix-2. The last pass (nttLastPass) leaves canonical
+// residues, so no normalization pass follows. An odd log2(N) is handled by
+// one leading radix-2 stage. The tests pin it to a radix-2 Montgomery row
+// kernel and a plain-form Barrett transform (reference_test.go).
 //
 // Dispatch is two-dimensional (Engine.RunBlocks): when the active rows alone
 // can occupy the pool, each row runs the fused radix-4 kernel as one task
@@ -34,8 +38,7 @@ package ring
 // touch disjoint (j, j+t) pairs, so they are order-independent, and a
 // barrier between stages preserves the network's data dependencies. Both
 // schedules produce bit-identical outputs: lazy representatives may differ
-// mid-network, but every path ends with the same normalization to canonical
-// residues.
+// mid-network, but every path's last stage reduces to canonical residues.
 func (r *Ring) NTT(p *Poly, level int) {
 	r.nttRows(p.Coeffs[:level+1], r.Moduli[:level+1])
 }
@@ -44,8 +47,9 @@ func (r *Ring) NTT(p *Poly, level int) {
 // the coefficient domain (Butterfly_iNTT: X' = X+Y, Y' = (X-Y)·W^-1, followed
 // by scaling with N^-1), with the same kernel hierarchy and dispatch as NTT
 // (the fused Gentleman–Sande kernel trails its radix-2 stage, mirroring the
-// forward network). The N^-1 scaling pass doubles as the normalization pass:
-// its REDC multiply reduces the lazy values to canonical residues.
+// forward network). The N^-1 scaling rides in the last stage's butterflies:
+// sums are multiplied by N^-1 and differences by W^-1·N^-1, which also
+// reduces them to canonical residues.
 func (r *Ring) INTT(p *Poly, level int) {
 	r.inttRows(p.Coeffs[:level+1], r.Moduli[:level+1])
 }
@@ -85,8 +89,7 @@ func (r *Ring) INTTRow(row []uint64, i int) {
 
 // nttRows forward-transforms rows[i] under moduli ms[i], picking between the
 // two schedules: one fused radix-4 task per row when the rows can fill the
-// pool, or the stage-sharded radix-2 schedule when they cannot. Both finish
-// with the lazy→canonical normalization pass.
+// pool, or the stage-sharded radix-2 schedule when they cannot.
 func (r *Ring) nttRows(rows [][]uint64, ms []*Modulus) {
 	if r.exec.blockCount(len(rows), r.N/2) <= 1 {
 		r.exec.Run(len(rows), func(i int) { r.nttRowRadix4(rows[i], ms[i]) })
@@ -100,20 +103,9 @@ func (r *Ring) nttRows(rows [][]uint64, ms []*Modulus) {
 			nttStageRange(rows[i], ms[i], mLen, t, lo, hi)
 		})
 	}
-	r.exec.RunBlocks(len(rows), n, func(i, lo, hi int) {
-		q := ms[i].Q
-		a := rows[i][lo:hi:hi]
-		for j := range a {
-			if a[j] >= q {
-				a[j] -= q
-			}
-		}
-	})
 }
 
-// inttRows is the inverse counterpart of nttRows; the trailing N^-1 scaling
-// pass is element-wise, sharded over coefficients directly, and normalizes
-// the lazy values to canonical residues via its full REDC.
+// inttRows is the inverse counterpart of nttRows.
 func (r *Ring) inttRows(rows [][]uint64, ms []*Modulus) {
 	if r.exec.blockCount(len(rows), r.N/2) <= 1 {
 		r.exec.Run(len(rows), func(i int) { r.inttRowRadix4(rows[i], ms[i]) })
@@ -129,55 +121,29 @@ func (r *Ring) inttRows(rows [][]uint64, ms []*Modulus) {
 		})
 		t <<= 1
 	}
-	r.exec.RunBlocks(len(rows), n, func(i, lo, hi int) {
-		m := ms[i]
-		nInvM := m.nInvM
-		mr := m.MRed
-		a := rows[i][lo:hi:hi]
-		for j := range a {
-			a[j] = mr.Mul(a[j], nInvM)
-		}
-	})
 }
 
 // nttStageRange executes butterflies [lo, hi) of one Cooley–Tukey stage on
 // row a: the stage has mLen groups of t butterflies each, and butterfly b
 // belongs to group g = b/t at offset j = b mod t, touching a[2·g·t+j] and
-// a[2·g·t+j+t]. Distinct butterflies of one stage touch disjoint pairs, so
-// any partition of [0, n/2) is race-free and order-independent. Values stay
-// in [0, 2q): the REDC-lazy twiddle product of a value < 2q is < 2q (q has
-// two headroom bits below 2^64), and each output pays one conditional
-// subtraction of 2q.
+// a[2·g·t+j+t] with twiddle pair mLen+g. Distinct butterflies of one stage
+// touch disjoint pairs, so any partition of [0, n/2) is race-free and
+// order-independent. The last stage (t = 1) leaves canonical residues.
 func nttStageRange(a []uint64, m *Modulus, mLen, t, lo, hi int) {
-	twoQ := 2 * m.Q
-	mr := m.MRed
+	tw := m.psiShoup
 	for b := lo; b < hi; {
 		g := b / t
 		j := b - g*t
-		end := hi - g*t
-		if end > t {
-			end = t
-		}
-		w := m.psiRev[mLen+g]
+		end := min(hi-g*t, t)
+		k := mLen + g
 		base := 2 * g * t
-		// Re-slice so the compiler can drop the bounds checks: both views
-		// cover exactly the butterflies [j, end) of this group.
+		// Both views cover exactly the butterflies [j, end) of this group.
 		x := a[base+j : base+end : base+end]
 		y := a[base+t+j : base+t+end : base+t+end]
-		y = y[:len(x)]
-		for k := range x {
-			u := x[k]
-			v := mr.MulLazy(y[k], w)
-			s := u + v
-			if s >= twoQ {
-				s -= twoQ
-			}
-			d := u + twoQ - v
-			if d >= twoQ {
-				d -= twoQ
-			}
-			x[k] = s
-			y[k] = d
+		if t == 1 {
+			nttButterfliesLast(x, y, tw[2*k], tw[2*k+1], m.Q)
+		} else {
+			nttButterflies(x, y, tw[2*k], tw[2*k+1], m.Q)
 		}
 		b = g*t + end
 	}
@@ -185,222 +151,265 @@ func nttStageRange(a []uint64, m *Modulus, mLen, t, lo, hi int) {
 
 // inttStageRange is the Gentleman–Sande counterpart: the stage has h groups
 // of t butterflies, butterfly b in group g = b/t at offset j touches
-// a[2·g·t+j] and a[2·g·t+j+t] with twiddle ψ^-1 index h+g. The difference
-// path feeds u-v+2q < 4q into the lazy REDC (still inside its input bound,
-// 4q < 2^64) and comes out < 2q with no conditional at all; only the sum
-// path pays one.
+// a[2·g·t+j] and a[2·g·t+j+t] with inverse twiddle pair h+g. The last stage
+// (h = 1) folds in the N^-1 scaling.
 func inttStageRange(a []uint64, m *Modulus, h, t, lo, hi int) {
-	twoQ := 2 * m.Q
-	mr := m.MRed
+	tw := m.psiInvShoup
+	var ni, nis, wn, wns uint64
+	if h == 1 {
+		ni, nis, wn, wns = m.nInvScaled(tw[2])
+	}
 	for b := lo; b < hi; {
 		g := b / t
 		j := b - g*t
-		end := hi - g*t
-		if end > t {
-			end = t
-		}
-		w := m.psiInvRev[h+g]
+		end := min(hi-g*t, t)
+		k := h + g
 		base := 2 * g * t
 		x := a[base+j : base+end : base+end]
 		y := a[base+t+j : base+t+end : base+t+end]
-		y = y[:len(x)]
-		for k := range x {
-			u := x[k]
-			v := y[k]
-			s := u + v
-			if s >= twoQ {
-				s -= twoQ
-			}
-			x[k] = s
-			y[k] = mr.MulLazy(u+twoQ-v, w)
+		if h == 1 {
+			inttButterfliesLast(x, y, ni, nis, wn, wns, m.Q)
+		} else {
+			inttButterflies(x, y, tw[2*k], tw[2*k+1], m.Q)
 		}
 		b = g*t + end
 	}
 }
 
+// nInvScaled returns the constants of the inverse transform's last stage,
+// which folds the N^-1 scaling into its butterflies: N^-1 for the sums and
+// w·N^-1 for the differences (w the last stage's inverse twiddle), each with
+// its Shoup companion.
+func (m *Modulus) nInvScaled(w uint64) (ni, nis, wn, wns uint64) {
+	wn = m.BRed.Mul(w, m.NInv)
+	return m.NInv, mod.ShoupPrecomp(m.NInv, m.Q), wn, mod.ShoupPrecomp(wn, m.Q)
+}
+
+// nttButterflies is one group of Harvey radix-2 Cooley–Tukey butterflies,
+// x' = x + w·y and y' = x − w·y over the pairs (x[j], y[j]), with twiddle w
+// and its Shoup companion ws: inputs < 4q, outputs < 4q. x pays one
+// conditional subtraction of 2q; y feeds the Shoup product unreduced.
+func nttButterflies(x, y []uint64, w, ws, q uint64) {
+	twoQ := 2 * q
+	n := min(len(x), len(y))
+	for j := 0; j < n; j++ {
+		u := x[j]
+		if u >= twoQ {
+			u -= twoQ
+		}
+		v := mod.MulShoupLazy(y[j], w, ws, q)
+		x[j] = u + v
+		y[j] = u + twoQ - v
+	}
+}
+
+// nttButterfliesLast is nttButterflies for the last stage: outputs are
+// reduced to canonical residues.
+func nttButterfliesLast(x, y []uint64, w, ws, q uint64) {
+	twoQ := 2 * q
+	n := min(len(x), len(y))
+	for j := 0; j < n; j++ {
+		u := x[j]
+		if u >= twoQ {
+			u -= twoQ
+		}
+		v := mod.MulShoupLazy(y[j], w, ws, q)
+		x[j] = canonical4q(u+v, q)
+		y[j] = canonical4q(u+twoQ-v, q)
+	}
+}
+
+// inttButterflies is one group of radix-2 Gentleman–Sande butterflies,
+// x' = x + y and y' = (x − y)·w, inputs and outputs < 2q: the sum pays one
+// conditional subtraction, the difference x − y + 2q < 4q feeds the Shoup
+// product unreduced and comes out < 2q.
+func inttButterflies(x, y []uint64, w, ws, q uint64) {
+	twoQ := 2 * q
+	n := min(len(x), len(y))
+	for j := 0; j < n; j++ {
+		u := x[j]
+		v := y[j]
+		s := u + v
+		if s >= twoQ {
+			s -= twoQ
+		}
+		x[j] = s
+		y[j] = mod.MulShoupLazy(u+twoQ-v, w, ws, q)
+	}
+}
+
+// inttButterfliesLast is inttButterflies for the last stage, with the N^-1
+// scaling folded in: x' = (x + y)·N^-1 and y' = (x − y)·w·N^-1, canonical,
+// given ni = N^-1 and wn = w·N^-1 with their Shoup companions.
+func inttButterfliesLast(x, y []uint64, ni, nis, wn, wns, q uint64) {
+	twoQ := 2 * q
+	n := min(len(x), len(y))
+	for j := 0; j < n; j++ {
+		u := x[j]
+		v := y[j]
+		x[j] = mod.MulShoup(u+v, ni, nis, q)
+		y[j] = mod.MulShoup(u+twoQ-v, wn, wns, q)
+	}
+}
+
+// canonical4q reduces v < 4q to its canonical residue.
+func canonical4q(v, q uint64) uint64 {
+	if v >= 2*q {
+		v -= 2 * q
+	}
+	if v >= q {
+		v -= q
+	}
+	return v
+}
+
 // nttRowRadix4 is the fused forward row kernel: each pass merges two
-// consecutive Cooley–Tukey stages into one sweep of radix-4 butterflies. The
-// group k = mLen+g loads its interleaved twiddle triple {w1, w2, w3} =
-// psiFused[3k..3k+2] (first-layer twiddle, then the two child twiddles of
-// the second layer) and transforms quartets (c0, c1, c2, c3) at strides h =
-// t/2:
-//
-//	layer 1:  u0 = c0 + w1·c2   u2 = c0 − w1·c2   (and likewise u1, u3 from c1, c3)
-//	layer 2:  v0 = u0 + w2·u1   v1 = u0 − w2·u1   v2 = u2 + w3·u3   v3 = u2 − w3·u3
-//
-// Intermediates ride a widened [0, 4q) lazy window that extends across pass
-// boundaries: quartet outputs are stored uncorrected (< 4q) and the next
-// pass corrects only the two values a following sum could push past 4q —
-// the additive inputs c0, c1 on load and the additive halves u0, u2 between
-// the layers (their uncorrected sums would reach 6q and 8q, past the two
-// headroom bits a 62-bit modulus leaves). The multiplicative halves never
-// pay a correction at all: any 64-bit value times a canonical twiddle is a
-// valid REDC input, so c2, c3, u1, u3 feed their multiplies unreduced. Per
-// 4 coefficients a fused pass spends the same 4 REDC multiplies as two
-// radix-2 stages but 4 conditional corrections instead of 8 and — the
-// actual win on paper-sized rows — half the loads and stores. The trailing
-// normalization folds the window back down (two conditional subtractions
-// from < 4q), yielding residues bit-identical to the radix-2 kernels.
+// consecutive Cooley–Tukey stages into one sweep of radix-4 butterflies (see
+// nttQuartets), with the last pass (quartet stride 1) run by nttLastPass.
 func (r *Ring) nttRowRadix4(a []uint64, m *Modulus) {
 	n := r.N
 	q := m.Q
-	twoQ := 2 * q
-	mr := m.MRed
-	fw := m.psiFused
+	tw := m.psiShoup
 	mLen := 1
 	t := n
 	if r.LogN&1 == 1 {
 		// Odd log2(N): one leading radix-2 stage (mLen=1, the single group
 		// with twiddle ψ^brv(1)) leaves an even number of stages for the
 		// fused passes.
-		t >>= 1
-		w := m.psiRev[1]
-		x := a[0:t:t]
-		y := a[t : 2*t : 2*t]
-		y = y[:len(x)]
-		for j := range x {
-			u := x[j]
-			v := mr.MulLazy(y[j], w)
-			s := u + v
-			if s >= twoQ {
-				s -= twoQ
-			}
-			d := u + twoQ - v
-			if d >= twoQ {
-				d -= twoQ
-			}
-			x[j] = s
-			y[j] = d
-		}
-		mLen = 2
+		nttButterflies(a[:n/2], a[n/2:], tw[2], tw[3], q)
+		mLen, t = 2, n/2
 	}
-	for ; mLen <= n>>2; mLen <<= 2 {
+	for ; mLen < n>>2; mLen <<= 2 {
 		t >>= 1     // first-layer half size
 		h := t >> 1 // second-layer half size, the quartet stride
 		for g := 0; g < mLen; g++ {
 			k := mLen + g
-			w1 := fw[3*k]
-			w2 := fw[3*k+1]
-			w3 := fw[3*k+2]
+			w1 := tw[2*k : 2*k+2]  // pair k
+			w23 := tw[4*k : 4*k+4] // pairs 2k, 2k+1
 			base := 2 * g * t
-			x0 := a[base : base+h : base+h]
-			x1 := a[base+h : base+t : base+t]
-			x2 := a[base+t : base+t+h : base+t+h]
-			x3 := a[base+t+h : base+2*t : base+2*t]
-			x1 = x1[:len(x0)]
-			x2 = x2[:len(x0)]
-			x3 = x3[:len(x0)]
-			for j := range x0 {
-				c0 := x0[j]
-				c1 := x1[j]
-				c2 := x2[j]
-				c3 := x3[j]
-				if c0 >= twoQ {
-					c0 -= twoQ
-				}
-				if c1 >= twoQ {
-					c1 -= twoQ
-				}
-				p2 := mr.MulLazy(c2, w1)
-				p3 := mr.MulLazy(c3, w1)
-				u0 := c0 + p2
-				u2 := c0 + twoQ - p2
-				u1 := c1 + p3
-				u3 := c1 + twoQ - p3
-				if u0 >= twoQ {
-					u0 -= twoQ
-				}
-				if u2 >= twoQ {
-					u2 -= twoQ
-				}
-				s1 := mr.MulLazy(u1, w2)
-				s3 := mr.MulLazy(u3, w3)
-				x0[j] = u0 + s1
-				x1[j] = u0 + twoQ - s1
-				x2[j] = u2 + s3
-				x3[j] = u2 + twoQ - s3
-			}
+			nttQuartets(a[base:base+h], a[base+h:base+t], a[base+t:base+t+h], a[base+t+h:base+2*t],
+				w1[0], w1[1], w23[0], w23[1], w23[2], w23[3], q)
 		}
 		t >>= 1
 	}
-	for j := range a {
-		v := a[j]
-		if v >= twoQ {
-			v -= twoQ
+	// mLen = n/4: the groups are contiguous quartets, their first-layer
+	// twiddles pairs n/4.. and their children pairs n/2.. .
+	nttLastPass(a, tw[n/2:n], tw[n:2*n], q)
+}
+
+// nttQuartets is one group of radix-4 butterflies: it transforms the quartets
+// (x0[j], x1[j], x2[j], x3[j]) through two Cooley–Tukey layers with the
+// group's first-layer twiddle w1 and the second layer's pair w2, w3 (each
+// with its Shoup companion):
+//
+//	layer 1:  u0 = c0 + w1·c2   u2 = c0 − w1·c2   (and likewise u1, u3 from c1, c3)
+//	layer 2:  v0 = u0 + w2·u1   v1 = u0 − w2·u1   v2 = u2 + w3·u3   v3 = u2 − w3·u3
+//
+// Values ride the [0, 4q) window across pass boundaries: outputs are stored
+// uncorrected and only the values a following sum could push past 4q pay a
+// conditional subtraction — the additive inputs c0, c1 on load and the
+// additive halves u0, u2 between the layers. The multiplicative halves never
+// do: the Shoup product accepts any 64-bit value. Per 4 coefficients a pass
+// spends the same 4 multiplies as two radix-2 stages but 4 conditional
+// corrections and half the loads and stores.
+func nttQuartets(x0, x1, x2, x3 []uint64, w1, w1s, w2, w2s, w3, w3s, q uint64) {
+	twoQ := 2 * q
+	n := min(len(x0), len(x1), len(x2), len(x3))
+	for j := 0; j < n; j++ {
+		c0, c1, c2, c3 := x0[j], x1[j], x2[j], x3[j]
+		if c0 >= twoQ {
+			c0 -= twoQ
 		}
-		if v >= q {
-			v -= q
+		if c1 >= twoQ {
+			c1 -= twoQ
 		}
-		a[j] = v
+		p2 := mod.MulShoupLazy(c2, w1, w1s, q)
+		p3 := mod.MulShoupLazy(c3, w1, w1s, q)
+		u0 := c0 + p2
+		u2 := c0 + twoQ - p2
+		u1 := c1 + p3
+		u3 := c1 + twoQ - p3
+		if u0 >= twoQ {
+			u0 -= twoQ
+		}
+		if u2 >= twoQ {
+			u2 -= twoQ
+		}
+		s1 := mod.MulShoupLazy(u1, w2, w2s, q)
+		s3 := mod.MulShoupLazy(u3, w3, w3s, q)
+		x0[j] = u0 + s1
+		x1[j] = u0 + twoQ - s1
+		x2[j] = u2 + s3
+		x3[j] = u2 + twoQ - s3
+	}
+}
+
+// nttLastPass runs the last radix-4 pass over the whole row: quartet g is
+// a[4g..4g+3], its first-layer twiddle the pair tw1[2g..2g+1] and its
+// second-layer pair tw2[4g..4g+3]. Outputs are canonical.
+func nttLastPass(a, tw1, tw2 []uint64, q uint64) {
+	twoQ := 2 * q
+	for len(a) >= 4 && len(tw1) >= 2 && len(tw2) >= 4 {
+		c0, c1, c2, c3 := a[0], a[1], a[2], a[3]
+		w1, w1s, w2, w2s, w3, w3s := tw1[0], tw1[1], tw2[0], tw2[1], tw2[2], tw2[3]
+		if c0 >= twoQ {
+			c0 -= twoQ
+		}
+		if c1 >= twoQ {
+			c1 -= twoQ
+		}
+		p2 := mod.MulShoupLazy(c2, w1, w1s, q)
+		p3 := mod.MulShoupLazy(c3, w1, w1s, q)
+		u0 := c0 + p2
+		u2 := c0 + twoQ - p2
+		u1 := c1 + p3
+		u3 := c1 + twoQ - p3
+		if u0 >= twoQ {
+			u0 -= twoQ
+		}
+		if u2 >= twoQ {
+			u2 -= twoQ
+		}
+		s1 := mod.MulShoupLazy(u1, w2, w2s, q)
+		s3 := mod.MulShoupLazy(u3, w3, w3s, q)
+		a[0] = canonical4q(u0+s1, q)
+		a[1] = canonical4q(u0+twoQ-s1, q)
+		a[2] = canonical4q(u2+s3, q)
+		a[3] = canonical4q(u2+twoQ-s3, q)
+		a, tw1, tw2 = a[4:], tw1[2:], tw2[4:]
 	}
 }
 
 // inttRowRadix4 is the fused inverse row kernel, merging two consecutive
-// Gentleman–Sande stages. The fused group k = mLen/4+g loads its triple
-// {wA0, wA1, wB} = psiInvFused[3k..3k+2] (the two first-layer child twiddles,
-// then the second-layer parent twiddle) and transforms quartets at stride t:
-//
-//	layer 1:  u0 = c0 + c1   u1 = (c0 − c1)·wA0   (and u2, u3 from c2, c3)
-//	layer 2:  v0 = u0 + u2   v2 = (u0 − u2)·wB    v1 = u1 + u3   v3 = (u1 − u3)·wB
-//
-// The window discipline mirrors the forward kernel: inputs < 2q, the sums
-// u0, u2 reach 4q and pay one conditional each before layer 2 (their sum
-// would reach 8q otherwise), the REDC difference paths take their < 4q
-// arguments unreduced and emit < 2q, and the remaining sums v0, v1 pay the
-// pass-end corrections — 4 conditionals per 4 coefficients, equal to two
-// radix-2 stages, with half the memory traffic. Outputs stay < 2q for the
-// next pass; the N^-1 scaling pass normalizes exactly as for radix-2.
+// Gentleman–Sande stages per pass (see inttQuartets): the first pass
+// (quartet stride 1) is inttFirstPass, and the N^-1 scaling rides in the
+// last stage — the last radix-4 pass (inttLastQuartets) for an even log2(N),
+// the trailing radix-2 stage for an odd one.
 func (r *Ring) inttRowRadix4(a []uint64, m *Modulus) {
 	n := r.N
-	twoQ := 2 * m.Q
-	mr := m.MRed
-	fw := m.psiInvFused
+	q := m.Q
+	tw := m.psiInvShoup
+	ni, nis, wn, wns := m.nInvScaled(tw[2])
 	t := 1
 	mLen := n
 	for ; mLen >= 4; mLen >>= 2 {
 		h2 := mLen >> 2 // fused group count (second-layer groups)
-		for g := 0; g < h2; g++ {
-			k := h2 + g
-			wA0 := fw[3*k]
-			wA1 := fw[3*k+1]
-			wB := fw[3*k+2]
-			base := 4 * g * t
-			x0 := a[base : base+t : base+t]
-			x1 := a[base+t : base+2*t : base+2*t]
-			x2 := a[base+2*t : base+3*t : base+3*t]
-			x3 := a[base+3*t : base+4*t : base+4*t]
-			x1 = x1[:len(x0)]
-			x2 = x2[:len(x0)]
-			x3 = x3[:len(x0)]
-			for j := range x0 {
-				c0 := x0[j]
-				c1 := x1[j]
-				c2 := x2[j]
-				c3 := x3[j]
-				u0 := c0 + c1
-				u1 := mr.MulLazy(c0+twoQ-c1, wA0)
-				u2 := c2 + c3
-				u3 := mr.MulLazy(c2+twoQ-c3, wA1)
-				if u0 >= twoQ {
-					u0 -= twoQ
-				}
-				if u2 >= twoQ {
-					u2 -= twoQ
-				}
-				v0 := u0 + u2
-				if v0 >= twoQ {
-					v0 -= twoQ
-				}
-				v2 := mr.MulLazy(u0+twoQ-u2, wB)
-				v1 := u1 + u3
-				if v1 >= twoQ {
-					v1 -= twoQ
-				}
-				v3 := mr.MulLazy(u1+twoQ-u3, wB)
-				x0[j] = v0
-				x1[j] = v1
-				x2[j] = v2
-				x3[j] = v3
+		switch {
+		case h2 == 1 && r.LogN&1 == 0:
+			// The last stage: one group, twiddle pairs 2, 3 then 1.
+			inttLastQuartets(a[:t], a[t:2*t], a[2*t:3*t], a[3*t:4*t],
+				tw[4], tw[5], tw[6], tw[7], ni, nis, wn, wns, q)
+		case t == 1:
+			// Contiguous quartets: child pairs from n/2.., parents from n/4.. .
+			inttFirstPass(a, tw[n:2*n], tw[n/2:n], q)
+		default:
+			for g := 0; g < h2; g++ {
+				k := h2 + g
+				wA := tw[4*k : 4*k+4] // pairs 2k, 2k+1
+				wB := tw[2*k : 2*k+2] // pair k
+				base := 4 * g * t
+				inttQuartets(a[base:base+t], a[base+t:base+2*t], a[base+2*t:base+3*t], a[base+3*t:base+4*t],
+					wA[0], wA[1], wA[2], wA[3], wB[0], wB[1], q)
 			}
 		}
 		t <<= 2
@@ -408,25 +417,108 @@ func (r *Ring) inttRowRadix4(a []uint64, m *Modulus) {
 	if mLen == 2 {
 		// Odd log2(N): the trailing radix-2 stage (the single group with
 		// twiddle ψ^-brv(1)), mirroring the forward kernel's leading stage.
-		w := m.psiInvRev[1]
-		ht := n >> 1
-		x := a[0:ht:ht]
-		y := a[ht:n:n]
-		y = y[:len(x)]
-		for j := range x {
-			u := x[j]
-			v := y[j]
-			s := u + v
-			if s >= twoQ {
-				s -= twoQ
-			}
-			x[j] = s
-			y[j] = mr.MulLazy(u+twoQ-v, w)
-		}
+		inttButterfliesLast(a[:n/2], a[n/2:], ni, nis, wn, wns, q)
 	}
-	nInvM := m.nInvM
-	for j := range a {
-		a[j] = mr.Mul(a[j], nInvM)
+}
+
+// inttQuartets is one group of inverse radix-4 butterflies: the first layer's
+// two child twiddles wA0, wA1 and the second layer's parent wB (each with
+// its Shoup companion) transform the quartets at stride t:
+//
+//	layer 1:  u0 = c0 + c1   u1 = (c0 − c1)·wA0   (and u2, u3 from c2, c3 with wA1)
+//	layer 2:  v0 = u0 + u2   v2 = (u0 − u2)·wB    v1 = u1 + u3   v3 = (u1 − u3)·wB
+//
+// The window discipline mirrors the forward kernel: inputs < 2q, the sums
+// u0, u2 reach 4q and pay one conditional each before layer 2 (their sum
+// would reach 8q otherwise), the Shoup difference paths take their < 4q
+// arguments unreduced and emit < 2q, and the remaining sums v0, v1 pay the
+// pass-end corrections — 4 conditionals per 4 coefficients, equal to two
+// radix-2 stages, with half the memory traffic. Outputs stay < 2q.
+func inttQuartets(x0, x1, x2, x3 []uint64, wA0, wA0s, wA1, wA1s, wB, wBs, q uint64) {
+	twoQ := 2 * q
+	n := min(len(x0), len(x1), len(x2), len(x3))
+	for j := 0; j < n; j++ {
+		c0, c1, c2, c3 := x0[j], x1[j], x2[j], x3[j]
+		u0 := c0 + c1
+		if u0 >= twoQ {
+			u0 -= twoQ
+		}
+		u2 := c2 + c3
+		if u2 >= twoQ {
+			u2 -= twoQ
+		}
+		u1 := mod.MulShoupLazy(c0+twoQ-c1, wA0, wA0s, q)
+		u3 := mod.MulShoupLazy(c2+twoQ-c3, wA1, wA1s, q)
+		v0 := u0 + u2
+		if v0 >= twoQ {
+			v0 -= twoQ
+		}
+		v1 := u1 + u3
+		if v1 >= twoQ {
+			v1 -= twoQ
+		}
+		x0[j] = v0
+		x1[j] = v1
+		x2[j] = mod.MulShoupLazy(u0+twoQ-u2, wB, wBs, q)
+		x3[j] = mod.MulShoupLazy(u1+twoQ-u3, wB, wBs, q)
+	}
+}
+
+// inttFirstPass runs the first inverse radix-4 pass over the whole row:
+// quartet g is a[4g..4g+3], its child twiddle pairs twA[4g..4g+3] and its
+// parent pair twB[2g..2g+1]. Outputs stay < 2q.
+func inttFirstPass(a, twA, twB []uint64, q uint64) {
+	twoQ := 2 * q
+	for len(a) >= 4 && len(twA) >= 4 && len(twB) >= 2 {
+		c0, c1, c2, c3 := a[0], a[1], a[2], a[3]
+		wA0, wA0s, wA1, wA1s := twA[0], twA[1], twA[2], twA[3]
+		u0 := c0 + c1
+		if u0 >= twoQ {
+			u0 -= twoQ
+		}
+		u2 := c2 + c3
+		if u2 >= twoQ {
+			u2 -= twoQ
+		}
+		u1 := mod.MulShoupLazy(c0+twoQ-c1, wA0, wA0s, q)
+		u3 := mod.MulShoupLazy(c2+twoQ-c3, wA1, wA1s, q)
+		v0 := u0 + u2
+		if v0 >= twoQ {
+			v0 -= twoQ
+		}
+		v1 := u1 + u3
+		if v1 >= twoQ {
+			v1 -= twoQ
+		}
+		a[0], a[1] = v0, v1
+		a[2] = mod.MulShoupLazy(u0+twoQ-u2, twB[0], twB[1], q)
+		a[3] = mod.MulShoupLazy(u1+twoQ-u3, twB[0], twB[1], q)
+		a, twA, twB = a[4:], twA[4:], twB[2:]
+	}
+}
+
+// inttLastQuartets is inttQuartets for the last stage, with the N^-1 scaling
+// folded into layer 2: sums are multiplied by ni = N^-1 and differences by
+// wn = wB·N^-1 (with their Shoup companions), and outputs are canonical.
+func inttLastQuartets(x0, x1, x2, x3 []uint64, wA0, wA0s, wA1, wA1s, ni, nis, wn, wns, q uint64) {
+	twoQ := 2 * q
+	n := min(len(x0), len(x1), len(x2), len(x3))
+	for j := 0; j < n; j++ {
+		c0, c1, c2, c3 := x0[j], x1[j], x2[j], x3[j]
+		u0 := c0 + c1
+		if u0 >= twoQ {
+			u0 -= twoQ
+		}
+		u2 := c2 + c3
+		if u2 >= twoQ {
+			u2 -= twoQ
+		}
+		u1 := mod.MulShoupLazy(c0+twoQ-c1, wA0, wA0s, q)
+		u3 := mod.MulShoupLazy(c2+twoQ-c3, wA1, wA1s, q)
+		x0[j] = mod.MulShoup(u0+u2, ni, nis, q)
+		x1[j] = mod.MulShoup(u1+u3, ni, nis, q)
+		x2[j] = mod.MulShoup(u0+twoQ-u2, wn, wns, q)
+		x3[j] = mod.MulShoup(u1+twoQ-u3, wn, wns, q)
 	}
 }
 

@@ -344,17 +344,13 @@ func (r *Ring) MulByMonomialNTT(p *Poly, k int, out *Poly, level int) {
 		src, dst := p.Coeffs[i], out.Coeffs[i]
 		for j := lo; j < hi; j++ {
 			e := (r.evalOrderExponent(j) * k) % twoN
-			var w uint64
-			neg := false
-			if e < r.N {
-				w = m.psiRev[r.brv[e]]
-			} else {
-				w = m.psiRev[r.brv[e-r.N]]
-				neg = true
+			neg := e >= r.N
+			if neg {
+				e -= r.N // ψ^N = -1
 			}
-			// psiRev is in Montgomery form, so the REDC product is the true
-			// ψ^e multiple in the operand's own form.
-			v := m.MRed.Mul(src[j], w)
+			// The plain twiddle ψ^e multiplies the operand in its own form.
+			idx := 2 * r.brv[e]
+			v := mod.MulShoup(src[j], m.psiShoup[idx], m.psiShoup[idx+1], m.Q)
 			if neg {
 				v = mod.Neg(v, m.Q)
 			}

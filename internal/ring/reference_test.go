@@ -14,18 +14,32 @@ import "bts/internal/mod"
 //
 // The radix-2 Montgomery transforms (NTTRadix2/INTTRadix2) are the in-family
 // baseline of the fused radix-4 row kernels: one REDC-lazy twiddle multiply
-// per butterfly, values held < 2q, one normalization pass at the end.
+// by a Montgomery-form twiddle per butterfly, values held < 2q, one
+// normalization (or N^-1 scaling) pass at the end — a different reduction
+// and a different window from the production Shoup kernels.
 
-// refTwiddles returns m's twiddle tables in plain form, as the Barrett
-// transforms need them.
+// refTwiddles returns m's bit-reversed twiddle tables as plain residues,
+// without the Shoup companions, as the Barrett transforms need them.
 func (m *Modulus) refTwiddles() (psiRev, psiInvRev []uint64) {
-	psiRev = make([]uint64, len(m.psiRev))
-	psiInvRev = make([]uint64, len(m.psiInvRev))
-	for i := range m.psiRev {
-		psiRev[i] = m.MRed.IForm(m.psiRev[i])
-		psiInvRev[i] = m.MRed.IForm(m.psiInvRev[i])
+	n := len(m.psiShoup) / 2
+	psiRev = make([]uint64, n)
+	psiInvRev = make([]uint64, n)
+	for i := range psiRev {
+		psiRev[i] = m.psiShoup[2*i]
+		psiInvRev[i] = m.psiInvShoup[2*i]
 	}
 	return psiRev, psiInvRev
+}
+
+// montTwiddles returns refTwiddles in Montgomery form, with N^-1 in
+// Montgomery form, as the radix-2 REDC transforms need them.
+func (m *Modulus) montTwiddles() (psiRev, psiInvRev []uint64, nInvM uint64) {
+	psiRev, psiInvRev = m.refTwiddles()
+	for i := range psiRev {
+		psiRev[i] = m.MRed.MForm(psiRev[i])
+		psiInvRev[i] = m.MRed.MForm(psiInvRev[i])
+	}
+	return psiRev, psiInvRev, m.MRed.MForm(m.NInv)
 }
 
 // NTTBarrett is the Barrett-reduction reference forward transform on plain
@@ -129,16 +143,24 @@ func (r *Ring) MulScalarBarrett(a *Poly, s uint64, out *Poly, level int) {
 // NTTRadix2 is the scalar Montgomery radix-2 forward transform on rows
 // [0..level] of p, one engine task per row.
 func (r *Ring) NTTRadix2(p *Poly, level int) {
-	r.exec.Run(level+1, func(i int) { r.nttRowRadix2(p.Coeffs[i], r.Moduli[i]) })
+	r.exec.Run(level+1, func(i int) {
+		psiRev, _, _ := r.Moduli[i].montTwiddles()
+		r.nttRowRadix2(p.Coeffs[i], r.Moduli[i], psiRev)
+	})
 }
 
 // INTTRadix2 is the scalar Montgomery radix-2 inverse counterpart of
 // NTTRadix2.
 func (r *Ring) INTTRadix2(p *Poly, level int) {
-	r.exec.Run(level+1, func(i int) { r.inttRowRadix2(p.Coeffs[i], r.Moduli[i]) })
+	r.exec.Run(level+1, func(i int) {
+		_, psiInvRev, nInvM := r.Moduli[i].montTwiddles()
+		r.inttRowRadix2(p.Coeffs[i], r.Moduli[i], psiInvRev, nInvM)
+	})
 }
 
-func (r *Ring) nttRowRadix2(a []uint64, m *Modulus) {
+// nttRowRadix2 transforms row a under m with psiRev, m's bit-reversed
+// twiddles in Montgomery form (montTwiddles).
+func (r *Ring) nttRowRadix2(a []uint64, m *Modulus, psiRev []uint64) {
 	n := r.N
 	q := m.Q
 	twoQ := 2 * q
@@ -147,7 +169,7 @@ func (r *Ring) nttRowRadix2(a []uint64, m *Modulus) {
 	for mLen := 1; mLen < n; mLen <<= 1 {
 		t >>= 1
 		for i := 0; i < mLen; i++ {
-			w := m.psiRev[mLen+i]
+			w := psiRev[mLen+i]
 			base := 2 * i * t
 			x := a[base : base+t : base+t]
 			y := a[base+t : base+2*t : base+2*t]
@@ -175,7 +197,9 @@ func (r *Ring) nttRowRadix2(a []uint64, m *Modulus) {
 	}
 }
 
-func (r *Ring) inttRowRadix2(a []uint64, m *Modulus) {
+// inttRowRadix2 inverse-transforms row a under m with psiInvRev and nInvM,
+// the Montgomery-form inverse twiddles and N^-1 (montTwiddles).
+func (r *Ring) inttRowRadix2(a []uint64, m *Modulus, psiInvRev []uint64, nInvM uint64) {
 	n := r.N
 	twoQ := 2 * m.Q
 	mr := m.MRed
@@ -184,7 +208,7 @@ func (r *Ring) inttRowRadix2(a []uint64, m *Modulus) {
 		j1 := 0
 		h := mLen >> 1
 		for i := 0; i < h; i++ {
-			w := m.psiInvRev[h+i]
+			w := psiInvRev[h+i]
 			x := a[j1 : j1+t : j1+t]
 			y := a[j1+t : j1+2*t : j1+2*t]
 			y = y[:len(x)]
@@ -202,7 +226,6 @@ func (r *Ring) inttRowRadix2(a []uint64, m *Modulus) {
 		}
 		t <<= 1
 	}
-	nInvM := m.nInvM
 	for j := range a {
 		a[j] = mr.Mul(a[j], nInvM)
 	}

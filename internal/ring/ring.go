@@ -14,10 +14,12 @@
 // (M-form): the word held for a coefficient with true residue x is x·R mod q,
 // R = 2^64 (mod.Montgomery). All compute kernels preserve the invariant —
 // operand×operand multiplies (MulCoeffs, the Acc128 MAC path) REDC a product
-// of two M-form words straight back to M-form, constant multiplies (twiddle
-// factors, scalars, rescale and base-conversion tables) either carry M-form
-// tables or exploit that a plain-constant product (aR)·w ≡ (aw)R preserves
-// the operand's form, and Add/Sub/Neg/permutations are form-agnostic.
+// of two M-form words straight back to M-form, base conversion's REDC
+// carries its constant tables in whichever form its output needs, the other
+// constant multiplies (twiddle factors, scalars, rescale tables) exploit that
+// a plain-constant product (aR)·w ≡ (aw)R preserves the operand's form and
+// run on the Shoup discipline, and Add/Sub/Neg/permutations are
+// form-agnostic.
 // Conversions happen only at the boundaries: SetInt64Coeffs/SetBigCoeffs
 // convert in (MForm), PolyToBigCentered converts out (IForm), and the few
 // kernels that need a true integer internally — base-conversion stage 1,
@@ -29,21 +31,23 @@
 //
 // # Transform kernels
 //
-// The negacyclic transforms run one of two schedules, bit-identical to each
+// The negacyclic transforms use Harvey butterflies on one Shoup twiddle table
+// per direction (Modulus.psiShoup/psiInvShoup: each plain twiddle beside its
+// Shoup companion), one wide multiply per twiddle product, intermediates on a
+// [0, 4q) lazy window, and run one of two schedules, bit-identical to each
 // other:
 //
 //   - Fused radix-4 rows (nttRowRadix4/inttRowRadix4): two consecutive
 //     radix-2 layers merged into one pass over the row, four coefficients
-//     per butterfly, twiddle triples interleaved per group
-//     (mod.FusedNTTTwiddles), intermediates on a widened [0, 4q) lazy
-//     window.
-//   - Stage-sharded radix-2 (nttStageRange/inttStageRange): one REDC-lazy
-//     twiddle multiply per butterfly, values held < 2q, the butterflies of
-//     each stage split into coefficient blocks across workers.
+//     per butterfly.
+//   - Stage-sharded radix-2 (nttStageRange/inttStageRange): the butterflies
+//     of each stage split into coefficient blocks across workers.
 //
-// The test suite pins both to a radix-2 Montgomery row kernel and to
-// plain-residue Barrett loops with no lazy reduction — the slow,
-// obviously-correct oracles (reference_test.go).
+// Either way the last stage leaves canonical residues — the inverse's with
+// the N^-1 scaling folded in — so no pass follows the network. The test
+// suite pins both to a radix-2 Montgomery row kernel and to plain-residue
+// Barrett loops with no lazy reduction — the slow, obviously-correct oracles
+// (reference_test.go).
 //
 // All kernels dispatch through a two-dimensional execution engine (Engine,
 // see exec.go) that parallelizes across RNS limbs and, when the active limbs
@@ -67,33 +71,28 @@ import (
 	"bts/internal/telemetry"
 )
 
-// Modulus bundles one RNS prime with every precomputed table needed for the
-// negacyclic NTT in Montgomery form, plus the Barrett constant kept for the
-// 128-bit accumulator reductions and true-residue scalar folds.
+// Modulus bundles one RNS prime with the twiddle tables of the negacyclic
+// NTT, the Montgomery constants of the operand×operand products and the
+// Barrett constant kept for the 128-bit accumulator reductions and
+// true-residue scalar folds.
 type Modulus struct {
 	Q    uint64
 	BRed mod.Barrett    // arbitrary 128-bit reduction (Acc128, BConv stage 2, scalar folds)
-	MRed mod.Montgomery // fused REDC multiply, the hot-path reduction
+	MRed mod.Montgomery // fused REDC multiply for products of two data words
 
 	Psi    uint64 // primitive 2N-th root of unity (true residue)
 	PsiInv uint64 // ψ^-1 mod q (true residue)
 	NInv   uint64 // N^-1 mod q (true residue)
 
-	// Twiddle tables in bit-reversed order (Longa–Naehrig layout), stored in
-	// Montgomery form: psiRev[i] = [ψ^brv(i)]·R, psiInvRev[i] = [ψ^-brv(i)]·R.
-	// A REDC butterfly multiply by an M-form twiddle maps x ↦ x·ψ^e mod q in
-	// whichever form x is in, so the tables serve M-form operands without the
-	// Shoup companion word per twiddle the Barrett-era layout carried.
-	psiRev    []uint64
-	psiInvRev []uint64
-	nInvM     uint64 // N^-1 in Montgomery form, the iNTT scaling constant
-
-	// Fused radix-4 twiddle triples (mod.FusedNTTTwiddles layout): entry k
-	// interleaves the one first-layer and two second-layer twiddles of
-	// merged butterfly group k, so the radix-4 row kernels stream one table
-	// instead of gathering from two halves of psiRev/psiInvRev per group.
-	psiFused    []uint64
-	psiInvFused []uint64
+	// Twiddle tables in bit-reversed order (Longa–Naehrig layout), one per
+	// direction, each plain residue interleaved with its Shoup companion
+	// w′ = ⌊w·2^64/q⌋: psiShoup[2i], psiShoup[2i+1] = ψ^brv(i) and its w′,
+	// psiInvShoup likewise for ψ^-brv(i). A Shoup multiply by a plain
+	// constant maps x ↦ x·w mod q in whichever form x is in, so the tables
+	// serve M-form rows as they are. The radix-4 group k reads pair k and the
+	// adjacent pairs 2k, 2k+1 (its children in the next layer): two streams.
+	psiShoup    []uint64
+	psiInvShoup []uint64
 }
 
 // Ring is R_Q for a fixed degree N and a chain of prime moduli. CKKS uses two
@@ -201,20 +200,17 @@ func newModulus(q uint64, logN int, brv []int) (*Modulus, error) {
 		PsiInv: mod.Inv(psi, q),
 		NInv:   mod.Inv(uint64(n), q),
 	}
-	m.nInvM = m.MRed.MForm(m.NInv)
-	m.psiRev = make([]uint64, n)
-	m.psiInvRev = make([]uint64, n)
+	m.psiShoup = make([]uint64, 2*n)
+	m.psiInvShoup = make([]uint64, 2*n)
 	powPsi := uint64(1)
 	powPsiInv := uint64(1)
 	for i := 0; i < n; i++ {
 		j := brv[i]
-		m.psiRev[j] = m.MRed.MForm(powPsi)
-		m.psiInvRev[j] = m.MRed.MForm(powPsiInv)
+		m.psiShoup[2*j], m.psiShoup[2*j+1] = powPsi, mod.ShoupPrecomp(powPsi, q)
+		m.psiInvShoup[2*j], m.psiInvShoup[2*j+1] = powPsiInv, mod.ShoupPrecomp(powPsiInv, q)
 		powPsi = m.BRed.Mul(powPsi, m.Psi)
 		powPsiInv = m.BRed.Mul(powPsiInv, m.PsiInv)
 	}
-	m.psiFused = mod.FusedNTTTwiddles(m.psiRev)
-	m.psiInvFused = mod.FusedINTTTwiddles(m.psiInvRev)
 	return m, nil
 }
 
