@@ -64,15 +64,21 @@
 // its forward NTTs only on the rows base conversion wrote (its own
 // decomposition group never leaves the NTT domain), so with that a
 // dnum = 1 product costs 3·nq + 3·np limb transforms instead of
-// 6·nq + 3·np (nq active primes, np special primes). The fused form is not
-// bit-identical to the pair: the approximate base conversion's overflow,
-// up to (np+1)/2 units per coefficient, lands after the division by q_ℓ
-// instead of before it, so the result carries a few units more coefficient
-// noise (measured at Δ = 2^40: slot error 2^-31.4 → 2^-30.3 at dnum = 1,
-// unchanged at dnum = 6). That is invisible wherever the scale leaves a
-// dozen bits of headroom — the Chebyshev evaluator, hence EvalMod, uses it
-// for every product — and MulRelin and Rescale stay as they are for
-// callers that need the product unrescaled or want the last bit.
+// 6·nq + 3·np (nq active primes, np special primes). np itself depends on
+// the level: the keys hold every special prime, sized for the top level's
+// digit, but a key-switch at level ℓ divides by the shortest prefix of them
+// that still clears its digit by a noise margin (ckks.Parameters.
+// SpecialPrimes, 2..26 of Table 2's 28), with the digit scaled by the
+// leftover primes' inverse so the full-P keys still apply. A product's BConv
+// work and row transforms shrink with it, by 28 % and 16 % at level 21.
+// The fused form is not bit-identical to the pair: the approximate base
+// conversion's overflow, up to (np+1)/2 units per coefficient, lands after
+// the division by q_ℓ instead of before it, so the result carries a few
+// units more coefficient noise (measured at Δ = 2^40: slot error 2^-31.4 →
+// 2^-30.3 at dnum = 1, unchanged at dnum = 6). That is invisible wherever
+// the scale leaves a dozen bits of headroom — the Chebyshev evaluator, hence
+// EvalMod, uses it for every product — and MulRelin and Rescale stay as they
+// are for callers that need the product unrescaled or want the last bit.
 //
 // # Montgomery ring core
 //

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/bits"
 	"os"
 
@@ -62,11 +63,13 @@ func main() {
 }
 
 // describeTable2 prints the paper-parameter instance (Table 2's INS-1 as
-// realized by ckks.Table2Literal): the generated modulus chain, the S=3
-// factored-bootstrap stage radices with their BSGS rotation plans, and the
-// resulting key-set size. The rotation plan is computed statically from the
-// stage diagonal index sets (ckks.BSGSRotations) — no plaintext diagonal is
-// encoded, so the command stays interactive even at N=2^17.
+// realized by ckks.Table2Literal): the generated modulus chain with each
+// level's special-prime count and the log PQ the top-level key-switch
+// actually works over, the S=3 factored-bootstrap stage radices with their
+// BSGS rotation plans, and the resulting key-set size. The rotation plan is
+// computed statically from the stage diagonal index sets
+// (ckks.BSGSRotations) — no plaintext diagonal is encoded, so the command
+// stays interactive even at N=2^17.
 func describeTable2() error {
 	lit := ckks.Table2Literal()
 	p, err := ckks.NewParameters(lit)
@@ -84,10 +87,16 @@ func describeTable2() error {
 		float64(inst.EvkBytesMax())/(1<<20),
 		float64(inst.TempDataBytes())/(1<<20))
 
-	fmt.Printf("modulus chain Q (%d primes):\n", len(p.Q))
+	fmt.Printf("modulus chain Q (%d primes), k = special primes a key-switch at the level divides by:\n", len(p.Q))
 	for i, q := range p.Q {
-		fmt.Printf("  q%-3d %2d-bit  %d\n", i, bitLen(q), q)
+		fmt.Printf("  q%-3d %2d-bit  %d  k=%d\n", i, bitLen(q), q, p.SpecialPrimes(i))
 	}
+	unused := 0.0
+	for _, pk := range p.P[p.SpecialPrimes(p.MaxLevel()):] {
+		unused += math.Log2(float64(pk))
+	}
+	fmt.Printf("  top-level key-switch works over logPQ=%.0f of the %.0f bits the keys store (Table 4 models %.0f)\n",
+		p.LogQP()-unused, p.LogQP(), inst.LogPQ())
 	fmt.Printf("special chain P (%d primes):\n", len(p.P))
 	for i, q := range p.P {
 		fmt.Printf("  p%-3d %2d-bit  %d\n", i, bitLen(q), q)

@@ -55,9 +55,11 @@ func (e *Encoder) Encode(values []complex128, level int, scale float64) (*Plaint
 }
 
 // EncodeQP is Encode plus the same integer polynomial reduced over the
-// special p-chain (full chain, NTT domain). The P-side residues are what the
-// double-hoisted linear transform multiplies against key-switch accumulators
-// that are still in the extended QP basis (the deferred-ModDown path).
+// special prefix P_level a key-switch at that level uses (its
+// Parameters.SpecialPrimes(level) rows, NTT domain). The P-side residues are
+// what the double-hoisted linear transform multiplies against key-switch
+// accumulators that are still in the extended basis (the deferred-ModDown
+// path); at a lower level it reads a prefix of them.
 func (e *Encoder) EncodeQP(values []complex128, level int, scale float64) (*Plaintext, *ring.Poly, error) {
 	return e.encode(values, level, scale, true)
 }
@@ -76,8 +78,10 @@ func (e *Encoder) encode(values []complex128, level int, scale float64, withP bo
 	rq, rp := e.ctx.RingQ, e.ctx.RingP
 	p := rq.NewPolyLevel(level)
 	var pP *ring.Poly
+	var lp int
 	if withP {
-		pP = rp.NewPoly(len(rp.Moduli))
+		lp = e.ctx.special[level].k - 1
+		pP = rp.NewPolyLevel(lp)
 	}
 	// Use the int64 fast path while |coeff·scale| stays well below 2^62;
 	// bootstrapping matrices encoded at multi-prime scales take the
@@ -99,7 +103,7 @@ func (e *Encoder) encode(values []complex128, level int, scale float64, withP bo
 		}
 		rq.SetInt64Coeffs(p, coeffs, level)
 		if withP {
-			rp.SetInt64Coeffs(pP, coeffs, rp.MaxLevel())
+			rp.SetInt64Coeffs(pP, coeffs, lp)
 		}
 	} else {
 		coeffs := make([]*big.Int, rq.N)
@@ -110,12 +114,12 @@ func (e *Encoder) encode(values []complex128, level int, scale float64, withP bo
 		}
 		rq.SetBigCoeffs(p, coeffs, level)
 		if withP {
-			rp.SetBigCoeffs(pP, coeffs, rp.MaxLevel())
+			rp.SetBigCoeffs(pP, coeffs, lp)
 		}
 	}
 	rq.NTT(p, level)
 	if withP {
-		rp.NTT(pP, rp.MaxLevel())
+		rp.NTT(pP, lp)
 	}
 	return &Plaintext{Value: p, Level: level, Scale: scale}, pP, nil
 }

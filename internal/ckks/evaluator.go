@@ -250,11 +250,12 @@ func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext) *Ciphertext {
 // Rescale's 2·(nq−1) NTTs, 2 iNTTs, copy and two element-wise passes.
 //
 // The price is noise. The key-switch's base conversion is approximate — it
-// may be off by a multiple u·P, |u| ≤ (np+1)/2, which the unfused pair
-// divides by q_ℓ along with everything else; fused, the overflow is a
-// multiple of P·q_ℓ and survives the division whole, so the result differs
-// from the unfused one by up to (np+1)/2 units per coefficient of each
-// component (times the secret on C1). That is a few bits above the rescale
+// may be off by a multiple u·P_ℓ, |u| ≤ (k_ℓ+1)/2 for the k_ℓ =
+// Parameters.SpecialPrimes(ℓ) special primes the level divides by, which the
+// unfused pair divides by q_ℓ along with everything else; fused, the overflow
+// is a multiple of P_ℓ·q_ℓ and survives the division whole, so the result
+// differs from the unfused one by up to (k_ℓ+1)/2 units per coefficient of
+// each component (times the secret on C1). That is a few bits above the rescale
 // rounding floor and far below the message at any usable scale, but it is
 // not bit-identical to the two-step form, which stays available for callers
 // that want the last bit. Panics on a level-0 operand, like Rescale.
@@ -262,12 +263,12 @@ func (ev *Evaluator) MulRelinRescale(ct0, ct1 *Ciphertext) *Ciphertext {
 	return ev.mulRelin(ct0, ct1, 1)
 }
 
-// mulRelin is HMult with the last `drop` primes divided out alongside P.
-// The tensor terms d0, d1 are lifted into the extended basis (P·d_i added to
-// the key-switch accumulators over Q; it vanishes over P) so one ModDown per
-// component yields d_i + ks_i directly in the output — with drop = 0 that is
-// the same residue, word for word, as dividing first and adding d_i after:
-// (P·d + acc − conv)·P⁻¹ ≡ d + (acc − conv)·P⁻¹.
+// mulRelin is HMult with the last `drop` primes divided out alongside P_ℓ.
+// The tensor terms d0, d1 are lifted into the extended basis (P_ℓ·d_i added
+// to the key-switch accumulators over Q; it vanishes over P_ℓ) so one ModDown
+// per component yields d_i + ks_i directly in the output — with drop = 0
+// that is the same residue, word for word, as dividing first and adding d_i
+// after: (P_ℓ·d + acc − conv)·P_ℓ⁻¹ ≡ d + (acc − conv)·P_ℓ⁻¹.
 func (ev *Evaluator) mulRelin(ct0, ct1 *Ciphertext, drop int) *Ciphertext {
 	if ev.rlk == nil {
 		panic("ckks: MulRelin without relinearization key")
@@ -292,9 +293,10 @@ func (ev *Evaluator) mulRelin(ct0, ct1 *Ciphertext, drop int) *Ciphertext {
 	accQ0, accP0 := rq.GetPolyNoZero(), rp.GetPolyNoZero()
 	accQ1, accP1 := rq.GetPolyNoZero(), rp.GetPolyNoZero()
 	ev.keySwitchMAC(d2, lvl, ev.rlk, accQ0, accP0, accQ1, accP1)
-	// d_i enters the extended basis as the integer P·d_i: zero over P.
-	rq.MulLimbScalarsAndAdd(d0, ev.ctx.pModQ, ev.ctx.pModQShoup, accQ0, lvl)
-	rq.MulLimbScalarsAndAdd(d1, ev.ctx.pModQ, ev.ctx.pModQShoup, accQ1, lvl)
+	// d_i enters the extended basis as the integer P_ℓ·d_i: zero over P_ℓ.
+	sm := ev.ctx.special[lvl]
+	rq.MulLimbScalarsAndAdd(d0, sm.pModQ, sm.pModQShoup, accQ0, lvl)
+	rq.MulLimbScalarsAndAdd(d1, sm.pModQ, sm.pModQShoup, accQ1, lvl)
 
 	scale := ct0.Scale * ct1.Scale
 	for i := lvl; i > lvl-drop; i-- {
@@ -399,9 +401,10 @@ func (ev *Evaluator) keySwitch(d *ring.Poly, lvl int, swk *SwitchingKey, ks0, ks
 
 // keySwitchMAC is the decomposition and multiply-accumulate half of the
 // key-switch: it overwrites (accQ0, accP0) and (accQ1, accP1) with
-// Σ_j ModUp(d)_j ⊙ evk_j for the two key components, in the extended basis
-// QP and still to be divided by P (callers may pass unzeroed scratch) — the
-// streaming counterpart of keySwitchHoistedLazy.
+// Σ_j ModUp(d′)_j ⊙ evk_j for the two key components, in the extended basis
+// Q_ℓ·P_ℓ and still to be divided by P_ℓ (callers may pass unzeroed scratch)
+// — the streaming counterpart of keySwitchHoistedLazy. d′ is d times the
+// level's lift [(P/P_ℓ)^-1]_{q_i}, applied while d is copied for the iNTT.
 //
 // It is the single-use form: one slice at a time through a reused scratch
 // pair, so it holds two temporaries regardless of β. Rotation-heavy callers
@@ -414,17 +417,18 @@ func (ev *Evaluator) keySwitchMAC(d *ring.Poly, lvl int, swk *SwitchingKey, accQ
 	sp.SetLevel(lvl)
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
-	lp := rp.MaxLevel()
+	sm := ctx.special[lvl]
+	lp := sm.k - 1
 
 	dCoeff := rq.GetPolyNoZero()
-	rq.CopyLevel(dCoeff, d, lvl)
+	rq.MulLimbScalars(d, sm.lift, sm.liftShoup, dCoeff, 0, lvl)
 	rq.INTT(dCoeff, lvl)
 
 	// tmpQ/tmpP are fully overwritten each slice (group rows + BConv
 	// output); dst is the BConv target-row view, reused across slices.
 	tmpQ := rq.GetPolyNoZero()
 	tmpP := rp.GetPolyNoZero()
-	dst := make([][]uint64, 0, lvl+1+lp)
+	dst := make([][]uint64, 0, lvl+1+sm.k)
 
 	// Multiply-accumulate with the evk slice (element-wise, Fig. 3a); the
 	// first slice writes the accumulators, so nobody has to zero them.
@@ -445,20 +449,21 @@ func (ev *Evaluator) keySwitchMAC(d *ring.Poly, lvl int, swk *SwitchingKey, accQ
 }
 
 // modUpSlice runs one decomposition slice of the Fig. 3(a) pipeline. The
-// residues of group j of dCoeff (coefficient domain, level lvl) are extended
-// to the rest of the QP basis (ModUp/BConv) and only those rows — the
-// out-of-group q-rows and the p-rows — go through the forward NTT. The
-// group's own rows are copied from d, the NTT-domain polynomial dCoeff was
-// taken from: NTT(iNTT(x)) = x word for word, because both transforms end in
-// canonical residues, so transforming them back would recompute what d
-// already holds (with dnum = 1 that is every q-row). tmpQ and tmpP are fully
-// overwritten; dst is the reusable BConv target-row view, returned for reuse
-// across slices. Both the streaming keySwitchMAC and the hoisted
-// decomposeNTT run exactly this body per slice — sharing it is what keeps
-// their outputs bit-identical.
+// residues of group j of dCoeff (coefficient domain, level lvl, already
+// lifted by [(P/P_ℓ)^-1]_{q_i}) are extended to the rest of the Q_ℓ·P_ℓ
+// basis (ModUp/BConv) and only those rows — the out-of-group q-rows and the
+// k_ℓ p-rows — go through the forward NTT. The group's own rows are d's,
+// lifted the same way on the copy: NTT(iNTT(x)) = x word for word, because
+// both transforms end in canonical residues, so transforming them back would
+// recompute what the scaled copy already holds (with dnum = 1 that is every
+// q-row). tmpQ and tmpP are fully overwritten; dst is the reusable BConv
+// target-row view, returned for reuse across slices. Both the streaming
+// keySwitchMAC and the hoisted decomposeNTT run exactly this body per slice
+// — sharing it is what keeps their outputs bit-identical.
 func (ev *Evaluator) modUpSlice(j, lvl int, d, dCoeff, tmpQ, tmpP *ring.Poly, dst [][]uint64) [][]uint64 {
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
+	sm := ctx.special[lvl]
 	lo, hi := ctx.groupRange(j, lvl)
 	dst = dst[:0]
 	for i := 0; i <= lvl; i++ {
@@ -466,23 +471,21 @@ func (ev *Evaluator) modUpSlice(j, lvl int, d, dCoeff, tmpQ, tmpP *ring.Poly, ds
 			dst = append(dst, tmpQ.Coeffs[i])
 		}
 	}
-	dst = append(dst, tmpP.Coeffs...)
+	dst = append(dst, tmpP.Coeffs[:sm.k]...)
 	ctx.modUpExtender(j, lvl).Convert(dCoeff.Coeffs[lo:hi+1], dst)
-	for i := lo; i <= hi; i++ {
-		copy(tmpQ.Coeffs[i], d.Coeffs[i])
-	}
+	rq.MulLimbScalars(d, sm.lift, sm.liftShoup, tmpQ, lo, hi)
 	rq.NTTExcept(tmpQ, lvl, lo, hi)
-	rp.NTT(tmpP, rp.MaxLevel())
+	rp.NTT(tmpP, sm.k-1)
 	return dst
 }
 
 // modDown divides the extended polynomial (accQ, accP) — rows [0..lvl] over Q
-// and the full P basis, NTT domain — by D = P·q_{lvl-drop+1}···q_lvl with
-// rounding, into rows [0..lvl-drop] of out. drop = 0 is the 1/P step of
-// Eq. 4; drop = 1 is that step and the HRescale that would follow it, as one
-// division (see MulRelinRescale). The residues modulo D's own primes — the
-// p-rows and the dropped q-rows — go back to the coefficient domain (in
-// place: both accumulators are consumed), one BConv carries them onto the
+// and the level's k_ℓ rows over P_ℓ, NTT domain — by D = P_ℓ·q_{lvl-drop+1}
+// ···q_lvl with rounding, into rows [0..lvl-drop] of out. drop = 0 is the 1/P
+// step of Eq. 4; drop = 1 is that step and the HRescale that would follow
+// it, as one division (see MulRelinRescale). The residues modulo D's own
+// primes — the p-rows and the dropped q-rows — go back to the coefficient
+// domain (in place: both accumulators are consumed), one BConv carries them onto the
 // surviving q-basis, one NTT brings that back, and a fused subtract-scale by
 // D^-1 finishes; the centered BConv is what makes the quotient rounded. That
 // last pass runs limb × coefficient-block sharded with cached Shoup
@@ -493,8 +496,9 @@ func (ev *Evaluator) modDown(accQ, accP *ring.Poly, lvl, drop int, out *ring.Pol
 	rq, rp := ctx.RingQ, ctx.RingP
 	keep := lvl - drop
 	tab := ctx.modDownTables(lvl, drop)
-	rp.INTT(accP, rp.MaxLevel())
-	src := accP.Coeffs
+	k := ctx.special[lvl].k
+	rp.INTT(accP, k-1)
+	src := accP.Coeffs[:k:k]
 	for i := keep + 1; i <= lvl; i++ {
 		rq.INTTRow(accQ.Coeffs[i], i)
 		src = append(src[:len(src):len(src)], accQ.Coeffs[i])

@@ -36,16 +36,16 @@ import (
 
 // HoistedDecomposition is the reusable key-switch decomposition of one
 // ciphertext's a-polynomial: per decomposition slice j, the ModUp'd residues
-// over the active q-basis and the special p-basis, both in the NTT domain.
-// It is scratch borrowed from the ring pools — callers must Release it when
-// every dependent rotation has been applied, and must not use it after the
-// source ciphertext's level changes.
+// over the active q-basis and the level's special prefix P_ℓ, both in the
+// NTT domain. It is scratch borrowed from the ring pools — callers must
+// Release it when every dependent rotation has been applied, and must not
+// use it after the source ciphertext's level changes.
 type HoistedDecomposition struct {
 	ctx   *Context
 	level int
 	beta  int
 	q     []*ring.Poly // per slice, NTT domain, q-basis rows 0..level
-	p     []*ring.Poly // per slice, NTT domain, full p-basis
+	p     []*ring.Poly // per slice, NTT domain, P_ℓ rows 0..k_ℓ-1
 }
 
 // Level returns the ciphertext level the decomposition was taken at.
@@ -78,7 +78,7 @@ func (ev *Evaluator) decomposeNTT(d *ring.Poly, lvl int) *HoistedDecomposition {
 	sp.SetLevel(lvl)
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
-	lp := rp.MaxLevel()
+	sm := ctx.special[lvl]
 	beta := ctx.Params.Beta(lvl)
 	hd := &HoistedDecomposition{
 		ctx:   ctx,
@@ -88,16 +88,18 @@ func (ev *Evaluator) decomposeNTT(d *ring.Poly, lvl int) *HoistedDecomposition {
 		p:     make([]*ring.Poly, 0, beta),
 	}
 
+	// The copy for the iNTT carries the lift by [(P/P_ℓ)^-1]_{q_i}, as in
+	// keySwitchMAC.
 	dCoeff := rq.GetPolyNoZero()
-	rq.CopyLevel(dCoeff, d, lvl)
+	rq.MulLimbScalars(d, sm.lift, sm.liftShoup, dCoeff, 0, lvl)
 	rq.INTT(dCoeff, lvl)
 
-	// Each slice polynomial is fully overwritten by modUpSlice (copied group
+	// Each slice polynomial is fully overwritten by modUpSlice (lifted group
 	// rows + BConv output rows), so the slices skip the zeroing pass; dst is
 	// the BConv target-row view, reused across slices. The per-slice body is
 	// shared with the streaming keySwitch, which is what keeps hoisted and
 	// naive outputs bit-identical.
-	dst := make([][]uint64, 0, lvl+1+lp)
+	dst := make([][]uint64, 0, lvl+1+sm.k)
 	for j := 0; j < beta; j++ {
 		tmpQ := rq.GetPolyNoZero()
 		tmpP := rp.GetPolyNoZero()
@@ -112,9 +114,9 @@ func (ev *Evaluator) decomposeNTT(d *ring.Poly, lvl int) *HoistedDecomposition {
 
 // keySwitchHoistedLazy applies the automorphism X→X^g to every decomposed
 // slice and multiply-accumulates against the switching key, leaving the
-// result in the extended QP basis: accQ0/accP0 and accQ1/accP1 are
+// result in the extended Q_ℓ·P_ℓ basis: accQ0/accP0 and accQ1/accP1 are
 // *overwritten* with the two key components' accumulators *before* the final
-// division by P (callers may pass unzeroed scratch). Callers either hand
+// division by P_ℓ (callers may pass unzeroed scratch). Callers either hand
 // them to modDown (single hoisted rotation) or keep summing baby-step
 // products in the extended basis and ModDown once per giant step (double
 // hoisting).
@@ -135,7 +137,7 @@ func (ev *Evaluator) decomposeNTT(d *ring.Poly, lvl int) *HoistedDecomposition {
 func (ev *Evaluator) keySwitchHoistedLazy(g uint64, hd *HoistedDecomposition, swk *SwitchingKey, accQ0, accP0, accQ1, accP1 *ring.Poly) {
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
-	lvl, lp := hd.level, rp.MaxLevel()
+	lvl, lp := hd.level, ctx.special[hd.level].k-1
 	if g != 1 {
 		ev.counters.HoistedRot.Add(1)
 	}

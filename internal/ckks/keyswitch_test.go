@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bts/internal/mod"
 	"bts/internal/ring"
 )
 
@@ -13,7 +14,8 @@ import (
 // two-step form it replaces: same level, same tracked scale to the last bit,
 // the same message to within the extra base-conversion overflow the fused
 // form keeps, and nothing else — the decrypted coefficient difference is the
-// size of that overflow times the secret.
+// size of that overflow, over the level's np = k_ℓ special primes, times the
+// secret.
 func TestMulRelinRescaleMatchesUnfused(t *testing.T) {
 	for _, dnum := range []int{1, 3, 6} {
 		s := newTestSetup(t, dnum, nil)
@@ -25,9 +27,9 @@ func TestMulRelinRescaleMatchesUnfused(t *testing.T) {
 		for i := range want {
 			want[i] = v0[i] * v1[i]
 		}
-		np := len(s.params.P)
 		logScale := math.Log2(s.params.Scale)
 		for _, lvl := range []int{1, top / 2, top} {
+			np := s.params.SpecialPrimes(lvl)
 			pt0, _ := s.encoder.Encode(v0, lvl, s.params.Scale)
 			pt1, _ := s.encoder.Encode(v1, lvl, s.params.Scale)
 			ct0, _ := s.enc.EncryptNew(pt0)
@@ -91,11 +93,12 @@ func TestMulRelinRescaleMatchesUnfused(t *testing.T) {
 
 // modUpSliceRoundTrip is modUpSlice as it was before the group rows stopped
 // making the round trip through the coefficient domain: copy them from
-// dCoeff and forward-transform every row. Kept as the oracle the production
-// body must match word for word.
+// dCoeff and forward-transform every row, over the level's special prefix.
+// Kept as the oracle the production body must match word for word.
 func (ev *Evaluator) modUpSliceRoundTrip(j, lvl int, dCoeff, tmpQ, tmpP *ring.Poly) {
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
+	k := ctx.special[lvl].k
 	lo, hi := ctx.groupRange(j, lvl)
 	var dst [][]uint64
 	for i := 0; i <= lvl; i++ {
@@ -103,25 +106,46 @@ func (ev *Evaluator) modUpSliceRoundTrip(j, lvl int, dCoeff, tmpQ, tmpP *ring.Po
 			dst = append(dst, tmpQ.Coeffs[i])
 		}
 	}
-	dst = append(dst, tmpP.Coeffs...)
+	dst = append(dst, tmpP.Coeffs[:k]...)
 	ctx.modUpExtender(j, lvl).Convert(dCoeff.Coeffs[lo:hi+1], dst)
 	for i := lo; i <= hi; i++ {
 		copy(tmpQ.Coeffs[i], dCoeff.Coeffs[i])
 	}
 	rq.NTT(tmpQ, lvl)
-	rp.NTT(tmpP, rp.MaxLevel())
+	rp.NTT(tmpP, k-1)
+}
+
+// liftedCoeffs returns d (NTT domain, level lvl) in the coefficient domain,
+// scaled by the level's lift [(P/P_ℓ)^-1]_{q_i} — after the iNTT, where the
+// key-switch scales before it; the iNTT is linear and both end canonical, so
+// the two orders agree word for word.
+func liftedCoeffs(ctx *Context, d *ring.Poly, lvl int) *ring.Poly {
+	rq := ctx.RingQ
+	sm := ctx.special[lvl]
+	out := rq.CopyNew(d, lvl)
+	rq.INTT(out, lvl)
+	for i := 0; i <= lvl; i++ {
+		for t, x := range out.Coeffs[i] {
+			out.Coeffs[i][t] = mod.Mul(x, sm.lift[i], rq.Moduli[i].Q)
+		}
+	}
+	return out
 }
 
 // TestModUpSkipsRoundTripBitIdentical pins DecomposeNTT and keySwitch to the
 // round-trip oracle, at a level where the last decomposition group — for
-// dnum = 1 the only one — is partial.
+// dnum = 1 the only one — is partial, and where dnum = 1 divides by fewer
+// special primes than it holds (so the lift is not 1).
 func TestModUpSkipsRoundTripBitIdentical(t *testing.T) {
 	for _, dnum := range []int{1, 2, 3} {
 		s := newTestSetup(t, dnum, nil)
 		ctx, ev := s.ctx, s.eval
 		rq, rp := ctx.RingQ, ctx.RingP
-		lp := rp.MaxLevel()
 		lvl := s.params.MaxLevel() - 1 // 5 primes: groups of 6, 3+2, 2+2+1
+		lp := ctx.special[lvl].k - 1
+		if dnum == 1 && lp+1 == len(s.params.P) {
+			t.Fatalf("dnum=1: level %d uses every special prime", lvl)
+		}
 		beta := s.params.Beta(lvl)
 		if lo, hi := ctx.groupRange(beta-1, lvl); hi-lo+1 == s.params.Alpha() {
 			t.Fatalf("dnum=%d: last group at level %d is not partial", dnum, lvl)
@@ -131,8 +155,7 @@ func TestModUpSkipsRoundTripBitIdentical(t *testing.T) {
 		ct, _ := s.enc.EncryptNew(pt)
 
 		// Oracle: slices, then the same MAC and ModDown the evaluator runs.
-		dCoeff := rq.CopyNew(ct.C1, lvl)
-		rq.INTT(dCoeff, lvl)
+		dCoeff := liftedCoeffs(ctx, ct.C1, lvl)
 		wantQ, wantP := make([]*ring.Poly, beta), make([]*ring.Poly, beta)
 		accQ0, accQ1 := rq.NewPolyLevel(lvl), rq.NewPolyLevel(lvl)
 		accP0, accP1 := rp.NewPolyLevel(lp), rp.NewPolyLevel(lp)

@@ -17,10 +17,10 @@ type LinearTransform struct {
 	// diags maps the diagonal index k to the encoded diagonal, pre-rotated
 	// by -(k/n1)*n1 slots as BSGS requires.
 	diags map[int]*Plaintext
-	// diagsP carries the same diagonals reduced over the special p-chain
-	// (full chain, NTT domain), consumed by the double-hoisted evaluation
-	// path which multiplies them against key-switch accumulators still in
-	// the extended QP basis.
+	// diagsP carries the same diagonals reduced over the special prefix
+	// P_Level (NTT domain), consumed by the double-hoisted evaluation path
+	// which multiplies them against key-switch accumulators still in the
+	// extended Q_ℓ·P_ℓ basis.
 	diagsP map[int]*ring.Poly
 	n1     int
 	// Level and Scale are where/how the diagonals were encoded.
@@ -204,7 +204,9 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphe
 	if lt.Level < lvl {
 		lvl = lt.Level
 	}
-	lp := rp.MaxLevel()
+	// The P-part diagonals hold k_{lt.Level} rows; below lt.Level the
+	// key-switch reads only their first k_lvl (k_ℓ never falls as ℓ grows).
+	lp := ctx.special[lvl].k - 1
 	scale := ct.Scale * lt.Scale
 
 	byGiant, giants, need := lt.byGiantStep()

@@ -55,6 +55,36 @@
 // multiplies only this way. MulRelin and Rescale remain, and remain
 // bit-identical to what they were.
 //
+// # Level-aware special modulus
+//
+// The keys are generated once over the whole special chain P = p_0···p_{α−1},
+// which is sized for the digit at the top level. A key-switch at level ℓ
+// divides by less: the shortest prefix P_ℓ = p_0···p_{k_ℓ−1} with
+//
+//	log2 P_ℓ ≥ log2(largest digit at ℓ) + ⌈log2(σ·√N·(α+1))⌉ + 1
+//
+// (Parameters.SpecialPrimes; the digit is Q_ℓ at dnum = 1). The full-P keys
+// serve it unchanged. Reduced mod Q_ℓ·P_ℓ, a switching key with b + a·s =
+// e + P·ĝ·s′ is a key for (P/P_ℓ)·s′ with special modulus P_ℓ, so
+// multiplying the digit by [(P/P_ℓ)⁻¹]_{q_i} before ModUp gives back d·s′.
+// That lift rides on the two copies of the digit the key-switch makes anyway
+// (the one the iNTT works on, and its group rows in modUpSlice); where
+// k_ℓ = α it is a Shoup product by 1, which is exact, so those levels are
+// bit-identical to a full-P switch.
+//
+// The only new error is D·e/P_ℓ, D the ModUp'd digit: |D| ≤ (α+1)/2 times the
+// digit, e·D has coefficients of size about σ·√N·|D|, and the margin puts P_ℓ
+// at least 2·σ·√N·(α+1) times above the digit, so the term stays under a
+// quarter unit per coefficient. ModDown's own rounding is one overflow unit
+// per coefficient, up to (k_ℓ+1)/2 of them, times the secret — more than ten
+// times larger. What shrinks is everything proportional to the special
+// limbs: ModUp's BConv targets, ModDown's BConv sources, one NTT and one iNTT
+// per dropped p-row, and the evk rows read. At Table 2's dnum = 1 k_ℓ runs
+// from 26 of 28 at the top level down to 2 at level 0; a product at level 21
+// does 1322 BConv multiply-adds per coefficient instead of 1834, and 126 row
+// transforms instead of 150. The dnum ≥ 3 shapes in the benchmark keep k_ℓ = α
+// from level 2 up: their group digit already fills P.
+//
 // # Montgomery ring core
 //
 // Every polynomial this package holds in RNS residues — ciphertext
@@ -67,10 +97,11 @@
 // canonical residues). This package never converts forms itself — the
 // algebra keeps every evaluator path consistent, because multiplying two
 // M-form operands with a fused REDC yields an M-form product, while
-// multiplying by a *plain* precomputed constant (pModQ, P^-1 via its Shoup
-// companions, rescale q_ℓ^-1) is form-preserving: (x·R)·c mod q is (x·c)·R
-// mod q. The payoff is one 3-multiply reduction per butterfly, MAC and
-// element-wise product where the Barrett path paid roughly twice that.
+// multiplying by a *plain* precomputed constant (P_ℓ, P_ℓ^-1 and the lift
+// (P/P_ℓ)^-1 via their Shoup companions, rescale q_ℓ^-1) is form-preserving:
+// (x·R)·c mod q is (x·c)·R mod q. The payoff is one 3-multiply reduction per
+// butterfly, MAC and element-wise product where the Barrett path paid
+// roughly twice that.
 package ckks
 
 import (
@@ -90,7 +121,10 @@ type Parameters struct {
 	LogN int
 	// Q is the prime modulus chain q_0..q_L (L+1 primes).
 	Q []uint64
-	// P is the special prime chain p_0..p_{k-1} used by key-switching.
+	// P is the special prime chain p_0..p_{k-1} used by key-switching. Keys
+	// are generated over all of it; a key-switch at level ℓ divides by the
+	// prefix of SpecialPrimes(ℓ) primes only (see "Level-aware special
+	// modulus" in the package doc).
 	P []uint64
 	// Dnum is the key-switching decomposition number (Eq. 7). The number of
 	// special primes k must equal ceil((L+1)/Dnum).
@@ -121,6 +155,39 @@ func (p Parameters) Alpha() int { return (p.MaxLevel() + p.Dnum) / p.Dnum }
 func (p Parameters) Beta(level int) int {
 	a := p.Alpha()
 	return (level + 1 + a - 1) / a
+}
+
+// SpecialPrimes returns k_ℓ, the number of special primes a key-switch at
+// the given level divides by: the shortest prefix P_ℓ = p_0···p_{k_ℓ−1} of P
+// with
+//
+//	log2 P_ℓ ≥ log2(largest digit at ℓ) + ⌈log2(σ·√N·(α+1))⌉ + 1,
+//
+// the digit being the product of a decomposition group's primes up to ℓ (Q_ℓ
+// itself at dnum = 1). If no prefix clears the bound, or σ is not positive,
+// it is all of P. The margin is what keeps the key-reduction error D·e/P_ℓ
+// below the ModDown rounding; the package doc derives it.
+func (p Parameters) SpecialPrimes(level int) int {
+	if !(p.Sigma > 0) {
+		return len(p.P)
+	}
+	a := p.Alpha()
+	digit := 0.0
+	for lo := 0; lo <= level; lo += a {
+		bits := 0.0
+		for i := lo; i < lo+a && i <= level; i++ {
+			bits += math.Log2(float64(p.Q[i]))
+		}
+		digit = math.Max(digit, bits)
+	}
+	need := digit + math.Ceil(math.Log2(p.Sigma*math.Sqrt(float64(p.N()))*float64(a+1))) + 1
+	have := 0.0
+	for k, pk := range p.P {
+		if have += math.Log2(float64(pk)); have >= need {
+			return k + 1
+		}
+	}
+	return len(p.P)
 }
 
 // LogQP returns log2 of the full modulus product P·Q, the quantity that
@@ -235,9 +302,10 @@ type Context struct {
 	RingQ  *ring.Ring // R over the q-chain
 	RingP  *ring.Ring // R over the special p-chain
 
-	pModQ      []uint64 // [P]_{q_i}: switching-key generation, and lifting HMult's d0, d1 into the QP basis
-	pModQShoup []uint64 // Shoup companions of pModQ
-	pInvModQ   []uint64 // [P^-1]_{q_i}, the seed of every ModDown divisor inverse
+	pModQ []uint64 // [P]_{q_i}: switching-key generation
+
+	// special[ℓ] is the special modulus a key-switch at level ℓ uses.
+	special []*specialModulus
 
 	// cacheMu guards the lazily-populated extender caches below so several
 	// ciphertexts can be evaluated concurrently on one context (the serving
@@ -290,19 +358,55 @@ func NewContext(params Parameters) (*Context, error) {
 		logQ += math.Log2(float64(q))
 		ctx.cumLogQ[i] = logQ
 	}
-	ctx.pModQ = make([]uint64, len(params.Q))
-	ctx.pModQShoup = make([]uint64, len(params.Q))
-	ctx.pInvModQ = make([]uint64, len(params.Q))
-	for i, q := range params.Q {
-		pm := uint64(1)
-		for _, pj := range params.P {
-			pm = mod.Mul(pm, pj%q, q)
-		}
-		ctx.pModQ[i] = pm
-		ctx.pModQShoup[i] = mod.ShoupPrecomp(pm, q)
-		ctx.pInvModQ[i] = mod.Inv(pm, q)
+	ctx.pModQ = newSpecialModulus(params, params.MaxLevel(), len(params.P)).pModQ
+	ctx.special = make([]*specialModulus, len(params.Q))
+	for l := range ctx.special {
+		ctx.special[l] = newSpecialModulus(params, l, params.SpecialPrimes(l))
 	}
 	return ctx, nil
+}
+
+// specialModulus is what a key-switch at level ℓ needs of its special
+// modulus P_ℓ = p_0···p_{k−1}, k = Parameters.SpecialPrimes(ℓ). Each table
+// holds one constant per q-prime of the level, i ∈ [0, ℓ].
+type specialModulus struct {
+	k int
+
+	// pModQ is [P_ℓ]_{q_i}: HMult lifts d0, d1 into the QP_ℓ basis with it.
+	pModQ, pModQShoup []uint64
+	// pInvModQ is [P_ℓ^-1]_{q_i}, the seed of the level's ModDown divisors.
+	pInvModQ []uint64
+	// lift is [(P/P_ℓ)^-1]_{q_i}: the digit is multiplied by it before
+	// ModUp, because the keys carry P·s′, which over Q_ℓ·P_ℓ is P_ℓ times
+	// (P/P_ℓ)·s′. It is 1 where k = len(P).
+	lift, liftShoup []uint64
+}
+
+func newSpecialModulus(params Parameters, level, k int) *specialModulus {
+	n := level + 1
+	s := &specialModulus{
+		k:          k,
+		pModQ:      make([]uint64, n),
+		pModQShoup: make([]uint64, n),
+		pInvModQ:   make([]uint64, n),
+		lift:       make([]uint64, n),
+		liftShoup:  make([]uint64, n),
+	}
+	for i, q := range params.Q[:n] {
+		head, tail := uint64(1), uint64(1)
+		for j, pj := range params.P {
+			if j < k {
+				head = mod.Mul(head, pj%q, q)
+			} else {
+				tail = mod.Mul(tail, pj%q, q)
+			}
+		}
+		s.pModQ[i], s.pModQShoup[i] = head, mod.ShoupPrecomp(head, q)
+		s.pInvModQ[i] = mod.Inv(head, q)
+		s.lift[i] = mod.Inv(tail, q)
+		s.liftShoup[i] = mod.ShoupPrecomp(s.lift[i], q)
+	}
+	return s
 }
 
 // SetWorkers rebuilds the context's execution engine with the given worker
@@ -422,8 +526,8 @@ func (ctx *Context) groupRange(j, level int) (lo, hi int) {
 }
 
 // modUpExtender returns the BasisExtender converting group j's primes to the
-// rest of the active basis (other q primes + all special primes), caching by
-// (group, level). Safe for concurrent use.
+// rest of the active basis (other q primes + the level's special prefix
+// P_level), caching by (group, level). Safe for concurrent use.
 func (ctx *Context) modUpExtender(j, level int) *ring.BasisExtender {
 	key := [2]int{j, level}
 	ctx.cacheMu.RLock()
@@ -440,7 +544,7 @@ func (ctx *Context) modUpExtender(j, level int) *ring.BasisExtender {
 			to = append(to, ctx.RingQ.Moduli[i])
 		}
 	}
-	to = append(to, ctx.RingP.Moduli...)
+	to = append(to, ctx.RingP.Moduli[:ctx.special[level].k]...)
 	be, err := ring.NewBasisExtender(from, to)
 	if err != nil {
 		panic(fmt.Sprintf("ckks: modUpExtender(%d,%d): %v", j, level, err))
@@ -456,17 +560,18 @@ func (ctx *Context) modUpExtender(j, level int) *ring.BasisExtender {
 	return be
 }
 
-// modDownTables is what one ModDown needs to divide by D = P·q_{level-drop+1}
-// ···q_level: the extender from D's basis — the special primes, then the
-// dropped q-primes in chain order — onto the surviving q-basis, and
-// [D^-1]_{q_i} with its Shoup companions for each surviving prime.
+// modDownTables is what one ModDown needs to divide by D = P_level·
+// q_{level-drop+1}···q_level: the extender from D's basis — the level's
+// special prefix, then the dropped q-primes in chain order — onto the
+// surviving q-basis, and [D^-1]_{q_i} with its Shoup companions for each
+// surviving prime.
 type modDownTables struct {
 	ext           *ring.BasisExtender
 	inv, invShoup []uint64
 }
 
 // modDownTables returns the tables of the ModDown that divides a level-`level`
-// extended polynomial by P and by its last `drop` q-primes, cached per
+// extended polynomial by P_level and by its last `drop` q-primes, cached per
 // (level, drop). Safe for concurrent use.
 func (ctx *Context) modDownTables(level, drop int) *modDownTables {
 	key := [2]int{level, drop}
@@ -478,7 +583,8 @@ func (ctx *Context) modDownTables(level, drop int) *modDownTables {
 	}
 	keep := level - drop + 1 // surviving q-primes
 	dropped := ctx.RingQ.Moduli[keep : level+1]
-	from := append(append([]*ring.Modulus(nil), ctx.RingP.Moduli...), dropped...)
+	sm := ctx.special[level]
+	from := append(append([]*ring.Modulus(nil), ctx.RingP.Moduli[:sm.k]...), dropped...)
 	ext, err := ring.NewBasisExtender(from, ctx.RingQ.Moduli[:keep])
 	if err != nil {
 		panic(fmt.Sprintf("ckks: modDownTables(%d,%d): %v", level, drop, err))
@@ -486,7 +592,7 @@ func (ctx *Context) modDownTables(level, drop int) *modDownTables {
 	t = &modDownTables{ext: ext, inv: make([]uint64, keep), invShoup: make([]uint64, keep)}
 	for i := range t.inv {
 		q := ctx.RingQ.Moduli[i].Q
-		inv := ctx.pInvModQ[i]
+		inv := sm.pInvModQ[i]
 		for _, m := range dropped {
 			inv = mod.Mul(inv, mod.Inv(m.Q%q, q), q)
 		}

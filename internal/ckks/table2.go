@@ -27,6 +27,16 @@ package ckks
 // the instance at λ ≈ 129.1 ≥ 128 (`btsparams -preset table2` prints the
 // realized chain and margin).
 //
+// The 28 special primes are sized for the top level, and only the keys use
+// all of them. A key-switch at level ℓ divides by the prefix of
+// k_ℓ = Parameters.SpecialPrimes(ℓ) primes its digit Q_ℓ needs (see
+// "Level-aware special modulus" in the package doc): k_ℓ = 2 3 3 4 5 6 7 8
+// 8 9 10 11 12 13 13 14 15 16 … 26 for ℓ = 0..27, one more prime per 60-bit
+// level above 16. The top-level switch works over log Q_27 + log P_26 ≈ 3080
+// bits of the 3200 the keys store — against Table 4's model of 3090 — and the
+// 13-level multiplication ladder after a bootstrap over 3..13 special primes
+// instead of 28.
+//
 // The bootstrap pipeline runs the factored transforms at S = 3 stages per
 // direction: 2^16 slots split into radix-64/32/32 stage matrices
 // (DFTStageDiags depths 6+5+5 = logSlots), trading 2 extra levels per

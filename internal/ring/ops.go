@@ -148,6 +148,24 @@ func (r *Ring) MulLimbScalarsAndAdd(a *Poly, w, ws []uint64, out *Poly, level in
 	})
 }
 
+// MulLimbScalars sets out = a * w[i] on each row i of [lo..hi]: the
+// non-accumulating MulLimbScalarsAndAdd, for a copy that is scaled on the
+// way. w and ws are indexed by the row's prime, like the rows themselves.
+func (r *Ring) MulLimbScalars(a *Poly, w, ws []uint64, out *Poly, lo, hi int) {
+	r.exec.RunBlocks(hi-lo+1, r.N, func(k, c0, c1 int) {
+		i := lo + k
+		mulShoupRow(a.Coeffs[i][c0:c1:c1], out.Coeffs[i][c0:c1:c1], w[i], ws[i], r.Moduli[i].Q)
+	})
+}
+
+// mulShoupRow sets out[j] = a[j]·w mod q over the rows' common length, w with
+// its Shoup companion ws; no bounds check (CI asserts that by name).
+func mulShoupRow(a, out []uint64, w, ws, q uint64) {
+	for j := 0; j < len(a) && j < len(out); j++ {
+		out[j] = mod.MulShoup(a[j], w, ws, q)
+	}
+}
+
 // mulShoupAddRow sets out[j] += a[j]·w mod q over the rows' common length, w
 // with its Shoup companion ws: a load, a Shoup multiply, an add and a store
 // per word, no bounds check (CI asserts that by name).

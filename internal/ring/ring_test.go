@@ -571,6 +571,33 @@ func TestMulScalar(t *testing.T) {
 	}
 }
 
+// TestMulLimbScalarsRange checks MulLimbScalars against per-word modular
+// products on an inner row range, and that it leaves the other rows alone.
+func TestMulLimbScalarsRange(t *testing.T) {
+	r := testRing(t, 6, 4)
+	rng := rand.New(rand.NewSource(21))
+	a := r.NewPolyLevel(3)
+	r.SampleUniform(rng, a, 3)
+	w, ws := make([]uint64, 4), make([]uint64, 4)
+	for i, m := range r.Moduli {
+		w[i] = uniformUint64(rng, m.Q)
+		ws[i] = mod.ShoupPrecomp(w[i], m.Q)
+	}
+	out := r.NewPolyLevel(3)
+	r.MulLimbScalars(a, w, ws, out, 1, 2)
+	for i, m := range r.Moduli {
+		for j, x := range a.Coeffs[i] {
+			want := uint64(0)
+			if i == 1 || i == 2 {
+				want = mod.Mul(x, w[i], m.Q)
+			}
+			if out.Coeffs[i][j] != want {
+				t.Fatalf("row %d coeff %d: got %d, want %d", i, j, out.Coeffs[i][j], want)
+			}
+		}
+	}
+}
+
 func TestMulCoeffsAndAdd(t *testing.T) {
 	r := testRing(t, 4, 1)
 	rng := rand.New(rand.NewSource(20))
