@@ -21,14 +21,12 @@
 //
 // The CKKS library executes on a two-dimensional execution engine
 // (ring.Engine): every NTT, element-wise op, automorphism and base
-// conversion fans out across a worker pool over RNS limbs and, when the
-// active limbs alone cannot fill the pool (low-level ciphertexts,
-// bootstrapping's tail), over contiguous coefficient blocks within each
-// residue row — the software analogue of the paper's PE grid distributing
-// both limbs and coefficients (Section 4.1). Full rows run the fused
-// radix-4 NTT kernels as one task each; sharded rows fall back to the
-// per-stage radix-2 schedule with a barrier between stages. A context
-// created by NewScheme
+// conversion fans out across a worker pool over RNS limbs and — all but the
+// NTT — when the active limbs alone cannot fill the pool (low-level
+// ciphertexts, bootstrapping's tail), over contiguous coefficient blocks
+// within each residue row — the software analogue of the paper's PE grid
+// distributing both limbs and coefficients (Section 4.1). Each NTT row runs
+// the fused radix-4 kernel as one task. A context created by NewScheme
 // runs on a process-wide pool sized to runtime.GOMAXPROCS (snapshotted at
 // first use); NewSchemeWorkers (or Context.SetWorkers) picks an explicit
 // worker count, with 0 selecting the serial fallback. Results are
@@ -88,7 +86,7 @@
 // slices — stores residues as x·R mod q (R = 2^64), so every element-wise
 // product of two data words and every lazy MAC reduces with one fused
 // 3-multiply REDC instead of a wider Barrett pass, and multiplication by
-// precomputed plain constants (twiddle factors, rescale inverses, P mod q)
+// precomputed plain constants (twiddle factors, divisor inverses, P mod q)
 // is form-preserving and free of conversions. Residues enter M-form at the
 // encode/sampling boundary and leave it only at decode time and in the wire
 // format, which transports true canonical residues (internal/wire). The
@@ -98,10 +96,11 @@
 // critical path, four coefficients share a butterfly, intermediates ride a
 // [0, 4q) lazy window, and the last pass leaves canonical residues (the
 // inverse's with N^-1 folded in) — halving the passes over each row
-// relative to radix-2; rows too few to fill the worker pool run a per-stage
-// radix-2 schedule sharded across coefficient blocks instead. A radix-2
-// Montgomery row kernel and the pre-Montgomery Barrett kernels remain in
-// internal/ring's tests as bit-identity oracles.
+// relative to radix-2. A radix-2 Montgomery row kernel and the
+// pre-Montgomery Barrett kernels remain in internal/ring's tests as
+// bit-identity oracles. Every basis change runs the key-switch's own
+// iNTT → BConv → NTT dataflow: HRescale is its division with no special
+// primes, and ModRaise is a BConv from the single prime q0.
 // The benchmark in bench/ (go run ./bench) reports the kernels per layer —
 // ns/butterfly, GB/s, REDC — beside T_mult,a/slot, and
 // TestTable2PaperInstance (build tag paperinstance) bootstraps the N=2^17
@@ -142,9 +141,11 @@
 //   - cmd/btsserve wraps the scheduler in an HTTP daemon speaking the wire
 //     format, and `btsbench -experiment serve -addr HOST:PORT -clients K`
 //     is the matching load generator, reporting ops/sec and latency
-//     percentiles as JSON; `btsbench -experiment dag -addr HOST:PORT` checks
-//     the register model's wire and key-switch savings against per-op round
-//     trips.
+//     percentiles as JSON; `btsbench -experiment dag -addr HOST:PORT`
+//     submits one 3-stage rotation-fan pipeline as a single DAG job and
+//     checks it against the plaintext model. The register model's wire and
+//     key-switch savings against per-op round trips are gated by
+//     TestDAGFlatEquivalence in internal/serve.
 //
 // # Observability
 //

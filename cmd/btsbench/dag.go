@@ -40,7 +40,9 @@ func dagBench(base string) {
 		}
 	}
 
-	fetched, _, err := serve.FetchParams(base)
+	pctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	fetched, _, err := serve.FetchParams(pctx, base)
+	cancel()
 	die("params", err)
 	// Three rescales, one per stage: the toy preset's MaxLevel()=3 is
 	// exactly enough.

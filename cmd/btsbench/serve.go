@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -48,7 +49,9 @@ type serveLatency struct {
 func serveBench(base string, clients int, duration time.Duration) {
 	fmt.Fprintf(os.Stderr, "serve bench: daemon on %s, %d clients, %s\n", base, clients, duration)
 
-	fetched, _, err := serve.FetchParams(base)
+	pctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	fetched, _, err := serve.FetchParams(pctx, base)
+	cancel()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve bench params: %v\n", err)
 		os.Exit(1)

@@ -17,7 +17,9 @@
 // serve.FetchParams), opens a session by uploading its evaluation keys —
 // the secret key stays local — and submits jobs over the wire format:
 //
-//	params, _, _ := serve.FetchParams("http://127.0.0.1:8631")
+//	tctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+//	params, _, _ := serve.FetchParams(tctx, "http://127.0.0.1:8631")
+//	cancel()
 //	ctx, _ := ckks.NewContext(params)
 //	// ... generate keys exactly as below ...
 //	cl := serve.NewClient("http://127.0.0.1:8631", ctx)

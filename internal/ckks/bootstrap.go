@@ -289,7 +289,7 @@ func (bt *Bootstrapper) BootstrapWith(ev *Evaluator, ct *Ciphertext) (*Ciphertex
 	// 1. ModRaise: re-interpret the mod-q0 residues over the whole chain;
 	// the plaintext becomes m + q0·I with small I (Section 2.4).
 	sp := ev.begin(spanBootModRaise)
-	raised := bt.modRaise(ev, ct)
+	raised := ev.modRaise(ct)
 	if bt.scaleBoost > 1 {
 		// Raise the working scale to the bootstrap section's prime size: an
 		// exact, noise-free integer scalar multiply (no level consumed).
@@ -354,55 +354,26 @@ func (bt *Bootstrapper) BootstrapWith(ev *Evaluator, ct *Ciphertext) (*Ciphertex
 	return out, nil
 }
 
-// modRaise lifts a level-0 ciphertext to the full modulus chain by centering
-// each coefficient modulo q0 and re-reducing modulo every q_i. The centered
-// lift starts from a single residue row, the engine's worst case for
-// limb-only dispatch, so every phase shards: the q0-row iNTT runs
-// stage-sharded (INTTRow dispatches through the engine), the re-reduction
-// fans out limb × coefficient-block, and the forward NTT of all L+1 rows
-// goes through the ring's 2-D NTT dispatch.
-func (bt *Bootstrapper) modRaise(ev *Evaluator, ct *Ciphertext) *Ciphertext {
+// modRaise lifts a level-0 ciphertext to the full modulus chain: a BConv from
+// {q0} onto {q1..qL} (Context.raiseExt). The one-prime conversion is exact —
+// its digit is the coefficient itself and its centered representative is the
+// lift into (−q0/2, q0/2] — so each row i ≥ 1 holds that lift mod q_i. Row 0
+// is copied unchanged, and the forward NTT skips it: NTT(INTT(x)) = x word
+// for word.
+func (ev *Evaluator) modRaise(ct *Ciphertext) *Ciphertext {
 	ev.counters.ModRaise.Add(1)
-	rq := bt.ctx.RingQ
+	rq := ev.ctx.RingQ
 	L := rq.MaxLevel()
-	out := bt.ctx.NewCiphertext(L, ct.Scale)
+	out := ev.ctx.NewCiphertext(L, ct.Scale)
 	tmp := rq.GetRow()
 	defer rq.PutRow(tmp)
 	for _, pair := range [][2]*ring.Poly{{ct.C0, out.C0}, {ct.C1, out.C1}} {
 		src, dst := pair[0], pair[1]
 		copy(tmp, src.Coeffs[0])
 		rq.INTTRow(tmp, 0)
-		q0 := rq.Moduli[0].Q
-		half := q0 >> 1
-		// The centered lift needs the true mod-q0 coefficients, and its
-		// outputs re-enter the M-form world: strip the Montgomery factor
-		// once off the q0 row, and lift each re-reduced residue back.
-		mr0 := rq.Moduli[0].MRed
-		rq.ForEachLimbBlock(0, func(_, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				tmp[j] = mr0.IForm(tmp[j])
-			}
-		})
-		rq.ForEachLimbBlock(L, func(i, lo, hi int) {
-			qi := rq.Moduli[i].Q
-			mri := rq.Moduli[i].MRed
-			row := dst.Coeffs[i]
-			for j := lo; j < hi; j++ {
-				v := tmp[j]
-				var u uint64
-				if v > half { // negative representative
-					neg := q0 - v
-					u = qi - neg%qi
-					if u == qi {
-						u = 0
-					}
-				} else {
-					u = v % qi
-				}
-				row[j] = mri.MForm(u)
-			}
-		})
-		rq.NTT(dst, L)
+		ev.ctx.raiseExt.Convert([][]uint64{tmp}, dst.Coeffs[1:L+1])
+		copy(dst.Coeffs[0], src.Coeffs[0])
+		rq.NTTExcept(dst, L, 0, 0)
 	}
 	return out
 }

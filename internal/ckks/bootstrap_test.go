@@ -394,7 +394,7 @@ func TestModRaisePreservesMessage(t *testing.T) {
 	values := randomComplex(rng, s.params.Slots(), 0.7)
 	pt, _ := s.encoder.Encode(values, 0, s.params.Scale)
 	ct, _ := s.enc.EncryptNew(pt)
-	raised := bt.modRaise(bt.eval, ct)
+	raised := bt.eval.modRaise(ct)
 	if raised.Level != s.params.MaxLevel() {
 		t.Fatalf("modRaise level=%d want %d", raised.Level, s.params.MaxLevel())
 	}

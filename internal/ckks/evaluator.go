@@ -321,20 +321,19 @@ func (ev *Evaluator) mulRelin(ct0, ct1 *Ciphertext, drop int) *Ciphertext {
 func (ev *Evaluator) Square(ct *Ciphertext) *Ciphertext { return ev.MulRelin(ct, ct) }
 
 // Rescale divides ct by the current last prime and drops one level
-// (HRescale, Section 2.4). The tracked scale is divided by that prime.
+// (HRescale, Section 2.4). The tracked scale is divided by that prime. It is
+// the key-switch's division with no special primes: D = q_ℓ.
 func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	if ct.Level == 0 {
 		panic("ckks: cannot rescale a level-0 ciphertext")
 	}
 	ev.counters.Rescale.Add(1)
 	sp := ev.begin(spanRescale)
-	rq := ev.ctx.RingQ
 	out := ev.ctx.copyCiphertextPooled(ct)
-	q := float64(rq.Moduli[ct.Level].Q)
-	rq.DivRoundByLastModulusNTT(out.C0, ct.Level)
-	rq.DivRoundByLastModulusNTT(out.C1, ct.Level)
+	ev.divRound(out.C0, nil, ct.Level, 1, 0, out.C0)
+	ev.divRound(out.C1, nil, ct.Level, 1, 0, out.C1)
 	out.Level = ct.Level - 1
-	out.Scale = ct.Scale / q
+	out.Scale = ct.Scale / float64(ev.ctx.RingQ.Moduli[ct.Level].Q)
 	ev.observeMargin(out)
 	ev.endSpan(&sp, out)
 	return out
@@ -480,28 +479,38 @@ func (ev *Evaluator) modUpSlice(j, lvl int, d, dCoeff, tmpQ, tmpP *ring.Poly, ds
 }
 
 // modDown divides the extended polynomial (accQ, accP) — rows [0..lvl] over Q
-// and the level's k_ℓ rows over P_ℓ, NTT domain — by D = P_ℓ·q_{lvl-drop+1}
-// ···q_lvl with rounding, into rows [0..lvl-drop] of out. drop = 0 is the 1/P
-// step of Eq. 4; drop = 1 is that step and the HRescale that would follow
-// it, as one division (see MulRelinRescale). The residues modulo D's own
-// primes — the p-rows and the dropped q-rows — go back to the coefficient
-// domain (in place: both accumulators are consumed), one BConv carries them onto the
-// surviving q-basis, one NTT brings that back, and a fused subtract-scale by
-// D^-1 finishes; the centered BConv is what makes the quotient rounded. That
-// last pass runs limb × coefficient-block sharded with cached Shoup
-// companions, so it stays parallel at low levels.
+// and the level's k_ℓ rows over P_ℓ, NTT domain — by P_ℓ·q_{lvl-drop+1}···q_lvl
+// into rows [0..lvl-drop] of out (see divRound). drop = 0 is the 1/P step of
+// Eq. 4; drop = 1 is that step and the HRescale that would follow it, as one
+// division (see MulRelinRescale).
 func (ev *Evaluator) modDown(accQ, accP *ring.Poly, lvl, drop int, out *ring.Poly) {
 	ev.counters.ModDown.Add(1)
+	ev.divRound(accQ, accP, lvl, drop, ev.ctx.special[lvl].k, out)
+}
+
+// divRound divides (accQ, accP) — rows [0..lvl] over Q and k rows over
+// P_k = p_0···p_{k−1}, NTT domain — by D = P_k·q_{lvl-drop+1}···q_lvl with
+// rounding, into rows [0..lvl-drop] of out. The residues modulo D's own
+// primes — the p-rows and the dropped q-rows — go back to the coefficient
+// domain (in place: both inputs are consumed), one BConv carries them onto
+// the surviving q-basis, one NTT brings that back, and a fused
+// subtract-scale by D^-1 finishes; the centered BConv is what makes the
+// quotient rounded. That last pass runs limb × coefficient-block sharded with
+// cached Shoup companions, so it stays parallel at low levels. out may alias
+// accQ. With k = 0 (accP unused) it is HRescale.
+func (ev *Evaluator) divRound(accQ, accP *ring.Poly, lvl, drop, k int, out *ring.Poly) {
 	ctx := ev.ctx
-	rq, rp := ctx.RingQ, ctx.RingP
+	rq := ctx.RingQ
 	keep := lvl - drop
-	tab := ctx.modDownTables(lvl, drop)
-	k := ctx.special[lvl].k
-	rp.INTT(accP, k-1)
-	src := accP.Coeffs[:k:k]
+	tab := ctx.modDownTables(lvl, drop, k)
+	var src [][]uint64
+	if k > 0 {
+		ctx.RingP.INTT(accP, k-1)
+		src = accP.Coeffs[:k:k]
+	}
 	for i := keep + 1; i <= lvl; i++ {
 		rq.INTTRow(accQ.Coeffs[i], i)
-		src = append(src[:len(src):len(src)], accQ.Coeffs[i])
+		src = append(src, accQ.Coeffs[i])
 	}
 	tmp := rq.GetPolyNoZero()
 	tab.ext.Convert(src, tmp.Coeffs[:keep+1])

@@ -115,9 +115,7 @@ func TestLinearTransformParallelEquivalence(t *testing.T) {
 // pipeline's tail — must be bit-identical to the serial run with workers > 1
 // alone and with coefficient-block sharding forced on (a block size far
 // below the default floor so sharding engages at the test's small N). The
-// 8-worker rows exercise a pool wider than the limb count, where the fused
-// radix-4 row path and the sharded per-stage radix-2 path mix within one
-// bootstrap.
+// 8-worker rows exercise a pool wider than the limb count at low levels.
 func TestBootstrapParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap equivalence skipped with -short")
@@ -131,7 +129,7 @@ func TestBootstrapParallelEquivalence(t *testing.T) {
 		{4, 0},  // limb-parallel, default block floor
 		{4, 64}, // limb × coefficient-block sharded
 		{8, 0},  // wide pool: rows oversubscribe limbs at low levels
-		{8, 64}, // wide pool with sharding forced on — the full staged schedule
+		{8, 64}, // wide pool with sharding forced on
 	} {
 		s, bt := bootSetup(t)
 		s.ctx.SetWorkers(cfg.workers)
@@ -159,6 +157,7 @@ func TestBootstrapParallelEquivalence(t *testing.T) {
 // every level of the chain — including the low levels where coefficient
 // blocks carry all the parallelism — across worker counts and block sizes,
 // demanding bit-identical ciphertexts vs the serial engine at each step.
+// Rescale and ModRaise (at level 0) ride the key-switch's division and BConv.
 func TestShardedEvaluatorEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	probe := newTestSetup(t, 2, nil)
@@ -184,7 +183,9 @@ func TestShardedEvaluatorEquivalence(t *testing.T) {
 		if lvl >= 1 {
 			prod := ts.eval.Rescale(ts.eval.MulRelin(cadd, ct1))
 			fused := ts.eval.MulRelinRescale(cadd, ct1)
-			out = append(out, prod, fused)
+			out = append(out, ts.eval.Rescale(cadd), prod, fused)
+		} else {
+			out = append(out, ts.eval.modRaise(cadd))
 		}
 		return out
 	}

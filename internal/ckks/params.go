@@ -312,7 +312,11 @@ type Context struct {
 	// runtime's batch scheduler keeps many jobs in flight per context).
 	cacheMu      sync.RWMutex
 	modUpCache   map[[2]int]*ring.BasisExtender // (group j, level) → extender
-	modDownCache map[[2]int]*modDownTables      // (level, drop) → divisor tables
+	modDownCache map[[3]int]*modDownTables      // (level, drop, k) → divisor tables
+
+	// raiseExt converts the q0 row onto q_1..q_L: ModRaise's BConv (nil on a
+	// one-prime chain).
+	raiseExt *ring.BasisExtender
 
 	engine *ring.Engine
 
@@ -349,8 +353,13 @@ func NewContext(params Parameters) (*Context, error) {
 		RingQ:        rq,
 		RingP:        rp,
 		modUpCache:   make(map[[2]int]*ring.BasisExtender),
-		modDownCache: make(map[[2]int]*modDownTables),
+		modDownCache: make(map[[3]int]*modDownTables),
 		engine:       ring.DefaultEngine(),
+	}
+	if len(rq.Moduli) > 1 {
+		if ctx.raiseExt, err = ring.NewBasisExtender(rq.Moduli[:1], rq.Moduli[1:]); err != nil {
+			return nil, err
+		}
 	}
 	ctx.cumLogQ = make([]float64, len(params.Q))
 	logQ := 0.0
@@ -374,8 +383,6 @@ type specialModulus struct {
 
 	// pModQ is [P_ℓ]_{q_i}: HMult lifts d0, d1 into the QP_ℓ basis with it.
 	pModQ, pModQShoup []uint64
-	// pInvModQ is [P_ℓ^-1]_{q_i}, the seed of the level's ModDown divisors.
-	pInvModQ []uint64
 	// lift is [(P/P_ℓ)^-1]_{q_i}: the digit is multiplied by it before
 	// ModUp, because the keys carry P·s′, which over Q_ℓ·P_ℓ is P_ℓ times
 	// (P/P_ℓ)·s′. It is 1 where k = len(P).
@@ -388,7 +395,6 @@ func newSpecialModulus(params Parameters, level, k int) *specialModulus {
 		k:          k,
 		pModQ:      make([]uint64, n),
 		pModQShoup: make([]uint64, n),
-		pInvModQ:   make([]uint64, n),
 		lift:       make([]uint64, n),
 		liftShoup:  make([]uint64, n),
 	}
@@ -402,7 +408,6 @@ func newSpecialModulus(params Parameters, level, k int) *specialModulus {
 			}
 		}
 		s.pModQ[i], s.pModQShoup[i] = head, mod.ShoupPrecomp(head, q)
-		s.pInvModQ[i] = mod.Inv(head, q)
 		s.lift[i] = mod.Inv(tail, q)
 		s.liftShoup[i] = mod.ShoupPrecomp(s.lift[i], q)
 	}
@@ -417,16 +422,25 @@ func newSpecialModulus(params Parameters, level, k int) *specialModulus {
 // it). Must not be called concurrently with homomorphic operations on this
 // context.
 func (ctx *Context) SetWorkers(n int) {
+	ctx.setEngine(ring.NewEngine(n))
+}
+
+// setEngine attaches e to both rings and every basis extender, closing the
+// engine it replaces unless that is the shared default.
+func (ctx *Context) setEngine(e *ring.Engine) {
 	old := ctx.engine
-	ctx.engine = ring.NewEngine(n)
-	ctx.RingQ.SetEngine(ctx.engine)
-	ctx.RingP.SetEngine(ctx.engine)
+	ctx.engine = e
+	ctx.RingQ.SetEngine(e)
+	ctx.RingP.SetEngine(e)
+	if ctx.raiseExt != nil {
+		ctx.raiseExt.SetEngine(e)
+	}
 	ctx.cacheMu.Lock()
 	for _, be := range ctx.modUpCache {
-		be.SetEngine(ctx.engine)
+		be.SetEngine(e)
 	}
 	for _, t := range ctx.modDownCache {
-		t.ext.SetEngine(ctx.engine)
+		t.ext.SetEngine(e)
 	}
 	ctx.cacheMu.Unlock()
 	ctx.attachStats()
@@ -494,23 +508,9 @@ func (ctx *Context) SetBlockSize(n int) {
 // remains usable (shared-pool) afterwards. Closing a context that never
 // installed a private engine is a no-op.
 func (ctx *Context) Close() {
-	old := ctx.engine
-	if old == ring.DefaultEngine() {
-		return
+	if ctx.engine != ring.DefaultEngine() {
+		ctx.setEngine(ring.DefaultEngine())
 	}
-	ctx.engine = ring.DefaultEngine()
-	ctx.RingQ.SetEngine(ctx.engine)
-	ctx.RingP.SetEngine(ctx.engine)
-	ctx.cacheMu.Lock()
-	for _, be := range ctx.modUpCache {
-		be.SetEngine(ctx.engine)
-	}
-	for _, t := range ctx.modDownCache {
-		t.ext.SetEngine(ctx.engine)
-	}
-	ctx.cacheMu.Unlock()
-	ctx.attachStats()
-	old.Close()
 }
 
 // groupRange returns the q-prime index range [lo,hi] of decomposition group j
@@ -560,9 +560,9 @@ func (ctx *Context) modUpExtender(j, level int) *ring.BasisExtender {
 	return be
 }
 
-// modDownTables is what one ModDown needs to divide by D = P_level·
-// q_{level-drop+1}···q_level: the extender from D's basis — the level's
-// special prefix, then the dropped q-primes in chain order — onto the
+// modDownTables is what one division (divRound) needs to divide by D = P_k·
+// q_{level-drop+1}···q_level: the extender from D's basis — the special
+// prefix p_0..p_{k−1}, then the dropped q-primes in chain order — onto the
 // surviving q-basis, and [D^-1]_{q_i} with its Shoup companions for each
 // surviving prime.
 type modDownTables struct {
@@ -570,11 +570,12 @@ type modDownTables struct {
 	inv, invShoup []uint64
 }
 
-// modDownTables returns the tables of the ModDown that divides a level-`level`
-// extended polynomial by P_level and by its last `drop` q-primes, cached per
-// (level, drop). Safe for concurrent use.
-func (ctx *Context) modDownTables(level, drop int) *modDownTables {
-	key := [2]int{level, drop}
+// modDownTables returns the tables of the division of a level-`level`
+// extended polynomial by k special primes and its last `drop` q-primes,
+// cached per (level, drop, k): k = k_level for a key-switch's ModDown, 0 for
+// a Rescale. Safe for concurrent use.
+func (ctx *Context) modDownTables(level, drop, k int) *modDownTables {
+	key := [3]int{level, drop, k}
 	ctx.cacheMu.RLock()
 	t, ok := ctx.modDownCache[key]
 	ctx.cacheMu.RUnlock()
@@ -582,20 +583,19 @@ func (ctx *Context) modDownTables(level, drop int) *modDownTables {
 		return t
 	}
 	keep := level - drop + 1 // surviving q-primes
-	dropped := ctx.RingQ.Moduli[keep : level+1]
-	sm := ctx.special[level]
-	from := append(append([]*ring.Modulus(nil), ctx.RingP.Moduli[:sm.k]...), dropped...)
+	from := append(append([]*ring.Modulus(nil), ctx.RingP.Moduli[:k]...), ctx.RingQ.Moduli[keep:level+1]...)
 	ext, err := ring.NewBasisExtender(from, ctx.RingQ.Moduli[:keep])
 	if err != nil {
-		panic(fmt.Sprintf("ckks: modDownTables(%d,%d): %v", level, drop, err))
+		panic(fmt.Sprintf("ckks: modDownTables(%d,%d,%d): %v", level, drop, k, err))
 	}
 	t = &modDownTables{ext: ext, inv: make([]uint64, keep), invShoup: make([]uint64, keep)}
 	for i := range t.inv {
 		q := ctx.RingQ.Moduli[i].Q
-		inv := sm.pInvModQ[i]
-		for _, m := range dropped {
-			inv = mod.Mul(inv, mod.Inv(m.Q%q, q), q)
+		d := uint64(1)
+		for _, m := range from {
+			d = mod.Mul(d, m.Q%q, q)
 		}
+		inv := mod.Inv(d, q)
 		t.inv[i], t.invShoup[i] = inv, mod.ShoupPrecomp(inv, q)
 	}
 	ctx.cacheMu.Lock()

@@ -88,18 +88,20 @@ func (r *Ring) PutAcc(a *Acc128) {
 func (r *Ring) MulCoeffsAndAddLazy(a, b *Poly, acc *Acc128, level int) {
 	n := r.N
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		ra := a.Coeffs[i][lo:hi:hi]
-		rb := b.Coeffs[i][lo:hi:hi]
-		rlo := acc.Rows[i][lo:hi:hi]
-		rhi := acc.Rows[i][n+lo : n+hi : n+hi]
-		rb, rlo, rhi = rb[:len(ra)], rlo[:len(ra)], rhi[:len(ra)]
-		for j := range ra {
-			pHi, pLo := bits.Mul64(ra[j], rb[j])
-			var c uint64
-			rlo[j], c = bits.Add64(rlo[j], pLo, 0)
-			rhi[j], _ = bits.Add64(rhi[j], pHi, c)
-		}
+		row := acc.Rows[i]
+		mulAddLazyRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], row[lo:hi:hi], row[n+lo:n+hi:n+hi])
 	})
+}
+
+// mulAddLazyRow adds a[j]·b[j] into the 128-bit sums (accHi[j], accLo[j])
+// over the rows' common length; no bounds check (CI asserts that by name).
+func mulAddLazyRow(a, b, accLo, accHi []uint64) {
+	for j := 0; j < len(a) && j < len(b) && j < len(accLo) && j < len(accHi); j++ {
+		pHi, pLo := bits.Mul64(a[j], b[j])
+		var c uint64
+		accLo[j], c = bits.Add64(accLo[j], pLo, 0)
+		accHi[j], _ = bits.Add64(accHi[j], pHi, c)
+	}
 }
 
 // MulGatherAndAddLazy sets acc += σ(a) ⊙ b element-wise on rows [0..level]
@@ -139,14 +141,17 @@ func (r *Ring) MulGatherAndAddLazy(a *Poly, table []int, b *Poly, acc *Acc128, l
 func (r *Ring) ReduceAcc(acc *Acc128, out *Poly, level int) {
 	n := r.N
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		br := r.Moduli[i].BRed
-		mr := r.Moduli[i].MRed
-		rlo := acc.Rows[i][lo:hi:hi]
-		rhi := acc.Rows[i][n+lo : n+hi : n+hi]
-		ro := out.Coeffs[i][lo:hi:hi]
-		rhi, ro = rhi[:len(rlo)], ro[:len(rlo)]
-		for j := range rlo {
-			ro[j] = mr.IForm(br.Reduce128(rhi[j], rlo[j]))
-		}
+		row := acc.Rows[i]
+		reduceAccRow(row[lo:hi:hi], row[n+lo:n+hi:n+hi], out.Coeffs[i][lo:hi:hi], r.Moduli[i])
 	})
+}
+
+// reduceAccRow sets out[j] to the M-form residue of the 128-bit sum
+// (accHi[j], accLo[j]) over the rows' common length: a Barrett fold, then one
+// REDC. No bounds check (CI asserts that by name).
+func reduceAccRow(accLo, accHi, out []uint64, m *Modulus) {
+	br, mr := m.BRed, m.MRed
+	for j := 0; j < len(accLo) && j < len(accHi) && j < len(out); j++ {
+		out[j] = mr.IForm(br.Reduce128(accHi[j], accLo[j]))
+	}
 }

@@ -227,69 +227,3 @@ func dot128(y, w []uint64, hi, lo uint64) (uint64, uint64) {
 	}
 	return hi, lo
 }
-
-// DivRoundByLastModulusNTT divides p (rows [0..level], NTT domain) by the
-// last prime q_level with rounding and drops that row: the HRescale
-// operation of Section 2.4. On return, rows [0..level-1] hold the rescaled
-// polynomial in the NTT domain.
-//
-// The operation runs as four engine passes so every phase stays parallel
-// even at the lowest levels, where limb-only dispatch would leave most of
-// the pool idle: (1) the dropped limb's iNTT (stage-sharded when one row
-// cannot fill the pool), (2) the centered-lift reduction of every remaining
-// limb (limb × coefficient-block sharded), (3) the forward NTT of the
-// correction rows (limb- or stage-sharded), and (4) the fused
-// subtract-scale by q_level^-1 (limb × coefficient-block sharded).
-func (r *Ring) DivRoundByLastModulusNTT(p *Poly, level int) {
-	if level == 0 {
-		panic("ring: cannot rescale below level 0")
-	}
-	mL := r.Moduli[level]
-	qL := mL.Q
-	half := qL >> 1
-
-	// Bring the dropped residue to the coefficient domain.
-	last := r.GetRow()
-	defer r.PutRow(last)
-	copy(last, p.Coeffs[level])
-	r.inttRows([][]uint64{last}, []*Modulus{mL})
-
-	// Strip the Montgomery factor off the dropped residue — the rounding
-	// lift below reduces it modulo every *other* prime, which is only
-	// meaningful for the true integer — and pre-add q_L/2 so the subsequent
-	// per-prime reduction realizes a centered (rounding) lift, not a floor.
-	mrL := mL.MRed
-	r.exec.RunBlocks(1, r.N, func(_, lo, hi int) {
-		seg := last[lo:hi:hi]
-		for j := range seg {
-			seg[j] = mod.Add(mrL.IForm(seg[j]), half, qL)
-		}
-	})
-
-	tmp := r.GetPolyNoZero()
-	r.exec.RunBlocks(level, r.N, func(i, lo, hi int) {
-		mi := r.Moduli[i]
-		halfModQi := r.rescaleHalf[level][i]
-		row := tmp.Coeffs[i][lo:hi:hi]
-		src := last[lo:hi:hi]
-		src = src[:len(row)]
-		// The correction rows re-enter the M-form world here, so the fused
-		// subtract-scale pass below stays a pure M-form kernel.
-		for j := range row {
-			row[j] = mi.MRed.MForm(mod.Sub(mi.BRed.Reduce(src[j]), halfModQi, mi.Q))
-		}
-	})
-	r.nttRows(tmp.Coeffs[:level], r.Moduli[:level])
-	r.exec.RunBlocks(level, r.N, func(i, lo, hi int) {
-		qi := r.Moduli[i].Q
-		qInv := r.rescaleQInv[level][i]
-		qInvShoup := r.rescaleQInvShoup[level][i]
-		row := p.Coeffs[i][lo:hi:hi]
-		t := tmp.Coeffs[i][lo:hi:hi]
-		t = t[:len(row)]
-		for j := range row {
-			row[j] = mod.MulShoup(mod.Sub(row[j], t[j], qi), qInv, qInvShoup, qi)
-		}
-	})
-	r.PutPoly(tmp)
-}

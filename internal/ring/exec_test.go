@@ -111,7 +111,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 		{"AutomorphismNTT", func(r *Ring, x, _, out *Poly) { r.AutomorphismNTT(x, g, out, lvl) }},
 		{"AutomorphismCoeff", func(r *Ring, x, _, out *Poly) { r.AutomorphismCoeff(x, g, out, lvl) }},
 		{"MulByMonomialNTT", func(r *Ring, x, _, out *Poly) { r.MulByMonomialNTT(x, r.N/2, out, lvl) }},
-		{"DivRoundByLastModulusNTT", func(r *Ring, x, _, _ *Poly) { r.DivRoundByLastModulusNTT(x, lvl) }},
 	}
 	for _, k := range kernels {
 		outS := rs.NewPolyLevel(lvl)

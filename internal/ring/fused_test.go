@@ -14,8 +14,7 @@ import (
 // production NTT/INTT dispatch, the forced radix-4 row kernels, the scalar
 // Montgomery radix-2 kernels and the Barrett reference must produce
 // bit-identical residues, and a forward/inverse round trip must be exact.
-// Run with -race to also certify the sharded schedules the dispatch falls
-// back to at low levels.
+// Run with -race to also certify the row-parallel dispatch.
 
 // fusedSweepConfigs enumerates the engine shapes of the sweep. NumCPU rides
 // along so many-core hosts exercise their real fan-out (on small hosts it
@@ -93,7 +92,7 @@ func TestFusedRadix4BitIdentity(t *testing.T) {
 						t.Fatalf("level %d: NTT/INTT round trip not exact", level)
 					}
 
-					// Single-row entry points (the staged-rescale path).
+					// Single-row entry points (ModDown's dropped rows).
 					for i := 0; i <= level; i++ {
 						rowAuto := append([]uint64{}, aM.Coeffs[i]...)
 						r.NTTRow(rowAuto, i)
@@ -154,9 +153,8 @@ func TestFusedRadix4LazyWindowWorstCase(t *testing.T) {
 // TestNTTInverseRoundTripIsIdentity pins the fact the key-switch relies on
 // to leave its own decomposition group in the NTT domain: both transforms
 // end in canonical residues — their last stage reduces, no pass follows —
-// so NTT(INTT(x)) and INTT(NTT(x)) give x back word for word, on the fused
-// radix-4 schedule and on the stage-sharded one, for the extreme rows as
-// well as random ones, under 60- and 61-bit primes at both log2(N)
+// so NTT(INTT(x)) and INTT(NTT(x)) give x back word for word, serially and
+// on a pool wider than the rows, for the extreme rows as well as random ones, under 60- and 61-bit primes at both log2(N)
 // parities. NTTExcept rides along: it must transform exactly the rows it is
 // not told to skip.
 func TestNTTInverseRoundTripIsIdentity(t *testing.T) {
@@ -171,9 +169,8 @@ func TestNTTInverseRoundTripIsIdentity(t *testing.T) {
 		}
 		level := len(primes) - 1
 		n := 1 << logN
-		// Four rows (and, below, one) on eight workers: the rows cannot fill
-		// the pool, so blocks of 16 and 33 take the stage-sharded schedule
-		// and blocks of N the fused radix-4 rows.
+		// Six rows (and, below, one) on eight workers: the rows cannot fill
+		// the pool, at block sizes that shard every other kernel.
 		for _, cfg := range []struct{ workers, block int }{
 			{0, 0}, {8, 16}, {8, 33}, {8, n},
 		} {

@@ -330,44 +330,3 @@ func TestBasisExtenderChunkedReduction(t *testing.T) {
 	xTrue := bconvBoundaryInputs(rand.New(rand.NewSource(6)), from, convTile+nf+5)
 	assertConvertMatches(t, "17x62-bit", be, xTrue, bconvOracle(from, to, xTrue))
 }
-
-// TestDivRoundBitIdenticalAcrossEngines checks the four-pass rescale produces
-// identical words under every engine shape (the serial result is the
-// reference).
-func TestDivRoundBitIdenticalAcrossEngines(t *testing.T) {
-	const logN = 6
-	primes, err := mod.GenerateNTTPrimes(45, logN, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref *Poly
-	for _, cfg := range identityConfigs {
-		r, err := NewRing(logN, primes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(cfg.workers)
-		if cfg.block > 0 {
-			e.SetBlockSize(cfg.block)
-		}
-		r.SetEngine(e)
-		rng := rand.New(rand.NewSource(11))
-		p := r.NewPolyLevel(3)
-		r.SampleUniform(rng, p, 3)
-		r.NTT(p, 3)
-		r.DivRoundByLastModulusNTT(p, 3)
-		if ref == nil {
-			ref = p
-		} else {
-			for i := 0; i < 3; i++ {
-				for j := 0; j < r.N; j++ {
-					if p.Coeffs[i][j] != ref.Coeffs[i][j] {
-						t.Fatalf("workers=%d block=%d: limb %d coeff %d diverges from serial rescale",
-							cfg.workers, cfg.block, i, j)
-					}
-				}
-			}
-		}
-		e.Close()
-	}
-}

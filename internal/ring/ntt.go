@@ -28,26 +28,21 @@ import "bts/internal/mod"
 // one leading radix-2 stage. The tests pin it to a radix-2 Montgomery row
 // kernel and a plain-form Barrett transform (reference_test.go).
 //
-// Dispatch is two-dimensional (Engine.RunBlocks): when the active rows alone
-// can occupy the pool, each row runs the fused radix-4 kernel as one task
-// (the paper's limb-level parallelism — full rows at high levels always take
-// the fused path). When they cannot — low-level ciphertexts on a many-core
-// host — the rows are transformed stage by stage with every stage's n/2
-// radix-2 butterflies sharded into contiguous index blocks across all rows
-// (the coefficient dimension of the PE grid): butterflies within one stage
-// touch disjoint (j, j+t) pairs, so they are order-independent, and a
-// barrier between stages preserves the network's data dependencies. Both
-// schedules produce bit-identical outputs: lazy representatives may differ
-// mid-network, but every path's last stage reduces to canonical residues.
+// Dispatch is limb-level, the paper's limb parallelism: each row runs the
+// fused kernel as one engine task, so a transform of k rows occupies at most k
+// workers. A row is never split across workers: a radix-2 schedule sharding
+// each stage's butterflies across 2 workers, with a barrier per stage, ran a
+// one-row N=2^17 transform in 2.49–2.61 ms on a 2-CPU host, against
+// 1.99–2.19 ms for the fused kernel on one worker.
 func (r *Ring) NTT(p *Poly, level int) {
 	r.nttRows(p.Coeffs[:level+1], r.Moduli[:level+1])
 }
 
 // INTT transforms rows [0..level] of p in place from the NTT domain back to
 // the coefficient domain (Butterfly_iNTT: X' = X+Y, Y' = (X-Y)·W^-1, followed
-// by scaling with N^-1), with the same kernel hierarchy and dispatch as NTT
-// (the fused Gentleman–Sande kernel trails its radix-2 stage, mirroring the
-// forward network). The N^-1 scaling rides in the last stage's butterflies:
+// by scaling with N^-1), with the same dispatch as NTT (the fused
+// Gentleman–Sande kernel trails its radix-2 stage, mirroring the forward
+// network). The N^-1 scaling rides in the last stage's butterflies:
 // sums are multiplied by N^-1 and differences by W^-1·N^-1, which also
 // reduces them to canonical residues.
 func (r *Ring) INTT(p *Poly, level int) {
@@ -74,106 +69,27 @@ func (r *Ring) NTTExcept(p *Poly, level, skipLo, skipHi int) {
 	r.nttRows(rows, ms)
 }
 
-// NTTRow transforms a single residue polynomial at prime index i. The
-// transform is sharded across the engine like NTT (a one-row call is the
-// worst case for limb-only dispatch).
+// NTTRow transforms a single residue polynomial at prime index i, as one
+// engine task.
 func (r *Ring) NTTRow(row []uint64, i int) {
 	r.nttRows([][]uint64{row}, r.Moduli[i:i+1])
 }
 
 // INTTRow inverse-transforms a single residue polynomial at prime index i,
-// sharded like NTTRow.
+// as one engine task.
 func (r *Ring) INTTRow(row []uint64, i int) {
 	r.inttRows([][]uint64{row}, r.Moduli[i:i+1])
 }
 
-// nttRows forward-transforms rows[i] under moduli ms[i], picking between the
-// two schedules: one fused radix-4 task per row when the rows can fill the
-// pool, or the stage-sharded radix-2 schedule when they cannot.
+// nttRows forward-transforms rows[i] under moduli ms[i], one fused radix-4
+// row task per row.
 func (r *Ring) nttRows(rows [][]uint64, ms []*Modulus) {
-	if r.exec.blockCount(len(rows), r.N/2) <= 1 {
-		r.exec.Run(len(rows), func(i int) { r.nttRowRadix4(rows[i], ms[i]) })
-		return
-	}
-	n := r.N
-	t := n
-	for mLen := 1; mLen < n; mLen <<= 1 {
-		t >>= 1
-		r.exec.RunBlocks(len(rows), n/2, func(i, lo, hi int) {
-			nttStageRange(rows[i], ms[i], mLen, t, lo, hi)
-		})
-	}
+	r.exec.Run(len(rows), func(i int) { r.nttRowRadix4(rows[i], ms[i]) })
 }
 
 // inttRows is the inverse counterpart of nttRows.
 func (r *Ring) inttRows(rows [][]uint64, ms []*Modulus) {
-	if r.exec.blockCount(len(rows), r.N/2) <= 1 {
-		r.exec.Run(len(rows), func(i int) { r.inttRowRadix4(rows[i], ms[i]) })
-		return
-	}
-	n := r.N
-	t := 1
-	for mLen := n; mLen > 1; mLen >>= 1 {
-		h := mLen >> 1
-		tt := t
-		r.exec.RunBlocks(len(rows), n/2, func(i, lo, hi int) {
-			inttStageRange(rows[i], ms[i], h, tt, lo, hi)
-		})
-		t <<= 1
-	}
-}
-
-// nttStageRange executes butterflies [lo, hi) of one Cooley–Tukey stage on
-// row a: the stage has mLen groups of t butterflies each, and butterfly b
-// belongs to group g = b/t at offset j = b mod t, touching a[2·g·t+j] and
-// a[2·g·t+j+t] with twiddle pair mLen+g. Distinct butterflies of one stage
-// touch disjoint pairs, so any partition of [0, n/2) is race-free and
-// order-independent. The last stage (t = 1) leaves canonical residues.
-func nttStageRange(a []uint64, m *Modulus, mLen, t, lo, hi int) {
-	tw := m.psiShoup
-	for b := lo; b < hi; {
-		g := b / t
-		j := b - g*t
-		end := min(hi-g*t, t)
-		k := mLen + g
-		base := 2 * g * t
-		// Both views cover exactly the butterflies [j, end) of this group.
-		x := a[base+j : base+end : base+end]
-		y := a[base+t+j : base+t+end : base+t+end]
-		if t == 1 {
-			nttButterfliesLast(x, y, tw[2*k], tw[2*k+1], m.Q)
-		} else {
-			nttButterflies(x, y, tw[2*k], tw[2*k+1], m.Q)
-		}
-		b = g*t + end
-	}
-}
-
-// inttStageRange is the Gentleman–Sande counterpart: the stage has h groups
-// of t butterflies, butterfly b in group g = b/t at offset j touches
-// a[2·g·t+j] and a[2·g·t+j+t] with inverse twiddle pair h+g. The last stage
-// (h = 1) folds in the N^-1 scaling.
-func inttStageRange(a []uint64, m *Modulus, h, t, lo, hi int) {
-	tw := m.psiInvShoup
-	var ni, nis, wn, wns uint64
-	if h == 1 {
-		ni, nis, wn, wns = m.nInvScaled(tw[2])
-	}
-	for b := lo; b < hi; {
-		g := b / t
-		j := b - g*t
-		end := min(hi-g*t, t)
-		k := h + g
-		base := 2 * g * t
-		x := a[base+j : base+end : base+end]
-		y := a[base+t+j : base+t+end : base+t+end]
-		if h == 1 {
-			inttButterfliesLast(x, y, ni, nis, wn, wns, m.Q)
-		} else {
-			inttButterflies(x, y, tw[2*k], tw[2*k+1], m.Q)
-		}
-		b = g*t + end
-	}
+	r.exec.Run(len(rows), func(i int) { r.inttRowRadix4(rows[i], ms[i]) })
 }
 
 // nInvScaled returns the constants of the inverse transform's last stage,
@@ -203,44 +119,10 @@ func nttButterflies(x, y []uint64, w, ws, q uint64) {
 	}
 }
 
-// nttButterfliesLast is nttButterflies for the last stage: outputs are
-// reduced to canonical residues.
-func nttButterfliesLast(x, y []uint64, w, ws, q uint64) {
-	twoQ := 2 * q
-	n := min(len(x), len(y))
-	for j := 0; j < n; j++ {
-		u := x[j]
-		if u >= twoQ {
-			u -= twoQ
-		}
-		v := mod.MulShoupLazy(y[j], w, ws, q)
-		x[j] = canonical4q(u+v, q)
-		y[j] = canonical4q(u+twoQ-v, q)
-	}
-}
-
-// inttButterflies is one group of radix-2 Gentleman–Sande butterflies,
-// x' = x + y and y' = (x − y)·w, inputs and outputs < 2q: the sum pays one
-// conditional subtraction, the difference x − y + 2q < 4q feeds the Shoup
-// product unreduced and comes out < 2q.
-func inttButterflies(x, y []uint64, w, ws, q uint64) {
-	twoQ := 2 * q
-	n := min(len(x), len(y))
-	for j := 0; j < n; j++ {
-		u := x[j]
-		v := y[j]
-		s := u + v
-		if s >= twoQ {
-			s -= twoQ
-		}
-		x[j] = s
-		y[j] = mod.MulShoupLazy(u+twoQ-v, w, ws, q)
-	}
-}
-
-// inttButterfliesLast is inttButterflies for the last stage, with the N^-1
-// scaling folded in: x' = (x + y)·N^-1 and y' = (x − y)·w·N^-1, canonical,
-// given ni = N^-1 and wn = w·N^-1 with their Shoup companions.
+// inttButterfliesLast is one group of radix-2 Gentleman–Sande butterflies for
+// the last stage of an odd log2(N), with the N^-1 scaling folded in:
+// x' = (x + y)·N^-1 and y' = (x − y)·w·N^-1, canonical, given ni = N^-1 and
+// wn = w·N^-1 with their Shoup companions.
 func inttButterfliesLast(x, y []uint64, ni, nis, wn, wns, q uint64) {
 	twoQ := 2 * q
 	n := min(len(x), len(y))

@@ -16,16 +16,15 @@
 // operand×operand multiplies (MulCoeffs, the Acc128 MAC path) REDC a product
 // of two M-form words straight back to M-form, base conversion's REDC
 // carries its constant tables in whichever form its output needs, the other
-// constant multiplies (twiddle factors, scalars, rescale tables) exploit that
-// a plain-constant product (aR)·w ≡ (aw)R preserves the operand's form and
-// run on the Shoup discipline, and Add/Sub/Neg/permutations are
-// form-agnostic.
+// constant multiplies (twiddle factors, scalars) exploit that a
+// plain-constant product (aR)·w ≡ (aw)R preserves the operand's form and run
+// on the Shoup discipline, and Add/Sub/Neg/permutations are form-agnostic.
 // Conversions happen only at the boundaries: SetInt64Coeffs/SetBigCoeffs
-// convert in (MForm), PolyToBigCentered converts out (IForm), and the few
-// kernels that need a true integer internally — base-conversion stage 1,
-// whose centered digits cross moduli, and the rescale rounding lift — fold a
-// single REDC into the pass that needs it. Uniformly random rows
-// (SampleUniform) need no conversion at all: x ↦ x·R is a bijection on Z_q.
+// convert in (MForm), PolyToBigCentered converts out (IForm), and the one
+// kernel that needs a true integer internally — base-conversion stage 1,
+// whose centered digits cross moduli — folds a single REDC into its pass.
+// Uniformly random rows (SampleUniform) need no conversion at all: x ↦ x·R
+// is a bijection on Z_q.
 // Serialization converts at the wire boundary, so encoded bytes carry true
 // canonical residues.
 //
@@ -34,31 +33,23 @@
 // The negacyclic transforms use Harvey butterflies on one Shoup twiddle table
 // per direction (Modulus.psiShoup/psiInvShoup: each plain twiddle beside its
 // Shoup companion), one wide multiply per twiddle product, intermediates on a
-// [0, 4q) lazy window, and run one of two schedules, bit-identical to each
-// other:
-//
-//   - Fused radix-4 rows (nttRowRadix4/inttRowRadix4): two consecutive
-//     radix-2 layers merged into one pass over the row, four coefficients
-//     per butterfly.
-//   - Stage-sharded radix-2 (nttStageRange/inttStageRange): the butterflies
-//     of each stage split into coefficient blocks across workers.
-//
-// Either way the last stage leaves canonical residues — the inverse's with
-// the N^-1 scaling folded in — so no pass follows the network. The test
-// suite pins both to a radix-2 Montgomery row kernel and to plain-residue
-// Barrett loops with no lazy reduction — the slow, obviously-correct oracles
-// (reference_test.go).
+// [0, 4q) lazy window, and fused radix-4 row kernels
+// (nttRowRadix4/inttRowRadix4): two consecutive radix-2 layers merged into
+// one pass over the row, four coefficients per butterfly. The last stage
+// leaves canonical residues — the inverse's with the N^-1 scaling folded in —
+// so no pass follows the network. The test suite pins the kernels to a
+// radix-2 Montgomery row kernel and to plain-residue Barrett loops with no
+// lazy reduction — the slow, obviously-correct oracles (reference_test.go).
 //
 // All kernels dispatch through a two-dimensional execution engine (Engine,
 // see exec.go) that parallelizes across RNS limbs and, when the active limbs
 // alone cannot occupy every worker, across contiguous coefficient blocks
 // within each residue row — so speedup does not saturate at the limb count
 // (level+1): low-level ciphertexts keep the whole pool busy, exactly as the
-// paper's PE grid distributes both limbs and coefficients. Full rows take
-// the fused radix-4 kernel; sharded rows run the per-stage radix-2 schedule
-// with barriers between stages. Base conversion, the one coefficient-wise
-// family, is instead cut into fixed coefficient tiles that each carry every
-// limb (BasisExtender). Outputs are bit-identical to serial execution at
+// paper's PE grid distributes both limbs and coefficients. The transforms are
+// the exception: each row is one task of the fused kernel, never split. Base
+// conversion, the one coefficient-wise family, is instead cut into fixed
+// coefficient tiles that each carry every limb (BasisExtender). Outputs are bit-identical to serial execution at
 // every (worker, block) configuration.
 package ring
 
@@ -105,15 +96,6 @@ type Ring struct {
 	Moduli []*Modulus
 
 	brv []int // bit-reversal permutation of [0,N)
-
-	// Rescale tables, indexed [level][i] for i < level: the per-limb
-	// constants of DivRoundByLastModulusNTT, precomputed once so the
-	// sharded passes don't recompute modular inverses per coefficient
-	// block. rescaleQInv[L][i] = (q_L mod q_i)^-1 mod q_i (with Shoup
-	// companions) and rescaleHalf[L][i] = [q_L/2] mod q_i.
-	rescaleQInv      [][]uint64
-	rescaleQInvShoup [][]uint64
-	rescaleHalf      [][]uint64
 
 	autoCache map[uint64][]int // NTT-domain automorphism index tables
 	autoMu    sync.RWMutex     // guards autoCache for concurrent evaluation
@@ -163,22 +145,6 @@ func NewRing(logN int, primes []uint64) (*Ring, error) {
 			return nil, err
 		}
 		r.Moduli[i] = m
-	}
-	r.rescaleQInv = make([][]uint64, len(primes))
-	r.rescaleQInvShoup = make([][]uint64, len(primes))
-	r.rescaleHalf = make([][]uint64, len(primes))
-	for lvl := 1; lvl < len(primes); lvl++ {
-		qL := r.Moduli[lvl].Q
-		r.rescaleQInv[lvl] = make([]uint64, lvl)
-		r.rescaleQInvShoup[lvl] = make([]uint64, lvl)
-		r.rescaleHalf[lvl] = make([]uint64, lvl)
-		for i := 0; i < lvl; i++ {
-			qi := r.Moduli[i].Q
-			inv := mod.Inv(qL%qi, qi)
-			r.rescaleQInv[lvl][i] = inv
-			r.rescaleQInvShoup[lvl][i] = mod.ShoupPrecomp(inv, qi)
-			r.rescaleHalf[lvl][i] = r.Moduli[i].BRed.Reduce(qL >> 1)
-		}
 	}
 	return r, nil
 }

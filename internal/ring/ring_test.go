@@ -448,36 +448,6 @@ func TestBasisExtenderErrors(t *testing.T) {
 	}
 }
 
-func TestDivRoundByLastModulusNTT(t *testing.T) {
-	r := testRing(t, 5, 3)
-	rng := rand.New(rand.NewSource(16))
-	level := 2
-	p := r.NewPolyLevel(level)
-	r.SampleUniform(rng, p, level)
-	vals := r.PolyToBigCentered(p, level)
-	qL := new(big.Int).SetUint64(r.Moduli[level].Q)
-
-	r.NTT(p, level)
-	r.DivRoundByLastModulusNTT(p, level)
-	r.INTT(p, level-1)
-	got := r.PolyToBigCentered(p, level-1)
-
-	half := new(big.Int).Rsh(qL, 1)
-	for j := range got {
-		// want = round(vals[j]/qL): (v - centered remainder)/qL
-		rem := new(big.Int).Mod(vals[j], qL)
-		if rem.Cmp(half) > 0 {
-			rem.Sub(rem, qL)
-		}
-		want := new(big.Int).Sub(vals[j], rem)
-		want.Quo(want, qL)
-		diff := new(big.Int).Sub(got[j], want)
-		if diff.CmpAbs(big.NewInt(1)) > 0 {
-			t.Fatalf("coeff %d: rescale got %v want %v", j, got[j], want)
-		}
-	}
-}
-
 func TestSamplers(t *testing.T) {
 	r := testRing(t, 8, 2)
 	rng := rand.New(rand.NewSource(17))

@@ -163,29 +163,27 @@ func TestShardedKernelsMatchSerial(t *testing.T) {
 	blockSizes := []int{16, 33, n} // minimum-ish, odd (ragged blocks), sharding off
 
 	type kernel struct {
-		name     string
-		minLevel int
-		run      func(r *Ring, x, y, out *Poly, lvl int)
+		name string
+		run  func(r *Ring, x, y, out *Poly, lvl int)
 	}
 	kernels := []kernel{
-		{"NTT", 0, func(r *Ring, x, _, _ *Poly, lvl int) { r.NTT(x, lvl) }},
-		{"INTT", 0, func(r *Ring, x, _, _ *Poly, lvl int) { r.INTT(x, lvl) }},
-		{"Add", 0, func(r *Ring, x, y, out *Poly, lvl int) { r.Add(x, y, out, lvl) }},
-		{"Sub", 0, func(r *Ring, x, y, out *Poly, lvl int) { r.Sub(x, y, out, lvl) }},
-		{"Neg", 0, func(r *Ring, x, _, out *Poly, lvl int) { r.Neg(x, out, lvl) }},
-		{"MulCoeffs", 0, func(r *Ring, x, y, out *Poly, lvl int) { r.MulCoeffs(x, y, out, lvl) }},
-		{"MulCoeffsAndAdd", 0, func(r *Ring, x, y, out *Poly, lvl int) { r.MulCoeffsAndAdd(x, y, out, lvl) }},
-		{"MulScalar", 0, func(r *Ring, x, _, out *Poly, lvl int) { r.MulScalar(x, 0xdeadbeef, out, lvl) }},
-		{"MulScalarInt64", 0, func(r *Ring, x, _, out *Poly, lvl int) { r.MulScalarInt64(x, -123456789, out, lvl) }},
-		{"AutomorphismNTT", 0, func(r *Ring, x, _, out *Poly, lvl int) {
+		{"NTT", func(r *Ring, x, _, _ *Poly, lvl int) { r.NTT(x, lvl) }},
+		{"INTT", func(r *Ring, x, _, _ *Poly, lvl int) { r.INTT(x, lvl) }},
+		{"Add", func(r *Ring, x, y, out *Poly, lvl int) { r.Add(x, y, out, lvl) }},
+		{"Sub", func(r *Ring, x, y, out *Poly, lvl int) { r.Sub(x, y, out, lvl) }},
+		{"Neg", func(r *Ring, x, _, out *Poly, lvl int) { r.Neg(x, out, lvl) }},
+		{"MulCoeffs", func(r *Ring, x, y, out *Poly, lvl int) { r.MulCoeffs(x, y, out, lvl) }},
+		{"MulCoeffsAndAdd", func(r *Ring, x, y, out *Poly, lvl int) { r.MulCoeffsAndAdd(x, y, out, lvl) }},
+		{"MulScalar", func(r *Ring, x, _, out *Poly, lvl int) { r.MulScalar(x, 0xdeadbeef, out, lvl) }},
+		{"MulScalarInt64", func(r *Ring, x, _, out *Poly, lvl int) { r.MulScalarInt64(x, -123456789, out, lvl) }},
+		{"AutomorphismNTT", func(r *Ring, x, _, out *Poly, lvl int) {
 			r.AutomorphismNTT(x, r.GaloisElement(3), out, lvl)
 		}},
-		{"AutomorphismCoeff", 0, func(r *Ring, x, _, out *Poly, lvl int) {
+		{"AutomorphismCoeff", func(r *Ring, x, _, out *Poly, lvl int) {
 			r.AutomorphismCoeff(x, r.GaloisElement(3), out, lvl)
 		}},
-		{"MulByMonomialNTT", 0, func(r *Ring, x, _, out *Poly, lvl int) { r.MulByMonomialNTT(x, r.N/2, out, lvl) }},
-		{"Rescale", 1, func(r *Ring, x, _, _ *Poly, lvl int) { r.DivRoundByLastModulusNTT(x, lvl) }},
-		{"LazyMACReduce", 0, func(r *Ring, x, y, out *Poly, lvl int) {
+		{"MulByMonomialNTT", func(r *Ring, x, _, out *Poly, lvl int) { r.MulByMonomialNTT(x, r.N/2, out, lvl) }},
+		{"LazyMACReduce", func(r *Ring, x, y, out *Poly, lvl int) {
 			acc := r.GetAcc(lvl)
 			r.MulCoeffsAndAddLazy(x, y, acc, lvl)
 			r.MulCoeffsAndAddLazy(y, x, acc, lvl)
@@ -205,9 +203,6 @@ func TestShardedKernelsMatchSerial(t *testing.T) {
 			cfg := fmt.Sprintf("workers=%d block=%d", workers, bs)
 			for lvl := 0; lvl <= nPrimes-1; lvl++ {
 				for _, k := range kernels {
-					if lvl < k.minLevel {
-						continue
-					}
 					seed := int64(1000*lvl + len(k.name))
 					xS := ref.NewPolyLevel(nPrimes - 1)
 					yS := ref.NewPolyLevel(nPrimes - 1)

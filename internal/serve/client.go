@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"sync/atomic"
 	"time"
 
@@ -115,9 +116,15 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 
 // FetchParams asks the daemon at base (e.g. "http://127.0.0.1:8631") for its
 // parameter set and returns the mirrored ckks.Parameters plus the rotation
-// amounts bootstrapping requires (nil when the server has it disabled).
-func FetchParams(base string) (ckks.Parameters, []int, error) {
-	resp, err := http.Get(base + "/v1/params")
+// amounts bootstrapping requires (nil when the server has it disabled). ctx
+// bounds the whole request: give it a deadline, or a daemon that accepts the
+// connection and never answers blocks the caller forever.
+func FetchParams(ctx context.Context, base string) (ckks.Parameters, []int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/params", nil)
+	if err != nil {
+		return ckks.Parameters{}, nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return ckks.Parameters{}, nil, err
 	}
@@ -312,7 +319,7 @@ func (c *Client) OpenSessionContext(ctx context.Context, name string, rlk *ckks.
 	}
 	payload := body.Bytes()
 	return c.do(ctx, func(ctx context.Context) (bool, error) {
-		return c.post(ctx, c.base+"/v1/sessions?name="+name, "application/x-bts-wire", payload, c.cfg.RequestTimeout, nil)
+		return c.post(ctx, c.base+"/v1/sessions?name="+url.QueryEscape(name), "application/x-bts-wire", payload, c.cfg.RequestTimeout, nil)
 	})
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"net/http/httptest"
 	"strings"
@@ -322,7 +323,7 @@ func TestEndToEndHTTP(t *testing.T) {
 	defer ts.Close()
 
 	// Each tenant fetches params and mirrors the context bit-exactly.
-	fetched, bootRots, err := FetchParams(ts.URL)
+	fetched, bootRots, err := FetchParams(context.Background(), ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

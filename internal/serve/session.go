@@ -162,12 +162,6 @@ func (st *sessionStats) enqueued() {
 	st.mu.Unlock()
 }
 
-func (st *sessionStats) dequeued() {
-	st.mu.Lock()
-	st.queueDepth--
-	st.mu.Unlock()
-}
-
 func (st *sessionStats) batchFormed(size int) {
 	st.mu.Lock()
 	st.batches++
