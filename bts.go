@@ -122,15 +122,18 @@
 //
 //   - internal/serve is the batch scheduler: clients open named sessions by
 //     uploading evaluation keys (never the secret key) and submit jobs —
-//     programs of Add/Sub/Mult/Rotate/Conjugate/Rescale/Bootstrap ops. A
-//     job addresses its data either as a flat slot list (the original wire
-//     form) or as a DAG over named per-session ciphertext registers
-//     ("$x", "$tmp0"): register values persist server-side across requests,
-//     so a multi-request pipeline uploads and downloads ciphertexts only at
-//     its boundary. Every job compiles to a dependency-staged program —
-//     independent ops run concurrently within a stage, and same-register
-//     rotation fans are auto-hoisted through one shared key-switch
-//     decomposition, bit-identically to the naive path. The dispatcher
+//     programs of Add/Sub/Mult/Rotate/Conjugate/Rescale/Bootstrap ops. On
+//     the wire every job is a DAG over named ciphertext registers: "$x"
+//     registers persist server-side across requests within a session, so a
+//     multi-request pipeline uploads and downloads ciphertexts only at its
+//     boundary, while "%x" registers live only inside their job. The
+//     client's flat slot-list form (Client.Do) is sugar lowered onto
+//     job-local registers before upload. Every job compiles to a
+//     dependency-staged program — independent ops run concurrently within a
+//     stage, and same-register rotation fans are auto-hoisted through one
+//     shared key-switch decomposition, bit-identically to the naive path.
+//     Ops the evaluator cannot run (mismatched scales, a missing key,
+//     rescale at level 0) fail as terminal bad_job errors. The dispatcher
 //     groups compatible jobs (same session) into batches, runs up to
 //     Parallel batches concurrently with one goroutine per job, and draws
 //     every result from the context's pooled ciphertext allocator

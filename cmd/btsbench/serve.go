@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
 	"sync"
@@ -157,9 +156,13 @@ func serveBench(base string, clients int, duration time.Duration) {
 			"log_n": fetched.LogN, "levels": fetched.MaxLevel(), "dnum": fetched.Dnum,
 		},
 	}
-	if resp, err := http.Get(base + "/v1/stats"); err == nil {
-		_ = json.NewDecoder(resp.Body).Decode(&report.Server)
-		resp.Body.Close()
+	// Client.Stats bounds each attempt, so a daemon that accepts the
+	// connection and never answers cannot hang the report.
+	if sctx, err := ckks.NewContext(fetched); err == nil {
+		if st, err := serve.NewClient(base, sctx).Stats(); err == nil {
+			report.Server = st
+		}
+		sctx.Close()
 	}
 	var all []float64
 	for cn := range results {

@@ -57,6 +57,23 @@ func NewEvaluator(ctx *Context, encoder *Encoder, rlk *SwitchingKey, rtks *Rotat
 
 func (ev *Evaluator) params() Parameters { return ev.ctx.Params }
 
+// HasRelinearizationKey reports whether MulRelin can run; it panics without
+// the key.
+func (ev *Evaluator) HasRelinearizationKey() bool { return ev.rlk != nil }
+
+// HasGaloisKey reports whether the automorphism X → X^g can run (Rotate,
+// Conjugate); they panic without its key. The identity needs none.
+func (ev *Evaluator) HasGaloisKey(g uint64) bool {
+	if g == 1 {
+		return true
+	}
+	if ev.rtks == nil {
+		return false
+	}
+	_, ok := ev.rtks.Keys[g]
+	return ok
+}
+
 // alignLevels returns min(ct0.Level, ct1.Level).
 func alignLevels(ct0, ct1 *Ciphertext) int {
 	if ct0.Level < ct1.Level {
@@ -65,15 +82,18 @@ func alignLevels(ct0, ct1 *Ciphertext) int {
 	return ct1.Level
 }
 
+// ScalesMatch reports whether two operands' scales are close enough for Add,
+// Sub and AddPlain, which panic otherwise: their relative difference is at
+// most scaleTolerance.
+func ScalesMatch(s0, s1 float64) bool {
+	return max(s0, s1)/min(s0, s1)-1 <= scaleTolerance
+}
+
 func checkScales(s0, s1 float64, op string) float64 {
-	hi, lo := s0, s1
-	if hi < lo {
-		hi, lo = lo, hi
-	}
-	if hi/lo-1 > scaleTolerance {
+	if !ScalesMatch(s0, s1) {
 		panic(fmt.Sprintf("ckks: %s with mismatched scales 2^%.3f vs 2^%.3f", op, math.Log2(s0), math.Log2(s1)))
 	}
-	return hi
+	return max(s0, s1)
 }
 
 // Add returns ct0 + ct1 (HAdd, Eq. 2).

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -323,55 +324,74 @@ func (c *Client) OpenSessionContext(ctx context.Context, name string, rlk *ckks.
 	})
 }
 
-// Do submits a job — a program of ops over the input ciphertexts — to the
-// named session and returns the result ciphertext. Equivalent to DoContext
-// with a background context: the per-attempt JobTimeout still applies.
+// Do submits a slot-form job — a program of ops over the input ciphertexts
+// (see Op) — to the named session and returns the result ciphertext.
+// Equivalent to DoContext with a background context: the per-attempt
+// JobTimeout still applies.
 func (c *Client) Do(session string, ops []Op, inputs ...*ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	return c.DoContext(context.Background(), session, ops, inputs...)
 }
 
-// DoContext submits a job bounded by the caller's context. Each attempt
-// carries its own JobTimeout deadline — also shipped to the server as the
-// job's deadline, so a timed-out attempt is cancelled server-side rather
-// than computing into the void — and failures the server marks retryable
-// (plus transport errors: the daemon restarted mid-request) are retried
-// with backoff. The serialized request is built once and replayed per
-// attempt.
+// DoContext lowers a slot-form job onto job-local registers (lowerSlots)
+// and submits it through DoDAG, so it leaves nothing resident server-side.
+// A malformed program fails with CodeInvalid before anything is uploaded.
 func (c *Client) DoContext(ctx context.Context, session string, ops []Op, inputs ...*ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	jr := JobRequest{Session: session, Ops: ops}
-	if c.cfg.JobTimeout > 0 {
-		jr.TimeoutMs = c.cfg.JobTimeout.Milliseconds()
-	}
-	header, err := json.Marshal(jr)
+	names, lowered, output, err := lowerSlots(ops, len(inputs))
 	if err != nil {
 		return nil, err
 	}
-	var body bytes.Buffer
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(header)))
-	body.Write(lenBuf[:])
-	body.Write(header)
-	for _, ct := range inputs {
-		if err := c.codec.WriteCiphertext(&body, ct); err != nil {
-			return nil, err
+	outs, err := c.DoDAG(ctx, session, names, lowered, []string{output}, inputs...)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// lowerSlots turns a slot-form program over nInputs uploaded ciphertexts
+// into register form: slot k is the job-local register "%k", A/B/By become
+// Ra/Rb/Out/By, and "roth" expands into one "rot" per amount, all reading
+// the same slot, which the server's fan detector hoists through one shared
+// decomposition. The last slot is the single output.
+func lowerSlots(ops []Op, nInputs int) (inputNames []string, lowered []Op, output string, err error) {
+	if len(ops) == 0 {
+		return nil, nil, "", errf(CodeInvalid, "job has no ops")
+	}
+	slot := func(k int) string { return "%" + strconv.Itoa(k) }
+	for k := 0; k < nInputs; k++ {
+		inputNames = append(inputNames, slot(k))
+	}
+	n := nInputs // slots produced so far
+	for i, op := range ops {
+		if op.Ra != "" || op.Rb != "" || op.Out != "" {
+			return nil, nil, "", errf(CodeInvalid, "op %d: register operands on a slot-form op; submit it with DoDAG", i)
 		}
-	}
-	payload := body.Bytes()
-	var result *ckks.Ciphertext
-	err = c.do(ctx, func(ctx context.Context) (bool, error) {
-		return c.post(ctx, c.base+"/v1/jobs", "application/x-bts-wire", payload, c.cfg.JobTimeout, func(resp *http.Response) error {
-			ct, err := c.codec.ReadCiphertext(&countingReader{r: resp.Body, n: &c.wireIn})
-			if err != nil {
-				return err
+		if op.A < 0 || op.A >= n || (op.binary() && (op.B < 0 || op.B >= n)) {
+			return nil, nil, "", errf(CodeInvalid, "op %d: operand outside slots [0,%d)", i, n)
+		}
+		low := Op{Kind: op.Kind, Ra: slot(op.A), Vals: op.Vals}
+		switch op.Kind {
+		case OpAdd, OpSub, OpMul:
+			low.Rb = slot(op.B)
+		case OpRotate:
+			low.By = op.By
+		case OpConjugate, OpRescale, OpBootstrap, OpMulPlain:
+		case OpRotateHoisted:
+			if len(op.Bys) == 0 {
+				return nil, nil, "", errf(CodeInvalid, "op %d: roth with no rotation amounts", i)
 			}
-			result = ct
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
+			for _, by := range op.Bys {
+				lowered = append(lowered, Op{Kind: OpRotate, Ra: low.Ra, By: by, Out: slot(n)})
+				n++
+			}
+			continue
+		default:
+			return nil, nil, "", errf(CodeInvalid, "op %d: unknown kind %q", i, op.Kind)
+		}
+		low.Out = slot(n)
+		n++
+		lowered = append(lowered, low)
 	}
-	return result, nil
+	return inputNames, lowered, slot(n - 1), nil
 }
 
 // DoDAG submits a register-form DAG job: inputs are bound, in order, to the
@@ -379,10 +399,15 @@ func (c *Client) DoContext(ctx context.Context, session string, ops []Op, inputs
 // outputs registers come back as the result slice (len(outputs)
 // ciphertexts, in order — possibly none: a job may leave everything
 // resident server-side for later jobs). Ops address per-session registers
-// via Ra/Rb/Out; see the Op and Server.SubmitDAG docs for the model. The
-// request is replayed per retryable attempt like DoContext; commits a
-// partially-failed attempt made are overwritten idempotently by the retry
-// (single-assignment programs write each register to the same value).
+// via Ra/Rb/Out; see the Op and Server.SubmitDAG docs for the model. Each
+// attempt carries its own JobTimeout deadline — also shipped to the server
+// as the job's deadline, so a timed-out attempt is cancelled server-side
+// rather than computing into the void — and failures the server marks
+// retryable (plus transport errors: the daemon restarted mid-request) are
+// retried with backoff. The serialized request is built once and replayed
+// per attempt; commits a partially-failed attempt made are overwritten
+// idempotently by the retry (single-assignment programs write each register
+// to the same value).
 func (c *Client) DoDAG(ctx context.Context, session string, inputNames []string, ops []Op, outputs []string, inputs ...*ckks.Ciphertext) ([]*ckks.Ciphertext, error) {
 	jr := JobRequest{Session: session, Ops: ops, Inputs: inputNames, Outputs: outputs}
 	if c.cfg.JobTimeout > 0 {

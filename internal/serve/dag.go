@@ -9,13 +9,13 @@ import (
 	"bts/internal/telemetry"
 )
 
-// This file is the DAG job pipeline: both addressing forms of the wire
-// schema (see Op) compile into one internal representation — a program of
-// nodes over operands — which the scheduler partitions into topologically
-// ordered stages and executes with the paper's operand-reuse optimizations
-// (Section 5's scheduler-owned dataflow): independent nodes of a stage run
-// concurrently, rotation fans over one source share a single key-switch
-// decomposition, and pmul constants come from a per-session encoding cache.
+// This file is the DAG job pipeline: a register-form program (see Op)
+// compiles into a program of nodes over operands, which the scheduler
+// partitions into topologically ordered stages and executes with the paper's
+// operand-reuse optimizations (Section 5's scheduler-owned dataflow):
+// independent nodes of a stage run concurrently, rotation fans over one
+// source share a single key-switch decomposition, and pmul constants come
+// from a per-session encoding cache.
 
 // maxRegisterName bounds register names; they live in session maps and
 // travel in JSON programs.
@@ -44,36 +44,32 @@ type node struct {
 	a, b  operand
 	by    int       // rotation amount (rot)
 	vals  []float64 // plaintext vector (pmul)
-	out   string    // register the result commits to ("" for legacy nodes)
+	out   string    // register the result is named by: "$" commits it, "%" keeps it job-local
 	opIdx int       // originating index in the request's op list, for diagnostics
 }
 
 // program is a compiled job: nodes partitioned into stages such that every
 // node's operands are produced by earlier stages, so the members of one
-// stage are mutually independent and may run concurrently.
+// stage are mutually independent and may run concurrently. inputs names the
+// registers bound to the uploaded ciphertexts (in upload order), outputs
+// the registers returned to the client, outOps their compiled resolutions,
+// and reads the pre-existing session registers the job depends on (outputs
+// included when they resolve to neither an input binding nor an op result).
 type program struct {
 	nodes  []node
 	stages [][]int
 
-	// legacy marks a slot-form job: no registers are touched and the last
-	// node's value is the job's single result.
-	legacy bool
-
-	// Register form only: inputs names the registers bound to the uploaded
-	// ciphertexts (in upload order), outputs the registers returned to the
-	// client, outOps their compiled resolutions, and reads the pre-existing
-	// session registers the job depends on (outputs included when they
-	// resolve to neither an input binding nor an op result).
 	inputs  []string
 	outputs []string
 	outOps  []operand
 	reads   []string
 }
 
-// validRegName reports whether name is a well-formed register name:
-// "$" followed by 1..maxRegisterName-1 word characters.
+// validRegName reports whether name is a well-formed register name: "$"
+// (session register) or "%" (job-local register) followed by
+// 1..maxRegisterName-1 word characters.
 func validRegName(name string) bool {
-	if len(name) < 2 || len(name) > maxRegisterName || name[0] != '$' {
+	if len(name) < 2 || len(name) > maxRegisterName || (name[0] != '$' && name[0] != '%') {
 		return false
 	}
 	for i := 1; i < len(name); i++ {
@@ -85,50 +81,19 @@ func validRegName(name string) bool {
 	return true
 }
 
-// compileLegacy lowers a validated slot-form program (validateOps has
-// passed) into nodes. Slot k < numInputs is the k-th uploaded ciphertext;
-// every node appends one slot. "roth" desugars into one rot node per
-// amount, in Bys order — all reading the same operand, so the stage
-// builder puts them in one stage and the fan detector hoists them through
-// a shared decomposition, reproducing the retired bespoke fast path
-// bit-for-bit.
-func compileLegacy(ops []Op, numInputs int) *program {
-	p := &program{legacy: true}
-	slots := make([]operand, 0, numInputs+len(ops))
-	for i := 0; i < numInputs; i++ {
-		slots = append(slots, inputOperand(i))
-	}
-	for i, op := range ops {
-		if op.Kind == OpRotateHoisted {
-			src := slots[op.A]
-			for _, by := range op.Bys {
-				p.nodes = append(p.nodes, node{kind: OpRotate, a: src, b: noOperand, by: by, opIdx: i})
-				slots = append(slots, nodeOperand(len(p.nodes)-1))
-			}
-			continue
-		}
-		n := node{kind: op.Kind, a: slots[op.A], b: noOperand, by: op.By, opIdx: i}
-		if op.binary() {
-			n.b = slots[op.B]
-		}
-		p.nodes = append(p.nodes, n)
-		slots = append(slots, nodeOperand(len(p.nodes)-1))
-	}
-	// Slot programs only reference earlier slots, so the graph is acyclic by
-	// construction and staging cannot fail.
-	if err := p.buildStages(); err != nil {
-		panic(err)
-	}
-	return p
-}
+// jobLocal reports whether a valid register name is job-local ("%word"):
+// its value lives only inside the job that binds or writes it — never
+// committed, charged to the quota, spilled, or resolved from the session —
+// and returns to the ciphertext pool when the job ends.
+func jobLocal(name string) bool { return name[0] == '%' }
 
 // compileRegisters validates and lowers a register-form program. Every
 // failure is a terminal CodeBadJob: the program itself is wrong and
 // retrying cannot help. Rules: ops are unordered single-assignment (each op
 // names a fresh Out register; the dependency graph comes from the names),
-// operand names resolve input binding → op result → session register, and
-// the slot-form fields (A/B/Bys) must be unused — an op mixing the two
-// addressing forms is rejected rather than guessed at.
+// operand names resolve input binding → op result → session register (a
+// job-local name must resolve to one of the first two), and the slot-form
+// fields (A/B/Bys), which only Client.Do reads, must be unused.
 func compileRegisters(ops []Op, inputNames, outputs []string, maxOps int) (*program, error) {
 	if len(ops) > maxOps {
 		return nil, errf(CodeBadJob, "job has %d ops, limit is %d", len(ops), maxOps)
@@ -140,7 +105,7 @@ func compileRegisters(ops []Op, inputNames, outputs []string, maxOps int) (*prog
 	inputIdx := make(map[string]int, len(inputNames))
 	for i, name := range inputNames {
 		if !validRegName(name) {
-			return nil, errf(CodeBadJob, "input binding %d: invalid register name %q (want $word of at most %d chars)", i, name, maxRegisterName)
+			return nil, errf(CodeBadJob, "input binding %d: invalid register name %q (want $word or %%word of at most %d chars)", i, name, maxRegisterName)
 		}
 		if _, dup := inputIdx[name]; dup {
 			return nil, errf(CodeBadJob, "input binding %q repeated", name)
@@ -163,7 +128,7 @@ func compileRegisters(ops []Op, inputNames, outputs []string, maxOps int) (*prog
 			return nil, errf(CodeBadJob, "op %d: rotation amount on non-rot op %q", i, op.Kind)
 		}
 		if !validRegName(op.Out) {
-			return nil, errf(CodeBadJob, "op %d: invalid result register %q (want $word of at most %d chars)", i, op.Out, maxRegisterName)
+			return nil, errf(CodeBadJob, "op %d: invalid result register %q (want $word or %%word of at most %d chars)", i, op.Out, maxRegisterName)
 		}
 		if _, dup := writer[op.Out]; dup {
 			return nil, errf(CodeBadJob, "register %q written by two ops (single assignment)", op.Out)
@@ -199,6 +164,9 @@ func compileRegisters(ops []Op, inputNames, outputs []string, maxOps int) (*prog
 		}
 		if w, ok := writer[name]; ok {
 			return nodeOperand(w), nil
+		}
+		if jobLocal(name) {
+			return noOperand, errf(CodeBadJob, "%s %d: job-local register %q is neither bound nor written by the job", where, i, name)
 		}
 		if !seenReads[name] {
 			seenReads[name] = true
@@ -238,8 +206,8 @@ func compileRegisters(ops []Op, inputNames, outputs []string, maxOps int) (*prog
 }
 
 // buildStages partitions the nodes into longest-path-depth stages via
-// Kahn's algorithm; a cycle (possible only in register form, where op order
-// carries no meaning) leaves nodes unprocessed and is reported as a typed
+// Kahn's algorithm; a cycle (op order carries no meaning, so register names
+// can form one) leaves nodes unprocessed and is reported as a typed
 // CodeBadJob error.
 func (p *program) buildStages() error {
 	n := len(p.nodes)
@@ -410,32 +378,32 @@ func (j *job) prepareFans(s *Server, ev *ckks.Evaluator, stage []int, resolve fu
 // run executes the job's compiled program stage by stage on the given
 // evaluator (the session's shared one, or a traced job-private copy) and
 // bootstrapper. Within a stage, nodes are independent by construction and
-// run concurrently — each under its own panic recovery, so one node's
-// programmer error (missing key, scale mismatch) fails only this job. The
-// job's context is checked at every stage boundary and before every node,
-// so cancellation and deadlines abort without executing downstream nodes
-// while results already committed to registers stay committed — partial
-// progress is real progress for a multi-request pipeline.
+// run concurrently — each under its own panic recovery, so a panic in one
+// node fails only this job. The job's context is checked at every stage
+// boundary and before every node, so cancellation and deadlines abort
+// without executing downstream nodes while results already committed to
+// registers stay committed — partial progress is real progress for a
+// multi-request pipeline.
 //
-// Register-form jobs first rehydrate the session's spilled registers (see
-// hydrateRegisters), snapshot the pre-existing registers they read, and
-// commit the uploaded input bindings; every node then commits its result
-// register as it completes, under the tenant's byte quota. Outputs are
-// returned as fresh pooled copies — the session keeps owning the register
-// values. Legacy jobs touch no registers: the last node's value is the
-// single result, exactly the old flat-interpreter contract.
+// The job first rehydrates the session's spilled registers (see
+// hydrateRegisters), snapshots the pre-existing registers it reads, and
+// commits its "$" input bindings; every node then commits its "$" result
+// register as it completes, under the tenant's byte quota. "%" inputs are
+// read in place and "%" results stay in the job. Outputs are returned as
+// pooled ciphertexts: a job-local result is handed over as is, anything
+// else is copied — the session keeps owning its register values.
 func (j *job) run(s *Server, ev *ckks.Evaluator, bt *ckks.Bootstrapper, hc *hoistCache) (outs []*ckks.Ciphertext, err error) {
 	prog := j.prog
 	ctx := s.ctx
 	vals := make([]*ckks.Ciphertext, len(prog.nodes))
-	committed := make([]bool, len(prog.nodes))
-	resultIdx := -1
+	// kept marks values whose ownership passed to a session register or to
+	// the caller.
+	kept := make([]bool, len(prog.nodes))
 	defer func() {
-		// Release every produced value that was neither committed to a
-		// register nor returned as the legacy result; inputs stay owned by
-		// the submitter.
+		// Release every other produced value; inputs stay owned by the
+		// submitter.
 		for i, ct := range vals {
-			if ct != nil && !committed[i] && i != resultIdx {
+			if ct != nil && !kept[i] {
 				ctx.PutCiphertext(ct)
 			}
 		}
@@ -444,33 +412,34 @@ func (j *job) run(s *Server, ev *ckks.Evaluator, bt *ckks.Bootstrapper, hc *hois
 		}
 	}()
 
+	if herr := s.hydrateRegisters(j.sess); herr != nil {
+		return nil, herr
+	}
 	var snapshot map[string]*ckks.Ciphertext
-	if !prog.legacy {
-		if herr := s.hydrateRegisters(j.sess); herr != nil {
-			return nil, herr
+	if len(prog.reads) > 0 {
+		snapshot = make(map[string]*ckks.Ciphertext, len(prog.reads))
+		for _, name := range prog.reads {
+			ct := j.sess.getRegister(name)
+			if ct == nil {
+				return nil, errf(CodeBadJob, "job reads register %q, which does not exist in session %q", name, j.sess.name)
+			}
+			snapshot[name] = ct
 		}
-		if len(prog.reads) > 0 {
-			snapshot = make(map[string]*ckks.Ciphertext, len(prog.reads))
-			for _, name := range prog.reads {
-				ct := j.sess.getRegister(name)
-				if ct == nil {
-					return nil, errf(CodeBadJob, "job reads register %q, which does not exist in session %q", name, j.sess.name)
-				}
-				snapshot[name] = ct
-			}
+	}
+	// Commit the uploaded session bindings before any stage runs. The
+	// session takes ownership of quota-checked copies: the originals are
+	// recycled by the transport once the submit returns.
+	for i, name := range prog.inputs {
+		if jobLocal(name) {
+			continue
 		}
-		// Commit the uploaded input bindings before any stage runs. The
-		// session takes ownership of quota-checked copies: the originals are
-		// recycled by the transport once the submit returns.
-		for i, name := range prog.inputs {
-			cp := ctx.GetCiphertextNoZero(j.inputs[i].Level, j.inputs[i].Scale)
-			if cerr := ctx.CopyCiphertext(cp, j.inputs[i]); cerr != nil {
-				ctx.PutCiphertext(cp)
-				return nil, errf(CodeInternal, "copying input binding %q: %v", name, cerr)
-			}
-			if qerr := s.commitRegister(j.sess, name, cp); qerr != nil {
-				return nil, qerr
-			}
+		cp := ctx.GetCiphertextNoZero(j.inputs[i].Level, j.inputs[i].Scale)
+		if cerr := ctx.CopyCiphertext(cp, j.inputs[i]); cerr != nil {
+			ctx.PutCiphertext(cp)
+			return nil, errf(CodeInternal, "copying input binding %q: %v", name, cerr)
+		}
+		if qerr := s.commitRegister(j.sess, name, cp); qerr != nil {
+			return nil, qerr
 		}
 	}
 
@@ -489,17 +458,12 @@ func (j *job) run(s *Server, ev *ckks.Evaluator, bt *ckks.Bootstrapper, hc *hois
 		if cerr := j.ctx.Err(); cerr != nil {
 			return nil, contextError(cerr)
 		}
-		// Register-form stages get a "dag.stage" span grouping their op
-		// spans; legacy op spans stay parented at the job root, preserving
-		// the flat span-tree shape clients of /v1/traces already parse.
+		// A "dag.stage" span groups the stage's op spans.
 		stageParent := uint64(0)
 		var stageSpan telemetry.Span
 		if j.tr.Active() {
-			stageParent = j.root.ID()
-			if !prog.legacy {
-				stageSpan = j.tr.Span(spanStage, j.root.ID())
-				stageParent = stageSpan.ID()
-			}
+			stageSpan = j.tr.Span(spanStage, j.root.ID())
+			stageParent = stageSpan.ID()
 		}
 		hds := j.prepareFans(s, ev, stage, resolveOperand, hc)
 
@@ -554,11 +518,11 @@ func (j *job) run(s *Server, ev *ckks.Evaluator, bt *ckks.Bootstrapper, hc *hois
 				s.tel.observeOp(n.kind, out.Level, time.Since(start))
 			}
 			vals[idx] = out
-			if n.out != "" {
+			if !jobLocal(n.out) {
 				if qerr := s.commitRegister(j.sess, n.out, out); qerr != nil {
 					return qerr
 				}
-				committed[idx] = true
+				kept[idx] = true
 			}
 			return nil
 		}
@@ -595,19 +559,14 @@ func (j *job) run(s *Server, ev *ckks.Evaluator, bt *ckks.Bootstrapper, hc *hois
 		}
 	}
 
-	if prog.legacy {
-		resultIdx = len(prog.nodes) - 1
-		return []*ckks.Ciphertext{vals[resultIdx]}, nil
-	}
 	outs = make([]*ckks.Ciphertext, 0, len(prog.outputs))
-	for oi := range prog.outputs {
-		src := resolveOperand(prog.outOps[oi])
-		if src == nil {
-			for _, ct := range outs {
-				ctx.PutCiphertext(ct)
-			}
-			return nil, errf(CodeInternal, "output %q resolved to no value", prog.outputs[oi])
+	for oi, o := range prog.outOps {
+		if o.node >= 0 && jobLocal(prog.nodes[o.node].out) {
+			outs = append(outs, vals[o.node])
+			kept[o.node] = true
+			continue
 		}
+		src := resolveOperand(o)
 		cp := ctx.GetCiphertextNoZero(src.Level, src.Scale)
 		if cerr := ctx.CopyCiphertext(cp, src); cerr != nil {
 			ctx.PutCiphertext(cp)

@@ -61,6 +61,9 @@ func TestDAGValidation(t *testing.T) {
 	}{
 		{"cycle", []Op{dagRot("$q", "$p", 1), dagRot("$p", "$q", 1)}, nil, nil, nil, "cycle"},
 		{"dangling read", []Op{dagRot("$ghost", "$o", 1)}, nil, nil, nil, "does not exist"},
+		{"unbound job-local read", []Op{dagRot("%t", "$o", 1)}, nil, nil, nil, "neither bound nor written"},
+		{"unbound job-local output", []Op{dagRot("$x", "%o", 1)}, nil, []string{"%p"}, nil, "neither bound nor written"},
+		{"invalid job-local name", []Op{dagRot("$x", "%", 1)}, nil, nil, nil, "invalid result register"},
 		{"invalid out name", []Op{dagRot("$x", "nodollar", 1)}, nil, nil, nil, "invalid result register"},
 		{"roth rejected", []Op{{Kind: OpRotateHoisted, Ra: "$x", Out: "$o"}}, nil, nil, nil, "no register form"},
 		{"mixed addressing", []Op{{Kind: OpRotate, Ra: "$x", Out: "$o", By: 1, A: 1}}, nil, nil, nil, "slot-form"},
@@ -97,10 +100,22 @@ func TestDAGValidation(t *testing.T) {
 		t.Fatalf("cross-session register read: %v, want CodeBadJob", err)
 	}
 
-	// The legacy slot path refuses register-form ops instead of guessing.
-	_, err = srv.Submit("a", []Op{{Kind: OpAdd, Ra: "$x", Rb: "$x", Out: "$o"}}, []*ckks.Ciphertext{x})
-	if Code(err) != CodeBadJob || !strings.Contains(err.Error(), "register addressing") {
-		t.Fatalf("register op via Submit: %v, want CodeBadJob about register addressing", err)
+	// A job-local register lives only inside its job: a "%" result is
+	// returned, but is neither committed nor visible to the next job.
+	regsBefore := srv.Stats().Sessions[0].Registers
+	outs, err := srv.SubmitDAG(ctx, "a", []Op{dagAdd("$x", "$x", "%y")}, nil, []string{"%y"}, nil)
+	if err != nil {
+		t.Fatalf("job-local output: %v", err)
+	}
+	if got := real(cl.encoder.Decode(cl.dec.DecryptNew(outs[0]))[0]); got < 0.99 || got > 1.01 {
+		t.Fatalf("job-local output decrypts to %g, want 1", got)
+	}
+	if n := srv.Stats().Sessions[0].Registers; n != regsBefore {
+		t.Fatalf("job-local result committed: %d registers, want %d", n, regsBefore)
+	}
+	_, err = srv.SubmitDAG(ctx, "a", []Op{dagRot("%y", "$o", 1)}, nil, nil, nil)
+	if Code(err) != CodeBadJob || !strings.Contains(err.Error(), "neither bound nor written") {
+		t.Fatalf("read of an earlier job's %%y: %v, want CodeBadJob", err)
 	}
 }
 
@@ -203,9 +218,55 @@ func TestDAGComputeAndPersist(t *testing.T) {
 	}
 }
 
+// TestDAGSlotJobsLeaveNoResidue runs slot jobs through Client.Do on a
+// session whose quota is exactly its key footprint: their job-local
+// registers are never committed, so the jobs fit and the session's register
+// set is unchanged, while a single "$" commit does not fit.
+func TestDAGSlotJobsLeaveNoResidue(t *testing.T) {
+	params := testParams(t)
+	cl := newClientSide(t, params, 790, []int{1, 2})
+	srv, err := New(Config{Params: params, SessionQuotaBytes: keySetBytes(cl.rlk, cl.rtks)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	api := NewClient(ts.URL, cl.ctx)
+	if err := api.OpenSession("t", cl.rlk, cl.rtks); err != nil {
+		t.Fatal(err)
+	}
+	x := encryptConst(t, cl, params, 0.25)
+	before := srv.Stats().Sessions[0]
+	ops := []Op{
+		{Kind: OpRotateHoisted, A: 0, Bys: []int{1, 2}},
+		{Kind: OpMul, A: 1, B: 2},
+		{Kind: OpRescale, A: 3},
+		{Kind: OpAdd, A: 4, B: 4},
+	}
+	for i := 0; i < 3; i++ {
+		res, err := api.Do("t", ops, x)
+		if err != nil {
+			t.Fatalf("slot job %d: %v", i, err)
+		}
+		if got := real(cl.encoder.Decode(cl.dec.DecryptNew(res))[0]); got < 0.12 || got > 0.13 {
+			t.Fatalf("slot job %d: %g, want 0.125", i, got)
+		}
+	}
+	after := srv.Stats().Sessions[0]
+	if after.Registers != before.Registers || after.RegisterBytes != before.RegisterBytes {
+		t.Fatalf("slot jobs left %d registers (%d bytes), want %d (%d bytes)",
+			after.Registers, after.RegisterBytes, before.Registers, before.RegisterBytes)
+	}
+	if _, err := api.DoDAG(context.Background(), "t", []string{"$x"}, nil, nil, x); Code(err) != CodeQuota {
+		t.Fatalf("session register over a key-sized quota: %v, want CodeQuota", err)
+	}
+}
+
 // TestDAGFlatEquivalence pins the hoisting refactor's core promise: a
-// register-form rotation fan and the legacy roth sugar produce bit-identical
-// ciphertexts, because both lower to the same shared-decomposition plan.
+// register-form rotation fan and the slot form's roth sugar produce
+// bit-identical ciphertexts, because both lower to the same
+// shared-decomposition plan.
 func TestDAGFlatEquivalence(t *testing.T) {
 	params := testParams(t)
 	srv, err := New(Config{Params: params})
@@ -229,8 +290,8 @@ func TestDAGFlatEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Legacy wire form: roth fans slots 1,2 off the input, then adds them.
-	flat, err := srv.Submit("a", []Op{
+	// Slot form: roth fans slots 1,2 off the input, then adds them.
+	flat, err := submitSlots(context.Background(), srv, "a", []Op{
 		{Kind: OpRotateHoisted, A: 0, Bys: []int{1, 2}},
 		{Kind: OpAdd, A: 1, B: 2},
 	}, []*ckks.Ciphertext{ct})
@@ -301,8 +362,8 @@ func TestDAGFlatEquivalence(t *testing.T) {
 				t.Fatalf("flat add: %v", err)
 			}
 		}
-		// pmul has no slot form: it rides as a single-op DAG job, which
-		// round-trips its operand exactly like the ops around it.
+		// pmul rides as a single-op DAG job, which round-trips its operand
+		// exactly like the ops around it.
 		p, err := api.DoDAG(bg, "flat", []string{"$t"}, []Op{{Kind: OpMulPlain, Ra: "$t", Out: "$p", Vals: half}}, []string{"$p"}, sum)
 		if err != nil {
 			t.Fatalf("flat pmul: %v", err)
@@ -595,4 +656,131 @@ func TestDAGServerRestart(t *testing.T) {
 	if r := real(got[0]); r < 0.74 || r > 0.76 {
 		t.Fatalf("$x + $y after restart = %g, want 0.75", r)
 	}
+}
+
+// FuzzCompileRegisters feeds compileRegisters random op graphs over a small
+// pool of "$" and "%" names, input bindings and outputs. It must never
+// panic and every error must be a CodeBadJob; a dependency cycle or a read
+// of a "%" name the job neither binds nor writes must always be rejected;
+// and every accepted program's stages must respect its dependencies.
+func FuzzCompileRegisters(f *testing.F) {
+	f.Add([]byte{1, 3, 1, 5, 3, 3, 4, 2, 0, 4, 5, 1, 4}) // %a → rot → %b → add → %c
+	f.Add([]byte{0, 0, 4, 3, 4, 0, 4, 4, 3, 0})          // %a ↔ %b cycle
+	f.Add([]byte{0, 1, 0, 3, 0, 1, 2, 7, 1, 2, 4})       // session reads and writes
+	names := []string{"$a", "$b", "$c", "%a", "%b", "%c", "bad", ""}
+	kinds := []OpKind{OpAdd, OpSub, OpMul, OpRotate, OpConjugate, OpRescale, OpBootstrap, OpMulPlain, OpRotateHoisted, "nope"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b
+		}
+		name := func() string { return names[next()%len(names)] }
+		var inputs, outputs []string
+		for n := next() % 4; n > 0; n-- {
+			inputs = append(inputs, name())
+		}
+		for n := next() % 4; n > 0; n-- {
+			outputs = append(outputs, name())
+		}
+		var ops []Op
+		for len(data) > 0 {
+			op := Op{Kind: kinds[next()%len(kinds)], Ra: name(), Out: name()}
+			flags := next()
+			if flags&1 != 0 {
+				op.Rb = name()
+			}
+			if flags&2 != 0 {
+				op.By = 1
+			}
+			if flags&4 != 0 {
+				op.Vals = []float64{1}
+			}
+			if flags&8 != 0 {
+				op.A = 1
+			}
+			ops = append(ops, op)
+		}
+
+		p, err := compileRegisters(ops, inputs, outputs, 16)
+
+		// Oracle, independent of the compiler: a "%" read with no binding and
+		// no writer, or a cycle through the writers, must be rejected.
+		bound := map[string]bool{}
+		for _, in := range inputs {
+			bound[in] = true
+		}
+		writer := map[string]int{}
+		for i, op := range ops {
+			if _, dup := writer[op.Out]; !dup {
+				writer[op.Out] = i
+			}
+		}
+		unbound := func(n string) bool {
+			_, w := writer[n]
+			return strings.HasPrefix(n, "%") && !bound[n] && !w
+		}
+		mustReject := false
+		for _, o := range outputs {
+			mustReject = mustReject || unbound(o)
+		}
+		state := make([]int, len(ops)) // 0 unvisited, 1 on the DFS stack, 2 done
+		var cyclic func(i int) bool
+		cyclic = func(i int) bool {
+			if state[i] != 0 {
+				return state[i] == 1
+			}
+			state[i] = 1
+			for _, r := range []string{ops[i].Ra, ops[i].Rb} {
+				if w, ok := writer[r]; ok && r != "" && !bound[r] && cyclic(w) {
+					return true
+				}
+			}
+			state[i] = 2
+			return false
+		}
+		for i, op := range ops {
+			mustReject = mustReject || unbound(op.Ra) || (op.Rb != "" && unbound(op.Rb)) || cyclic(i)
+		}
+
+		if err != nil {
+			if Code(err) != CodeBadJob {
+				t.Fatalf("error with code %q, want %q: %v", Code(err), CodeBadJob, err)
+			}
+			return
+		}
+		if mustReject {
+			t.Fatalf("accepted a cyclic or dangling program: ops %+v inputs %v outputs %v", ops, inputs, outputs)
+		}
+		stageOf := make([]int, len(p.nodes))
+		for i := range stageOf {
+			stageOf[i] = -1
+		}
+		for k, stage := range p.stages {
+			for _, i := range stage {
+				if stageOf[i] != -1 {
+					t.Fatalf("node %d in stages %d and %d", i, stageOf[i], k)
+				}
+				stageOf[i] = k
+			}
+		}
+		for i, n := range p.nodes {
+			if stageOf[i] == -1 {
+				t.Fatalf("node %d in no stage", i)
+			}
+			for _, o := range []operand{n.a, n.b} {
+				if o.node >= 0 && stageOf[o.node] >= stageOf[i] {
+					t.Fatalf("node %d (stage %d) reads node %d (stage %d)", i, stageOf[i], o.node, stageOf[o.node])
+				}
+			}
+		}
+		for _, r := range p.reads {
+			if jobLocal(r) {
+				t.Fatalf("job-local %q resolved from the session", r)
+			}
+		}
+	})
 }

@@ -32,7 +32,7 @@ func encryptConst(t testing.TB, cl *clientSide, params ckks.Parameters, v comple
 }
 
 // TestCancelledQueuedJobNeverExecutes cancels a job while its undersized
-// batch is still lingering: SubmitContext must return immediately with a
+// batch is still lingering: the submit must return immediately with a
 // typed canceled error, and the job must never execute an op.
 func TestCancelledQueuedJobNeverExecutes(t *testing.T) {
 	params := testParams(t)
@@ -53,7 +53,7 @@ func TestCancelledQueuedJobNeverExecutes(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = srv.SubmitContext(ctx, "t", []Op{{Kind: OpMul, A: 0, B: 0}}, []*ckks.Ciphertext{ct})
+	_, err = submitSlots(ctx, srv, "t", []Op{{Kind: OpMul, A: 0, B: 0}}, []*ckks.Ciphertext{ct})
 	elapsed := time.Since(start)
 	if Code(err) != CodeCanceled {
 		t.Fatalf("got %v, want canceled", err)
@@ -100,7 +100,7 @@ func TestDeadlineWhileQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptConst(t, cl, params, 0.5)
-	_, err = srv.Submit("t", []Op{{Kind: OpMul, A: 0, B: 0}}, []*ckks.Ciphertext{ct})
+	_, err = submitSlots(context.Background(), srv, "t", []Op{{Kind: OpMul, A: 0, B: 0}}, []*ckks.Ciphertext{ct})
 	if Code(err) != CodeDeadline {
 		t.Fatalf("got %v, want deadline", err)
 	}
@@ -134,7 +134,7 @@ func TestCancelDoesNotStallOtherTenants(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	aDone := make(chan error, 1)
 	go func() {
-		_, err := srv.SubmitContext(ctx, "a", ops, []*ckks.Ciphertext{encryptConst(t, clA, params, 0.1)})
+		_, err := submitSlots(ctx, srv, "a", ops, []*ckks.Ciphertext{encryptConst(t, clA, params, 0.1)})
 		aDone <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let A's linger start
@@ -148,7 +148,7 @@ func TestCancelDoesNotStallOtherTenants(t *testing.T) {
 		in := encryptConst(t, clB, params, 0.2) // an Encryptor is single-goroutine
 		go func(f int) {
 			defer wg.Done()
-			ct, err := srv.Submit("b", ops, []*ckks.Ciphertext{in})
+			ct, err := submitSlots(context.Background(), srv, "b", ops, []*ckks.Ciphertext{in})
 			if ct != nil {
 				srv.Context().PutCiphertext(ct)
 			}
@@ -245,7 +245,7 @@ func TestKeyCacheEviction(t *testing.T) {
 
 	// A job on the evicted session rehydrates from disk and still computes.
 	ct := encryptConst(t, cl1, params, 0.25)
-	out, err := srv.Submit("a", []Op{{Kind: OpAdd, A: 0, B: 0}}, []*ckks.Ciphertext{ct})
+	out, err := submitSlots(context.Background(), srv, "a", []Op{{Kind: OpAdd, A: 0, B: 0}}, []*ckks.Ciphertext{ct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,12 +294,12 @@ func TestQuarantineAfterRepeatedPanics(t *testing.T) {
 
 	faultinject.Arm("serve.op.exec", faultinject.Spec{Mode: faultinject.ModePanic})
 	for i := 0; i < 2; i++ {
-		_, err := srv.Submit("t", ops, []*ckks.Ciphertext{ct})
+		_, err := submitSlots(context.Background(), srv, "t", ops, []*ckks.Ciphertext{ct})
 		if Code(err) != CodeInternal || !IsRetryable(err) {
 			t.Fatalf("panicking job %d: got %v, want retryable internal", i, err)
 		}
 	}
-	_, err = srv.Submit("t", ops, []*ckks.Ciphertext{ct})
+	_, err = submitSlots(context.Background(), srv, "t", ops, []*ckks.Ciphertext{ct})
 	if Code(err) != CodeQuarantined || IsRetryable(err) {
 		t.Fatalf("after %d faults: got %v, want terminal quarantined", 2, err)
 	}
@@ -318,11 +318,66 @@ func TestQuarantineAfterRepeatedPanics(t *testing.T) {
 	if err := srv.OpenSession("t", cl.rlk, cl.rtks); err != nil {
 		t.Fatal(err)
 	}
-	out, err := srv.Submit("t", ops, []*ckks.Ciphertext{ct})
+	out, err := submitSlots(context.Background(), srv, "t", ops, []*ckks.Ciphertext{ct})
 	if err != nil {
 		t.Fatalf("after reopen: %v", err)
 	}
 	srv.Context().PutCiphertext(out)
+}
+
+// TestQuarantineIgnoresBadPrograms sends, over HTTP, five programs the evaluator
+// would panic on: each must fail once with a terminal CodeBadJob (the
+// client does not retry it), none may count toward quarantine, and a valid
+// job must then succeed.
+func TestQuarantineIgnoresBadPrograms(t *testing.T) {
+	params := testParams(t)
+	srv, err := New(Config{Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl := newClientSide(t, params, 800, []int{1})
+	// Upload the rotation-by-1 key only: no relinearization key and no
+	// conjugation key.
+	g := cl.ctx.RingQ.GaloisElement(1)
+	rtks := &ckks.RotationKeySet{Keys: map[uint64]*ckks.SwitchingKey{g: cl.rtks.Keys[g]}}
+	api := NewClientWithConfig(ts.URL, cl.ctx, ClientConfig{RetryBase: time.Millisecond})
+	if err := api.OpenSession("t", nil, rtks); err != nil {
+		t.Fatal(err)
+	}
+	x := encryptConst(t, cl, params, 0.5)
+	pt, _ := cl.encoder.Encode([]complex128{0.5}, 0, params.Scale)
+	bottom, _ := cl.enc.EncryptNew(pt)
+	pt, _ = cl.encoder.Encode([]complex128{0.5}, params.MaxLevel(), 2*params.Scale)
+	wide, _ := cl.enc.EncryptNew(pt)
+
+	for _, tc := range []struct {
+		name string
+		ops  []Op
+		in   []*ckks.Ciphertext
+	}{
+		{"rescale at level 0", []Op{{Kind: OpRescale}}, []*ckks.Ciphertext{bottom}},
+		{"add of mismatched scales", []Op{{Kind: OpAdd, A: 0, B: 1}}, []*ckks.Ciphertext{x, wide}},
+		{"mul without relinearization key", []Op{{Kind: OpMul}}, []*ckks.Ciphertext{x}},
+		{"rot without its key", []Op{{Kind: OpRotate, By: 2}}, []*ckks.Ciphertext{x}},
+		{"conj without its key", []Op{{Kind: OpConjugate}}, []*ckks.Ciphertext{x}},
+	} {
+		if _, err := api.Do("t", tc.ops, tc.in...); Code(err) != CodeBadJob || IsRetryable(err) {
+			t.Fatalf("%s: %v, want terminal CodeBadJob", tc.name, err)
+		}
+	}
+	if ss := srv.Stats().Sessions[0]; ss.Jobs != 5 || ss.Quarantined {
+		t.Fatalf("server ran %d jobs (quarantined %v), want 5 and not quarantined", ss.Jobs, ss.Quarantined)
+	}
+	res, err := api.Do("t", []Op{{Kind: OpRotate, By: 1}}, x)
+	if err != nil {
+		t.Fatalf("valid job after bad programs: %v", err)
+	}
+	if got := real(cl.encoder.Decode(cl.dec.DecryptNew(res))[0]); got < 0.49 || got > 0.51 {
+		t.Fatalf("valid job computed %g, want 0.5", got)
+	}
 }
 
 // TestFailpointsFailJobsCleanly exercises the error-mode failpoints at the
@@ -344,12 +399,12 @@ func TestFailpointsFailJobsCleanly(t *testing.T) {
 	ops := []Op{{Kind: OpAdd, A: 0, B: 0}}
 
 	faultinject.Arm("serve.sched.dispatch", faultinject.Spec{Mode: faultinject.ModeError, Count: 1})
-	_, err = srv.Submit("t", ops, []*ckks.Ciphertext{ct})
+	_, err = submitSlots(context.Background(), srv, "t", ops, []*ckks.Ciphertext{ct})
 	if Code(err) != CodeInternal || !IsRetryable(err) {
 		t.Fatalf("dispatch failpoint: got %v, want retryable internal", err)
 	}
 	// Count=1: the retry succeeds.
-	out, err := srv.Submit("t", ops, []*ckks.Ciphertext{ct})
+	out, err := submitSlots(context.Background(), srv, "t", ops, []*ckks.Ciphertext{ct})
 	if err != nil {
 		t.Fatalf("retry after dispatch fault: %v", err)
 	}
@@ -378,7 +433,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 		in := encryptConst(t, cl, params, 0.3) // an Encryptor is single-goroutine
 		go func(f int) {
 			defer wg.Done()
-			ct, err := srv.Submit("t", ops, []*ckks.Ciphertext{in})
+			ct, err := submitSlots(context.Background(), srv, "t", ops, []*ckks.Ciphertext{in})
 			if ct != nil {
 				srv.Context().PutCiphertext(ct)
 			}
@@ -399,7 +454,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 			t.Fatalf("flight %d: %v", f, err)
 		}
 	}
-	if _, err := srv.Submit("t", ops, []*ckks.Ciphertext{encryptConst(t, cl, params, 0.3)}); Code(err) != CodeUnavailable || !IsRetryable(err) {
+	if _, err := submitSlots(context.Background(), srv, "t", ops, []*ckks.Ciphertext{encryptConst(t, cl, params, 0.3)}); Code(err) != CodeUnavailable || !IsRetryable(err) {
 		t.Fatalf("submit after drain: got %v, want retryable unavailable", err)
 	}
 }

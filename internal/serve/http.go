@@ -9,7 +9,6 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"time"
@@ -29,8 +28,9 @@ import (
 //	                          an optional wire RotationKeySet
 //	POST /v1/jobs             run a job; body is a length-prefixed JSON
 //	                          JobRequest followed by the input ciphertext
-//	                          envelopes; the response body is the result
-//	                          ciphertext envelope
+//	                          envelopes; the response body is one ciphertext
+//	                          envelope per requested output, in order
+//	                          (X-BTS-Outputs carries the count)
 //	GET  /v1/stats            per-session serving statistics (JSON)
 //	GET  /v1/traces           retained slow-job trace dumps, newest first
 //	                          (JSON; only with Config.SlowJob set)
@@ -65,12 +65,9 @@ type ParamsResponse struct {
 // (overriding Config.DefaultJobTimeout); expiry fails the job with a typed
 // "deadline" error without executing the remaining ops.
 //
-// Inputs and Outputs select the register-form DAG route (see SubmitDAG):
-// Inputs names the registers bound, in order, to the uploaded ciphertext
-// envelopes; Outputs the registers whose values come back in the response
-// (one envelope each, in order, with X-BTS-Outputs carrying the count).
-// Their absence — and the absence of register addressing in every op —
-// selects the legacy single-result route.
+// Ops is a register-form program (see Op and SubmitDAG). Inputs names the
+// registers bound, in order, to the uploaded ciphertext envelopes; Outputs
+// the registers whose values come back in the response.
 type JobRequest struct {
 	Session   string   `json:"session"`
 	Ops       []Op     `json:"ops"`
@@ -299,53 +296,25 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	start := time.Now()
-	dag := len(req.Inputs) > 0 || len(req.Outputs) > 0
-	if !dag {
-		for _, op := range req.Ops {
-			if op.registerForm() {
-				dag = true
-				break
-			}
-		}
-	}
-	if dag {
-		outs, err := s.SubmitDAG(ctx, req.Session, req.Ops, req.Inputs, req.Outputs, inputs)
-		release()
-		if err != nil {
-			writeServeError(w, err)
-			return
-		}
-		defer func() {
-			for _, ct := range outs {
-				s.ctx.PutCiphertext(ct)
-			}
-		}()
-		w.Header().Set("Content-Type", "application/x-bts-wire")
-		w.Header().Set("X-BTS-Latency-Us", fmt.Sprintf("%d", time.Since(start).Microseconds()))
-		w.Header().Set("X-BTS-Outputs", fmt.Sprintf("%d", len(outs)))
-		for _, ct := range outs {
-			if err := s.codec.WriteCiphertext(w, ct); err != nil {
-				// Headers are gone; nothing to do but drop the connection.
-				return
-			}
-		}
-		return
-	}
-	result, err := s.SubmitContext(ctx, req.Session, req.Ops, inputs)
+	outs, err := s.SubmitDAG(ctx, req.Session, req.Ops, req.Inputs, req.Outputs, inputs)
 	release()
 	if err != nil {
 		writeServeError(w, err)
 		return
 	}
-	defer s.ctx.PutCiphertext(result)
-
+	defer func() {
+		for _, ct := range outs {
+			s.ctx.PutCiphertext(ct)
+		}
+	}()
 	w.Header().Set("Content-Type", "application/x-bts-wire")
 	w.Header().Set("X-BTS-Latency-Us", fmt.Sprintf("%d", time.Since(start).Microseconds()))
-	w.Header().Set("X-BTS-Level", fmt.Sprintf("%d", result.Level))
-	w.Header().Set("X-BTS-Log-Scale", fmt.Sprintf("%.3f", math.Log2(result.Scale)))
-	if err := s.codec.WriteCiphertext(w, result); err != nil {
-		// Headers are gone; nothing to do but drop the connection.
-		return
+	w.Header().Set("X-BTS-Outputs", fmt.Sprintf("%d", len(outs)))
+	for _, ct := range outs {
+		if err := s.codec.WriteCiphertext(w, ct); err != nil {
+			// Headers are gone; nothing to do but drop the connection.
+			return
+		}
 	}
 }
 

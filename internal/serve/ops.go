@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"bts/internal/ckks"
@@ -16,45 +17,41 @@ const (
 	OpSub           OpKind = "sub"       // a - b
 	OpMul           OpKind = "mul"       // a ⊗ b, relinearized
 	OpRotate        OpKind = "rot"       // a rotated left by `by`
-	OpRotateHoisted OpKind = "roth"      // a rotated by each amount in `bys` (one slot per amount)
+	OpRotateHoisted OpKind = "roth"      // a rotated by each amount in `bys` (slot form only)
 	OpConjugate     OpKind = "conj"      // slot-wise complex conjugate of a
 	OpRescale       OpKind = "rescale"   // a divided by its last prime
 	OpBootstrap     OpKind = "bootstrap" // a refreshed to full levels
-	OpMulPlain      OpKind = "pmul"      // a ⊙ encode(vals) — register-addressed jobs only
+	OpMulPlain      OpKind = "pmul"      // a ⊙ encode(vals)
 )
 
-// Op is one step of a job program. It comes in two addressing forms:
+// Op is one step of a job program. On the wire every job is register
+// form: operands name ciphertext registers via Ra/Rb, and every op writes
+// the register named by Out. A "$word" register belongs to the session: its
+// value persists server-side across requests, so multi-request pipelines
+// upload and download ciphertexts only at the DAG boundary. A "%word"
+// register is job-local: it exists only inside the job that binds or
+// writes it, and its value goes back to the server's ciphertext pool when
+// the job ends. Ops are unordered — the scheduler derives the dependency
+// graph from the names — and same-register rotation fans are hoisted
+// through one shared key-switch decomposition automatically.
 //
-// Slot form (the original wire format): operands A/B address a slot vector
-// that starts with the job's input ciphertexts (slot 0..k-1 for k inputs);
-// each executed op appends its result as the next slot — except "roth", which
-// appends one slot per entry of Bys, in Bys order — and the final slot is the
-// job's result. A/B below -1 or beyond the last produced slot are rejected
-// before the job is queued. "roth" survives as wire-compatible sugar: it
-// compiles into one "rot" node per amount, all reading the same operand, and
-// the scheduler's rotation-fan detector hoists them through a single shared
-// key-switch decomposition — the same execution the bespoke roth fast path
-// used to hand-roll, with bit-identical outputs.
-//
-// Register form (DAG jobs): operands name per-session ciphertext registers
-// ("$x", "$tmp0") via Ra/Rb, and every op commits its result to the register
-// named by Out. Register values persist server-side across requests within a
-// session, so multi-request pipelines upload and download ciphertexts only
-// at the DAG boundary. Ops in register form are unordered — the scheduler
-// derives the dependency graph from the names — and "pmul" (multiply by a
-// freshly encoded plaintext vector, served from the session's encoding
-// cache) is available in this form only. "roth" is not: ask for one "rot"
-// per amount and the fan detector hoists them automatically.
+// Slot form is client-side sugar (Client.Do): operands A/B address a slot
+// vector that starts with the job's input ciphertexts (slot 0..k-1 for k
+// inputs); each op appends its result as the next slot — "roth" one slot
+// per entry of Bys, in Bys order — and the final slot is the job's result.
+// The client lowers slot k onto the job-local register "%k" and "roth" onto
+// one "rot" per amount, all reading the same slot, so the fan detector
+// hoists them as one.
 type Op struct {
 	Kind OpKind `json:"kind"`
-	A    int    `json:"a,omitempty"`
-	B    int    `json:"b,omitempty"`   // second operand (add/sub/mul), slot form
+	A    int    `json:"a,omitempty"`   // first operand slot (slot form)
+	B    int    `json:"b,omitempty"`   // second operand slot (add/sub/mul, slot form)
 	By   int    `json:"by,omitempty"`  // rotation amount (rot)
-	Bys  []int  `json:"bys,omitempty"` // rotation amounts (roth), no duplicates
+	Bys  []int  `json:"bys,omitempty"` // rotation amounts (roth, slot form)
 
-	Ra   string    `json:"ra,omitempty"`   // first operand register (register form)
-	Rb   string    `json:"rb,omitempty"`   // second operand register (add/sub/mul, register form)
-	Out  string    `json:"out,omitempty"`  // result register (register form; required there)
+	Ra   string    `json:"ra,omitempty"`   // first operand register
+	Rb   string    `json:"rb,omitempty"`   // second operand register (add/sub/mul)
+	Out  string    `json:"out,omitempty"`  // result register
 	Vals []float64 `json:"vals,omitempty"` // plaintext vector (pmul)
 }
 
@@ -63,87 +60,48 @@ func (o Op) binary() bool {
 	return o.Kind == OpAdd || o.Kind == OpSub || o.Kind == OpMul
 }
 
-// registerForm reports whether the op uses register addressing.
-func (o Op) registerForm() bool {
-	return o.Ra != "" || o.Rb != "" || o.Out != "" || len(o.Vals) > 0
-}
-
-// validateOps checks a slot-form job program against the slot-addressing
-// rules before it is queued: operand indices must reference inputs or earlier
-// results. Toward the op budget, a hoisted multi-rotation counts one unit per
-// rotation it performs (it is one decomposition but len(Bys) key-switch
-// MACs, so a single "roth" must not smuggle an unbounded batch past
-// MaxOpsPerJob).
-func validateOps(ops []Op, inputs, maxOps int) error {
-	if len(ops) == 0 {
-		return errf(CodeInvalid, "job has no ops")
-	}
-	cost := 0
-	avail := inputs // slots visible to the next op
-	for i, op := range ops {
-		produced := 1
-		switch op.Kind {
-		case OpAdd, OpSub, OpMul, OpRotate, OpConjugate, OpRescale, OpBootstrap:
-			cost++
-		case OpMulPlain:
-			return errf(CodeInvalid, "op %d: pmul requires the register-addressed job form", i)
-		case OpRotateHoisted:
-			if len(op.Bys) == 0 {
-				return errf(CodeInvalid, "op %d: roth with no rotation amounts", i)
-			}
-			// Enforce the budget before the per-amount work below, so a
-			// huge Bys list is rejected in O(1) rather than validated.
-			if cost+len(op.Bys) > maxOps {
-				return errf(CodeInvalid, "job has over %d ops, limit is %d", maxOps, maxOps)
-			}
-			seen := make(map[int]bool, len(op.Bys))
-			for _, by := range op.Bys {
-				if seen[by] {
-					return errf(CodeInvalid, "op %d: duplicate rotation amount %d in roth", i, by)
-				}
-				seen[by] = true
-			}
-			produced = len(op.Bys)
-			cost += len(op.Bys)
-		default:
-			return errf(CodeInvalid, "op %d: unknown kind %q", i, op.Kind)
-		}
-		if cost > maxOps {
-			return errf(CodeInvalid, "job has over %d ops, limit is %d", maxOps, maxOps)
-		}
-		if op.A < 0 || op.A >= avail {
-			return errf(CodeInvalid, "op %d: operand a=%d outside [0,%d)", i, op.A, avail)
-		}
-		if op.binary() && (op.B < 0 || op.B >= avail) {
-			return errf(CodeInvalid, "op %d: operand b=%d outside [0,%d)", i, op.B, avail)
-		}
-		avail += produced
-	}
-	return nil
-}
-
 // execNode runs one compiled DAG node's primitive on the given evaluator.
 // Rotation nodes that belong to a detected fan arrive with a prepared
 // decomposition (hd non-nil) and ride the hoisted gather-MAC path —
 // bit-identical to the naive rotation. Evaluator primitives panic on
-// programmer error (missing keys, scale mismatch, rescale at level 0); the
-// executor's per-node recovery converts those into typed job errors.
+// programmer error; the operand and key checks below turn every such error
+// a program can make (mismatched scales, a missing key, rescale at level 0)
+// into a terminal CodeBadJob first, so a bad program is never retried and
+// never counts toward the session's quarantine.
 func (s *Server) execNode(ev *ckks.Evaluator, bt *ckks.Bootstrapper, j *job, n *node, a, b *ckks.Ciphertext, hd *ckks.HoistedDecomposition) (*ckks.Ciphertext, error) {
 	switch n.kind {
-	case OpAdd:
-		return ev.Add(a, b), nil
-	case OpSub:
+	case OpAdd, OpSub:
+		if !ckks.ScalesMatch(a.Scale, b.Scale) {
+			return nil, errf(CodeBadJob, "op %d: %s of operands at scales 2^%.3f and 2^%.3f", n.opIdx, n.kind, math.Log2(a.Scale), math.Log2(b.Scale))
+		}
+		if n.kind == OpAdd {
+			return ev.Add(a, b), nil
+		}
 		return ev.Sub(a, b), nil
 	case OpMul:
+		if !ev.HasRelinearizationKey() {
+			return nil, errf(CodeBadJob, "op %d: mul in session %q, which has no relinearization key", n.opIdx, j.sess.name)
+		}
 		return ev.MulRelin(a, b), nil
-	case OpRotate:
+	case OpRotate, OpConjugate:
+		g := s.ctx.RingQ.GaloisConjugate()
+		if n.kind == OpRotate {
+			g = s.ctx.RingQ.GaloisElement(n.by)
+		}
+		if !ev.HasGaloisKey(g) {
+			return nil, errf(CodeBadJob, "op %d: %s needs the key for Galois element %d, which session %q lacks", n.opIdx, n.kind, g, j.sess.name)
+		}
+		if n.kind == OpConjugate {
+			return ev.Conjugate(a), nil
+		}
 		if hd != nil {
 			return ev.RotateWithDecomposition(a, n.by, hd), nil
 		}
 		return ev.Rotate(a, n.by), nil
-	case OpConjugate:
-		return ev.Conjugate(a), nil
 	case OpRescale:
+		if a.Level == 0 {
+			return nil, errf(CodeBadJob, "op %d: rescale of a level-0 ciphertext", n.opIdx)
+		}
 		return ev.Rescale(a), nil
 	case OpMulPlain:
 		// The vector is encoded at the canonical scale Δ (not the operand's

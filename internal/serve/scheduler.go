@@ -16,7 +16,6 @@ import (
 type job struct {
 	ctx      context.Context
 	sess     *session
-	ops      []Op
 	prog     *program
 	inputs   []*ckks.Ciphertext
 	enqueued time.Time
@@ -46,9 +45,8 @@ type jobResult struct {
 
 // finishJob is the single completion point of every job: it records
 // latency, per-session statistics and result counters exactly once, then
-// delivers on the job's buffered done channel. cts is the legacy job's
-// single result or a DAG job's outputs (possibly empty: a pure-upload DAG
-// requests none). executed reports whether the job actually ran ops
+// delivers on the job's buffered done channel. cts is the job's outputs
+// (possibly empty: a pure-upload job requests none). executed reports whether the job actually ran ops
 // (cancelled/skipped jobs keep their latency out of the percentile
 // reservoirs' op accounting only via ops=0).
 func (s *Server) finishJob(j *job, cts []*ckks.Ciphertext, err error, executed bool) {
@@ -80,7 +78,7 @@ func (s *Server) finishJob(j *job, cts []*ckks.Ciphertext, err error, executed b
 	}
 	ops := 0
 	if executed && err == nil {
-		ops = len(j.ops)
+		ops = len(j.prog.nodes)
 	}
 	j.sess.stats.completed(lat, ops, err)
 	j.done <- jobResult{cts: cts, err: err}

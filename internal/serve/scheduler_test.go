@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func TestLingerIsPerSession(t *testing.T) {
 	// One job for A: undersized (1 < BatchSize), so A's batch lingers.
 	aDone := make(chan error, 1)
 	go func() {
-		ct, err := srv.Submit("tenant-a", ops, []*ckks.Ciphertext{encrypt(clA)})
+		ct, err := submitSlots(context.Background(), srv, "tenant-a", ops, []*ckks.Ciphertext{encrypt(clA)})
 		if ct != nil {
 			srv.Context().PutCiphertext(ct)
 		}
@@ -71,7 +72,7 @@ func TestLingerIsPerSession(t *testing.T) {
 		in := encrypt(clB)
 		go func(f int) {
 			defer wg.Done()
-			ct, err := srv.Submit("tenant-b", ops, []*ckks.Ciphertext{in})
+			ct, err := submitSlots(context.Background(), srv, "tenant-b", ops, []*ckks.Ciphertext{in})
 			if ct != nil {
 				srv.Context().PutCiphertext(ct)
 			}

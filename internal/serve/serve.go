@@ -17,38 +17,41 @@
 //
 // # DAG jobs and ciphertext registers
 //
-// Jobs come in two addressing forms (see Op). The original slot form is a
-// flat list over the job's uploaded inputs, returning one result. The
-// register form is a DAG over named per-session ciphertext registers
-// ("$x", "$tmp0"): ops are unordered, each reads registers and commits its
-// result to a fresh one, and register values persist server-side across
-// requests within the session — so a multi-request pipeline uploads inputs
-// once, chains jobs over the registers, and downloads only the final
-// outputs at the DAG boundary (SubmitDAG / Client.DoDAG). The scheduler
-// compiles both forms into one dependency graph, executes it in
-// topologically ordered stages with the independent ops of a stage running
-// concurrently, and applies two operand-reuse optimizations the flat
-// interpreter could not see:
+// Every job is a DAG over named ciphertext registers (see Op). A "$x"
+// register belongs to the session: ops read registers and commit their
+// results to fresh ones, and the values persist server-side across requests
+// within the session — so a multi-request pipeline uploads inputs once,
+// chains jobs over the registers, and downloads only the final outputs at
+// the DAG boundary (SubmitDAG / Client.DoDAG). A "%x" register is
+// job-local: it exists only inside its job and its value goes back to the
+// ciphertext pool when the job ends. Client.Do keeps the original slot form
+// as client-side sugar: it lowers a flat program over the job's inputs onto
+// job-local registers, so a slot job leaves nothing behind. The scheduler
+// compiles the DAG into one dependency graph, executes it in topologically
+// ordered stages with the independent ops of a stage running concurrently,
+// and applies two operand-reuse optimizations a flat interpreter could not
+// see:
 //
 //   - Auto-hoisting: two or more rotations of the same value in one stage
 //     share a single key-switch decomposition (internal/ckks hoisting) —
 //     and when the value is a resident register, the decomposition is
-//     reused across all jobs of the batch. The old explicit "roth" op
-//     survives as wire-compatible sugar compiled onto this path,
-//     bit-identical to before.
+//     reused across all jobs of the batch. The slot form's "roth" op lowers
+//     onto this path, bit-identical to a hand-hoisted fan.
 //   - Encoding cache: "pmul" plaintext vectors are encoded once per
 //     session (LRU, Config.EncodingCacheEntries) instead of per job.
 //
-// Register bytes are charged against the same Config.SessionQuotaBytes as
-// key uploads (commit fails with CodeQuota when keys + registers would
-// exceed it). Under key-memory pressure — and on drain — a session's
-// registers spill to the durable store alongside its keys and rehydrate on
-// its next DAG job, so eviction and clean restarts lose no register;
-// a crash loses registers committed since the last spill, and jobs naming
-// them fail with a terminal CodeBadJob. Program errors (dangling register
-// reference, dependency cycle, malformed names) are rejected with
-// CodeBadJob; a mid-DAG fault or cancellation skips every dependent op
-// while results already committed to registers stay committed.
+// Session register bytes are charged against the same
+// Config.SessionQuotaBytes as key uploads (commit fails with CodeQuota when
+// keys + registers would exceed it). Under key-memory pressure — and on
+// drain — a session's registers spill to the durable store alongside its
+// keys and rehydrate on its next job, so eviction and clean restarts lose
+// no register; a crash loses registers committed since the last spill, and
+// jobs naming them fail with a terminal CodeBadJob. Program errors
+// (dangling register reference, dependency cycle, malformed names, and ops
+// the evaluator cannot run: mismatched scales, a missing key, rescale at
+// level 0) are rejected with CodeBadJob; a mid-DAG fault or cancellation
+// skips every dependent op while results already committed to registers
+// stay committed.
 //
 // # Fault tolerance
 //
@@ -65,7 +68,7 @@
 //     Config.KeyCacheBytes bounds the total decoded-key memory with an LRU
 //     that evicts cold sessions' keys back to their disk blobs (see
 //     keycache.go). /metrics exports resident bytes, evictions and reloads.
-//   - Lifecycle: SubmitContext threads a context from HTTP ingress through
+//   - Lifecycle: SubmitDAG threads a context from HTTP ingress through
 //     the scheduler; a job canceled while queued never executes, and an
 //     expired deadline aborts between ops. A panicking op fails only its
 //     job (typed retryable error, bts_job_panics_total, trace dump on
@@ -523,64 +526,29 @@ func (s *Server) evictVictims(victims []*session) {
 	}
 }
 
-// Submit enqueues a job and blocks until its result, with no deadline
-// beyond Config.DefaultJobTimeout. See SubmitContext.
-func (s *Server) Submit(sessionName string, ops []Op, inputs []*ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	return s.SubmitContext(context.Background(), sessionName, ops, inputs)
-}
-
-// SubmitContext enqueues a job and blocks until its result, the context's
-// cancellation, or its deadline. The inputs remain owned by the caller (the
-// HTTP layer returns pooled inputs to the context pool after the response is
-// written); the returned ciphertext is pooled and the caller should
-// PutCiphertext it once serialized.
-//
-// Cancellation semantics: a job canceled while still queued never executes
-// (it is unlinked from the queue, or skipped at dispatch) and SubmitContext
-// returns immediately with CodeCanceled/CodeDeadline. Once the job is
-// executing, SubmitContext waits for it to finish — the inputs are in use —
-// then discards the result and reports the context error.
-func (s *Server) SubmitContext(ctx context.Context, sessionName string, ops []Op, inputs []*ckks.Ciphertext) (*ckks.Ciphertext, error) {
-	sess, err := s.session(sessionName)
-	if err != nil {
-		return nil, err
-	}
-	if sess.isQuarantined() {
-		return nil, errf(CodeQuarantined, "session %q is quarantined after repeated faults; reopen it to clear", sessionName)
-	}
-	for i, op := range ops {
-		if op.registerForm() {
-			return nil, errf(CodeBadJob, "op %d uses register addressing; submit it as a DAG job (SubmitDAG, or inputs/outputs on the wire)", i)
-		}
-	}
-	if err := validateOps(ops, len(inputs), s.cfg.MaxOpsPerJob); err != nil {
-		return nil, err
-	}
-	if len(inputs) == 0 {
-		return nil, errf(CodeInvalid, "job carries no input ciphertexts")
-	}
-	cts, err := s.submitJob(ctx, sess, ops, compileLegacy(ops, len(inputs)), inputs)
-	if err != nil {
-		return nil, err
-	}
-	return cts[0], nil
-}
-
-// SubmitDAG enqueues a register-form DAG job and blocks like SubmitContext.
-// inputs are uploaded ciphertexts bound (in order) to the registers named
-// by inputNames before any op runs; outputs names the registers whose
-// values are returned, resolved after the DAG completes — each returned
-// ciphertext is a pooled copy the caller should PutCiphertext once
-// serialized, while the session keeps owning the register values. A job
-// with no ops is a pure upload; one with no outputs returns nothing and
-// leaves its results resident for later jobs.
+// SubmitDAG enqueues a job and blocks until its outputs, the context's
+// cancellation, or its deadline. inputs are uploaded ciphertexts bound (in
+// order) to the registers named by inputNames before any op runs; outputs
+// names the registers whose values are returned, resolved after the DAG
+// completes. Each returned ciphertext is pooled and the caller should
+// PutCiphertext it once serialized; the session keeps owning its "$"
+// register values. The inputs remain owned by the caller. A job with no ops
+// is a pure upload; one with no outputs returns nothing and leaves its "$"
+// results resident for later jobs.
 //
 // Validation failures — malformed register names, an op set with a
 // dependency cycle, a read of a register the session does not hold
 // (including one another session owns: registers are strictly
-// session-scoped) — are terminal CodeBadJob errors. Mid-DAG faults and
-// cancellation skip every dependent op; results already committed to
-// registers stay committed, so a retry can resume from them.
+// session-scoped), a "%" name the job neither binds nor writes — are
+// terminal CodeBadJob errors. Mid-DAG faults and cancellation skip every
+// dependent op; results already committed to registers stay committed, so a
+// retry can resume from them.
+//
+// A job canceled while still queued never executes (it is unlinked from the
+// queue, or skipped at dispatch) and SubmitDAG returns immediately with
+// CodeCanceled/CodeDeadline. Once the job is executing, SubmitDAG waits for
+// it to finish — the inputs are in use — then discards the outputs and
+// reports the context error.
 func (s *Server) SubmitDAG(ctx context.Context, sessionName string, ops []Op, inputNames, outputs []string, inputs []*ckks.Ciphertext) ([]*ckks.Ciphertext, error) {
 	sess, err := s.session(sessionName)
 	if err != nil {
@@ -608,13 +576,12 @@ func (s *Server) SubmitDAG(ctx context.Context, sessionName string, ops []Op, in
 			}
 		}
 	}
-	return s.submitJob(ctx, sess, ops, prog, inputs)
+	return s.submitJob(ctx, sess, prog, inputs)
 }
 
-// submitJob is the shared enqueue-and-wait path behind SubmitContext and
-// SubmitDAG: admission control, tracing, the queue handshake, and the
-// cancellation race.
-func (s *Server) submitJob(ctx context.Context, sess *session, ops []Op, prog *program, inputs []*ckks.Ciphertext) ([]*ckks.Ciphertext, error) {
+// submitJob is SubmitDAG's enqueue-and-wait half: admission control,
+// tracing, the queue handshake, and the cancellation race.
+func (s *Server) submitJob(ctx context.Context, sess *session, prog *program, inputs []*ckks.Ciphertext) ([]*ckks.Ciphertext, error) {
 	if t := s.cfg.DefaultJobTimeout; t > 0 {
 		if _, has := ctx.Deadline(); !has {
 			var cancel context.CancelFunc
@@ -625,7 +592,6 @@ func (s *Server) submitJob(ctx context.Context, sess *session, ops []Op, prog *p
 	j := &job{
 		ctx:      ctx,
 		sess:     sess,
-		ops:      ops,
 		prog:     prog,
 		inputs:   inputs,
 		enqueued: time.Now(),

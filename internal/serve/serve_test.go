@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"strings"
@@ -78,7 +79,21 @@ func maxAbsErr(a, b []complex128) float64 {
 	return m
 }
 
-func TestValidateOps(t *testing.T) {
+// submitSlots runs a slot-form program on srv the way Client.Do does:
+// lowered onto job-local registers and submitted as a DAG job.
+func submitSlots(ctx context.Context, srv *Server, session string, ops []Op, inputs []*ckks.Ciphertext) (*ckks.Ciphertext, error) {
+	names, lowered, output, err := lowerSlots(ops, len(inputs))
+	if err != nil {
+		return nil, err
+	}
+	outs, err := srv.SubmitDAG(ctx, session, lowered, names, []string{output}, inputs)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+func TestLowerSlots(t *testing.T) {
 	cases := []struct {
 		name   string
 		ops    []Op
@@ -91,10 +106,10 @@ func TestValidateOps(t *testing.T) {
 		{"forward reference", []Op{{Kind: OpAdd, A: 0, B: 1}}, 1, false},
 		{"chained", []Op{{Kind: OpRotate, A: 0, By: 1}, {Kind: OpMul, A: 1, B: 0}, {Kind: OpRescale, A: 2}}, 1, true},
 		{"negative operand", []Op{{Kind: OpRescale, A: -1}}, 1, false},
+		{"no inputs", []Op{{Kind: OpRescale, A: 0}}, 0, false},
 		{"result reference", []Op{{Kind: OpMul, A: 0, B: 0}, {Kind: OpAdd, A: 1, B: 1}}, 1, true},
 		{"hoisted rotations", []Op{{Kind: OpRotateHoisted, A: 0, Bys: []int{1, 2, -1}}}, 1, true},
 		{"hoisted empty", []Op{{Kind: OpRotateHoisted, A: 0}}, 1, false},
-		{"hoisted duplicate", []Op{{Kind: OpRotateHoisted, A: 0, Bys: []int{1, 2, 1}}}, 1, false},
 		{"hoisted slots addressable", []Op{
 			{Kind: OpRotateHoisted, A: 0, Bys: []int{1, 2}},
 			{Kind: OpAdd, A: 1, B: 2},
@@ -103,19 +118,47 @@ func TestValidateOps(t *testing.T) {
 			{Kind: OpRotateHoisted, A: 0, Bys: []int{1, 2}},
 			{Kind: OpAdd, A: 1, B: 3},
 		}, 1, false},
+		{"register operands", []Op{{Kind: OpAdd, Ra: "$x", Rb: "$x", Out: "$o"}}, 1, false},
 	}
 	for _, tc := range cases {
-		err := validateOps(tc.ops, tc.inputs, 64)
+		names, lowered, output, err := lowerSlots(tc.ops, tc.inputs)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: got err=%v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if err != nil {
+			if Code(err) != CodeInvalid {
+				t.Errorf("%s: code %q, want %q", tc.name, Code(err), CodeInvalid)
+			}
+			continue
+		}
+		// Every accepted lowering is a valid register-form program.
+		if _, err := compileRegisters(lowered, names, []string{output}, 64); err != nil {
+			t.Errorf("%s: lowered program rejected: %v", tc.name, err)
 		}
 	}
-	if err := validateOps(make([]Op, 65), 1, 64); err == nil {
-		t.Error("over-long program should be rejected")
+
+	// roth expands into one rot per amount, all reading the same slot.
+	names, lowered, output, err := lowerSlots([]Op{
+		{Kind: OpRotateHoisted, A: 0, Bys: []int{1, 2}},
+		{Kind: OpAdd, A: 1, B: 2},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Each hoisted rotation counts toward the op budget individually.
-	if err := validateOps([]Op{{Kind: OpRotateHoisted, A: 0, Bys: []int{1, 2, 3}}}, 1, 2); err == nil {
-		t.Error("roth batch exceeding the op budget should be rejected")
+	want := []Op{
+		{Kind: OpRotate, Ra: "%0", By: 1, Out: "%1"},
+		{Kind: OpRotate, Ra: "%0", By: 2, Out: "%2"},
+		{Kind: OpAdd, Ra: "%1", Rb: "%2", Out: "%3"},
+	}
+	if fmt.Sprint(names, lowered, output) != fmt.Sprint([]string{"%0"}, want, "%3") {
+		t.Fatalf("lowered to %v %v %v, want [%%0] %v %%3", names, lowered, output, want)
+	}
+
+	// Each hoisted rotation counts toward the server's op budget on its own.
+	names, lowered, output, _ = lowerSlots([]Op{{Kind: OpRotateHoisted, A: 0, Bys: []int{1, 2, 3}}}, 1)
+	if _, err := compileRegisters(lowered, names, []string{output}, 2); Code(err) != CodeBadJob {
+		t.Errorf("roth batch exceeding the op budget: %v, want CodeBadJob", err)
 	}
 }
 
@@ -152,7 +195,7 @@ func TestRotateHoistedJob(t *testing.T) {
 		{Kind: OpAdd, A: 1, B: 2},
 		{Kind: OpAdd, A: 4, B: 3},
 	}
-	result, err := srv.Submit("tenant-h", ops, []*ckks.Ciphertext{ct})
+	result, err := submitSlots(context.Background(), srv, "tenant-h", ops, []*ckks.Ciphertext{ct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +211,7 @@ func TestRotateHoistedJob(t *testing.T) {
 
 	// A missing rotation key inside the hoisted batch must fail the job,
 	// not the server.
-	if _, err := srv.Submit("tenant-h", []Op{{Kind: OpRotateHoisted, A: 0, Bys: []int{1, 7}}}, []*ckks.Ciphertext{ct}); err == nil {
+	if _, err := submitSlots(context.Background(), srv, "tenant-h", []Op{{Kind: OpRotateHoisted, A: 0, Bys: []int{1, 7}}}, []*ckks.Ciphertext{ct}); err == nil {
 		t.Fatal("expected job error for missing rotation key in roth batch")
 	}
 }
@@ -222,7 +265,7 @@ func TestServerDirect(t *testing.T) {
 				{Kind: OpMul, A: 1, B: 0},
 				{Kind: OpRescale, A: 2},
 			}
-			results[f], errs[f] = srv.Submit("tenant-a", ops, []*ckks.Ciphertext{cts[f]})
+			results[f], errs[f] = submitSlots(context.Background(), srv, "tenant-a", ops, []*ckks.Ciphertext{cts[f]})
 		}(f)
 	}
 	wg.Wait()
@@ -278,23 +321,23 @@ func TestJobErrorsDoNotCrash(t *testing.T) {
 	}
 	pt, _ := cl.encoder.Encode([]complex128{1}, 0, params.Scale)
 	ct, _ := cl.enc.EncryptNew(pt)
-	if _, err := srv.Submit("bare", []Op{{Kind: OpRotate, A: 0, By: 1}}, []*ckks.Ciphertext{ct}); err == nil {
+	if _, err := submitSlots(context.Background(), srv, "bare", []Op{{Kind: OpRotate, A: 0, By: 1}}, []*ckks.Ciphertext{ct}); err == nil {
 		t.Fatal("rotation without keys should fail")
 	}
 	// Rescale at level 0 panics inside the evaluator; must come back as error.
-	if _, err := srv.Submit("bare", []Op{{Kind: OpRescale, A: 0}}, []*ckks.Ciphertext{ct}); err == nil {
+	if _, err := submitSlots(context.Background(), srv, "bare", []Op{{Kind: OpRescale, A: 0}}, []*ckks.Ciphertext{ct}); err == nil {
 		t.Fatal("rescale at level 0 should fail")
 	}
 	// Bootstrap on a server without bootstrapping must fail, not panic.
-	if _, err := srv.Submit("bare", []Op{{Kind: OpBootstrap, A: 0}}, []*ckks.Ciphertext{ct}); err == nil {
+	if _, err := submitSlots(context.Background(), srv, "bare", []Op{{Kind: OpBootstrap, A: 0}}, []*ckks.Ciphertext{ct}); err == nil {
 		t.Fatal("bootstrap without a bootstrapper should fail")
 	}
 	// Unknown session.
-	if _, err := srv.Submit("ghost", []Op{{Kind: OpAdd, A: 0, B: 0}}, []*ckks.Ciphertext{ct}); err == nil {
+	if _, err := submitSlots(context.Background(), srv, "ghost", []Op{{Kind: OpAdd, A: 0, B: 0}}, []*ckks.Ciphertext{ct}); err == nil {
 		t.Fatal("unknown session should fail")
 	}
 	// The server is still alive: a valid job succeeds.
-	out, err := srv.Submit("bare", []Op{{Kind: OpAdd, A: 0, B: 0}}, []*ckks.Ciphertext{ct})
+	out, err := submitSlots(context.Background(), srv, "bare", []Op{{Kind: OpAdd, A: 0, B: 0}}, []*ckks.Ciphertext{ct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +558,7 @@ func TestBootstrapJob(t *testing.T) {
 	want := []complex128{0.25, -0.5}
 	pt, _ := encoder.Encode(want, 0, params.Scale)
 	ct, _ := enc.EncryptNew(pt)
-	out, err := srv.Submit("boot", []Op{{Kind: OpBootstrap, A: 0}}, []*ckks.Ciphertext{ct})
+	out, err := submitSlots(context.Background(), srv, "boot", []Op{{Kind: OpBootstrap, A: 0}}, []*ckks.Ciphertext{ct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,8 +574,8 @@ func TestBootstrapJob(t *testing.T) {
 	}
 
 	// The slow-job dump of the bootstrap job must reconstruct the whole
-	// hierarchy: op.bootstrap under serve.job, the four bootstrap phases
-	// under the op, evaluator primitives under the phases.
+	// hierarchy: op.bootstrap under its dag.stage under serve.job, the four
+	// bootstrap phases under the op, evaluator primitives under the phases.
 	dumps := srv.SlowJobDumps()
 	if len(dumps) == 0 {
 		t.Fatal("no slow-job dump retained for the bootstrap job")
@@ -547,7 +590,7 @@ func TestBootstrapJob(t *testing.T) {
 			t.Fatalf("bootstrap dump missing %s:\n%s", span, tree)
 		}
 	}
-	if !strings.Contains(tree, "\n    bootstrap.eval_mod") {
+	if !strings.Contains(tree, "\n      bootstrap.eval_mod") {
 		t.Fatalf("bootstrap phases not nested under the op span:\n%s", tree)
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"os"
@@ -209,7 +210,7 @@ func TestServerRestartRehydrates(t *testing.T) {
 	pt, _ := cl.encoder.Encode(values, params.MaxLevel(), params.Scale)
 	ct1, _ := cl.enc.EncryptNew(pt)
 	ops := []Op{{Kind: OpRotate, A: 0, By: 1}, {Kind: OpMul, A: 1, B: 0}, {Kind: OpRescale, A: 2}}
-	res1, err := srv1.Submit("durable", ops, []*ckks.Ciphertext{ct1})
+	res1, err := submitSlots(context.Background(), srv1, "durable", ops, []*ckks.Ciphertext{ct1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestServerRestartRehydrates(t *testing.T) {
 		t.Fatal("restarted session not marked durable")
 	}
 	ct2, _ := cl.enc.EncryptNew(pt)
-	res2, err := srv2.Submit("durable", ops, []*ckks.Ciphertext{ct2})
+	res2, err := submitSlots(context.Background(), srv2, "durable", ops, []*ckks.Ciphertext{ct2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,26 +11,24 @@ import (
 
 // Span names of the serving layer. The per-job span tree is rooted at
 // "serve.job" (submit to completion); "serve.queue" covers submit to
-// dispatch; each executed op gets an "op.<kind>" span under the root, and the
+// dispatch; each stage the scheduler ran gets a "dag.stage" span under the
+// root, each executed op an "op.<kind>" span under its stage, and the
 // evaluator's own spans (ckks.*, bootstrap.*) nest under the op that ran
 // them.
-// Register-form (DAG) jobs additionally group each stage's op spans under a
-// "dag.stage" span, so a trace shows the stage structure the scheduler ran.
 var (
 	spanJob   = telemetry.Name("serve.job")
 	spanQueue = telemetry.Name("serve.queue")
 	spanStage = telemetry.Name("dag.stage")
 
 	opSpanNames = map[OpKind]uint32{
-		OpAdd:           telemetry.Name("op.add"),
-		OpSub:           telemetry.Name("op.sub"),
-		OpMul:           telemetry.Name("op.mul"),
-		OpRotate:        telemetry.Name("op.rot"),
-		OpRotateHoisted: telemetry.Name("op.roth"),
-		OpConjugate:     telemetry.Name("op.conj"),
-		OpRescale:       telemetry.Name("op.rescale"),
-		OpBootstrap:     telemetry.Name("op.bootstrap"),
-		OpMulPlain:      telemetry.Name("op.pmul"),
+		OpAdd:       telemetry.Name("op.add"),
+		OpSub:       telemetry.Name("op.sub"),
+		OpMul:       telemetry.Name("op.mul"),
+		OpRotate:    telemetry.Name("op.rot"),
+		OpConjugate: telemetry.Name("op.conj"),
+		OpRescale:   telemetry.Name("op.rescale"),
+		OpBootstrap: telemetry.Name("op.bootstrap"),
+		OpMulPlain:  telemetry.Name("op.pmul"),
 	}
 )
 
@@ -331,7 +329,7 @@ func (ts *telemetryState) observePanic(kind OpKind) {
 func (ts *telemetryState) retainDump(j *job, lat time.Duration, reason string, err error) {
 	dump := SlowJobDump{
 		Session:   j.sess.name,
-		Ops:       len(j.ops),
+		Ops:       len(j.prog.nodes),
 		LatencyMs: lat.Seconds() * 1e3,
 		Reason:    reason,
 		Tree:      ts.tracer.RenderTree(j.tr.ID()),

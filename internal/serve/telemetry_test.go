@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"net/http"
@@ -164,7 +165,7 @@ func TestMetricsDisabled(t *testing.T) {
 	}
 	pt, _ := cl.encoder.Encode([]complex128{1}, params.MaxLevel(), params.Scale)
 	ct, _ := cl.enc.EncryptNew(pt)
-	out, err := srv.Submit("dark", []Op{{Kind: OpAdd, A: 0, B: 0}}, []*ckks.Ciphertext{ct})
+	out, err := submitSlots(context.Background(), srv, "dark", []Op{{Kind: OpAdd, A: 0, B: 0}}, []*ckks.Ciphertext{ct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestConcurrentScrapes(t *testing.T) {
 				{Kind: OpMul, A: 1, B: 0},
 				{Kind: OpRescale, A: 2},
 			}
-			out, err := srv.Submit("racy", ops, []*ckks.Ciphertext{cts[i]})
+			out, err := submitSlots(context.Background(), srv, "racy", ops, []*ckks.Ciphertext{cts[i]})
 			errs[i] = err
 			if err == nil {
 				srv.Context().PutCiphertext(out)
@@ -252,7 +253,8 @@ func TestConcurrentScrapes(t *testing.T) {
 
 // TestSlowJobTraceDump sets a threshold every job exceeds and checks the
 // retained dump reconstructs the span hierarchy: serve.job at the root,
-// serve.queue and op spans under it, evaluator spans under the ops.
+// serve.queue and dag.stage spans under it, op spans under their stage,
+// evaluator spans under the ops.
 func TestSlowJobTraceDump(t *testing.T) {
 	params := testParams(t)
 	srv, err := New(Config{Params: params, SlowJob: time.Nanosecond})
@@ -274,7 +276,7 @@ func TestSlowJobTraceDump(t *testing.T) {
 		{Kind: OpMul, A: 1, B: 0},
 		{Kind: OpRescale, A: 2},
 	}
-	out, err := srv.Submit("slow", ops, []*ckks.Ciphertext{ct})
+	out, err := submitSlots(context.Background(), srv, "slow", ops, []*ckks.Ciphertext{ct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +295,10 @@ func TestSlowJobTraceDump(t *testing.T) {
 			t.Fatalf("dump tree missing %s:\n%s", span, d.Tree)
 		}
 	}
-	// Op spans are indented under the root; evaluator spans deeper still.
-	if !strings.Contains(d.Tree, "\n  op.mul") || !strings.Contains(d.Tree, "\n    ckks.mulrelin") {
+	// Stage spans are indented under the root, op spans under their stage,
+	// evaluator spans deeper still.
+	if !strings.Contains(d.Tree, "\n  dag.stage") || !strings.Contains(d.Tree, "\n    op.mul") ||
+		!strings.Contains(d.Tree, "\n      ckks.mulrelin") {
 		t.Fatalf("dump tree not hierarchical:\n%s", d.Tree)
 	}
 	// The op spans carry level and noise-margin attributes.
