@@ -69,6 +69,13 @@
 // SpecialPrimes, 2..26 of Table 2's 28), with the digit scaled by the
 // leftover primes' inverse so the full-P keys still apply. A product's BConv
 // work and row transforms shrink with it, by 28 % and 16 % at level 21.
+// A switching key stores only its b halves and a 32-byte seed: every a_j is
+// uniform, so the key-switch kernels regenerate each of its rows with
+// AES-128-CTR inside the task that multiplies it (ring.MulKeyPair), exactly
+// uniform by rejection sampling and bit-identical at every engine shape.
+// That halves key memory and key uploads — Table 2's key set stores
+// ≈3.06 GiB instead of 6.12 — for PRNG words the accelerator model, which
+// streams both halves, does not charge.
 // The fused form is not bit-identical to the pair: the approximate base
 // conversion's overflow, up to (np+1)/2 units per coefficient, lands after
 // the division by q_ℓ instead of before it, so the result carries a few
@@ -114,8 +121,9 @@
 // that amortizes cost across many client ciphertexts in flight:
 //
 //   - internal/wire is the serialization layer: a versioned, length-prefixed
-//     binary codec (magic "BTSW", version 1) for polynomials, plaintexts,
-//     ciphertexts, public keys, switching keys and rotation-key sets. Every
+//     binary codec (magic "BTSW", version 2) for polynomials, plaintexts,
+//     ciphertexts, public keys, switching keys (b halves plus seed) and
+//     rotation-key sets. Every
 //     decode is validated against the owning Context (ring degree, level
 //     bounds, residue canonicity), so malformed bytes error instead of
 //     corrupting memory, and round trips are bit-exact.

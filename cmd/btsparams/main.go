@@ -140,10 +140,16 @@ func describeTable2() error {
 
 	// Key set: the rotation union plus the relinearization and conjugation
 	// keys, each one switching key of the dnum=1 shape.
+	// The library stores each key's b half and a seed (ckks.SwitchingKey);
+	// the accelerator model streams both halves.
 	nKeys := len(union) + 2
-	total := float64(nKeys) * float64(inst.EvkBytesMax())
-	fmt.Printf("key set: %d rotation keys + relin + conj = %d keys × %.1f MiB = %.2f GiB\n",
-		len(union), nKeys, float64(inst.EvkBytesMax())/(1<<20), total/(1<<30))
+	streamed := float64(nKeys) * float64(inst.EvkBytesMax())
+	stored := float64(nKeys) * float64(p.SwitchingKeyBytes())
+	fmt.Printf("key set: %d rotation keys + relin + conj = %d keys\n", len(union), nKeys)
+	fmt.Printf("  stored (b half + seed): %d × %.1f MiB = %.2f GiB\n",
+		nKeys, stored/float64(nKeys)/(1<<20), stored/(1<<30))
+	fmt.Printf("  streamed evk the model charges (b and a): %d × %.1f MiB = %.2f GiB\n",
+		nKeys, float64(inst.EvkBytesMax())/(1<<20), streamed/(1<<30))
 	fmt.Printf("bootstrap depth: %d levels of L=%d (S=%d radix stages/transform, sine degree %d, K=%.0f)\n",
 		bp.MinLevels(), p.MaxLevel(), bp.CtSStages, bp.SineDegree, bp.K)
 	return nil

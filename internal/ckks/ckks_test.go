@@ -477,11 +477,15 @@ func TestScaleMismatchPanics(t *testing.T) {
 
 func TestSwitchingKeyBytes(t *testing.T) {
 	s := newTestSetup(t, 2, nil)
-	// 2·N·(k+L+1)·dnum·8 bytes (Section 2.5 item ii).
+	// The b half of 2·N·(k+L+1)·dnum·8 bytes (Section 2.5 item ii), plus the
+	// seed that regenerates the a half.
 	p := s.params
-	want := int64(2) * int64(p.N()) * int64(len(p.Q)+len(p.P)) * int64(p.Dnum) * 8
+	want := int64(p.N())*int64(len(p.Q)+len(p.P))*int64(p.Dnum)*8 + 32
 	if got := s.rlk.Bytes(); got != want {
 		t.Fatalf("SwitchingKey.Bytes=%d want %d", got, want)
+	}
+	if got := p.SwitchingKeyBytes(); got != want {
+		t.Fatalf("Parameters.SwitchingKeyBytes=%d want %d", got, want)
 	}
 }
 

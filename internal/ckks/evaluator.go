@@ -449,16 +449,15 @@ func (ev *Evaluator) keySwitchMAC(d *ring.Poly, lvl int, swk *SwitchingKey, accQ
 	tmpP := rp.GetPolyNoZero()
 	dst := make([][]uint64, 0, lvl+1+sm.k)
 
-	// Multiply-accumulate with the evk slice (element-wise, Fig. 3a); the
-	// first slice writes the accumulators, so nobody has to zero them.
-	mulQ, mulP := rq.MulCoeffs, rp.MulCoeffs
+	// Multiply-accumulate with the evk slice (element-wise, Fig. 3a), a_j
+	// regenerated from the key's seed inside each task; the first slice
+	// writes the accumulators, so nobody has to zero them.
+	a := ring.NewUniformSource(swk.Seed)
 	for j := 0; j < ctx.Params.Beta(lvl); j++ {
 		dst = ev.modUpSlice(j, lvl, d, dCoeff, tmpQ, tmpP, dst)
-		mulQ(tmpQ, swk.Value[j][0].Q, accQ0, lvl)
-		mulP(tmpP, swk.Value[j][0].P, accP0, lp)
-		mulQ(tmpQ, swk.Value[j][1].Q, accQ1, lvl)
-		mulP(tmpP, swk.Value[j][1].P, accP1, lp)
-		mulQ, mulP = rq.MulCoeffsAndAdd, rp.MulCoeffsAndAdd
+		aQ, aP := keyA(a, j)
+		rq.MulKeyPair(tmpQ, swk.B[j].Q, aQ, accQ0, accQ1, lvl, j > 0)
+		rp.MulKeyPair(tmpP, swk.B[j].P, aP, accP0, accP1, lp, j > 0)
 	}
 
 	rp.PutPoly(tmpP)

@@ -122,12 +122,14 @@ func (ev *Evaluator) decomposeNTT(d *ring.Poly, lvl int) *HoistedDecomposition {
 // hoisting).
 //
 // The slice permutation is fused into the MAC gather
-// (ring.MulGatherAndAddLazy reads each slice through the automorphism index
-// table), so no permuted copy of the extended basis is ever materialized;
-// and the per-slice products accumulate as unreduced 128-bit sums
-// (ring.Acc128) with a single fused Barrett+REDC reduction per coefficient
-// at the end (ring.ReduceAcc — the M-form product sums carry an R² factor
-// the REDC strips), collapsing β modular-reduction passes into one. Both changes are exact —
+// (ring.MulKeyPairAndAddLazy reads each slice through the automorphism index
+// table, once for both key halves, and regenerates the key's a_j rows from
+// its seed as it goes), so no permuted copy of the extended basis and no
+// expanded a_j is ever materialized; and the per-slice products accumulate
+// as unreduced 128-bit sums (ring.Acc128) with a single fold-and-REDC
+// reduction per coefficient at the end (ring.ReduceAcc — the M-form product
+// sums carry an R² factor the REDC strips), collapsing β modular-reduction
+// passes into one. Both changes are exact —
 // the congruence class of a sum does not depend on when reductions happen —
 // so outputs remain bit-identical to the streaming keySwitch pipeline.
 // Slice counts beyond the rings' lazy overflow budget (unreachable with
@@ -150,6 +152,7 @@ func (ev *Evaluator) keySwitchHoistedLazy(g uint64, hd *HoistedDecomposition, sw
 	if pb := rp.LazyMACBudget(); pb < budget {
 		budget = pb
 	}
+	a := ring.NewUniformSource(swk.Seed)
 	mergeQ := rq.GetPolyNoZero()
 	mergeP := rp.GetPolyNoZero()
 	for start := 0; start < hd.beta; start += budget {
@@ -162,20 +165,12 @@ func (ev *Evaluator) keySwitchHoistedLazy(g uint64, hd *HoistedDecomposition, sw
 		a0P := rp.GetAcc(lp)
 		a1P := rp.GetAcc(lp)
 		for j := start; j < end; j++ {
-			sq, sp := hd.q[j], hd.p[j]
 			// Multiply-accumulate with the evk slice (element-wise, Fig. 3a),
-			// gathering through the automorphism table.
-			if g != 1 {
-				rq.MulGatherAndAddLazy(sq, tableQ, swk.Value[j][0].Q, a0Q, lvl)
-				rp.MulGatherAndAddLazy(sp, tableP, swk.Value[j][0].P, a0P, lp)
-				rq.MulGatherAndAddLazy(sq, tableQ, swk.Value[j][1].Q, a1Q, lvl)
-				rp.MulGatherAndAddLazy(sp, tableP, swk.Value[j][1].P, a1P, lp)
-			} else {
-				rq.MulCoeffsAndAddLazy(sq, swk.Value[j][0].Q, a0Q, lvl)
-				rp.MulCoeffsAndAddLazy(sp, swk.Value[j][0].P, a0P, lp)
-				rq.MulCoeffsAndAddLazy(sq, swk.Value[j][1].Q, a1Q, lvl)
-				rp.MulCoeffsAndAddLazy(sp, swk.Value[j][1].P, a1P, lp)
-			}
+			// gathering through the automorphism table, a_j regenerated from
+			// the key's seed inside each task.
+			aQ, aP := keyA(a, j)
+			rq.MulKeyPairAndAddLazy(hd.q[j], tableQ, swk.B[j].Q, aQ, a0Q, a1Q, lvl)
+			rp.MulKeyPairAndAddLazy(hd.p[j], tableP, swk.B[j].P, aP, a0P, a1P, lp)
 		}
 		if start == 0 {
 			rq.ReduceAcc(a0Q, accQ0, lvl)

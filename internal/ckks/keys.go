@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -31,19 +32,40 @@ type PublicKey struct {
 // secret s' to s: dnum pairs (b_j, a_j) over R_PQ where
 // b_j = -a_j·s + e_j + P·s'·1_{group j} (Eq. 7 and Section 2.5).
 // An evk for HMult has s' = s²; an evk for HRot(r) has s' = σ_{5^r}(s).
+//
+// Only the b_j halves are stored. Every a_j is uniform and independent of
+// the secrets, so the key holds one 32-byte Seed instead: a_j over Q is the
+// ring's seeded uniform polynomial with tag 2j, over P the one with tag 2j+1
+// (ring.UniformSource), and the key-switch kernels regenerate each row of it
+// inside the task that multiplies it (ring.MulKeyPair,
+// ring.MulKeyPairAndAddLazy) — half the bytes to hold, upload and stream,
+// paid for with PRNG words.
 type SwitchingKey struct {
-	Value [][2]PolyQP
+	B    []PolyQP
+	Seed [ring.SeedSize]byte
 }
 
-// Bytes returns the storage size of the key in bytes: the paper's
-// 2·N·(k+L+1)·dnum words of 8 bytes (Section 2.5, point ii).
+// Bytes returns the storage size of the key in bytes: the b half of the
+// paper's 2·N·(k+L+1)·dnum words of 8 bytes (Section 2.5, point ii) plus the
+// seed. The accelerator model (internal/params) still charges both halves:
+// it streams a materialized a, which this library never holds.
 func (swk *SwitchingKey) Bytes() int64 {
-	if len(swk.Value) == 0 {
+	if len(swk.B) == 0 {
 		return 0
 	}
-	rows := int64(len(swk.Value[0][0].Q.Coeffs) + len(swk.Value[0][0].P.Coeffs))
-	n := int64(len(swk.Value[0][0].Q.Coeffs[0]))
-	return int64(len(swk.Value)) * 2 * rows * n * 8
+	rows := int64(len(swk.B[0].Q.Coeffs) + len(swk.B[0].P.Coeffs))
+	n := int64(len(swk.B[0].Q.Coeffs[0]))
+	return int64(len(swk.B))*rows*n*8 + ring.SeedSize
+}
+
+// SwitchingKeyBytes is SwitchingKey.Bytes for a key generated under p.
+func (p Parameters) SwitchingKeyBytes() int64 {
+	return int64(p.N())*int64(len(p.Q)+len(p.P))*int64(p.Dnum)*8 + ring.SeedSize
+}
+
+// keyA returns slice j's seeded a_j over Q and over P.
+func keyA(src *ring.UniformSource, j int) (q, p ring.UniformPoly) {
+	return src.Poly(uint32(2 * j)), src.Poly(uint32(2*j + 1))
 }
 
 // RotationKeySet maps Galois elements to their switching keys.
@@ -149,13 +171,20 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, sPrime *ring.Poly) *Switc
 	rq, rp := ctx.RingQ, ctx.RingP
 	lq, lp := rq.MaxLevel(), rp.MaxLevel()
 	dnum := ctx.Params.Dnum
-	swk := &SwitchingKey{Value: make([][2]PolyQP, dnum)}
+	swk := &SwitchingKey{B: make([]PolyQP, dnum)}
+	for k := 0; k < ring.SeedSize; k += 8 {
+		binary.LittleEndian.PutUint64(swk.Seed[k:], kg.rng.Uint64())
+	}
+	src := ring.NewUniformSource(swk.Seed)
+	// a_j is materialized once per slice here, to compute b_j; it is never
+	// stored.
+	aQ := rq.GetPolyNoZero()
+	aP := rp.GetPolyNoZero()
 	eCoeffs := make([]int64, rq.N)
 	for j := 0; j < dnum; j++ {
-		aQ := rq.NewPoly(lq + 1)
-		aP := rp.NewPoly(lp + 1)
-		rq.SampleUniform(kg.rng, aQ, lq)
-		rp.SampleUniform(kg.rng, aP, lp)
+		uQ, uP := keyA(src, j)
+		rq.ExpandUniform(uQ, aQ, lq)
+		rp.ExpandUniform(uP, aP, lp)
 
 		// A single error polynomial must be consistent across both bases.
 		eQ := rq.NewPoly(lq + 1)
@@ -186,8 +215,10 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, sPrime *ring.Poly) *Switc
 				dst[t] = addMod(dst[t], br.Mul(w, src[t]), q)
 			}
 		})
-		swk.Value[j] = [2]PolyQP{{Q: bQ, P: bP}, {Q: aQ, P: aP}}
+		swk.B[j] = PolyQP{Q: bQ, P: bP}
 	}
+	rp.PutPoly(aP)
+	rq.PutPoly(aQ)
 	return swk
 }
 

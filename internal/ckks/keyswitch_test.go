@@ -159,13 +159,14 @@ func TestModUpSkipsRoundTripBitIdentical(t *testing.T) {
 		wantQ, wantP := make([]*ring.Poly, beta), make([]*ring.Poly, beta)
 		accQ0, accQ1 := rq.NewPolyLevel(lvl), rq.NewPolyLevel(lvl)
 		accP0, accP1 := rp.NewPolyLevel(lp), rp.NewPolyLevel(lp)
+		a := materializedA(ctx, s.rlk)
 		for j := 0; j < beta; j++ {
 			wantQ[j], wantP[j] = rq.NewPolyLevel(lvl), rp.NewPolyLevel(lp)
 			ev.modUpSliceRoundTrip(j, lvl, dCoeff, wantQ[j], wantP[j])
-			rq.MulCoeffsAndAdd(wantQ[j], s.rlk.Value[j][0].Q, accQ0, lvl)
-			rp.MulCoeffsAndAdd(wantP[j], s.rlk.Value[j][0].P, accP0, lp)
-			rq.MulCoeffsAndAdd(wantQ[j], s.rlk.Value[j][1].Q, accQ1, lvl)
-			rp.MulCoeffsAndAdd(wantP[j], s.rlk.Value[j][1].P, accP1, lp)
+			rq.MulCoeffsAndAdd(wantQ[j], s.rlk.B[j].Q, accQ0, lvl)
+			rp.MulCoeffsAndAdd(wantP[j], s.rlk.B[j].P, accP0, lp)
+			rq.MulCoeffsAndAdd(wantQ[j], a[j].Q, accQ1, lvl)
+			rp.MulCoeffsAndAdd(wantP[j], a[j].P, accP1, lp)
 		}
 		want0, want1 := rq.NewPolyLevel(lvl), rq.NewPolyLevel(lvl)
 		ev.modDown(accQ0, accP0, lvl, 0, want0)

@@ -26,6 +26,7 @@ type Montgomery struct {
 	Q    uint64
 	QInv uint64 // -q^-1 mod 2^64
 	R2   uint64 // 2^128 mod q, the M-form conversion constant
+	Fold uint64 // ⌊2^64/q⌋, the Shoup constant Reduce128 folds the high word with
 }
 
 // NewMontgomery precomputes the Montgomery constants for q. It panics if q is
@@ -53,7 +54,7 @@ func NewMontgomery(q uint64) Montgomery {
 			r2 -= q
 		}
 	}
-	return Montgomery{Q: q, QInv: -inv, R2: r2}
+	return Montgomery{Q: q, QInv: -inv, R2: r2, Fold: ^uint64(0) / q}
 }
 
 // REDCLazy reduces T = hi·2^64+lo to T·R^-1 mod q with the result < 2q,
@@ -95,6 +96,21 @@ func (mr Montgomery) MulLazy(a, b uint64) uint64 {
 // residue into Montgomery form.
 func (mr Montgomery) MForm(x uint64) uint64 {
 	return mr.Mul(x, mr.R2)
+}
+
+// Reduce128 returns (hi·2^64+lo)·R^-1 mod q, canonical, for ANY 128-bit
+// input: hi is folded below q with the Shoup constant ⌊2^64/q⌋ (the
+// estimate ⌊hi·Fold/2^64⌋ undershoots ⌊hi/q⌋ by at most one, so one
+// conditional subtraction finishes it), and one REDC divides by R; both
+// subtractions are written min(x, x−q), which the compiler turns into a
+// conditional move and which keeps the method inlinable. A sum of
+// M-form products carries R², so this lands it directly in M-form — the
+// lazy MAC's reduction without Barrett's four wide multiplies.
+func (mr Montgomery) Reduce128(hi, lo uint64) uint64 {
+	qt, _ := bits.Mul64(hi, mr.Fold)
+	hi -= qt * mr.Q
+	r := mr.REDCLazy(min(hi, hi-mr.Q), lo)
+	return min(r, r-mr.Q)
 }
 
 // IForm returns x·R^-1 mod q (canonical) for any 64-bit x, converting a

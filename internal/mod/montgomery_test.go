@@ -96,6 +96,44 @@ func TestREDCMatchesBigInt(t *testing.T) {
 	}
 }
 
+// TestReduce128MatchesBigInt pins Montgomery.Reduce128 to (hi·2^64+lo)·R^-1
+// mod q over arbitrary 128-bit inputs, with the edges of the high-word fold:
+// hi = 2^64−1 (the largest quotient), hi = q−1 and q (either side of the
+// REDC bound), and lo = 0.
+func TestReduce128MatchesBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for _, q := range montgomeryTestPrimes(t) {
+		mr := NewMontgomery(q)
+		qb := new(big.Int).SetUint64(q)
+		rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), 64), qb)
+		his := []uint64{0, 1, q - 1, q, 2*q - 1, ^uint64(0), ^uint64(0) - 1}
+		los := []uint64{0, 1, q - 1, ^uint64(0)}
+		for i := 0; i < 200; i++ {
+			his = append(his, rng.Uint64())
+			los = append(los, rng.Uint64())
+		}
+		for _, hi := range his {
+			for _, lo := range los[:8] {
+				check128(t, mr, qb, rInv, hi, lo)
+			}
+		}
+		for k := range his {
+			check128(t, mr, qb, rInv, his[k], los[k%len(los)])
+		}
+	}
+}
+
+func check128(t *testing.T, mr Montgomery, qb, rInv *big.Int, hi, lo uint64) {
+	t.Helper()
+	v := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+	v.Add(v, new(big.Int).SetUint64(lo))
+	v.Mul(v, rInv)
+	want := v.Mod(v, qb).Uint64()
+	if got := mr.Reduce128(hi, lo); got != want {
+		t.Fatalf("q=%d: Reduce128(%d, %d) = %d, want %d", mr.Q, hi, lo, got, want)
+	}
+}
+
 // TestMulLazyBounds drives MulLazy across its full documented validity range
 // — a < 4q, b < q, as the lazy NTT butterflies do — checking the < 2q output
 // bound and congruence with the canonical product.

@@ -14,7 +14,8 @@ import (
 // accesses). It implements the lazy multiply-accumulate
 // discipline of the hottest inner loops — sum many residue products without
 // intermediate modular reduction, then reduce once per coefficient with a
-// single Barrett pass (mod.Reduce128 accepts arbitrary 128-bit inputs).
+// single fold-and-REDC pass (mod.Montgomery.Reduce128 accepts arbitrary
+// 128-bit inputs).
 //
 // Overflow bound: a sum of T products of residues below q stays under 2^128
 // while T·(q-1)² < 2^128 — 2^18 terms for 55-bit moduli, 2^38 for 45-bit.
@@ -129,15 +130,14 @@ func (r *Ring) MulGatherAndAddLazy(a *Poly, table []int, b *Poly, acc *Acc128, l
 	})
 }
 
-// ReduceAcc reduces acc into out on rows [0..level]: one Barrett reduction
-// plus one REDC per coefficient, yielding exactly the canonical residues the
-// equivalent chain of reduced multiply-accumulates would have produced (the
-// congruence class of a sum does not depend on when reductions happen). The
-// accumulated products of two Montgomery-form operands each carry R², so
-// after the Barrett pass folds the 128-bit sum to (Σ aᵢbᵢ)·R² mod q, a
-// single REDC strips one R and lands the result in Montgomery form — the
-// whole conversion cost amortized over every product summed into the
-// accumulator.
+// ReduceAcc reduces acc into out on rows [0..level]: one fold of the high
+// word plus one REDC per coefficient (mod.Montgomery.Reduce128), yielding
+// exactly the canonical residues the equivalent chain of reduced
+// multiply-accumulates would have produced (the congruence class of a sum
+// does not depend on when reductions happen). The accumulated products of two
+// Montgomery-form operands each carry R², so the REDC that divides the folded
+// sum by R lands it in Montgomery form — the whole conversion cost amortized
+// over every product summed into the accumulator.
 func (r *Ring) ReduceAcc(acc *Acc128, out *Poly, level int) {
 	n := r.N
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
@@ -147,11 +147,12 @@ func (r *Ring) ReduceAcc(acc *Acc128, out *Poly, level int) {
 }
 
 // reduceAccRow sets out[j] to the M-form residue of the 128-bit sum
-// (accHi[j], accLo[j]) over the rows' common length: a Barrett fold, then one
-// REDC. No bounds check (CI asserts that by name).
+// (accHi[j], accLo[j]) over the rows' common length: a Shoup fold of the high
+// word, then one REDC (mod.Montgomery.Reduce128). No bounds check (CI asserts
+// that by name).
 func reduceAccRow(accLo, accHi, out []uint64, m *Modulus) {
-	br, mr := m.BRed, m.MRed
+	mr := m.MRed
 	for j := 0; j < len(accLo) && j < len(accHi) && j < len(out); j++ {
-		out[j] = mr.IForm(br.Reduce128(accHi[j], accLo[j]))
+		out[j] = mr.Reduce128(accHi[j], accLo[j])
 	}
 }

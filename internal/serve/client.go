@@ -119,7 +119,9 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // parameter set and returns the mirrored ckks.Parameters plus the rotation
 // amounts bootstrapping requires (nil when the server has it disabled). ctx
 // bounds the whole request: give it a deadline, or a daemon that accepts the
-// connection and never answers blocks the caller forever.
+// connection and never answers blocks the caller forever. A daemon on another
+// wire version is refused here, with a terminal CodeInvalid error, rather
+// than at the first key upload.
 func FetchParams(ctx context.Context, base string) (ckks.Parameters, []int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/params", nil)
 	if err != nil {
@@ -136,6 +138,9 @@ func FetchParams(ctx context.Context, base string) (ckks.Parameters, []int, erro
 	var pr ParamsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 		return ckks.Parameters{}, nil, fmt.Errorf("serve: decoding params: %w", err)
+	}
+	if pr.WireVersion != wire.Version {
+		return ckks.Parameters{}, nil, errf(CodeInvalid, "daemon speaks wire version %d, this client version %d", pr.WireVersion, wire.Version)
 	}
 	p := ckks.Parameters{
 		LogN:  pr.LogN,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -69,5 +70,36 @@ func TestFetchParamsHonorsDeadline(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("FetchParams ignored its deadline")
+	}
+}
+
+// TestFetchParamsRefusesWireVersion points FetchParams at a stub daemon that
+// advertises wire version 99: the mismatch must surface as a terminal
+// CodeInvalid error before any key is uploaded. The real daemon must
+// advertise this build's version.
+func TestFetchParamsRefusesWireVersion(t *testing.T) {
+	params := testParams(t)
+	srv, err := New(Config{Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	live := httptest.NewServer(srv.Handler())
+	defer live.Close()
+	if _, _, err := FetchParams(context.Background(), live.URL); err != nil {
+		t.Fatalf("FetchParams against this build's daemon: %v", err)
+	}
+
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(ParamsResponse{
+			LogN: params.LogN, Q: params.Q, P: params.P, Dnum: params.Dnum,
+			Scale: params.Scale, H: params.H, Sigma: params.Sigma, WireVersion: 99,
+		})
+	}))
+	defer stub.Close()
+	_, _, err = FetchParams(context.Background(), stub.URL)
+	var se *Error
+	if !errors.As(err, &se) || se.Code != CodeInvalid || se.Retryable {
+		t.Fatalf("FetchParams against a version-99 daemon returned %v, want a terminal %s error", err, CodeInvalid)
 	}
 }

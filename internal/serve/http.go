@@ -166,7 +166,7 @@ func (s *Server) handleParams(w http.ResponseWriter, r *http.Request) {
 		Scale:              p.Scale,
 		H:                  p.H,
 		Sigma:              p.Sigma,
-		WireVersion:        1,
+		WireVersion:        wire.Version,
 		BootstrapRotations: s.bootRotations,
 	})
 }

@@ -428,7 +428,9 @@ func (st *Store) LoadRegisters(name string) (map[string]*ckks.Ciphertext, error)
 	}
 	count := rd32(p)
 	p = p[4:]
-	regs := make(map[string]*ckks.Ciphertext, count)
+	// An entry takes at least 6 bytes, so the count cannot size the map past
+	// what the file can hold.
+	regs := make(map[string]*ckks.Ciphertext, min(int(count), len(p)/6))
 	for i := uint32(0); i < count; i++ {
 		if len(p) < 2 {
 			return nil, errf(CodeStore, "registers of %q: truncated name length", name)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -291,6 +293,77 @@ func FuzzDecodeManifest(f *testing.F) {
 			}
 			if ref.Bytes <= 0 {
 				t.Fatalf("accepted blob size %d", ref.Bytes)
+			}
+		}
+	})
+}
+
+// FuzzLoadRegisters feeds arbitrary bytes to Store.LoadRegisters as a
+// session's register file: it must never panic, and every error must be a
+// CodeStore error. With fixCRC the input is taken as the file body and the
+// checksum trailer is appended, so mutations get past the CRC to the entry
+// decoder.
+func FuzzLoadRegisters(f *testing.F) {
+	params := testParams(f)
+	ctx, err := ckks.NewContext(params)
+	if err != nil {
+		f.Fatal(err)
+	}
+	st, err := OpenStore(f.TempDir(), ctx)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const name = "fuzz"
+	if err := st.Save(name, nil, nil, 0); err != nil {
+		f.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(ctx, 5)
+	enc := ckks.NewEncryptorSK(ctx, kg.GenSecretKey(), 6)
+	pt, _ := ckks.NewEncoder(ctx).Encode([]complex128{0.5}, 1, params.Scale)
+	ct, _ := enc.EncryptNew(pt)
+	if err := st.SaveRegisters(name, map[string]*ckks.Ciphertext{"a": ct, "bb": ct}); err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(st.sessionDir(name), regsFile)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := good[:len(good)-4]
+	f.Add(good, false)
+	f.Add(body, true)
+	f.Add(body[:len(regsMagic)+4], true)
+	// A count of 2^32−1 over a short file: sizing the map by the count alone
+	// is a fatal out-of-memory, not an error.
+	huge := append([]byte(nil), body...)
+	copy(huge[len(regsMagic):], []byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(huge, true)
+	for _, off := range []int{len(regsMagic), len(regsMagic) + 4, len(regsMagic) + 6, len(regsMagic) + 8, len(regsMagic) + 12, len(body) - 1} {
+		mut := append([]byte(nil), body...)
+		mut[off] ^= 0xff
+		f.Add(mut, true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
+		if fixCRC {
+			data = le32(append([]byte(nil), data...), crc32.Checksum(data, crcTable))
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		regs, err := st.LoadRegisters(name)
+		if err != nil {
+			var se *Error
+			if !errors.As(err, &se) || se.Code != CodeStore {
+				t.Fatalf("LoadRegisters error %v is not a %s error", err, CodeStore)
+			}
+			if regs != nil {
+				t.Fatal("registers returned alongside an error")
+			}
+			return
+		}
+		for n, ct := range regs {
+			if ct == nil || ct.Level < 0 || ct.Level > params.MaxLevel() {
+				t.Fatalf("register %q decoded to an invalid ciphertext", n)
 			}
 		}
 	})

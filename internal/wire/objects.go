@@ -257,24 +257,24 @@ func (c *Codec) UnmarshalPublicKey(b []byte) (*ckks.PublicKey, error) {
 
 // --- SwitchingKey -----------------------------------------------------------
 
-// appendSwitchingKeyBody serializes swk: uint32 dnum, then per decomposition
-// group the four polynomials bQ, bP, aQ, aP over their full chains.
+// appendSwitchingKeyBody serializes swk: uint32 dnum, the 32-byte seed that
+// regenerates every a_j, then per decomposition group the two polynomials
+// bQ, bP over their full chains.
 func (c *Codec) appendSwitchingKeyBody(buf *bytes.Buffer, swk *ckks.SwitchingKey) error {
 	rq, rp := c.ctx.RingQ, c.ctx.RingP
-	if len(swk.Value) != c.ctx.Params.Dnum {
-		return fmt.Errorf("wire: switching key has %d groups, context dnum is %d", len(swk.Value), c.ctx.Params.Dnum)
+	if len(swk.B) != c.ctx.Params.Dnum {
+		return fmt.Errorf("wire: switching key has %d groups, context dnum is %d", len(swk.B), c.ctx.Params.Dnum)
 	}
 	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(swk.Value)))
+	binary.LittleEndian.PutUint32(tmp[:], uint32(len(swk.B)))
 	buf.Write(tmp[:])
-	for _, pair := range swk.Value {
-		for _, qp := range pair {
-			if err := appendPolyBody(buf, rq, qp.Q, rq.MaxLevel()); err != nil {
-				return err
-			}
-			if err := appendPolyBody(buf, rp, qp.P, rp.MaxLevel()); err != nil {
-				return err
-			}
+	buf.Write(swk.Seed[:])
+	for _, b := range swk.B {
+		if err := appendPolyBody(buf, rq, b.Q, rq.MaxLevel()); err != nil {
+			return err
+		}
+		if err := appendPolyBody(buf, rp, b.P, rp.MaxLevel()); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -290,25 +290,27 @@ func (c *Codec) readSwitchingKeyBody(cu *cursor) (*ckks.SwitchingKey, error) {
 	if int(groups) != c.ctx.Params.Dnum {
 		return nil, fmt.Errorf("wire: switching key with %d groups, context dnum is %d", groups, c.ctx.Params.Dnum)
 	}
-	swk := &ckks.SwitchingKey{Value: make([][2]ckks.PolyQP, groups)}
-	for j := range swk.Value {
-		for k := 0; k < 2; k++ {
-			pq, lvlQ, err := readPolyBody(cu, rq, nil)
-			if err != nil {
-				return nil, err
-			}
-			if lvlQ != rq.MaxLevel() {
-				return nil, fmt.Errorf("wire: switching key Q part has %d rows, need %d", lvlQ+1, rq.MaxLevel()+1)
-			}
-			pp, lvlP, err := readPolyBody(cu, rp, nil)
-			if err != nil {
-				return nil, err
-			}
-			if lvlP != rp.MaxLevel() {
-				return nil, fmt.Errorf("wire: switching key P part has %d rows, need %d", lvlP+1, rp.MaxLevel()+1)
-			}
-			swk.Value[j][k] = ckks.PolyQP{Q: pq, P: pp}
+	if cu.remaining() < ring.SeedSize {
+		return nil, fmt.Errorf("wire: truncated switching-key seed at offset %d", cu.off)
+	}
+	swk := &ckks.SwitchingKey{B: make([]ckks.PolyQP, groups)}
+	cu.off += copy(swk.Seed[:], cu.b[cu.off:])
+	for j := range swk.B {
+		pq, lvlQ, err := readPolyBody(cu, rq, nil)
+		if err != nil {
+			return nil, err
 		}
+		if lvlQ != rq.MaxLevel() {
+			return nil, fmt.Errorf("wire: switching key Q part has %d rows, need %d", lvlQ+1, rq.MaxLevel()+1)
+		}
+		pp, lvlP, err := readPolyBody(cu, rp, nil)
+		if err != nil {
+			return nil, err
+		}
+		if lvlP != rp.MaxLevel() {
+			return nil, fmt.Errorf("wire: switching key P part has %d rows, need %d", lvlP+1, rp.MaxLevel()+1)
+		}
+		swk.B[j] = ckks.PolyQP{Q: pq, P: pp}
 	}
 	return swk, nil
 }

@@ -6,7 +6,7 @@
 // Every object travels inside an envelope:
 //
 //	offset 0  magic   "BTSW" (4 bytes)
-//	offset 4  version (1 byte, currently 1)
+//	offset 4  version (1 byte, currently 2)
 //	offset 5  type    (1 byte, see Type)
 //	offset 6  length  (uint32 little-endian, payload byte count)
 //	offset 10 payload (type-specific, little-endian)
@@ -24,7 +24,13 @@
 //	uint32 N | uint32 rows | rows×N × uint64 residues (row-major)
 //
 // and compound objects nest polynomial bodies without repeating the
-// envelope. Integers and floats are little-endian; scales travel as IEEE-754
+// envelope. A switching key's body is
+//
+//	uint32 dnum | 32-byte seed | dnum × (poly bQ_j | poly bP_j)
+//
+// — only the b halves travel; the seed regenerates every a_j on the
+// receiving side (ckks.SwitchingKey), halving a key upload. A rotation-key
+// set is uint32 count | count × (uint64 Galois element | key body). Integers and floats are little-endian; scales travel as IEEE-754
 // bit patterns, so round trips are bit-exact.
 //
 // In-memory polynomials hold their residues in Montgomery form (the ring
@@ -49,8 +55,9 @@ import (
 )
 
 // Version is the wire-format version emitted by this package. Decoders
-// reject envelopes with any other version.
-const Version = 1
+// reject envelopes with any other version. Version 2 carries switching keys
+// as their b halves plus a seed (version 1 carried both halves).
+const Version = 2
 
 // magic is the 4-byte envelope preamble.
 var magic = [4]byte{'B', 'T', 'S', 'W'}
@@ -210,7 +217,7 @@ func (c *Codec) maxPayload(t Type) uint64 {
 	pRows := uint64(len(c.ctx.Params.P))
 	polyQ := 8 + qRows*n*8 // N + rows header, then residues
 	polyP := 8 + pRows*n*8
-	swk := 4 + uint64(c.ctx.Params.Dnum)*2*(polyQ+polyP)
+	swk := 4 + ring.SeedSize + uint64(c.ctx.Params.Dnum)*(polyQ+polyP)
 	switch t {
 	case TypePoly:
 		return polyQ

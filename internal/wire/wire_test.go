@@ -179,13 +179,19 @@ func TestSwitchingKeyAndRotationKeySetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	lq, lp := ctx.RingQ.MaxLevel(), ctx.RingP.MaxLevel()
-	for j := range rlk.Value {
-		for k := 0; k < 2; k++ {
-			if !ctx.RingQ.Equal(rlk2.Value[j][k].Q, rlk.Value[j][k].Q, lq) ||
-				!ctx.RingP.Equal(rlk2.Value[j][k].P, rlk.Value[j][k].P, lp) {
-				t.Fatalf("switching key group %d pair %d mismatch", j, k)
-			}
+	if rlk2.Seed != rlk.Seed || len(rlk2.B) != len(rlk.B) {
+		t.Fatal("switching key seed or group count mismatch")
+	}
+	for j := range rlk.B {
+		if !ctx.RingQ.Equal(rlk2.B[j].Q, rlk.B[j].Q, lq) || !ctx.RingP.Equal(rlk2.B[j].P, rlk.B[j].P, lp) {
+			t.Fatalf("switching key group %d mismatch", j)
 		}
+	}
+	// Only the b halves and the seed travel: the envelope is the key's
+	// in-memory footprint plus framing (header, dnum, per-polynomial N and
+	// row count).
+	if want := int64(headerSize+4) + rlk.Bytes() + int64(len(rlk.B))*2*8; int64(len(b)) != want {
+		t.Fatalf("switching key envelope is %d bytes, want %d", len(b), want)
 	}
 
 	rtks := kg.GenRotationKeys(sk, []int{1, 2, 4}, true)
