@@ -123,18 +123,18 @@ func (ev *Evaluator) decomposeNTT(d *ring.Poly, lvl int) *HoistedDecomposition {
 //
 // The slice permutation is fused into the MAC gather
 // (ring.MulKeyPairAndAddLazy reads each slice through the automorphism index
-// table, once for both key halves, and regenerates the key's a_j rows from
-// its seed as it goes), so no permuted copy of the extended basis and no
-// expanded a_j is ever materialized; and the per-slice products accumulate
+// table and regenerates the key's a_j rows from its seed as it goes), so no
+// permuted copy of the extended basis and no expanded a_j is ever
+// materialized; and the per-slice products accumulate
 // as unreduced 128-bit sums (ring.Acc128) with a single fold-and-REDC
 // reduction per coefficient at the end (ring.ReduceAcc — the M-form product
 // sums carry an R² factor the REDC strips), collapsing β modular-reduction
 // passes into one. Both changes are exact —
 // the congruence class of a sum does not depend on when reductions happen —
 // so outputs remain bit-identical to the streaming keySwitch pipeline.
-// Slice counts beyond the rings' lazy overflow budget (unreachable with
-// supported dnum and ≤62-bit moduli, but guarded anyway) are folded in
-// chunks. g = 1 skips the permutation (plain key-switching reuses this
+// Slice counts beyond the rings' overflow budget for seeded products
+// (ring.SeededMACBudget: 8 slices with 61-bit moduli, at least 4 with any) are
+// folded in chunks. g = 1 skips the permutation (plain key-switching reuses this
 // path).
 func (ev *Evaluator) keySwitchHoistedLazy(g uint64, hd *HoistedDecomposition, swk *SwitchingKey, accQ0, accP0, accQ1, accP1 *ring.Poly) {
 	ctx := ev.ctx
@@ -148,10 +148,7 @@ func (ev *Evaluator) keySwitchHoistedLazy(g uint64, hd *HoistedDecomposition, sw
 		tableQ = rq.AutoIndexNTT(g)
 		tableP = rp.AutoIndexNTT(g)
 	}
-	budget := rq.LazyMACBudget()
-	if pb := rp.LazyMACBudget(); pb < budget {
-		budget = pb
-	}
+	budget := min(rq.SeededMACBudget(), rp.SeededMACBudget())
 	a := ring.NewUniformSource(swk.Seed)
 	mergeQ := rq.GetPolyNoZero()
 	mergeP := rp.GetPolyNoZero()

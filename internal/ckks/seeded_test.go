@@ -192,3 +192,53 @@ func TestSeededKeySwitchMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestSeededHoistedMACChunks drives keySwitchHoistedLazy past its overflow
+// budget: with 61-bit primes a 128-bit sum holds only 8 products of a residue
+// and a raw seeded candidate (ring.SeededMACBudget), so dnum = 10 folds the
+// slices in two chunks. Both chunkings must match oracleMAC word for word.
+func TestSeededHoistedMACChunks(t *testing.T) {
+	params, err := NewParameters(ParametersLiteral{
+		LogN:     9,
+		LogQ:     []int{61, 61, 61, 61, 61, 61, 61, 61, 61, 61},
+		LogP:     61,
+		Dnum:     10,
+		LogScale: 40,
+		H:        16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := NewContext(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+	lvl := params.MaxLevel()
+	if b := min(ctx.RingQ.SeededMACBudget(), ctx.RingP.SeededMACBudget()); b >= params.Beta(lvl) {
+		t.Fatalf("budget %d does not force chunking over %d slices", b, params.Beta(lvl))
+	}
+	kg := NewKeyGenerator(ctx, 7001)
+	sk := kg.GenSecretKey()
+	rlk := kg.GenRelinearizationKey(sk)
+	rtks := kg.GenRotationKeys(sk, []int{1}, false)
+	ev := NewEvaluator(ctx, NewEncoder(ctx), rlk, rtks)
+	rq, rp := ctx.RingQ, ctx.RingP
+	lp := ctx.special[lvl].k - 1
+	hd := ev.DecomposeNTT(randomCiphertext(ctx, rand.New(rand.NewSource(71)), lvl))
+	defer hd.Release()
+	for _, g := range []uint64{1, rq.GaloisElement(1)} {
+		swk := rlk
+		if g != 1 {
+			swk = ev.rotationKey(g)
+		}
+		q0, p0, q1, p1 := oracleMAC(ctx, g, hd, swk)
+		gq0, gq1 := rq.NewPolyLevel(lvl), rq.NewPolyLevel(lvl)
+		gp0, gp1 := rp.NewPolyLevel(lp), rp.NewPolyLevel(lp)
+		ev.keySwitchHoistedLazy(g, hd, swk, gq0, gp0, gq1, gp1)
+		if !rq.Equal(gq0, q0, lvl) || !rq.Equal(gq1, q1, lvl) ||
+			!rp.Equal(gp0, p0, lp) || !rp.Equal(gp1, p1, lp) {
+			t.Fatalf("g=%d: chunked keySwitchHoistedLazy differs from the materialized oracle", g)
+		}
+	}
+}

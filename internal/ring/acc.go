@@ -33,17 +33,31 @@ type Acc128 struct {
 // without overflowing 128 bits, capped at 2^30. It is at least 16 for any
 // supported modulus (q < 2^62).
 func (r *Ring) LazyMACBudget() int {
-	maxQ := uint64(0)
+	q := new(big.Int).SetUint64(r.maxModulus() - 1)
+	return macBudget(new(big.Int).Mul(q, q))
+}
+
+// SeededMACBudget is LazyMACBudget for products of a residue and a raw
+// seeded candidate (any word below 2^64, see UniformPoly), the terms
+// MulKeyPairAndAddLazy sums into its second accumulator. It is at least 4 for
+// any supported modulus.
+func (r *Ring) SeededMACBudget() int {
+	q := new(big.Int).SetUint64(r.maxModulus() - 1)
+	return macBudget(q.Mul(q, new(big.Int).SetUint64(^uint64(0))))
+}
+
+func (r *Ring) maxModulus() (maxQ uint64) {
 	for _, m := range r.Moduli {
-		if m.Q > maxQ {
-			maxQ = m.Q
-		}
+		maxQ = max(maxQ, m.Q)
 	}
-	sq := new(big.Int).SetUint64(maxQ - 1)
-	sq.Mul(sq, sq)
+	return maxQ
+}
+
+// macBudget returns ⌊(2^128 − 1)/prod⌋, capped at 2^30.
+func macBudget(prod *big.Int) int {
 	budget := new(big.Int).Lsh(big.NewInt(1), 128)
 	budget.Sub(budget, big.NewInt(1))
-	budget.Quo(budget, sq)
+	budget.Quo(budget, prod)
 	if budget.BitLen() > 30 {
 		return 1 << 30
 	}
@@ -115,19 +129,21 @@ func mulAddLazyRow(a, b, accLo, accHi []uint64) {
 func (r *Ring) MulGatherAndAddLazy(a *Poly, table []int, b *Poly, acc *Acc128, level int) {
 	n := r.N
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		ra := a.Coeffs[i]
-		rb := b.Coeffs[i][lo:hi:hi]
-		tb := table[lo:hi:hi]
-		rlo := acc.Rows[i][lo:hi:hi]
-		rhi := acc.Rows[i][n+lo : n+hi : n+hi]
-		tb, rlo, rhi = tb[:len(rb)], rlo[:len(rb)], rhi[:len(rb)]
-		for j := range rb {
-			pHi, pLo := bits.Mul64(ra[tb[j]], rb[j])
-			var c uint64
-			rlo[j], c = bits.Add64(rlo[j], pLo, 0)
-			rhi[j], _ = bits.Add64(rhi[j], pHi, c)
-		}
+		row := acc.Rows[i]
+		gatherAddLazyRow(a.Coeffs[i], table[lo:hi:hi], b.Coeffs[i][lo:hi:hi], row[lo:hi:hi], row[n+lo:n+hi:n+hi])
 	})
+}
+
+// gatherAddLazyRow adds a[table[j]]·b[j] into the 128-bit sums
+// (accHi[j], accLo[j]) over the common length of table, b and the sums; the
+// gather a[table[j]] keeps its one data-dependent bounds check.
+func gatherAddLazyRow(a []uint64, table []int, b, accLo, accHi []uint64) {
+	for j := 0; j < len(table) && j < len(b) && j < len(accLo) && j < len(accHi); j++ {
+		pHi, pLo := bits.Mul64(a[table[j]], b[j])
+		var c uint64
+		accLo[j], c = bits.Add64(accLo[j], pLo, 0)
+		accHi[j], _ = bits.Add64(accHi[j], pHi, c)
+	}
 }
 
 // ReduceAcc reduces acc into out on rows [0..level]: one fold of the high

@@ -62,31 +62,33 @@ func (r *Ring) Neg(a, out *Poly, level int) {
 // — one 3-multiply reduction where the Barrett path paid roughly twice that.
 func (r *Ring) MulCoeffs(a, b, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		mr := r.Moduli[i].MRed
-		ra := a.Coeffs[i][lo:hi:hi]
-		rb := b.Coeffs[i][lo:hi:hi]
-		ro := out.Coeffs[i][lo:hi:hi]
-		rb, ro = rb[:len(ra)], ro[:len(ra)]
-		for j := range ra {
-			ro[j] = mr.Mul(ra[j], rb[j])
-		}
+		mulRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], r.Moduli[i].MRed)
 	})
+}
+
+// mulRow sets out[j] = a[j]·b[j] (M-form) over the rows' common length; no
+// bounds check (CI asserts that by name).
+func mulRow(a, b, out []uint64, mr mod.Montgomery) {
+	for j := 0; j < len(a) && j < len(b) && j < len(out); j++ {
+		out[j] = mr.Mul(a[j], b[j])
+	}
 }
 
 // MulCoeffsAndAdd sets out += a ⊙ b element-wise on rows [0..level]; this is
 // the modular multiply-accumulate the paper's MMAU performs.
 func (r *Ring) MulCoeffsAndAdd(a, b, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		mr := r.Moduli[i].MRed
-		q := r.Moduli[i].Q
-		ra := a.Coeffs[i][lo:hi:hi]
-		rb := b.Coeffs[i][lo:hi:hi]
-		ro := out.Coeffs[i][lo:hi:hi]
-		rb, ro = rb[:len(ra)], ro[:len(ra)]
-		for j := range ra {
-			ro[j] = mod.Add(ro[j], mr.Mul(ra[j], rb[j]), q)
-		}
+		mulAddRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], r.Moduli[i].MRed)
 	})
+}
+
+// mulAddRow sets out[j] += a[j]·b[j] (M-form) over the rows' common length;
+// no bounds check (CI asserts that by name).
+func mulAddRow(a, b, out []uint64, mr mod.Montgomery) {
+	q := mr.Q
+	for j := 0; j < len(a) && j < len(b) && j < len(out); j++ {
+		out[j] = mod.Add(out[j], mr.Mul(a[j], b[j]), q)
+	}
 }
 
 // MulScalar sets out = a * s element-wise on rows [0..level] for a uint64

@@ -8,8 +8,6 @@ import (
 	"math/bits"
 	"sync"
 	"unsafe"
-
-	"bts/internal/mod"
 )
 
 // Seeded uniform polynomials. A key-switching key (b, a) spends half its
@@ -19,66 +17,88 @@ import (
 // group's follow-up accelerator) adopts because evk bytes dominate
 // key-switch traffic.
 //
-// Expansion is counter-based AES-128-CTR (crypto/aes), so any coefficient
-// can be reached without generating the ones before it:
+// Expansion is counter-based AES-128-CTR, so a task can start at any chunk of
+// any row without generating what comes before it:
 //
 //   - The AES key is the seed's two 16-byte halves XORed together.
-//   - Coefficient t of row i of the polynomial with tag τ is the first
-//     accepted candidate among: keystream word t of the primary stream
-//     (counter block τ ‖ i ‖ ⌊t/2⌋, big-endian 32/32/64 bits, word t%2 of the
-//     block read little-endian), then the words of its resample stream
-//     (counter blocks τ|2^31 ‖ i ‖ t·2^32+k for k = 0, 1, …, two words per
-//     block).
-//   - A candidate v is mapped to ⌊v·q/2^64⌋ and rejected when v·q mod 2^64 <
-//     2^64 mod q (Lemire's test), so each coefficient is exactly uniform in
-//     [0, q). It is stored as drawn: x ↦ x·R is a bijection on Z_q, so the
-//     word is a uniform M-form residue with no conversion.
+//   - Row i of the polynomial with tag τ is cut into chunks of uniformChunk
+//     coefficients. Coefficient t's candidate is keystream word t of the
+//     row's primary stream (counter block τ ‖ i ‖ ⌊t/2⌋, big-endian 32/32/64
+//     bits, word t%2 of the block read little-endian).
+//   - A candidate v is accepted when v < L = 2^64 − (2^64 mod q), the largest
+//     multiple of q that fits, and the coefficient is v mod q, so it is
+//     exactly uniform in [0, q). It is an M-form word as drawn: x ↦ x·R is a
+//     bijection on Z_q, so no conversion is needed.
+//   - The rejected coefficients of chunk c, in increasing order, take the
+//     accepted candidates of the chunk's resample stream in order (counter
+//     blocks τ|2^31 ‖ i ‖ c·2^32+k for k = 0, 1, …, two words per block).
 //
 // A coefficient therefore depends only on (seed, τ, i, t) and a task may start
 // anywhere in a row: expansion is bit-identical at every (workers, block)
-// engine shape. The kernels below expand uniformChunk coefficients at a time
-// into task-local scratch and consume them at once, so an expanded row never
-// exists whole and never leaves the cache.
+// engine shape. The kernels below expand one chunk at a time into task-local
+// scratch and consume it at once, so an expanded row never exists whole and
+// never leaves the cache. They consume the accepted candidates themselves,
+// not their residues: a Montgomery product REDC(x·v) is exact for any 64-bit
+// v once x < q, and the lazy sums budget for the wider factor
+// (SeededMACBudget), so regenerating a word costs its keystream and one
+// comparison. Where the CPU has them, the keystream runs on the 256-bit AES
+// instructions (keystreamVAES, two blocks per instruction); elsewhere on
+// crypto/aes — the same words either way.
 
 // SeedSize is the byte length of the seed a UniformSource expands from.
 const SeedSize = 32
 
 // uniformChunk is the number of coefficients expanded per step: 2 KiB of
-// keystream, enough to amortize the AES-CTR call, small enough to stay in L1
+// keystream, enough to amortize the cipher call, small enough to stay in L1
 // beside the operand rows it is multiplied with.
 const uniformChunk = 256
 
-// resampleTag marks the counter blocks of the per-coefficient resample
-// streams; polynomial tags must stay below it.
+// resampleBatch is the number of resample candidates drawn per cipher call;
+// the widest primes reject about one candidate in sixteen, so one batch
+// almost always repairs a chunk.
+const resampleBatch = 32
+
+// resampleTag marks the counter blocks of the resample streams; polynomial
+// tags must stay below it.
 const resampleTag = 1 << 31
 
-// uniformZeros is the all-zero plaintext the CTR keystream is XORed onto.
+// uniformZeros is the all-zero plaintext the crypto/aes CTR keystream is
+// XORed onto.
 var uniformZeros [uniformChunk * 8]byte
 
 // uniformScratch is one task's expansion state, pooled so the hot kernels do
 // not allocate it per task.
 type uniformScratch struct {
-	words [uniformChunk]uint64
-	raw   [uniformChunk * 8]byte // keystream re-read by resampleChunk
-	ctr   [16]byte
+	words [uniformChunk]uint64  // the chunk's accepted candidates
+	spare [resampleBatch]uint64 // resample candidates
 }
 
 // hostLittleEndian says whether a keystream written over a []uint64 already
-// holds the little-endian candidates (see eachUniformChunk).
+// holds the little-endian candidates.
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 var uniformPool = sync.Pool{New: func() any { return new(uniformScratch) }}
 
 // UniformSource expands the uniform polynomials of one seed.
 type UniformSource struct {
-	block cipher.Block
+	block cipher.Block  // crypto/aes, when the CPU lacks VAES
+	rk    *[11][32]byte // else AES-128 round keys, each twice, for keystreamVAES
 }
 
 // NewUniformSource keys the expander for seed.
 func NewUniformSource(seed [SeedSize]byte) *UniformSource {
+	return newUniformSource(seed, useVAES)
+}
+
+// newUniformSource keys the expander for seed on keystreamVAES or on
+// crypto/aes; both produce the same words.
+func newUniformSource(seed [SeedSize]byte, vaes bool) *UniformSource {
 	var key [16]byte
 	for k := range key {
 		key[k] = seed[k] ^ seed[16+k]
+	}
+	if vaes {
+		return &UniformSource{rk: aesRoundKeys(key)}
 	}
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
@@ -87,6 +107,63 @@ func NewUniformSource(seed [SeedSize]byte) *UniformSource {
 	return &UniformSource{block: block}
 }
 
+// aesRoundKeys is the AES-128 key schedule (FIPS 197, §5.2), each round key
+// written twice for the two lanes of keystreamVAES.
+func aesRoundKeys(key [16]byte) *[11][32]byte {
+	sbox := aesSbox()
+	var w [44][4]byte
+	for k := range 4 {
+		copy(w[k][:], key[4*k:])
+	}
+	rcon := byte(1)
+	for k := 4; k < len(w); k++ {
+		t := w[k-1]
+		if k%4 == 0 {
+			t = [4]byte{sbox[t[1]] ^ rcon, sbox[t[2]], sbox[t[3]], sbox[t[0]]}
+			rcon = xtime(rcon)
+		}
+		for b := range t {
+			w[k][b] = w[k-4][b] ^ t[b]
+		}
+	}
+	rk := new([11][32]byte)
+	for r := range rk {
+		for k := range 4 {
+			copy(rk[r][4*k:], w[4*r+k][:])
+			copy(rk[r][16+4*k:], w[4*r+k][:])
+		}
+	}
+	return rk
+}
+
+// xtime multiplies b by x in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1.
+func xtime(b byte) byte {
+	return b<<1 ^ (b>>7)*0x1b
+}
+
+// aesSbox builds the AES S-box: the inverse in GF(2^8) (0 for 0) under the
+// affine map of FIPS 197 §5.1.1. p walks the field's nonzero elements as
+// powers of the generator 3 while q walks the matching powers of 3^-1, so q
+// is p's inverse at every step.
+var aesSbox = sync.OnceValue(func() (sbox [256]byte) {
+	p, q := byte(1), byte(1)
+	for {
+		p ^= xtime(p)
+		q ^= q << 1
+		q ^= q << 2
+		q ^= q << 4
+		if q&0x80 != 0 {
+			q ^= 0x09
+		}
+		sbox[p] = q ^ bits.RotateLeft8(q, 1) ^ bits.RotateLeft8(q, 2) ^ bits.RotateLeft8(q, 3) ^ bits.RotateLeft8(q, 4) ^ 0x63
+		if p == 1 {
+			break
+		}
+	}
+	sbox[0] = 0x63
+	return sbox
+})
+
 // Poly returns the source's polynomial with the given tag (< 2^31). Distinct
 // tags give independent polynomials; a caller expanding over several rings
 // (the Q and P bases of a key) gives each its own tag.
@@ -94,15 +171,39 @@ func (s *UniformSource) Poly(tag uint32) UniformPoly {
 	if tag >= resampleTag {
 		panic(fmt.Sprintf("ring: uniform polynomial tag %d out of range", tag))
 	}
-	return UniformPoly{block: s.block, tag: tag}
+	return UniformPoly{src: s, tag: tag}
+}
+
+// keystream writes the AES-CTR keystream of the counter blocks hi ‖ ctr,
+// hi ‖ ctr+1, … (big-endian 64-bit halves) over dst, two little-endian words
+// per block, and reports whether a word exceeds lim. len(dst) is a multiple
+// of 32 and at most uniformChunk.
+func (s *UniformSource) keystream(dst []uint64, hi, ctr, lim uint64) (rejected bool) {
+	if s.rk != nil {
+		return keystreamVAES(s.rk, hi, ctr, &dst[0], len(dst)/2, lim)
+	}
+	var iv [16]byte
+	binary.BigEndian.PutUint64(iv[0:], hi)
+	binary.BigEndian.PutUint64(iv[8:], ctr)
+	b := unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 8*len(dst))
+	cipher.NewCTR(s.block, iv[:]).XORKeyStream(b, uniformZeros[:len(b)])
+	if !hostLittleEndian {
+		for t := range dst {
+			dst[t] = bits.ReverseBytes64(dst[t])
+		}
+	}
+	for _, v := range dst {
+		rejected = rejected || v > lim
+	}
+	return rejected
 }
 
 // UniformPoly is a uniform polynomial held as a keyed expander and a tag; its
-// residues exist only inside the kernels that read them (MulKeyPair,
-// MulKeyPairAndAddLazy) or when ExpandUniform materializes them.
+// words exist only inside the kernels that read them (MulKeyPair,
+// MulKeyPairAndAddLazy) or when ExpandUniform materializes its residues.
 type UniformPoly struct {
-	block cipher.Block
-	tag   uint32
+	src *UniformSource
+	tag uint32
 }
 
 // ExpandUniform writes rows [0..level] of u into p. The key-switch never calls
@@ -110,192 +211,105 @@ type UniformPoly struct {
 // kernels consume.
 func (r *Ring) ExpandUniform(u UniformPoly, p *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		row := p.Coeffs[i]
-		r.eachUniformChunk(u, i, lo, hi, func(c0 int, a []uint64) {
-			copy(row[c0:], a)
+		row, br := p.Coeffs[i], r.Moduli[i].BRed
+		r.eachUniformChunk(u, i, lo, hi, func(c0 int, v []uint64) {
+			for t, x := range v {
+				row[c0+t] = br.Reduce(x)
+			}
 		})
 	})
 }
 
 // eachUniformChunk expands coefficients [lo, hi) of row i of u and calls fn on
-// consecutive pieces of at most uniformChunk of them: a holds coefficients
-// c0, c0+1, … and is only valid during the call. The keystream is written
-// straight over a and mapped in place, so a chunk costs one pass after the
-// cipher; the rare chunk with a rejected candidate is repaired by
-// resampleChunk.
-func (r *Ring) eachUniformChunk(u UniformPoly, i, lo, hi int, fn func(c0 int, a []uint64)) {
+// consecutive pieces of at most uniformChunk of them: v holds the accepted
+// candidates of coefficients c0, c0+1, … (below 2^64, congruent to them mod
+// q) and is only valid during the call. A task that starts or ends inside a
+// chunk expands the whole chunk and hands fn its part.
+func (r *Ring) eachUniformChunk(u UniformPoly, i, lo, hi int, fn func(c0 int, v []uint64)) {
 	q := r.Moduli[i].Q
-	thr := -q % q // 2^64 mod q
+	lim := ^(-q % q) // L − 1, the largest accepted candidate
 	s := uniformPool.Get().(*uniformScratch)
-	ctr := u.stream(s, i, lo)
-	for c0 := lo; c0 < hi; c0 += uniformChunk {
-		a := s.words[:min(uniformChunk, hi-c0)]
-		ctr.XORKeyStream(unsafe.Slice((*byte)(unsafe.Pointer(&a[0])), 8*len(a)), uniformZeros[:8*len(a)])
-		if !hostLittleEndian {
-			for t := range a {
-				a[t] = bits.ReverseBytes64(a[t])
-			}
-		}
-		if decodeUniform(a, q, thr) != 0 {
-			u.resampleChunk(s, i, c0, a, q, thr)
-		}
-		fn(c0, a)
+	for c := lo / uniformChunk; c*uniformChunk < hi; c++ {
+		c0 := c * uniformChunk
+		u.expandChunk(s, i, c, lim)
+		from, to := max(lo, c0), min(hi, c0+uniformChunk)
+		fn(from, s.words[from-c0:to-c0])
 	}
 	uniformPool.Put(s)
 }
 
-// stream returns the primary keystream of row i positioned at coefficient
-// lo.
-func (u UniformPoly) stream(s *uniformScratch, i, lo int) cipher.Stream {
-	binary.BigEndian.PutUint32(s.ctr[0:], u.tag)
-	binary.BigEndian.PutUint32(s.ctr[4:], uint32(i))
-	binary.BigEndian.PutUint64(s.ctr[8:], uint64(lo/2))
-	ctr := cipher.NewCTR(u.block, s.ctr[:])
-	if lo%2 == 1 {
-		ctr.XORKeyStream(s.raw[:8], uniformZeros[:8])
-	}
-	return ctr
-}
-
-// lemire maps the candidate v to the coefficient ⌊v·q/2^64⌋ and returns
-// rejected = 1 when v·q mod 2^64 < thr = 2^64 mod q, the tail that would make
-// the map non-uniform.
-func lemire(v, q, thr uint64) (a, rejected uint64) {
-	a, lo := bits.Mul64(v, q)
-	_, rejected = bits.Sub64(lo, thr, 0)
-	return a, rejected
-}
-
-// decodeUniform maps each candidate of a to its coefficient in place and
-// returns nonzero if one was rejected. No bounds check (CI asserts that by
-// name).
-func decodeUniform(a []uint64, q, thr uint64) (rejected uint64) {
-	for j, v := range a {
-		x, rej := lemire(v, q, thr)
-		rejected |= rej
-		a[j] = x
-	}
-	return rejected
-}
-
-// resampleChunk replaces the rejected coefficients of the chunk a, which
-// starts at coefficient c0 of row i: it regenerates the chunk's candidates
-// to find them and draws each from its resample stream.
-func (u UniformPoly) resampleChunk(s *uniformScratch, i, c0 int, a []uint64, q, thr uint64) {
-	raw := s.raw[:8*len(a)]
-	u.stream(s, i, c0).XORKeyStream(raw, uniformZeros[:len(raw)])
-	for t := range a {
-		if _, rej := lemire(binary.LittleEndian.Uint64(raw[8*t:]), q, thr); rej != 0 {
-			a[t] = u.resample(s, i, c0+t, q, thr)
-		}
+// expandChunk sets s.words to the accepted candidates of chunk c of row i:
+// the primary keystream, checked as it is written, then, for the rare chunk
+// with a rejected candidate, the resample stream.
+func (u UniformPoly) expandChunk(s *uniformScratch, i, c int, lim uint64) {
+	hi := uint64(u.tag)<<32 | uint64(uint32(i))
+	if u.src.keystream(s.words[:], hi, uint64(c)*uniformChunk/2, lim) {
+		u.resampleChunk(s, hi|resampleTag<<32, c, lim)
 	}
 }
 
-// resample draws coefficient t of row i from its own stream after the
-// primary candidate was rejected.
-func (u UniformPoly) resample(s *uniformScratch, i, t int, q, thr uint64) uint64 {
-	blk := s.ctr[:]
-	for k := uint64(0); ; k++ {
-		binary.BigEndian.PutUint32(blk[0:], u.tag|resampleTag)
-		binary.BigEndian.PutUint32(blk[4:], uint32(i))
-		binary.BigEndian.PutUint64(blk[8:], uint64(t)<<32|k)
-		u.block.Encrypt(blk, blk)
-		for w := 0; w < 16; w += 8 {
-			if v, rej := lemire(binary.LittleEndian.Uint64(blk[w:]), q, thr); rej == 0 {
-				return v
+// resampleChunk gives each rejected coefficient of chunk c (a word of s.words
+// above lim), in order, the next accepted candidate of the chunk's resample
+// stream, whose counter blocks carry hi.
+func (u UniformPoly) resampleChunk(s *uniformScratch, hi uint64, c int, lim uint64) {
+	ctr := uint64(c) << 32
+	next := len(s.spare)
+	for t := range s.words {
+		for s.words[t] > lim {
+			if next == len(s.spare) {
+				u.src.keystream(s.spare[:], hi, ctr, lim)
+				ctr += resampleBatch / 2
+				next = 0
 			}
+			s.words[t] = s.spare[next]
+			next++
 		}
 	}
 }
 
 // MulKeyPair multiplies d by both halves of one key-switching-key slice on
 // rows [0..level]: out0 = d ⊙ b and out1 = d ⊙ a, or, with add, out0 += d ⊙ b
-// and out1 += d ⊙ a. b is stored; a is expanded chunk by chunk inside each
-// task. Reading d once for both products is the streaming key-switch's
-// multiply-accumulate (Fig. 3a).
+// and out1 += d ⊙ a — the streaming key-switch's multiply-accumulate
+// (Fig. 3a). b is stored; a is expanded chunk by chunk inside each task, and
+// both products run per chunk, so d's chunk is read from the cache the second
+// time. d must be reduced below q (a's raw candidates are not).
 func (r *Ring) MulKeyPair(d, b *Poly, a UniformPoly, out0, out1 *Poly, level int, add bool) {
+	mul := mulRow
+	if add {
+		mul = mulAddRow
+	}
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		mr := r.Moduli[i].MRed
 		rd, rb, o0, o1 := d.Coeffs[i], b.Coeffs[i], out0.Coeffs[i], out1.Coeffs[i]
-		r.eachUniformChunk(a, i, lo, hi, func(c0 int, ra []uint64) {
-			c1 := c0 + len(ra)
-			if add {
-				mulPairAddRow(rd[c0:c1:c1], rb[c0:c1:c1], ra, o0[c0:c1:c1], o1[c0:c1:c1], mr)
-			} else {
-				mulPairRow(rd[c0:c1:c1], rb[c0:c1:c1], ra, o0[c0:c1:c1], o1[c0:c1:c1], mr)
-			}
+		r.eachUniformChunk(a, i, lo, hi, func(c0 int, va []uint64) {
+			c1 := c0 + len(va)
+			mul(rd[c0:c1:c1], rb[c0:c1:c1], o0[c0:c1:c1], mr)
+			mul(rd[c0:c1:c1], va, o1[c0:c1:c1], mr)
 		})
 	})
-}
-
-// mulPairRow sets o0[j] = d[j]·b[j] and o1[j] = d[j]·a[j] (M-form) over the
-// rows' common length; no bounds check (CI asserts that by name).
-func mulPairRow(d, b, a, o0, o1 []uint64, mr mod.Montgomery) {
-	for j := 0; j < len(d) && j < len(b) && j < len(a) && j < len(o0) && j < len(o1); j++ {
-		o0[j] = mr.Mul(d[j], b[j])
-		o1[j] = mr.Mul(d[j], a[j])
-	}
-}
-
-// mulPairAddRow is mulPairRow accumulating into o0, o1; no bounds check (CI
-// asserts that by name).
-func mulPairAddRow(d, b, a, o0, o1 []uint64, mr mod.Montgomery) {
-	q := mr.Q
-	for j := 0; j < len(d) && j < len(b) && j < len(a) && j < len(o0) && j < len(o1); j++ {
-		o0[j] = mod.Add(o0[j], mr.Mul(d[j], b[j]), q)
-		o1[j] = mod.Add(o1[j], mr.Mul(d[j], a[j]), q)
-	}
 }
 
 // MulKeyPairAndAddLazy is MulKeyPair's hoisted, lazy form: acc0 += σ(d) ⊙ b
 // and acc1 += σ(d) ⊙ a as unreduced 128-bit sums on rows [0..level], where
 // σ(d)[j] = d[table[j]] is the NTT-domain automorphism given by its index
 // table (AutoIndexNTT), or d itself when table is nil. The gather is fused
-// into the read of d, which both products share.
+// into the reads of d. acc1 sums products of a residue and a raw candidate:
+// callers chunk at SeededMACBudget, not LazyMACBudget.
 func (r *Ring) MulKeyPairAndAddLazy(d *Poly, table []int, b *Poly, a UniformPoly, acc0, acc1 *Acc128, level int) {
 	n := r.N
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		rd, rb, r0, r1 := d.Coeffs[i], b.Coeffs[i], acc0.Rows[i], acc1.Rows[i]
-		r.eachUniformChunk(a, i, lo, hi, func(c0 int, ra []uint64) {
-			c1 := c0 + len(ra)
+		r.eachUniformChunk(a, i, lo, hi, func(c0 int, va []uint64) {
+			c1 := c0 + len(va)
 			lo0, hi0 := r0[c0:c1:c1], r0[n+c0:n+c1:n+c1]
 			lo1, hi1 := r1[c0:c1:c1], r1[n+c0:n+c1:n+c1]
 			if table == nil {
-				mulPairLazyRow(rd[c0:c1:c1], rb[c0:c1:c1], ra, lo0, hi0, lo1, hi1)
+				mulAddLazyRow(rd[c0:c1:c1], rb[c0:c1:c1], lo0, hi0)
+				mulAddLazyRow(rd[c0:c1:c1], va, lo1, hi1)
 			} else {
-				mulPairGatherLazyRow(rd, table[c0:c1:c1], rb[c0:c1:c1], ra, lo0, hi0, lo1, hi1)
+				gatherAddLazyRow(rd, table[c0:c1:c1], rb[c0:c1:c1], lo0, hi0)
+				gatherAddLazyRow(rd, table[c0:c1:c1], va, lo1, hi1)
 			}
 		})
 	})
-}
-
-// mulPairLazyRow adds d[j]·b[j] into (hi0, lo0)[j] and d[j]·a[j] into
-// (hi1, lo1)[j] over the rows' common length; no bounds check (CI asserts
-// that by name).
-func mulPairLazyRow(d, b, a, lo0, hi0, lo1, hi1 []uint64) {
-	for j := 0; j < len(d) && j < len(b) && j < len(a) && j < len(lo0) && j < len(hi0) && j < len(lo1) && j < len(hi1); j++ {
-		x := d[j]
-		pHi, pLo := bits.Mul64(x, b[j])
-		var c uint64
-		lo0[j], c = bits.Add64(lo0[j], pLo, 0)
-		hi0[j], _ = bits.Add64(hi0[j], pHi, c)
-		pHi, pLo = bits.Mul64(x, a[j])
-		lo1[j], c = bits.Add64(lo1[j], pLo, 0)
-		hi1[j], _ = bits.Add64(hi1[j], pHi, c)
-	}
-}
-
-// mulPairGatherLazyRow is mulPairLazyRow reading d through the index table;
-// the gather d[table[j]] keeps the one data-dependent bounds check.
-func mulPairGatherLazyRow(d []uint64, table []int, b, a, lo0, hi0, lo1, hi1 []uint64) {
-	for j := 0; j < len(table) && j < len(b) && j < len(a) && j < len(lo0) && j < len(hi0) && j < len(lo1) && j < len(hi1); j++ {
-		x := d[table[j]]
-		pHi, pLo := bits.Mul64(x, b[j])
-		var c uint64
-		lo0[j], c = bits.Add64(lo0[j], pLo, 0)
-		hi0[j], _ = bits.Add64(hi0[j], pHi, c)
-		pHi, pLo = bits.Mul64(x, a[j])
-		lo1[j], c = bits.Add64(lo1[j], pLo, 0)
-		hi1[j], _ = bits.Add64(hi1[j], pHi, c)
-	}
 }

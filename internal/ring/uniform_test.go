@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,8 +13,8 @@ import (
 )
 
 // uniformTestRing returns a ring whose last prime sits just above 2^61, where
-// Lemire's rejection fires for about one candidate in eight, so the resample
-// streams are exercised as well as the primary one.
+// about one candidate in eight is rejected, so the resample streams are
+// exercised as well as the primary one.
 func uniformTestRing(t testing.TB, logN int) *Ring {
 	t.Helper()
 	primes, err := mod.GenerateNTTPrimes(50, logN, 2)
@@ -41,71 +40,111 @@ func testSeed(k byte) (s [SeedSize]byte) {
 	return s
 }
 
-// uniformOracle expands coefficient t of row i of tag's polynomial straight
-// from the format's definition: one AES block per candidate pair, no chunks,
-// no stream object.
-func uniformOracle(seed [SeedSize]byte, tag uint32, i, t int, q uint64) uint64 {
+// uniformOracleRow expands the first n coefficients of row i of tag's
+// polynomial straight from the format's definition: one AES block per
+// candidate pair, no stream object. It also reports how many coefficients
+// took the resample stream.
+func uniformOracleRow(seed [SeedSize]byte, tag uint32, i, n int, q uint64) (row []uint64, resampled int) {
 	var key [16]byte
 	for k := range key {
 		key[k] = seed[k] ^ seed[16+k]
 	}
 	block, _ := aes.NewCipher(key[:])
-	thr := new(big.Int).Mod(new(big.Int).Lsh(big.NewInt(1), 64), new(big.Int).SetUint64(q)).Uint64()
-	draw := func(ctr [16]byte, w int) (uint64, bool) {
-		block.Encrypt(ctr[:], ctr[:])
-		hi, lo := bits.Mul64(binary.LittleEndian.Uint64(ctr[8*w:]), q)
-		return hi, lo >= thr
+	// L = 2^64 − (2^64 mod q), the largest multiple of q below 2^64.
+	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
+	bq := new(big.Int).SetUint64(q)
+	bL := new(big.Int).Sub(two64, new(big.Int).Mod(two64, bq))
+	candidate := func(tag uint32, ctr uint64, w int) (uint64, bool) {
+		var blk [16]byte
+		binary.BigEndian.PutUint32(blk[0:], tag)
+		binary.BigEndian.PutUint32(blk[4:], uint32(i))
+		binary.BigEndian.PutUint64(blk[8:], ctr)
+		block.Encrypt(blk[:], blk[:])
+		v := new(big.Int).SetUint64(binary.LittleEndian.Uint64(blk[8*w:]))
+		return new(big.Int).Mod(v, bq).Uint64(), v.Cmp(bL) < 0
 	}
-	var ctr [16]byte
-	binary.BigEndian.PutUint32(ctr[0:], tag)
-	binary.BigEndian.PutUint32(ctr[4:], uint32(i))
-	binary.BigEndian.PutUint64(ctr[8:], uint64(t/2))
-	if v, ok := draw(ctr, t%2); ok {
-		return v
-	}
-	for k := uint64(0); ; k++ {
-		binary.BigEndian.PutUint32(ctr[0:], tag|1<<31)
-		binary.BigEndian.PutUint64(ctr[8:], uint64(t)<<32|k)
-		for w := 0; w < 2; w++ {
-			if v, ok := draw(ctr, w); ok {
-				return v
+	row = make([]uint64, n)
+	for c := 0; c*uniformChunk < n; c++ {
+		k := 0 // next word of the chunk's resample stream
+		for t := c * uniformChunk; t < min(n, (c+1)*uniformChunk); t++ {
+			v, ok := candidate(tag, uint64(t/2), t%2)
+			if !ok {
+				resampled++
 			}
+			for ; !ok; k++ {
+				v, ok = candidate(tag|1<<31, uint64(c)<<32+uint64(k/2), k%2)
+			}
+			row[t] = v
 		}
 	}
+	return row, resampled
 }
 
 // TestUniformMatchesDefinition pins the expansion to the documented format,
-// word for word, on every row of a ring whose widest prime forces resampling.
+// word for word, on every row of a ring whose widest prime forces resampling
+// — on crypto/aes and, where the CPU has it, on keystreamVAES.
 func TestUniformMatchesDefinition(t *testing.T) {
 	r := uniformTestRing(t, 9)
 	seed := testSeed(1)
-	u := NewUniformSource(seed).Poly(5)
-	p := r.NewPoly(len(r.Moduli))
-	r.ExpandUniform(u, p, r.MaxLevel())
-	resampled := 0
-	for i, m := range r.Moduli {
-		thr := -m.Q % m.Q
-		for j, got := range p.Coeffs[i] {
-			if want := uniformOracle(seed, 5, i, j, m.Q); got != want {
-				t.Fatalf("row %d coeff %d: %d, want %d", i, j, got, want)
-			}
-			if got >= m.Q {
-				t.Fatalf("row %d coeff %d: %d not below q", i, j, got)
-			}
-			var blk [16]byte
-			binary.BigEndian.PutUint32(blk[0:], 5)
-			binary.BigEndian.PutUint32(blk[4:], uint32(i))
-			binary.BigEndian.PutUint64(blk[8:], uint64(j/2))
-			u.block.Encrypt(blk[:], blk[:])
-			if _, lo := bits.Mul64(binary.LittleEndian.Uint64(blk[8*(j%2):]), m.Q); lo < thr {
-				resampled++
+	for _, vaes := range []bool{false, true} {
+		if vaes && !useVAES {
+			t.Log("no VAES on this CPU: keystreamVAES not checked")
+			continue
+		}
+		p := r.NewPoly(len(r.Moduli))
+		r.ExpandUniform(newUniformSource(seed, vaes).Poly(5), p, r.MaxLevel())
+		resampled := 0
+		for i, m := range r.Moduli {
+			want, k := uniformOracleRow(seed, 5, i, r.N, m.Q)
+			resampled += k
+			for j, got := range p.Coeffs[i] {
+				if got != want[j] {
+					t.Fatalf("vaes=%v row %d coeff %d: %d, want %d", vaes, i, j, got, want[j])
+				}
+				if got >= m.Q {
+					t.Fatalf("vaes=%v row %d coeff %d: %d not below q", vaes, i, j, got)
+				}
 			}
 		}
+		if resampled == 0 {
+			t.Fatal("no coefficient took the resample path")
+		}
+		t.Logf("vaes=%v: %d of %d coefficients resampled", vaes, resampled, len(r.Moduli)*r.N)
 	}
-	if resampled == 0 {
-		t.Fatal("no coefficient took the resample path")
+}
+
+// TestUniformKeystreamPaths pins keystreamVAES and the key schedule it runs on
+// to crypto/aes's CTR mode, over counters whose low word carries into its
+// high bytes, and its rejection flag to a scan of the words, at limits that
+// reject a word in 2^4, 2^8, 2^12 and none.
+func TestUniformKeystreamPaths(t *testing.T) {
+	if !useVAES {
+		t.Skip("no VAES on this CPU")
 	}
-	t.Logf("%d of %d coefficients resampled", resampled, len(r.Moduli)*r.N)
+	rng := rand.New(rand.NewSource(11))
+	for k := 0; k < 40; k++ {
+		var seed [SeedSize]byte
+		rng.Read(seed[:])
+		hi, ctr := rng.Uint64(), uint64(rng.Uint32())
+		if k%2 == 1 {
+			ctr = 0xff_ffff_fff0 + uint64(k)
+		}
+		lim := ^uint64(0) >> (4 * (k % 4))
+		if k%4 > 0 {
+			lim = ^(^uint64(0) >> (4 * (k % 4)))
+		}
+		n := 32 * (1 + rng.Intn(uniformChunk/32))
+		got, want := make([]uint64, n), make([]uint64, n)
+		gotRej := newUniformSource(seed, true).keystream(got, hi, ctr, lim)
+		wantRej := newUniformSource(seed, false).keystream(want, hi, ctr, lim)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %x counter %x‖%x, %d words: VAES keystream differs from crypto/aes", seed, hi, ctr, n)
+		}
+		scan := slices.ContainsFunc(want, func(v uint64) bool { return v > lim })
+		if gotRej != scan || wantRej != scan {
+			t.Fatalf("lim %x, %d words: rejected = %v (VAES), %v (crypto/aes), want %v", lim, n, gotRej, wantRej, scan)
+		}
+	}
 }
 
 // TestUniformWindowsAgree checks that expanding any window [lo, hi) of a row
@@ -146,14 +185,17 @@ func TestUniformWindowsAgree(t *testing.T) {
 }
 
 // expandWindow expands coefficients [lo, hi) of row i of u through
-// eachUniformChunk alone, checking that the chunks arrive in order.
+// eachUniformChunk alone, checking that the chunks arrive in order, and
+// reduces the candidates to the coefficients.
 func expandWindow(r *Ring, u UniformPoly, i, lo, hi int) []uint64 {
 	var out []uint64
-	r.eachUniformChunk(u, i, lo, hi, func(c0 int, a []uint64) {
-		if c0 != lo+len(out) || len(a) > uniformChunk {
-			panic(fmt.Sprintf("chunk of %d at %d, want start %d", len(a), c0, lo+len(out)))
+	r.eachUniformChunk(u, i, lo, hi, func(c0 int, v []uint64) {
+		if c0 != lo+len(out) || len(v) > uniformChunk {
+			panic(fmt.Sprintf("chunk of %d at %d, want start %d", len(v), c0, lo+len(out)))
 		}
-		out = append(out, a...)
+		for _, x := range v {
+			out = append(out, x%r.Moduli[i].Q)
+		}
 	})
 	return out
 }
@@ -249,17 +291,51 @@ func TestUniformKernelsMatchMaterialized(t *testing.T) {
 	}
 }
 
-// BenchmarkExpandUniform reports the expansion's cost per coefficient (the
-// PRNG half of the seeded key-switch) over one row at N=2^12 with a 50-bit
-// prime, on one goroutine.
+// TestSeededMACBudget checks SeededMACBudget is the exact overflow bound for
+// sums of products of a residue and a raw candidate: that many worst-case
+// products fit in 128 bits, one more does not.
+func TestSeededMACBudget(t *testing.T) {
+	r := uniformTestRing(t, 4)
+	maxQ := uint64(0)
+	for _, m := range r.Moduli {
+		maxQ = max(maxQ, m.Q)
+	}
+	prod := new(big.Int).Mul(new(big.Int).SetUint64(maxQ-1), new(big.Int).SetUint64(^uint64(0)))
+	limit := new(big.Int).Lsh(big.NewInt(1), 128)
+	b := r.SeededMACBudget()
+	if b < 4 || b > r.LazyMACBudget() {
+		t.Fatalf("SeededMACBudget %d outside [4, LazyMACBudget %d]", b, r.LazyMACBudget())
+	}
+	if new(big.Int).Mul(prod, big.NewInt(int64(b))).Cmp(limit) >= 0 {
+		t.Fatalf("%d products overflow 128 bits", b)
+	}
+	if new(big.Int).Mul(prod, big.NewInt(int64(b+1))).Cmp(limit) < 0 {
+		t.Fatalf("budget %d is not tight", b)
+	}
+}
+
+// BenchmarkExpandUniform reports what the key-switch kernels pay per
+// regenerated word — keystream, rejection check and the rare resample, no
+// multiply — over one row at N=2^12 with a 50-bit prime, on one goroutine,
+// with keystreamVAES (where the CPU has it) and with crypto/aes.
 func BenchmarkExpandUniform(b *testing.B) {
 	r := uniformTestRing(b, 12)
 	r.SetEngine(nil)
-	u := NewUniformSource(testSeed(5)).Poly(0)
-	p := r.NewPoly(1)
-	b.SetBytes(int64(8 * r.N))
-	for k := 0; k < b.N; k++ {
-		r.ExpandUniform(u, p, 0)
+	for _, vaes := range []bool{true, false} {
+		name := "crypto-aes"
+		if vaes {
+			name = "vaes"
+			if !useVAES {
+				continue
+			}
+		}
+		b.Run(name, func(b *testing.B) {
+			u := newUniformSource(testSeed(5), vaes).Poly(0)
+			b.SetBytes(int64(8 * r.N))
+			for k := 0; k < b.N; k++ {
+				r.eachUniformChunk(u, 0, 0, r.N, func(int, []uint64) {})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.N), "ns/word")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.N), "ns/word")
 }
