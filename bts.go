@@ -107,7 +107,12 @@
 // pre-Montgomery Barrett kernels remain in internal/ring's tests as
 // bit-identity oracles. Every basis change runs the key-switch's own
 // iNTT → BConv → NTT dataflow: HRescale is its division with no special
-// primes, and ModRaise is a BConv from the single prime q0.
+// primes, and ModRaise is a BConv from the single prime q0. That BConv is
+// the software image of the paper's BConvU and MMAU: on amd64 CPUs with
+// AVX-512 IFMA its digits, dot products and reductions run eight
+// coefficients per instruction in 52-bit multiply-accumulate lanes
+// (internal/ring's bconvDigits and bconvLanes, chosen by CPUID), word for
+// word equal to the portable Go kernel that runs everywhere else.
 // The benchmark in bench/ (go run ./bench) reports the kernels per layer —
 // ns/butterfly, GB/s, REDC — beside T_mult,a/slot, and
 // TestTable2PaperInstance (build tag paperinstance) bootstraps the N=2^17

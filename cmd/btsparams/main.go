@@ -66,10 +66,11 @@ func main() {
 // realized by ckks.Table2Literal): the generated modulus chain with each
 // level's special-prime count and the log PQ the top-level key-switch
 // actually works over, the S=3 factored-bootstrap stage radices with their
-// BSGS rotation plans, and the resulting key-set size. The rotation plan is
+// BSGS rotation plans, the memory their encoded diagonals take, and the
+// resulting key-set size. The rotation plan and the diagonal memory are
 // computed statically from the stage diagonal index sets
-// (ckks.BSGSRotations) — no plaintext diagonal is encoded, so the command
-// stays interactive even at N=2^17.
+// (ckks.BSGSRotations, ckks.Parameters.SpecialPrimes) — no plaintext
+// diagonal is encoded, so the command stays interactive even at N=2^17.
 func describeTable2() error {
 	lit := ckks.Table2Literal()
 	p, err := ckks.NewParameters(lit)
@@ -110,13 +111,20 @@ func describeTable2() error {
 	}
 	enc := ckks.NewEncoder(ctx)
 
+	// Every stage diagonal is encoded once, at its stage's level ℓ (stage i
+	// of a chain starting at level s sits at s-i): ℓ+1 rows over Q plus the
+	// SpecialPrimes(ℓ) rows over P the double-hoisted path multiplies in the
+	// extended basis (ckks.Encoder.EncodeQP), N words each. SlotToCoeff
+	// starts where CoeffToSlot's stages and EvalMod's depth leave the chain,
+	// L - MinLevels + StCStages + 1.
 	union := map[int]bool{}
-	describe := func(name string, kind ckks.DFTKind, stages int) error {
+	var nDiags, qRows, pRows int
+	describe := func(name string, kind ckks.DFTKind, stages, start int) error {
 		diags, err := enc.DFTStageDiags(kind, stages)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s (%d stages):\n", name, stages)
+		fmt.Printf("%s (%d stages from level %d):\n", name, stages, start)
 		for i, d := range diags {
 			keys := make([]int, 0, len(d))
 			for k := range d {
@@ -126,17 +134,25 @@ func describeTable2() error {
 			for _, r := range rots {
 				union[r] = true
 			}
-			fmt.Printf("  stage %d: %3d diagonals (radix), n1=%d, %d rotations\n",
-				i, len(d), n1, len(rots))
+			level := start - i
+			nDiags += len(d)
+			qRows += len(d) * (level + 1)
+			pRows += len(d) * p.SpecialPrimes(level)
+			fmt.Printf("  stage %d: %3d diagonals (radix), n1=%d, %d rotations, level %d (%d+%d rows each)\n",
+				i, len(d), n1, len(rots), level, level+1, p.SpecialPrimes(level))
 		}
 		return nil
 	}
-	if err := describe("CoeffToSlot", ckks.DFTInverse, bp.CtSStages); err != nil {
+	L := p.MaxLevel()
+	if err := describe("CoeffToSlot", ckks.DFTInverse, bp.CtSStages, L); err != nil {
 		return err
 	}
-	if err := describe("SlotToCoeff", ckks.DFTForward, bp.StCStages); err != nil {
+	if err := describe("SlotToCoeff", ckks.DFTForward, bp.StCStages, L-bp.MinLevels()+bp.StCStages+1); err != nil {
 		return err
 	}
+	rowMiB := float64(int64(8)<<p.LogN) / (1 << 20)
+	fmt.Printf("encoded transform diagonals: %d, %d Q rows + %d P rows of %.2f MiB = %.2f GiB\n",
+		nDiags, qRows, pRows, rowMiB, float64(qRows+pRows)*rowMiB/(1<<10))
 
 	// Key set: the rotation union plus the relinearization and conjugation
 	// keys, each one switching key of the dnum=1 shape.

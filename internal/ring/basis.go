@@ -28,10 +28,33 @@ import (
 // commutes bit-exactly with ModUp.
 //
 // Both stages are fused over tiles of convTile coefficients, one engine task
-// per tile: a tile's digits are written coefficient-major into a pooled
-// scratch small enough to stay in cache, then read back once per target
-// limb, so the digits never travel through memory and no barrier separates
-// the stages.
+// per tile: a tile's digits are written into a pooled scratch small enough
+// to stay in cache, then read back once per target limb, so the digits never
+// travel through memory and no barrier separates the stages.
+//
+// The conversion has two implementations, chosen once per extender:
+//
+//   - bconvDigits and bconvLanes (bconv_amd64.s), where the CPU has AVX-512
+//     IFMA: the tile is term-major (row t holds term t of convTile
+//     consecutive coefficients), and one zmm register carries 8
+//     coefficients — of one source limb in stage 1, of one target limb in
+//     stage 2. Each product costs seven 52-bit multiply-accumulates into
+//     seven accumulators; a stage-2 dot product sums them over every term.
+//     The sum is normalized to radix 2^52 and reduced by a two-step
+//     radix-2^52 Montgomery REDC against constants pre-multiplied to
+//     cancel its 2^-104, then one VPMINUQ makes it canonical.
+//   - convertTile, everywhere else and as the kernels' oracle in tests: the
+//     tile is coefficient-major, each digit is one 64-bit Montgomery
+//     product, and each digit vector's dot product sums exactly in 128 bits
+//     (dot128) before one Barrett reduction.
+//
+// Both produce canonical residues of the same integers: the digits
+// x·qhatInv·2^-64 mod q_j, and the dot product of the digit vector with
+// qhatTo[i] mod p_i. The IFMA constants are qhatInv times 2^40 and qhatTo
+// times 2^104, the REDC divides by 2^104, and a REDC's output below 2m is
+// canonical after one subtraction. So the outputs agree word for word, at
+// every engine shape, and nothing above the ring can tell which kernels
+// ran.
 type BasisExtender struct {
 	from, to []*Modulus
 
@@ -40,8 +63,8 @@ type BasisExtender struct {
 	// REDC(x·R · (Q/q_j)^-1) is the *true* digit y_j — exactly what stage 2
 	// needs, since the centered y_j crosses moduli as an integer. The stage-2
 	// table is the opposite: its constants carry the target-modulus M-form,
-	// so the Barrett fold of the 128-bit sum Σ y_j·[Q/q_j]·R lands directly
-	// in Montgomery form over the target base.
+	// so the reduction of the sum Σ y_j·[Q/q_j]·R lands directly in
+	// Montgomery form over the target base.
 	qhatInv []uint64 // [(Q/q_j)^-1]_{q_j}, plain form
 
 	// qhatTo[i] is target limb i's row of stage-2 constants, nf+1 wide:
@@ -58,14 +81,36 @@ type BasisExtender struct {
 	// lazily and reduces once.
 	chunk int
 
+	// lanes holds the AVX-512 IFMA kernels' tables; nil selects the Go
+	// convertTile.
+	lanes *laneTables
+
 	exec    *Engine
 	scratch sync.Pool // *[]uint64, one tile of digit vectors
+}
+
+// laneTables are the constants of the IFMA kernels, each table led by its
+// modulus m, m>>52 and -m^-1 mod 2^52 (REDUCE in bconv_amd64.s).
+type laneTables struct {
+	// digits[j] drives bconvDigits over source limb j: then
+	// (Q/q_j)^-1·2^40 mod q_j — qhatInv[j] with REDC's 2^-64 folded into
+	// the kernel's 2^-104 — beside its bits above 52, and (q_j-1)/2.
+	digits [][]uint64
+	// dots[i] drives bconvLanes for target limb i: then each qhatTo[i]
+	// entry times 2^104 mod p_i beside its bits above 52.
+	dots [][]uint64
 }
 
 // convTile is the number of coefficients converted per engine task. The
 // tile's digit vectors (convTile × (nf+1) words, 58 KiB at the 28-limb INS-1
 // basis) are re-read once per target limb and must stay cache-resident.
+// It is a multiple of 8, the IFMA kernel's lane count.
 const convTile = 256
+
+// bconvLaneTerms is the most dot-product terms bconvLanes takes: its 64-bit
+// lanes add three sums of up to 2^52 per term and must not wrap. Wider
+// extenders (more than 1023 source limbs) run convertTile.
+const bconvLaneTerms = 1024
 
 // NewBasisExtender precomputes the conversion tables from the source to the
 // target base. The bases must be disjoint prime sets. The extender starts on
@@ -127,7 +172,28 @@ func NewBasisExtender(from, to []*Modulus) (*BasisExtender, error) {
 	if m := room.Quo(room, term); m.IsInt64() && m.Int64() < int64(be.chunk) {
 		be.chunk = int(m.Int64())
 	}
+	if useIFMA && nf+1 <= bconvLaneTerms {
+		be.lanes = &laneTables{}
+		for j, m := range from {
+			c := mod.Mul(be.qhatInv[j], mod.Pow(2, 40, m.Q), m.Q)
+			be.lanes.digits = append(be.lanes.digits, append(laneModulus(m), c, c>>52, m.Q>>1))
+		}
+		for i, mt := range to {
+			r104 := mod.Pow(2, 104, mt.Q)
+			tab := laneModulus(mt)
+			for _, c := range be.qhatTo[i] {
+				c = mod.Mul(c, r104, mt.Q)
+				tab = append(tab, c, c>>52)
+			}
+			be.lanes.dots = append(be.lanes.dots, tab)
+		}
+	}
 	return be, nil
+}
+
+// laneModulus returns the head of an IFMA table for m.
+func laneModulus(m *Modulus) []uint64 {
+	return []uint64{m.Q, m.Q >> 52, m.MRed.QInv & (1<<52 - 1)}
 }
 
 // SetEngine attaches an execution engine (nil reverts to serial). Ownership
@@ -144,8 +210,9 @@ func (be *BasisExtender) SetEngine(e *Engine) { be.exec = e }
 // This makes Convert(-x) bit-identical to -Convert(x) (f(q_j - y) = -f(y)
 // exactly for odd q_j), the property the hoisted key-switch relies on to
 // permute decomposed slices instead of re-decomposing permuted ciphertexts.
-// The sum is exact in 128 bits and reduced to the canonical residue, so the
-// output does not depend on the tiling or on the engine's shape.
+// Either implementation reduces the exact sum to its canonical residue (see
+// BasisExtender), so the output depends neither on the implementation nor
+// on the tiling or the engine's shape.
 func (be *BasisExtender) Convert(in, out [][]uint64) {
 	nf, nt := len(be.from), len(be.to)
 	if len(in) < nf || len(out) < nt {
@@ -154,8 +221,38 @@ func (be *BasisExtender) Convert(in, out [][]uint64) {
 	n := len(in[0])
 	be.exec.Run((n+convTile-1)/convTile, func(t int) {
 		lo := t * convTile
-		be.convertTile(in, out, lo, min(lo+convTile, n))
+		if be.lanes != nil {
+			be.convertTileLanes(in, out, lo, min(lo+convTile, n))
+		} else {
+			be.convertTile(in, out, lo, min(lo+convTile, n))
+		}
 	})
+}
+
+// convertTileLanes converts coefficients [lo, hi) of every row on the IFMA
+// kernels. Its tile is term-major — row t holds term t of convTile
+// consecutive coefficients, the last row their centering counts — so
+// bconvDigits writes, and bconvLanes loads, one term of eight coefficients
+// at once.
+func (be *BasisExtender) convertTileLanes(in, out [][]uint64, lo, hi int) {
+	nf := len(be.from)
+	sp, _ := be.scratch.Get().(*[]uint64)
+	if sp == nil {
+		s := make([]uint64, convTile*(nf+1))
+		sp = &s
+	}
+	yT := *sp
+	cnt := yT[nf*convTile:]
+	clear(cnt[:hi-lo])
+	for j, tab := range be.lanes.digits {
+		x := in[j][lo:hi]
+		bconvDigits(&yT[j*convTile], &cnt[0], &x[0], len(x), &tab[0])
+	}
+	for i, tab := range be.lanes.dots {
+		dst := out[i][lo:hi]
+		bconvLanes(&dst[0], &yT[0], len(dst), convTile, nf+1, &tab[0])
+	}
+	be.scratch.Put(sp)
 }
 
 // convertTile converts coefficients [lo, hi) of every row.

@@ -233,6 +233,119 @@ func bconvBoundaryInputs(rng *rand.Rand, from []*Modulus, n int) [][]uint64 {
 	return x
 }
 
+// bconvMaxDigits returns n coefficients over from whose stage-1 digit is
+// q_j - 1 on every limb: a whole tile, every lane of every 8-wide group, at
+// the accumulators' maximum — every product and the full nf·[-Q] correction.
+func bconvMaxDigits(from []*Modulus, n int) [][]uint64 {
+	qhat := bconvQhat(from)
+	x := make([][]uint64, len(from))
+	for j, m := range from {
+		q := m.Q
+		qh := new(big.Int).Mod(qhat[j], new(big.Int).SetUint64(q)).Uint64()
+		x[j] = make([]uint64, n)
+		for k := range x[j] {
+			x[j][k] = mod.Mul(q-1, qh, q)
+		}
+	}
+	return x
+}
+
+// bconvZeroOutputs returns n ≥ len(to) uniform coefficients over from,
+// except that coefficient i's digits are drawn so that the exact centered
+// sum Σ_j f(y_j)·(Q/q_j) is a nonzero multiple of p_i: its output on target
+// limb i is 0. A Montgomery reduction of such a sum lands on exactly p_i,
+// so these are the words a missing final subtraction leaves non-canonical.
+func bconvZeroOutputs(rng *rand.Rand, from, to []*Modulus, n int) [][]uint64 {
+	qhat := bconvQhat(from)
+	x := make([][]uint64, len(from))
+	for j, m := range from {
+		x[j] = make([]uint64, n)
+		for k := range x[j] {
+			x[j][k] = uniformUint64(rng, m.Q)
+		}
+	}
+	q0 := new(big.Int).SetUint64(from[0].Q)
+	half := new(big.Int).Rsh(q0, 1)
+	for i, mt := range to {
+		p := new(big.Int).SetUint64(mt.Q)
+		inv := new(big.Int).ModInverse(new(big.Int).Mod(qhat[0], p), p)
+		y := make([]*big.Int, len(from))
+		for {
+			// Digits y_1.. at random; f(y_0) must be ≡ -(Σ_{j≥1} f(y_j)·Q/q_j)
+			// (Q/q_0)^-1 mod p_i and centered mod q_0, which a random draw
+			// allows often enough.
+			sum := new(big.Int)
+			for j := 1; j < len(from); j++ {
+				qj := new(big.Int).SetUint64(from[j].Q)
+				y[j] = new(big.Int).SetUint64(uniformUint64(rng, from[j].Q))
+				f := new(big.Int).Set(y[j])
+				if y[j].Uint64() > from[j].Q>>1 {
+					f.Sub(f, qj)
+				}
+				sum.Add(sum, f.Mul(f, qhat[j]))
+			}
+			r := new(big.Int).Neg(sum)
+			r.Mul(r, inv).Mod(r, p)
+			if r.Cmp(half) > 0 {
+				r.Sub(r, p) // the other representative, negative
+				if r.CmpAbs(half) > 0 {
+					continue
+				}
+				r.Add(r, q0)
+			}
+			y[0] = r
+			break
+		}
+		for j, m := range from {
+			qh := new(big.Int).Mod(qhat[j], new(big.Int).SetUint64(m.Q)).Uint64()
+			x[j][i] = mod.Mul(y[j].Uint64(), qh, m.Q)
+		}
+	}
+	return x
+}
+
+// bconvInputs are the true-residue inputs every BConv identity test
+// converts: the boundary digits of bconvBoundaryInputs, the all-(q-1)
+// digits of bconvMaxDigits and the zero outputs of bconvZeroOutputs.
+func bconvInputs(seed int64, from, to []*Modulus, n int) []struct {
+	name string
+	x    [][]uint64
+} {
+	rng := rand.New(rand.NewSource(seed))
+	return []struct {
+		name string
+		x    [][]uint64
+	}{
+		{"boundary", bconvBoundaryInputs(rng, from, n)},
+		{"max-digits", bconvMaxDigits(from, n)},
+		{"zero-outputs", bconvZeroOutputs(rng, from, to, n)},
+	}
+}
+
+// bconvPaths are the two BConv implementations every BConv identity test
+// runs: the AVX-512 IFMA kernels and the Go convertTile.
+var bconvPaths = []string{"ifma", "go"}
+
+// extenderOn builds the from → to extender on the named path. Clearing
+// lanes forces the Go path; the ifma path skips, saying why, where the CPU
+// lacks AVX-512 IFMA, so a green run there does not pass for its coverage.
+func extenderOn(t testing.TB, from, to []*Modulus, path string) *BasisExtender {
+	t.Helper()
+	be, err := NewBasisExtender(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch path {
+	case "go":
+		be.lanes = nil
+	case "ifma":
+		if be.lanes == nil {
+			t.Skip("no AVX-512 IFMA on this CPU: bconvDigits and bconvLanes not checked")
+		}
+	}
+	return be
+}
+
 // mformRows converts true-residue rows to M-form, as ModUp presents them.
 func mformRows(ms []*Modulus, x [][]uint64) [][]uint64 {
 	out := make([][]uint64, len(x))
@@ -246,9 +359,11 @@ func mformRows(ms []*Modulus, x [][]uint64) [][]uint64 {
 }
 
 // bconvShapes are the conversions the BConv identity tests run: a short
-// ModUp, and the INS-1 key-switch shape (28 source limbs around 2^60, 28
-// target limbs around 2^61) over a row length that leaves the last tile
-// partial.
+// ModUp, the three workload shapes — INS-1's key-switch (28 source limbs
+// around 2^60, 28 target limbs around 2^61), prim's 3→9 and nnlayer's 3→12
+// — and a 13-coefficient row, one 8-lane group and a 5-lane tail. Every
+// row length but the first leaves a lane group partial, and the longer ones
+// a partial last tile.
 var bconvShapes = []struct {
 	name                       string
 	logN, bitsFrom, nf, bitsTo int
@@ -256,77 +371,106 @@ var bconvShapes = []struct {
 }{
 	{"3to2", 5, 45, 3, 46, 2, 1 << 5},
 	{"ins1_28to28", 5, 60, 28, 61, 28, convTile + 44},
+	{"prim_3to9", 5, 50, 3, 60, 9, 2*convTile + 5},
+	{"nnlayer_3to12", 5, 45, 3, 55, 12, convTile + 19},
+	{"ragged_5to4", 5, 40, 5, 50, 4, 13},
 }
 
-// TestBasisExtenderBitIdenticalAcrossEngines pins BConv to a serial big.Int
-// implementation of the exact centered formula, for M-form inputs and
-// outputs, under every engine shape.
+// TestBasisExtenderBitIdenticalAcrossEngines pins BConv on both paths to a serial big.Int implementation of the exact centered formula,
+// for M-form inputs and outputs, under every engine shape.
 func TestBasisExtenderBitIdenticalAcrossEngines(t *testing.T) {
 	for _, s := range bconvShapes {
 		t.Run(s.name, func(t *testing.T) {
 			from, to := bconvBases(t, s.logN, s.bitsFrom, s.nf, s.bitsTo, s.nt)
-			xTrue := bconvBoundaryInputs(rand.New(rand.NewSource(5)), from, s.n)
-			want := bconvOracle(from, to, xTrue)
-			for _, cfg := range identityConfigs {
-				e := NewEngine(cfg.workers)
-				if cfg.block > 0 {
-					e.SetBlockSize(cfg.block)
-				}
-				be, err := NewBasisExtender(from, to)
-				if err != nil {
-					t.Fatal(err)
-				}
-				be.SetEngine(e)
-				assertConvertMatches(t, fmt.Sprintf("workers=%d block=%d", cfg.workers, cfg.block), be, xTrue, want)
-				e.Close()
+			inputs := bconvInputs(5, from, to, s.n)
+			wants := make([][][]uint64, len(inputs))
+			for k, in := range inputs {
+				wants[k] = bconvOracle(from, to, in.x)
+			}
+			for _, path := range bconvPaths {
+				t.Run(path, func(t *testing.T) {
+					for _, cfg := range identityConfigs {
+						e := NewEngine(cfg.workers)
+						if cfg.block > 0 {
+							e.SetBlockSize(cfg.block)
+						}
+						be := extenderOn(t, from, to, path)
+						be.SetEngine(e)
+						for k, in := range inputs {
+							assertConvertMatches(t, fmt.Sprintf("%s workers=%d block=%d", in.name, cfg.workers, cfg.block), be, in.x, wants[k])
+						}
+						e.Close()
+					}
+					t.Logf("%s path: %d→%d limbs, n=%d, matches the big.Int oracle", path, s.nf, s.nt, s.n)
+				})
 			}
 		})
 	}
 }
 
 // assertConvertMatches runs be.Convert on the M-form of xTrue and compares
-// the outputs, taken back out of M-form, with want.
+// the outputs word for word with the M-form of want, so a right residue in
+// a non-canonical word fails too. Each output row is followed by guard words
+// that must come back untouched.
 func assertConvertMatches(t *testing.T, label string, be *BasisExtender, xTrue, want [][]uint64) {
 	t.Helper()
+	const guard, sentinel = 8, 0x5a5a5a5a5a5a5a5a
+	n := len(xTrue[0])
 	out := make([][]uint64, len(be.to))
 	for i := range out {
-		out[i] = make([]uint64, len(xTrue[0]))
+		row := make([]uint64, n+guard)
+		for k := range row {
+			row[k] = sentinel
+		}
+		out[i] = row[:n]
 	}
 	be.Convert(mformRows(be.from, xTrue), out)
 	for i := range out {
 		mr := be.to[i].MRed
+		for k, v := range out[i][n : n+guard] {
+			if v != sentinel {
+				t.Fatalf("%s: target limb %d: Convert wrote word %d past the row's end", label, i, n+k)
+			}
+		}
 		for k := range out[i] {
-			if got := mr.IForm(out[i][k]); got != want[i][k] {
-				t.Fatalf("%s: target limb %d coeff %d: got %d want %d", label, i, k, got, want[i][k])
+			if got, w := out[i][k], mr.MForm(want[i][k]); got != w {
+				t.Fatalf("%s: target limb %d coeff %d: got word %d want %d (residue %d)", label, i, k, got, w, want[i][k])
 			}
 		}
 	}
 }
 
 // TestBasisExtenderChunkedReduction covers bases too wide for one lazy
-// 128-bit sum: with 17 source limbs just below 2^62 and targets as wide, 18
-// unreduced terms can pass 2^128, so the dot product reduces part-way. No
-// parameter set reaches this; the oracle is the same big.Int formula.
+// 128-bit sum: with 17 or 40 source limbs just below 2^62 and targets as
+// wide, 18 unreduced terms can pass 2^128, so the Go dot product reduces
+// part-way; the IFMA kernel needs no such split. No parameter set reaches
+// this; the oracle is the same big.Int formula.
 func TestBasisExtenderChunkedReduction(t *testing.T) {
-	const logN, nf, nt = 4, 17, 2
-	var primes []uint64
-	for c := uint64(1)<<mod.MaxModulusBits - 2<<logN + 1; len(primes) < nf+nt; c -= 2 << logN {
-		if mod.IsPrime(c) {
-			primes = append(primes, c)
+	const logN = 4
+	for _, s := range []struct{ nf, nt int }{{17, 2}, {40, 3}} {
+		var primes []uint64
+		for c := uint64(1)<<mod.MaxModulusBits - 2<<logN + 1; len(primes) < s.nf+s.nt; c -= 2 << logN {
+			if mod.IsPrime(c) {
+				primes = append(primes, c)
+			}
+		}
+		r, err := NewRing(logN, primes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from, to := r.Moduli[:s.nf], r.Moduli[s.nf:]
+		inputs := bconvInputs(6, from, to, convTile+s.nf+5)
+		for _, path := range bconvPaths {
+			t.Run(fmt.Sprintf("%dx62-bit/%s", s.nf, path), func(t *testing.T) {
+				be := extenderOn(t, from, to, path)
+				if be.chunk > s.nf {
+					t.Fatalf("chunk = %d: the %d-term sum is never reduced part-way, the test lost its subject", be.chunk, s.nf+1)
+				}
+				for _, in := range inputs {
+					assertConvertMatches(t, in.name, be, in.x, bconvOracle(from, to, in.x))
+				}
+				t.Logf("%s path: %d terms (chunk %d) match the big.Int oracle", path, s.nf+1, be.chunk)
+			})
 		}
 	}
-	r, err := NewRing(logN, primes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from, to := r.Moduli[:nf], r.Moduli[nf:]
-	be, err := NewBasisExtender(from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if be.chunk > nf {
-		t.Fatalf("chunk = %d: the %d-term sum is never reduced part-way, the test lost its subject", be.chunk, nf+1)
-	}
-	xTrue := bconvBoundaryInputs(rand.New(rand.NewSource(6)), from, convTile+nf+5)
-	assertConvertMatches(t, "17x62-bit", be, xTrue, bconvOracle(from, to, xTrue))
 }

@@ -51,6 +51,24 @@
 // conversion, the one coefficient-wise family, is instead cut into fixed
 // coefficient tiles that each carry every limb (BasisExtender). Outputs are bit-identical to serial execution at
 // every (worker, block) configuration.
+//
+// # Kernel tiers
+//
+// Every kernel is portable Go, and two also have an amd64 assembly tier that
+// CPUID selects once per process, with no exported name, flag or
+// environment variable to override it. The Go kernel stays as the fallback
+// and as the tier's oracle in the tests:
+//
+//   - BConv (bconvDigits and bconvLanes, bconv_amd64.s) on AVX-512 IFMA:
+//     eight coefficients of one limb per 512-bit register, 52-bit
+//     multiply-accumulates and an in-lane Montgomery reduction, word for
+//     word equal to the Go convertTile (see BasisExtender).
+//   - The seeded-key keystream (keystreamVAES, uniform_amd64.s) on 256-bit
+//     VAES, byte for byte equal to crypto/aes in CTR mode (see
+//     UniformSource).
+//
+// TestKernelPaths logs which tier this CPU runs; the assembly tiers' own
+// tests skip, saying so, where the CPU lacks the instructions.
 package ring
 
 import (

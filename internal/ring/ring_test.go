@@ -412,30 +412,49 @@ func TestBasisExtenderNegationEquivariance(t *testing.T) {
 	for _, s := range bconvShapes {
 		t.Run(s.name, func(t *testing.T) {
 			from, to := bconvBases(t, s.logN, s.bitsFrom, s.nf, s.bitsTo, s.nt)
-			be, err := NewBasisExtender(from, to)
-			if err != nil {
-				t.Fatal(err)
-			}
-			in := mformRows(from, bconvBoundaryInputs(rand.New(rand.NewSource(37)), from, s.n))
-			out := make([][]uint64, s.nt)
-			outNeg := make([][]uint64, s.nt)
-			for i := range out {
-				out[i] = make([]uint64, s.n)
-				outNeg[i] = make([]uint64, s.n)
-			}
-			be.Convert(in, out)
-			negRows(from, in)
-			be.Convert(in, outNeg)
-			negRows(to, outNeg)
-			for i := range out {
-				for k := range out[i] {
-					if out[i][k] != outNeg[i][k] {
-						t.Fatalf("target limb %d coeff %d: Convert(-x) != -Convert(x): centered BConv is not negation-equivariant", i, k)
+			for _, path := range bconvPaths {
+				t.Run(path, func(t *testing.T) {
+					be := extenderOn(t, from, to, path)
+					for _, input := range bconvInputs(37, from, to, s.n) {
+						in := mformRows(from, input.x)
+						out := make([][]uint64, s.nt)
+						outNeg := make([][]uint64, s.nt)
+						for i := range out {
+							out[i] = make([]uint64, s.n)
+							outNeg[i] = make([]uint64, s.n)
+						}
+						be.Convert(in, out)
+						negRows(from, in)
+						be.Convert(in, outNeg)
+						negRows(to, outNeg)
+						for i := range out {
+							for k := range out[i] {
+								if out[i][k] != outNeg[i][k] {
+									t.Fatalf("%s: target limb %d coeff %d: Convert(-x) != -Convert(x): centered BConv is not negation-equivariant", input.name, i, k)
+								}
+							}
+						}
 					}
-				}
+					t.Logf("%s path: negation-equivariant", path)
+				})
 			}
 		})
 	}
+}
+
+// TestKernelPaths logs which CPUID-selected kernels this CPU runs — BConv
+// and the seeded-key keystream — so a CI log says when an assembly kernel
+// went unexercised.
+func TestKernelPaths(t *testing.T) {
+	bconv, keystream := "go (no AVX-512 IFMA)", "crypto/aes (no VAES)"
+	if useIFMA {
+		bconv = "ifma (bconvDigits, bconvLanes)"
+	}
+	if useVAES {
+		keystream = "vaes (keystreamVAES)"
+	}
+	t.Logf("bconv: %s", bconv)
+	t.Logf("keystream: %s", keystream)
 }
 
 func TestBasisExtenderErrors(t *testing.T) {
@@ -599,8 +618,10 @@ func BenchmarkNTT(b *testing.B) {
 }
 
 // BenchmarkBConv times Convert at the three ModUp shapes the bench/ workloads
-// run (source limbs → target limbs at the workload's ring degree) and reports
-// ns per output coefficient — the same quantity as the benchmark's
+// run (source limbs → target limbs at the workload's ring degree) on both
+// paths — "go" forces the Go convertTile, "ifma" is the AVX-512 kernels the
+// CPU selects where it has them — and reports ns per output
+// coefficient, the same quantity as the benchmark's
 // ring.bconv_ns_per_out_coeff, so the micro and the traced numbers compare
 // directly. Worker count follows -cpu (the shared DefaultEngine).
 func BenchmarkBConv(b *testing.B) {
@@ -610,10 +631,6 @@ func BenchmarkBConv(b *testing.B) {
 		{3, 9, 17, 50, 60},   // prim_dnum3_n17: rows leave the cache
 	} {
 		from, to := bconvBases(b, s.logN, s.bitsFrom, s.nf, s.bitsTo, s.nt)
-		be, err := NewBasisExtender(from, to)
-		if err != nil {
-			b.Fatal(err)
-		}
 		n := 1 << s.logN
 		rng := rand.New(rand.NewSource(22))
 		in := make([][]uint64, s.nf)
@@ -627,12 +644,16 @@ func BenchmarkBConv(b *testing.B) {
 		for i := range out {
 			out[i] = make([]uint64, n)
 		}
-		b.Run(fmt.Sprintf("%dto%d/logN=%d", s.nf, s.nt, s.logN), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				be.Convert(in, out)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.nt*n), "ns/out-coeff")
-		})
+		for _, path := range bconvPaths {
+			b.Run(fmt.Sprintf("%dto%d/logN=%d/%s", s.nf, s.nt, s.logN, path), func(b *testing.B) {
+				be := extenderOn(b, from, to, path)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					be.Convert(in, out)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.nt*n), "ns/out-coeff")
+			})
+		}
 	}
 }
 
