@@ -44,9 +44,11 @@
 // ciphertext is decomposed once (ckks.Evaluator.DecomposeNTT) and every
 // rotation of it reuses the decomposition (RotateHoisted, bit-identical to
 // sequential Rotate), while BSGS linear transforms — the bulk of
-// bootstrapping's CoeffToSlot/SlotToCoeff — accumulate baby-step products
-// in the extended QP basis with 128-bit lazy MACs (the automorphism fused
-// into the MAC's gather index) and defer ModDown to once per giant step.
+// bootstrapping's CoeffToSlot/SlotToCoeff — keep each baby step's
+// key-switch in the extended QP basis, fold the diagonals in there with
+// 128-bit lazy MACs, and defer ModDown to once per giant step. Every
+// key-switch, streaming or hoisted, runs one reduced MAC kernel; a hoisted
+// rotation hands it the automorphism's index table, fused into its reads.
 // Bootstrapping evaluates those transforms *factored*: CoeffToSlot and
 // SlotToCoeff are chains of sparse radix stages (ckks.TransformChain over
 // the encoder's butterfly-group factorization, dft.go) instead of dense
@@ -70,7 +72,7 @@
 // leftover primes' inverse so the full-P keys still apply. A product's BConv
 // work and row transforms shrink with it, by 28 % and 16 % at level 21.
 // A switching key stores only its b halves and a 32-byte seed: every a_j is
-// uniform, so the key-switch kernels regenerate each of its rows with
+// uniform, so the key-switch kernel regenerates each of its rows with
 // AES-128-CTR inside the task that multiplies it (ring.MulKeyPair), exactly
 // uniform by rejection sampling and bit-identical at every engine shape.
 // That halves key memory and key uploads — Table 2's key set stores

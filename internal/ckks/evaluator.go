@@ -300,7 +300,7 @@ func (ev *Evaluator) mulRelin(ct0, ct1 *Ciphertext, drop int) *Ciphertext {
 	ev.counters.Mult.Add(1)
 	ev.counters.Rescale.Add(int64(drop))
 	sp := ev.begin(spanMulRelin)
-	rq, rp := ev.ctx.RingQ, ev.ctx.RingP
+	rq := ev.ctx.RingQ
 
 	d0 := rq.GetPolyNoZero()
 	d1 := rq.GetPolyNoZero()
@@ -310,25 +310,18 @@ func (ev *Evaluator) mulRelin(ct0, ct1 *Ciphertext, drop int) *Ciphertext {
 	rq.MulCoeffsAndAdd(ct0.C1, ct1.C0, d1, lvl)
 	rq.MulCoeffs(ct0.C1, ct1.C1, d2, lvl)
 
-	accQ0, accP0 := rq.GetPolyNoZero(), rp.GetPolyNoZero()
-	accQ1, accP1 := rq.GetPolyNoZero(), rp.GetPolyNoZero()
-	ev.keySwitchMAC(d2, lvl, ev.rlk, accQ0, accP0, accQ1, accP1)
-	// d_i enters the extended basis as the integer P_ℓ·d_i: zero over P_ℓ.
-	sm := ev.ctx.special[lvl]
-	rq.MulLimbScalarsAndAdd(d0, sm.pModQ, sm.pModQShoup, accQ0, lvl)
-	rq.MulLimbScalarsAndAdd(d1, sm.pModQ, sm.pModQShoup, accQ1, lvl)
-
 	scale := ct0.Scale * ct1.Scale
 	for i := lvl; i > lvl-drop; i-- {
 		scale /= float64(rq.Moduli[i].Q)
 	}
 	out := ev.ctx.getCiphertextNoZero(lvl-drop, scale)
-	ev.modDown(accQ0, accP0, lvl, drop, out.C0)
-	ev.modDown(accQ1, accP1, lvl, drop, out.C1)
-	rp.PutPoly(accP1)
-	rq.PutPoly(accQ1)
-	rp.PutPoly(accP0)
-	rq.PutPoly(accQ0)
+	ev.keySwitchWith(lvl, drop, func(accQ0, accP0, accQ1, accP1 *ring.Poly) {
+		ev.keySwitchMAC(d2, lvl, ev.rlk, accQ0, accP0, accQ1, accP1)
+		// d_i enters the extended basis as the integer P_ℓ·d_i: zero over P_ℓ.
+		sm := ev.ctx.special[lvl]
+		rq.MulLimbScalarsAndAdd(d0, sm.pModQ, sm.pModQShoup, accQ0, lvl)
+		rq.MulLimbScalarsAndAdd(d1, sm.pModQ, sm.pModQShoup, accQ1, lvl)
+	}, out.C0, out.C1)
 	rq.PutPoly(d2)
 	rq.PutPoly(d1)
 	rq.PutPoly(d0)
@@ -381,37 +374,45 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, g uint64) *Ciphertext {
 	swk := ev.rotationKey(g)
 	rq := ev.ctx.RingQ
 	lvl := ct.Level
-	rb := rq.GetPolyNoZero()
 	ra := rq.GetPolyNoZero()
-	rq.AutomorphismNTT(ct.C0, g, rb, lvl)
 	rq.AutomorphismNTT(ct.C1, g, ra, lvl)
-	ks0 := rq.GetPolyNoZero()
-	ks1 := rq.GetPolyNoZero()
-	ev.keySwitch(ra, lvl, swk, ks0, ks1)
-	out := ev.ctx.getCiphertextNoZero(lvl, ct.Scale)
-	rq.Add(rb, ks0, out.C0, lvl)
-	rq.CopyLevel(out.C1, ks1, lvl)
-	rq.PutPoly(ks1)
-	rq.PutPoly(ks0)
+	out := ev.rotated(ct, g, func(accQ0, accP0, accQ1, accP1 *ring.Poly) {
+		ev.keySwitchMAC(ra, lvl, swk, accQ0, accP0, accQ1, accP1)
+	})
 	rq.PutPoly(ra)
-	rq.PutPoly(rb)
 	ev.endSpan(&sp, out)
 	return out
 }
 
-// keySwitch recombines d (NTT domain, level lvl), decryptable under the
-// switching key's source secret, into the pair (ks0, ks1) decryptable under
-// s; the caller supplies ks0 and ks1 (typically from the scratch pool). This
-// is the pipeline of Fig. 3(a) in its two halves: keySwitchMAC (per slice,
-// ModUp and multiply-accumulate with the evk) and one modDown per component
-// (the subtraction-scaling-addition the paper fuses as SSA).
-func (ev *Evaluator) keySwitch(d *ring.Poly, lvl int, swk *SwitchingKey, ks0, ks1 *ring.Poly) {
+// rotated returns (σ_g(ct.C0) + ks0, ks1), where (ks0, ks1) is the
+// key-switch of σ_g(ct.C1) whose multiply-accumulate mac runs (see
+// keySwitchWith): the tail a streaming rotation and a hoisted one share.
+func (ev *Evaluator) rotated(ct *Ciphertext, g uint64, mac func(accQ0, accP0, accQ1, accP1 *ring.Poly)) *Ciphertext {
+	rq := ev.ctx.RingQ
+	lvl := ct.Level
+	out := ev.ctx.getCiphertextNoZero(lvl, ct.Scale)
+	ev.keySwitchWith(lvl, 0, mac, out.C0, out.C1)
+	rb := rq.GetPolyNoZero()
+	rq.AutomorphismNTT(ct.C0, g, rb, lvl)
+	rq.Add(rb, out.C0, out.C0, lvl)
+	rq.PutPoly(rb)
+	return out
+}
+
+// keySwitchWith is every key-switch's pipeline of Fig. 3(a) in its two
+// halves: mac — keySwitchMAC (per slice, ModUp and multiply-accumulate with
+// the evk) or keySwitchHoistedLazy over a prepared decomposition —
+// overwrites four extended-basis accumulators borrowed from the pools, and
+// one modDown per component divides them by P_ℓ (and the last `drop` primes)
+// into out0 and out1 (the subtraction-scaling-addition the paper fuses as
+// SSA).
+func (ev *Evaluator) keySwitchWith(lvl, drop int, mac func(accQ0, accP0, accQ1, accP1 *ring.Poly), out0, out1 *ring.Poly) {
 	rq, rp := ev.ctx.RingQ, ev.ctx.RingP
 	accQ0, accP0 := rq.GetPolyNoZero(), rp.GetPolyNoZero()
 	accQ1, accP1 := rq.GetPolyNoZero(), rp.GetPolyNoZero()
-	ev.keySwitchMAC(d, lvl, swk, accQ0, accP0, accQ1, accP1)
-	ev.modDown(accQ0, accP0, lvl, 0, ks0)
-	ev.modDown(accQ1, accP1, lvl, 0, ks1)
+	mac(accQ0, accP0, accQ1, accP1)
+	ev.modDown(accQ0, accP0, lvl, drop, out0)
+	ev.modDown(accQ1, accP1, lvl, drop, out1)
 	rp.PutPoly(accP1)
 	rq.PutPoly(accQ1)
 	rp.PutPoly(accP0)
@@ -429,7 +430,8 @@ func (ev *Evaluator) keySwitch(d *ring.Poly, lvl int, swk *SwitchingKey, ks0, ks
 // pair, so it holds two temporaries regardless of β. Rotation-heavy callers
 // that reuse one decomposition across many rotations instead materialize
 // every slice with decomposeNTT (hoisting.go); the two paths run the same
-// modUpSlice per slice and sum the same products, so their outputs are
+// modUpSlice per slice and sum the same products in the same MAC kernel
+// (ring.MulKeyPair, here with no automorphism table), so their outputs are
 // bit-identical.
 func (ev *Evaluator) keySwitchMAC(d *ring.Poly, lvl int, swk *SwitchingKey, accQ0, accP0, accQ1, accP1 *ring.Poly) {
 	sp := ev.begin(spanKeySwitch)
@@ -456,8 +458,8 @@ func (ev *Evaluator) keySwitchMAC(d *ring.Poly, lvl int, swk *SwitchingKey, accQ
 	for j := 0; j < ctx.Params.Beta(lvl); j++ {
 		dst = ev.modUpSlice(j, lvl, d, dCoeff, tmpQ, tmpP, dst)
 		aQ, aP := keyA(a, j)
-		rq.MulKeyPair(tmpQ, swk.B[j].Q, aQ, accQ0, accQ1, lvl, j > 0)
-		rp.MulKeyPair(tmpP, swk.B[j].P, aP, accP0, accP1, lp, j > 0)
+		rq.MulKeyPair(tmpQ, nil, swk.B[j].Q, aQ, accQ0, accQ1, lvl, j > 0)
+		rp.MulKeyPair(tmpP, nil, swk.B[j].P, aP, accP0, accP1, lp, j > 0)
 	}
 
 	rp.PutPoly(tmpP)

@@ -21,7 +21,9 @@ import (
 // one gather-MAC against the rotation key — the permutation is fused into
 // the multiply-accumulate's read index, never materialized — and one
 // ModDown; the NTT/iNTT/BConv work, which dominates, is paid once per
-// ciphertext instead of once per rotation.
+// ciphertext instead of once per rotation. The gather-MAC is the streaming
+// key-switch's own kernel (ring.MulKeyPair) handed the automorphism's index
+// table, so both paths sum the same reduced products.
 //
 // Cost model (β = decomposition slices at the current level):
 //
@@ -97,7 +99,7 @@ func (ev *Evaluator) decomposeNTT(d *ring.Poly, lvl int) *HoistedDecomposition {
 	// Each slice polynomial is fully overwritten by modUpSlice (lifted group
 	// rows + BConv output rows), so the slices skip the zeroing pass; dst is
 	// the BConv target-row view, reused across slices. The per-slice body is
-	// shared with the streaming keySwitch, which is what keeps hoisted and
+	// shared with the streaming keySwitchMAC, which is what keeps hoisted and
 	// naive outputs bit-identical.
 	dst := make([][]uint64, 0, lvl+1+sm.k)
 	for j := 0; j < beta; j++ {
@@ -116,102 +118,36 @@ func (ev *Evaluator) decomposeNTT(d *ring.Poly, lvl int) *HoistedDecomposition {
 // slice and multiply-accumulates against the switching key, leaving the
 // result in the extended Q_ℓ·P_ℓ basis: accQ0/accP0 and accQ1/accP1 are
 // *overwritten* with the two key components' accumulators *before* the final
-// division by P_ℓ (callers may pass unzeroed scratch). Callers either hand
-// them to modDown (single hoisted rotation) or keep summing baby-step
-// products in the extended basis and ModDown once per giant step (double
-// hoisting).
+// division by P_ℓ (callers may pass unzeroed scratch). The laziness is that
+// deferred ModDown: callers either hand the accumulators to keySwitchWith's
+// modDowns (single hoisted rotation) or keep summing baby-step products in
+// the extended basis and ModDown once per giant step (double hoisting).
 //
-// The slice permutation is fused into the MAC gather
-// (ring.MulKeyPairAndAddLazy reads each slice through the automorphism index
-// table and regenerates the key's a_j rows from its seed as it goes), so no
-// permuted copy of the extended basis and no expanded a_j is ever
-// materialized; and the per-slice products accumulate
-// as unreduced 128-bit sums (ring.Acc128) with a single fold-and-REDC
-// reduction per coefficient at the end (ring.ReduceAcc — the M-form product
-// sums carry an R² factor the REDC strips), collapsing β modular-reduction
-// passes into one. Both changes are exact —
-// the congruence class of a sum does not depend on when reductions happen —
-// so outputs remain bit-identical to the streaming keySwitch pipeline.
-// Slice counts beyond the rings' overflow budget for seeded products
-// (ring.SeededMACBudget: 8 slices with 61-bit moduli, at least 4 with any) are
-// folded in chunks. g = 1 skips the permutation (plain key-switching reuses this
-// path).
+// The MAC is the streaming keySwitchMAC's kernel, ring.MulKeyPair, given the
+// automorphism's index table: it reads each slice through the table and
+// regenerates the key's a_j rows from its seed as it goes, so no permuted
+// copy of the extended basis and no expanded a_j is ever materialized. Each
+// product is reduced as it is summed, as in the streaming path, so the two
+// stay bit-identical. A coefficient's sum has only β terms — 1 at the
+// bootstrap's dnum = 1, at most 4 on the benchmark's workloads — too few for
+// unreduced 128-bit sums (ring.Acc128) to repay their zeroing and final
+// fold. g = 1 skips the permutation.
 func (ev *Evaluator) keySwitchHoistedLazy(g uint64, hd *HoistedDecomposition, swk *SwitchingKey, accQ0, accP0, accQ1, accP1 *ring.Poly) {
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
 	lvl, lp := hd.level, ctx.special[hd.level].k-1
-	if g != 1 {
-		ev.counters.HoistedRot.Add(1)
-	}
 	var tableQ, tableP []int
 	if g != 1 {
+		ev.counters.HoistedRot.Add(1)
 		tableQ = rq.AutoIndexNTT(g)
 		tableP = rp.AutoIndexNTT(g)
 	}
-	budget := min(rq.SeededMACBudget(), rp.SeededMACBudget())
 	a := ring.NewUniformSource(swk.Seed)
-	mergeQ := rq.GetPolyNoZero()
-	mergeP := rp.GetPolyNoZero()
-	for start := 0; start < hd.beta; start += budget {
-		end := start + budget
-		if end > hd.beta {
-			end = hd.beta
-		}
-		a0Q := rq.GetAcc(lvl)
-		a1Q := rq.GetAcc(lvl)
-		a0P := rp.GetAcc(lp)
-		a1P := rp.GetAcc(lp)
-		for j := start; j < end; j++ {
-			// Multiply-accumulate with the evk slice (element-wise, Fig. 3a),
-			// gathering through the automorphism table, a_j regenerated from
-			// the key's seed inside each task.
-			aQ, aP := keyA(a, j)
-			rq.MulKeyPairAndAddLazy(hd.q[j], tableQ, swk.B[j].Q, aQ, a0Q, a1Q, lvl)
-			rp.MulKeyPairAndAddLazy(hd.p[j], tableP, swk.B[j].P, aP, a0P, a1P, lp)
-		}
-		if start == 0 {
-			rq.ReduceAcc(a0Q, accQ0, lvl)
-			rq.ReduceAcc(a1Q, accQ1, lvl)
-			rp.ReduceAcc(a0P, accP0, lp)
-			rp.ReduceAcc(a1P, accP1, lp)
-		} else {
-			rq.ReduceAcc(a0Q, mergeQ, lvl)
-			rq.Add(accQ0, mergeQ, accQ0, lvl)
-			rq.ReduceAcc(a1Q, mergeQ, lvl)
-			rq.Add(accQ1, mergeQ, accQ1, lvl)
-			rp.ReduceAcc(a0P, mergeP, lp)
-			rp.Add(accP0, mergeP, accP0, lp)
-			rp.ReduceAcc(a1P, mergeP, lp)
-			rp.Add(accP1, mergeP, accP1, lp)
-		}
-		rp.PutAcc(a1P)
-		rp.PutAcc(a0P)
-		rq.PutAcc(a1Q)
-		rq.PutAcc(a0Q)
+	for j := 0; j < hd.beta; j++ {
+		aQ, aP := keyA(a, j)
+		rq.MulKeyPair(hd.q[j], tableQ, swk.B[j].Q, aQ, accQ0, accQ1, lvl, j > 0)
+		rp.MulKeyPair(hd.p[j], tableP, swk.B[j].P, aP, accP0, accP1, lp, j > 0)
 	}
-	rp.PutPoly(mergeP)
-	rq.PutPoly(mergeQ)
-}
-
-// keySwitchHoisted is the eager form: MAC against the key under the
-// automorphism g, then ModDown both components into (ks0, ks1).
-func (ev *Evaluator) keySwitchHoisted(g uint64, hd *HoistedDecomposition, swk *SwitchingKey, ks0, ks1 *ring.Poly) {
-	ctx := ev.ctx
-	rq, rp := ctx.RingQ, ctx.RingP
-	lvl := hd.level
-	// keySwitchHoistedLazy overwrites its accumulator outputs, so the
-	// scratch skips the zeroing pass.
-	accQ0 := rq.GetPolyNoZero()
-	accQ1 := rq.GetPolyNoZero()
-	accP0 := rp.GetPolyNoZero()
-	accP1 := rp.GetPolyNoZero()
-	ev.keySwitchHoistedLazy(g, hd, swk, accQ0, accP0, accQ1, accP1)
-	ev.modDown(accQ0, accP0, lvl, 0, ks0)
-	ev.modDown(accQ1, accP1, lvl, 0, ks1)
-	rp.PutPoly(accP1)
-	rp.PutPoly(accP0)
-	rq.PutPoly(accQ1)
-	rq.PutPoly(accQ0)
 }
 
 // rotationKey returns the switching key for the Galois element g, panicking
@@ -275,23 +211,12 @@ func (ev *Evaluator) RotateWithDecomposition(ct *Ciphertext, r int, hd *HoistedD
 
 // rotateHoisted applies one rotation using a prepared decomposition of ct.
 func (ev *Evaluator) rotateHoisted(ct *Ciphertext, r int, hd *HoistedDecomposition) *Ciphertext {
-	rq := ev.ctx.RingQ
-	g := rq.GaloisElement(r)
+	g := ev.ctx.RingQ.GaloisElement(r)
 	if g == 1 {
 		return ev.ctx.copyCiphertextPooled(ct)
 	}
 	swk := ev.rotationKey(g)
-	lvl := hd.level
-	ks0 := rq.GetPolyNoZero()
-	ks1 := rq.GetPolyNoZero()
-	ev.keySwitchHoisted(g, hd, swk, ks0, ks1)
-	rb := rq.GetPolyNoZero()
-	rq.AutomorphismNTT(ct.C0, g, rb, lvl)
-	out := ev.ctx.getCiphertextNoZero(lvl, ct.Scale)
-	rq.Add(rb, ks0, out.C0, lvl)
-	rq.CopyLevel(out.C1, ks1, lvl)
-	rq.PutPoly(rb)
-	rq.PutPoly(ks1)
-	rq.PutPoly(ks0)
-	return out
+	return ev.rotated(ct, g, func(accQ0, accP0, accQ1, accP1 *ring.Poly) {
+		ev.keySwitchHoistedLazy(g, hd, swk, accQ0, accP0, accQ1, accP1)
+	})
 }

@@ -36,10 +36,10 @@ type PublicKey struct {
 // Only the b_j halves are stored. Every a_j is uniform and independent of
 // the secrets, so the key holds one 32-byte Seed instead: a_j over Q is the
 // ring's seeded uniform polynomial with tag 2j, over P the one with tag 2j+1
-// (ring.UniformSource), and the key-switch kernels regenerate each row of it
-// inside the task that multiplies it (ring.MulKeyPair,
-// ring.MulKeyPairAndAddLazy) — half the bytes to hold, upload and stream,
-// paid for with PRNG words.
+// (ring.UniformSource), and the key-switch kernel regenerates each row of it
+// inside the task that multiplies it (ring.MulKeyPair, which the streaming
+// and the hoisted key-switch both run) — half the bytes to hold, upload and
+// stream, paid for with PRNG words.
 type SwitchingKey struct {
 	B    []PolyQP
 	Seed [ring.SeedSize]byte

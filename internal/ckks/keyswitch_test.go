@@ -10,6 +10,15 @@ import (
 	"bts/internal/ring"
 )
 
+// keySwitch is the streaming key-switch of d on its own: keySwitchMAC's
+// accumulators divided by P_ℓ into (ks0, ks1), as Rotate runs it on
+// σ_g(ct.C1).
+func (ev *Evaluator) keySwitch(d *ring.Poly, lvl int, swk *SwitchingKey, ks0, ks1 *ring.Poly) {
+	ev.keySwitchWith(lvl, 0, func(accQ0, accP0, accQ1, accP1 *ring.Poly) {
+		ev.keySwitchMAC(d, lvl, swk, accQ0, accP0, accQ1, accP1)
+	}, ks0, ks1)
+}
+
 // TestMulRelinRescaleMatchesUnfused pins the fused division against the
 // two-step form it replaces: same level, same tracked scale to the last bit,
 // the same message to within the extra base-conversion overflow the fused

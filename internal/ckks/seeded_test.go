@@ -193,11 +193,12 @@ func TestSeededKeySwitchMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSeededHoistedMACChunks drives keySwitchHoistedLazy past its overflow
-// budget: with 61-bit primes a 128-bit sum holds only 8 products of a residue
-// and a raw seeded candidate (ring.SeededMACBudget), so dnum = 10 folds the
-// slices in two chunks. Both chunkings must match oracleMAC word for word.
-func TestSeededHoistedMACChunks(t *testing.T) {
+// TestSeededMACWideDnum runs both key-switch MACs at dnum = 10 over 61-bit
+// primes — ten reduced products of a residue and a raw seeded candidate per
+// coefficient, the widest operands and the most slices in the tests. The
+// hoisted MAC (g = 1 and a rotation) and the streaming keySwitchMAC must
+// match oracleMAC word for word.
+func TestSeededMACWideDnum(t *testing.T) {
 	params, err := NewParameters(ParametersLiteral{
 		LogN:     9,
 		LogQ:     []int{61, 61, 61, 61, 61, 61, 61, 61, 61, 61},
@@ -215,8 +216,8 @@ func TestSeededHoistedMACChunks(t *testing.T) {
 	}
 	defer ctx.Close()
 	lvl := params.MaxLevel()
-	if b := min(ctx.RingQ.SeededMACBudget(), ctx.RingP.SeededMACBudget()); b >= params.Beta(lvl) {
-		t.Fatalf("budget %d does not force chunking over %d slices", b, params.Beta(lvl))
+	if b := params.Beta(lvl); b != 10 {
+		t.Fatalf("β = %d slices at the top level, want 10", b)
 	}
 	kg := NewKeyGenerator(ctx, 7001)
 	sk := kg.GenSecretKey()
@@ -225,8 +226,16 @@ func TestSeededHoistedMACChunks(t *testing.T) {
 	ev := NewEvaluator(ctx, NewEncoder(ctx), rlk, rtks)
 	rq, rp := ctx.RingQ, ctx.RingP
 	lp := ctx.special[lvl].k - 1
-	hd := ev.DecomposeNTT(randomCiphertext(ctx, rand.New(rand.NewSource(71)), lvl))
+	ct := randomCiphertext(ctx, rand.New(rand.NewSource(71)), lvl)
+	hd := ev.DecomposeNTT(ct)
 	defer hd.Release()
+	same := func(name string, q0, p0, q1, p1, gq0, gp0, gq1, gp1 *ring.Poly) {
+		t.Helper()
+		if !rq.Equal(gq0, q0, lvl) || !rq.Equal(gq1, q1, lvl) ||
+			!rp.Equal(gp0, p0, lp) || !rp.Equal(gp1, p1, lp) {
+			t.Fatalf("%s differs from the materialized oracle", name)
+		}
+	}
 	for _, g := range []uint64{1, rq.GaloisElement(1)} {
 		swk := rlk
 		if g != 1 {
@@ -236,9 +245,10 @@ func TestSeededHoistedMACChunks(t *testing.T) {
 		gq0, gq1 := rq.NewPolyLevel(lvl), rq.NewPolyLevel(lvl)
 		gp0, gp1 := rp.NewPolyLevel(lp), rp.NewPolyLevel(lp)
 		ev.keySwitchHoistedLazy(g, hd, swk, gq0, gp0, gq1, gp1)
-		if !rq.Equal(gq0, q0, lvl) || !rq.Equal(gq1, q1, lvl) ||
-			!rp.Equal(gp0, p0, lp) || !rp.Equal(gp1, p1, lp) {
-			t.Fatalf("g=%d: chunked keySwitchHoistedLazy differs from the materialized oracle", g)
+		same(fmt.Sprintf("g=%d: keySwitchHoistedLazy", g), q0, p0, q1, p1, gq0, gp0, gq1, gp1)
+		if g == 1 {
+			ev.keySwitchMAC(ct.C1, lvl, rlk, gq0, gp0, gq1, gp1)
+			same("keySwitchMAC", q0, p0, q1, p1, gq0, gp0, gq1, gp1)
 		}
 	}
 }

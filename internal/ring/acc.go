@@ -11,11 +11,13 @@ import (
 // kernels index three equal-length views with the same induction variable and
 // the compiler eliminates every bounds check in the inner loops (the
 // interleaved (lo,hi) pair layout defeated the prove pass on the 2j/2j+1
-// accesses). It implements the lazy multiply-accumulate
-// discipline of the hottest inner loops — sum many residue products without
+// accesses). It implements the lazy multiply-accumulate discipline of the
+// linear transform's diagonal folds — sum many residue products without
 // intermediate modular reduction, then reduce once per coefficient with a
 // single fold-and-REDC pass (mod.Montgomery.Reduce128 accepts arbitrary
-// 128-bit inputs).
+// 128-bit inputs). Up to n1 products share one accumulator there, so the
+// skipped reductions pay for the fold. A key-switch MAC sums only β ≤ 4
+// products per coefficient and runs reduced (MulKeyPair).
 //
 // Overflow bound: a sum of T products of residues below q stays under 2^128
 // while T·(q-1)² < 2^128 — 2^18 terms for 55-bit moduli, 2^38 for 45-bit.
@@ -30,34 +32,17 @@ type Acc128 struct {
 
 // LazyMACBudget returns the largest number of unreduced residue products
 // (each below the ring's widest modulus) that can be summed into an Acc128
-// without overflowing 128 bits, capped at 2^30. It is at least 16 for any
-// supported modulus (q < 2^62).
+// without overflowing 128 bits, ⌊(2^128 − 1)/(q−1)²⌋ capped at 2^30. It is
+// at least 16 for any supported modulus (q < 2^62).
 func (r *Ring) LazyMACBudget() int {
-	q := new(big.Int).SetUint64(r.maxModulus() - 1)
-	return macBudget(new(big.Int).Mul(q, q))
-}
-
-// SeededMACBudget is LazyMACBudget for products of a residue and a raw
-// seeded candidate (any word below 2^64, see UniformPoly), the terms
-// MulKeyPairAndAddLazy sums into its second accumulator. It is at least 4 for
-// any supported modulus.
-func (r *Ring) SeededMACBudget() int {
-	q := new(big.Int).SetUint64(r.maxModulus() - 1)
-	return macBudget(q.Mul(q, new(big.Int).SetUint64(^uint64(0))))
-}
-
-func (r *Ring) maxModulus() (maxQ uint64) {
+	var maxQ uint64
 	for _, m := range r.Moduli {
 		maxQ = max(maxQ, m.Q)
 	}
-	return maxQ
-}
-
-// macBudget returns ⌊(2^128 − 1)/prod⌋, capped at 2^30.
-func macBudget(prod *big.Int) int {
+	q := new(big.Int).SetUint64(maxQ - 1)
 	budget := new(big.Int).Lsh(big.NewInt(1), 128)
 	budget.Sub(budget, big.NewInt(1))
-	budget.Quo(budget, prod)
+	budget.Quo(budget, q.Mul(q, q))
 	if budget.BitLen() > 30 {
 		return 1 << 30
 	}
@@ -123,9 +108,9 @@ func mulAddLazyRow(a, b, accLo, accHi []uint64) {
 // without modular reduction, where σ(a)[j] = a[table[j]] is the NTT-domain
 // automorphism given by its index table (AutoIndexNTT). Fusing the gather
 // into the MAC saves the full read-modify-write pass over the operand that a
-// separate AutomorphismNTT would cost — the hoisted baby-step optimization of
-// the double-hoisted linear transform, where every decomposition slice would
-// otherwise be permuted into scratch before each accumulation.
+// separate AutomorphismNTT would cost. No library path calls it: the
+// key-switch fuses its gather into MulKeyPair's reduced products, and this
+// lazy form stays as the kernel the benchmark's ring.mac128_gbps times.
 func (r *Ring) MulGatherAndAddLazy(a *Poly, table []int, b *Poly, acc *Acc128, level int) {
 	n := r.N
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {

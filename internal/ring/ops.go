@@ -91,6 +91,24 @@ func mulAddRow(a, b, out []uint64, mr mod.Montgomery) {
 	}
 }
 
+// gatherMulRow sets out[j] = a[table[j]]·b[j] (M-form) over the common length
+// of table, b and out; the gather a[table[j]] keeps its one data-dependent
+// bounds check.
+func gatherMulRow(a []uint64, table []int, b, out []uint64, mr mod.Montgomery) {
+	for j := 0; j < len(table) && j < len(b) && j < len(out); j++ {
+		out[j] = mr.Mul(a[table[j]], b[j])
+	}
+}
+
+// gatherMulAddRow sets out[j] += a[table[j]]·b[j] (M-form) over the common
+// length of table, b and out; the gather keeps its bounds check.
+func gatherMulAddRow(a []uint64, table []int, b, out []uint64, mr mod.Montgomery) {
+	q := mr.Q
+	for j := 0; j < len(table) && j < len(b) && j < len(out); j++ {
+		out[j] = mod.Add(out[j], mr.Mul(a[table[j]], b[j]), q)
+	}
+}
+
 // MulScalar sets out = a * s element-wise on rows [0..level] for a uint64
 // scalar s (reduced per prime). Multiplying by a plain constant is
 // form-preserving (a = xR gives a·s = x·s·R), so the kernel uses the cheaper
@@ -278,9 +296,9 @@ func (r *Ring) AutomorphismNTT(p *Poly, g uint64, out *Poly, level int) {
 // automorphism X -> X^g: output slot j takes its value from input slot
 // table[j], with no sign changes (see autoIndexNTT). The returned slice is
 // shared and must be treated as read-only; it depends only on the ring degree
-// and g, so rings of equal N produce identical tables. Callers feed it to
-// MulGatherAndAddLazy to fuse the permutation into a multiply-accumulate
-// instead of materializing the permuted polynomial.
+// and g, so rings of equal N produce identical tables. The hoisted
+// key-switch feeds it to MulKeyPair to fuse the permutation into its
+// multiply-accumulate instead of materializing the permuted polynomial.
 func (r *Ring) AutoIndexNTT(g uint64) []int { return r.autoIndexNTT(g) }
 
 // --- Samplers ---------------------------------------------------------------

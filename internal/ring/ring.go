@@ -55,8 +55,8 @@
 // # Kernel tiers
 //
 // Every kernel is portable Go, and two also have an amd64 assembly tier that
-// CPUID selects once per process, with no exported name, flag or
-// environment variable to override it. The Go kernel stays as the fallback
+// CPUID selects once per process (one probe, cpu_amd64.go), with no exported
+// name, flag or environment variable to override it. The Go kernel stays as the fallback
 // and as the tier's oracle in the tests:
 //
 //   - BConv (bconvDigits and bconvLanes, bconv_amd64.s) on AVX-512 IFMA:

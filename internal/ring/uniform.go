@@ -35,15 +35,16 @@ import (
 //
 // A coefficient therefore depends only on (seed, τ, i, t) and a task may start
 // anywhere in a row: expansion is bit-identical at every (workers, block)
-// engine shape. The kernels below expand one chunk at a time into task-local
-// scratch and consume it at once, so an expanded row never exists whole and
-// never leaves the cache. They consume the accepted candidates themselves,
-// not their residues: a Montgomery product REDC(x·v) is exact for any 64-bit
-// v once x < q, and the lazy sums budget for the wider factor
-// (SeededMACBudget), so regenerating a word costs its keystream and one
-// comparison. Where the CPU has them, the keystream runs on the 256-bit AES
-// instructions (keystreamVAES, two blocks per instruction); elsewhere on
-// crypto/aes — the same words either way.
+// engine shape. The key-switch kernel below (MulKeyPair, which the streaming
+// and the hoisted key-switch share) expands one chunk at a time into
+// task-local scratch and consumes it at once, so an expanded row never exists
+// whole and never leaves the cache. It multiplies the accepted candidates
+// themselves, not their residues: a Montgomery product REDC(x·v) is exact for any 64-bit
+// v once x < q, and every product is reduced before it is summed, so
+// regenerating a word costs its keystream and one comparison. Where the CPU
+// has them, the keystream runs on the 256-bit AES instructions
+// (keystreamVAES, two blocks per instruction); elsewhere on crypto/aes — the
+// same words either way.
 
 // SeedSize is the byte length of the seed a UniformSource expands from.
 const SeedSize = 32
@@ -199,8 +200,8 @@ func (s *UniformSource) keystream(dst []uint64, hi, ctr, lim uint64) (rejected b
 }
 
 // UniformPoly is a uniform polynomial held as a keyed expander and a tag; its
-// words exist only inside the kernels that read them (MulKeyPair,
-// MulKeyPairAndAddLazy) or when ExpandUniform materializes its residues.
+// words exist only inside the kernel that reads them (MulKeyPair, which both
+// key-switch paths run) or when ExpandUniform materializes its residues.
 type UniformPoly struct {
 	src *UniformSource
 	tag uint32
@@ -267,48 +268,31 @@ func (u UniformPoly) resampleChunk(s *uniformScratch, hi uint64, c int, lim uint
 	}
 }
 
-// MulKeyPair multiplies d by both halves of one key-switching-key slice on
-// rows [0..level]: out0 = d ⊙ b and out1 = d ⊙ a, or, with add, out0 += d ⊙ b
-// and out1 += d ⊙ a — the streaming key-switch's multiply-accumulate
-// (Fig. 3a). b is stored; a is expanded chunk by chunk inside each task, and
-// both products run per chunk, so d's chunk is read from the cache the second
-// time. d must be reduced below q (a's raw candidates are not).
-func (r *Ring) MulKeyPair(d, b *Poly, a UniformPoly, out0, out1 *Poly, level int, add bool) {
-	mul := mulRow
+// MulKeyPair multiplies σ(d) by both halves of one key-switching-key slice
+// on rows [0..level]: out0 = σ(d) ⊙ b and out1 = σ(d) ⊙ a, or, with add,
+// out0 += σ(d) ⊙ b and out1 += σ(d) ⊙ a — the key-switch's multiply-
+// accumulate (Fig. 3a), streaming and hoisted alike. σ(d)[j] = d[table[j]] is
+// the NTT-domain automorphism given by its index table (AutoIndexNTT), fused
+// into the reads of d, or d itself when table is nil. b is stored; a is
+// expanded chunk by chunk inside each task, and both products run per chunk,
+// so d's chunk is read from the cache the second time. d must be reduced
+// below q (a's raw candidates are not).
+func (r *Ring) MulKeyPair(d *Poly, table []int, b *Poly, a UniformPoly, out0, out1 *Poly, level int, add bool) {
+	mul, gather := mulRow, gatherMulRow
 	if add {
-		mul = mulAddRow
+		mul, gather = mulAddRow, gatherMulAddRow
 	}
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		mr := r.Moduli[i].MRed
 		rd, rb, o0, o1 := d.Coeffs[i], b.Coeffs[i], out0.Coeffs[i], out1.Coeffs[i]
 		r.eachUniformChunk(a, i, lo, hi, func(c0 int, va []uint64) {
 			c1 := c0 + len(va)
-			mul(rd[c0:c1:c1], rb[c0:c1:c1], o0[c0:c1:c1], mr)
-			mul(rd[c0:c1:c1], va, o1[c0:c1:c1], mr)
-		})
-	})
-}
-
-// MulKeyPairAndAddLazy is MulKeyPair's hoisted, lazy form: acc0 += σ(d) ⊙ b
-// and acc1 += σ(d) ⊙ a as unreduced 128-bit sums on rows [0..level], where
-// σ(d)[j] = d[table[j]] is the NTT-domain automorphism given by its index
-// table (AutoIndexNTT), or d itself when table is nil. The gather is fused
-// into the reads of d. acc1 sums products of a residue and a raw candidate:
-// callers chunk at SeededMACBudget, not LazyMACBudget.
-func (r *Ring) MulKeyPairAndAddLazy(d *Poly, table []int, b *Poly, a UniformPoly, acc0, acc1 *Acc128, level int) {
-	n := r.N
-	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		rd, rb, r0, r1 := d.Coeffs[i], b.Coeffs[i], acc0.Rows[i], acc1.Rows[i]
-		r.eachUniformChunk(a, i, lo, hi, func(c0 int, va []uint64) {
-			c1 := c0 + len(va)
-			lo0, hi0 := r0[c0:c1:c1], r0[n+c0:n+c1:n+c1]
-			lo1, hi1 := r1[c0:c1:c1], r1[n+c0:n+c1:n+c1]
 			if table == nil {
-				mulAddLazyRow(rd[c0:c1:c1], rb[c0:c1:c1], lo0, hi0)
-				mulAddLazyRow(rd[c0:c1:c1], va, lo1, hi1)
+				mul(rd[c0:c1:c1], rb[c0:c1:c1], o0[c0:c1:c1], mr)
+				mul(rd[c0:c1:c1], va, o1[c0:c1:c1], mr)
 			} else {
-				gatherAddLazyRow(rd, table[c0:c1:c1], rb[c0:c1:c1], lo0, hi0)
-				gatherAddLazyRow(rd, table[c0:c1:c1], va, lo1, hi1)
+				gather(rd, table[c0:c1:c1], rb[c0:c1:c1], o0[c0:c1:c1], mr)
+				gather(rd, table[c0:c1:c1], va, o1[c0:c1:c1], mr)
 			}
 		})
 	})

@@ -20,24 +20,6 @@ GLOBL ctrStep<>(SB), RODATA|NOPTR, $32
 DATA signBit<>+0x00(SB)/8, $0x8000000000000000
 GLOBL signBit<>(SB), RODATA|NOPTR, $8
 
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() uint32
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
-	RET
-
 // func keystreamVAES(rk *[11][32]byte, hi, ctr uint64, dst *uint64, blocks int, lim uint64) (rejected bool)
 //
 // Writes the AES-128-CTR keystream of the counter blocks hi ‖ ctr,

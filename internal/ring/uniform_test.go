@@ -200,12 +200,11 @@ func expandWindow(r *Ring, u UniformPoly, i, lo, hi int) []uint64 {
 	return out
 }
 
-// TestUniformKernelsMatchMaterialized pins the seeded kernels to the stored
-// ones on the materialized polynomial — MulKeyPair (both forms) against
-// MulCoeffs / MulCoeffsAndAdd, MulKeyPairAndAddLazy (with and without the
-// automorphism table) against MulCoeffsAndAddLazy / MulGatherAndAddLazy —
-// and the expansion itself across (workers, block) engine shapes, serial as
-// the reference.
+// TestUniformKernelsMatchMaterialized pins the seeded kernel to the stored
+// ones on the materialized polynomial — MulKeyPair, overwriting and adding,
+// without and with the automorphism table, against AutomorphismNTT then
+// MulCoeffs / MulCoeffsAndAdd — and the expansion itself across (workers,
+// block) engine shapes, serial as the reference.
 func TestUniformKernelsMatchMaterialized(t *testing.T) {
 	r := uniformTestRing(t, 11)
 	lvl := r.MaxLevel()
@@ -219,37 +218,22 @@ func TestUniformKernelsMatchMaterialized(t *testing.T) {
 	a := r.NewPoly(lvl + 1)
 	r.ExpandUniform(u, a, lvl)
 
-	want := func(add bool) (*Poly, *Poly) {
+	g := r.GaloisElement(3)
+	want := func(gather, add bool) (*Poly, *Poly) {
+		sd := r.CopyNew(d, lvl)
+		if gather {
+			r.AutomorphismNTT(d, g, sd, lvl)
+		}
 		w0, w1 := r.CopyNew(out0, lvl), r.CopyNew(out1, lvl)
 		if add {
-			r.MulCoeffsAndAdd(d, b, w0, lvl)
-			r.MulCoeffsAndAdd(d, a, w1, lvl)
+			r.MulCoeffsAndAdd(sd, b, w0, lvl)
+			r.MulCoeffsAndAdd(sd, a, w1, lvl)
 		} else {
-			r.MulCoeffs(d, b, w0, lvl)
-			r.MulCoeffs(d, a, w1, lvl)
+			r.MulCoeffs(sd, b, w0, lvl)
+			r.MulCoeffs(sd, a, w1, lvl)
 		}
 		return w0, w1
 	}
-	table := r.AutoIndexNTT(r.GaloisElement(3))
-	wantLazy := func(table []int) (*Poly, *Poly) {
-		a0, a1 := r.GetAcc(lvl), r.GetAcc(lvl)
-		for k := 0; k < 2; k++ { // two terms, so the sums carry
-			if table == nil {
-				r.MulCoeffsAndAddLazy(d, b, a0, lvl)
-				r.MulCoeffsAndAddLazy(d, a, a1, lvl)
-			} else {
-				r.MulGatherAndAddLazy(d, table, b, a0, lvl)
-				r.MulGatherAndAddLazy(d, table, a, a1, lvl)
-			}
-		}
-		w0, w1 := r.NewPoly(lvl+1), r.NewPoly(lvl+1)
-		r.ReduceAcc(a0, w0, lvl)
-		r.ReduceAcc(a1, w1, lvl)
-		r.PutAcc(a0)
-		r.PutAcc(a1)
-		return w0, w1
-	}
-	ref := r.NewPoly(lvl + 1)
 	for _, shape := range [][2]int{{0, 0}, {2, 0}, {4, 64}, {7, 100}, {3, 1 << 20}} {
 		e := NewEngine(shape[0])
 		e.SetBlockSize(shape[1])
@@ -261,56 +245,25 @@ func TestUniformKernelsMatchMaterialized(t *testing.T) {
 		if !r.Equal(got, a, lvl) {
 			t.Fatalf("%s: expansion differs from the serial one", name)
 		}
-		for _, add := range []bool{false, true} {
-			w0, w1 := want(add)
-			g0, g1 := r.CopyNew(out0, lvl), r.CopyNew(out1, lvl)
-			r.MulKeyPair(d, b, u, g0, g1, lvl, add)
-			if !r.Equal(g0, w0, lvl) || !r.Equal(g1, w1, lvl) {
-				t.Fatalf("%s: MulKeyPair(add=%v) differs from the materialized products", name, add)
+		for _, gather := range []bool{false, true} {
+			var table []int
+			if gather {
+				table = r.AutoIndexNTT(g)
 			}
-		}
-		for _, tb := range [][]int{nil, table} {
-			w0, w1 := wantLazy(tb)
-			a0, a1 := r.GetAcc(lvl), r.GetAcc(lvl)
-			for k := 0; k < 2; k++ {
-				r.MulKeyPairAndAddLazy(d, tb, b, u, a0, a1, lvl)
+			for _, add := range []bool{false, true} {
+				w0, w1 := want(gather, add)
+				g0, g1 := r.CopyNew(out0, lvl), r.CopyNew(out1, lvl)
+				r.MulKeyPair(d, table, b, u, g0, g1, lvl, add)
+				if !r.Equal(g0, w0, lvl) {
+					t.Fatalf("%s: MulKeyPair(gather=%v, add=%v) b half differs from the materialized products", name, gather, add)
+				}
+				if !r.Equal(g1, w1, lvl) {
+					t.Fatalf("%s: MulKeyPair(gather=%v, add=%v) a half differs from the materialized products", name, gather, add)
+				}
 			}
-			r.ReduceAcc(a0, ref, lvl)
-			if !r.Equal(ref, w0, lvl) {
-				t.Fatalf("%s: MulKeyPairAndAddLazy(gather=%v) b half differs", name, tb != nil)
-			}
-			r.ReduceAcc(a1, ref, lvl)
-			if !r.Equal(ref, w1, lvl) {
-				t.Fatalf("%s: MulKeyPairAndAddLazy(gather=%v) a half differs", name, tb != nil)
-			}
-			r.PutAcc(a0)
-			r.PutAcc(a1)
 		}
 		r.SetEngine(nil)
 		e.Close()
-	}
-}
-
-// TestSeededMACBudget checks SeededMACBudget is the exact overflow bound for
-// sums of products of a residue and a raw candidate: that many worst-case
-// products fit in 128 bits, one more does not.
-func TestSeededMACBudget(t *testing.T) {
-	r := uniformTestRing(t, 4)
-	maxQ := uint64(0)
-	for _, m := range r.Moduli {
-		maxQ = max(maxQ, m.Q)
-	}
-	prod := new(big.Int).Mul(new(big.Int).SetUint64(maxQ-1), new(big.Int).SetUint64(^uint64(0)))
-	limit := new(big.Int).Lsh(big.NewInt(1), 128)
-	b := r.SeededMACBudget()
-	if b < 4 || b > r.LazyMACBudget() {
-		t.Fatalf("SeededMACBudget %d outside [4, LazyMACBudget %d]", b, r.LazyMACBudget())
-	}
-	if new(big.Int).Mul(prod, big.NewInt(int64(b))).Cmp(limit) >= 0 {
-		t.Fatalf("%d products overflow 128 bits", b)
-	}
-	if new(big.Int).Mul(prod, big.NewInt(int64(b+1))).Cmp(limit) < 0 {
-		t.Fatalf("budget %d is not tight", b)
 	}
 }
 
