@@ -105,7 +105,10 @@
 // critical path, four coefficients share a butterfly, intermediates ride a
 // [0, 4q) lazy window, and the last pass leaves canonical residues (the
 // inverse's with N^-1 folded in) — halving the passes over each row
-// relative to radix-2. A radix-2 Montgomery row kernel and the
+// relative to radix-2. On amd64 CPUs with AVX-512F/DQ every pass runs eight
+// coefficients per instruction (the software image of the paper's NTTU
+// lanes), word for word the Go passes, which remain the fallback. A radix-2
+// Montgomery row kernel and the
 // pre-Montgomery Barrett kernels remain in internal/ring's tests as
 // bit-identity oracles. Every basis change runs the key-switch's own
 // iNTT → BConv → NTT dataflow: HRescale is its division with no special

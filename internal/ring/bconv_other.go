@@ -2,8 +2,6 @@
 
 package ring
 
-const useIFMA = false
-
 func bconvDigits(y, cnt, x *uint64, n int, tab *uint64) {
 	panic("ring: bconvDigits without AVX-512 IFMA")
 }

@@ -326,22 +326,21 @@ func bconvInputs(seed int64, from, to []*Modulus, n int) []struct {
 // runs: the AVX-512 IFMA kernels and the Go convertTile.
 var bconvPaths = []string{"ifma", "go"}
 
-// extenderOn builds the from → to extender on the named path. Clearing
-// lanes forces the Go path; the ifma path skips, saying why, where the CPU
-// lacks AVX-512 IFMA, so a green run there does not pass for its coverage.
+// extenderOn builds the from → to extender on the named path: "go" forces
+// every kernel to Go for the rest of t (forceGo), and "ifma" skips, saying
+// why, where the CPU lacks AVX-512 IFMA, so a green run there does not pass
+// for its coverage.
 func extenderOn(t testing.TB, from, to []*Modulus, path string) *BasisExtender {
 	t.Helper()
+	if path == "go" {
+		forceGo(t)
+	}
 	be, err := NewBasisExtender(from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch path {
-	case "go":
-		be.lanes = nil
-	case "ifma":
-		if be.lanes == nil {
-			t.Skip("no AVX-512 IFMA on this CPU: bconvDigits and bconvLanes not checked")
-		}
+	if path == "ifma" && be.lanes == nil {
+		t.Skip("no AVX-512 IFMA on this CPU: bconvDigits and bconvLanes not checked")
 	}
 	return be
 }

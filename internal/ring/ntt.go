@@ -34,6 +34,22 @@ import "bts/internal/mod"
 // each stage's butterflies across 2 workers, with a barrier per stage, ran a
 // one-row N=2^17 transform in 2.49–2.61 ms on a 2-CPU host, against
 // 1.99–2.19 ms for the fused kernel on one worker.
+//
+// Every pass has two tiers. nttRows and inttRows pick one per call: on amd64
+// CPUs with AVX-512F and DQ (useNTTLanes, from the package's one CPUID
+// probe) and N ≥ 2^nttLanesMinLogN, each pass runs its assembly counterpart
+// in ntt_amd64.s, eight coefficients per zmm register, word for word the Go
+// pass — the same [0, 4q) window and the same canonical last-pass outputs.
+// The lane Shoup product takes the exact high word of x·w′ from four 32×32
+// VPMULUDQ partial products, so it holds for any q < 2^62, and each
+// conditional subtraction is one VPMINUQ. Passes with quartet stride ≥ 16
+// are straight loads; the stride-4 pass and the stride-1 passes
+// (nttLastPass, inttFirstPass), whose twiddles change every 16 or 4 words,
+// move data and twiddles between rows and lanes with in-register permutes
+// (VSHUFI64X2, VPERMT2Q). Otherwise the Go passes run; they stay as the
+// tier's oracle (fused_test.go). On a 2-CPU Xeon (Sapphire Rapids class)
+// the lanes transform an N=2^12 row 2.6–3.9× faster than the Go kernel
+// (interleaved minima of two sittings).
 func (r *Ring) NTT(p *Poly, level int) {
 	r.nttRows(p.Coeffs[:level+1], r.Moduli[:level+1])
 }
@@ -82,15 +98,27 @@ func (r *Ring) INTTRow(row []uint64, i int) {
 }
 
 // nttRows forward-transforms rows[i] under moduli ms[i], one fused radix-4
-// row task per row.
+// row task per row, on the tier lanes() picks once for the call.
 func (r *Ring) nttRows(rows [][]uint64, ms []*Modulus) {
-	r.exec.Run(len(rows), func(i int) { r.nttRowRadix4(rows[i], ms[i]) })
+	lanes := r.lanes()
+	r.exec.Run(len(rows), func(i int) { r.nttRowRadix4(rows[i], ms[i], lanes) })
 }
 
 // inttRows is the inverse counterpart of nttRows.
 func (r *Ring) inttRows(rows [][]uint64, ms []*Modulus) {
-	r.exec.Run(len(rows), func(i int) { r.inttRowRadix4(rows[i], ms[i]) })
+	lanes := r.lanes()
+	r.exec.Run(len(rows), func(i int) { r.inttRowRadix4(rows[i], ms[i], lanes) })
 }
+
+// nttLanesMinLogN is the smallest ring the lane passes run on: at N = 32
+// every pass fills whole registers (the h = 4 pass two groups of 16 words,
+// the stride-1 passes eight quartets, the radix-2 stage 16 pairs).
+const nttLanesMinLogN = 5
+
+// lanes reports whether the row kernels run their AVX-512 passes
+// (ntt_amd64.s): the CPU has them (useNTTLanes) and N is at least
+// 2^nttLanesMinLogN.
+func (r *Ring) lanes() bool { return useNTTLanes && r.LogN >= nttLanesMinLogN }
 
 // nInvScaled returns the constants of the inverse transform's last stage,
 // which folds the N^-1 scaling into its butterflies: N^-1 for the sums and
@@ -148,35 +176,53 @@ func canonical4q(v, q uint64) uint64 {
 // nttRowRadix4 is the fused forward row kernel: each pass merges two
 // consecutive Cooley–Tukey stages into one sweep of radix-4 butterflies (see
 // nttQuartets), with the last pass (quartet stride 1) run by nttLastPass.
-func (r *Ring) nttRowRadix4(a []uint64, m *Modulus) {
+// With lanes set every pass runs its AVX-512 counterpart instead, word for
+// word the same; the caller guarantees N ≥ 2^nttLanesMinLogN, so each lane
+// pass gets whole registers.
+func (r *Ring) nttRowRadix4(a []uint64, m *Modulus, lanes bool) {
 	n := r.N
 	q := m.Q
 	tw := m.psiShoup
+	butterflies, last := nttButterflies, nttLastPass
+	if lanes {
+		butterflies, last = nttButterfliesLanes, nttLastPassLanes
+	}
 	mLen := 1
-	t := n
 	if r.LogN&1 == 1 {
 		// Odd log2(N): one leading radix-2 stage (mLen=1, the single group
 		// with twiddle ψ^brv(1)) leaves an even number of stages for the
 		// fused passes.
-		nttButterflies(a[:n/2], a[n/2:], tw[2], tw[3], q)
-		mLen, t = 2, n/2
+		butterflies(a[:n/2], a[n/2:], tw[2], tw[3], q)
+		mLen = 2
 	}
 	for ; mLen < n>>2; mLen <<= 2 {
-		t >>= 1     // first-layer half size
-		h := t >> 1 // second-layer half size, the quartet stride
-		for g := 0; g < mLen; g++ {
-			k := mLen + g
-			w1 := tw[2*k : 2*k+2]  // pair k
-			w23 := tw[4*k : 4*k+4] // pairs 2k, 2k+1
-			base := 2 * g * t
-			nttQuartets(a[base:base+h], a[base+h:base+t], a[base+t:base+t+h], a[base+t+h:base+2*t],
-				w1[0], w1[1], w23[0], w23[1], w23[2], w23[3], q)
-		}
-		t >>= 1
+		nttPass(a, mLen, n/(4*mLen), tw, q, lanes)
 	}
 	// mLen = n/4: the groups are contiguous quartets, their first-layer
 	// twiddles pairs n/4.. and their children pairs n/2.. .
-	nttLastPass(a, tw[n/2:n], tw[n:2*n], q)
+	last(a, tw[n/2:n], tw[n:2*n], q)
+}
+
+// nttPass is one fused forward pass over the row a: nttQuartets on each of
+// its mLen groups of 4h words, group g with twiddle pair k = mLen+g of tw
+// and the second layer's pairs 2k, 2k+1. With lanes set nttQuartetsLanes
+// does the same wherever the groups fill whole registers: h a multiple of
+// 8, or 4 with mLen even. h is a power of 4, so in a ring with N ≥ 32 that
+// is every pass, the last fused one (h = 4, mLen = n/16) included.
+func nttPass(a []uint64, mLen, h int, tw []uint64, q uint64, lanes bool) {
+	if lanes && (h%8 == 0 || h == 4 && mLen%2 == 0) {
+		nttQuartetsLanes(a[:4*mLen*h], mLen, h, tw[2*mLen:4*mLen], tw[4*mLen:8*mLen], q)
+		return
+	}
+	t := 2 * h // first-layer half size
+	for g := 0; g < mLen; g++ {
+		k := mLen + g
+		w1 := tw[2*k : 2*k+2]  // pair k
+		w23 := tw[4*k : 4*k+4] // pairs 2k, 2k+1
+		base := 2 * g * t
+		nttQuartets(a[base:base+h], a[base+h:base+t], a[base+t:base+t+h], a[base+t+h:base+2*t],
+			w1[0], w1[1], w23[0], w23[1], w23[2], w23[3], q)
+	}
 }
 
 // nttQuartets is one group of radix-4 butterflies: it transforms the quartets
@@ -266,12 +312,17 @@ func nttLastPass(a, tw1, tw2 []uint64, q uint64) {
 // Gentleman–Sande stages per pass (see inttQuartets): the first pass
 // (quartet stride 1) is inttFirstPass, and the N^-1 scaling rides in the
 // last stage — the last radix-4 pass (inttLastQuartets) for an even log2(N),
-// the trailing radix-2 stage for an odd one.
-func (r *Ring) inttRowRadix4(a []uint64, m *Modulus) {
+// the trailing radix-2 stage for an odd one. lanes selects the AVX-512
+// passes as in nttRowRadix4.
+func (r *Ring) inttRowRadix4(a []uint64, m *Modulus, lanes bool) {
 	n := r.N
 	q := m.Q
 	tw := m.psiInvShoup
 	ni, nis, wn, wns := m.nInvScaled(tw[2])
+	first, lastQuartets, butterflies := inttFirstPass, inttLastQuartets, inttButterfliesLast
+	if lanes {
+		first, lastQuartets, butterflies = inttFirstPassLanes, inttLastQuartetsLanes, inttButterfliesLastLanes
+	}
 	t := 1
 	mLen := n
 	for ; mLen >= 4; mLen >>= 2 {
@@ -279,27 +330,40 @@ func (r *Ring) inttRowRadix4(a []uint64, m *Modulus) {
 		switch {
 		case h2 == 1 && r.LogN&1 == 0:
 			// The last stage: one group, twiddle pairs 2, 3 then 1.
-			inttLastQuartets(a[:t], a[t:2*t], a[2*t:3*t], a[3*t:4*t],
+			lastQuartets(a[:t], a[t:2*t], a[2*t:3*t], a[3*t:4*t],
 				tw[4], tw[5], tw[6], tw[7], ni, nis, wn, wns, q)
 		case t == 1:
 			// Contiguous quartets: child pairs from n/2.., parents from n/4.. .
-			inttFirstPass(a, tw[n:2*n], tw[n/2:n], q)
+			first(a, tw[n:2*n], tw[n/2:n], q)
 		default:
-			for g := 0; g < h2; g++ {
-				k := h2 + g
-				wA := tw[4*k : 4*k+4] // pairs 2k, 2k+1
-				wB := tw[2*k : 2*k+2] // pair k
-				base := 4 * g * t
-				inttQuartets(a[base:base+t], a[base+t:base+2*t], a[base+2*t:base+3*t], a[base+3*t:base+4*t],
-					wA[0], wA[1], wA[2], wA[3], wB[0], wB[1], q)
-			}
+			inttPass(a, h2, t, tw, q, lanes)
 		}
 		t <<= 2
 	}
 	if mLen == 2 {
 		// Odd log2(N): the trailing radix-2 stage (the single group with
 		// twiddle ψ^-brv(1)), mirroring the forward kernel's leading stage.
-		inttButterfliesLast(a[:n/2], a[n/2:], ni, nis, wn, wns, q)
+		butterflies(a[:n/2], a[n/2:], ni, nis, wn, wns, q)
+	}
+}
+
+// inttPass is one fused inverse pass over the row a: inttQuartets on each
+// of its h2 groups of 4t words, group g with the child pairs 2k, 2k+1 of
+// tw and the parent pair k = h2+g. With lanes set inttQuartetsLanes does
+// the same wherever the groups fill whole registers, as in nttPass: t a
+// multiple of 8, or 4 with h2 = n/16 even.
+func inttPass(a []uint64, h2, t int, tw []uint64, q uint64, lanes bool) {
+	if lanes && (t%8 == 0 || t == 4 && h2%2 == 0) {
+		inttQuartetsLanes(a[:4*h2*t], h2, t, tw[4*h2:8*h2], tw[2*h2:4*h2], q)
+		return
+	}
+	for g := 0; g < h2; g++ {
+		k := h2 + g
+		wA := tw[4*k : 4*k+4] // pairs 2k, 2k+1
+		wB := tw[2*k : 2*k+2] // pair k
+		base := 4 * g * t
+		inttQuartets(a[base:base+t], a[base+t:base+2*t], a[base+2*t:base+3*t], a[base+3*t:base+4*t],
+			wA[0], wA[1], wA[2], wA[3], wB[0], wB[1], q)
 	}
 }
 

@@ -1,0 +1,26 @@
+package ring
+
+// The lane passes of ntt_amd64.s. Those that stand for one Go pass take its
+// signature; nttQuartetsLanes and inttQuartetsLanes run a whole fused pass
+// for nttPass and inttPass, which slice their arguments.
+
+//go:noescape
+func nttButterfliesLanes(x, y []uint64, w, ws, q uint64)
+
+//go:noescape
+func nttQuartetsLanes(a []uint64, groups, h int, tw1, tw23 []uint64, q uint64)
+
+//go:noescape
+func nttLastPassLanes(a, tw1, tw2 []uint64, q uint64)
+
+//go:noescape
+func inttFirstPassLanes(a, twA, twB []uint64, q uint64)
+
+//go:noescape
+func inttQuartetsLanes(a []uint64, groups, t int, twA, twB []uint64, q uint64)
+
+//go:noescape
+func inttLastQuartetsLanes(x0, x1, x2, x3 []uint64, wA0, wA0s, wA1, wA1s, ni, nis, wn, wns, q uint64)
+
+//go:noescape
+func inttButterfliesLastLanes(x, y []uint64, ni, nis, wn, wns, q uint64)

@@ -59,19 +59,32 @@ func BenchmarkNTTKernel(b *testing.B) {
 				return func(row []uint64) { r.inttRowRadix2(row, m, psiInvRev, nInvM) }
 			}},
 		{"radix4",
-			func(r *Ring) func([]uint64) { return func(row []uint64) { r.nttRowRadix4(row, r.Moduli[0]) } },
-			func(r *Ring) func([]uint64) { return func(row []uint64) { r.inttRowRadix4(row, r.Moduli[0]) } }},
+			func(r *Ring) func([]uint64) { return func(row []uint64) { r.nttRowRadix4(row, r.Moduli[0], false) } },
+			func(r *Ring) func([]uint64) { return func(row []uint64) { r.inttRowRadix4(row, r.Moduli[0], false) } }},
+		{"lanes",
+			func(r *Ring) func([]uint64) { return func(row []uint64) { r.nttRowRadix4(row, r.Moduli[0], true) } },
+			func(r *Ring) func([]uint64) { return func(row []uint64) { r.inttRowRadix4(row, r.Moduli[0], true) } }},
 	}
 	for _, logN := range []int{12, 17} {
 		for _, logQ := range []int{50, 60} {
 			for _, k := range kernels {
 				b.Run(fmt.Sprintf("NTT/%s/logN=%d/q=%d", k.name, logN, logQ), func(b *testing.B) {
+					skipWithoutLanes(b, k.name)
 					benchNTTKernel(b, logN, logQ, k.fwd)
 				})
 				b.Run(fmt.Sprintf("INTT/%s/logN=%d/q=%d", k.name, logN, logQ), func(b *testing.B) {
+					skipWithoutLanes(b, k.name)
 					benchNTTKernel(b, logN, logQ, k.inv)
 				})
 			}
 		}
+	}
+}
+
+// skipWithoutLanes skips the lanes kernel's benchmarks on a CPU without
+// AVX-512 F/DQ.
+func skipWithoutLanes(b *testing.B, kernel string) {
+	if kernel == "lanes" && !useNTTLanes {
+		b.Skip("no AVX-512 F/DQ on this CPU: the lane NTT cannot run")
 	}
 }

@@ -54,11 +54,15 @@
 //
 // # Kernel tiers
 //
-// Every kernel is portable Go, and two also have an amd64 assembly tier that
-// CPUID selects once per process (one probe, cpu_amd64.go), with no exported
-// name, flag or environment variable to override it. The Go kernel stays as the fallback
-// and as the tier's oracle in the tests:
+// Every kernel is portable Go, and three also have an amd64 assembly tier
+// that CPUID selects (one probe at start-up, cpu_amd64.go), with no exported
+// name, flag or environment variable to override it. The Go kernel stays as
+// the fallback and as the tier's oracle in the tests:
 //
+//   - The NTT and iNTT row kernels (ntt_amd64.s) on AVX-512F/DQ: every
+//     radix-4 pass, the odd-log2(N) radix-2 stage and the N^-1-scaled last
+//     stage with eight coefficients per 512-bit register, word for word
+//     equal to the Go passes, for N ≥ 32 (see NTT).
 //   - BConv (bconvDigits and bconvLanes, bconv_amd64.s) on AVX-512 IFMA:
 //     eight coefficients of one limb per 512-bit register, 52-bit
 //     multiply-accumulates and an in-lane Montgomery reduction, word for
@@ -68,7 +72,8 @@
 //     UniformSource).
 //
 // TestKernelPaths logs which tier this CPU runs; the assembly tiers' own
-// tests skip, saying so, where the CPU lacks the instructions.
+// tests skip, saying so, where the CPU lacks the instructions, and a
+// test-only switch (forceGo) runs any test on the Go kernels alone.
 package ring
 
 import (

@@ -442,19 +442,49 @@ func TestBasisExtenderNegationEquivariance(t *testing.T) {
 	}
 }
 
-// TestKernelPaths logs which CPUID-selected kernels this CPU runs — BConv
-// and the seeded-key keystream — so a CI log says when an assembly kernel
-// went unexercised.
+// TestKernelPaths logs which CPUID-selected kernels this CPU runs — the
+// NTT, BConv and the seeded-key keystream — so a CI log says when an
+// assembly kernel went unexercised.
 func TestKernelPaths(t *testing.T) {
-	bconv, keystream := "go (no AVX-512 IFMA)", "crypto/aes (no VAES)"
+	ntt, bconv, keystream := "go (no AVX-512 F/DQ)", "go (no AVX-512 IFMA)", "crypto/aes (no VAES)"
+	if useNTTLanes {
+		ntt = fmt.Sprintf("lanes (ntt_amd64.s, N >= 2^%d)", nttLanesMinLogN)
+	}
 	if useIFMA {
 		bconv = "ifma (bconvDigits, bconvLanes)"
 	}
 	if useVAES {
 		keystream = "vaes (keystreamVAES)"
 	}
+	t.Logf("ntt: %s", ntt)
 	t.Logf("bconv: %s", bconv)
 	t.Logf("keystream: %s", keystream)
+}
+
+// forceGo runs the rest of t with every CPUID-selected kernel on its Go
+// path — the NTT row kernels, BConv (for extenders built afterwards) and
+// the keystream (for sources made afterwards) — and restores the probe's
+// flags when t ends. Tests that call it must not run in parallel.
+func forceGo(t testing.TB) {
+	ntt, ifma, vaes := useNTTLanes, useIFMA, useVAES
+	useNTTLanes, useIFMA, useVAES = false, false, false
+	t.Cleanup(func() { useNTTLanes, useIFMA, useVAES = ntt, ifma, vaes })
+}
+
+// onPaths runs f twice, as the subtests "lanes" (the kernels CPUID selects)
+// and "go" (forceGo). The lanes subtest skips, saying why, on a CPU without
+// AVX-512 F/DQ, so a green run there does not pass for its coverage.
+func onPaths(t *testing.T, f func(t *testing.T)) {
+	t.Run("lanes", func(t *testing.T) {
+		if !useNTTLanes {
+			t.Skip("no AVX-512 F/DQ on this CPU: the lane NTT not checked")
+		}
+		f(t)
+	})
+	t.Run("go", func(t *testing.T) {
+		forceGo(t)
+		f(t)
+	})
 }
 
 func TestBasisExtenderErrors(t *testing.T) {

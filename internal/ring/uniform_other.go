@@ -2,8 +2,6 @@
 
 package ring
 
-const useVAES = false
-
 func keystreamVAES(rk *[11][32]byte, hi, ctr uint64, dst *uint64, blocks int, lim uint64) bool {
 	panic("ring: keystreamVAES without VAES")
 }
