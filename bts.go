@@ -47,8 +47,10 @@
 // bootstrapping's CoeffToSlot/SlotToCoeff — keep each baby step's
 // key-switch in the extended QP basis, fold the diagonals in there with
 // 128-bit lazy MACs, and defer ModDown to once per giant step. Every
-// key-switch, streaming or hoisted, runs one reduced MAC kernel; a hoisted
-// rotation hands it the automorphism's index table, fused into its reads.
+// key-switch runs one pipeline — decompose, then one reduced MAC per
+// rotation, the automorphism's index table fused into its reads — so
+// MulRelin, Rotate and Conjugate are that pipeline with a decomposition of
+// their own.
 // Bootstrapping evaluates those transforms *factored*: CoeffToSlot and
 // SlotToCoeff are chains of sparse radix stages (ckks.TransformChain over
 // the encoder's butterfly-group factorization, dft.go) instead of dense

@@ -316,7 +316,12 @@ func (ev *Evaluator) mulRelin(ct0, ct1 *Ciphertext, drop int) *Ciphertext {
 	}
 	out := ev.ctx.getCiphertextNoZero(lvl-drop, scale)
 	ev.keySwitchWith(lvl, drop, func(accQ0, accP0, accQ1, accP1 *ring.Poly) {
-		ev.keySwitchMAC(d2, lvl, ev.rlk, accQ0, accP0, accQ1, accP1)
+		ksp := ev.begin(spanKeySwitch)
+		ksp.SetLevel(lvl)
+		hd := ev.decompose(d2, lvl)
+		ev.keySwitchMAC(1, hd, ev.rlk, accQ0, accP0, accQ1, accP1)
+		hd.Release()
+		ev.endSpan(&ksp, nil)
 		// d_i enters the extended basis as the integer P_ℓ·d_i: zero over P_ℓ.
 		sm := ev.ctx.special[lvl]
 		rq.MulLimbScalarsAndAdd(d0, sm.pModQ, sm.pModQShoup, accQ0, lvl)
@@ -372,21 +377,22 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, g uint64) *Ciphertext {
 	ev.counters.FullRot.Add(1)
 	sp := ev.begin(spanRotate)
 	swk := ev.rotationKey(g)
-	rq := ev.ctx.RingQ
-	lvl := ct.Level
-	ra := rq.GetPolyNoZero()
-	rq.AutomorphismNTT(ct.C1, g, ra, lvl)
 	out := ev.rotated(ct, g, func(accQ0, accP0, accQ1, accP1 *ring.Poly) {
-		ev.keySwitchMAC(ra, lvl, swk, accQ0, accP0, accQ1, accP1)
+		ksp := ev.begin(spanKeySwitch)
+		ksp.SetLevel(ct.Level)
+		hd := ev.decompose(ct.C1, ct.Level)
+		ev.keySwitchMAC(g, hd, swk, accQ0, accP0, accQ1, accP1)
+		hd.Release()
+		ev.endSpan(&ksp, nil)
 	})
-	rq.PutPoly(ra)
 	ev.endSpan(&sp, out)
 	return out
 }
 
 // rotated returns (σ_g(ct.C0) + ks0, ks1), where (ks0, ks1) is the
 // key-switch of σ_g(ct.C1) whose multiply-accumulate mac runs (see
-// keySwitchWith): the tail a streaming rotation and a hoisted one share.
+// keySwitchWith): the tail every rotation shares, whether it decomposes
+// ct.C1 itself or reuses a decomposition.
 func (ev *Evaluator) rotated(ct *Ciphertext, g uint64, mac func(accQ0, accP0, accQ1, accP1 *ring.Poly)) *Ciphertext {
 	rq := ev.ctx.RingQ
 	lvl := ct.Level
@@ -400,12 +406,11 @@ func (ev *Evaluator) rotated(ct *Ciphertext, g uint64, mac func(accQ0, accP0, ac
 }
 
 // keySwitchWith is every key-switch's pipeline of Fig. 3(a) in its two
-// halves: mac — keySwitchMAC (per slice, ModUp and multiply-accumulate with
-// the evk) or keySwitchHoistedLazy over a prepared decomposition —
-// overwrites four extended-basis accumulators borrowed from the pools, and
-// one modDown per component divides them by P_ℓ (and the last `drop` primes)
-// into out0 and out1 (the subtraction-scaling-addition the paper fuses as
-// SSA).
+// halves: mac — keySwitchMAC over a decomposition (hoisting.go), taken for
+// this key-switch alone or shared by a rotation fan — overwrites four
+// extended-basis accumulators borrowed from the pools, and one modDown per
+// component divides them by P_ℓ (and the last `drop` primes) into out0 and
+// out1 (the subtraction-scaling-addition the paper fuses as SSA).
 func (ev *Evaluator) keySwitchWith(lvl, drop int, mac func(accQ0, accP0, accQ1, accP1 *ring.Poly), out0, out1 *ring.Poly) {
 	rq, rp := ev.ctx.RingQ, ev.ctx.RingP
 	accQ0, accP0 := rq.GetPolyNoZero(), rp.GetPolyNoZero()
@@ -417,86 +422,6 @@ func (ev *Evaluator) keySwitchWith(lvl, drop int, mac func(accQ0, accP0, accQ1, 
 	rq.PutPoly(accQ1)
 	rp.PutPoly(accP0)
 	rq.PutPoly(accQ0)
-}
-
-// keySwitchMAC is the decomposition and multiply-accumulate half of the
-// key-switch: it overwrites (accQ0, accP0) and (accQ1, accP1) with
-// Σ_j ModUp(d′)_j ⊙ evk_j for the two key components, in the extended basis
-// Q_ℓ·P_ℓ and still to be divided by P_ℓ (callers may pass unzeroed scratch)
-// — the streaming counterpart of keySwitchHoistedLazy. d′ is d times the
-// level's lift [(P/P_ℓ)^-1]_{q_i}, applied while d is copied for the iNTT.
-//
-// It is the single-use form: one slice at a time through a reused scratch
-// pair, so it holds two temporaries regardless of β. Rotation-heavy callers
-// that reuse one decomposition across many rotations instead materialize
-// every slice with decomposeNTT (hoisting.go); the two paths run the same
-// modUpSlice per slice and sum the same products in the same MAC kernel
-// (ring.MulKeyPair, here with no automorphism table), so their outputs are
-// bit-identical.
-func (ev *Evaluator) keySwitchMAC(d *ring.Poly, lvl int, swk *SwitchingKey, accQ0, accP0, accQ1, accP1 *ring.Poly) {
-	sp := ev.begin(spanKeySwitch)
-	sp.SetLevel(lvl)
-	ctx := ev.ctx
-	rq, rp := ctx.RingQ, ctx.RingP
-	sm := ctx.special[lvl]
-	lp := sm.k - 1
-
-	dCoeff := rq.GetPolyNoZero()
-	rq.MulLimbScalars(d, sm.lift, sm.liftShoup, dCoeff, 0, lvl)
-	rq.INTT(dCoeff, lvl)
-
-	// tmpQ/tmpP are fully overwritten each slice (group rows + BConv
-	// output); dst is the BConv target-row view, reused across slices.
-	tmpQ := rq.GetPolyNoZero()
-	tmpP := rp.GetPolyNoZero()
-	dst := make([][]uint64, 0, lvl+1+sm.k)
-
-	// Multiply-accumulate with the evk slice (element-wise, Fig. 3a), a_j
-	// regenerated from the key's seed inside each task; the first slice
-	// writes the accumulators, so nobody has to zero them.
-	a := ring.NewUniformSource(swk.Seed)
-	for j := 0; j < ctx.Params.Beta(lvl); j++ {
-		dst = ev.modUpSlice(j, lvl, d, dCoeff, tmpQ, tmpP, dst)
-		aQ, aP := keyA(a, j)
-		rq.MulKeyPair(tmpQ, nil, swk.B[j].Q, aQ, accQ0, accQ1, lvl, j > 0)
-		rp.MulKeyPair(tmpP, nil, swk.B[j].P, aP, accP0, accP1, lp, j > 0)
-	}
-
-	rp.PutPoly(tmpP)
-	rq.PutPoly(tmpQ)
-	rq.PutPoly(dCoeff)
-	ev.endSpan(&sp, nil)
-}
-
-// modUpSlice runs one decomposition slice of the Fig. 3(a) pipeline. The
-// residues of group j of dCoeff (coefficient domain, level lvl, already
-// lifted by [(P/P_ℓ)^-1]_{q_i}) are extended to the rest of the Q_ℓ·P_ℓ
-// basis (ModUp/BConv) and only those rows — the out-of-group q-rows and the
-// k_ℓ p-rows — go through the forward NTT. The group's own rows are d's,
-// lifted the same way on the copy: NTT(iNTT(x)) = x word for word, because
-// both transforms end in canonical residues, so transforming them back would
-// recompute what the scaled copy already holds (with dnum = 1 that is every
-// q-row). tmpQ and tmpP are fully overwritten; dst is the reusable BConv
-// target-row view, returned for reuse across slices. Both the streaming
-// keySwitchMAC and the hoisted decomposeNTT run exactly this body per slice
-// — sharing it is what keeps their outputs bit-identical.
-func (ev *Evaluator) modUpSlice(j, lvl int, d, dCoeff, tmpQ, tmpP *ring.Poly, dst [][]uint64) [][]uint64 {
-	ctx := ev.ctx
-	rq, rp := ctx.RingQ, ctx.RingP
-	sm := ctx.special[lvl]
-	lo, hi := ctx.groupRange(j, lvl)
-	dst = dst[:0]
-	for i := 0; i <= lvl; i++ {
-		if i < lo || i > hi {
-			dst = append(dst, tmpQ.Coeffs[i])
-		}
-	}
-	dst = append(dst, tmpP.Coeffs[:sm.k]...)
-	ctx.modUpExtender(j, lvl).Convert(dCoeff.Coeffs[lo:hi+1], dst)
-	rq.MulLimbScalars(d, sm.lift, sm.liftShoup, tmpQ, lo, hi)
-	rq.NTTExcept(tmpQ, lvl, lo, hi)
-	rp.NTT(tmpP, sm.k-1)
-	return dst
 }
 
 // modDown divides the extended polynomial (accQ, accP) — rows [0..lvl] over Q

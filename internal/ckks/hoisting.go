@@ -6,35 +6,35 @@ import (
 	"bts/internal/ring"
 )
 
-// This file implements hoisted key-switching for rotation-heavy workloads
-// (the optimization FAB exploits for bootstrapping's linear-transform
-// phases, and HS18 introduced for HElib): when many rotations of the *same*
-// ciphertext are needed — every baby step of a BSGS linear transform, i.e.
-// the bulk of CoeffToSlot/SlotToCoeff — the expensive decomposition pipeline
-// (iNTT → ModUp/BConv → NTT per β slice, Fig. 3a) is run once and reused.
+// This file holds the key-switch pipeline of Fig. 3(a) — iNTT → ModUp/BConv
+// → NTT per β slice, MAC with the evk, ModDown — which every HMult and HRot
+// runs. It comes in two halves: decompose runs the decomposition of one
+// polynomial and keeps every slice, and keySwitchMAC multiply-accumulates
+// the slices against a switching key. MulRelin, Rotate and Conjugate
+// decompose their operand, run one MAC and release the slices; a rotation
+// fan (RotateHoisted, the serving scheduler, every BSGS baby step of a
+// LinearTransform and so the bulk of CoeffToSlot/SlotToCoeff) decomposes
+// once and runs one MAC per rotation — hoisting, the optimization FAB
+// exploits for bootstrapping and HS18 introduced for HElib.
 //
-// The factorization is exact: the Galois automorphism is a signed
-// coefficient permutation, ModUp is per-coefficient, and the centered BConv
-// (ring.BasisExtender) is negation-equivariant, so permuting the decomposed
-// slices in the NTT domain (a pure index permutation) is bit-identical to
-// decomposing the permuted ciphertext. A hoisted rotation therefore costs
-// one gather-MAC against the rotation key — the permutation is fused into
-// the multiply-accumulate's read index, never materialized — and one
-// ModDown; the NTT/iNTT/BConv work, which dominates, is paid once per
-// ciphertext instead of once per rotation. The gather-MAC is the streaming
-// key-switch's own kernel (ring.MulKeyPair) handed the automorphism's index
-// table, so both paths sum the same reduced products.
+// The automorphism never touches the decomposition: the Galois map is a
+// signed coefficient permutation, ModUp is per-coefficient, and the centered
+// BConv (ring.BasisExtender) is negation-equivariant, so permuting the
+// decomposed slices in the NTT domain (a pure index permutation, the same
+// for every prime of both bases) is bit-identical to decomposing the
+// permuted polynomial. The MAC kernel (ring.MulKeyPair) takes the
+// automorphism's index table and reads each slice through it, so σ_g is
+// never materialized; Rotate permutes only C0.
 //
 // Cost model (β = decomposition slices at the current level):
 //
-//	naive n rotations:   n·(iNTT + β·(BConv + 2 NTT) + β·MAC + 2 ModDown)
+//	n single rotations:  n·(iNTT + β·(BConv + 2 NTT) + β·gatherMAC + 2 ModDown)
 //	hoisted n rotations: 1·(iNTT + β·(BConv + 2 NTT)) + n·(β·gatherMAC + 2 ModDown)
 //
-// On top of single hoisted rotations, keySwitchHoistedLazy exposes the
-// *double-hoisted* form used by LinearTransform: the MAC accumulators stay
-// in the extended QP basis so baby-step products can be summed there, with
-// one deferred ModDown per ciphertext component per giant step instead of
-// one per rotation.
+// LinearTransform goes one step further (double hoisting): it keeps each
+// baby step's MAC accumulators in the extended QP basis, sums the diagonal
+// products there, and pays one deferred ModDown per ciphertext component
+// per giant step instead of one per rotation.
 
 // HoistedDecomposition is the reusable key-switch decomposition of one
 // ciphertext's a-polynomial: per decomposition slice j, the ModUp'd residues
@@ -68,16 +68,27 @@ func (hd *HoistedDecomposition) Release() {
 // DecomposeNTT runs the decomposition half of the key-switch pipeline on
 // ct.C1 — per slice: iNTT, ModUp to the rest of the QP basis, NTT — and
 // returns it for reuse across many rotations of ct. See RotateHoisted for
-// the common wrapper; LinearTransform consumes the decomposition directly.
+// the common wrapper; LinearTransform decomposes on its own.
 func (ev *Evaluator) DecomposeNTT(ct *Ciphertext) *HoistedDecomposition {
-	return ev.decomposeNTT(ct.C1, ct.Level)
-}
-
-// decomposeNTT is DecomposeNTT on a bare polynomial (NTT domain, level lvl).
-func (ev *Evaluator) decomposeNTT(d *ring.Poly, lvl int) *HoistedDecomposition {
 	ev.counters.Decompose.Add(1)
 	sp := ev.begin(spanDecompose)
-	sp.SetLevel(lvl)
+	sp.SetLevel(ct.Level)
+	hd := ev.decompose(ct.C1, ct.Level)
+	ev.endSpan(&sp, nil)
+	return hd
+}
+
+// decompose is the key-switch's decomposition of d (NTT domain, level lvl),
+// every slice kept. The copy for the iNTT carries the level's lift
+// [(P/P_ℓ)^-1]_{q_i}. Per slice j, the residues of group j of that copy are
+// extended to the rest of the Q_ℓ·P_ℓ basis (ModUp/BConv), and only those
+// rows — the out-of-group q-rows and the k_ℓ p-rows — go through the forward
+// NTT. The group's own rows are d's, lifted the same way: NTT(iNTT(x)) = x
+// word for word, because both transforms end in canonical residues, so
+// transforming them back would recompute what the lifted copy already holds
+// (with dnum = 1 that is every q-row). Each slice is fully overwritten, so
+// none is zeroed; dst is the BConv target-row view, reused across slices.
+func (ev *Evaluator) decompose(d *ring.Poly, lvl int) *HoistedDecomposition {
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
 	sm := ctx.special[lvl]
@@ -90,68 +101,69 @@ func (ev *Evaluator) decomposeNTT(d *ring.Poly, lvl int) *HoistedDecomposition {
 		p:     make([]*ring.Poly, 0, beta),
 	}
 
-	// The copy for the iNTT carries the lift by [(P/P_ℓ)^-1]_{q_i}, as in
-	// keySwitchMAC.
 	dCoeff := rq.GetPolyNoZero()
 	rq.MulLimbScalars(d, sm.lift, sm.liftShoup, dCoeff, 0, lvl)
 	rq.INTT(dCoeff, lvl)
 
-	// Each slice polynomial is fully overwritten by modUpSlice (lifted group
-	// rows + BConv output rows), so the slices skip the zeroing pass; dst is
-	// the BConv target-row view, reused across slices. The per-slice body is
-	// shared with the streaming keySwitchMAC, which is what keeps hoisted and
-	// naive outputs bit-identical.
 	dst := make([][]uint64, 0, lvl+1+sm.k)
 	for j := 0; j < beta; j++ {
 		tmpQ := rq.GetPolyNoZero()
 		tmpP := rp.GetPolyNoZero()
-		dst = ev.modUpSlice(j, lvl, d, dCoeff, tmpQ, tmpP, dst)
+		lo, hi := ctx.groupRange(j, lvl)
+		dst = dst[:0]
+		for i := 0; i <= lvl; i++ {
+			if i < lo || i > hi {
+				dst = append(dst, tmpQ.Coeffs[i])
+			}
+		}
+		dst = append(dst, tmpP.Coeffs[:sm.k]...)
+		ctx.modUpExtender(j, lvl).Convert(dCoeff.Coeffs[lo:hi+1], dst)
+		rq.MulLimbScalars(d, sm.lift, sm.liftShoup, tmpQ, lo, hi)
+		rq.NTTExcept(tmpQ, lvl, lo, hi)
+		rp.NTT(tmpP, sm.k-1)
 		hd.q = append(hd.q, tmpQ)
 		hd.p = append(hd.p, tmpP)
 	}
 	rq.PutPoly(dCoeff)
-	ev.endSpan(&sp, nil)
 	return hd
 }
 
-// keySwitchHoistedLazy applies the automorphism X→X^g to every decomposed
-// slice and multiply-accumulates against the switching key, leaving the
-// result in the extended Q_ℓ·P_ℓ basis: accQ0/accP0 and accQ1/accP1 are
-// *overwritten* with the two key components' accumulators *before* the final
-// division by P_ℓ (callers may pass unzeroed scratch). The laziness is that
-// deferred ModDown: callers either hand the accumulators to keySwitchWith's
-// modDowns (single hoisted rotation) or keep summing baby-step products in
-// the extended basis and ModDown once per giant step (double hoisting).
+// keySwitchMAC applies the automorphism X→X^g to every decomposed slice and
+// multiply-accumulates against the switching key, leaving the result in the
+// extended Q_ℓ·P_ℓ basis: accQ0/accP0 and accQ1/accP1 are *overwritten*
+// with the two key components' accumulators *before* the final division by
+// P_ℓ (callers may pass unzeroed scratch). Callers either hand the
+// accumulators to keySwitchWith's modDowns or, in LinearTransform, keep
+// summing baby-step products in the extended basis and ModDown once per
+// giant step.
 //
-// The MAC is the streaming keySwitchMAC's kernel, ring.MulKeyPair, given the
-// automorphism's index table: it reads each slice through the table and
-// regenerates the key's a_j rows from its seed as it goes, so no permuted
-// copy of the extended basis and no expanded a_j is ever materialized. Each
-// product is reduced as it is summed, as in the streaming path, so the two
-// stay bit-identical. A coefficient's sum has only β terms — 1 at the
-// bootstrap's dnum = 1, at most 4 on the benchmark's workloads — too few for
-// unreduced 128-bit sums (ring.Acc128) to repay their zeroing and final
-// fold. g = 1 skips the permutation.
-func (ev *Evaluator) keySwitchHoistedLazy(g uint64, hd *HoistedDecomposition, swk *SwitchingKey, accQ0, accP0, accQ1, accP1 *ring.Poly) {
+// The MAC kernel, ring.MulKeyPair, reads each slice through the
+// automorphism's index table and regenerates the key's a_j rows from its
+// seed as it goes, so no permuted copy of the extended basis and no expanded
+// a_j is ever materialized. The table depends only on N and g, so the
+// q-ring's serves the P rows too; g = 1 (relinearization) has none. Each
+// product is reduced as it is summed: a coefficient's sum has only β terms
+// — 1 at the bootstrap's dnum = 1, at most 4 on the benchmark's workloads —
+// too few for unreduced 128-bit sums (ring.Acc128) to repay their zeroing
+// and final fold.
+func (ev *Evaluator) keySwitchMAC(g uint64, hd *HoistedDecomposition, swk *SwitchingKey, accQ0, accP0, accQ1, accP1 *ring.Poly) {
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
 	lvl, lp := hd.level, ctx.special[hd.level].k-1
-	var tableQ, tableP []int
+	var table []int
 	if g != 1 {
-		ev.counters.HoistedRot.Add(1)
-		tableQ = rq.AutoIndexNTT(g)
-		tableP = rp.AutoIndexNTT(g)
+		table = rq.AutoIndexNTT(g)
 	}
 	a := ring.NewUniformSource(swk.Seed)
 	for j := 0; j < hd.beta; j++ {
 		aQ, aP := keyA(a, j)
-		rq.MulKeyPair(hd.q[j], tableQ, swk.B[j].Q, aQ, accQ0, accQ1, lvl, j > 0)
-		rp.MulKeyPair(hd.p[j], tableP, swk.B[j].P, aP, accP0, accP1, lp, j > 0)
+		rq.MulKeyPair(hd.q[j], table, swk.B[j].Q, aQ, accQ0, accQ1, lvl, j > 0)
+		rp.MulKeyPair(hd.p[j], table, swk.B[j].P, aP, accP0, accP1, lp, j > 0)
 	}
 }
 
 // rotationKey returns the switching key for the Galois element g, panicking
-// with the same diagnostics as the naive rotation path.
+// with Rotate's diagnostics when it is missing.
 func (ev *Evaluator) rotationKey(g uint64) *SwitchingKey {
 	if ev.rtks == nil {
 		panic("ckks: rotation without rotation keys")
@@ -215,8 +227,9 @@ func (ev *Evaluator) rotateHoisted(ct *Ciphertext, r int, hd *HoistedDecompositi
 	if g == 1 {
 		return ev.ctx.copyCiphertextPooled(ct)
 	}
+	ev.counters.HoistedRot.Add(1)
 	swk := ev.rotationKey(g)
 	return ev.rotated(ct, g, func(accQ0, accP0, accQ1, accP1 *ring.Poly) {
-		ev.keySwitchHoistedLazy(g, hd, swk, accQ0, accP0, accQ1, accP1)
+		ev.keySwitchMAC(g, hd, swk, accQ0, accP0, accQ1, accP1)
 	})
 }

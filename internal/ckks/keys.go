@@ -37,9 +37,9 @@ type PublicKey struct {
 // the secrets, so the key holds one 32-byte Seed instead: a_j over Q is the
 // ring's seeded uniform polynomial with tag 2j, over P the one with tag 2j+1
 // (ring.UniformSource), and the key-switch kernel regenerates each row of it
-// inside the task that multiplies it (ring.MulKeyPair, which the streaming
-// and the hoisted key-switch both run) — half the bytes to hold, upload and
-// stream, paid for with PRNG words.
+// inside the task that multiplies it (ring.MulKeyPair, the one key-switch
+// MAC kernel) — half the bytes to hold, upload and stream, paid for with
+// PRNG words.
 type SwitchingKey struct {
 	B    []PolyQP
 	Seed [ring.SeedSize]byte

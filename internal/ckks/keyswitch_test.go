@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -10,12 +11,13 @@ import (
 	"bts/internal/ring"
 )
 
-// keySwitch is the streaming key-switch of d on its own: keySwitchMAC's
-// accumulators divided by P_ℓ into (ks0, ks1), as Rotate runs it on
-// σ_g(ct.C1).
+// keySwitch is the key-switch of d on its own: decompose, the g = 1 MAC and
+// the accumulators divided by P_ℓ into (ks0, ks1), as MulRelin runs it on d2.
 func (ev *Evaluator) keySwitch(d *ring.Poly, lvl int, swk *SwitchingKey, ks0, ks1 *ring.Poly) {
+	hd := ev.decompose(d, lvl)
+	defer hd.Release()
 	ev.keySwitchWith(lvl, 0, func(accQ0, accP0, accQ1, accP1 *ring.Poly) {
-		ev.keySwitchMAC(d, lvl, swk, accQ0, accP0, accQ1, accP1)
+		ev.keySwitchMAC(1, hd, swk, accQ0, accP0, accQ1, accP1)
 	}, ks0, ks1)
 }
 
@@ -100,10 +102,10 @@ func TestMulRelinRescaleMatchesUnfused(t *testing.T) {
 	}
 }
 
-// modUpSliceRoundTrip is modUpSlice as it was before the group rows stopped
-// making the round trip through the coefficient domain: copy them from
-// dCoeff and forward-transform every row, over the level's special prefix.
-// Kept as the oracle the production body must match word for word.
+// modUpSliceRoundTrip is one slice of decompose as it was before the group
+// rows stopped making the round trip through the coefficient domain: copy
+// them from dCoeff and forward-transform every row, over the level's special
+// prefix. Kept as the oracle the production body must match word for word.
 func (ev *Evaluator) modUpSliceRoundTrip(j, lvl int, dCoeff, tmpQ, tmpP *ring.Poly) {
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
@@ -194,5 +196,58 @@ func TestModUpSkipsRoundTripBitIdentical(t *testing.T) {
 		if !rq.Equal(ks0, want0, lvl) || !rq.Equal(ks1, want1, lvl) {
 			t.Fatalf("dnum=%d: keySwitch differs from the round-trip oracle", dnum)
 		}
+	}
+}
+
+// rotateOracle is HRot as Rotate ran it before the automorphism moved into
+// the MAC's gather: σ_g(ct.C1) materialized by AutomorphismNTT, then its own
+// g = 1 decomposition, MAC and ModDown, plus σ_g(ct.C0). It returns the two
+// output components.
+func (ev *Evaluator) rotateOracle(ct *Ciphertext, g uint64) (c0, c1 *ring.Poly) {
+	rq := ev.ctx.RingQ
+	lvl := ct.Level
+	rotated := rq.NewPolyLevel(lvl)
+	rq.AutomorphismNTT(ct.C1, g, rotated, lvl)
+	ks0, c1 := rq.NewPolyLevel(lvl), rq.NewPolyLevel(lvl)
+	ev.keySwitch(rotated, lvl, ev.rotationKey(g), ks0, c1)
+	c0 = rq.NewPolyLevel(lvl)
+	rq.AutomorphismNTT(ct.C0, g, c0, lvl)
+	rq.Add(c0, ks0, c0, lvl)
+	return c0, c1
+}
+
+// TestRotateMatchesPermuteFirstOracle pins Rotate and Conjugate, which read
+// σ_g(ct.C1) through the MAC's gather, to rotateOracle word for word — at the
+// top level and at a level whose last decomposition group is partial, for
+// dnum 1, 2 and 3. RotateHoisted runs the same decomposition and MAC as
+// Rotate, so this is the test that compares the rotation with a second,
+// independent ordering of the pipeline.
+func TestRotateMatchesPermuteFirstOracle(t *testing.T) {
+	rotations := []int{1, 5, -3}
+	for _, dnum := range []int{1, 2, 3} {
+		s := newTestSetup(t, dnum, rotations)
+		rq := s.ctx.RingQ
+		top := s.params.MaxLevel()
+		partial := top - 1 // 5 primes: groups of 6, 3+2, 2+2+1
+		if lo, hi := s.ctx.groupRange(s.params.Beta(partial)-1, partial); hi-lo+1 == s.params.Alpha() {
+			t.Fatalf("dnum=%d: last group at level %d is not partial", dnum, partial)
+		}
+		rng := rand.New(rand.NewSource(int64(160 + dnum)))
+		for _, lvl := range []int{top, partial} {
+			ct := randomCiphertext(s.ctx, rng, lvl)
+			check := func(name string, g uint64, got *Ciphertext) {
+				t.Helper()
+				want0, want1 := s.eval.rotateOracle(ct, g)
+				if got.Level != lvl || !rq.Equal(got.C0, want0, lvl) || !rq.Equal(got.C1, want1, lvl) {
+					t.Fatalf("dnum=%d level=%d %s: differs from the permute-first oracle", dnum, lvl, name)
+				}
+				s.ctx.PutCiphertext(got)
+			}
+			for _, r := range rotations {
+				check(fmt.Sprintf("Rotate(%d)", r), rq.GaloisElement(r), s.eval.Rotate(ct, r))
+			}
+			check("Conjugate", rq.GaloisConjugate(), s.eval.Conjugate(ct))
+		}
+		s.ctx.Close()
 	}
 }

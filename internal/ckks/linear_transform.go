@@ -125,6 +125,22 @@ func bsgsSplit(diagIndices []int, slots int) int {
 // to size the Table 2 rotation-key set before paying for a real context.
 func BSGSRotations(diagIndices []int, slots int) (n1 int, rotations []int) {
 	n1 = bsgsSplit(diagIndices, slots)
+	return n1, bsgsRotations(diagIndices, n1, slots)
+}
+
+// Rotations returns the rotation amounts required to evaluate the transform
+// (keys the caller must generate).
+func (lt *LinearTransform) Rotations() []int {
+	keys := make([]int, 0, len(lt.diags))
+	for k := range lt.diags {
+		keys = append(keys, k)
+	}
+	return bsgsRotations(keys, lt.n1, lt.slots)
+}
+
+// bsgsRotations returns, sorted, the distinct nonzero baby (k mod n1) and
+// giant (⌊k/n1⌋·n1) rotations of the diagonal indices k, reduced mod slots.
+func bsgsRotations(diagIndices []int, n1, slots int) []int {
 	set := map[int]bool{}
 	for _, k := range diagIndices {
 		k = ((k % slots) + slots) % slots
@@ -133,34 +149,6 @@ func BSGSRotations(diagIndices []int, slots int) (n1 int, rotations []int) {
 		}
 		if g := k / n1; g != 0 {
 			set[g*n1] = true
-		}
-	}
-	rotations = make([]int, 0, len(set))
-	for r := range set {
-		rotations = append(rotations, r)
-	}
-	sort.Ints(rotations)
-	return n1, rotations
-}
-
-// N1 reports the baby-step count the transform was encoded for.
-func (lt *LinearTransform) N1() int { return lt.n1 }
-
-// Diagonals reports the number of stored (nonzero) generalized diagonals.
-func (lt *LinearTransform) Diagonals() int { return len(lt.diags) }
-
-// Rotations returns the rotation amounts required to evaluate the transform
-// (keys the caller must generate).
-func (lt *LinearTransform) Rotations() []int {
-	set := map[int]bool{}
-	for k := range lt.diags {
-		b := k % lt.n1
-		g := k / lt.n1
-		if b != 0 {
-			set[b] = true
-		}
-		if g != 0 {
-			set[g*lt.n1] = true
 		}
 	}
 	out := make([]int, 0, len(set))
@@ -241,18 +229,23 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphe
 			continue
 		}
 		if hd == nil {
-			hd = ev.decomposeNTT(ct.C1, lvl)
+			ev.counters.Decompose.Add(1)
+			dsp := ev.begin(spanDecompose)
+			dsp.SetLevel(lvl)
+			hd = ev.decompose(ct.C1, lvl)
+			ev.endSpan(&dsp, nil)
 		}
+		ev.counters.HoistedRot.Add(1)
 		g := rq.GaloisElement(b)
 		be := &babyExt{
 			c0: rq.GetPolyNoZero(),
-			q0: rq.GetPolyNoZero(), // keySwitchHoistedLazy overwrites
+			q0: rq.GetPolyNoZero(), // keySwitchMAC overwrites
 			q1: rq.GetPolyNoZero(),
 			p0: rp.GetPolyNoZero(),
 			p1: rp.GetPolyNoZero(),
 		}
 		rq.AutomorphismNTT(ct.C0, g, be.c0, lvl)
-		ev.keySwitchHoistedLazy(g, hd, ev.rotationKey(g), be.q0, be.p0, be.q1, be.p1)
+		ev.keySwitchMAC(g, hd, ev.rotationKey(g), be.q0, be.p0, be.q1, be.p1)
 		babies[b] = be
 	}
 	if hd != nil {

@@ -68,7 +68,7 @@
 // e + P·ĝ·s′ is a key for (P/P_ℓ)·s′ with special modulus P_ℓ, so
 // multiplying the digit by [(P/P_ℓ)⁻¹]_{q_i} before ModUp gives back d·s′.
 // That lift rides on the two copies of the digit the key-switch makes anyway
-// (the one the iNTT works on, and its group rows in modUpSlice); where
+// (the one the iNTT works on, and each slice's group rows in decompose); where
 // k_ℓ = α it is a Shoup product by 1, which is exact, so those levels are
 // bit-identical to a full-P switch.
 //

@@ -28,7 +28,7 @@ func materializedA(ctx *Context, swk *SwitchingKey) []PolyQP {
 // written the slow, obvious way: each decomposition slice is permuted into a
 // copy by σ_g (g = 1: no permutation) and multiplied with b_j and with the
 // expanded a_j by the reduced kernels. It returns the four extended-basis
-// accumulators keySwitchHoistedLazy overwrites.
+// accumulators keySwitchMAC overwrites.
 func oracleMAC(ctx *Context, g uint64, hd *HoistedDecomposition, swk *SwitchingKey) (accQ0, accP0, accQ1, accP1 *ring.Poly) {
 	rq, rp := ctx.RingQ, ctx.RingP
 	lvl, lp := hd.level, ctx.special[hd.level].k-1
@@ -109,11 +109,10 @@ func TestSeededKeyIsConsistent(t *testing.T) {
 // TestSeededKeySwitchMatchesOracle pins every key-switch path that reads a
 // seeded key to oracleMAC over the materialized key, word for word, at
 // several levels, dnum 1–3 and four (workers, block) engine shapes:
-//   - the streaming keySwitch (relinearization key) against oracleMAC with
-//     g = 1 and the same ModDown;
-//   - keySwitchHoistedLazy — what RotateHoisted and every LinearTransform
-//     baby step run — against oracleMAC for g = 1, a rotation and the
-//     conjugation;
+//   - keySwitch (relinearization key) against oracleMAC with g = 1 and the
+//     same ModDown;
+//   - keySwitchMAC — what every key-switch runs — against oracleMAC for
+//     g = 1, a rotation and the conjugation;
 //   - a whole LinearTransform, against the serial engine's output.
 func TestSeededKeySwitchMatchesOracle(t *testing.T) {
 	shapes := []struct{ workers, block int }{
@@ -146,7 +145,7 @@ func TestSeededKeySwitchMatchesOracle(t *testing.T) {
 				ks0, ks1 := rq.NewPolyLevel(lvl), rq.NewPolyLevel(lvl)
 				ev.keySwitch(ct.C1, lvl, s.rlk, ks0, ks1)
 				if !rq.Equal(ks0, want0, lvl) || !rq.Equal(ks1, want1, lvl) {
-					t.Fatalf("%s level %d: streaming keySwitch differs from the materialized oracle", name, lvl)
+					t.Fatalf("%s level %d: keySwitch differs from the materialized oracle", name, lvl)
 				}
 
 				for _, g := range []uint64{1, rq.GaloisElement(3), rq.GaloisConjugate()} {
@@ -157,10 +156,10 @@ func TestSeededKeySwitchMatchesOracle(t *testing.T) {
 					q0, p0, q1, p1 := oracleMAC(ctx, g, hd, swk)
 					gq0, gq1 := rq.GetPolyNoZero(), rq.GetPolyNoZero()
 					gp0, gp1 := rp.GetPolyNoZero(), rp.GetPolyNoZero()
-					ev.keySwitchHoistedLazy(g, hd, swk, gq0, gp0, gq1, gp1)
+					ev.keySwitchMAC(g, hd, swk, gq0, gp0, gq1, gp1)
 					if !rq.Equal(gq0, q0, lvl) || !rq.Equal(gq1, q1, lvl) ||
 						!rp.Equal(gp0, p0, lp) || !rp.Equal(gp1, p1, lp) {
-						t.Fatalf("%s level %d g=%d: keySwitchHoistedLazy differs from the materialized oracle", name, lvl, g)
+						t.Fatalf("%s level %d g=%d: keySwitchMAC differs from the materialized oracle", name, lvl, g)
 					}
 					rq.PutPoly(gq0)
 					rq.PutPoly(gq1)
@@ -193,11 +192,10 @@ func TestSeededKeySwitchMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSeededMACWideDnum runs both key-switch MACs at dnum = 10 over 61-bit
+// TestSeededMACWideDnum runs the key-switch MAC at dnum = 10 over 61-bit
 // primes — ten reduced products of a residue and a raw seeded candidate per
-// coefficient, the widest operands and the most slices in the tests. The
-// hoisted MAC (g = 1 and a rotation) and the streaming keySwitchMAC must
-// match oracleMAC word for word.
+// coefficient, the widest operands and the most slices in the tests. It must
+// match oracleMAC word for word for g = 1 and a rotation.
 func TestSeededMACWideDnum(t *testing.T) {
 	params, err := NewParameters(ParametersLiteral{
 		LogN:     9,
@@ -244,11 +242,7 @@ func TestSeededMACWideDnum(t *testing.T) {
 		q0, p0, q1, p1 := oracleMAC(ctx, g, hd, swk)
 		gq0, gq1 := rq.NewPolyLevel(lvl), rq.NewPolyLevel(lvl)
 		gp0, gp1 := rp.NewPolyLevel(lp), rp.NewPolyLevel(lp)
-		ev.keySwitchHoistedLazy(g, hd, swk, gq0, gp0, gq1, gp1)
-		same(fmt.Sprintf("g=%d: keySwitchHoistedLazy", g), q0, p0, q1, p1, gq0, gp0, gq1, gp1)
-		if g == 1 {
-			ev.keySwitchMAC(ct.C1, lvl, rlk, gq0, gp0, gq1, gp1)
-			same("keySwitchMAC", q0, p0, q1, p1, gq0, gp0, gq1, gp1)
-		}
+		ev.keySwitchMAC(g, hd, swk, gq0, gp0, gq1, gp1)
+		same(fmt.Sprintf("g=%d: keySwitchMAC", g), q0, p0, q1, p1, gq0, gp0, gq1, gp1)
 	}
 }

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -217,5 +218,85 @@ func TestContextSetStats(t *testing.T) {
 	_ = s.eval.MulRelin(ct, ct)
 	if st.Engine.Tasks.Load() == before {
 		t.Fatal("engine counters detached by SetWorkers")
+	}
+}
+
+// TestOpCounterAndSpanContract pins, per public op, the exact OpCounters
+// delta and the exact set of parent→child span edges it records ("" is the
+// trace root). The bench's simulator cross-check reads these counts, so a
+// counting site that moves must move without changing them.
+func TestOpCounterAndSpanContract(t *testing.T) {
+	s := newTestSetup(t, 2, []int{1, 2, 3, 4, 5})
+	defer s.ctx.Close()
+	rng := rand.New(rand.NewSource(36))
+	ct := randomCiphertext(s.ctx, rng, s.params.MaxLevel())
+	hd := s.eval.DecomposeNTT(ct)
+	defer hd.Release()
+	diags := map[int][]complex128{}
+	for _, k := range []int{0, 1, 2, 3, 5, 6} {
+		diags[k] = randomComplex(rng, s.params.Slots(), 1)
+	}
+	// n1 = 4: baby steps 1, 2, 3 on one decomposition; giant groups
+	// {0, 1, 2, 3} and {5, 6}, the second ending in a full rotation by 4.
+	lt, err := newLinearTransformN1(s.encoder, diags, s.params.MaxLevel(), s.params.Scale, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		run   func(ev *Evaluator)
+		want  OpCounters
+		edges []string
+	}{
+		{"Rotate", func(ev *Evaluator) { ev.Rotate(ct, 3) },
+			OpCounters{FullRot: 1, ModDown: 2},
+			[]string{">ckks.rotate", "ckks.rotate>ckks.keyswitch"}},
+		{"Conjugate", func(ev *Evaluator) { ev.Conjugate(ct) },
+			OpCounters{FullRot: 1, ModDown: 2},
+			[]string{">ckks.rotate", "ckks.rotate>ckks.keyswitch"}},
+		{"MulRelin", func(ev *Evaluator) { ev.MulRelin(ct, ct) },
+			OpCounters{Mult: 1, ModDown: 2},
+			[]string{">ckks.mulrelin", "ckks.mulrelin>ckks.keyswitch"}},
+		{"Rescale", func(ev *Evaluator) { ev.Rescale(ct) },
+			OpCounters{Rescale: 1},
+			[]string{">ckks.rescale"}},
+		{"RotateWithDecomposition", func(ev *Evaluator) { ev.RotateWithDecomposition(ct, 2, hd) },
+			OpCounters{HoistedRot: 1, ModDown: 2},
+			nil},
+		{"RotateHoisted", func(ev *Evaluator) { ev.RotateHoisted(ct, []int{1, 2, 5, 2, 0}) },
+			OpCounters{Decompose: 1, HoistedRot: 3, ModDown: 6},
+			[]string{">ckks.rotate_hoisted", "ckks.rotate_hoisted>ckks.decompose"}},
+		{"DecomposeNTT", func(ev *Evaluator) { ev.DecomposeNTT(ct).Release() },
+			OpCounters{Decompose: 1},
+			[]string{">ckks.decompose"}},
+		{"LinearTransform", func(ev *Evaluator) { ev.LinearTransform(ct, lt) },
+			OpCounters{FullRot: 1, HoistedRot: 3, Decompose: 1, ModDown: 6, PMult: 6},
+			[]string{">ckks.linear_transform", "ckks.linear_transform>ckks.decompose",
+				"ckks.linear_transform>ckks.rotate", "ckks.rotate>ckks.keyswitch"}},
+	} {
+		tracer := telemetry.NewTracer(1 << 10)
+		tr := tracer.NewTrace()
+		before := s.eval.Counters()
+		tc.run(s.eval.WithTrace(tr, 0))
+		if got := s.eval.Counters().Sub(before); got != tc.want {
+			t.Errorf("%s: counted %+v, want %+v", tc.name, got, tc.want)
+		}
+		recs := tracer.Collect(tr.ID())
+		names := map[uint64]string{}
+		for _, r := range recs {
+			names[r.ID] = r.Name
+		}
+		edges := map[string]bool{}
+		for _, r := range recs {
+			edges[names[r.Parent]+">"+r.Name] = true
+		}
+		want := map[string]bool{}
+		for _, e := range tc.edges {
+			want[e] = true
+		}
+		if fmt.Sprint(edges) != fmt.Sprint(want) {
+			t.Errorf("%s: span edges %v, want %v", tc.name, edges, want)
+		}
 	}
 }

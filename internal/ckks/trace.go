@@ -49,11 +49,6 @@ func (ev *Evaluator) WithNoiseFloor(nf *NoiseFloor) *Evaluator {
 	return &cp
 }
 
-// SetTraceParent re-parents spans subsequently opened by this (traced,
-// job-private) evaluator — the serving scheduler points the evaluator at each
-// request op's own span before executing it.
-func (ev *Evaluator) SetTraceParent(parent uint64) { ev.cur = parent }
-
 // begin opens a span under the evaluator's current parent and makes it the
 // parent of nested spans. On an untraced evaluator it returns an inert span
 // and touches nothing — one nil check per instrumented op.

@@ -75,11 +75,6 @@ func (in Instance) CtBytes(level int) int64 {
 	return 2 * int64(level+1) * int64(in.N()) * WordBytes
 }
 
-// PtBytes returns the size of a plaintext polynomial at the given level.
-func (in Instance) PtBytes(level int) int64 {
-	return int64(level+1) * int64(in.N()) * WordBytes
-}
-
 // EvkBytes returns the bytes of evaluation-key material streamed for one
 // key-switching at the given level: 2·β(ℓ)·(k+ℓ+1)·N·8, the denominator of
 // Eq. 10 (which uses β = dnum at the maximum level).

@@ -311,13 +311,6 @@ func (r *Ring) dropOwnedEngine() {
 // Workers reports the ring's effective worker count (0 = serial).
 func (r *Ring) Workers() int { return r.exec.Workers() }
 
-// ForEachLimb runs fn once per active limb index 0..level through the ring's
-// engine. fn must treat each limb independently; higher layers (ckks) use
-// this to parallelize their own custom limb loops with the same pool.
-// Prefer ForEachLimbBlock for coefficient loops: it additionally shards each
-// limb when fewer limbs than workers are active.
-func (r *Ring) ForEachLimb(level int, fn func(i int)) { r.exec.Run(level+1, fn) }
-
 // ForEachLimbBlock runs fn(i, lo, hi) for every active limb i in 0..level
 // and every coefficient block [lo, hi) partitioning [0, N), through the
 // ring's engine (see Engine.RunBlocks). fn must treat every (limb,

@@ -67,7 +67,7 @@ func (r *Ring) INTT(p *Poly, level int) {
 
 // NTTExcept is NTT on rows [0..level] of p minus rows [skipLo..skipHi], which
 // are left untouched — for callers that already hold those rows in the NTT
-// domain (the key-switch's own decomposition group, see ckks.modUpSlice).
+// domain (the key-switch's own decomposition group, see ckks.decompose).
 // The remaining rows go through one dispatch, exactly as NTT's would.
 func (r *Ring) NTTExcept(p *Poly, level, skipLo, skipHi int) {
 	n := skipLo + max(level-skipHi, 0)

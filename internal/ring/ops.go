@@ -250,16 +250,20 @@ func (r *Ring) AutomorphismCoeff(p *Poly, g uint64, out *Poly, level int) {
 	})
 }
 
-// autoIndexNTT returns (and caches) the permutation table for applying the
+// AutoIndexNTT returns (and caches) the permutation table for applying the
 // automorphism X -> X^g directly in the NTT domain. Row index i of the output
 // takes its value from row index table[i] of the input: in evaluation order,
 // σ_g(A) evaluated at ψ^e equals A evaluated at ψ^(e·g mod 2N), and no signs
 // change — which is why BTS can realize automorphism as a pure NoC
-// permutation (Section 5.5). The cache is guarded by a read-write lock so
-// several ciphertexts may be rotated concurrently (the serving runtime keeps
-// many in flight on one ring); workers inside the limb fan-out only ever read
-// the fully-built table.
-func (r *Ring) autoIndexNTT(g uint64) []int {
+// permutation (Section 5.5). The table depends only on the ring degree and
+// g, so rings of equal N produce identical tables; the key-switch feeds the
+// q-ring's to MulKeyPair on both of its bases, fusing the permutation into
+// its multiply-accumulate instead of materializing the permuted polynomial.
+// The returned slice is shared and must be treated as read-only. The cache
+// is guarded by a read-write lock so several ciphertexts may be rotated
+// concurrently (the serving runtime keeps many in flight on one ring);
+// workers inside the limb fan-out only ever read the fully-built table.
+func (r *Ring) AutoIndexNTT(g uint64) []int {
 	r.autoMu.RLock()
 	t, ok := r.autoCache[g]
 	r.autoMu.RUnlock()
@@ -283,7 +287,7 @@ func (r *Ring) autoIndexNTT(g uint64) []int {
 
 // AutomorphismNTT applies X -> X^g to rows [0..level] of p in the NTT domain.
 func (r *Ring) AutomorphismNTT(p *Poly, g uint64, out *Poly, level int) {
-	table := r.autoIndexNTT(g)
+	table := r.AutoIndexNTT(g)
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		src, dst := p.Coeffs[i], out.Coeffs[i]
 		for j := lo; j < hi; j++ {
@@ -291,15 +295,6 @@ func (r *Ring) AutomorphismNTT(p *Poly, g uint64, out *Poly, level int) {
 		}
 	})
 }
-
-// AutoIndexNTT returns the cached NTT-domain permutation table of the
-// automorphism X -> X^g: output slot j takes its value from input slot
-// table[j], with no sign changes (see autoIndexNTT). The returned slice is
-// shared and must be treated as read-only; it depends only on the ring degree
-// and g, so rings of equal N produce identical tables. The hoisted
-// key-switch feeds it to MulKeyPair to fuse the permutation into its
-// multiply-accumulate instead of materializing the permuted polynomial.
-func (r *Ring) AutoIndexNTT(g uint64) []int { return r.autoIndexNTT(g) }
 
 // --- Samplers ---------------------------------------------------------------
 //

@@ -35,10 +35,10 @@ import (
 //
 // A coefficient therefore depends only on (seed, τ, i, t) and a task may start
 // anywhere in a row: expansion is bit-identical at every (workers, block)
-// engine shape. The key-switch kernel below (MulKeyPair, which the streaming
-// and the hoisted key-switch share) expands one chunk at a time into
-// task-local scratch and consumes it at once, so an expanded row never exists
-// whole and never leaves the cache. It multiplies the accepted candidates
+// engine shape. The key-switch kernel below (MulKeyPair, the one MAC every
+// key-switch runs) expands one chunk at a time into task-local scratch and
+// consumes it at once, so an expanded row never exists whole and never
+// leaves the cache. It multiplies the accepted candidates
 // themselves, not their residues: a Montgomery product REDC(x·v) is exact for any 64-bit
 // v once x < q, and every product is reduced before it is summed, so
 // regenerating a word costs its keystream and one comparison. Where the CPU
@@ -270,10 +270,10 @@ func (u UniformPoly) resampleChunk(s *uniformScratch, hi uint64, c int, lim uint
 
 // MulKeyPair multiplies σ(d) by both halves of one key-switching-key slice
 // on rows [0..level]: out0 = σ(d) ⊙ b and out1 = σ(d) ⊙ a, or, with add,
-// out0 += σ(d) ⊙ b and out1 += σ(d) ⊙ a — the key-switch's multiply-
-// accumulate (Fig. 3a), streaming and hoisted alike. σ(d)[j] = d[table[j]] is
-// the NTT-domain automorphism given by its index table (AutoIndexNTT), fused
-// into the reads of d, or d itself when table is nil. b is stored; a is
+// out0 += σ(d) ⊙ b and out1 += σ(d) ⊙ a — the multiply-accumulate
+// (Fig. 3a) every key-switch runs. σ(d)[j] = d[table[j]] is the NTT-domain
+// automorphism given by its index table (AutoIndexNTT), fused into the reads
+// of d, or d itself when table is nil. b is stored; a is
 // expanded chunk by chunk inside each task, and both products run per chunk,
 // so d's chunk is read from the cache the second time. d must be reduced
 // below q (a's raw candidates are not).

@@ -87,6 +87,9 @@ func validRegName(name string) bool {
 // and returns to the ciphertext pool when the job ends.
 func jobLocal(name string) bool { return name[0] == '%' }
 
+// maxOpsPerJob bounds the program length of a single job.
+const maxOpsPerJob = 64
+
 // compileRegisters validates and lowers a register-form program. Every
 // failure is a terminal CodeBadJob: the program itself is wrong and
 // retrying cannot help. Rules: ops are unordered single-assignment (each op

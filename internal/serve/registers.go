@@ -183,9 +183,8 @@ func (s *Server) spillRegisters(sess *session) {
 	}
 }
 
-// defaultEncodingCacheEntries is the per-session encoding cache capacity
-// when Config.EncodingCacheEntries is zero.
-const defaultEncodingCacheEntries = 32
+// encodingCacheEntries is the per-session encoding cache capacity.
+const encodingCacheEntries = 32
 
 // encodingCache is a per-session LRU of pmul plaintext encodings, keyed by
 // (vector, level, scale). Encoding is a full slot-permutation FFT plus NTT
@@ -195,7 +194,6 @@ const defaultEncodingCacheEntries = 32
 // and shared by reference; the cache is safe for concurrent DAG nodes.
 type encodingCache struct {
 	mu     sync.Mutex
-	cap    int
 	order  *list.List               // front = most recent
 	byHash map[uint64]*list.Element // collision-checked against the full key
 }
@@ -208,8 +206,8 @@ type encEntry struct {
 	pt    *ckks.Plaintext
 }
 
-func newEncodingCache(capacity int) *encodingCache {
-	return &encodingCache{cap: capacity, order: list.New(), byHash: make(map[uint64]*list.Element)}
+func newEncodingCache() *encodingCache {
+	return &encodingCache{order: list.New(), byHash: make(map[uint64]*list.Element)}
 }
 
 // encKey hashes the full (vals, level, scale) encoding key with FNV-1a.
@@ -263,7 +261,7 @@ func (ec *encodingCache) insert(key uint64, vals []float64, level int, scale flo
 		delete(ec.byHash, key)
 	}
 	ec.byHash[key] = ec.order.PushFront(&encEntry{hash: key, vals: vals, level: level, scale: scale, pt: pt})
-	for ec.order.Len() > ec.cap {
+	for ec.order.Len() > encodingCacheEntries {
 		back := ec.order.Back()
 		delete(ec.byHash, back.Value.(*encEntry).hash)
 		ec.order.Remove(back)
@@ -271,19 +269,12 @@ func (ec *encodingCache) insert(key uint64, vals []float64, level int, scale flo
 }
 
 // encodingCacheFor returns the session's encoding cache, creating it
-// lazily; nil when caching is disabled (EncodingCacheEntries < 0).
+// lazily.
 func (s *Server) encodingCacheFor(sess *session) *encodingCache {
-	capacity := s.cfg.EncodingCacheEntries
-	if capacity < 0 {
-		return nil
-	}
-	if capacity == 0 {
-		capacity = defaultEncodingCacheEntries
-	}
 	sess.regMu.Lock()
 	defer sess.regMu.Unlock()
 	if sess.enc == nil {
-		sess.enc = newEncodingCache(capacity)
+		sess.enc = newEncodingCache()
 	}
 	return sess.enc
 }
@@ -294,9 +285,6 @@ func (s *Server) encodingCacheFor(sess *session) *encodingCache {
 // lock and concurrent misses at worst duplicate work, never corrupt.
 func (s *Server) sessionPlaintext(sess *session, vals []float64, level int, scale float64) (*ckks.Plaintext, error) {
 	ec := s.encodingCacheFor(sess)
-	if ec == nil {
-		return s.encodeVals(vals, level, scale)
-	}
 	key := encKey(vals, level, scale)
 	if pt := ec.lookup(key, vals, level, scale); pt != nil {
 		if s.tel != nil {

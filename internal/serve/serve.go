@@ -38,7 +38,7 @@
 //     reused across all jobs of the batch. The slot form's "roth" op lowers
 //     onto this path, bit-identical to a hand-hoisted fan.
 //   - Encoding cache: "pmul" plaintext vectors are encoded once per
-//     session (LRU, Config.EncodingCacheEntries) instead of per job.
+//     session (LRU of encodingCacheEntries) instead of per job.
 //
 // Session register bytes are charged against the same
 // Config.SessionQuotaBytes as key uploads (commit fails with CodeQuota when
@@ -124,8 +124,6 @@ type Config struct {
 	// MaxQueue bounds the number of queued jobs before Submit fails fast
 	// (default 1024).
 	MaxQueue int
-	// MaxOpsPerJob bounds the program length of a single job (default 64).
-	MaxOpsPerJob int
 	// Bootstrap, when non-nil, builds a bootstrapper for every session whose
 	// rotation keys cover the required rotations, enabling the "bootstrap"
 	// op. The parameter chain must afford BootstrapParams.MinLevels().
@@ -151,9 +149,6 @@ type Config struct {
 	// session (further submits fail with CodeQuarantined until the tenant
 	// reopens it). 0 selects the default of 3; negative disables.
 	QuarantineAfter int
-	// EncodingCacheEntries caps the per-session LRU of pmul plaintext
-	// encodings (0 selects the default of 32; negative disables caching).
-	EncodingCacheEntries int
 
 	// DisableMetrics turns off the Prometheus registry (GET /metrics and
 	// /debug/vars disappear from the handler) and detaches the engine, pool,
@@ -166,10 +161,6 @@ type Config struct {
 	// threshold (GET /v1/traces, newest first). Zero disables tracing: the
 	// instrumented paths then reduce to nil checks.
 	SlowJob time.Duration
-	// TraceBuffer overrides the tracer's span ring capacity (rounded up to a
-	// power of two; 0 selects telemetry.DefaultTraceCapacity). Only
-	// meaningful with SlowJob set.
-	TraceBuffer int
 	// Pprof mounts the net/http/pprof handlers under /debug/pprof/ on the
 	// server's HTTP API. Off by default: profiling endpoints on a serving
 	// port are opt-in.
@@ -190,9 +181,6 @@ func (cfg *Config) applyDefaults() {
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 1024
-	}
-	if cfg.MaxOpsPerJob <= 0 {
-		cfg.MaxOpsPerJob = 64
 	}
 	if cfg.QuarantineAfter == 0 {
 		cfg.QuarantineAfter = 3
@@ -560,7 +548,7 @@ func (s *Server) SubmitDAG(ctx context.Context, sessionName string, ops []Op, in
 	if len(inputs) != len(inputNames) {
 		return nil, errf(CodeBadJob, "job uploads %d ciphertexts for %d input bindings", len(inputs), len(inputNames))
 	}
-	prog, err := compileRegisters(ops, inputNames, outputs, s.cfg.MaxOpsPerJob)
+	prog, err := compileRegisters(ops, inputNames, outputs, maxOpsPerJob)
 	if err != nil {
 		return nil, err
 	}

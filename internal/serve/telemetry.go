@@ -115,7 +115,7 @@ func newTelemetryState(cfg *Config) *telemetryState {
 		panics:     make(map[OpKind]int64),
 	}
 	if cfg.SlowJob > 0 {
-		ts.tracer = telemetry.NewTracer(cfg.TraceBuffer)
+		ts.tracer = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
 	}
 	if !cfg.DisableMetrics {
 		ts.reg = telemetry.NewRegistry()
