@@ -109,8 +109,12 @@
 // inverse's with N^-1 folded in) — halving the passes over each row
 // relative to radix-2. On amd64 CPUs with AVX-512F/DQ every pass runs eight
 // coefficients per instruction (the software image of the paper's NTTU
-// lanes), word for word the Go passes, which remain the fallback. A radix-2
-// Montgomery row kernel and the
+// lanes), word for word the Go passes, which remain the fallback. On the
+// same CPUs the element-wise rows run eight coefficients per instruction
+// too, word for word their Go rows: the key-switch's multiply-accumulate
+// (the MMAU's work, with the automorphism as a lane gather), the division's
+// subtract-scale, the Shoup scalar MACs and the transform's lazy 128-bit
+// folds. A radix-2 Montgomery row kernel and the
 // pre-Montgomery Barrett kernels remain in internal/ring's tests as
 // bit-identity oracles. Every basis change runs the key-switch's own
 // iNTT → BConv → NTT dataflow: HRescale is its division with no special
@@ -119,7 +123,10 @@
 // AVX-512 IFMA its digits, dot products and reductions run eight
 // coefficients per instruction in 52-bit multiply-accumulate lanes
 // (internal/ring's bconvDigits and bconvLanes, chosen by CPUID), word for
-// word equal to the portable Go kernel that runs everywhere else.
+// word equal to the portable Go kernel that runs everywhere else. With the
+// seeded keys' VAES keystream that makes four assembly tiers, all chosen by
+// one CPUID probe with no knob; a test-only switch in internal/ring runs
+// any test on the Go kernels alone.
 // The benchmark in bench/ (go run ./bench) reports the kernels per layer —
 // ns/butterfly, GB/s, REDC — beside T_mult,a/slot, and
 // TestTable2PaperInstance (build tag paperinstance) bootstraps the N=2^17

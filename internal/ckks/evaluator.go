@@ -441,9 +441,9 @@ func (ev *Evaluator) modDown(accQ, accP *ring.Poly, lvl, drop int, out *ring.Pol
 // domain (in place: both inputs are consumed), one BConv carries them onto
 // the surviving q-basis, one NTT brings that back, and a fused
 // subtract-scale by D^-1 finishes; the centered BConv is what makes the
-// quotient rounded. That last pass runs limb × coefficient-block sharded with
-// cached Shoup companions, so it stays parallel at low levels. out may alias
-// accQ. With k = 0 (accP unused) it is HRescale.
+// quotient rounded. That last pass is ring.SubMulLimbScalars with cached
+// Shoup companions, limb × coefficient-block sharded, so it stays parallel
+// at low levels. out may alias accQ. With k = 0 (accP unused) it is HRescale.
 func (ev *Evaluator) divRound(accQ, accP *ring.Poly, lvl, drop, k int, out *ring.Poly) {
 	ctx := ev.ctx
 	rq := ctx.RingQ
@@ -461,16 +461,6 @@ func (ev *Evaluator) divRound(accQ, accP *ring.Poly, lvl, drop, k int, out *ring
 	tmp := rq.GetPolyNoZero()
 	tab.ext.Convert(src, tmp.Coeffs[:keep+1])
 	rq.NTT(tmp, keep)
-	rq.ForEachLimbBlock(keep, func(i, lo, hi int) {
-		q := rq.Moduli[i].Q
-		inv, invShoup := tab.inv[i], tab.invShoup[i]
-		o := out.Coeffs[i][lo:hi:hi]
-		a := accQ.Coeffs[i][lo:hi:hi]
-		b := tmp.Coeffs[i][lo:hi:hi]
-		a, b = a[:len(o)], b[:len(o)]
-		for t := range o {
-			o[t] = mod.MulShoup(mod.Sub(a[t], b[t], q), inv, invShoup, q)
-		}
-	})
+	rq.SubMulLimbScalars(accQ, tmp, tab.inv, tab.invShoup, out, keep)
 	rq.PutPoly(tmp)
 }

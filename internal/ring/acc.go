@@ -94,8 +94,20 @@ func (r *Ring) MulCoeffsAndAddLazy(a, b *Poly, acc *Acc128, level int) {
 }
 
 // mulAddLazyRow adds a[j]·b[j] into the 128-bit sums (accHi[j], accLo[j])
-// over the rows' common length; no bounds check (CI asserts that by name).
+// over the rows' common length, on the lanes and then mulAddLazyRowGo as
+// mulRow does.
 func mulAddLazyRow(a, b, accLo, accHi []uint64) {
+	if useLanes {
+		n := min(len(a), len(b), len(accLo), len(accHi)) &^ 7
+		mulAddLazyRowLanes(a, b, accLo, accHi)
+		a, b, accLo, accHi = a[n:], b[n:], accLo[n:], accHi[n:]
+	}
+	mulAddLazyRowGo(a, b, accLo, accHi)
+}
+
+// mulAddLazyRowGo is mulAddLazyRow's Go row; no bounds check (CI asserts
+// that by name).
+func mulAddLazyRowGo(a, b, accLo, accHi []uint64) {
 	for j := 0; j < len(a) && j < len(b) && j < len(accLo) && j < len(accHi); j++ {
 		pHi, pLo := bits.Mul64(a[j], b[j])
 		var c uint64
@@ -148,10 +160,21 @@ func (r *Ring) ReduceAcc(acc *Acc128, out *Poly, level int) {
 }
 
 // reduceAccRow sets out[j] to the M-form residue of the 128-bit sum
-// (accHi[j], accLo[j]) over the rows' common length: a Shoup fold of the high
-// word, then one REDC (mod.Montgomery.Reduce128). No bounds check (CI asserts
-// that by name).
+// (accHi[j], accLo[j]) over the rows' common length, on the lanes and then
+// reduceAccRowGo as mulRow does.
 func reduceAccRow(accLo, accHi, out []uint64, m *Modulus) {
+	if useLanes {
+		n := min(len(accLo), len(accHi), len(out)) &^ 7
+		reduceAccRowLanes(accLo, accHi, out, m.Q, m.MRed.QInv, m.MRed.Fold)
+		accLo, accHi, out = accLo[n:], accHi[n:], out[n:]
+	}
+	reduceAccRowGo(accLo, accHi, out, m)
+}
+
+// reduceAccRowGo is reduceAccRow's Go row: a Shoup fold of the high word,
+// then one REDC (mod.Montgomery.Reduce128). No bounds check (CI asserts
+// that by name).
+func reduceAccRowGo(accLo, accHi, out []uint64, m *Modulus) {
 	mr := m.MRed
 	for j := 0; j < len(accLo) && j < len(accHi) && j < len(out); j++ {
 		out[j] = mr.Reduce128(accHi[j], accLo[j])

@@ -5,14 +5,15 @@ package ring
 // (52-bit multiply-accumulate over 512-bit registers); without them every
 // conversion runs the Go convertTile. useVAES says whether they support the
 // 256-bit AES instructions (VAES with AVX2 state) keystreamVAES runs on;
-// without them the keystream comes from crypto/aes. useNTTLanes says
-// whether they support AVX-512F and DQ (VPMULLQ), which the lane passes of
-// ntt_amd64.s need; without them every transform runs the Go row kernels.
+// without them the keystream comes from crypto/aes. useLanes says whether
+// they support AVX-512F and DQ (VPMULLQ), which the lane passes of
+// ntt_amd64.s and the element-wise lane rows of elem_amd64.s need; without
+// them every transform and every element-wise row runs its Go kernel.
 // One CPUID/XGETBV probe sets all three at start-up; cpu_other.go clears
 // them on other architectures.
-var useIFMA, useVAES, useNTTLanes = cpuFeatures()
+var useIFMA, useVAES, useLanes = cpuFeatures()
 
-func cpuFeatures() (ifma, vaes, nttLanes bool) {
+func cpuFeatures() (ifma, vaes, lanes bool) {
 	const (
 		osxsave    = 1 << 27    // CPUID.1:ECX
 		avx        = 1 << 28    // CPUID.1:ECX
@@ -36,8 +37,8 @@ func cpuFeatures() (ifma, vaes, nttLanes bool) {
 	zmm := xcr0&zmmOS == zmmOS
 	ifma = zmm && b7&(avx512f|avx512ifma) == avx512f|avx512ifma
 	vaes = c1&avx != 0 && xcr0&ymmOS == ymmOS && b7&avx2 != 0 && c7&vaesAES != 0
-	nttLanes = zmm && b7&(avx512f|avx512dq) == avx512f|avx512dq
-	return ifma, vaes, nttLanes
+	lanes = zmm && b7&(avx512f|avx512dq) == avx512f|avx512dq
+	return ifma, vaes, lanes
 }
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

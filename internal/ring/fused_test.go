@@ -340,7 +340,7 @@ func largestNTTPrimeBelow62(logN int) uint64 {
 // pass kind at both log2(N) parities. Guard words past each row must come
 // back untouched.
 func TestNTTLanePassWindowEdges(t *testing.T) {
-	if !useNTTLanes {
+	if !useLanes {
 		t.Skip("no AVX-512 F/DQ on this CPU: the lane NTT passes not checked")
 	}
 	const guard, sentinel = 8, 0x5a5a5a5a5a5a5a5a

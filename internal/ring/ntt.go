@@ -36,7 +36,7 @@ import "bts/internal/mod"
 // 1.99–2.19 ms for the fused kernel on one worker.
 //
 // Every pass has two tiers. nttRows and inttRows pick one per call: on amd64
-// CPUs with AVX-512F and DQ (useNTTLanes, from the package's one CPUID
+// CPUs with AVX-512F and DQ (useLanes, from the package's one CPUID
 // probe) and N ≥ 2^nttLanesMinLogN, each pass runs its assembly counterpart
 // in ntt_amd64.s, eight coefficients per zmm register, word for word the Go
 // pass — the same [0, 4q) window and the same canonical last-pass outputs.
@@ -116,9 +116,9 @@ func (r *Ring) inttRows(rows [][]uint64, ms []*Modulus) {
 const nttLanesMinLogN = 5
 
 // lanes reports whether the row kernels run their AVX-512 passes
-// (ntt_amd64.s): the CPU has them (useNTTLanes) and N is at least
+// (ntt_amd64.s): the CPU has them (useLanes) and N is at least
 // 2^nttLanesMinLogN.
-func (r *Ring) lanes() bool { return useNTTLanes && r.LogN >= nttLanesMinLogN }
+func (r *Ring) lanes() bool { return useLanes && r.LogN >= nttLanesMinLogN }
 
 // nInvScaled returns the constants of the inverse transform's last stage,
 // which folds the N^-1 scaling into its butterflies: N^-1 for the sums and

@@ -1,11 +1,13 @@
 #include "textflag.h"
+#include "lanes_amd64.h"
 
 // The lane tier of the fused NTT row kernels (ntt.go): every pass of
 // nttRowRadix4 and inttRowRadix4 with eight coefficients per zmm register,
 // word for word the Go pass it replaces. The arithmetic needs AVX-512F
 // and DQ (VPMULLQ) only.
 //
-// Register conventions, shared by every function:
+// Register conventions, shared by every function (the macros of
+// lanes_amd64.h take Z29-Z31 and Z12-Z15):
 //
 //	Z31 = q, Z30 = 2q, Z29 = 2^32-1 (CONSTS)
 //	Z0-Z3   the four coefficients of a quartet (or x, y of a radix-2 pair)
@@ -61,13 +63,6 @@ DATA nttIdx<>+0xf0(SB)/8, $13
 DATA nttIdx<>+0xf8(SB)/8, $15
 GLOBL nttIdx<>(SB), RODATA|NOPTR, $256
 
-// CONSTS loads q, 2q and the low-half mask.
-#define CONSTS(qarg) \
-	VPBROADCASTQ qarg, Z31 \
-	VPADDQ       Z31, Z31, Z30 \
-	MOVQ         $0xffffffff, AX \
-	VPBROADCASTQ AX, Z29
-
 // PERMIDX loads the four permute index vectors.
 #define PERMIDX \
 	VMOVDQU64 nttIdx<>+0x00(SB), Z25 \
@@ -75,41 +70,9 @@ GLOBL nttIdx<>(SB), RODATA|NOPTR, $256
 	VMOVDQU64 nttIdx<>+0x80(SB), Z27 \
 	VMOVDQU64 nttIdx<>+0xc0(SB), Z28
 
-// SHOUP sets r = x·w − hi(x·s)·q mod 2^64, in [0, 2q) for any 64-bit x
-// (mod.MulShoupLazy); sh = s>>32. With x = x1·2^32 + x0 and s = s1·2^32 +
-// s0, m = x1·s0 + hi32(x0·s0) and x0·s1 + lo32(m) cannot overflow, and
-// hi(x·s) = x1·s1 + hi32(m) + hi32(x0·s1 + lo32(m)). r may be x; clobbers
-// Z12-Z15.
-#define SHOUP(x, w, s, sh, r) \
-	VPSRLQ   $32, x, Z12 \
-	VPMULUDQ s, x, Z13 \
-	VPMULUDQ sh, x, Z14 \
-	VPMULUDQ s, Z12, Z15 \
-	VPMULUDQ sh, Z12, Z12 \
-	VPSRLQ   $32, Z13, Z13 \
-	VPADDQ   Z13, Z15, Z15 \
-	VPANDQ   Z29, Z15, Z13 \
-	VPSRLQ   $32, Z15, Z15 \
-	VPADDQ   Z13, Z14, Z14 \
-	VPSRLQ   $32, Z14, Z14 \
-	VPADDQ   Z15, Z12, Z12 \
-	VPADDQ   Z14, Z12, Z12 \
-	VPMULLQ  Z31, Z12, Z12 \
-	VPMULLQ  w, x, r \
-	VPSUBQ   Z12, r, r
-
-// MINLEN sets r = min(r, x), signed.
-#define MINLEN(x, r) \
-	CMPQ    x, r \
-	CMOVQLT x, r
-
-// CSUB2Q and CSUBQ subtract 2q or q from x when x is at least that.
+// CSUB2Q subtracts 2q from x when x is at least 2q, as CSUBQ does q.
 #define CSUB2Q(x, tmp) \
 	VPSUBQ  Z30, x, tmp \
-	VPMINUQ tmp, x, x
-
-#define CSUBQ(x, tmp) \
-	VPSUBQ  Z31, x, tmp \
 	VPMINUQ tmp, x, x
 
 // BCAST sets w, s and sh = s>>32 from the pair (w, s) at off(ptr) for every

@@ -81,10 +81,10 @@ func BenchmarkNTTKernel(b *testing.B) {
 	}
 }
 
-// skipWithoutLanes skips the lanes kernel's benchmarks on a CPU without
+// skipWithoutLanes skips the lanes tier's benchmarks on a CPU without
 // AVX-512 F/DQ.
 func skipWithoutLanes(b *testing.B, kernel string) {
-	if kernel == "lanes" && !useNTTLanes {
-		b.Skip("no AVX-512 F/DQ on this CPU: the lane NTT cannot run")
+	if kernel == "lanes" && !useLanes {
+		b.Skip("no AVX-512 F/DQ on this CPU: the lane kernels cannot run")
 	}
 }

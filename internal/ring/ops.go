@@ -66,9 +66,20 @@ func (r *Ring) MulCoeffs(a, b, out *Poly, level int) {
 	})
 }
 
-// mulRow sets out[j] = a[j]·b[j] (M-form) over the rows' common length; no
-// bounds check (CI asserts that by name).
+// mulRow sets out[j] = a[j]·b[j] (M-form) over the rows' common length: the
+// lanes (useLanes) take its 8-word-aligned prefix and mulRowGo the rest.
 func mulRow(a, b, out []uint64, mr mod.Montgomery) {
+	if useLanes {
+		n := min(len(a), len(b), len(out)) &^ 7
+		mulRowLanes(a, b, out, mr.Q, mr.QInv)
+		a, b, out = a[n:], b[n:], out[n:]
+	}
+	mulRowGo(a, b, out, mr)
+}
+
+// mulRowGo is mulRow's Go row, the fallback and the lanes' oracle; no bounds
+// check (CI asserts that by name).
+func mulRowGo(a, b, out []uint64, mr mod.Montgomery) {
 	for j := 0; j < len(a) && j < len(b) && j < len(out); j++ {
 		out[j] = mr.Mul(a[j], b[j])
 	}
@@ -82,9 +93,20 @@ func (r *Ring) MulCoeffsAndAdd(a, b, out *Poly, level int) {
 	})
 }
 
-// mulAddRow sets out[j] += a[j]·b[j] (M-form) over the rows' common length;
-// no bounds check (CI asserts that by name).
+// mulAddRow sets out[j] += a[j]·b[j] (M-form) over the rows' common length,
+// on the lanes and then mulAddRowGo as mulRow does.
 func mulAddRow(a, b, out []uint64, mr mod.Montgomery) {
+	if useLanes {
+		n := min(len(a), len(b), len(out)) &^ 7
+		mulAddRowLanes(a, b, out, mr.Q, mr.QInv)
+		a, b, out = a[n:], b[n:], out[n:]
+	}
+	mulAddRowGo(a, b, out, mr)
+}
+
+// mulAddRowGo is mulAddRow's Go row; no bounds check (CI asserts that by
+// name).
+func mulAddRowGo(a, b, out []uint64, mr mod.Montgomery) {
 	q := mr.Q
 	for j := 0; j < len(a) && j < len(b) && j < len(out); j++ {
 		out[j] = mod.Add(out[j], mr.Mul(a[j], b[j]), q)
@@ -92,17 +114,40 @@ func mulAddRow(a, b, out []uint64, mr mod.Montgomery) {
 }
 
 // gatherMulRow sets out[j] = a[table[j]]·b[j] (M-form) over the common length
-// of table, b and out; the gather a[table[j]] keeps its one data-dependent
-// bounds check.
+// of table, b and out, on the lanes and then gatherMulRowGo as mulRow does.
+// The lanes' gather checks no index: every table[j] must index a, which
+// MulKeyPair checks before any row runs.
 func gatherMulRow(a []uint64, table []int, b, out []uint64, mr mod.Montgomery) {
+	if useLanes {
+		n := min(len(table), len(b), len(out)) &^ 7
+		gatherMulRowLanes(a, table, b, out, mr.Q, mr.QInv)
+		table, b, out = table[n:], b[n:], out[n:]
+	}
+	gatherMulRowGo(a, table, b, out, mr)
+}
+
+// gatherMulRowGo is gatherMulRow's Go row; the gather a[table[j]] keeps its
+// one data-dependent bounds check.
+func gatherMulRowGo(a []uint64, table []int, b, out []uint64, mr mod.Montgomery) {
 	for j := 0; j < len(table) && j < len(b) && j < len(out); j++ {
 		out[j] = mr.Mul(a[table[j]], b[j])
 	}
 }
 
 // gatherMulAddRow sets out[j] += a[table[j]]·b[j] (M-form) over the common
-// length of table, b and out; the gather keeps its bounds check.
+// length of table, b and out, with gatherMulRow's tiers and precondition.
 func gatherMulAddRow(a []uint64, table []int, b, out []uint64, mr mod.Montgomery) {
+	if useLanes {
+		n := min(len(table), len(b), len(out)) &^ 7
+		gatherMulAddRowLanes(a, table, b, out, mr.Q, mr.QInv)
+		table, b, out = table[n:], b[n:], out[n:]
+	}
+	gatherMulAddRowGo(a, table, b, out, mr)
+}
+
+// gatherMulAddRowGo is gatherMulAddRow's Go row; the gather keeps its bounds
+// check.
+func gatherMulAddRowGo(a []uint64, table []int, b, out []uint64, mr mod.Montgomery) {
 	q := mr.Q
 	for j := 0; j < len(table) && j < len(b) && j < len(out); j++ {
 		out[j] = mod.Add(out[j], mr.Mul(a[table[j]], b[j]), q)
@@ -117,15 +162,8 @@ func gatherMulAddRow(a []uint64, table []int, b, out []uint64, mr mod.Montgomery
 func (r *Ring) MulScalar(a *Poly, s uint64, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		m := r.Moduli[i]
-		q := m.Q
 		w := m.BRed.Reduce(s)
-		ws := mod.ShoupPrecomp(w, q)
-		ra := a.Coeffs[i][lo:hi:hi]
-		ro := out.Coeffs[i][lo:hi:hi]
-		ro = ro[:len(ra)]
-		for j := range ra {
-			ro[j] = mod.MulShoup(ra[j], w, ws, q)
-		}
+		mulShoupRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w, mod.ShoupPrecomp(w, m.Q), m.Q)
 	})
 }
 
@@ -135,15 +173,8 @@ func (r *Ring) MulScalar(a *Poly, s uint64, out *Poly, level int) {
 func (r *Ring) MulScalarInt64(a *Poly, s int64, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		m := r.Moduli[i]
-		q := m.Q
 		w := m.reduceInt64(s)
-		ws := mod.ShoupPrecomp(w, q)
-		ra := a.Coeffs[i][lo:hi:hi]
-		ro := out.Coeffs[i][lo:hi:hi]
-		ro = ro[:len(ra)]
-		for j := range ra {
-			ro[j] = mod.MulShoup(ra[j], w, ws, q)
-		}
+		mulShoupRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w, mod.ShoupPrecomp(w, m.Q), m.Q)
 	})
 }
 
@@ -178,20 +209,73 @@ func (r *Ring) MulLimbScalars(a *Poly, w, ws []uint64, out *Poly, lo, hi int) {
 	})
 }
 
+// SubMulLimbScalars sets out = (a − b) * w[i] on each row i of [0..level],
+// for per-prime plain constants w (canonical residues) with their Shoup
+// companions ws: the last pass of the division by a product of primes
+// (ckks' divRound), which subtracts the converted remainder and scales by
+// the divisor's inverse.
+func (r *Ring) SubMulLimbScalars(a, b *Poly, w, ws []uint64, out *Poly, level int) {
+	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
+		subMulShoupRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w[i], ws[i], r.Moduli[i].Q)
+	})
+}
+
 // mulShoupRow sets out[j] = a[j]·w mod q over the rows' common length, w with
-// its Shoup companion ws; no bounds check (CI asserts that by name).
+// its Shoup companion ws, on the lanes and then mulShoupRowGo as mulRow does.
 func mulShoupRow(a, out []uint64, w, ws, q uint64) {
+	if useLanes {
+		n := min(len(a), len(out)) &^ 7
+		mulShoupRowLanes(a, out, w, ws, q)
+		a, out = a[n:], out[n:]
+	}
+	mulShoupRowGo(a, out, w, ws, q)
+}
+
+// mulShoupRowGo is mulShoupRow's Go row; no bounds check (CI asserts that by
+// name).
+func mulShoupRowGo(a, out []uint64, w, ws, q uint64) {
 	for j := 0; j < len(a) && j < len(out); j++ {
 		out[j] = mod.MulShoup(a[j], w, ws, q)
 	}
 }
 
 // mulShoupAddRow sets out[j] += a[j]·w mod q over the rows' common length, w
-// with its Shoup companion ws: a load, a Shoup multiply, an add and a store
-// per word, no bounds check (CI asserts that by name).
+// with its Shoup companion ws, on the lanes and then mulShoupAddRowGo as
+// mulRow does.
 func mulShoupAddRow(a, out []uint64, w, ws, q uint64) {
+	if useLanes {
+		n := min(len(a), len(out)) &^ 7
+		mulShoupAddRowLanes(a, out, w, ws, q)
+		a, out = a[n:], out[n:]
+	}
+	mulShoupAddRowGo(a, out, w, ws, q)
+}
+
+// mulShoupAddRowGo is mulShoupAddRow's Go row: a load, a Shoup multiply, an
+// add and a store per word, no bounds check (CI asserts that by name).
+func mulShoupAddRowGo(a, out []uint64, w, ws, q uint64) {
 	for j := 0; j < len(a) && j < len(out); j++ {
 		out[j] = mod.Add(out[j], mod.MulShoup(a[j], w, ws, q), q)
+	}
+}
+
+// subMulShoupRow sets out[j] = (a[j] − b[j])·w mod q over the rows' common
+// length, w with its Shoup companion ws, on the lanes and then
+// subMulShoupRowGo as mulRow does.
+func subMulShoupRow(a, b, out []uint64, w, ws, q uint64) {
+	if useLanes {
+		n := min(len(a), len(b), len(out)) &^ 7
+		subMulShoupRowLanes(a, b, out, w, ws, q)
+		a, b, out = a[n:], b[n:], out[n:]
+	}
+	subMulShoupRowGo(a, b, out, w, ws, q)
+}
+
+// subMulShoupRowGo is subMulShoupRow's Go row; no bounds check (CI asserts
+// that by name).
+func subMulShoupRowGo(a, b, out []uint64, w, ws, q uint64) {
+	for j := 0; j < len(a) && j < len(b) && j < len(out); j++ {
+		out[j] = mod.MulShoup(mod.Sub(a[j], b[j], q), w, ws, q)
 	}
 }
 

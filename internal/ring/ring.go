@@ -54,15 +54,25 @@
 //
 // # Kernel tiers
 //
-// Every kernel is portable Go, and three also have an amd64 assembly tier
-// that CPUID selects (one probe at start-up, cpu_amd64.go), with no exported
-// name, flag or environment variable to override it. The Go kernel stays as
-// the fallback and as the tier's oracle in the tests:
+// Every kernel is portable Go, and four families also have an amd64
+// assembly tier that CPUID selects (one probe at start-up, cpu_amd64.go),
+// with no exported name, flag or environment variable to override it. The
+// Go kernel stays as the fallback and as the tier's oracle in the tests:
 //
 //   - The NTT and iNTT row kernels (ntt_amd64.s) on AVX-512F/DQ: every
 //     radix-4 pass, the odd-log2(N) radix-2 stage and the N^-1-scaled last
 //     stage with eight coefficients per 512-bit register, word for word
 //     equal to the Go passes, for N ≥ 32 (see NTT).
+//   - The element-wise rows (elem_amd64.s) on the same AVX-512F/DQ: the
+//     Montgomery products and MACs (mulRow, mulAddRow and the gather rows
+//     gatherMulRow, gatherMulAddRow that MulKeyPair runs for every
+//     key-switch), the Shoup scalar rows (mulShoupRow, mulShoupAddRow),
+//     the division's subtract-scale (SubMulLimbScalars) and the lazy
+//     128-bit MAC and its reduction (mulAddLazyRow, reduceAccRow). Each
+//     runs its 8-word-aligned prefix eight coefficients per register, word
+//     for word its Go row, which takes the tail; both share lanes_amd64.h's
+//     exact 64×64-bit product with ntt_amd64.s. The lane gather checks no
+//     index, so MulKeyPair checks its table and rows once per call.
 //   - BConv (bconvDigits and bconvLanes, bconv_amd64.s) on AVX-512 IFMA:
 //     eight coefficients of one limb per 512-bit register, 52-bit
 //     multiply-accumulates and an in-lane Montgomery reduction, word for
@@ -73,7 +83,8 @@
 //
 // TestKernelPaths logs which tier this CPU runs; the assembly tiers' own
 // tests skip, saying so, where the CPU lacks the instructions, and a
-// test-only switch (forceGo) runs any test on the Go kernels alone.
+// test-only switch (forceGo) runs any test on the Go kernels alone, all four
+// families at once.
 package ring
 
 import (

@@ -443,12 +443,13 @@ func TestBasisExtenderNegationEquivariance(t *testing.T) {
 }
 
 // TestKernelPaths logs which CPUID-selected kernels this CPU runs — the
-// NTT, BConv and the seeded-key keystream — so a CI log says when an
-// assembly kernel went unexercised.
+// NTT, the element-wise rows, BConv and the seeded-key keystream — so a CI
+// log says when an assembly kernel went unexercised.
 func TestKernelPaths(t *testing.T) {
-	ntt, bconv, keystream := "go (no AVX-512 F/DQ)", "go (no AVX-512 IFMA)", "crypto/aes (no VAES)"
-	if useNTTLanes {
+	ntt, elem, bconv, keystream := "go (no AVX-512 F/DQ)", "go (no AVX-512 F/DQ)", "go (no AVX-512 IFMA)", "crypto/aes (no VAES)"
+	if useLanes {
 		ntt = fmt.Sprintf("lanes (ntt_amd64.s, N >= 2^%d)", nttLanesMinLogN)
+		elem = "lanes (elem_amd64.s)"
 	}
 	if useIFMA {
 		bconv = "ifma (bconvDigits, bconvLanes)"
@@ -457,18 +458,20 @@ func TestKernelPaths(t *testing.T) {
 		keystream = "vaes (keystreamVAES)"
 	}
 	t.Logf("ntt: %s", ntt)
+	t.Logf("elem: %s", elem)
 	t.Logf("bconv: %s", bconv)
 	t.Logf("keystream: %s", keystream)
 }
 
 // forceGo runs the rest of t with every CPUID-selected kernel on its Go
-// path — the NTT row kernels, BConv (for extenders built afterwards) and
-// the keystream (for sources made afterwards) — and restores the probe's
-// flags when t ends. Tests that call it must not run in parallel.
+// path — the NTT row kernels and the element-wise rows, BConv (for
+// extenders built afterwards) and the keystream (for sources made
+// afterwards) — and restores the probe's flags when t ends. Tests that call
+// it must not run in parallel.
 func forceGo(t testing.TB) {
-	ntt, ifma, vaes := useNTTLanes, useIFMA, useVAES
-	useNTTLanes, useIFMA, useVAES = false, false, false
-	t.Cleanup(func() { useNTTLanes, useIFMA, useVAES = ntt, ifma, vaes })
+	lanes, ifma, vaes := useLanes, useIFMA, useVAES
+	useLanes, useIFMA, useVAES = false, false, false
+	t.Cleanup(func() { useLanes, useIFMA, useVAES = lanes, ifma, vaes })
 }
 
 // onPaths runs f twice, as the subtests "lanes" (the kernels CPUID selects)
@@ -476,8 +479,8 @@ func forceGo(t testing.TB) {
 // AVX-512 F/DQ, so a green run there does not pass for its coverage.
 func onPaths(t *testing.T, f func(t *testing.T)) {
 	t.Run("lanes", func(t *testing.T) {
-		if !useNTTLanes {
-			t.Skip("no AVX-512 F/DQ on this CPU: the lane NTT not checked")
+		if !useLanes {
+			t.Skip("no AVX-512 F/DQ on this CPU: the lane kernels not checked")
 		}
 		f(t)
 	})

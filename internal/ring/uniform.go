@@ -276,8 +276,22 @@ func (u UniformPoly) resampleChunk(s *uniformScratch, hi uint64, c int, lim uint
 // of d, or d itself when table is nil. b is stored; a is
 // expanded chunk by chunk inside each task, and both products run per chunk,
 // so d's chunk is read from the cache the second time. d must be reduced
-// below q (a's raw candidates are not).
+// below q (a's raw candidates are not). A table must be the ring's: N
+// entries, each below N (AutoIndexNTT's permutations are), over rows of d
+// holding N words. The gather rows' lanes check no index, so MulKeyPair
+// panics on a table of another length or a short row of d before any row
+// runs.
 func (r *Ring) MulKeyPair(d *Poly, table []int, b *Poly, a UniformPoly, out0, out1 *Poly, level int, add bool) {
+	if table != nil {
+		if len(table) != r.N {
+			panic(fmt.Sprintf("ring: MulKeyPair index table of %d entries, want N = %d", len(table), r.N))
+		}
+		for i, row := range d.Coeffs[:level+1] {
+			if len(row) < r.N {
+				panic(fmt.Sprintf("ring: MulKeyPair gathers from row %d of %d words, want N = %d", i, len(row), r.N))
+			}
+		}
+	}
 	mul, gather := mulRow, gatherMulRow
 	if add {
 		mul, gather = mulAddRow, gatherMulAddRow
