@@ -45,8 +45,8 @@
 // rotation of it reuses the decomposition (RotateHoisted, bit-identical to
 // sequential Rotate), while BSGS linear transforms — the bulk of
 // bootstrapping's CoeffToSlot/SlotToCoeff — keep each baby step's
-// key-switch in the extended QP basis, fold the diagonals in there with
-// 128-bit lazy MACs, and defer ModDown to once per giant step. Every
+// key-switch in the extended QP basis, fold the diagonals in there with the
+// key-switch's reduced MAC, and defer ModDown to once per giant step. Every
 // key-switch runs one pipeline — decompose, then one reduced MAC per
 // rotation, the automorphism's index table fused into its reads — so
 // MulRelin, Rotate and Conjugate are that pipeline with a decomposition of
@@ -95,8 +95,8 @@
 // Montgomery representation: every polynomial the library holds — ciphertext
 // components, plaintexts, evaluation keys, key-switching decomposition
 // slices — stores residues as x·R mod q (R = 2^64), so every element-wise
-// product of two data words and every lazy MAC reduces with one fused
-// 3-multiply REDC instead of a wider Barrett pass, and multiplication by
+// product of two data words, multiply-accumulates included, reduces with one
+// fused 3-multiply REDC instead of a wider Barrett pass, and multiplication by
 // precomputed plain constants (twiddle factors, divisor inverses, P mod q)
 // is form-preserving and free of conversions. Residues enter M-form at the
 // encode/sampling boundary and leave it only at decode time and in the wire
@@ -113,8 +113,8 @@
 // same CPUs the element-wise rows run eight coefficients per instruction
 // too, word for word their Go rows: the key-switch's multiply-accumulate
 // (the MMAU's work, with the automorphism as a lane gather), the division's
-// subtract-scale, the Shoup scalar MACs and the transform's lazy 128-bit
-// folds. A radix-2 Montgomery row kernel and the
+// subtract-scale, the Shoup scalar MACs and the transform's diagonal folds.
+// A radix-2 Montgomery row kernel and the
 // pre-Montgomery Barrett kernels remain in internal/ring's tests as
 // bit-identity oracles. Every basis change runs the key-switch's own
 // iNTT → BConv → NTT dataflow: HRescale is its division with no special

@@ -142,10 +142,8 @@ func (ev *Evaluator) decompose(d *ring.Poly, lvl int) *HoistedDecomposition {
 // seed as it goes, so no permuted copy of the extended basis and no expanded
 // a_j is ever materialized. The table depends only on N and g, so the
 // q-ring's serves the P rows too; g = 1 (relinearization) has none. Each
-// product is reduced as it is summed: a coefficient's sum has only β terms
-// — 1 at the bootstrap's dnum = 1, at most 4 on the benchmark's workloads —
-// too few for unreduced 128-bit sums (ring.Acc128) to repay their zeroing
-// and final fold.
+// product is reduced as it is summed, as in LinearTransform's diagonal
+// folds: both run the same Montgomery MAC rows.
 func (ev *Evaluator) keySwitchMAC(g uint64, hd *HoistedDecomposition, swk *SwitchingKey, accQ0, accP0, accQ1, accP1 *ring.Poly) {
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP

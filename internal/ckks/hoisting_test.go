@@ -122,7 +122,9 @@ func TestLinearTransformHoistedPrecision(t *testing.T) {
 }
 
 // TestLinearTransformN1Override pins every power-of-two baby-step count and
-// checks the transform result is split-invariant.
+// checks the transform result is split-invariant. The last input, {1, 2, 3,
+// 5, 6, 7} at n1 = 4, has no index ≡ 0 mod n1 in either giant group, so
+// neither group's plain C1 fold receives a product.
 func TestLinearTransformN1Override(t *testing.T) {
 	nDiags := 8
 	s := newTestSetup(t, 2, allRotations(nDiags, 1<<9))
@@ -133,35 +135,46 @@ func TestLinearTransformN1Override(t *testing.T) {
 	lvl := s.params.MaxLevel()
 	pt, _ := s.encoder.Encode(values, lvl, s.params.Scale)
 	ct, _ := s.enc.EncryptNew(pt)
-	diags := map[int][]complex128{}
+	all := map[int][]complex128{}
 	for k := 0; k < nDiags; k++ {
-		diags[k] = randomComplex(rng, n, 1)
+		all[k] = randomComplex(rng, n, 1)
 	}
-	want := make([]complex128, n)
-	for j := 0; j < n; j++ {
-		for k := 0; k < nDiags; k++ {
-			want[j] += diags[k][j] * values[(j+k)%n]
-		}
+	noBaby0 := map[int][]complex128{}
+	for _, k := range []int{1, 2, 3, 5, 6, 7} {
+		noBaby0[k] = all[k]
 	}
-	for _, n1 := range []int{1, 2, 8, 16} {
-		lt, err := newLinearTransformN1(s.encoder, diags, lvl, float64(s.params.Q[lvl]), n1)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		diags map[int][]complex128
+		n1s   []int
+	}{
+		{all, []int{1, 2, 8, 16}},
+		{noBaby0, []int{4}},
+	} {
+		want := make([]complex128, n)
+		for j := 0; j < n; j++ {
+			for k, d := range c.diags {
+				want[j] += d[j] * values[(j+k)%n]
+			}
 		}
-		out := s.eval.Rescale(s.eval.LinearTransform(ct, lt))
-		if e := maxErr(s.encoder.Decode(s.dec.DecryptNew(out)), want); e > 1e-3 {
-			t.Fatalf("n1=%d: transform error %g", n1, e)
+		for _, n1 := range c.n1s {
+			lt, err := newLinearTransformN1(s.encoder, c.diags, lvl, float64(s.params.Q[lvl]), n1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := s.eval.Rescale(s.eval.LinearTransform(ct, lt))
+			if e := maxErr(s.encoder.Decode(s.dec.DecryptNew(out)), want); e > 1e-3 {
+				t.Fatalf("%d diagonals, n1=%d: transform error %g", len(c.diags), n1, e)
+			}
+			s.ctx.PutCiphertext(out)
 		}
-		s.ctx.PutCiphertext(out)
 	}
 }
 
-// TestLinearTransformChunkedLazyMAC forces the Acc128 overflow guard: with
-// ~61-bit primes the lazy MAC budget drops to ≤64 terms, so a dense
-// transform evaluated as a single giant group must fold its diagonals in
-// several chunks with intermediate reductions — and still match the eager
-// path within the error budget.
-func TestLinearTransformChunkedLazyMAC(t *testing.T) {
+// TestLinearTransformWidePrimeSingleGroup folds a dense transform over ~61-bit
+// primes, the widest products the reduced MAC takes, as a single giant group
+// (n1 = slots, every diagonal summed into the same accumulators), and checks
+// it against the eager path within the error budget.
+func TestLinearTransformWidePrimeSingleGroup(t *testing.T) {
 	params, err := NewParameters(ParametersLiteral{
 		LogN:     9,
 		LogQ:     []int{61, 61},
@@ -179,13 +192,6 @@ func TestLinearTransformChunkedLazyMAC(t *testing.T) {
 	}
 	defer ctx.Close()
 	n := params.Slots()
-	budget := ctx.RingQ.LazyMACBudget()
-	if pb := ctx.RingP.LazyMACBudget(); pb < budget {
-		budget = pb
-	}
-	if budget >= n {
-		t.Fatalf("budget %d does not force chunking over %d diagonals", budget, n)
-	}
 
 	kg := NewKeyGenerator(ctx, 6001)
 	sk := kg.GenSecretKey()
@@ -209,7 +215,7 @@ func TestLinearTransformChunkedLazyMAC(t *testing.T) {
 		}
 		diags[k] = d
 	}
-	// n1 = slots puts every diagonal in one giant group (> budget terms).
+	// n1 = slots puts every diagonal in one giant group.
 	lt, err := newLinearTransformN1(encoder, diags, lvl, float64(params.Q[lvl]), n)
 	if err != nil {
 		t.Fatal(err)
@@ -227,12 +233,12 @@ func TestLinearTransformChunkedLazyMAC(t *testing.T) {
 	eager := eval.Rescale(eval.linearTransformEager(ct, lt))
 	errHoisted := maxErr(encoder.Decode(dec.DecryptNew(hoisted)), want)
 	errEager := maxErr(encoder.Decode(dec.DecryptNew(eager)), want)
-	t.Logf("chunked transform (budget %d, %d diags): hoisted err %.3g, eager err %.3g", budget, n, errHoisted, errEager)
+	t.Logf("single-group transform (%d diags): hoisted err %.3g, eager err %.3g", n, errHoisted, errEager)
 	if errHoisted > 1e-3 {
-		t.Fatalf("chunked hoisted transform error %g above budget", errHoisted)
+		t.Fatalf("single-group hoisted transform error %g above budget", errHoisted)
 	}
 	if errHoisted > 2*errEager+1e-9 {
-		t.Fatalf("chunked hoisted error %g worse than eager %g beyond jitter", errHoisted, errEager)
+		t.Fatalf("single-group hoisted error %g worse than eager %g beyond jitter", errHoisted, errEager)
 	}
 }
 

@@ -181,9 +181,10 @@ func (lt *LinearTransform) byGiantStep() (byGiant map[int][]int, giants []int, b
 // output scale is ct.Scale·lt.Scale). It evaluates the BSGS sum with hoisted
 // baby steps and double-hoisted (lazy-ModDown) giant accumulation: ct is
 // decomposed once, each baby step costs a slice permutation + MAC kept in
-// the extended QP basis, every diagonal is folded in with an element-wise
-// plaintext product there, and each giant step pays a single deferred
-// ModDown per ciphertext component plus one full rotation.
+// the extended QP basis, every diagonal is folded in there with the
+// key-switch's reduced Montgomery MAC (MulCoeffs for an accumulator's first
+// product, MulCoeffsAndAdd after it), and each giant step pays a single
+// deferred ModDown per ciphertext component plus one full rotation.
 func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
 	sp := ev.begin(spanLinear)
 	ctx := ev.ctx
@@ -252,88 +253,52 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphe
 		hd.Release()
 	}
 
-	// Giant-step accumulators: the group's diagonal products are folded in
-	// lazily as unreduced 128-bit sums (ring.Acc128) — the plain q-basis
-	// sums of diagonal × rotated-C0 products, and the extended QP sums of
-	// diagonal × key-switch-accumulator products — then reduced once per
-	// coefficient before the deferred ModDown. Groups larger than the
-	// rings' lazy overflow budget (only reachable with very wide moduli)
-	// are folded in chunks: chunk 0 reduces straight into the destination
-	// polynomials, later chunks reduce into scratch and modular-add on top.
+	// Giant-step accumulators: each diagonal product is folded straight into
+	// reduced polynomials with the key-switch's Montgomery MAC — the plain
+	// q-basis sums of diagonal × rotated-C0 products, and the extended QP
+	// sums of diagonal × key-switch-accumulator products ahead of the
+	// deferred ModDown. An accumulator's first product overwrites it
+	// (MulCoeffs), every later one adds (MulCoeffsAndAdd).
 	plain0 := rq.GetPolyNoZero()
 	plain1 := rq.GetPolyNoZero()
 	ext0 := rq.GetPolyNoZero()
 	ext1 := rq.GetPolyNoZero()
 	extP0 := rp.GetPolyNoZero()
 	extP1 := rp.GetPolyNoZero()
-	merge := rq.GetPolyNoZero()
-	mergeP := rp.GetPolyNoZero()
-	budget := rq.LazyMACBudget()
-	if pb := rp.LazyMACBudget(); pb < budget {
-		budget = pb
+	mac := func(r *ring.Ring, first bool, a, b, acc *ring.Poly, level int) {
+		if first {
+			r.MulCoeffs(a, b, acc, level)
+		} else {
+			r.MulCoeffsAndAdd(a, b, acc, level)
+		}
 	}
 
 	var out *Ciphertext
 	for _, g := range giants {
 		group := byGiant[g]
+		ev.counters.PMult.Add(int64(len(group))) // diagonal folds
+		// A group is sorted, so its baby-0 diagonal (k = g·n1), if any,
+		// comes first; only it reaches plain1.
+		if group[0]%lt.n1 != 0 {
+			rq.Zero(plain1, lvl)
+		}
 		hasExt := false
-		for start := 0; start < len(group); start += budget {
-			end := start + budget
-			if end > len(group) {
-				end = len(group)
+		for i, k := range group {
+			pt, ptP := lt.diags[k].Value, lt.diagsP[k]
+			b := k % lt.n1
+			if b == 0 {
+				// The un-rotated operand has no extended part.
+				rq.MulCoeffs(pt, ct.C0, plain0, lvl)
+				rq.MulCoeffs(pt, ct.C1, plain1, lvl)
+				continue
 			}
-			a0Q := rq.GetAcc(lvl)
-			a1Q := rq.GetAcc(lvl)
-			a0q := rq.GetAcc(lvl)
-			a1q := rq.GetAcc(lvl)
-			a0p := rp.GetAcc(lp)
-			a1p := rp.GetAcc(lp)
-			ev.counters.PMult.Add(int64(end - start)) // diagonal folds (lazy PMults)
-			for _, k := range group[start:end] {
-				pt, ptP := lt.diags[k].Value, lt.diagsP[k]
-				if b := k % lt.n1; b == 0 {
-					// The un-rotated operand has no extended part.
-					rq.MulCoeffsAndAddLazy(pt, ct.C0, a0Q, lvl)
-					rq.MulCoeffsAndAddLazy(pt, ct.C1, a1Q, lvl)
-				} else {
-					be := babies[b]
-					rq.MulCoeffsAndAddLazy(pt, be.c0, a0Q, lvl)
-					rq.MulCoeffsAndAddLazy(pt, be.q0, a0q, lvl)
-					rp.MulCoeffsAndAddLazy(ptP, be.p0, a0p, lp)
-					rq.MulCoeffsAndAddLazy(pt, be.q1, a1q, lvl)
-					rp.MulCoeffsAndAddLazy(ptP, be.p1, a1p, lp)
-					hasExt = true
-				}
-			}
-			if start == 0 {
-				rq.ReduceAcc(a0Q, plain0, lvl)
-				rq.ReduceAcc(a1Q, plain1, lvl)
-				if hasExt || end < len(group) {
-					rq.ReduceAcc(a0q, ext0, lvl)
-					rq.ReduceAcc(a1q, ext1, lvl)
-					rp.ReduceAcc(a0p, extP0, lp)
-					rp.ReduceAcc(a1p, extP1, lp)
-				}
-			} else {
-				rq.ReduceAcc(a0Q, merge, lvl)
-				rq.Add(plain0, merge, plain0, lvl)
-				rq.ReduceAcc(a1Q, merge, lvl)
-				rq.Add(plain1, merge, plain1, lvl)
-				rq.ReduceAcc(a0q, merge, lvl)
-				rq.Add(ext0, merge, ext0, lvl)
-				rq.ReduceAcc(a1q, merge, lvl)
-				rq.Add(ext1, merge, ext1, lvl)
-				rp.ReduceAcc(a0p, mergeP, lp)
-				rp.Add(extP0, mergeP, extP0, lp)
-				rp.ReduceAcc(a1p, mergeP, lp)
-				rp.Add(extP1, mergeP, extP1, lp)
-			}
-			rp.PutAcc(a1p)
-			rp.PutAcc(a0p)
-			rq.PutAcc(a1q)
-			rq.PutAcc(a0q)
-			rq.PutAcc(a1Q)
-			rq.PutAcc(a0Q)
+			be := babies[b]
+			mac(rq, i == 0, pt, be.c0, plain0, lvl)
+			mac(rq, !hasExt, pt, be.q0, ext0, lvl)
+			mac(rp, !hasExt, ptP, be.p0, extP0, lp)
+			mac(rq, !hasExt, pt, be.q1, ext1, lvl)
+			mac(rp, !hasExt, ptP, be.p1, extP1, lp)
+			hasExt = true
 		}
 
 		// One deferred ModDown per component folds the whole giant step's
@@ -361,8 +326,6 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphe
 		}
 	}
 
-	rp.PutPoly(mergeP)
-	rq.PutPoly(merge)
 	rp.PutPoly(extP1)
 	rp.PutPoly(extP0)
 	rq.PutPoly(ext1)

@@ -18,9 +18,10 @@
 // (hoisting, exposed as RotateHoisted — bit-identical to Rotate because the
 // centered BConv commutes exactly with the Galois permutation). On top,
 // LinearTransform evaluates double-hoisted: baby-step products stay in the
-// extended QP basis, every diagonal is folded in with unreduced 128-bit
-// lazy MACs (ring.Acc128), and each giant step pays a single deferred
-// ModDown per ciphertext component. The cost model per transform is
+// extended QP basis, every diagonal is folded in there with the key-switch's
+// reduced Montgomery MAC (ring.MulCoeffsAndAdd), and each giant step pays a
+// single deferred ModDown per ciphertext component. The cost model per
+// transform is
 //
 //	1 decomposition + (per baby rotation: permutation + MAC)
 //	+ (per giant step: 1 ModDown per component + 1 full rotation)
@@ -88,12 +89,12 @@
 // # Montgomery ring core
 //
 // Every polynomial this package holds in RNS residues — ciphertext
-// components, plaintexts, switching keys, decomposition slices, Acc128
-// inputs — is stored in Montgomery form (x·R mod q, R = 2^64; see
-// internal/ring's package doc). The invariant is maintained entirely by the
-// ring layer: residues enter M-form where they are born (encoding's
-// SetBigCoeffs/SetInt64Coeffs, uniform/ternary/Gaussian sampling) and leave
-// it only at decode time and on the wire (internal/wire transports true
+// components, plaintexts, switching keys, decomposition slices — is stored
+// in Montgomery form (x·R mod q, R = 2^64; see internal/ring's package
+// doc). The invariant is maintained entirely by the ring layer: residues
+// enter M-form where they are born (encoding's SetBigCoeffs/SetInt64Coeffs,
+// uniform/ternary/Gaussian sampling) and leave it only at decode time and
+// on the wire (internal/wire transports true
 // canonical residues). This package never converts forms itself — the
 // algebra keeps every evaluator path consistent, because multiplying two
 // M-form operands with a fused REDC yields an M-form product, while

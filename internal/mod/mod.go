@@ -91,8 +91,8 @@ func (br Barrett) Mul(a, b uint64) uint64 {
 // input, not only products of reduced operands: the Barrett quotient is only
 // needed mod 2^64 (the remainder fits a word), and the truncation undershoot
 // stays ≤ 2 regardless of the input's magnitude, which the two conditional
-// subtractions absorb. This is what lets the lazy 128-bit MAC accumulators
-// (ring.Acc128, BConv stage 2) sum many unreduced products and reduce once.
+// subtractions absorb. This is what lets BConv's stage-2 dot products sum
+// many unreduced products and reduce once.
 func (br Barrett) Reduce128(ahi, alo uint64) uint64 {
 	// qhat = floor(a*mu / 2^128), computed discarding the lowest partial
 	// product's low word; the truncation undershoots floor(a/q) by at most

@@ -1,9 +1,6 @@
 package ring
 
-import (
-	"math/big"
-	"math/bits"
-)
+import "math/bits"
 
 // Acc128 is an extended-precision element-wise accumulator: one row per RNS
 // limb, each coefficient held as an unreduced 128-bit sum. A row is 2N words
@@ -11,42 +8,21 @@ import (
 // kernels index three equal-length views with the same induction variable and
 // the compiler eliminates every bounds check in the inner loops (the
 // interleaved (lo,hi) pair layout defeated the prove pass on the 2j/2j+1
-// accesses). It implements the lazy multiply-accumulate discipline of the
-// linear transform's diagonal folds — sum many residue products without
-// intermediate modular reduction, then reduce once per coefficient with a
-// single fold-and-REDC pass (mod.Montgomery.Reduce128 accepts arbitrary
-// 128-bit inputs). Up to n1 products share one accumulator there, so the
-// skipped reductions pay for the fold. A key-switch MAC sums only β ≤ 4
-// products per coefficient and runs reduced (MulKeyPair).
+// accesses). It implements a lazy multiply-accumulate: sum residue products
+// without intermediate modular reduction, then reduce once per coefficient
+// with a single fold-and-REDC pass (mod.Montgomery.Reduce128 accepts
+// arbitrary 128-bit inputs). No library path uses it: every key-switch MAC
+// (MulKeyPair) and the linear transform's diagonal folds (MulCoeffsAndAdd)
+// run reduced, and Acc128 stays for the kernels the benchmark's
+// ring.mac128_gbps times (MulGatherAndAddLazy, ReduceAcc).
 //
 // Overflow bound: a sum of T products of residues below q stays under 2^128
 // while T·(q-1)² < 2^128 — 2^18 terms for 55-bit moduli, 2^38 for 45-bit.
-// Callers accumulating an input-dependent number of terms must chunk at
-// LazyMACBudget, which evaluates this bound for the ring's widest modulus.
 //
 // Like Poly scratch, accumulators come from a per-ring pool: borrow with
 // GetAcc, return with PutAcc.
 type Acc128 struct {
 	Rows [][]uint64
-}
-
-// LazyMACBudget returns the largest number of unreduced residue products
-// (each below the ring's widest modulus) that can be summed into an Acc128
-// without overflowing 128 bits, ⌊(2^128 − 1)/(q−1)²⌋ capped at 2^30. It is
-// at least 16 for any supported modulus (q < 2^62).
-func (r *Ring) LazyMACBudget() int {
-	var maxQ uint64
-	for _, m := range r.Moduli {
-		maxQ = max(maxQ, m.Q)
-	}
-	q := new(big.Int).SetUint64(maxQ - 1)
-	budget := new(big.Int).Lsh(big.NewInt(1), 128)
-	budget.Sub(budget, big.NewInt(1))
-	budget.Quo(budget, q.Mul(q, q))
-	if budget.BitLen() > 30 {
-		return 1 << 30
-	}
-	return int(budget.Int64())
 }
 
 // GetAcc borrows a zeroed accumulator usable up to the given level from the
@@ -78,42 +54,6 @@ func (r *Ring) PutAcc(a *Acc128) {
 		panic("ring: PutAcc of an accumulator not sized to the full chain")
 	}
 	r.accPool.Put(a)
-}
-
-// MulCoeffsAndAddLazy sets acc += a ⊙ b element-wise on rows [0..level]
-// without modular reduction: each 128-bit product is added into the
-// accumulator with carry. This is the MAC kernel of the double-hoisted
-// linear transform, where one giant step folds every diagonal product into
-// extended-basis accumulators before a single reduction + ModDown.
-func (r *Ring) MulCoeffsAndAddLazy(a, b *Poly, acc *Acc128, level int) {
-	n := r.N
-	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		row := acc.Rows[i]
-		mulAddLazyRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], row[lo:hi:hi], row[n+lo:n+hi:n+hi])
-	})
-}
-
-// mulAddLazyRow adds a[j]·b[j] into the 128-bit sums (accHi[j], accLo[j])
-// over the rows' common length, on the lanes and then mulAddLazyRowGo as
-// mulRow does.
-func mulAddLazyRow(a, b, accLo, accHi []uint64) {
-	if useLanes {
-		n := min(len(a), len(b), len(accLo), len(accHi)) &^ 7
-		mulAddLazyRowLanes(a, b, accLo, accHi)
-		a, b, accLo, accHi = a[n:], b[n:], accLo[n:], accHi[n:]
-	}
-	mulAddLazyRowGo(a, b, accLo, accHi)
-}
-
-// mulAddLazyRowGo is mulAddLazyRow's Go row; no bounds check (CI asserts
-// that by name).
-func mulAddLazyRowGo(a, b, accLo, accHi []uint64) {
-	for j := 0; j < len(a) && j < len(b) && j < len(accLo) && j < len(accHi); j++ {
-		pHi, pLo := bits.Mul64(a[j], b[j])
-		var c uint64
-		accLo[j], c = bits.Add64(accLo[j], pLo, 0)
-		accHi[j], _ = bits.Add64(accHi[j], pHi, c)
-	}
 }
 
 // MulGatherAndAddLazy sets acc += σ(a) ⊙ b element-wise on rows [0..level]

@@ -26,7 +26,4 @@ func mulShoupAddRowLanes(a, out []uint64, w, ws, q uint64)
 func subMulShoupRowLanes(a, b, out []uint64, w, ws, q uint64)
 
 //go:noescape
-func mulAddLazyRowLanes(a, b, accLo, accHi []uint64)
-
-//go:noescape
 func reduceAccRowLanes(accLo, accHi, out []uint64, q, qInv, fold uint64)

@@ -294,53 +294,6 @@ loop:
 done:
 	RET
 
-// func mulAddLazyRowLanes(a, b, accLo, accHi []uint64)
-//
-// (accHi[j], accLo[j]) += a[j]·b[j] as 128-bit sums (mulAddLazyRowGo): the
-// low words' carry is the lanes where the new low word is below the
-// product's, added to the high word under that mask.
-TEXT ·mulAddLazyRowLanes(SB), NOSPLIT, $0-96
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DX
-	MOVQ b_len+32(FP), AX
-	MINLEN(AX, CX)
-	MOVQ accLo_base+48(FP), DI
-	MOVQ accLo_len+56(FP), AX
-	MINLEN(AX, CX)
-	MOVQ accHi_base+72(FP), R8
-	MOVQ accHi_len+80(FP), AX
-	MINLEN(AX, CX)
-	ANDQ $-8, CX
-	JZ   done
-	MOVQ         $0xffffffff, AX
-	VPBROADCASTQ AX, Z29
-	MOVQ         $1, AX
-	VPBROADCASTQ AX, Z26
-
-loop:
-	VMOVDQU64 (SI), Z0
-	VMOVDQU64 (DX), Z1
-	VPSRLQ    $32, Z1, Z19
-	MULHI(Z0, Z1, Z19)
-	VPMULLQ   Z1, Z0, Z2
-	VPADDQ    (DI), Z2, Z3
-	VPCMPUQ   $1, Z2, Z3, K2
-	VPADDQ    (R8), Z12, Z4
-	VPADDQ    Z26, Z4, K2, Z4
-	VMOVDQU64 Z3, (DI)
-	VMOVDQU64 Z4, (R8)
-	ADDQ      $64, SI
-	ADDQ      $64, DX
-	ADDQ      $64, DI
-	ADDQ      $64, R8
-	SUBQ      $8, CX
-	JNZ       loop
-	VZEROUPPER
-
-done:
-	RET
-
 // func reduceAccRowLanes(accLo, accHi, out []uint64, q, qInv, fold uint64)
 //
 // out[j] = mr.Reduce128(accHi[j], accLo[j]) (reduceAccRowGo): the high

@@ -16,6 +16,4 @@ func mulShoupAddRowLanes(a, out []uint64, w, ws, q uint64) { noLanes() }
 
 func subMulShoupRowLanes(a, b, out []uint64, w, ws, q uint64) { noLanes() }
 
-func mulAddLazyRowLanes(a, b, accLo, accHi []uint64) { noLanes() }
-
 func reduceAccRowLanes(accLo, accHi, out []uint64, q, qInv, fold uint64) { noLanes() }

@@ -2,7 +2,6 @@ package ring
 
 import (
 	"fmt"
-	"math/big"
 	"math/bits"
 	"math/rand"
 	"strings"
@@ -57,34 +56,21 @@ var elemRows = []elemRow{
 	{"subMulShoupRow", "xxo", false,
 		func(e elemArgs) { subMulShoupRow(e.rows[0], e.rows[1], e.rows[2], e.w, e.ws, e.m.Q) },
 		func(e elemArgs) { subMulShoupRowGo(e.rows[0], e.rows[1], e.rows[2], e.w, e.ws, e.m.Q) }},
-	{"mulAddLazyRow", "xxlh", false,
-		func(e elemArgs) { mulAddLazyRow(e.rows[0], e.rows[1], e.rows[2], e.rows[3]) },
-		func(e elemArgs) { mulAddLazyRowGo(e.rows[0], e.rows[1], e.rows[2], e.rows[3]) }},
 	{"reduceAccRow", "lho", false,
 		func(e elemArgs) { reduceAccRow(e.rows[0], e.rows[1], e.rows[2], e.m) },
 		func(e elemArgs) { reduceAccRowGo(e.rows[0], e.rows[1], e.rows[2], e.m) }},
-}
-
-// lazyHiBound returns the high word of (LazyMACBudget − 1)·(q − 1)², the
-// largest an accumulator's high word gets one product short of r's budget.
-func lazyHiBound(r *Ring) uint64 {
-	q := new(big.Int).SetUint64(r.Moduli[0].Q - 1)
-	s := new(big.Int).Mul(q, q)
-	s.Mul(s, big.NewInt(int64(r.LazyMACBudget()-1)))
-	return s.Rsh(s, 64).Uint64()
 }
 
 // TestElemLanesMatchGo pins every element-wise row to its Go row, word for
 // word, on both tiers: q of 50, 60 and 61 bits and the largest NTT prime
 // below 2^62; rows of 0 to 40 words and one of 259, so the Go tail runs
 // after the lanes at every remainder; and four fills — residues, all q − 1
-// (with low words 2^64 − 1, forcing every carry, and high words at the lazy
-// budget's bound), the key-switch MAC's (a residue times raw key candidates
-// up to 2^64 − 1, low words one short of the carry, high words near the
-// bound) and raw 64-bit words everywhere, past the Go rows' own contracts,
-// where both tiers still run the same exact 64-bit arithmetic (mod.Sub for
-// every 64-bit a and b among it). Guard words past every row must come back
-// untouched.
+// (and the 128-bit sum 2^128 − 1, the largest reduceAccRow folds), the
+// key-switch MAC's (a residue times raw key candidates up to 2^64 − 1, sum
+// words a few short of 2^64) and raw 64-bit words everywhere, past the Go
+// rows' own contracts, where both tiers still run the same exact 64-bit
+// arithmetic (mod.Sub for every 64-bit a and b among it). Guard words past
+// every row must come back untouched.
 func TestElemLanesMatchGo(t *testing.T) {
 	const logN, guard, sentinel = 6, 8, 0x5a5a5a5a5a5a5a5a
 	primes := []uint64{largestNTTPrimeBelow62(logN)}
@@ -106,7 +92,7 @@ func TestElemLanesMatchGo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, hiMax := r.Moduli[0], lazyHiBound(r)
+			m := r.Moduli[0]
 			rng := rand.New(rand.NewSource(int64(q)))
 			raw := func() uint64 {
 				if rng.Intn(5) == 0 {
@@ -119,29 +105,21 @@ func TestElemLanesMatchGo(t *testing.T) {
 				word func(kind byte, first bool) uint64
 			}{
 				{"residues", func(kind byte, _ bool) uint64 {
-					switch kind {
-					case 'l':
+					if kind == 'l' || kind == 'h' {
 						return rng.Uint64()
-					case 'h':
-						return rng.Uint64() % (hiMax + 1)
 					}
 					return rng.Uint64() % q
 				}},
 				{"top", func(kind byte, _ bool) uint64 {
-					switch kind {
-					case 'l':
+					if kind == 'l' || kind == 'h' {
 						return ^uint64(0)
-					case 'h':
-						return hiMax
 					}
 					return q - 1
 				}},
 				{"key", func(kind byte, first bool) uint64 {
 					switch {
-					case kind == 'l':
+					case kind == 'l' || kind == 'h':
 						return ^uint64(0) - uint64(rng.Intn(4))
-					case kind == 'h':
-						return hiMax - uint64(rng.Intn(4))
 					case kind == 'x' && !first:
 						return raw()
 					}

@@ -119,11 +119,13 @@ func TestMontgomeryKernelsBitIdenticalToBarrett(t *testing.T) {
 				r.MulByMonomialNTT(a, r.N/2, outB, level)
 				assertPlainEqual(t, r, fmt.Sprintf("MulByMonomialNTT level %d", level), outM, outB, level)
 
-				// Lazy 128-bit MAC chain: two accumulations then one fused
-				// Barrett+REDC reduction, against two reduced Barrett MACs.
+				// Lazy 128-bit MAC chain through the identity table: two
+				// accumulations then one fused fold+REDC reduction, against
+				// two reduced Barrett MACs.
+				identity := r.AutoIndexNTT(1)
 				acc := r.GetAcc(level)
-				r.MulCoeffsAndAddLazy(aM, bM, acc, level)
-				r.MulCoeffsAndAddLazy(bM, bM, acc, level)
+				r.MulGatherAndAddLazy(aM, identity, bM, acc, level)
+				r.MulGatherAndAddLazy(bM, identity, bM, acc, level)
 				r.ReduceAcc(acc, outM, level)
 				r.PutAcc(acc)
 				r.Zero(outB, level)
@@ -135,7 +137,7 @@ func TestMontgomeryKernelsBitIdenticalToBarrett(t *testing.T) {
 				g := r.GaloisElement(1)
 				table := r.AutoIndexNTT(g)
 				acc = r.GetAcc(level)
-				r.MulCoeffsAndAddLazy(aM, bM, acc, level)
+				r.MulGatherAndAddLazy(aM, identity, bM, acc, level)
 				r.MulGatherAndAddLazy(bM, table, aM, acc, level)
 				r.ReduceAcc(acc, outM, level)
 				r.PutAcc(acc)

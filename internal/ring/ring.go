@@ -66,13 +66,15 @@
 //   - The element-wise rows (elem_amd64.s) on the same AVX-512F/DQ: the
 //     Montgomery products and MACs (mulRow, mulAddRow and the gather rows
 //     gatherMulRow, gatherMulAddRow that MulKeyPair runs for every
-//     key-switch), the Shoup scalar rows (mulShoupRow, mulShoupAddRow),
-//     the division's subtract-scale (SubMulLimbScalars) and the lazy
-//     128-bit MAC and its reduction (mulAddLazyRow, reduceAccRow). Each
-//     runs its 8-word-aligned prefix eight coefficients per register, word
-//     for word its Go row, which takes the tail; both share lanes_amd64.h's
-//     exact 64×64-bit product with ntt_amd64.s. The lane gather checks no
-//     index, so MulKeyPair checks its table and rows once per call.
+//     key-switch; mulRow and mulAddRow fold the linear transform's
+//     diagonals), the Shoup scalar rows (mulShoupRow, mulShoupAddRow), the
+//     division's subtract-scale (SubMulLimbScalars) and the Acc128
+//     reduction (reduceAccRow), which only the benchmark's ring.mac128_gbps
+//     kernel runs. Each runs its 8-word-aligned prefix eight coefficients
+//     per register, word for word its Go row, which takes the tail; both
+//     share lanes_amd64.h's exact 64×64-bit product with ntt_amd64.s. The
+//     lane gather checks no index, so MulKeyPair checks its table and rows
+//     once per call.
 //   - BConv (bconvDigits and bconvLanes, bconv_amd64.s) on AVX-512 IFMA:
 //     eight coefficients of one limb per 512-bit register, 52-bit
 //     multiply-accumulates and an in-lane Montgomery reduction, word for
@@ -98,11 +100,11 @@ import (
 
 // Modulus bundles one RNS prime with the twiddle tables of the negacyclic
 // NTT, the Montgomery constants of the operand×operand products and the
-// Barrett constant kept for the 128-bit accumulator reductions and
-// true-residue scalar folds.
+// Barrett constant kept for BConv's 128-bit dot products and true-residue
+// scalar folds.
 type Modulus struct {
 	Q    uint64
-	BRed mod.Barrett    // arbitrary 128-bit reduction (Acc128, BConv stage 2, scalar folds)
+	BRed mod.Barrett    // arbitrary 128-bit reduction (BConv stage 2, scalar folds)
 	MRed mod.Montgomery // fused REDC multiply for products of two data words
 
 	Psi    uint64 // primitive 2N-th root of unity (true residue)

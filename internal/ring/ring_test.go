@@ -327,69 +327,45 @@ func TestBasisExtenderCongruenceAndOverflow(t *testing.T) {
 	}
 }
 
-func TestAcc128MatchesEagerMAC(t *testing.T) {
-	// A chain of lazy 128-bit multiply-accumulates reduced once must equal
-	// the same chain of reduced MACs: the congruence class of the sum does
-	// not depend on when reductions happen, and both paths end on the
-	// canonical representative.
-	r := testRing(t, 6, 4)
-	lvl := r.MaxLevel()
-	rng := rand.New(rand.NewSource(38))
-	const terms = 9
-	as := make([]*Poly, terms)
-	bs := make([]*Poly, terms)
-	for i := range as {
-		as[i] = r.NewPolyLevel(lvl)
-		bs[i] = r.NewPolyLevel(lvl)
-		r.SampleUniform(rng, as[i], lvl)
-		r.SampleUniform(rng, bs[i], lvl)
-	}
-	want := r.NewPolyLevel(lvl)
-	for i := range as {
-		r.MulCoeffsAndAdd(as[i], bs[i], want, lvl)
-	}
-	acc := r.GetAcc(lvl)
-	for i := range as {
-		r.MulCoeffsAndAddLazy(as[i], bs[i], acc, lvl)
-	}
-	got := r.NewPolyLevel(lvl)
-	r.ReduceAcc(acc, got, lvl)
-	r.PutAcc(acc)
-	if !r.Equal(got, want, lvl) {
-		t.Fatal("lazy 128-bit MAC chain disagrees with eager modular MACs")
-	}
-}
-
+// TestMulGatherAndAddLazyMatchesPermuteThenMAC pins a chain of lazy 128-bit
+// gather-MACs reduced once to the same chain of reduced MACs on the
+// materialized automorphism (AutomorphismNTT + MulCoeffsAndAdd): the
+// congruence class of the sum does not depend on when reductions happen, and
+// both end on the canonical representative. g = 1, the identity table, is
+// the plain lazy MAC. It runs at two worker counts, since the gather reads
+// non-contiguous source indices across coefficient-block boundaries.
 func TestMulGatherAndAddLazyMatchesPermuteThenMAC(t *testing.T) {
-	// The fused gather-MAC must equal materializing the NTT-domain
-	// automorphism first and then lazily accumulating — at several worker
-	// counts, since the gather reads non-contiguous source indices across
-	// coefficient-block boundaries.
+	const terms = 9
 	for _, workers := range []int{0, 3} {
 		r := testRing(t, 6, 4)
-		r.SetEngine(NewEngine(workers))
+		e := NewEngine(workers)
+		defer e.Close()
+		r.SetEngine(e)
 		lvl := r.MaxLevel()
 		rng := rand.New(rand.NewSource(39))
-		a := r.NewPolyLevel(lvl)
-		b := r.NewPolyLevel(lvl)
-		r.SampleUniform(rng, a, lvl)
-		r.SampleUniform(rng, b, lvl)
-		for _, g := range []uint64{r.GaloisElement(3), r.GaloisElement(-1), r.GaloisConjugate()} {
-			perm := r.NewPolyLevel(lvl)
-			r.AutomorphismNTT(a, g, perm, lvl)
-			accWant := r.GetAcc(lvl)
-			r.MulCoeffsAndAddLazy(perm, b, accWant, lvl)
+		as := make([]*Poly, terms)
+		bs := make([]*Poly, terms)
+		for i := range as {
+			as[i] = r.NewPolyLevel(lvl)
+			bs[i] = r.NewPolyLevel(lvl)
+			r.SampleUniform(rng, as[i], lvl)
+			r.SampleUniform(rng, bs[i], lvl)
+		}
+		perm := r.NewPolyLevel(lvl)
+		for _, g := range []uint64{1, r.GaloisElement(3), r.GaloisElement(-1), r.GaloisConjugate()} {
+			table := r.AutoIndexNTT(g)
 			want := r.NewPolyLevel(lvl)
-			r.ReduceAcc(accWant, want, lvl)
-			r.PutAcc(accWant)
-
-			accGot := r.GetAcc(lvl)
-			r.MulGatherAndAddLazy(a, r.AutoIndexNTT(g), b, accGot, lvl)
+			acc := r.GetAcc(lvl)
+			for i := range as {
+				r.AutomorphismNTT(as[i], g, perm, lvl)
+				r.MulCoeffsAndAdd(perm, bs[i], want, lvl)
+				r.MulGatherAndAddLazy(as[i], table, bs[i], acc, lvl)
+			}
 			got := r.NewPolyLevel(lvl)
-			r.ReduceAcc(accGot, got, lvl)
-			r.PutAcc(accGot)
+			r.ReduceAcc(acc, got, lvl)
+			r.PutAcc(acc)
 			if !r.Equal(got, want, lvl) {
-				t.Fatalf("workers=%d g=%d: fused gather-MAC disagrees with permute-then-MAC", workers, g)
+				t.Fatalf("workers=%d g=%d: lazy gather-MAC chain disagrees with permute-then-MAC", workers, g)
 			}
 		}
 	}

@@ -184,9 +184,10 @@ func TestShardedKernelsMatchSerial(t *testing.T) {
 		}},
 		{"MulByMonomialNTT", func(r *Ring, x, _, out *Poly, lvl int) { r.MulByMonomialNTT(x, r.N/2, out, lvl) }},
 		{"LazyMACReduce", func(r *Ring, x, y, out *Poly, lvl int) {
+			table := r.AutoIndexNTT(r.GaloisElement(3))
 			acc := r.GetAcc(lvl)
-			r.MulCoeffsAndAddLazy(x, y, acc, lvl)
-			r.MulCoeffsAndAddLazy(y, x, acc, lvl)
+			r.MulGatherAndAddLazy(x, table, y, acc, lvl)
+			r.MulGatherAndAddLazy(y, table, x, acc, lvl)
 			r.ReduceAcc(acc, out, lvl)
 			r.PutAcc(acc)
 		}},

@@ -274,13 +274,13 @@ func TestKeyCacheEviction(t *testing.T) {
 }
 
 // TestQuarantineAfterRepeatedPanics arms a panicking op failpoint and
-// checks the session quarantines after the configured number of
-// consecutive faults, that submits then fail terminally, and that
-// reopening the session clears it.
+// checks the session quarantines after quarantineAfter consecutive faults,
+// that submits then fail terminally, and that reopening the session clears
+// it.
 func TestQuarantineAfterRepeatedPanics(t *testing.T) {
 	defer faultinject.Reset()
 	params := testParams(t)
-	srv, err := New(Config{Params: params, QuarantineAfter: 2})
+	srv, err := New(Config{Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestQuarantineAfterRepeatedPanics(t *testing.T) {
 	ops := []Op{{Kind: OpAdd, A: 0, B: 0}}
 
 	faultinject.Arm("serve.op.exec", faultinject.Spec{Mode: faultinject.ModePanic})
-	for i := 0; i < 2; i++ {
+	for i := 0; i < quarantineAfter; i++ {
 		_, err := submitSlots(context.Background(), srv, "t", ops, []*ckks.Ciphertext{ct})
 		if Code(err) != CodeInternal || !IsRetryable(err) {
 			t.Fatalf("panicking job %d: got %v, want retryable internal", i, err)
@@ -301,7 +301,7 @@ func TestQuarantineAfterRepeatedPanics(t *testing.T) {
 	}
 	_, err = submitSlots(context.Background(), srv, "t", ops, []*ckks.Ciphertext{ct})
 	if Code(err) != CodeQuarantined || IsRetryable(err) {
-		t.Fatalf("after %d faults: got %v, want terminal quarantined", 2, err)
+		t.Fatalf("after %d faults: got %v, want terminal quarantined", quarantineAfter, err)
 	}
 	if n := srv.tel.quarantines.Load(); n != 1 {
 		t.Fatalf("quarantines=%d, want 1", n)
@@ -309,8 +309,8 @@ func TestQuarantineAfterRepeatedPanics(t *testing.T) {
 	srv.tel.panicMu.Lock()
 	panicked := srv.tel.panics["(pre-op)"]
 	srv.tel.panicMu.Unlock()
-	if panicked != 2 {
-		t.Fatalf("panic counter %d, want 2", panicked)
+	if panicked != quarantineAfter {
+		t.Fatalf("panic counter %d, want %d", panicked, quarantineAfter)
 	}
 
 	// Reopening the session (fresh key upload) clears the quarantine.

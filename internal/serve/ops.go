@@ -146,7 +146,7 @@ func (s *Server) jobPanicked(j *job, kind OpKind, r any) error {
 	if j.tr.Active() && s.tel != nil && s.tel.tracer != nil {
 		s.tel.retainDump(j, time.Since(j.enqueued), "panic", err)
 	}
-	if j.sess.noteFault(s.cfg.QuarantineAfter) && s.tel != nil {
+	if j.sess.noteFault() && s.tel != nil {
 		s.tel.quarantines.Add(1)
 	}
 	return err

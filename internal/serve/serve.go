@@ -72,8 +72,8 @@
 //     the scheduler; a job canceled while queued never executes, and an
 //     expired deadline aborts between ops. A panicking op fails only its
 //     job (typed retryable error, bts_job_panics_total, trace dump on
-//     /v1/traces) and quarantines the session after
-//     Config.QuarantineAfter consecutive faults. Drain stops admission and
+//     /v1/traces) and quarantines the session after quarantineAfter (3)
+//     consecutive faults. Drain stops admission and
 //     waits for in-flight work, backing graceful SIGTERM shutdown.
 //   - Every failure carries a typed *Error whose Retryable flag the client
 //     honors with exponential backoff + jitter (see errors.go, client.go);
@@ -145,11 +145,6 @@ type Config struct {
 	// not carry its own (0 = none). Expiry fails the job with CodeDeadline:
 	// while queued it never executes, mid-job it aborts between ops.
 	DefaultJobTimeout time.Duration
-	// QuarantineAfter is how many consecutive panicking jobs quarantine a
-	// session (further submits fail with CodeQuarantined until the tenant
-	// reopens it). 0 selects the default of 3; negative disables.
-	QuarantineAfter int
-
 	// DisableMetrics turns off the Prometheus registry (GET /metrics and
 	// /debug/vars disappear from the handler) and detaches the engine, pool,
 	// and wire counters. The zero value keeps metrics on: the counters are
@@ -181,9 +176,6 @@ func (cfg *Config) applyDefaults() {
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 1024
-	}
-	if cfg.QuarantineAfter == 0 {
-		cfg.QuarantineAfter = 3
 	}
 }
 

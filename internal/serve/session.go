@@ -106,14 +106,19 @@ func (sess *session) evict() {
 	sess.bt = nil
 }
 
-// noteFault records a panicking job; after limit consecutive faults the
-// session is quarantined (limit <= 0 disables). Reports whether the
-// session is now quarantined.
-func (sess *session) noteFault(limit int) bool {
+// quarantineAfter is how many consecutive panicking jobs quarantine a
+// session: further submits fail with CodeQuarantined until the tenant
+// reopens it.
+const quarantineAfter = 3
+
+// noteFault records a panicking job; after quarantineAfter consecutive
+// faults the session is quarantined. Reports whether the session is now
+// quarantined.
+func (sess *session) noteFault() bool {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.faults++
-	if limit > 0 && sess.faults >= limit {
+	if sess.faults >= quarantineAfter {
 		sess.quarantined = true
 	}
 	return sess.quarantined
