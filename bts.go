@@ -35,8 +35,8 @@
 // physical cores scale near-linearly at any level, no longer saturating at
 // the limb count (level+1). Hot operations draw all
 // temporary polynomials from per-ring sync.Pool scratch allocators
-// (ring.GetPoly/PutPoly), so steady-state evaluation and bootstrapping do
-// not allocate. Long-lived processes that create many contexts with
+// (ring.GetPolyNoZero/PutPoly), so steady-state evaluation and bootstrapping
+// do not allocate. Long-lived processes that create many contexts with
 // explicit worker counts should Context.Close discarded ones to release
 // their private worker pools.
 //
@@ -140,9 +140,9 @@
 // that amortizes cost across many client ciphertexts in flight:
 //
 //   - internal/wire is the serialization layer: a versioned, length-prefixed
-//     binary codec (magic "BTSW", version 2) for polynomials, plaintexts,
-//     ciphertexts, public keys, switching keys (b halves plus seed) and
-//     rotation-key sets. Every
+//     binary codec (magic "BTSW", version 2) for the three objects the
+//     daemon exchanges: ciphertexts, switching keys (b halves plus seed)
+//     and rotation-key sets. Every
 //     decode is validated against the owning Context (ring degree, level
 //     bounds, residue canonicity), so malformed bytes error instead of
 //     corrupting memory, and round trips are bit-exact.

@@ -1,6 +1,8 @@
 package arch
 
-// This file models the PE-coefficient mapping of Sections 5.1 and 5.5: the
+// This file models the PE-coefficient mapping of Sections 5.1 and 5.5, the
+// oracle of TestAutomorphismPEPermutation (the simulator charges HRot's
+// automorphism as NoC bytes and never routes residues PE by PE): the
 // N residues of a residue polynomial are viewed as an (Nx, Ny, Nz) =
 // (PEHor, PEVer, N/PEs) cube, with the residue of coefficient index
 // i = x + Nx·y + Nx·Ny·z held by the PE at grid coordinate (x, y).
@@ -39,15 +41,11 @@ func (c Config) AutomorphismIsPermutation(g uint64, n int) bool {
 		for x := 0; x < c.PEHor; x++ {
 			// All z-slices of this PE must agree on the destination.
 			base := x + c.PEHor*y
-			nz := n / c.PEs()
-			dx0, dy0 := -1, -1
-			for z := 0; z < nz; z++ {
+			dx0, dy0 := c.AutomorphismDestination(x, y, g, n)
+			for z := 1; z < n/c.PEs(); z++ {
 				i := base + c.PEs()*z
 				di := int(uint64(i) * g % uint64(n))
-				dx, dy := c.PEOfCoeff(di, n)
-				if z == 0 {
-					dx0, dy0 = dx, dy
-				} else if dx != dx0 || dy != dy0 {
+				if dx, dy := c.PEOfCoeff(di, n); dx != dx0 || dy != dy0 {
 					return false
 				}
 			}

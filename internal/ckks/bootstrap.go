@@ -111,19 +111,17 @@ type Bootstrapper struct {
 	// ModRaise and SlotToCoeff (1 on uniform chains; see bootScaleBoost).
 	scaleBoost float64
 
-	// Phase-timing accumulators (see LastPhases/PhaseTotals). Guarded by a
-	// mutex rather than atomics: one update per bootstrap, and a bootstrap is
+	// The last bootstrap's phase times (see LastPhases). Guarded by a mutex
+	// rather than atomics: one update per bootstrap, and a bootstrap is
 	// seconds of work.
 	phaseMu    sync.Mutex
 	lastPhases BootstrapPhases
-	cumPhases  BootstrapPhases
-	bootCount  int64
 }
 
-// BootstrapPhases is the wall-time breakdown of one bootstrap (or, from
-// PhaseTotals, a running sum) across the pipeline's four phases. EvalMod
-// covers everything between the transforms: conjugate split, normalization,
-// both Chebyshev sine evaluations, and recombination.
+// BootstrapPhases is the wall-time breakdown of one bootstrap across the
+// pipeline's four phases. EvalMod covers everything between the transforms:
+// conjugate split, normalization, both Chebyshev sine evaluations, and
+// recombination.
 type BootstrapPhases struct {
 	ModRaise    time.Duration
 	CoeffToSlot time.Duration
@@ -136,15 +134,6 @@ func (p BootstrapPhases) Total() time.Duration {
 	return p.ModRaise + p.CoeffToSlot + p.EvalMod + p.SlotToCoeff
 }
 
-func (p BootstrapPhases) add(q BootstrapPhases) BootstrapPhases {
-	return BootstrapPhases{
-		ModRaise:    p.ModRaise + q.ModRaise,
-		CoeffToSlot: p.CoeffToSlot + q.CoeffToSlot,
-		EvalMod:     p.EvalMod + q.EvalMod,
-		SlotToCoeff: p.SlotToCoeff + q.SlotToCoeff,
-	}
-}
-
 // LastPhases returns the phase breakdown of the most recent successful
 // bootstrap (zero value before the first). Safe for concurrent use.
 func (bt *Bootstrapper) LastPhases() BootstrapPhases {
@@ -153,19 +142,9 @@ func (bt *Bootstrapper) LastPhases() BootstrapPhases {
 	return bt.lastPhases
 }
 
-// PhaseTotals returns the cumulative phase breakdown and the number of
-// successful bootstraps it sums. Safe for concurrent use.
-func (bt *Bootstrapper) PhaseTotals() (BootstrapPhases, int64) {
-	bt.phaseMu.Lock()
-	defer bt.phaseMu.Unlock()
-	return bt.cumPhases, bt.bootCount
-}
-
 func (bt *Bootstrapper) recordPhases(p BootstrapPhases) {
 	bt.phaseMu.Lock()
 	bt.lastPhases = p
-	bt.cumPhases = bt.cumPhases.add(p)
-	bt.bootCount++
 	bt.phaseMu.Unlock()
 }
 

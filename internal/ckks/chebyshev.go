@@ -31,17 +31,6 @@ func ChebyshevCoeffs(f func(float64) float64, a, b float64, degree int) []float6
 	return coeffs
 }
 
-// EvalChebyshevDirect evaluates the Chebyshev expansion at a plain float
-// (Clenshaw recurrence) — the reference against which the homomorphic
-// evaluation is tested.
-func EvalChebyshevDirect(coeffs []float64, t float64) float64 {
-	var b1, b2 float64
-	for k := len(coeffs) - 1; k >= 1; k-- {
-		b1, b2 = coeffs[k]+2*t*b1-b2, b1
-	}
-	return coeffs[0] + t*b1 - b2
-}
-
 // chebDivide divides the Chebyshev-basis polynomial p by T_g:
 // p = q·T_g + r, using T_i = 2·T_g·T_{i-g} - T_{|i-2g|}.
 func chebDivide(p []float64, g int) (q, r []float64) {

@@ -48,7 +48,7 @@ func (ctx *Context) NewCiphertext(level int, scale float64) *Ciphertext {
 
 // GetCiphertext borrows a zeroed ciphertext usable up to the given level from
 // the context's pool (the pooled-Ciphertext discipline mirroring the ring's
-// GetPoly/PutPoly scratch pools). The caller must return it with
+// GetPolyNoZero/PutPoly scratch pools). The caller must return it with
 // PutCiphertext when done; a pooled ciphertext is otherwise a drop-in
 // replacement for one built by NewCiphertext.
 func (ctx *Context) GetCiphertext(level int, scale float64) *Ciphertext {

@@ -14,7 +14,6 @@ type testSetup struct {
 	encoder *Encoder
 	kg      *KeyGenerator
 	sk      *SecretKey
-	pk      *PublicKey
 	rlk     *SwitchingKey
 	enc     *Encryptor
 	dec     *Decryptor
@@ -40,7 +39,6 @@ func newTestSetup(t testing.TB, dnum int, rotations []int) *testSetup {
 	}
 	kg := NewKeyGenerator(ctx, 1001)
 	sk := kg.GenSecretKey()
-	pk := kg.GenPublicKey(sk)
 	rlk := kg.GenRelinearizationKey(sk)
 	var rtks *RotationKeySet
 	if rotations != nil {
@@ -53,7 +51,6 @@ func newTestSetup(t testing.TB, dnum int, rotations []int) *testSetup {
 		encoder: encoder,
 		kg:      kg,
 		sk:      sk,
-		pk:      pk,
 		rlk:     rlk,
 		enc:     NewEncryptorSK(ctx, sk, 2002),
 		dec:     NewDecryptor(ctx, sk),
@@ -195,21 +192,32 @@ func TestEncryptDecryptSK(t *testing.T) {
 	if e := maxErr(got, values); e > 1e-6 {
 		t.Fatalf("sk encrypt/decrypt error %g", e)
 	}
+	if _, err := NewEncryptorSK(s.ctx, nil, 1).EncryptNew(pt); err == nil {
+		t.Fatal("encryptor with a nil secret key returned no error")
+	}
 }
 
-func TestEncryptDecryptPK(t *testing.T) {
+// TestSecretKeyIsSparseTernary checks GenSecretKey's distribution: every
+// coefficient in {-1, 0, 1}, exactly H of them nonzero.
+func TestSecretKeyIsSparseTernary(t *testing.T) {
 	s := newTestSetup(t, 1, nil)
-	rng := rand.New(rand.NewSource(33))
-	values := randomComplex(rng, s.params.Slots(), 1)
-	pt, _ := s.encoder.Encode(values, s.params.MaxLevel(), s.params.Scale)
-	encPK := NewEncryptorPK(s.ctx, s.pk, 3003)
-	ct, err := encPK.EncryptNew(pt)
-	if err != nil {
-		t.Fatal(err)
+	rq := s.ctx.RingQ
+	lvl := rq.MaxLevel()
+	coeffs := rq.NewPolyLevel(lvl)
+	rq.CopyLevel(coeffs, s.sk.Value.Q, lvl)
+	rq.INTT(coeffs, lvl)
+	nonzero := 0
+	for _, v := range rq.PolyToBigCentered(coeffs, lvl) {
+		switch v.Int64() {
+		case 0:
+		case 1, -1:
+			nonzero++
+		default:
+			t.Fatalf("secret coefficient %v is not ternary", v)
+		}
 	}
-	got := s.encoder.Decode(s.dec.DecryptNew(ct))
-	if e := maxErr(got, values); e > 1e-5 {
-		t.Fatalf("pk encrypt/decrypt error %g", e)
+	if nonzero != s.params.H {
+		t.Fatalf("secret Hamming weight = %d, want %d", nonzero, s.params.H)
 	}
 }
 

@@ -78,7 +78,8 @@ func (c OpCounters) Add(other OpCounters) OpCounters {
 }
 
 // Counters returns a snapshot of the op mix executed through this evaluator
-// since construction (or the last ResetCounters). Safe for concurrent use.
+// since construction; bracket a region with Counters().Sub(before). Safe for
+// concurrent use.
 func (ev *Evaluator) Counters() OpCounters {
 	return OpCounters{
 		Mult:       ev.counters.Mult.Load(),
@@ -90,18 +91,4 @@ func (ev *Evaluator) Counters() OpCounters {
 		PMult:      ev.counters.PMult.Load(),
 		ModRaise:   ev.counters.ModRaise.Load(),
 	}
-}
-
-// ResetCounters zeroes the evaluator's op-mix counters. Not atomic across
-// fields — don't race it against in-flight evaluation when exact brackets
-// matter.
-func (ev *Evaluator) ResetCounters() {
-	ev.counters.Mult.Store(0)
-	ev.counters.FullRot.Store(0)
-	ev.counters.HoistedRot.Store(0)
-	ev.counters.Decompose.Store(0)
-	ev.counters.ModDown.Store(0)
-	ev.counters.Rescale.Store(0)
-	ev.counters.PMult.Store(0)
-	ev.counters.ModRaise.Store(0)
 }

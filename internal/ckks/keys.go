@@ -22,12 +22,6 @@ type SecretKey struct {
 	Value PolyQP
 }
 
-// PublicKey is an encryption of zero under s: (b, a) = (-a·s + e, a) over the
-// full q-chain, NTT domain.
-type PublicKey struct {
-	Value [2]*ring.Poly
-}
-
 // SwitchingKey is a generalized (dnum-decomposed) key-switching key from some
 // secret s' to s: dnum pairs (b_j, a_j) over R_PQ where
 // b_j = -a_j·s + e_j + P·s'·1_{group j} (Eq. 7 and Section 2.5).
@@ -112,24 +106,6 @@ func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 	rq.NTT(sk.Value.Q, rq.MaxLevel())
 	rp.NTT(sk.Value.P, rp.MaxLevel())
 	return sk
-}
-
-// GenPublicKey returns an encryption of zero (b, a) = (-a·s+e, a) over the
-// full q-chain.
-func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
-	ctx := kg.ctx
-	rq := ctx.RingQ
-	lvl := rq.MaxLevel()
-	a := rq.NewPolyLevel(lvl)
-	rq.SampleUniform(kg.rng, a, lvl)
-	e := rq.NewPolyLevel(lvl)
-	rq.SampleGaussian(kg.rng, e, ctx.Params.Sigma, lvl)
-	rq.NTT(e, lvl)
-	b := rq.NewPolyLevel(lvl)
-	rq.MulCoeffs(a, sk.Value.Q, b, lvl)
-	rq.Neg(b, b, lvl)
-	rq.Add(b, e, b, lvl)
-	return &PublicKey{Value: [2]*ring.Poly{b, a}}
 }
 
 // GenRelinearizationKey returns the evk for HMult (s' = s²).
@@ -250,66 +226,41 @@ func addMod(a, b, q uint64) uint64 {
 	return s
 }
 
-// Encryptor encrypts plaintexts under a public or secret key.
+// Encryptor encrypts plaintexts under the client's secret key: in the
+// paper's model the client encrypts and decrypts, and the server holds only
+// ciphertexts and evaluation keys.
 type Encryptor struct {
 	ctx *Context
 	rng *rand.Rand
-	pk  *PublicKey
 	sk  *SecretKey
 }
 
-// NewEncryptorPK returns a public-key encryptor.
-func NewEncryptorPK(ctx *Context, pk *PublicKey, seed int64) *Encryptor {
-	return &Encryptor{ctx: ctx, rng: rand.New(rand.NewSource(seed)), pk: pk}
-}
-
-// NewEncryptorSK returns a secret-key encryptor (smaller noise, used by most
-// tests and by bootstrapping experiments).
+// NewEncryptorSK returns a secret-key encryptor.
 func NewEncryptorSK(ctx *Context, sk *SecretKey, seed int64) *Encryptor {
 	return &Encryptor{ctx: ctx, rng: rand.New(rand.NewSource(seed)), sk: sk}
 }
 
-// EncryptNew encrypts pt at pt.Level.
+// EncryptNew encrypts pt at pt.Level: (c0, c1) = (-a·s + e + m, a).
 func (enc *Encryptor) EncryptNew(pt *Plaintext) (*Ciphertext, error) {
+	if enc.sk == nil {
+		return nil, fmt.Errorf("ckks: encryptor has no secret key")
+	}
 	ctx := enc.ctx
 	rq := ctx.RingQ
 	lvl := pt.Level
 	ct := ctx.NewCiphertext(lvl, pt.Scale)
-	switch {
-	case enc.sk != nil:
-		a := rq.GetPolyNoZero()
-		rq.SampleUniform(enc.rng, a, lvl)
-		e := rq.GetPolyNoZero()
-		rq.SampleGaussian(enc.rng, e, ctx.Params.Sigma, lvl)
-		rq.NTT(e, lvl)
-		rq.MulCoeffs(a, enc.sk.Value.Q, ct.C0, lvl)
-		rq.Neg(ct.C0, ct.C0, lvl)
-		rq.Add(ct.C0, e, ct.C0, lvl)
-		rq.Add(ct.C0, pt.Value, ct.C0, lvl)
-		rq.CopyLevel(ct.C1, a, lvl)
-		rq.PutPoly(e)
-		rq.PutPoly(a)
-	case enc.pk != nil:
-		u := rq.GetPolyNoZero()
-		rq.SampleTernarySparse(enc.rng, u, ctx.Params.H, lvl)
-		rq.NTT(u, lvl)
-		e0 := rq.GetPolyNoZero()
-		e1 := rq.GetPolyNoZero()
-		rq.SampleGaussian(enc.rng, e0, ctx.Params.Sigma, lvl)
-		rq.SampleGaussian(enc.rng, e1, ctx.Params.Sigma, lvl)
-		rq.NTT(e0, lvl)
-		rq.NTT(e1, lvl)
-		rq.MulCoeffs(enc.pk.Value[0], u, ct.C0, lvl)
-		rq.Add(ct.C0, e0, ct.C0, lvl)
-		rq.Add(ct.C0, pt.Value, ct.C0, lvl)
-		rq.MulCoeffs(enc.pk.Value[1], u, ct.C1, lvl)
-		rq.Add(ct.C1, e1, ct.C1, lvl)
-		rq.PutPoly(e1)
-		rq.PutPoly(e0)
-		rq.PutPoly(u)
-	default:
-		return nil, fmt.Errorf("ckks: encryptor has neither secret nor public key")
-	}
+	a := rq.GetPolyNoZero()
+	rq.SampleUniform(enc.rng, a, lvl)
+	e := rq.GetPolyNoZero()
+	rq.SampleGaussian(enc.rng, e, ctx.Params.Sigma, lvl)
+	rq.NTT(e, lvl)
+	rq.MulCoeffs(a, enc.sk.Value.Q, ct.C0, lvl)
+	rq.Neg(ct.C0, ct.C0, lvl)
+	rq.Add(ct.C0, e, ct.C0, lvl)
+	rq.Add(ct.C0, pt.Value, ct.C0, lvl)
+	rq.CopyLevel(ct.C1, a, lvl)
+	rq.PutPoly(e)
+	rq.PutPoly(a)
 	return ct, nil
 }
 

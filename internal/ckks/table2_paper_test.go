@@ -61,7 +61,7 @@ func TestTable2PaperInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eval.ResetCounters()
+	before := eval.Counters()
 	start = time.Now()
 	out, err := bt.Bootstrap(ct)
 	if err != nil {
@@ -69,7 +69,7 @@ func TestTable2PaperInstance(t *testing.T) {
 	}
 	wall := time.Since(start)
 	ph := bt.LastPhases()
-	ops := eval.Counters()
+	ops := eval.Counters().Sub(before)
 	e := maxErr(encoder.Decode(NewDecryptor(ctx, sk).DecryptNew(out)), values)
 	t.Logf("bootstrap %s on %d workers: ModRaise %s, CoeffToSlot %s, EvalMod %s, SlotToCoeff %s",
 		wall.Round(time.Millisecond), ctx.Workers(), ph.ModRaise.Round(time.Millisecond),

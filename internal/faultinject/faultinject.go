@@ -29,7 +29,6 @@ package faultinject
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -196,20 +195,6 @@ func Hits(name string) int64 {
 		return 0
 	}
 	return p.hits.Load()
-}
-
-// Armed lists the armed failpoint names, sorted (for logs and tests).
-func Armed() []string {
-	reg := active.Load()
-	if reg == nil {
-		return nil
-	}
-	names := make([]string, 0, len(reg.points))
-	for name := range reg.points {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func clone(reg *registry) *registry {

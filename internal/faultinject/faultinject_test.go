@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -104,14 +105,18 @@ func TestArmFromSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Armed()
+	var got []string
+	for name := range active.Load().points {
+		got = append(got, name)
+	}
+	sort.Strings(got)
 	want := []string{"serve.op.exec", "serve.store.load", "x"}
 	if len(got) != len(want) {
-		t.Fatalf("Armed() = %v, want %v", got, want)
+		t.Fatalf("armed points = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Armed() = %v, want %v", got, want)
+			t.Fatalf("armed points = %v, want %v", got, want)
 		}
 	}
 	if Eval("serve.store.load") == nil {

@@ -85,13 +85,6 @@ func (mr Montgomery) Mul(a, b uint64) uint64 {
 	return mr.REDC(hi, lo)
 }
 
-// MulLazy returns REDC(a·b) with the result < 2q, under the same validity
-// bound as Mul.
-func (mr Montgomery) MulLazy(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	return mr.REDCLazy(hi, lo)
-}
-
 // MForm returns x·R mod q (canonical) for any 64-bit x, converting a true
 // residue into Montgomery form.
 func (mr Montgomery) MForm(x uint64) uint64 {

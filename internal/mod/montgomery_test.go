@@ -134,41 +134,6 @@ func check128(t *testing.T, mr Montgomery, qb, rInv *big.Int, hi, lo uint64) {
 	}
 }
 
-// TestMulLazyBounds drives MulLazy across its full documented validity range
-// — a < 4q, b < q, as the lazy NTT butterflies do — checking the < 2q output
-// bound and congruence with the canonical product.
-func TestMulLazyBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for _, q := range montgomeryTestPrimes(t) {
-		mr := NewMontgomery(q)
-		fourQ := 4 * q // q < 2^62, so no overflow
-		for i := 0; i < 200; i++ {
-			a := rng.Uint64() % fourQ
-			b := rng.Uint64() % q
-			// Bias some iterations to the extremes of the bound.
-			if i%10 == 0 {
-				a = fourQ - 1
-			}
-			if i%10 == 1 {
-				b = q - 1
-				a = fourQ - 1
-			}
-			lazy := mr.MulLazy(a, b)
-			if lazy >= 2*q {
-				t.Fatalf("q=%d: MulLazy(%d,%d) = %d exceeds 2q", q, a, b, lazy)
-			}
-			want := mr.Mul(a%q, b)
-			wantLift := mr.Mul(a, b)
-			if wantLift != want {
-				t.Fatalf("q=%d: Mul(%d,%d) = %d differs from reduced-operand product %d", q, a, b, wantLift, want)
-			}
-			if lazy%q != want {
-				t.Fatalf("q=%d: MulLazy(%d,%d) = %d not congruent to Mul = %d", q, a, b, lazy, want)
-			}
-		}
-	}
-}
-
 // TestMulMatchesBarrett pins the M-form product to the Barrett ground truth:
 // IForm(Mul(MForm(a), MForm(b))) must equal Barrett.Mul(a, b) exactly.
 func TestMulMatchesBarrett(t *testing.T) {
@@ -182,6 +147,11 @@ func TestMulMatchesBarrett(t *testing.T) {
 			got := mr.IForm(mr.Mul(mr.MForm(a), mr.MForm(b)))
 			if want := br.Mul(a, b); got != want {
 				t.Fatalf("q=%d: M-form product of (%d,%d) = %d, Barrett = %d", q, a, b, got, want)
+			}
+			// Mul's documented range admits an unreduced a < 4q (the lazy
+			// butterflies' window).
+			if lift := a + 3*q; mr.Mul(lift, b) != mr.Mul(a, b) {
+				t.Fatalf("q=%d: Mul(%d,%d) differs from the reduced-operand product", q, lift, b)
 			}
 		}
 	}
@@ -206,17 +176,6 @@ func BenchmarkMontgomeryMul(b *testing.B) {
 	x, y := uint64(123456789123456), uint64(987654321987654)
 	for i := 0; i < b.N; i++ {
 		x = mr.Mul(x, y)
-	}
-	_ = x
-}
-
-func BenchmarkMontgomeryMulLazy(b *testing.B) {
-	q := uint64(1152921504606830593)
-	mr := NewMontgomery(q)
-	x, y := uint64(123456789123456), uint64(987654321987654)
-	for i := 0; i < b.N; i++ {
-		// Feedback stays valid: the result is < 2q and MulLazy accepts a < 4q.
-		x = mr.MulLazy(x, y)
 	}
 	_ = x
 }

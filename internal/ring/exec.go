@@ -227,9 +227,6 @@ func (e *Engine) SetBlockSize(n int) {
 	e.blockSize = n
 }
 
-// BlockSize reports the engine's effective minimum block width.
-func (e *Engine) BlockSize() int { return e.blockSizeFloor() }
-
 // blockCount returns how many coefficient blocks RunBlocks splits each of
 // the given rows of n coefficients into: 1 when the rows alone can occupy
 // every worker (or the engine is serial), otherwise the smallest count with
@@ -326,38 +323,18 @@ func (r *Ring) ForEachLimbBlock(level int, fn func(i, lo, hi int)) {
 // dozens of temporary polynomials, and per-call make() both thrashes the
 // allocator and defeats cache residency (the scratchpad discipline of
 // Section 4.2). Each ring owns a sync.Pool of full-chain polynomials and a
-// pool of single residue rows; operations borrow with GetPoly/getRow and
-// return with PutPoly/putRow.
+// pool of single residue rows; operations borrow with GetPolyNoZero/GetRow
+// and return with PutPoly/PutRow.
 
 // SetPoolStats attaches a scratch-pool counter sink to the ring (nil
-// detaches): every GetPoly/GetRow counts a borrow, and a borrow that found
-// the pool empty (allocating fresh memory) counts a miss. Attach before
+// detaches): every GetPolyNoZero/GetRow counts a borrow, and a borrow that
+// found the pool empty (allocating fresh memory) counts a miss. Attach before
 // serving traffic; must not race Get/Put calls.
 func (r *Ring) SetPoolStats(st *telemetry.PoolStats) { r.poolStats = st }
 
-// GetPoly borrows a polynomial usable up to the given level from the ring's
-// scratch pool. Rows 0..level are zeroed, so the result can serve directly as
-// an accumulator. The polynomial always carries len(r.Moduli) rows; callers
-// must only touch rows 0..level and must return it with PutPoly when done.
-func (r *Ring) GetPoly(level int) *Poly {
-	p, _ := r.polyPool.Get().(*Poly)
-	if st := r.poolStats; st != nil {
-		st.PolyGets.Add(1)
-		if p == nil {
-			st.PolyMisses.Add(1)
-		}
-	}
-	if p == nil {
-		return r.NewPoly(len(r.Moduli)) // fresh memory is already zero
-	}
-	r.Zero(p, level)
-	return p
-}
-
-// GetPolyNoZero is GetPoly without the zeroing pass: row contents are
-// undefined. Use it when every active row is fully overwritten before being
-// read (the common case — transforms, permutations, element-wise outputs);
-// reserve GetPoly for accumulators. Return with PutPoly.
+// GetPolyNoZero borrows a full-chain polynomial from the ring's scratch pool.
+// Row contents are undefined: every active row must be fully overwritten
+// before it is read. Return with PutPoly.
 func (r *Ring) GetPolyNoZero() *Poly {
 	p, _ := r.polyPool.Get().(*Poly)
 	if st := r.poolStats; st != nil {
@@ -372,10 +349,10 @@ func (r *Ring) GetPolyNoZero() *Poly {
 	return p
 }
 
-// PutPoly returns a polynomial borrowed with GetPoly to the pool. The caller
-// must not retain any reference to it. Putting a polynomial not sized to the
-// full modulus chain (e.g. one from NewPolyLevel) is a programming error and
-// panics, since a later GetPoly would hand out too few rows.
+// PutPoly returns a polynomial borrowed with GetPolyNoZero to the pool. The
+// caller must not retain any reference to it. Putting a polynomial not sized
+// to the full modulus chain (e.g. one from NewPolyLevel) is a programming
+// error and panics, since a later GetPolyNoZero would hand out too few rows.
 func (r *Ring) PutPoly(p *Poly) {
 	if p == nil {
 		return

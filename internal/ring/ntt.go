@@ -85,12 +85,6 @@ func (r *Ring) NTTExcept(p *Poly, level, skipLo, skipHi int) {
 	r.nttRows(rows, ms)
 }
 
-// NTTRow transforms a single residue polynomial at prime index i, as one
-// engine task.
-func (r *Ring) NTTRow(row []uint64, i int) {
-	r.nttRows([][]uint64{row}, r.Moduli[i:i+1])
-}
-
 // INTTRow inverse-transforms a single residue polynomial at prime index i,
 // as one engine task.
 func (r *Ring) INTTRow(row []uint64, i int) {

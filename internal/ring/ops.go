@@ -154,22 +154,11 @@ func gatherMulAddRowGo(a []uint64, table []int, b, out []uint64, mr mod.Montgome
 	}
 }
 
-// MulScalar sets out = a * s element-wise on rows [0..level] for a uint64
-// scalar s (reduced per prime). Multiplying by a plain constant is
-// form-preserving (a = xR gives a·s = x·s·R), so the kernel uses the cheaper
-// Shoup discipline rather than lifting the scalar into Montgomery form —
-// both yield the canonical residue of a·s, bit-identically.
-func (r *Ring) MulScalar(a *Poly, s uint64, out *Poly, level int) {
-	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		m := r.Moduli[i]
-		w := m.BRed.Reduce(s)
-		mulShoupRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w, mod.ShoupPrecomp(w, m.Q), m.Q)
-	})
-}
-
 // MulScalarInt64 multiplies rows [0..level] by a signed scalar given as
-// int64 (used to fold plaintext constants into polynomials). Like MulScalar
-// it is form-preserving and runs on the Shoup discipline.
+// int64 (used to fold plaintext constants into polynomials). Multiplying by
+// a plain constant is form-preserving (a = xR gives a·s = x·s·R), so the
+// kernel uses the cheaper Shoup discipline rather than lifting the scalar
+// into Montgomery form.
 func (r *Ring) MulScalarInt64(a *Poly, s int64, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		m := r.Moduli[i]
@@ -312,28 +301,6 @@ func (r *Ring) GaloisElement(rot int) uint64 {
 // conjugation of the slots.
 func (r *Ring) GaloisConjugate() uint64 { return uint64(2*r.N - 1) }
 
-// AutomorphismCoeff applies X -> X^g to rows [0..level] of p in the
-// coefficient domain: coefficient i moves to i·g mod 2N, with a sign flip
-// when the destination exponent exceeds N (since X^N = -1).
-func (r *Ring) AutomorphismCoeff(p *Poly, g uint64, out *Poly, level int) {
-	n := uint64(r.N)
-	mask := 2*n - 1
-	// Sharded over the *source* index: j ↦ j·g mod 2N is a bijection on
-	// [0,N) up to sign, so tasks write disjoint destinations.
-	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		q := r.Moduli[i].Q
-		src, dst := p.Coeffs[i], out.Coeffs[i]
-		for j := uint64(lo); j < uint64(hi); j++ {
-			e := (j * g) & mask
-			if e < n {
-				dst[e] = src[j]
-			} else {
-				dst[e-n] = mod.Neg(src[j], q)
-			}
-		}
-	})
-}
-
 // AutoIndexNTT returns (and caches) the permutation table for applying the
 // automorphism X -> X^g directly in the NTT domain. Row index i of the output
 // takes its value from row index table[i] of the input: in evaluation order,
@@ -406,26 +373,6 @@ func uniformUint64(rng *rand.Rand, q uint64) uint64 {
 			return v % q
 		}
 	}
-}
-
-// SampleTernarySparse fills coeffs with a ternary secret of exact Hamming
-// weight h (±1 entries, the rest zero), the sparse-secret distribution used
-// for bootstrappable CKKS instances, and writes it into rows [0..level].
-func (r *Ring) SampleTernarySparse(rng *rand.Rand, p *Poly, h, level int) {
-	coeffs := make([]int64, r.N)
-	for placed := 0; placed < h; {
-		idx := rng.Intn(r.N)
-		if coeffs[idx] != 0 {
-			continue
-		}
-		if rng.Intn(2) == 0 {
-			coeffs[idx] = 1
-		} else {
-			coeffs[idx] = -1
-		}
-		placed++
-	}
-	r.SetInt64Coeffs(p, coeffs, level)
 }
 
 // SampleGaussian fills rows [0..level] with a discrete Gaussian of standard

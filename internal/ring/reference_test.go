@@ -1,6 +1,10 @@
 package ring
 
-import "bts/internal/mod"
+import (
+	"math/bits"
+
+	"bts/internal/mod"
+)
 
 // Reference kernels: the slower transforms and element-wise loops the
 // production kernels are pinned bit-identical to. None of them is reachable
@@ -17,6 +21,10 @@ import "bts/internal/mod"
 // by a Montgomery-form twiddle per butterfly, values held < 2q, one
 // normalization (or N^-1 scaling) pass at the end — a different reduction
 // and a different window from the production Shoup kernels.
+//
+// AutomorphismCoeff is the coefficient-domain automorphism X -> X^g, the
+// definition that the NTT-domain permutation (AutomorphismNTT, the
+// key-switch's gather tables) is pinned to.
 
 // refTwiddles returns m's bit-reversed twiddle tables as plain residues,
 // without the Shoup companions, as the Barrett transforms need them.
@@ -125,17 +133,24 @@ func (r *Ring) MulCoeffsAndAddBarrett(a, b, out *Poly, level int) {
 	})
 }
 
-// MulScalarBarrett is the Barrett+Shoup reference for MulScalar on plain
-// operands (the constant-multiply discipline the ring used before the
-// Montgomery refactor).
-func (r *Ring) MulScalarBarrett(a *Poly, s uint64, out *Poly, level int) {
+// AutomorphismCoeff applies X -> X^g to rows [0..level] of p in the
+// coefficient domain: coefficient i moves to i·g mod 2N, with a sign flip
+// when the destination exponent exceeds N (since X^N = -1).
+func (r *Ring) AutomorphismCoeff(p *Poly, g uint64, out *Poly, level int) {
+	n := uint64(r.N)
+	mask := 2*n - 1
+	// Sharded over the *source* index: j ↦ j·g mod 2N is a bijection on
+	// [0,N) up to sign, so tasks write disjoint destinations.
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		m := r.Moduli[i]
-		w := m.BRed.Reduce(s)
-		ws := mod.ShoupPrecomp(w, m.Q)
-		ra, ro := a.Coeffs[i], out.Coeffs[i]
-		for j := lo; j < hi; j++ {
-			ro[j] = mod.MulShoup(ra[j], w, ws, m.Q)
+		q := r.Moduli[i].Q
+		src, dst := p.Coeffs[i], out.Coeffs[i]
+		for j := uint64(lo); j < uint64(hi); j++ {
+			e := (j * g) & mask
+			if e < n {
+				dst[e] = src[j]
+			} else {
+				dst[e-n] = mod.Neg(src[j], q)
+			}
 		}
 	})
 }
@@ -176,7 +191,7 @@ func (r *Ring) nttRowRadix2(a []uint64, m *Modulus, psiRev []uint64) {
 			y = y[:len(x)]
 			for j := range x {
 				u := x[j]
-				v := mr.MulLazy(y[j], w)
+				v := mr.REDCLazy(bits.Mul64(y[j], w))
 				s := u + v
 				if s >= twoQ {
 					s -= twoQ
@@ -220,7 +235,7 @@ func (r *Ring) inttRowRadix2(a []uint64, m *Modulus, psiInvRev []uint64, nInvM u
 					s -= twoQ
 				}
 				x[j] = s
-				y[j] = mr.MulLazy(u+twoQ-v, w)
+				y[j] = mr.REDCLazy(bits.Mul64(u+twoQ-v, w))
 			}
 			j1 += 2 * t
 		}

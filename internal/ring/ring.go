@@ -139,7 +139,7 @@ type Ring struct {
 	// exec fans limb-indexed kernels out across worker goroutines; it
 	// defaults to the shared DefaultEngine (see exec.go) and can be swapped
 	// with SetEngine/SetWorkers. polyPool and rowPool back the
-	// GetPoly/PutPoly zero-allocation scratch discipline; accPool holds the
+	// GetPolyNoZero/PutPoly zero-allocation scratch discipline; accPool holds the
 	// 128-bit lazy MAC accumulators (see acc.go).
 	exec     *Engine
 	ownsExec bool // exec was created by SetWorkers and is closed on replace

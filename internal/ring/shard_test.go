@@ -87,7 +87,7 @@ func TestBlockCount(t *testing.T) {
 		t.Fatalf("blockSize=n must disable sharding, got %d blocks", b)
 	}
 	e.SetBlockSize(0)
-	if got := e.BlockSize(); got != DefaultBlockSize {
+	if got := e.blockSizeFloor(); got != DefaultBlockSize {
 		t.Fatalf("SetBlockSize(0) left floor at %d, want default %d", got, DefaultBlockSize)
 	}
 }
@@ -174,7 +174,6 @@ func TestShardedKernelsMatchSerial(t *testing.T) {
 		{"Neg", func(r *Ring, x, _, out *Poly, lvl int) { r.Neg(x, out, lvl) }},
 		{"MulCoeffs", func(r *Ring, x, y, out *Poly, lvl int) { r.MulCoeffs(x, y, out, lvl) }},
 		{"MulCoeffsAndAdd", func(r *Ring, x, y, out *Poly, lvl int) { r.MulCoeffsAndAdd(x, y, out, lvl) }},
-		{"MulScalar", func(r *Ring, x, _, out *Poly, lvl int) { r.MulScalar(x, 0xdeadbeef, out, lvl) }},
 		{"MulScalarInt64", func(r *Ring, x, _, out *Poly, lvl int) { r.MulScalarInt64(x, -123456789, out, lvl) }},
 		{"AutomorphismNTT", func(r *Ring, x, _, out *Poly, lvl int) {
 			r.AutomorphismNTT(x, r.GaloisElement(3), out, lvl)

@@ -93,7 +93,7 @@ func TestPoolStatsCountsHitsAndMisses(t *testing.T) {
 	r.SetPoolStats(&st)
 
 	// First borrow misses (empty pool); after returning, the next hits.
-	p := r.GetPoly(2)
+	p := r.GetPolyNoZero()
 	r.PutPoly(p)
 	p = r.GetPolyNoZero()
 	r.PutPoly(p)

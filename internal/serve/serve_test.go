@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"bts/internal/ckks"
+	"bts/internal/wire"
 )
 
 func testParams(t testing.TB) ckks.Parameters {
@@ -503,6 +504,21 @@ func TestHTTPRejectsMalformed(t *testing.T) {
 	if code := post([]byte{5, 0, 0, 0, 'h', 'e', 'l', 'l', 'o'}); code != 400 {
 		t.Fatalf("non-JSON header: %d, want 400", code)
 	}
+
+	// A session upload carrying a well-formed envelope with the retired
+	// public-key tag 4 is refused, and no session opens.
+	retired := []byte{'B', 'T', 'S', 'W', wire.Version, 4, 0, 0, 0, 0}
+	resp, err := ts.Client().Post(ts.URL+"/v1/sessions?name=retired", "application/x-bts-wire", bytes.NewReader(retired))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 400 {
+		t.Fatalf("tag-4 session upload: %d, want 400", resp.StatusCode)
+	}
+	if _, err := srv.session("retired"); err == nil {
+		t.Fatal("tag-4 session upload opened a session")
+	}
 }
 
 // TestBootstrapJob runs the full serving path for the "bootstrap" op: a
@@ -633,5 +649,37 @@ func TestRotationOnlySession(t *testing.T) {
 	// Multiplication must still fail cleanly on this session.
 	if _, err := api.Do("rot-only", []Op{{Kind: OpMul, A: 0, B: 0}}, ct); err == nil {
 		t.Fatal("mul without relinearization key should fail")
+	}
+}
+
+// TestPercentileNearestRank pins Percentile to the nearest-rank definition,
+// the ⌈p·n/100⌉-th smallest sample: samples 1..n make the value the rank.
+func TestPercentileNearestRank(t *testing.T) {
+	samples := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(i + 1)
+		}
+		return xs
+	}
+	for _, c := range []struct {
+		n    int
+		p    float64
+		want float64
+	}{
+		{4, 60, 3}, // p·n/100 = 2.4: a rounding rank reads the 2nd
+		{16, 90, 15},
+		{1070, 99, 1060},
+		{10, 90, 9}, // whole rank: no ceiling step
+		{4, 50, 2},
+		{0, 50, 0},
+		{1, 50, 1},
+		{1, 99, 1},
+		{10, 0, 1},
+		{10, 100, 10},
+	} {
+		if got := Percentile(samples(c.n), c.p); got != c.want {
+			t.Errorf("p%g of %d samples = %g, want %g", c.p, c.n, got, c.want)
+		}
 	}
 }

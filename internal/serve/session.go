@@ -317,14 +317,15 @@ func (sess *session) snapshot() SessionStats {
 	return out
 }
 
-// Percentile reads the p-th percentile (nearest-rank) from sorted samples —
-// the single definition shared by server stats and the load generator, so
-// their reported percentiles stay comparable.
+// Percentile reads the p-th percentile (nearest-rank: the ⌈p·n/100⌉-th
+// smallest of n) from sorted samples — the single definition shared by
+// server stats and the load generator, so their reported percentiles stay
+// comparable. Multiplying before dividing keeps whole ranks exact.
 func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
+	rank := int(math.Ceil(p*float64(len(sorted))/100)) - 1
 	if rank < 0 {
 		rank = 0
 	}

@@ -363,13 +363,3 @@ func (s *Server) SlowJobDumps() []SlowJobDump {
 	s.tel.dumpMu.Unlock()
 	return out
 }
-
-// MetricsRegistry returns the server's metrics registry (nil when metrics
-// are disabled); cmd/btsserve mounts its Handler and embedders can add their
-// own collectors.
-func (s *Server) MetricsRegistry() *telemetry.Registry {
-	if s.tel == nil {
-		return nil
-	}
-	return s.tel.reg
-}

@@ -155,8 +155,8 @@ func TestMetricsDisabled(t *testing.T) {
 	if _, code := httpGet(t, ts.URL+"/debug/vars"); code != 404 {
 		t.Fatalf("/debug/vars status %d with metrics disabled, want 404", code)
 	}
-	if srv.MetricsRegistry() != nil {
-		t.Fatal("MetricsRegistry non-nil with metrics disabled")
+	if srv.tel != nil && srv.tel.reg != nil {
+		t.Fatal("metrics registry non-nil with metrics disabled")
 	}
 
 	cl := newClientSide(t, params, 510, []int{1})

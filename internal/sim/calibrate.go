@@ -31,8 +31,8 @@ type MeasuredOpMix struct {
 	// NTT half of the pipeline, paid once per transform stage input).
 	Decompose int64
 	// Rescale, PMult and ModRaise are the non-key-switching ops the traces
-	// also emit (PMult includes the lazy diagonal folds of the hoisted
-	// linear transform).
+	// also emit (PMult includes the reduced MulCoeffs/MulCoeffsAndAdd
+	// diagonal folds of the hoisted linear transform).
 	Rescale  int64
 	PMult    int64
 	ModRaise int64

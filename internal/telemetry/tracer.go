@@ -64,11 +64,8 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{slots: make([]slot, n), mask: uint64(n - 1), epoch: time.Now()}
 }
 
-// Capacity reports the ring's span capacity.
-func (t *Tracer) Capacity() int { return len(t.slots) }
-
 // Spans reports how many spans have ever been recorded (monotonic; the ring
-// retains the most recent Capacity of them).
+// retains the most recent capacity of them).
 func (t *Tracer) Spans() uint64 {
 	if t == nil {
 		return 0

@@ -12,103 +12,6 @@ import (
 	"bts/internal/ring"
 )
 
-// --- Poly -------------------------------------------------------------------
-
-// WritePoly frames rows [0..level] of a q-ring polynomial.
-func (c *Codec) WritePoly(w io.Writer, p *ring.Poly, level int) error {
-	var buf bytes.Buffer
-	if err := appendPolyBody(&buf, c.ctx.RingQ, p, level); err != nil {
-		return err
-	}
-	return c.writeEnvelope(w, TypePoly, buf.Bytes())
-}
-
-// ReadPoly decodes one q-ring polynomial envelope, returning the polynomial
-// and its level.
-func (c *Codec) ReadPoly(r io.Reader) (*ring.Poly, int, error) {
-	payload, err := c.readEnvelope(r, TypePoly)
-	if err != nil {
-		return nil, 0, err
-	}
-	cu := &cursor{b: payload}
-	p, level, err := readPolyBody(cu, c.ctx.RingQ, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := cu.done(); err != nil {
-		return nil, 0, err
-	}
-	return p, level, nil
-}
-
-// MarshalPoly returns the wire encoding of rows [0..level] of p.
-func (c *Codec) MarshalPoly(p *ring.Poly, level int) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.WritePoly(&buf, p, level); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalPoly decodes a polynomial envelope from b.
-func (c *Codec) UnmarshalPoly(b []byte) (*ring.Poly, int, error) {
-	return c.ReadPoly(bytes.NewReader(b))
-}
-
-// --- Plaintext --------------------------------------------------------------
-
-// WritePlaintext frames pt.
-func (c *Codec) WritePlaintext(w io.Writer, pt *ckks.Plaintext) error {
-	var buf bytes.Buffer
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(pt.Level))
-	buf.Write(tmp[:4])
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(pt.Scale))
-	buf.Write(tmp[:])
-	if err := appendPolyBody(&buf, c.ctx.RingQ, pt.Value, pt.Level); err != nil {
-		return err
-	}
-	return c.writeEnvelope(w, TypePlaintext, buf.Bytes())
-}
-
-// ReadPlaintext decodes one plaintext envelope.
-func (c *Codec) ReadPlaintext(r io.Reader) (*ckks.Plaintext, error) {
-	payload, err := c.readEnvelope(r, TypePlaintext)
-	if err != nil {
-		return nil, err
-	}
-	cu := &cursor{b: payload}
-	level, scale, err := c.readLevelScale(cu)
-	if err != nil {
-		return nil, err
-	}
-	p, gotLevel, err := readPolyBody(cu, c.ctx.RingQ, nil)
-	if err != nil {
-		return nil, err
-	}
-	if gotLevel != level {
-		return nil, fmt.Errorf("wire: plaintext header level %d but %d residue rows", level, gotLevel+1)
-	}
-	if err := cu.done(); err != nil {
-		return nil, err
-	}
-	return &ckks.Plaintext{Value: p, Level: level, Scale: scale}, nil
-}
-
-// MarshalPlaintext returns the wire encoding of pt.
-func (c *Codec) MarshalPlaintext(pt *ckks.Plaintext) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.WritePlaintext(&buf, pt); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalPlaintext decodes a plaintext envelope from b.
-func (c *Codec) UnmarshalPlaintext(b []byte) (*ckks.Plaintext, error) {
-	return c.ReadPlaintext(bytes.NewReader(b))
-}
-
 // --- Ciphertext -------------------------------------------------------------
 
 // WriteCiphertext frames ct.
@@ -184,8 +87,8 @@ func (c *Codec) UnmarshalCiphertext(b []byte) (*ckks.Ciphertext, error) {
 	return c.ReadCiphertext(bytes.NewReader(b))
 }
 
-// readLevelScale reads and validates the (level, scale) prefix shared by
-// plaintext and ciphertext payloads.
+// readLevelScale reads and validates a ciphertext payload's (level, scale)
+// prefix.
 func (c *Codec) readLevelScale(cu *cursor) (int, float64, error) {
 	lvl, err := cu.u32()
 	if err != nil {
@@ -199,60 +102,6 @@ func (c *Codec) readLevelScale(cu *cursor) (int, float64, error) {
 		return 0, 0, err
 	}
 	return int(lvl), scale, nil
-}
-
-// --- PublicKey --------------------------------------------------------------
-
-// WritePublicKey frames pk (both polynomials over the full q-chain).
-func (c *Codec) WritePublicKey(w io.Writer, pk *ckks.PublicKey) error {
-	rq := c.ctx.RingQ
-	var buf bytes.Buffer
-	if err := appendPolyBody(&buf, rq, pk.Value[0], rq.MaxLevel()); err != nil {
-		return err
-	}
-	if err := appendPolyBody(&buf, rq, pk.Value[1], rq.MaxLevel()); err != nil {
-		return err
-	}
-	return c.writeEnvelope(w, TypePublicKey, buf.Bytes())
-}
-
-// ReadPublicKey decodes one public-key envelope.
-func (c *Codec) ReadPublicKey(r io.Reader) (*ckks.PublicKey, error) {
-	payload, err := c.readEnvelope(r, TypePublicKey)
-	if err != nil {
-		return nil, err
-	}
-	cu := &cursor{b: payload}
-	rq := c.ctx.RingQ
-	pk := &ckks.PublicKey{}
-	for i := range pk.Value {
-		p, level, err := readPolyBody(cu, rq, nil)
-		if err != nil {
-			return nil, err
-		}
-		if level != rq.MaxLevel() {
-			return nil, fmt.Errorf("wire: public key polynomial has %d rows, need full chain %d", level+1, rq.MaxLevel()+1)
-		}
-		pk.Value[i] = p
-	}
-	if err := cu.done(); err != nil {
-		return nil, err
-	}
-	return pk, nil
-}
-
-// MarshalPublicKey returns the wire encoding of pk.
-func (c *Codec) MarshalPublicKey(pk *ckks.PublicKey) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.WritePublicKey(&buf, pk); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalPublicKey decodes a public-key envelope from b.
-func (c *Codec) UnmarshalPublicKey(b []byte) (*ckks.PublicKey, error) {
-	return c.ReadPublicKey(bytes.NewReader(b))
 }
 
 // --- SwitchingKey -----------------------------------------------------------

@@ -1,27 +1,31 @@
 package wire
 
 import (
-	"math/rand"
 	"testing"
 
+	"bts/internal/ckks"
 	"bts/internal/telemetry"
 )
 
 func TestCodecStatsCountTraffic(t *testing.T) {
-	ctx, _, _ := testContext(t)
+	ctx, _, sk := testContext(t)
 	c := NewCodec(ctx)
 	var st telemetry.WireStats
 	c.SetStats(&st)
 
-	rng := rand.New(rand.NewSource(9))
-	p := ctx.RingQ.NewPolyLevel(1)
-	ctx.RingQ.SampleUniform(rng, p, 1)
-
-	b, err := c.MarshalPoly(p, 1)
+	pt, err := ckks.NewEncoder(ctx).Encode([]complex128{0.5}, 1, ctx.Params.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.UnmarshalPoly(b); err != nil {
+	ct, err := ckks.NewEncryptorSK(ctx, sk, 9).EncryptNew(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.MarshalCiphertext(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.UnmarshalCiphertext(b); err != nil {
 		t.Fatal(err)
 	}
 

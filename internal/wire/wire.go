@@ -1,7 +1,7 @@
 // Package wire is the serialization layer of the serving runtime: a
-// versioned, length-prefixed binary codec for every CKKS object that crosses
-// a process boundary — polynomials, plaintexts, ciphertexts, public keys,
-// switching keys and rotation-key sets.
+// versioned, length-prefixed binary codec for the three CKKS objects that
+// cross a process boundary: ciphertexts, switching keys and rotation-key
+// sets.
 //
 // Every object travels inside an envelope:
 //
@@ -19,12 +19,12 @@
 // bound derived from the context before any allocation, bounding the memory
 // a hostile peer can make the decoder commit.
 //
-// The payload of a polynomial is
+// Every object's payload nests polynomial bodies, each
 //
 //	uint32 N | uint32 rows | rows×N × uint64 residues (row-major)
 //
-// and compound objects nest polynomial bodies without repeating the
-// envelope. A switching key's body is
+// without repeating the envelope. A ciphertext's payload is uint32 level |
+// float64 scale | poly c0 | poly c1. A switching key's body is
 //
 //	uint32 dnum | 32-byte seed | dnum × (poly bQ_j | poly bP_j)
 //
@@ -68,25 +68,19 @@ const headerSize = 10
 // Type tags the object carried by an envelope.
 type Type uint8
 
+// Tags 1, 2 and 4 carried polynomials, plaintexts and public keys, which no
+// endpoint exchanges; they stay unassigned so every surviving tag keeps its
+// value and a stale envelope is rejected as the wrong type.
 const (
-	TypePoly           Type = 1
-	TypePlaintext      Type = 2
 	TypeCiphertext     Type = 3
-	TypePublicKey      Type = 4
 	TypeSwitchingKey   Type = 5
 	TypeRotationKeySet Type = 6
 )
 
 func (t Type) String() string {
 	switch t {
-	case TypePoly:
-		return "Poly"
-	case TypePlaintext:
-		return "Plaintext"
 	case TypeCiphertext:
 		return "Ciphertext"
-	case TypePublicKey:
-		return "PublicKey"
 	case TypeSwitchingKey:
 		return "SwitchingKey"
 	case TypeRotationKeySet:
@@ -219,14 +213,8 @@ func (c *Codec) maxPayload(t Type) uint64 {
 	polyP := 8 + pRows*n*8
 	swk := 4 + ring.SeedSize + uint64(c.ctx.Params.Dnum)*(polyQ+polyP)
 	switch t {
-	case TypePoly:
-		return polyQ
-	case TypePlaintext:
-		return 12 + polyQ
 	case TypeCiphertext:
 		return 12 + 2*polyQ
-	case TypePublicKey:
-		return 2 * polyQ
 	case TypeSwitchingKey:
 		return swk
 	case TypeRotationKeySet:

@@ -30,35 +30,7 @@ func testContext(t testing.TB) (*ckks.Context, *ckks.KeyGenerator, *ckks.SecretK
 	return ctx, kg, kg.GenSecretKey()
 }
 
-func TestPolyRoundTrip(t *testing.T) {
-	ctx, _, _ := testContext(t)
-	c := NewCodec(ctx)
-	rng := rand.New(rand.NewSource(1))
-	for level := 0; level <= ctx.RingQ.MaxLevel(); level++ {
-		p := ctx.RingQ.NewPolyLevel(level)
-		ctx.RingQ.SampleUniform(rng, p, level)
-		b, err := c.MarshalPoly(p, level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotLevel, err := c.UnmarshalPoly(b)
-		if err != nil {
-			t.Fatalf("level %d: %v", level, err)
-		}
-		if gotLevel != level || !ctx.RingQ.Equal(got, p, level) {
-			t.Fatalf("level %d: poly round trip mismatch", level)
-		}
-		b2, err := c.MarshalPoly(got, gotLevel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b, b2) {
-			t.Fatalf("level %d: re-marshal not bit-exact", level)
-		}
-	}
-}
-
-func TestPlaintextCiphertextRoundTrip(t *testing.T) {
+func TestCiphertextRoundTrip(t *testing.T) {
 	ctx, _, sk := testContext(t)
 	c := NewCodec(ctx)
 	enc := ckks.NewEncoder(ctx)
@@ -73,18 +45,6 @@ func TestPlaintextCiphertextRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb, err := c.MarshalPlaintext(pt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pt2, err := c.UnmarshalPlaintext(pb)
-		if err != nil {
-			t.Fatalf("level %d: %v", level, err)
-		}
-		if pt2.Level != pt.Level || pt2.Scale != pt.Scale || !ctx.RingQ.Equal(pt2.Value, pt.Value, level) {
-			t.Fatalf("level %d: plaintext round trip mismatch", level)
-		}
-
 		ct, err := encryptor.EncryptNew(pt)
 		if err != nil {
 			t.Fatal(err)
@@ -133,37 +93,6 @@ func TestPooledCodecCiphertext(t *testing.T) {
 		t.Fatal("pooled decode mismatch")
 	}
 	ctx.PutCiphertext(got)
-}
-
-func TestPublicKeyRoundTrip(t *testing.T) {
-	ctx, kg, sk := testContext(t)
-	c := NewCodec(ctx)
-	pk := kg.GenPublicKey(sk)
-	b, err := c.MarshalPublicKey(pk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk2, err := c.UnmarshalPublicKey(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lvl := ctx.RingQ.MaxLevel()
-	if !ctx.RingQ.Equal(pk2.Value[0], pk.Value[0], lvl) || !ctx.RingQ.Equal(pk2.Value[1], pk.Value[1], lvl) {
-		t.Fatal("public key round trip mismatch")
-	}
-	// A decoded public key must be usable for encryption.
-	enc := ckks.NewEncoder(ctx)
-	pt, _ := enc.Encode([]complex128{0.25}, lvl, ctx.Params.Scale)
-	encryptor := ckks.NewEncryptorPK(ctx, pk2, 9)
-	ct, err := encryptor.EncryptNew(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := ckks.NewDecryptor(ctx, sk)
-	vals := enc.Decode(dec.DecryptNew(ct))
-	if r := real(vals[0]); r < 0.24 || r > 0.26 {
-		t.Fatalf("decoded pk does not encrypt correctly: got %g", r)
-	}
 }
 
 func TestSwitchingKeyAndRotationKeySetRoundTrip(t *testing.T) {
@@ -240,7 +169,7 @@ func TestSwitchingKeyAndRotationKeySetRoundTrip(t *testing.T) {
 // TestMalformedInputs exercises the main rejection paths explicitly (the fuzz
 // target covers the long tail).
 func TestMalformedInputs(t *testing.T) {
-	ctx, _, sk := testContext(t)
+	ctx, kg, sk := testContext(t)
 	c := NewCodec(ctx)
 	enc := ckks.NewEncoder(ctx)
 	encryptor := ckks.NewEncryptorSK(ctx, sk, 11)
@@ -257,11 +186,6 @@ func TestMalformedInputs(t *testing.T) {
 		"bad version": func() []byte {
 			b := append([]byte(nil), good...)
 			b[4] = 99
-			return b
-		}(),
-		"wrong type": func() []byte {
-			b := append([]byte(nil), good...)
-			b[5] = byte(TypePublicKey)
 			return b
 		}(),
 		"truncated header":  good[:5],
@@ -296,6 +220,39 @@ func TestMalformedInputs(t *testing.T) {
 	for name, b := range cases {
 		if _, err := c.UnmarshalCiphertext(b); err == nil {
 			t.Errorf("%s: expected error, got nil", name)
+		}
+	}
+
+	// Wrong type: every decoder gets a well-formed envelope of its own kind
+	// retagged 1, 2 or 4, the retired polynomial, plaintext and public-key
+	// tags.
+	swk, err := c.MarshalSwitchingKey(kg.GenRelinearizationKey(sk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtks, err := c.MarshalRotationKeySet(kg.GenRotationKeys(sk, []int{1}, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoders := []struct {
+		name   string
+		good   []byte
+		decode func([]byte) error
+	}{
+		{"Ciphertext", good, func(b []byte) error { _, err := c.UnmarshalCiphertext(b); return err }},
+		{"SwitchingKey", swk, func(b []byte) error { _, err := c.UnmarshalSwitchingKey(b); return err }},
+		{"RotationKeySet", rtks, func(b []byte) error { _, err := c.UnmarshalRotationKeySet(b); return err }},
+	}
+	for _, d := range decoders {
+		if err := d.decode(d.good); err != nil {
+			t.Fatalf("%s: untouched envelope rejected: %v", d.name, err)
+		}
+		for _, tag := range []byte{1, 2, 4} {
+			b := append([]byte(nil), d.good...)
+			b[5] = tag
+			if err := d.decode(b); err == nil {
+				t.Errorf("%s retagged %d: expected error, got nil", d.name, tag)
+			}
 		}
 	}
 }
