@@ -26,7 +26,11 @@
 // ciphertexts, bootstrapping's tail), over contiguous coefficient blocks
 // within each residue row — the software analogue of the paper's PE grid
 // distributing both limbs and coefficients (Section 4.1). Each NTT row runs
-// the fused radix-4 kernel as one task. A context created by NewScheme
+// the fused radix-4 kernel as one task. Where one op's rows are too few to
+// fill the pool, independent ops share it: the bootstrap runs EvalMod's two
+// sine evaluations (real and imaginary half) as two tasks of the engine,
+// side by side on two or more workers and in order on a serial engine, with
+// the same output words either way. A context created by NewScheme
 // runs on a process-wide pool sized to runtime.GOMAXPROCS (snapshotted at
 // first use); NewSchemeWorkers (or Context.SetWorkers) picks an explicit
 // worker count, with 0 selecting the serial fallback. Results are

@@ -120,8 +120,9 @@ type Bootstrapper struct {
 
 // BootstrapPhases is the wall-time breakdown of one bootstrap across the
 // pipeline's four phases. EvalMod covers everything between the transforms:
-// conjugate split, normalization, both Chebyshev sine evaluations, and
-// recombination.
+// conjugate split, normalization, the two Chebyshev sine evaluations — the
+// wall time of both run at once on an engine with two or more workers, of
+// one after the other on a serial engine — and recombination.
 type BootstrapPhases struct {
 	ModRaise    time.Duration
 	CoeffToSlot time.Duration
@@ -258,6 +259,14 @@ func (bt *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 // trace. ev must share the construction evaluator's context and keys (in
 // practice: be a WithTrace/WithNoiseFloor copy of it). Phase timings are
 // recorded on the bootstrapper either way (see LastPhases).
+//
+// EvalMod's two sine evaluations, on the real and the imaginary half, run as
+// two tasks of the context's engine, each on a private shallow copy of ev: at
+// the same time on a pool of two or more workers, one after the other on a
+// serial engine. The output is the same word for word at every worker count.
+// A traced ev's two ckks.eval_chebyshev spans both parent under
+// bootstrap.eval_mod; a panic in either half is re-raised on the caller's
+// goroutine once both have finished.
 func (bt *Bootstrapper) BootstrapWith(ev *Evaluator, ct *Ciphertext) (*Ciphertext, error) {
 	if ct.Level != 0 {
 		return nil, fmt.Errorf("ckks: Bootstrap expects a level-0 ciphertext, got level %d", ct.Level)
@@ -301,11 +310,16 @@ func (bt *Bootstrapper) BootstrapWith(ev *Evaluator, ct *Ciphertext) (*Ciphertex
 	ctI := ev.MulByI(ev.Sub(conj, ctv))
 
 	// 4. EvalMod: the scaled sine realizes y ↦ y mod 1 = m_j/q0 per slot.
-	sR, err := ev.EvalChebyshev(ctR, bt.sineCoeffs)
-	if err != nil {
-		return nil, err
-	}
-	sI, err := ev.EvalChebyshev(ctI, bt.sineCoeffs)
+	// Neither half reads the other, so both run at once: at EvalMod's low
+	// levels one op's rows cannot fill the engine.
+	var sR, sI *Ciphertext
+	err = ev.both(func(ev *Evaluator) (err error) {
+		sR, err = ev.EvalChebyshev(ctR, bt.sineCoeffs)
+		return err
+	}, func(ev *Evaluator) (err error) {
+		sI, err = ev.EvalChebyshev(ctI, bt.sineCoeffs)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -331,6 +345,35 @@ func (bt *Bootstrapper) BootstrapWith(ev *Evaluator, ct *Ciphertext) (*Ciphertex
 	ph.SlotToCoeff = time.Since(t0)
 	bt.recordPhases(ph)
 	return out, nil
+}
+
+// both runs f0 and f1 as the two tasks of one engine Run, each on its own
+// shallow copy of ev, and returns once both have finished. The copies share
+// everything but the span cursor, so a traced evaluator's branches each
+// parent their spans under ev's current span and never under each other's.
+// A serial engine runs f0 then f1 inline: the single-core schedule is the
+// unforked one. A panic in either branch is recovered on its own goroutine —
+// a worker's panic would otherwise kill the process — and re-raised with the
+// same value on the caller's once both branches are done (f0's first). The
+// error returned is f0's, else f1's.
+func (ev *Evaluator) both(f0, f1 func(*Evaluator) error) error {
+	fs := [2]func(*Evaluator) error{f0, f1}
+	var errs [2]error
+	var panics [2]any
+	ev.ctx.engine.Run(2, func(i int) {
+		defer func() { panics[i] = recover() }()
+		cp := *ev
+		errs[i] = fs[i](&cp)
+	})
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	if errs[0] != nil {
+		return errs[0]
+	}
+	return errs[1]
 }
 
 // modRaise lifts a level-0 ciphertext to the full modulus chain: a BConv from

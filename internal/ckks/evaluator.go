@@ -25,6 +25,8 @@ const scaleTolerance = 1.0 / (1 << 8)
 // concurrent use by multiple goroutines (the serving runtime runs several
 // ciphertexts in flight through one evaluator); all scratch comes from
 // per-ring sync.Pools. The one exception is a traced copy — see WithTrace.
+// The bootstrap itself forks: EvalMod's two sines run on private shallow
+// copies of the evaluator it is given, as two tasks of the context's engine.
 type Evaluator struct {
 	ctx     *Context
 	encoder *Encoder

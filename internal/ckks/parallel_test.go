@@ -1,10 +1,14 @@
 package ckks
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // equalCT reports whether two ciphertexts (possibly from different contexts
@@ -109,13 +113,15 @@ func TestLinearTransformParallelEquivalence(t *testing.T) {
 	equalCT(t, s.ctx, run(s), run(p))
 }
 
-// TestBootstrapParallelEquivalence is the end-to-end check of the issue's
-// acceptance criteria: a full small-N bootstrap — starting from a level-0
+// TestBootstrapParallelEquivalence is the end-to-end check that the engine is
+// a pure throughput dial: a full small-N bootstrap — starting from a level-0
 // ciphertext, the regime where coefficient-block sharding carries the
 // pipeline's tail — must be bit-identical to the serial run with workers > 1
 // alone and with coefficient-block sharding forced on (a block size far
 // below the default floor so sharding engages at the test's small N). The
-// 8-worker rows exercise a pool wider than the limb count at low levels.
+// 1- and 2-worker rows are EvalMod's fork on a serial engine and on the
+// smallest pool that runs its two sines at once; the 8-worker rows exercise
+// a pool wider than the limb count at low levels.
 func TestBootstrapParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap equivalence skipped with -short")
@@ -126,6 +132,8 @@ func TestBootstrapParallelEquivalence(t *testing.T) {
 	values := randomComplex(rng, 1<<9, 0.7)
 	for _, cfg := range []struct{ workers, block int }{
 		{0, 0},  // serial reference
+		{1, 0},  // serial engine: EvalMod's fork runs its sines inline, in order
+		{2, 0},  // two workers: the sines run side by side
 		{4, 0},  // limb-parallel, default block floor
 		{4, 64}, // limb × coefficient-block sharded
 		{8, 0},  // wide pool: rows oversubscribe limbs at low levels
@@ -249,5 +257,111 @@ func BenchmarkBootstrapWorkers(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// forkPanic is the value the fork tests panic with; recovering the same
+// pointer proves the fork re-raised the branch's own value.
+type forkPanic struct{ branch int }
+
+// catchPanic runs f and returns the value it panicked with (nil if none).
+func catchPanic(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestBothForkContract pins the fork-join helper EvalMod's two sines run
+// through. On a two-worker engine branch 1 runs on a pool worker, where an
+// unrecovered panic would kill the process: the panic must come back on the
+// caller's goroutine, with the same value, only after branch 0 has returned,
+// and the engine must still run later work. A panic in branch 0 likewise
+// waits for branch 1. A branch error is the fork's error (branch 0's first),
+// and a serial engine runs the branches inline, in order.
+func TestBothForkContract(t *testing.T) {
+	s := newTestSetup(t, 2, nil)
+	s.ctx.SetWorkers(2)
+	defer s.ctx.Close()
+
+	// concurrent returns a pair of branches in which the one that does not
+	// panic first waits until the other has started (so the two really run
+	// side by side, one of them on a worker), then outlasts its panic.
+	concurrent := func(panicking int, val any, done *atomic.Bool) [2]func(*Evaluator) error {
+		started := make(chan struct{})
+		var fs [2]func(*Evaluator) error
+		fs[panicking] = func(*Evaluator) error {
+			close(started)
+			panic(val)
+		}
+		fs[1-panicking] = func(*Evaluator) error {
+			select {
+			case <-started:
+			case <-time.After(10 * time.Second):
+				t.Error("the branches did not run at the same time on a two-worker engine")
+			}
+			time.Sleep(20 * time.Millisecond)
+			done.Store(true)
+			return nil
+		}
+		return fs
+	}
+	for _, panicking := range []int{1, 0} {
+		val := &forkPanic{panicking}
+		var done atomic.Bool
+		fs := concurrent(panicking, val, &done)
+		got := catchPanic(func() { _ = s.eval.both(fs[0], fs[1]) })
+		if got != val {
+			t.Fatalf("branch %d panicked with %v; the caller recovered %v", panicking, val, got)
+		}
+		if !done.Load() {
+			t.Fatalf("branch %d's panic reached the caller before branch %d returned", panicking, 1-panicking)
+		}
+	}
+
+	// The engine survives: a later Run covers every index.
+	var hits [16]atomic.Bool
+	s.ctx.engine.Run(len(hits), func(i int) { hits[i].Store(true) })
+	for i := range hits {
+		if !hits[i].Load() {
+			t.Fatalf("Run after a branch panic skipped index %d", i)
+		}
+	}
+
+	err0, err1 := errors.New("branch 0"), errors.New("branch 1")
+	ret := func(err error) func(*Evaluator) error { return func(*Evaluator) error { return err } }
+	for _, tc := range []struct{ e0, e1, want error }{
+		{nil, nil, nil}, {err0, nil, err0}, {nil, err1, err1}, {err0, err1, err0},
+	} {
+		if got := s.eval.both(ret(tc.e0), ret(tc.e1)); got != tc.want {
+			t.Fatalf("branches returned (%v, %v); the fork returned %v, want %v", tc.e0, tc.e1, got, tc.want)
+		}
+	}
+
+	s.ctx.SetWorkers(0)
+	var order []int
+	_ = s.eval.both(
+		func(*Evaluator) error { order = append(order, 0); return nil },
+		func(*Evaluator) error { order = append(order, 1); return nil })
+	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+		t.Fatalf("serial engine ran the branches as %v, want [0 1]", order)
+	}
+}
+
+// TestBootstrapReturnsBranchError checks that an error raised inside
+// EvalMod's fork comes back as BootstrapWith's error: an all-zero sine trims
+// to the empty polynomial, which EvalChebyshev rejects in both branches.
+func TestBootstrapReturnsBranchError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("uses the bootstrapping setup; skipped with -short")
+	}
+	s, bt := bootSetup(t)
+	s.ctx.SetWorkers(2)
+	defer s.ctx.Close()
+	bt.sineCoeffs = make([]float64, len(bt.sineCoeffs))
+	pt, _ := s.encoder.Encode([]complex128{0.1}, 0, s.params.Scale)
+	ct, _ := s.enc.EncryptNew(pt)
+	_, err := bt.Bootstrap(ct)
+	if err == nil || !strings.Contains(err.Error(), "empty Chebyshev polynomial") {
+		t.Fatalf("got %v, want EvalChebyshev's empty-polynomial error", err)
 	}
 }

@@ -186,6 +186,97 @@ func TestBootstrapPhaseTimings(t *testing.T) {
 	}
 }
 
+// TestBootstrapEvalModForkTrace pins the span tree and the op counts of a
+// traced bootstrap whose EvalMod sines run side by side on a two-worker
+// engine. Exactly two ckks.eval_chebyshev spans sit under bootstrap.eval_mod;
+// every span nests inside its parent in time, and the two sines' subtrees
+// hold the same spans by name, which a span parented across the branches
+// would break. The counters must match the serial engine's count for the
+// same bootstrap, and so must the output, word for word.
+func TestBootstrapEvalModForkTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrapping is expensive; skipped with -short")
+	}
+	s, bt := bootSetup(t)
+	defer s.ctx.Close()
+	rng := rand.New(rand.NewSource(37))
+	pt, _ := s.encoder.Encode(randomComplex(rng, s.params.Slots(), 0.7), 0, s.params.Scale)
+	ct, err := s.enc.EncryptNew(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s.ctx.SetWorkers(0)
+	before := s.eval.Counters()
+	ref, err := bt.Bootstrap(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := s.eval.Counters().Sub(before)
+
+	s.ctx.SetWorkers(2)
+	const capacity = 1 << 14
+	tracer := telemetry.NewTracer(capacity)
+	tr := tracer.NewTrace()
+	before = s.eval.Counters()
+	out, err := bt.BootstrapWith(s.eval.WithTrace(tr, 0), ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.eval.Counters().Sub(before); got != serial {
+		t.Fatalf("forked bootstrap counted %+v, the serial engine %+v", got, serial)
+	}
+	equalCT(t, s.ctx, ref, out)
+	if n := tracer.Spans(); n > capacity {
+		t.Fatalf("%d spans overflowed the %d-span tracer", n, capacity)
+	}
+
+	recs := tracer.Collect(tr.ID())
+	byID := map[uint64]telemetry.SpanRecord{}
+	for _, r := range recs {
+		byID[r.ID] = r
+	}
+	var sines []uint64
+	for _, r := range recs {
+		if r.Parent != 0 {
+			p, ok := byID[r.Parent]
+			if !ok {
+				t.Fatalf("%s span %d has no recorded parent %d", r.Name, r.ID, r.Parent)
+			}
+			if r.Start < p.Start || r.Start+r.Dur > p.Start+p.Dur {
+				t.Fatalf("%s span %d is not inside its parent %s span %d", r.Name, r.ID, p.Name, p.ID)
+			}
+		}
+		if r.Name == "ckks.eval_chebyshev" {
+			if p := byID[r.Parent].Name; p != "bootstrap.eval_mod" {
+				t.Fatalf("ckks.eval_chebyshev parented under %q, want bootstrap.eval_mod", p)
+			}
+			sines = append(sines, r.ID)
+		}
+	}
+	if len(sines) != 2 {
+		t.Fatalf("recorded %d ckks.eval_chebyshev spans, want 2", len(sines))
+	}
+	// sineOf returns the eval_chebyshev ancestor of a span (0 if none).
+	sineOf := func(r telemetry.SpanRecord) uint64 {
+		for ; r.ID != 0; r = byID[r.Parent] {
+			if r.Name == "ckks.eval_chebyshev" {
+				return r.ID
+			}
+		}
+		return 0
+	}
+	subtree := map[uint64]map[string]int{sines[0]: {}, sines[1]: {}}
+	for _, r := range recs {
+		if id := sineOf(r); id != 0 {
+			subtree[id][r.Name]++
+		}
+	}
+	if a, b := fmt.Sprint(subtree[sines[0]]), fmt.Sprint(subtree[sines[1]]); a != b {
+		t.Fatalf("the two sines' span subtrees differ:\n%s\n%s", a, b)
+	}
+}
+
 func TestContextSetStats(t *testing.T) {
 	s := newTestSetup(t, 2, nil)
 	var st telemetry.ContextStats

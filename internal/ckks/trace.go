@@ -31,7 +31,10 @@ var (
 // nested spans thread a mutable current-parent field through the evaluator,
 // so a traced evaluator must stay private to one goroutine (in practice, one
 // served job). The untraced original never touches that field and remains
-// freely shareable.
+// freely shareable. Work the evaluator forks internally stays within that
+// rule: BootstrapWith runs EvalMod's two sines on private copies of the
+// traced evaluator, each with its own cursor, both parented under
+// bootstrap.eval_mod, and joins them before it touches the cursor again.
 func (ev *Evaluator) WithTrace(tr telemetry.Trace, parent uint64) *Evaluator {
 	cp := *ev
 	cp.tr = tr

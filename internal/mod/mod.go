@@ -18,29 +18,25 @@ import (
 const MaxModulusBits = 62
 
 // Add returns a+b mod q. Inputs must already be reduced.
+//
+// Add, Sub and Neg are branch-free: the borrow of one subtraction masks the
+// correcting q, so an element-wise loop over them carries no data-dependent
+// jump. On any 64-bit words (reduced or not) Add is (a+b) − q when that sum
+// is ≥ q and the sum otherwise, and Sub is a − b plus q when a < b, all
+// mod 2^64 — the lane kernels' raw-word arithmetic mirrors exactly this.
 func Add(a, b, q uint64) uint64 {
-	s := a + b
-	if s >= q {
-		s -= q
-	}
-	return s
+	d, borrow := bits.Sub64(a+b, q, 0)
+	return d + (q & -borrow)
 }
 
 // Sub returns a-b mod q. Inputs must already be reduced.
 func Sub(a, b, q uint64) uint64 {
-	if a >= b {
-		return a - b
-	}
-	return q - b + a
+	d, borrow := bits.Sub64(a, b, 0)
+	return d + (q & -borrow)
 }
 
-// Neg returns -a mod q. The input must already be reduced.
-func Neg(a, q uint64) uint64 {
-	if a == 0 {
-		return 0
-	}
-	return q - a
-}
+// Neg returns -a mod q (0 for a = 0). The input must already be reduced.
+func Neg(a, q uint64) uint64 { return Sub(0, a, q) }
 
 // Mul returns a*b mod q using a 128-bit product and hardware division.
 // It is the slow, always-correct fallback; hot paths use Barrett or Shoup.

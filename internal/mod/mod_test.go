@@ -36,6 +36,70 @@ func TestAddSubNeg(t *testing.T) {
 	}
 }
 
+// TestAddSubNegRawWords pins the branch-free Add, Sub and Neg to their
+// branching definitions on every kind of 64-bit word, reduced or not:
+// internal/ring's lane kernels mirror this raw-word arithmetic, so the two
+// forms must agree word for word past the functions' own contract. The
+// moduli are those of ring's TestElemLanesMatchGo: NTT primes of 50, 60 and
+// 61 bits at N = 2^6 and the largest such prime below 2^62.
+func TestAddSubNegRawWords(t *testing.T) {
+	addRef := func(a, b, q uint64) uint64 {
+		s := a + b
+		if s >= q {
+			s -= q
+		}
+		return s
+	}
+	subRef := func(a, b, q uint64) uint64 {
+		if a >= b {
+			return a - b
+		}
+		return q - b + a
+	}
+	negRef := func(a, q uint64) uint64 {
+		if a == 0 {
+			return 0
+		}
+		return q - a
+	}
+	const logN = 6
+	const twoN = 2 << logN
+	var moduli []uint64
+	for q := uint64(1)<<62 - twoN + 1; ; q -= twoN {
+		if IsPrime(q) {
+			moduli = append(moduli, q)
+			break
+		}
+	}
+	for _, b := range []int{50, 60, 61} {
+		ps, err := GenerateNTTPrimes(b, logN, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moduli = append(moduli, ps...)
+	}
+	rng := rand.New(rand.NewSource(2))
+	for _, q := range moduli {
+		words := []uint64{0, 1, q - 1, q, q + 1, 2*q - 1, 1 << 63, ^uint64(0) - q, ^uint64(0)}
+		for i := 0; i < 64; i++ {
+			words = append(words, rng.Uint64(), rng.Uint64()%q)
+		}
+		for _, a := range words {
+			if got, want := Neg(a, q), negRef(a, q); got != want {
+				t.Fatalf("q=%d: Neg(%#x)=%#x want %#x", q, a, got, want)
+			}
+			for _, b := range words {
+				if got, want := Add(a, b, q), addRef(a, b, q); got != want {
+					t.Fatalf("q=%d: Add(%#x,%#x)=%#x want %#x", q, a, b, got, want)
+				}
+				if got, want := Sub(a, b, q), subRef(a, b, q); got != want {
+					t.Fatalf("q=%d: Sub(%#x,%#x)=%#x want %#x", q, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
 func bigMulMod(a, b, q uint64) uint64 {
 	x := new(big.Int).SetUint64(a)
 	y := new(big.Int).SetUint64(b)
