@@ -118,7 +118,11 @@
 // too, word for word their Go rows: the key-switch's multiply-accumulate
 // (the MMAU's work, with the automorphism as a lane gather), the division's
 // subtract-scale, the Shoup scalar MACs and the transform's diagonal folds.
-// A radix-2 Montgomery row kernel and the
+// Those folds, and the relinearization's tensor, run as one ring.Fold: a
+// list of multiply-accumulates walked tile by tile, so the polynomials the
+// list shares — a transform's baby accumulators, read by every giant step —
+// come from cache instead of memory (BTS's point that data movement, not
+// arithmetic, bounds bootstrapping). A radix-2 Montgomery row kernel and the
 // pre-Montgomery Barrett kernels remain in internal/ring's tests as
 // bit-identity oracles. Every basis change runs the key-switch's own
 // iNTT → BConv → NTT dataflow: HRescale is its division with no special

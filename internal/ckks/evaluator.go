@@ -290,7 +290,8 @@ func (ev *Evaluator) MulRelinRescale(ct0, ct1 *Ciphertext) *Ciphertext {
 // to the key-switch accumulators over Q; it vanishes over P_ℓ) so one ModDown
 // per component yields d_i + ks_i directly in the output — with drop = 0
 // that is the same residue, word for word, as dividing first and adding d_i
-// after: (P_ℓ·d + acc − conv)·P_ℓ⁻¹ ≡ d + (acc − conv)·P_ℓ⁻¹.
+// after: (P_ℓ·d + acc − conv)·P_ℓ⁻¹ ≡ d + (acc − conv)·P_ℓ⁻¹. The tensor's
+// four products are one ring.Fold, so each operand row is read once per tile.
 func (ev *Evaluator) mulRelin(ct0, ct1 *Ciphertext, drop int) *Ciphertext {
 	if ev.rlk == nil {
 		panic("ckks: MulRelin without relinearization key")
@@ -307,10 +308,12 @@ func (ev *Evaluator) mulRelin(ct0, ct1 *Ciphertext, drop int) *Ciphertext {
 	d0 := rq.GetPolyNoZero()
 	d1 := rq.GetPolyNoZero()
 	d2 := rq.GetPolyNoZero()
-	rq.MulCoeffs(ct0.C0, ct1.C0, d0, lvl)
-	rq.MulCoeffs(ct0.C0, ct1.C1, d1, lvl)
-	rq.MulCoeffsAndAdd(ct0.C1, ct1.C0, d1, lvl)
-	rq.MulCoeffs(ct0.C1, ct1.C1, d2, lvl)
+	rq.Fold([]ring.FoldOp{
+		{A: ct0.C0, B: ct1.C0, Acc: d0, First: true},
+		{A: ct0.C0, B: ct1.C1, Acc: d1, First: true},
+		{A: ct0.C1, B: ct1.C0, Acc: d1},
+		{A: ct0.C1, B: ct1.C1, Acc: d2, First: true},
+	}, lvl)
 
 	scale := ct0.Scale * ct1.Scale
 	for i := lvl; i > lvl-drop; i-- {

@@ -174,10 +174,10 @@ func TestModUpSkipsRoundTripBitIdentical(t *testing.T) {
 		for j := 0; j < beta; j++ {
 			wantQ[j], wantP[j] = rq.NewPolyLevel(lvl), rp.NewPolyLevel(lp)
 			ev.modUpSliceRoundTrip(j, lvl, dCoeff, wantQ[j], wantP[j])
-			rq.MulCoeffsAndAdd(wantQ[j], s.rlk.B[j].Q, accQ0, lvl)
-			rp.MulCoeffsAndAdd(wantP[j], s.rlk.B[j].P, accP0, lp)
-			rq.MulCoeffsAndAdd(wantQ[j], a[j].Q, accQ1, lvl)
-			rp.MulCoeffsAndAdd(wantP[j], a[j].P, accP1, lp)
+			macAdd(rq, wantQ[j], s.rlk.B[j].Q, accQ0, lvl)
+			macAdd(rp, wantP[j], s.rlk.B[j].P, accP0, lp)
+			macAdd(rq, wantQ[j], a[j].Q, accQ1, lvl)
+			macAdd(rp, wantP[j], a[j].P, accP1, lp)
 		}
 		want0, want1 := rq.NewPolyLevel(lvl), rq.NewPolyLevel(lvl)
 		ev.modDown(accQ0, accP0, lvl, 0, want0)

@@ -180,11 +180,25 @@ func (lt *LinearTransform) byGiantStep() (byGiant map[int][]int, giants []int, b
 // LinearTransform applies lt to ct: out = M · slots(ct), not rescaled (the
 // output scale is ct.Scale·lt.Scale). It evaluates the BSGS sum with hoisted
 // baby steps and double-hoisted (lazy-ModDown) giant accumulation: ct is
-// decomposed once, each baby step costs a slice permutation + MAC kept in
-// the extended QP basis, every diagonal is folded in there with the
-// key-switch's reduced Montgomery MAC (MulCoeffs for an accumulator's first
-// product, MulCoeffsAndAdd after it), and each giant step pays a single
-// deferred ModDown per ciphertext component plus one full rotation.
+// decomposed once, and each baby step costs a slice permutation + MAC kept
+// in the extended QP basis, into which its rotated C0 is lifted as P_ℓ·C0
+// (zero over P_ℓ; the ModDown divides it back out exactly, as in mulRelin).
+// Every diagonal whose baby is not 0 is then folded with the key-switch's
+// reduced Montgomery MAC into its giant step's four extended accumulators —
+// all giants at once, one ring.Fold per basis in baby-major order, so a
+// baby's rows are read once per tile for every giant step that uses them —
+// and each giant step pays a single deferred ModDown per ciphertext
+// component, adds its baby-0 diagonal's plain products, and one full
+// rotation.
+//
+// Live set, beyond ct and the output: at the fold, four polynomials per
+// nonzero baby (its MAC's accumulators, two over Q_ℓ and two over P_ℓ) and
+// four per giant step with a nonzero-baby diagonal (its extended
+// accumulators, likewise); while the babies are built, one Q_ℓ scratch for
+// the rotated C0 instead of the giants' accumulators. The babies go back to
+// the pool after the fold and each giant step's accumulators after its
+// ModDown; the giant steps then hold one ciphertext in flight, into which
+// the baby-0 diagonal's plain products accumulate.
 func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
 	sp := ev.begin(spanLinear)
 	ctx := ev.ctx
@@ -195,7 +209,8 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphe
 	}
 	// The P-part diagonals hold k_{lt.Level} rows; below lt.Level the
 	// key-switch reads only their first k_lvl (k_ℓ never falls as ℓ grows).
-	lp := ctx.special[lvl].k - 1
+	sm := ctx.special[lvl]
+	lp := sm.k - 1
 	scale := ct.Scale * lt.Scale
 
 	byGiant, giants, need := lt.byGiantStep()
@@ -214,17 +229,26 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphe
 	}
 
 	// Hoisted baby steps: decompose ct once, then per baby rotation keep the
-	// rotated C0 (q-basis) and the key-switch MAC accumulators in the
-	// extended QP basis — no ModDown yet (double hoisting). A transform
-	// whose diagonals all sit on giant-step boundaries has no nonzero baby
-	// step and skips the decomposition entirely.
-	type babyExt struct {
-		c0     *ring.Poly // σ_b(ct.C0), q-basis
-		q0, q1 *ring.Poly // key-switch accumulators, q part
-		p0, p1 *ring.Poly // key-switch accumulators, p part
+	// key-switch MAC accumulators in the extended QP basis with P_ℓ·σ_b(C0)
+	// added over Q — no ModDown yet (double hoisting). A transform whose
+	// diagonals all sit on giant-step boundaries has no nonzero baby step
+	// and skips the decomposition entirely.
+	type extAcc struct {
+		q0, q1 *ring.Poly // q part
+		p0, p1 *ring.Poly // p part
 	}
-	babies := make(map[int]*babyExt, len(need))
+	newExt := func() *extAcc {
+		return &extAcc{q0: rq.GetPolyNoZero(), q1: rq.GetPolyNoZero(), p0: rp.GetPolyNoZero(), p1: rp.GetPolyNoZero()}
+	}
+	putExt := func(e *extAcc) {
+		rp.PutPoly(e.p1)
+		rp.PutPoly(e.p0)
+		rq.PutPoly(e.q1)
+		rq.PutPoly(e.q0)
+	}
+	babies := make(map[int]*extAcc, len(need))
 	var hd *HoistedDecomposition
+	var c0 *ring.Poly
 	for b := range need {
 		if b == 0 {
 			continue
@@ -235,83 +259,76 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphe
 			dsp.SetLevel(lvl)
 			hd = ev.decompose(ct.C1, lvl)
 			ev.endSpan(&dsp, nil)
+			c0 = rq.GetPolyNoZero()
 		}
 		ev.counters.HoistedRot.Add(1)
 		g := rq.GaloisElement(b)
-		be := &babyExt{
-			c0: rq.GetPolyNoZero(),
-			q0: rq.GetPolyNoZero(), // keySwitchMAC overwrites
-			q1: rq.GetPolyNoZero(),
-			p0: rp.GetPolyNoZero(),
-			p1: rp.GetPolyNoZero(),
-		}
-		rq.AutomorphismNTT(ct.C0, g, be.c0, lvl)
+		be := newExt() // keySwitchMAC overwrites
 		ev.keySwitchMAC(g, hd, ev.rotationKey(g), be.q0, be.p0, be.q1, be.p1)
+		rq.AutomorphismNTT(ct.C0, g, c0, lvl)
+		rq.MulLimbScalarsAndAdd(c0, sm.pModQ, sm.pModQShoup, be.q0, lvl)
 		babies[b] = be
 	}
 	if hd != nil {
 		hd.Release()
+		rq.PutPoly(c0)
 	}
 
-	// Giant-step accumulators: each diagonal product is folded straight into
-	// reduced polynomials with the key-switch's Montgomery MAC — the plain
-	// q-basis sums of diagonal × rotated-C0 products, and the extended QP
-	// sums of diagonal × key-switch-accumulator products ahead of the
-	// deferred ModDown. An accumulator's first product overwrites it
-	// (MulCoeffs), every later one adds (MulCoeffsAndAdd).
-	plain0 := rq.GetPolyNoZero()
-	plain1 := rq.GetPolyNoZero()
-	ext0 := rq.GetPolyNoZero()
-	ext1 := rq.GetPolyNoZero()
-	extP0 := rp.GetPolyNoZero()
-	extP1 := rp.GetPolyNoZero()
-	mac := func(r *ring.Ring, first bool, a, b, acc *ring.Poly, level int) {
-		if first {
-			r.MulCoeffs(a, b, acc, level)
-		} else {
-			r.MulCoeffsAndAdd(a, b, acc, level)
+	// Giant-step accumulators: every diagonal × baby-accumulator product is
+	// folded straight into reduced polynomials ahead of the deferred
+	// ModDown. The op lists run baby-major (by baby, then giant), and an
+	// accumulator's first product overwrites it.
+	var folded []int
+	for k := range lt.diags {
+		if k%lt.n1 != 0 {
+			folded = append(folded, k)
 		}
+	}
+	sort.Slice(folded, func(i, j int) bool {
+		bi, bj := folded[i]%lt.n1, folded[j]%lt.n1
+		return bi < bj || bi == bj && folded[i] < folded[j]
+	})
+	accs := map[int]*extAcc{}
+	opsQ := make([]ring.FoldOp, 0, 2*len(folded))
+	opsP := make([]ring.FoldOp, 0, 2*len(folded))
+	for _, k := range folded {
+		be, acc := babies[k%lt.n1], accs[k/lt.n1]
+		first := acc == nil
+		if first {
+			acc = newExt()
+			accs[k/lt.n1] = acc
+		}
+		pt, ptP := lt.diags[k].Value, lt.diagsP[k]
+		opsQ = append(opsQ, ring.FoldOp{A: pt, B: be.q0, Acc: acc.q0, First: first}, ring.FoldOp{A: pt, B: be.q1, Acc: acc.q1, First: first})
+		opsP = append(opsP, ring.FoldOp{A: ptP, B: be.p0, Acc: acc.p0, First: first}, ring.FoldOp{A: ptP, B: be.p1, Acc: acc.p1, First: first})
+	}
+	rq.Fold(opsQ, lvl)
+	rp.Fold(opsP, lp)
+	for _, be := range babies {
+		putExt(be)
 	}
 
 	var out *Ciphertext
 	for _, g := range giants {
 		group := byGiant[g]
 		ev.counters.PMult.Add(int64(len(group))) // diagonal folds
-		// A group is sorted, so its baby-0 diagonal (k = g·n1), if any,
-		// comes first; only it reaches plain1.
-		if group[0]%lt.n1 != 0 {
-			rq.Zero(plain1, lvl)
-		}
-		hasExt := false
-		for i, k := range group {
-			pt, ptP := lt.diags[k].Value, lt.diagsP[k]
-			b := k % lt.n1
-			if b == 0 {
-				// The un-rotated operand has no extended part.
-				rq.MulCoeffs(pt, ct.C0, plain0, lvl)
-				rq.MulCoeffs(pt, ct.C1, plain1, lvl)
-				continue
-			}
-			be := babies[b]
-			mac(rq, i == 0, pt, be.c0, plain0, lvl)
-			mac(rq, !hasExt, pt, be.q0, ext0, lvl)
-			mac(rp, !hasExt, ptP, be.p0, extP0, lp)
-			mac(rq, !hasExt, pt, be.q1, ext1, lvl)
-			mac(rp, !hasExt, ptP, be.p1, extP1, lp)
-			hasExt = true
-		}
-
 		// One deferred ModDown per component folds the whole giant step's
-		// baby products out of the extended basis at once.
+		// baby products (rotated C0 included) out of the extended basis.
 		inner := ctx.getCiphertextNoZero(lvl, scale)
-		if hasExt {
-			ev.modDown(ext0, extP0, lvl, 0, inner.C0)
-			ev.modDown(ext1, extP1, lvl, 0, inner.C1)
-			rq.Add(inner.C0, plain0, inner.C0, lvl)
-			rq.Add(inner.C1, plain1, inner.C1, lvl)
-		} else {
-			rq.CopyLevel(inner.C0, plain0, lvl)
-			rq.CopyLevel(inner.C1, plain1, lvl)
+		acc := accs[g]
+		if acc != nil {
+			ev.modDown(acc.q0, acc.p0, lvl, 0, inner.C0)
+			ev.modDown(acc.q1, acc.p1, lvl, 0, inner.C1)
+			putExt(acc)
+		}
+		// A group is sorted, so its baby-0 diagonal (k = g·n1), if any,
+		// comes first. The un-rotated operand has no extended part.
+		if k := group[0]; k%lt.n1 == 0 {
+			pt := lt.diags[k].Value
+			rq.Fold([]ring.FoldOp{
+				{A: pt, B: ct.C0, Acc: inner.C0, First: acc == nil},
+				{A: pt, B: ct.C1, Acc: inner.C1, First: acc == nil},
+			}, lvl)
 		}
 		if g != 0 {
 			rot := ev.Rotate(inner, g*lt.n1)
@@ -326,19 +343,6 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphe
 		}
 	}
 
-	rp.PutPoly(extP1)
-	rp.PutPoly(extP0)
-	rq.PutPoly(ext1)
-	rq.PutPoly(ext0)
-	rq.PutPoly(plain1)
-	rq.PutPoly(plain0)
-	for _, be := range babies {
-		rp.PutPoly(be.p1)
-		rp.PutPoly(be.p0)
-		rq.PutPoly(be.q1)
-		rq.PutPoly(be.q0)
-		rq.PutPoly(be.c0)
-	}
 	ev.endSpan(&sp, out)
 	return out
 }

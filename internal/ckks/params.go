@@ -18,10 +18,11 @@
 // (hoisting, exposed as RotateHoisted — bit-identical to Rotate because the
 // centered BConv commutes exactly with the Galois permutation). On top,
 // LinearTransform evaluates double-hoisted: baby-step products stay in the
-// extended QP basis, every diagonal is folded in there with the key-switch's
-// reduced Montgomery MAC (ring.MulCoeffsAndAdd), and each giant step pays a
-// single deferred ModDown per ciphertext component. The cost model per
-// transform is
+// extended QP basis (each baby's rotated C0 rides along as P·C0), every
+// diagonal is folded in there with the key-switch's reduced Montgomery MAC —
+// all giant steps in one tiled ring.Fold per basis, each baby's rows read
+// once per tile — and each giant step pays a single deferred ModDown per
+// ciphertext component. The cost model per transform is
 //
 //	1 decomposition + (per baby rotation: permutation + MAC)
 //	+ (per giant step: 1 ModDown per component + 1 full rotation)

@@ -43,10 +43,10 @@ func oracleMAC(ctx *Context, g uint64, hd *HoistedDecomposition, swk *SwitchingK
 			rq.AutomorphismNTT(hd.q[j], g, sq, lvl)
 			rp.AutomorphismNTT(hd.p[j], g, sp, lp)
 		}
-		rq.MulCoeffsAndAdd(sq, swk.B[j].Q, accQ0, lvl)
-		rp.MulCoeffsAndAdd(sp, swk.B[j].P, accP0, lp)
-		rq.MulCoeffsAndAdd(sq, a[j].Q, accQ1, lvl)
-		rp.MulCoeffsAndAdd(sp, a[j].P, accP1, lp)
+		macAdd(rq, sq, swk.B[j].Q, accQ0, lvl)
+		macAdd(rp, sp, swk.B[j].P, accP0, lp)
+		macAdd(rq, sq, a[j].Q, accQ1, lvl)
+		macAdd(rp, sp, a[j].P, accP1, lp)
 	}
 	return accQ0, accP0, accQ1, accP1
 }

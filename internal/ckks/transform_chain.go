@@ -79,10 +79,10 @@ func (tc *TransformChain) Rotations() []int {
 }
 
 // TransformChain applies the chain to ct: each stage runs the double-hoisted
-// BSGS evaluation (one decomposition shared by the stage's baby steps,
-// reduced MulCoeffs/MulCoeffsAndAdd diagonal folds, one deferred ModDown per
-// component per giant step)
-// followed by one rescale, so the output carries the input's scale at level
+// BSGS evaluation (one decomposition shared by the stage's baby steps, each
+// baby's rotated C0 lifted into its key-switch accumulator, every giant
+// step's diagonal folds in one tiled ring.Fold per basis, one deferred
+// ModDown per component per giant step) followed by one rescale, so the output carries the input's scale at level
 // ct.Level - Depth(). Errors if the ciphertext is too shallow for any stage
 // (stage boundaries are where the bootstrap level budget bites — see
 // BootstrapParams.MinLevels).

@@ -12,9 +12,9 @@ import "math/bits"
 // without intermediate modular reduction, then reduce once per coefficient
 // with a single fold-and-REDC pass (mod.Montgomery.Reduce128 accepts
 // arbitrary 128-bit inputs). No library path uses it: every key-switch MAC
-// (MulKeyPair) and the linear transform's diagonal folds (MulCoeffsAndAdd)
-// run reduced, and Acc128 stays for the kernels the benchmark's
-// ring.mac128_gbps times (MulGatherAndAddLazy, ReduceAcc).
+// (MulKeyPair) and the linear transform's diagonal folds (Fold) run
+// reduced, and Acc128 stays for the kernels the benchmark's ring.mac128_gbps
+// times (MulGatherAndAddLazy, ReduceAcc).
 //
 // Overflow bound: a sum of T products of residues below q stays under 2^128
 // while T·(q-1)² < 2^128 — 2^18 terms for 55-bit moduli, 2^38 for 45-bit.

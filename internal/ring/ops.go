@@ -85,11 +85,45 @@ func mulRowGo(a, b, out []uint64, mr mod.Montgomery) {
 	}
 }
 
-// MulCoeffsAndAdd sets out += a ⊙ b element-wise on rows [0..level]; this is
-// the modular multiply-accumulate the paper's MMAU performs.
-func (r *Ring) MulCoeffsAndAdd(a, b, out *Poly, level int) {
+// FoldOp is one term of Fold: Acc = A ⊙ B when First, else Acc += A ⊙ B
+// (M-form, reduced), the modular multiply-accumulate the paper's MMAU
+// performs.
+type FoldOp struct {
+	A, B, Acc *Poly
+	First     bool
+}
+
+// foldTile is the width, in words, of the tiles Fold walks a row block in:
+// an op's three tiles take 24 KiB, half the 48 KiB L1D of the reference
+// host's cores (a 2-CPU AVX-512 Xeon, 2 MiB L2 each), so a tile an op list
+// reads again — a transform's baby accumulator, read once per giant step —
+// is still near when the next op reaches it. BenchmarkFold at -cpu 2 and
+// the nnlayer-shape transform (127 diagonals, N=2^14, 12 rows) read the
+// same within this host's noise at 512, 1024 and 2048 words, every width
+// ≈ 1.5× faster per word than the sequential calls; 2048 ran a few percent
+// slower on the transform. 1024 is the middle of that flat range.
+const foldTile = 1024
+
+// Fold runs every op on rows [0..level], in order, word for word as one
+// MulCoeffs (First) or multiply-accumulate call per op would. Instead of
+// streaming each op over whole rows it walks every row block tile by tile
+// and runs the whole list on a tile before moving to the next, so a
+// polynomial that several ops read or accumulate into is fetched once per
+// tile rather than once per op.
+func (r *Ring) Fold(ops []FoldOp, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		mulAddRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], r.Moduli[i].MRed)
+		mr := r.Moduli[i].MRed
+		for t := lo; t < hi; t += foldTile {
+			e := min(t+foldTile, hi)
+			for _, op := range ops {
+				a, b, acc := op.A.Coeffs[i][t:e], op.B.Coeffs[i][t:e], op.Acc.Coeffs[i][t:e]
+				if op.First {
+					mulRow(a, b, acc, mr)
+				} else {
+					mulAddRow(a, b, acc, mr)
+				}
+			}
+		}
 	})
 }
 

@@ -120,6 +120,15 @@ func (r *Ring) MulCoeffsBarrett(a, b, out *Poly, level int) {
 	})
 }
 
+// MulCoeffsAndAdd sets out += a ⊙ b element-wise on rows [0..level], one
+// full-row call per product: Fold's oracle (an op list run one op at a time)
+// and the Montgomery counterpart of MulCoeffsAndAddBarrett.
+func (r *Ring) MulCoeffsAndAdd(a, b, out *Poly, level int) {
+	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
+		mulAddRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], r.Moduli[i].MRed)
+	})
+}
+
 // MulCoeffsAndAddBarrett is the Barrett reference for MulCoeffsAndAdd on
 // plain operands.
 func (r *Ring) MulCoeffsAndAddBarrett(a, b, out *Poly, level int) {
