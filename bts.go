@@ -30,19 +30,17 @@
 // fill the pool, independent ops share it: the bootstrap runs EvalMod's two
 // sine evaluations (real and imaginary half) as two tasks of the engine,
 // side by side on two or more workers and in order on a serial engine, with
-// the same output words either way. A context created by NewScheme
-// runs on a process-wide pool sized to runtime.GOMAXPROCS (snapshotted at
-// first use); NewSchemeWorkers (or Context.SetWorkers) picks an explicit
-// worker count, with 0 selecting the serial fallback. Results are
+// the same output words either way. Every context owns its pool, sized to
+// runtime.GOMAXPROCS when the context is built; Context.SetWorkers picks an
+// explicit worker count, with 0 selecting the serial fallback. Results are
 // bit-identical for every worker count and block configuration, so the
 // knobs are purely throughput dials: worker counts up to the number of
 // physical cores scale near-linearly at any level, no longer saturating at
 // the limb count (level+1). Hot operations draw all
 // temporary polynomials from per-ring sync.Pool scratch allocators
 // (ring.GetPolyNoZero/PutPoly), so steady-state evaluation and bootstrapping
-// do not allocate. Long-lived processes that create many contexts with
-// explicit worker counts should Context.Close discarded ones to release
-// their private worker pools.
+// do not allocate. A discarded context's workers stop when the garbage
+// collector frees it; nothing needs closing.
 //
 // Rotation-heavy workloads additionally run on hoisted key-switching: a
 // ciphertext is decomposed once (ckks.Evaluator.DecomposeNTT) and every
@@ -314,19 +312,6 @@ func NewScheme(lit SchemeParams) (*ckks.Context, error) {
 		return nil, err
 	}
 	return ckks.NewContext(p)
-}
-
-// NewSchemeWorkers is NewScheme with an explicit execution-engine worker
-// count: workers <= 1 (and in particular 0) forces serial execution, higher
-// counts fan limb-indexed tasks across that many goroutines. Outputs are
-// bit-identical for every worker count.
-func NewSchemeWorkers(lit SchemeParams, workers int) (*ckks.Context, error) {
-	ctx, err := NewScheme(lit)
-	if err != nil {
-		return nil, err
-	}
-	ctx.SetWorkers(workers)
-	return ctx, nil
 }
 
 // Serving runtime (wire serialization + multi-tenant batch scheduler).

@@ -162,7 +162,6 @@ func serveBench(base string, clients int, duration time.Duration) {
 		if st, err := serve.NewClient(base, sctx).Stats(); err == nil {
 			report.Server = st
 		}
-		sctx.Close()
 	}
 	var all []float64
 	for cn := range results {

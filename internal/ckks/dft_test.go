@@ -343,7 +343,7 @@ func TestBootstrapStagedMatchesDense(t *testing.T) {
 		s, bt := bootSetup(t)
 		s.ctx.SetWorkers(cfg.workers)
 		if cfg.block > 0 {
-			s.ctx.SetBlockSize(cfg.block)
+			s.ctx.RingQ.Exec().SetBlockSize(cfg.block)
 		}
 		denseBP := DefaultBootstrapParams()
 		denseBP.CtSStages, denseBP.StCStages = 2, 1

@@ -109,7 +109,7 @@ func TestDivRoundBitIdenticalAcrossEngines(t *testing.T) {
 		}
 		ctx.SetWorkers(cfg.workers)
 		if cfg.block > 0 {
-			ctx.SetBlockSize(cfg.block)
+			ctx.RingQ.Exec().SetBlockSize(cfg.block)
 		}
 		rq, rp := ctx.RingQ, ctx.RingP
 		ev := NewEvaluator(ctx, NewEncoder(ctx), nil, nil)

@@ -75,8 +75,8 @@ func TestEvaluatorParallelEquivalence(t *testing.T) {
 		equalCT(t, s.ctx, outS[i], outP[i])
 	}
 
-	// Close releases the private engine and reverts to the shared pool; the
-	// context stays usable and still matches serial. (Both encryptor RNGs
+	// Close detaches the engine; the context stays usable, now serial, and
+	// still matches the serial one. (Both encryptor RNGs
 	// advanced identically above, so second runs are comparable to each
 	// other, not to the first.)
 	p.ctx.Close()
@@ -113,6 +113,69 @@ func TestLinearTransformParallelEquivalence(t *testing.T) {
 	equalCT(t, s.ctx, run(s), run(p))
 }
 
+// TestDroppedContextReleasesWorkers pins a context's engine lifetime:
+// nothing needs closing, and once a context is dropped the workers of every
+// engine it ran on stop. The context swaps its engine three times and runs a
+// MulRelin (which also fills its cached extenders) on each; after
+// collections the goroutine count must fall back to where it was before.
+func TestDroppedContextReleasesWorkers(t *testing.T) {
+	base := settledGoroutines()
+	func() {
+		s := newTestSetup(t, 2, nil)
+		pt, err := s.encoder.Encode(randomComplex(rand.New(rand.NewSource(5)), 8, 0.5), s.params.MaxLevel(), s.params.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := s.enc.EncryptNew(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 3, 4} {
+			s.ctx.SetWorkers(workers)
+			s.eval.MulRelin(ct, ct)
+		}
+		if n := runtime.NumGoroutine(); n < base+4 {
+			t.Fatalf("%d goroutines on a 4-worker context, want at least %d", n, base+4)
+		}
+	}()
+	waitForGoroutines(t, base)
+}
+
+// settledGoroutines collects until the goroutine count stops changing, so
+// workers of contexts dropped by earlier tests do not leave with the test's
+// own, and returns that count.
+func settledGoroutines() int {
+	n := -1
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// waitForGoroutines collects until at most want goroutines run, failing
+// after five seconds.
+func waitForGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		n := runtime.NumGoroutine()
+		if n <= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still run after the context was dropped, want at most %d", n, want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestBootstrapParallelEquivalence is the end-to-end check that the engine is
 // a pure throughput dial: a full small-N bootstrap — starting from a level-0
 // ciphertext, the regime where coefficient-block sharding carries the
@@ -142,7 +205,7 @@ func TestBootstrapParallelEquivalence(t *testing.T) {
 		s, bt := bootSetup(t)
 		s.ctx.SetWorkers(cfg.workers)
 		if cfg.block > 0 {
-			s.ctx.SetBlockSize(cfg.block)
+			s.ctx.RingQ.Exec().SetBlockSize(cfg.block)
 		}
 		pt, _ := s.encoder.Encode(values, 0, s.params.Scale)
 		ct, err := s.enc.EncryptNew(pt)
@@ -207,7 +270,7 @@ func TestShardedEvaluatorEquivalence(t *testing.T) {
 			serial.ctx.SetWorkers(0)
 			p := newTestSetup(t, 2, []int{1, 2, 4})
 			p.ctx.SetWorkers(workers)
-			p.ctx.SetBlockSize(block)
+			p.ctx.RingQ.Exec().SetBlockSize(block)
 			for lvl := 0; lvl <= serial.params.MaxLevel(); lvl++ {
 				outS := run(serial, lvl)
 				outP := run(p, lvl)

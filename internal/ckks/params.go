@@ -296,9 +296,10 @@ func NewParameters(lit ParametersLiteral) (Parameters, error) {
 
 // Context carries the rings and cached conversion tables for a parameter set.
 // It is the entry point for building encoders, key generators, encryptors and
-// evaluators. One execution engine (a limb-parallel worker pool, see
-// ring.Engine) is shared by the q-ring, the p-ring, and every cached
-// BasisExtender; SetWorkers swaps it for the whole context at once.
+// evaluators. Each context owns one execution engine (a limb-parallel worker
+// pool, see ring.Engine), shared by the q-ring, the p-ring, and every cached
+// BasisExtender; SetWorkers swaps it for the whole context at once. The
+// engine's workers stop when the context is garbage-collected.
 type Context struct {
 	Params Parameters
 	RingQ  *ring.Ring // R over the q-chain
@@ -336,8 +337,8 @@ type Context struct {
 }
 
 // NewContext builds the rings and precomputed tables for params. The context
-// starts on the process-wide shared engine (GOMAXPROCS workers); call
-// SetWorkers to pick a specific worker count or to force serial execution.
+// starts on its own engine of runtime.GOMAXPROCS(0) workers; call SetWorkers
+// to pick a specific worker count or to force serial execution.
 func NewContext(params Parameters) (*Context, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -356,7 +357,6 @@ func NewContext(params Parameters) (*Context, error) {
 		RingP:        rp,
 		modUpCache:   make(map[[2]int]*ring.BasisExtender),
 		modDownCache: make(map[[3]int]*modDownTables),
-		engine:       ring.DefaultEngine(),
 	}
 	if len(rq.Moduli) > 1 {
 		if ctx.raiseExt, err = ring.NewBasisExtender(rq.Moduli[:1], rq.Moduli[1:]); err != nil {
@@ -374,6 +374,7 @@ func NewContext(params Parameters) (*Context, error) {
 	for l := range ctx.special {
 		ctx.special[l] = newSpecialModulus(params, l, params.SpecialPrimes(l))
 	}
+	ctx.setEngine(ring.NewEngine(runtime.GOMAXPROCS(0)))
 	return ctx, nil
 }
 
@@ -420,17 +421,15 @@ func newSpecialModulus(params Parameters, level, k int) *specialModulus {
 // count and attaches it to both rings and every cached basis extender.
 // n <= 1 (and in particular 0) selects the serial fallback; by default a
 // fresh context runs on GOMAXPROCS workers. The new engine starts at the
-// default coefficient-block size (call SetBlockSize afterwards to change
-// it). Must not be called concurrently with homomorphic operations on this
-// context.
+// default coefficient-block size (RingQ.Exec().SetBlockSize changes it), and
+// the workers of the one it replaces stop once it is collected. Must not be
+// called concurrently with homomorphic operations on this context.
 func (ctx *Context) SetWorkers(n int) {
 	ctx.setEngine(ring.NewEngine(n))
 }
 
-// setEngine attaches e to both rings and every basis extender, closing the
-// engine it replaces unless that is the shared default.
+// setEngine attaches e to both rings and every basis extender.
 func (ctx *Context) setEngine(e *ring.Engine) {
-	old := ctx.engine
 	ctx.engine = e
 	ctx.RingQ.SetEngine(e)
 	ctx.RingP.SetEngine(e)
@@ -446,40 +445,29 @@ func (ctx *Context) setEngine(e *ring.Engine) {
 	}
 	ctx.cacheMu.Unlock()
 	ctx.attachStats()
-	if old != nil && old != ring.DefaultEngine() {
-		old.Close()
-	}
 }
 
 // SetStats attaches a telemetry bundle to the context: the execution engine
 // counts dispatch/steal activity into st.Engine and the two rings count
-// scratch-pool traffic into st.PoolQ/st.PoolP. nil detaches. If the context
-// is still on the process-wide shared engine, a private engine is installed
-// first (exactly as SetBlockSize does) so one server's counters never mix
-// with another context's work on the shared pool. Attachment survives later
-// SetWorkers/SetBlockSize calls; Close detaches the engine half (the shared
-// default engine is never instrumented) but keeps counting pool traffic.
-// Must not be called concurrently with homomorphic operations.
+// scratch-pool traffic into st.PoolQ/st.PoolP. nil detaches. The engine is
+// the context's own, so its counters count only this context's work.
+// Attachment survives later SetWorkers calls; after Close (a serial context)
+// only pool traffic is counted. Must not be called concurrently with
+// homomorphic operations.
 func (ctx *Context) SetStats(st *telemetry.ContextStats) {
-	if st != nil && ctx.engine == ring.DefaultEngine() {
-		ctx.SetWorkers(runtime.GOMAXPROCS(0))
-	}
 	ctx.stats = st
 	ctx.attachStats()
 }
 
 // attachStats points the current engine and both rings at the context's stats
-// bundle (or detaches them when it is nil). The shared default engine is
-// never touched.
+// bundle (or detaches them when it is nil).
 func (ctx *Context) attachStats() {
 	var es *telemetry.EngineStats
 	var pq, pp *telemetry.PoolStats
 	if ctx.stats != nil {
 		es, pq, pp = &ctx.stats.Engine, &ctx.stats.PoolQ, &ctx.stats.PoolP
 	}
-	if ctx.engine != ring.DefaultEngine() {
-		ctx.engine.SetStats(es)
-	}
+	ctx.engine.SetStats(es)
 	ctx.RingQ.SetPoolStats(pq)
 	ctx.RingP.SetPoolStats(pp)
 }
@@ -487,33 +475,10 @@ func (ctx *Context) attachStats() {
 // Workers reports the context's effective worker count (0 = serial).
 func (ctx *Context) Workers() int { return ctx.engine.Workers() }
 
-// SetBlockSize overrides the engine's minimum coefficient-block width for
-// the 2-D (limb × coefficient-block) sharded dispatch; 0 restores
-// ring.DefaultBlockSize, and any value ≥ N disables coefficient sharding
-// (pure limb-parallel dispatch — the benchmark baseline). If the context is
-// still on the process-wide shared engine, a private engine with GOMAXPROCS
-// workers is installed first (exactly as if SetWorkers had been called) so
-// the shared engine's configuration is never mutated — a long-lived process
-// discarding such a context should Close it to release the private pool.
-// Must not be called concurrently with homomorphic operations.
-func (ctx *Context) SetBlockSize(n int) {
-	if ctx.engine == ring.DefaultEngine() {
-		ctx.SetWorkers(runtime.GOMAXPROCS(0))
-	}
-	ctx.engine.SetBlockSize(n)
-}
-
-// Close releases the worker goroutines of a private engine installed by
-// SetWorkers (or by SetBlockSize, which installs one implicitly), reverting
-// the context to the shared default engine. Call it when discarding a
-// context that used either knob in a long-lived process; the context
-// remains usable (shared-pool) afterwards. Closing a context that never
-// installed a private engine is a no-op.
-func (ctx *Context) Close() {
-	if ctx.engine != ring.DefaultEngine() {
-		ctx.setEngine(ring.DefaultEngine())
-	}
-}
+// Close detaches the context's engine, so its workers stop once it is
+// collected, and leaves the context usable: it runs serially afterwards.
+// Dropping a context frees its engine as well, so Close is never required.
+func (ctx *Context) Close() { ctx.setEngine(nil) }
 
 // groupRange returns the q-prime index range [lo,hi] of decomposition group j
 // at the given level.

@@ -129,7 +129,7 @@ func TestSeededKeySwitchMatchesOracle(t *testing.T) {
 			ctx, ev := s.ctx, s.eval
 			ctx.SetWorkers(shape.workers)
 			if shape.block > 0 {
-				ctx.SetBlockSize(shape.block)
+				ctx.RingQ.Exec().SetBlockSize(shape.block)
 			}
 			rq, rp := ctx.RingQ, ctx.RingP
 			rng := rand.New(rand.NewSource(int64(50 + dnum)))

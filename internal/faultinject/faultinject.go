@@ -106,11 +106,6 @@ var (
 	armMu  sync.Mutex // serializes Arm/Disarm/Reset snapshot swaps
 )
 
-// Enabled reports whether any failpoint is armed — the cheap guard callers
-// may use to skip building failure context. Eval itself performs the same
-// check, so calling Eval unconditionally is equally correct.
-func Enabled() bool { return active.Load() != nil }
-
 // Eval evaluates the named failpoint: nil when nothing is armed (the
 // common case, one atomic load), otherwise the armed behavior — an error,
 // a panic, or a delay. Call it at the top of the guarded operation.

@@ -10,8 +10,8 @@ import (
 
 func TestDisarmedIsNil(t *testing.T) {
 	Reset()
-	if Enabled() {
-		t.Fatal("Enabled() true with nothing armed")
+	if active.Load() != nil {
+		t.Fatal("registry non-nil with nothing armed")
 	}
 	if err := Eval("serve.store.load"); err != nil {
 		t.Fatalf("disarmed Eval returned %v", err)
@@ -93,7 +93,7 @@ func TestDisarmRestoresFastPath(t *testing.T) {
 		t.Fatal("surviving point stopped firing")
 	}
 	Disarm("b")
-	if Enabled() {
+	if active.Load() != nil {
 		t.Fatal("registry not nil after last Disarm")
 	}
 }

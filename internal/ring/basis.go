@@ -113,8 +113,8 @@ const convTile = 256
 const bconvLaneTerms = 1024
 
 // NewBasisExtender precomputes the conversion tables from the source to the
-// target base. The bases must be disjoint prime sets. The extender starts on
-// the shared DefaultEngine; use SetEngine to attach a specific pool.
+// target base. The bases must be disjoint prime sets. The extender starts
+// serial; use SetEngine to attach a pool.
 func NewBasisExtender(from, to []*Modulus) (*BasisExtender, error) {
 	if len(from) == 0 || len(to) == 0 {
 		return nil, fmt.Errorf("ring: empty basis in BasisExtender")
@@ -138,7 +138,6 @@ func NewBasisExtender(from, to []*Modulus) (*BasisExtender, error) {
 		to:      to,
 		qhatInv: make([]uint64, nf),
 		qhatTo:  make([][]uint64, len(to)),
-		exec:    DefaultEngine(),
 	}
 	for i := range be.qhatTo {
 		be.qhatTo[i] = make([]uint64, nf+1)
@@ -196,8 +195,7 @@ func laneModulus(m *Modulus) []uint64 {
 	return []uint64{m.Q, m.Q >> 52, m.MRed.QInv & (1<<52 - 1)}
 }
 
-// SetEngine attaches an execution engine (nil reverts to serial). Ownership
-// stays with the caller, exactly as for Ring.SetEngine.
+// SetEngine attaches an execution engine (nil reverts to serial).
 func (be *BasisExtender) SetEngine(e *Engine) { be.exec = e }
 
 // Convert performs the base conversion on coefficient-domain rows. in must

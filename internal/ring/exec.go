@@ -26,13 +26,13 @@ import (
 // An Engine with fewer than two workers executes everything inline on the
 // calling goroutine (the serial fallback); the zero value of *Engine (nil) is
 // likewise serial. Engines are safe for concurrent use and may be shared by
-// several Rings — the ckks Context shares one Engine between its q- and
-// p-chain rings and all of its BasisExtenders.
+// several Rings — each ckks Context owns one Engine, shared by its q- and
+// p-chain rings and all of its BasisExtenders. An engine has no Close: its
+// workers stop once nothing references it any more (see NewEngine).
 type Engine struct {
 	workers   int
 	blockSize int // minimum coefficient-block width; 0 = DefaultBlockSize
 	jobs      chan func()
-	close     sync.Once
 
 	// stats, when non-nil, receives dispatch counters (runs, tasks, steals,
 	// shard shapes). Every hook is behind this nil check, so a detached
@@ -60,8 +60,10 @@ func (e *Engine) SetStats(st *telemetry.EngineStats) {
 const DefaultBlockSize = 1024
 
 // NewEngine returns an engine with the given worker count. workers <= 1
-// yields a serial engine with no goroutines; NewEngine never defaults the
-// count — use DefaultEngine for the shared instance.
+// yields a serial engine with no goroutines. The workers stop when the
+// engine becomes unreachable: they hold only the jobs channel, never the
+// engine, and a cleanup closes that channel after the collector frees the
+// engine. No send can follow, since a sender needs the engine.
 func NewEngine(workers int) *Engine {
 	e := &Engine{workers: workers}
 	if workers > 1 {
@@ -69,34 +71,18 @@ func NewEngine(workers int) *Engine {
 		// the pool without ever blocking (offers beyond the buffer are
 		// dropped), and the calling goroutine always works through the task
 		// counter itself, so nested dispatches cannot deadlock the pool.
-		e.jobs = make(chan func(), workers)
+		jobs := make(chan func(), workers)
 		for i := 0; i < workers; i++ {
 			go func() {
-				for f := range e.jobs {
+				for f := range jobs {
 					f()
 				}
 			}()
 		}
+		e.jobs = jobs
+		runtime.AddCleanup(e, func(jobs chan func()) { close(jobs) }, jobs)
 	}
 	return e
-}
-
-var defaultEngine struct {
-	once sync.Once
-	e    *Engine
-}
-
-// DefaultEngine returns the process-wide shared engine. It snapshots
-// runtime.GOMAXPROCS(0) at first use: the pool is sized once, on the first
-// call, and later changes to GOMAXPROCS do not resize it (restart the
-// process, or install a private engine via SetWorkers, to pick up a new
-// value). NewRing attaches it by default, so all rings share one worker pool
-// unless given a private engine via SetWorkers.
-func DefaultEngine() *Engine {
-	defaultEngine.once.Do(func() {
-		defaultEngine.e = NewEngine(runtime.GOMAXPROCS(0))
-	})
-	return defaultEngine.e
 }
 
 // Workers reports the engine's worker count (0 for a nil/serial engine).
@@ -105,16 +91,6 @@ func (e *Engine) Workers() int {
 		return 0
 	}
 	return e.workers
-}
-
-// Close terminates the worker goroutines. The engine must not be dispatched
-// to afterwards. Closing a serial engine (or the same engine twice) is a
-// no-op; the shared DefaultEngine should never be closed.
-func (e *Engine) Close() {
-	if e == nil || e.jobs == nil {
-		return
-	}
-	e.close.Do(func() { close(e.jobs) })
 }
 
 // Run executes fn(0) .. fn(n-1), fanning the calls out across the worker
@@ -278,32 +254,10 @@ func (e *Engine) RunBlocks(rows, n int, fn func(i, lo, hi int)) {
 }
 
 // SetEngine attaches an execution engine to the ring (nil reverts to serial).
-// The caller keeps ownership of e; a private engine previously installed by
-// SetWorkers is closed so its goroutines don't leak.
-func (r *Ring) SetEngine(e *Engine) {
-	r.dropOwnedEngine()
-	r.exec = e
-}
+func (r *Ring) SetEngine(e *Engine) { r.exec = e }
 
 // Exec returns the engine the ring currently dispatches through.
 func (r *Ring) Exec() *Engine { return r.exec }
-
-// SetWorkers gives the ring a private engine with the given worker count
-// (<= 1 means serial), closing any previous private one. Prefer sharing one
-// Engine across rings via SetEngine when several rings are in play;
-// ckks.Context does this automatically.
-func (r *Ring) SetWorkers(n int) {
-	r.dropOwnedEngine()
-	r.exec = NewEngine(n)
-	r.ownsExec = true
-}
-
-func (r *Ring) dropOwnedEngine() {
-	if r.ownsExec {
-		r.exec.Close()
-		r.ownsExec = false
-	}
-}
 
 // Workers reports the ring's effective worker count (0 = serial).
 func (r *Ring) Workers() int { return r.exec.Workers() }

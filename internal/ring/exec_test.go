@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bts/internal/mod"
 )
@@ -21,12 +22,11 @@ func twoRings(t testing.TB, logN, nPrimes, workers int) (serial, parallel *Ring)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial.SetWorkers(0)
 	parallel, err = NewRing(logN, primes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel.SetWorkers(workers)
+	parallel.SetEngine(NewEngine(workers))
 	return serial, parallel
 }
 
@@ -40,14 +40,11 @@ func TestEngineRunCoversAllIndices(t *testing.T) {
 				t.Fatalf("workers=%d: index %d executed %d times", workers, i, h)
 			}
 		}
-		e.Close()
-		e.Close() // double close must be a no-op
 	}
 }
 
 func TestEngineNestedRunDoesNotDeadlock(t *testing.T) {
 	e := NewEngine(2)
-	defer e.Close()
 	var total int64
 	e.Run(8, func(i int) {
 		e.Run(8, func(j int) { atomic.AddInt64(&total, 1) })
@@ -65,7 +62,6 @@ func TestEngineWorkers(t *testing.T) {
 		t.Fatalf("1-worker engine should be serial, reports %d", w)
 	}
 	e := NewEngine(3)
-	defer e.Close()
 	if w := e.Workers(); w != 3 {
 		t.Fatalf("engine reports %d workers, want 3", w)
 	}
@@ -74,7 +70,62 @@ func TestEngineWorkers(t *testing.T) {
 		t.Fatalf("nil engine reports %d workers", w)
 	}
 	nilEngine.Run(3, func(int) {}) // must not panic
-	nilEngine.Close()              // must not panic
+}
+
+// TestDroppedEngineReleasesWorkers pins the engine's lifetime: an engine has
+// no Close, and its workers stop once nothing references it. A ring swaps in
+// three engines, runs an NTT on each, and is dropped; after collections the
+// goroutine count must fall back to where it was before the ring.
+func TestDroppedEngineReleasesWorkers(t *testing.T) {
+	base := settledGoroutines()
+	func() {
+		r := testRing(t, 6, 3)
+		lvl := r.MaxLevel()
+		p := r.NewPolyLevel(lvl)
+		for _, workers := range []int{2, 3, 4} {
+			r.SetEngine(NewEngine(workers))
+			r.NTT(p, lvl)
+		}
+		if n := runtime.NumGoroutine(); n < base+4 {
+			t.Fatalf("%d goroutines with a 4-worker engine attached, want at least %d", n, base+4)
+		}
+	}()
+	waitForGoroutines(t, base)
+}
+
+// settledGoroutines collects until the goroutine count stops changing, so
+// workers of engines dropped by earlier tests do not leave with the test's
+// own, and returns that count.
+func settledGoroutines() int {
+	n := -1
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// waitForGoroutines collects until at most want goroutines run, failing
+// after five seconds.
+func waitForGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		n := runtime.NumGoroutine()
+		if n <= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still run after the engines were dropped, want at most %d", n, want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestParallelMatchesSerial drives every limb-dispatched kernel with workers
@@ -232,7 +283,7 @@ func BenchmarkNTTWorkers(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r.SetWorkers(workers)
+		r.SetEngine(NewEngine(workers))
 		lvl := len(primes) - 1
 		p := r.NewPolyLevel(lvl)
 		r.SampleUniform(rand.New(rand.NewSource(9)), p, lvl)

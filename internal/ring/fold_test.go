@@ -3,6 +3,7 @@ package ring
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bts/internal/mod"
@@ -56,7 +57,7 @@ func TestFoldMatchesSequentialMACs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r.SetWorkers(workers)
+				r.SetEngine(NewEngine(workers))
 				rng := rand.New(rand.NewSource(int64(logN*10 + workers)))
 				const nOps, nAcc = 6, 3
 				maxLvl := len(primes) - 1
@@ -93,7 +94,6 @@ func TestFoldMatchesSequentialMACs(t *testing.T) {
 						}
 					}
 				}
-				r.SetWorkers(0)
 			}
 		}
 	})
@@ -101,8 +101,8 @@ func TestFoldMatchesSequentialMACs(t *testing.T) {
 
 // BenchmarkFold times the linear transform's fold shape — 31 babies, each
 // read by four giant steps' accumulators, two ops per baby and giant — as
-// sequential full-poly calls and as one Fold, through the ring's default
-// engine (pass -cpu), over 60-bit rows: 12 rows at N = 2^12, 8 at 2^14 (the
+// sequential full-poly calls and as one Fold, through an engine of
+// GOMAXPROCS workers (pass -cpu), over 60-bit rows: 12 rows at N = 2^12, 8 at 2^14 (the
 // nnlayer transform's shape) and one 1 MiB row at 2^17. It reports ns per
 // word-product.
 func BenchmarkFold(b *testing.B) {
@@ -116,6 +116,7 @@ func BenchmarkFold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		r.SetEngine(NewEngine(runtime.GOMAXPROCS(0)))
 		lvl := c.rows - 1
 		rng := rand.New(rand.NewSource(42))
 		poly := func() *Poly {

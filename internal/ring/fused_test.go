@@ -70,7 +70,6 @@ func fusedIdentity(t *testing.T, logN int, primes []uint64, workers, block int) 
 		t.Fatal(err)
 	}
 	e := NewEngine(workers)
-	defer e.Close()
 	if block > 0 {
 		e.SetBlockSize(block)
 	}
@@ -236,7 +235,6 @@ func TestNTTInverseRoundTripIsIdentity(t *testing.T) {
 						}
 					}
 				}
-				e.Close()
 			}
 		}
 	})

@@ -55,7 +55,6 @@ func TestMontgomeryKernelsBitIdenticalToBarrett(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := NewEngine(cfg.workers)
-			defer e.Close()
 			if cfg.block > 0 {
 				e.SetBlockSize(cfg.block)
 			}
@@ -393,7 +392,6 @@ func TestBasisExtenderBitIdenticalAcrossEngines(t *testing.T) {
 						for k, in := range inputs {
 							assertConvertMatches(t, fmt.Sprintf("%s workers=%d block=%d", in.name, cfg.workers, cfg.block), be, in.x, wants[k])
 						}
-						e.Close()
 					}
 					t.Logf("%s path: %d→%d limbs, n=%d, matches the big.Int oracle", path, s.nf, s.nt, s.n)
 				})

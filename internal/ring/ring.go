@@ -50,7 +50,10 @@
 // the exception: each row is one task of the fused kernel, never split. Base
 // conversion, the one coefficient-wise family, is instead cut into fixed
 // coefficient tiles that each carry every limb (BasisExtender). Outputs are bit-identical to serial execution at
-// every (worker, block) configuration.
+// every (worker, block) configuration. A Ring or BasisExtender starts serial;
+// its owner attaches an engine with SetEngine (ckks.Context attaches its own
+// to both rings and every extender), and an engine's workers stop once it is
+// no longer referenced.
 //
 // # Kernel tiers
 //
@@ -136,13 +139,12 @@ type Ring struct {
 	autoCache map[uint64][]int // NTT-domain automorphism index tables
 	autoMu    sync.RWMutex     // guards autoCache for concurrent evaluation
 
-	// exec fans limb-indexed kernels out across worker goroutines; it
-	// defaults to the shared DefaultEngine (see exec.go) and can be swapped
-	// with SetEngine/SetWorkers. polyPool and rowPool back the
-	// GetPolyNoZero/PutPoly zero-allocation scratch discipline; accPool holds the
-	// 128-bit lazy MAC accumulators (see acc.go).
+	// exec fans limb-indexed kernels out across worker goroutines; a new
+	// ring is serial (nil) until SetEngine attaches one (see exec.go).
+	// polyPool and rowPool back the GetPolyNoZero/PutPoly zero-allocation
+	// scratch discipline; accPool holds the 128-bit lazy MAC accumulators
+	// (see acc.go).
 	exec     *Engine
-	ownsExec bool // exec was created by SetWorkers and is closed on replace
 	polyPool sync.Pool
 	rowPool  sync.Pool
 	accPool  sync.Pool
@@ -168,7 +170,6 @@ func NewRing(logN int, primes []uint64) (*Ring, error) {
 		Moduli:    make([]*Modulus, len(primes)),
 		brv:       bitReversalPermutation(logN),
 		autoCache: make(map[uint64][]int),
-		exec:      DefaultEngine(),
 	}
 	seen := make(map[uint64]bool, len(primes))
 	for i, q := range primes {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -339,7 +340,6 @@ func TestMulGatherAndAddLazyMatchesPermuteThenMAC(t *testing.T) {
 	for _, workers := range []int{0, 3} {
 		r := testRing(t, 6, 4)
 		e := NewEngine(workers)
-		defer e.Close()
 		r.SetEngine(e)
 		lvl := r.MaxLevel()
 		rng := rand.New(rand.NewSource(39))
@@ -615,7 +615,8 @@ func BenchmarkNTT(b *testing.B) {
 // CPU selects where it has them — and reports ns per output
 // coefficient, the same quantity as the benchmark's
 // ring.bconv_ns_per_out_coeff, so the micro and the traced numbers compare
-// directly. Worker count follows -cpu (the shared DefaultEngine).
+// directly. Worker count follows -cpu: each extender runs on an engine of
+// GOMAXPROCS workers.
 func BenchmarkBConv(b *testing.B) {
 	for _, s := range []struct{ nf, nt, logN, bitsFrom, bitsTo int }{
 		{28, 28, 12, 60, 61}, // boot_ins1_n12: dnum=1, the whole chain → P
@@ -639,6 +640,7 @@ func BenchmarkBConv(b *testing.B) {
 		for _, path := range bconvPaths {
 			b.Run(fmt.Sprintf("%dto%d/logN=%d/%s", s.nf, s.nt, s.logN, path), func(b *testing.B) {
 				be := extenderOn(b, from, to, path)
+				be.SetEngine(NewEngine(runtime.GOMAXPROCS(0)))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					be.Convert(in, out)

@@ -43,7 +43,6 @@ func TestRunBlocksCoversAllCells(t *testing.T) {
 					}
 				}
 			}
-			e.Close()
 		}
 	}
 }
@@ -61,7 +60,6 @@ func TestBlockCount(t *testing.T) {
 		t.Fatalf("nil engine splits into %d blocks", b)
 	}
 	e := NewEngine(8)
-	defer e.Close()
 	if b := e.blockCount(8, 1<<20); b != 1 {
 		t.Fatalf("rows=workers split into %d blocks, want 1", b)
 	}
@@ -102,7 +100,6 @@ func TestBlockCount(t *testing.T) {
 // the first Run claims index 1 and unblocks the whole dispatch.
 func TestEngineRunStealsLateFreeingWorkers(t *testing.T) {
 	e := NewEngine(4)
-	defer e.Close()
 	release := make(chan struct{})
 	var occupied atomic.Int64
 	firstDone := make(chan struct{})
@@ -157,7 +154,6 @@ func TestShardedKernelsMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.SetWorkers(0)
 
 	workerCounts := []int{0, 1, 3, runtime.GOMAXPROCS(0)}
 	blockSizes := []int{16, 33, n} // minimum-ish, odd (ragged blocks), sharding off
@@ -198,7 +194,7 @@ func TestShardedKernelsMatchSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.SetWorkers(workers)
+			r.SetEngine(NewEngine(workers))
 			r.Exec().SetBlockSize(bs)
 			cfg := fmt.Sprintf("workers=%d block=%d", workers, bs)
 			for lvl := 0; lvl <= nPrimes-1; lvl++ {
@@ -220,7 +216,6 @@ func TestShardedKernelsMatchSerial(t *testing.T) {
 					}
 				}
 			}
-			r.SetEngine(nil) // close the private engine
 		}
 	}
 }
@@ -281,7 +276,6 @@ func TestShardedBasisConvertMatchesSerial(t *testing.T) {
 						}
 					}
 				}
-				e.Close()
 			}
 		}
 	}

@@ -12,7 +12,6 @@ import (
 
 func TestEngineStatsCounts(t *testing.T) {
 	e := NewEngine(4)
-	defer e.Close()
 	var st telemetry.EngineStats
 	e.SetStats(&st)
 

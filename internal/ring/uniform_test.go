@@ -262,8 +262,6 @@ func TestUniformKernelsMatchMaterialized(t *testing.T) {
 				}
 			}
 		}
-		r.SetEngine(nil)
-		e.Close()
 	}
 }
 

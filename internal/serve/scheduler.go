@@ -94,7 +94,7 @@ func (s *Server) finishJob(j *job, cts []*ckks.Ciphertext, err error, executed b
 // accelerator throughput.
 //
 // Up to Parallel batches execute concurrently (a semaphore bounds them), so
-// distinct tenants overlap on the shared engine instead of taking turns.
+// distinct tenants overlap on the context's engine instead of taking turns.
 //
 // A session whose pending batch is smaller than BatchSize lingers for up to
 // BatchWindow (a per-session deadline, see takeBatchLocked) to let

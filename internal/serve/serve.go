@@ -263,9 +263,8 @@ func New(cfg Config) (*Server, error) {
 	if !cfg.DisableMetrics || cfg.SlowJob > 0 {
 		s.tel = newTelemetryState(&s.cfg)
 		if s.tel.reg != nil {
-			// SetStats instruments a context-private engine (installing one if
-			// the context still shares ring.DefaultEngine), so scrapes never
-			// see other tenants of the process-wide pool.
+			// The context owns its engine, so the engine counters scraped
+			// here count this server's work alone.
 			ctx.SetStats(&s.tel.ctxStats)
 			s.codec.SetStats(&s.tel.wire)
 			s.registerCollectors()
@@ -733,7 +732,6 @@ func (s *Server) Close() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	<-s.dispatcherDone
-	s.ctx.Close()
 }
 
 // Uptime reports how long the server has been running.
