@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bts/internal/ring"
 )
 
 // equalCT reports whether two ciphertexts (possibly from different contexts
@@ -139,6 +141,45 @@ func TestDroppedContextReleasesWorkers(t *testing.T) {
 		}
 	}()
 	waitForGoroutines(t, base)
+}
+
+// TestEngineStartsWorkersOnFirstRun pins the engine's lazy start: neither
+// building an engine nor building a context and swapping its engine with
+// SetWorkers starts a goroutine, so the context's default engine, replaced
+// before it ran anything, leaves no pool behind. The first NTT starts
+// exactly the workers of the engine it runs on.
+func TestEngineStartsWorkersOnFirstRun(t *testing.T) {
+	params, err := NewParameters(ParametersLiteral{
+		LogN:     10,
+		LogQ:     []int{50, 40, 40, 40},
+		LogP:     51,
+		Dnum:     1,
+		LogScale: 40,
+		H:        64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := settledGoroutines()
+	e := ring.NewEngine(4)
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after NewEngine(4), want %d: the engine started its workers before any Run", n, base)
+	}
+	ctx, err := NewContext(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.SetWorkers(2)
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after NewContext and SetWorkers(2), want %d", n, base)
+	}
+	lvl := ctx.RingQ.MaxLevel()
+	ctx.RingQ.NTT(ctx.RingQ.NewPolyLevel(lvl), lvl)
+	if n := runtime.NumGoroutine(); n != base+2 {
+		t.Fatalf("%d goroutines after the first NTT on 2 workers, want %d", n, base+2)
+	}
+	runtime.KeepAlive(e)
+	runtime.KeepAlive(ctx)
 }
 
 // settledGoroutines collects until the goroutine count stops changing, so

@@ -33,6 +33,7 @@ type Engine struct {
 	workers   int
 	blockSize int // minimum coefficient-block width; 0 = DefaultBlockSize
 	jobs      chan func()
+	start     sync.Once // starts the workers on the first parallel Run
 
 	// stats, when non-nil, receives dispatch counters (runs, tasks, steals,
 	// shard shapes). Every hook is behind this nil check, so a detached
@@ -60,10 +61,13 @@ func (e *Engine) SetStats(st *telemetry.EngineStats) {
 const DefaultBlockSize = 1024
 
 // NewEngine returns an engine with the given worker count. workers <= 1
-// yields a serial engine with no goroutines. The workers stop when the
-// engine becomes unreachable: they hold only the jobs channel, never the
-// engine, and a cleanup closes that channel after the collector frees the
-// engine. No send can follow, since a sender needs the engine.
+// yields a serial engine with no goroutines. A parallel engine starts its
+// workers on its first parallel Run, so an engine replaced before it ran
+// anything (a context's default one, swapped by SetWorkers) never starts a
+// goroutine. The workers stop when the engine becomes unreachable: they
+// hold only the jobs channel, never the engine, and a cleanup closes that
+// channel after the collector frees the engine. No send can follow, since a
+// sender needs the engine.
 func NewEngine(workers int) *Engine {
 	e := &Engine{workers: workers}
 	if workers > 1 {
@@ -71,18 +75,24 @@ func NewEngine(workers int) *Engine {
 		// the pool without ever blocking (offers beyond the buffer are
 		// dropped), and the calling goroutine always works through the task
 		// counter itself, so nested dispatches cannot deadlock the pool.
-		jobs := make(chan func(), workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				for f := range jobs {
-					f()
-				}
-			}()
-		}
-		e.jobs = jobs
-		runtime.AddCleanup(e, func(jobs chan func()) { close(jobs) }, jobs)
+		e.jobs = make(chan func(), workers)
+		runtime.AddCleanup(e, func(jobs chan func()) { close(jobs) }, e.jobs)
 	}
 	return e
+}
+
+// startWorkers starts the engine's worker goroutines.
+func (e *Engine) startWorkers() {
+	for i := 0; i < e.workers; i++ {
+		go work(e.jobs)
+	}
+}
+
+// work runs the helper tasks offered on jobs until the channel is closed.
+func work(jobs chan func()) {
+	for f := range jobs {
+		f()
+	}
 }
 
 // Workers reports the engine's worker count (0 for a nil/serial engine).
@@ -123,6 +133,7 @@ func (e *Engine) Run(n int, fn func(i int)) {
 		}
 		return
 	}
+	e.start.Do(e.startWorkers)
 	st := e.stats
 	if st != nil {
 		st.Runs.Add(1)

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -312,18 +313,19 @@ func (c *Client) OpenSession(name string, rlk *ckks.SwitchingKey, rtks *ckks.Rot
 // Retryable failures (a draining daemon, a store hiccup) are retried; the
 // upload body is rebuilt per attempt.
 func (c *Client) OpenSessionContext(ctx context.Context, name string, rlk *ckks.SwitchingKey, rtks *ckks.RotationKeySet) error {
-	var body bytes.Buffer
+	var rlkEnv, rtksEnv []byte
+	var err error
 	if rlk != nil {
-		if err := c.codec.WriteSwitchingKey(&body, rlk); err != nil {
+		if rlkEnv, err = c.codec.MarshalSwitchingKey(rlk); err != nil {
 			return err
 		}
 	}
 	if rtks != nil {
-		if err := c.codec.WriteRotationKeySet(&body, rtks); err != nil {
+		if rtksEnv, err = c.codec.MarshalRotationKeySet(rtks); err != nil {
 			return err
 		}
 	}
-	payload := body.Bytes()
+	payload := slices.Concat(rlkEnv, rtksEnv)
 	return c.do(ctx, func(ctx context.Context) (bool, error) {
 		return c.post(ctx, c.base+"/v1/sessions?name="+url.QueryEscape(name), "application/x-bts-wire", payload, c.cfg.RequestTimeout, nil)
 	})
@@ -409,30 +411,20 @@ func lowerSlots(ops []Op, nInputs int) (inputNames []string, lowered []Op, outpu
 // as the job's deadline, so a timed-out attempt is cancelled server-side
 // rather than computing into the void — and failures the server marks
 // retryable (plus transport errors: the daemon restarted mid-request) are
-// retried with backoff. The serialized request is built once and replayed
-// per attempt; commits a partially-failed attempt made are overwritten
-// idempotently by the retry (single-assignment programs write each register
-// to the same value).
+// retried with backoff. The serialized request is built once, in one
+// exact-size slice that every input's envelope is encoded straight into
+// (jobBody), and replayed per attempt; commits a partially-failed attempt
+// made are overwritten idempotently by the retry (single-assignment
+// programs write each register to the same value).
 func (c *Client) DoDAG(ctx context.Context, session string, inputNames []string, ops []Op, outputs []string, inputs ...*ckks.Ciphertext) ([]*ckks.Ciphertext, error) {
 	jr := JobRequest{Session: session, Ops: ops, Inputs: inputNames, Outputs: outputs}
 	if c.cfg.JobTimeout > 0 {
 		jr.TimeoutMs = c.cfg.JobTimeout.Milliseconds()
 	}
-	header, err := json.Marshal(jr)
+	payload, err := c.jobBody(jr, inputs)
 	if err != nil {
 		return nil, err
 	}
-	var body bytes.Buffer
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(header)))
-	body.Write(lenBuf[:])
-	body.Write(header)
-	for _, ct := range inputs {
-		if err := c.codec.WriteCiphertext(&body, ct); err != nil {
-			return nil, err
-		}
-	}
-	payload := body.Bytes()
 	var results []*ckks.Ciphertext
 	err = c.do(ctx, func(ctx context.Context) (bool, error) {
 		results = nil
@@ -452,6 +444,35 @@ func (c *Client) DoDAG(ctx context.Context, session string, inputNames []string,
 		return nil, err
 	}
 	return results, nil
+}
+
+// ciphertextFraming is what a ciphertext's wire envelope adds to its
+// residues (ckks.Ciphertext.Bytes): the envelope header (10 bytes), level
+// and scale (12) and the N and row count of each polynomial (2 × 8). It
+// only sizes buffers that AppendCiphertext fills, so a drift costs a
+// regrowth, not correctness; TestDAGJobBodyExactSize pins it.
+const ciphertextFraming = 10 + 12 + 2*8
+
+// jobBody serializes a job request: uint32 header length | JSON header |
+// one ciphertext envelope per input, in one slice of exactly its size.
+func (c *Client) jobBody(jr JobRequest, inputs []*ckks.Ciphertext) ([]byte, error) {
+	header, err := json.Marshal(jr)
+	if err != nil {
+		return nil, err
+	}
+	size := 4 + len(header)
+	for _, ct := range inputs {
+		size += int(ct.Bytes()) + ciphertextFraming
+	}
+	body := make([]byte, 4, size)
+	binary.LittleEndian.PutUint32(body, uint32(len(header)))
+	body = append(body, header...)
+	for _, ct := range inputs {
+		if body, err = c.codec.AppendCiphertext(body, ct); err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
 }
 
 // Stats fetches the server's serving statistics.

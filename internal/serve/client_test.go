@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"bts/internal/ckks"
 )
 
 // TestOpenSessionEscapesName opens a session whose name holds every character
@@ -101,5 +104,51 @@ func TestFetchParamsRefusesWireVersion(t *testing.T) {
 	var se *Error
 	if !errors.As(err, &se) || se.Code != CodeInvalid || se.Retryable {
 		t.Fatalf("FetchParams against a version-99 daemon returned %v, want a terminal %s error", err, CodeInvalid)
+	}
+}
+
+// TestDAGJobBodyExactSize pins the job body's sizing: the slice DoDAG
+// uploads is allocated once, at exactly its final length, and carries each
+// input's envelope as MarshalCiphertext encodes it, whatever the inputs'
+// levels. A framing constant that drifted from the wire format would show
+// here as a length that misses the capacity.
+func TestDAGJobBodyExactSize(t *testing.T) {
+	params := testParams(t)
+	cl := newClientSide(t, params, 740, nil)
+	api := NewClient("http://127.0.0.1:0", cl.ctx)
+	var inputs []*ckks.Ciphertext
+	for _, level := range []int{params.MaxLevel(), 0} {
+		pt, err := cl.encoder.Encode([]complex128{0.5}, level, params.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := cl.enc.EncryptNew(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, ct)
+	}
+	jr := JobRequest{Session: "s", Ops: []Op{dagAdd("$a", "$b", "$c")}, Inputs: []string{"$a", "$b"}, Outputs: []string{"$c"}}
+	body, err := api.jobBody(jr, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) != cap(body) {
+		t.Fatalf("job body of %d bytes in a slice of capacity %d", len(body), cap(body))
+	}
+	header, err := json.Marshal(jr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte{byte(len(header)), byte(len(header) >> 8), byte(len(header) >> 16), byte(len(header) >> 24)}, header...)
+	for _, ct := range inputs {
+		env, err := api.codec.MarshalCiphertext(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, env...)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatal("job body differs from the header followed by each input's envelope")
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -363,18 +364,25 @@ func (st *Store) SaveRegisters(name string, regs map[string]*ckks.Ciphertext) er
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var buf []byte
+	// Every register's envelope is encoded straight into the file buffer,
+	// sized up front so it never regrows.
+	size := len(regsMagic) + 4 + 4
+	for _, n := range names {
+		size += 2 + len(n) + 4 + int(regs[n].Bytes()) + ciphertextFraming
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, regsMagic...)
 	buf = le32(buf, uint32(len(names)))
 	for _, n := range names {
-		blob, err := st.codec.MarshalCiphertext(regs[n])
-		if err != nil {
-			return errf(CodeStore, "encoding register %q of %q: %v", n, name, err)
-		}
 		buf = append(buf, byte(len(n)), byte(len(n)>>8))
 		buf = append(buf, n...)
-		buf = le32(buf, uint32(len(blob)))
-		buf = append(buf, blob...)
+		at := len(buf)
+		buf = le32(buf, 0) // the blob length, stored once the blob is in
+		var err error
+		if buf, err = st.codec.AppendCiphertext(buf, regs[n]); err != nil {
+			return errf(CodeStore, "encoding register %q of %q: %v", n, name, err)
+		}
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 	}
 	buf = le32(buf, crc32.Checksum(buf, crcTable))
 	f, err := os.CreateTemp(dir, ".regs-*")

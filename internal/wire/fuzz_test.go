@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"bts/internal/ckks"
 )
@@ -83,7 +85,9 @@ func getFuzzCodec(f *testing.F) *Codec {
 
 // FuzzUnmarshalCiphertext proves the decoder's contract: arbitrary input
 // either yields a valid ciphertext or an error — never a panic, never an
-// out-of-range write.
+// out-of-range write. The in-place decoder and the stream decoder, fed the
+// same bytes a few at a time, must agree: both fail, or both decode the
+// same words.
 func FuzzUnmarshalCiphertext(f *testing.F) {
 	c := getFuzzCodec(f)
 	for _, s := range fuzzCodec.seed {
@@ -91,11 +95,20 @@ func FuzzUnmarshalCiphertext(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ct, err := c.UnmarshalCiphertext(data)
+		streamed, serr := c.ReadCiphertext(iotest.HalfReader(bytes.NewReader(data)))
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("in-place decode returned %v, stream decode %v", err, serr)
+		}
 		if err != nil {
-			if ct != nil {
+			if ct != nil || streamed != nil {
 				t.Fatal("non-nil ciphertext alongside error")
 			}
 			return
+		}
+		rq := c.Context().RingQ
+		if streamed.Level != ct.Level || streamed.Scale != ct.Scale ||
+			!rq.Equal(streamed.C0, ct.C0, ct.Level) || !rq.Equal(streamed.C1, ct.C1, ct.Level) {
+			t.Fatal("in-place and stream decodes differ")
 		}
 		// Whatever decoded must satisfy the context's invariants.
 		if ct.Level < 0 || ct.Level > c.Context().RingQ.MaxLevel() {

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"bts/internal/ckks"
 	"bts/internal/ring"
@@ -14,31 +14,93 @@ import (
 
 // --- Ciphertext -------------------------------------------------------------
 
-// WriteCiphertext frames ct.
+// ciphertextPayload is the payload byte count of a ciphertext at level.
+func (c *Codec) ciphertextPayload(level int) int {
+	return 12 + 2*polyBodySize(c.ctx.RingQ, level)
+}
+
+// ciphertextSize validates ct and returns its envelope's byte count.
+func (c *Codec) ciphertextSize(ct *ckks.Ciphertext) (int, error) {
+	rq := c.ctx.RingQ
+	if err := checkPoly(rq, ct.C0, ct.Level); err != nil {
+		return 0, err
+	}
+	if err := checkPoly(rq, ct.C1, ct.Level); err != nil {
+		return 0, err
+	}
+	return envelopeSize(TypeCiphertext, c.ciphertextPayload(ct.Level))
+}
+
+// putCiphertext stores ct's envelope, sized by ciphertextSize, into env.
+func (c *Codec) putCiphertext(env []byte, ct *ckks.Ciphertext) {
+	p := putHeader(env, TypeCiphertext)
+	binary.LittleEndian.PutUint32(p[0:4], uint32(ct.Level))
+	binary.LittleEndian.PutUint64(p[4:12], math.Float64bits(ct.Scale))
+	p = putPolyBody(p[12:], c.ctx.RingQ, ct.C0, ct.Level)
+	putPolyBody(p, c.ctx.RingQ, ct.C1, ct.Level)
+}
+
+// AppendCiphertext appends the wire encoding of ct to dst, growing it at
+// most once, and returns the extended slice. On error dst is returned
+// unchanged.
+func (c *Codec) AppendCiphertext(dst []byte, ct *ckks.Ciphertext) ([]byte, error) {
+	size, err := c.ciphertextSize(ct)
+	if err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, size)
+	n := len(dst)
+	dst = dst[:n+size]
+	c.putCiphertext(dst[n:], ct)
+	c.countOut(size)
+	return dst, nil
+}
+
+// WriteCiphertext frames ct in a pooled buffer and hands it to w in one
+// Write.
 func (c *Codec) WriteCiphertext(w io.Writer, ct *ckks.Ciphertext) error {
-	var buf bytes.Buffer
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(ct.Level))
-	buf.Write(tmp[:4])
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(ct.Scale))
-	buf.Write(tmp[:])
-	if err := appendPolyBody(&buf, c.ctx.RingQ, ct.C0, ct.Level); err != nil {
+	size, err := c.ciphertextSize(ct)
+	if err != nil {
 		return err
 	}
-	if err := appendPolyBody(&buf, c.ctx.RingQ, ct.C1, ct.Level); err != nil {
-		return err
-	}
-	return c.writeEnvelope(w, TypeCiphertext, buf.Bytes())
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer c.release(buf)
+	buf.Grow(size)
+	env := buf.AvailableBuffer()[:size]
+	c.putCiphertext(env, ct)
+	return c.send(w, TypeCiphertext, env)
 }
 
 // ReadCiphertext decodes one ciphertext envelope. A pooled codec draws the
 // result from the context's ciphertext pool; return it with
 // Context.PutCiphertext to serve without allocating.
 func (c *Codec) ReadCiphertext(r io.Reader) (*ckks.Ciphertext, error) {
-	payload, err := c.readEnvelope(r, TypeCiphertext)
+	buf, err := c.readEnvelope(r, TypeCiphertext)
 	if err != nil {
 		return nil, err
 	}
+	defer c.release(buf)
+	return c.decodeCiphertext(buf.Bytes())
+}
+
+// MarshalCiphertext returns the wire encoding of ct in a slice of exactly
+// its size.
+func (c *Codec) MarshalCiphertext(ct *ckks.Ciphertext) ([]byte, error) {
+	return c.AppendCiphertext(nil, ct)
+}
+
+// UnmarshalCiphertext decodes the ciphertext envelope at the start of b,
+// in place.
+func (c *Codec) UnmarshalCiphertext(b []byte) (*ckks.Ciphertext, error) {
+	payload, err := c.envelopePayload(b, TypeCiphertext)
+	if err != nil {
+		return nil, err
+	}
+	return c.decodeCiphertext(payload)
+}
+
+// decodeCiphertext decodes a ciphertext payload.
+func (c *Codec) decodeCiphertext(payload []byte) (*ckks.Ciphertext, error) {
 	cu := &cursor{b: payload}
 	level, scale, err := c.readLevelScale(cu)
 	if err != nil {
@@ -73,20 +135,6 @@ func (c *Codec) ReadCiphertext(r io.Reader) (*ckks.Ciphertext, error) {
 	return ct, nil
 }
 
-// MarshalCiphertext returns the wire encoding of ct.
-func (c *Codec) MarshalCiphertext(ct *ckks.Ciphertext) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.WriteCiphertext(&buf, ct); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalCiphertext decodes a ciphertext envelope from b.
-func (c *Codec) UnmarshalCiphertext(b []byte) (*ckks.Ciphertext, error) {
-	return c.ReadCiphertext(bytes.NewReader(b))
-}
-
 // readLevelScale reads and validates a ciphertext payload's (level, scale)
 // prefix.
 func (c *Codec) readLevelScale(cu *cursor) (int, float64, error) {
@@ -106,27 +154,43 @@ func (c *Codec) readLevelScale(cu *cursor) (int, float64, error) {
 
 // --- SwitchingKey -----------------------------------------------------------
 
-// appendSwitchingKeyBody serializes swk: uint32 dnum, the 32-byte seed that
-// regenerates every a_j, then per decomposition group the two polynomials
-// bQ, bP over their full chains.
-func (c *Codec) appendSwitchingKeyBody(buf *bytes.Buffer, swk *ckks.SwitchingKey) error {
+// switchingKeyBody is the byte count of a switching-key body: dnum, seed,
+// and per decomposition group the full-chain polynomials bQ and bP.
+func (c *Codec) switchingKeyBody() int {
+	rq, rp := c.ctx.RingQ, c.ctx.RingP
+	return 4 + ring.SeedSize + c.ctx.Params.Dnum*(polyBodySize(rq, rq.MaxLevel())+polyBodySize(rp, rp.MaxLevel()))
+}
+
+// checkSwitchingKey reports whether swk has the context's shape.
+func (c *Codec) checkSwitchingKey(swk *ckks.SwitchingKey) error {
 	rq, rp := c.ctx.RingQ, c.ctx.RingP
 	if len(swk.B) != c.ctx.Params.Dnum {
 		return fmt.Errorf("wire: switching key has %d groups, context dnum is %d", len(swk.B), c.ctx.Params.Dnum)
 	}
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(swk.B)))
-	buf.Write(tmp[:])
-	buf.Write(swk.Seed[:])
 	for _, b := range swk.B {
-		if err := appendPolyBody(buf, rq, b.Q, rq.MaxLevel()); err != nil {
+		if err := checkPoly(rq, b.Q, rq.MaxLevel()); err != nil {
 			return err
 		}
-		if err := appendPolyBody(buf, rp, b.P, rp.MaxLevel()); err != nil {
+		if err := checkPoly(rp, b.P, rp.MaxLevel()); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// putSwitchingKeyBody stores swk, checked by checkSwitchingKey, at the
+// start of b and returns what follows it: uint32 dnum, the 32-byte seed
+// that regenerates every a_j, then per decomposition group the two
+// polynomials bQ, bP over their full chains.
+func (c *Codec) putSwitchingKeyBody(b []byte, swk *ckks.SwitchingKey) []byte {
+	rq, rp := c.ctx.RingQ, c.ctx.RingP
+	binary.LittleEndian.PutUint32(b[0:4], uint32(len(swk.B)))
+	b = b[4+copy(b[4:], swk.Seed[:]):]
+	for _, g := range swk.B {
+		b = putPolyBody(b, rq, g.Q, rq.MaxLevel())
+		b = putPolyBody(b, rp, g.P, rp.MaxLevel())
+	}
+	return b
 }
 
 // readSwitchingKeyBody decodes one switching-key body from cu.
@@ -164,21 +228,61 @@ func (c *Codec) readSwitchingKeyBody(cu *cursor) (*ckks.SwitchingKey, error) {
 	return swk, nil
 }
 
-// WriteSwitchingKey frames swk.
+// encodeSwitchingKey returns swk's envelope in a slice of exactly its size.
+func (c *Codec) encodeSwitchingKey(swk *ckks.SwitchingKey) ([]byte, error) {
+	if err := c.checkSwitchingKey(swk); err != nil {
+		return nil, err
+	}
+	size, err := envelopeSize(TypeSwitchingKey, c.switchingKeyBody())
+	if err != nil {
+		return nil, err
+	}
+	env := make([]byte, size)
+	c.putSwitchingKeyBody(putHeader(env, TypeSwitchingKey), swk)
+	return env, nil
+}
+
+// WriteSwitchingKey frames swk and hands it to w in one Write.
 func (c *Codec) WriteSwitchingKey(w io.Writer, swk *ckks.SwitchingKey) error {
-	var buf bytes.Buffer
-	if err := c.appendSwitchingKeyBody(&buf, swk); err != nil {
+	env, err := c.encodeSwitchingKey(swk)
+	if err != nil {
 		return err
 	}
-	return c.writeEnvelope(w, TypeSwitchingKey, buf.Bytes())
+	return c.send(w, TypeSwitchingKey, env)
 }
 
 // ReadSwitchingKey decodes one switching-key envelope.
 func (c *Codec) ReadSwitchingKey(r io.Reader) (*ckks.SwitchingKey, error) {
-	payload, err := c.readEnvelope(r, TypeSwitchingKey)
+	buf, err := c.readEnvelope(r, TypeSwitchingKey)
 	if err != nil {
 		return nil, err
 	}
+	defer c.release(buf)
+	return c.decodeSwitchingKey(buf.Bytes())
+}
+
+// MarshalSwitchingKey returns the wire encoding of swk.
+func (c *Codec) MarshalSwitchingKey(swk *ckks.SwitchingKey) ([]byte, error) {
+	env, err := c.encodeSwitchingKey(swk)
+	if err != nil {
+		return nil, err
+	}
+	c.countOut(len(env))
+	return env, nil
+}
+
+// UnmarshalSwitchingKey decodes the switching-key envelope at the start of
+// b, in place.
+func (c *Codec) UnmarshalSwitchingKey(b []byte) (*ckks.SwitchingKey, error) {
+	payload, err := c.envelopePayload(b, TypeSwitchingKey)
+	if err != nil {
+		return nil, err
+	}
+	return c.decodeSwitchingKey(payload)
+}
+
+// decodeSwitchingKey decodes a switching-key payload.
+func (c *Codec) decodeSwitchingKey(payload []byte) (*ckks.SwitchingKey, error) {
 	cu := &cursor{b: payload}
 	swk, err := c.readSwitchingKeyBody(cu)
 	if err != nil {
@@ -190,54 +294,60 @@ func (c *Codec) ReadSwitchingKey(r io.Reader) (*ckks.SwitchingKey, error) {
 	return swk, nil
 }
 
-// MarshalSwitchingKey returns the wire encoding of swk.
-func (c *Codec) MarshalSwitchingKey(swk *ckks.SwitchingKey) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.WriteSwitchingKey(&buf, swk); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalSwitchingKey decodes a switching-key envelope from b.
-func (c *Codec) UnmarshalSwitchingKey(b []byte) (*ckks.SwitchingKey, error) {
-	return c.ReadSwitchingKey(bytes.NewReader(b))
-}
-
 // --- RotationKeySet ---------------------------------------------------------
 
-// WriteRotationKeySet frames rtks with entries sorted by Galois element, so
-// equal key sets marshal to identical bytes.
-func (c *Codec) WriteRotationKeySet(w io.Writer, rtks *ckks.RotationKeySet) error {
+// encodeRotationKeySet returns rtks's envelope in a slice of exactly its
+// size, with entries sorted by Galois element, so equal key sets marshal to
+// identical bytes.
+func (c *Codec) encodeRotationKeySet(rtks *ckks.RotationKeySet) ([]byte, error) {
 	if len(rtks.Keys) > MaxRotationKeys {
-		return fmt.Errorf("wire: rotation key set with %d entries exceeds limit %d", len(rtks.Keys), MaxRotationKeys)
+		return nil, fmt.Errorf("wire: rotation key set with %d entries exceeds limit %d", len(rtks.Keys), MaxRotationKeys)
 	}
 	galois := make([]uint64, 0, len(rtks.Keys))
-	for g := range rtks.Keys {
+	for g, swk := range rtks.Keys {
+		if err := c.checkSwitchingKey(swk); err != nil {
+			return nil, err
+		}
 		galois = append(galois, g)
 	}
-	sort.Slice(galois, func(i, j int) bool { return galois[i] < galois[j] })
-	var buf bytes.Buffer
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(galois)))
-	buf.Write(tmp[:4])
-	for _, g := range galois {
-		binary.LittleEndian.PutUint64(tmp[:], g)
-		buf.Write(tmp[:])
-		if err := c.appendSwitchingKeyBody(&buf, rtks.Keys[g]); err != nil {
-			return err
-		}
+	slices.Sort(galois)
+	size, err := envelopeSize(TypeRotationKeySet, 4+len(galois)*(8+c.switchingKeyBody()))
+	if err != nil {
+		return nil, err
 	}
-	return c.writeEnvelope(w, TypeRotationKeySet, buf.Bytes())
+	env := make([]byte, size)
+	p := putHeader(env, TypeRotationKeySet)
+	binary.LittleEndian.PutUint32(p[0:4], uint32(len(galois)))
+	p = p[4:]
+	for _, g := range galois {
+		binary.LittleEndian.PutUint64(p[0:8], g)
+		p = c.putSwitchingKeyBody(p[8:], rtks.Keys[g])
+	}
+	return env, nil
+}
+
+// WriteRotationKeySet frames rtks and hands it to w in one Write.
+func (c *Codec) WriteRotationKeySet(w io.Writer, rtks *ckks.RotationKeySet) error {
+	env, err := c.encodeRotationKeySet(rtks)
+	if err != nil {
+		return err
+	}
+	return c.send(w, TypeRotationKeySet, env)
 }
 
 // ReadRotationKeySet decodes one rotation-key-set envelope. Galois elements
 // must be odd, in range (0, 2N), and unique.
 func (c *Codec) ReadRotationKeySet(r io.Reader) (*ckks.RotationKeySet, error) {
-	payload, err := c.readEnvelope(r, TypeRotationKeySet)
+	buf, err := c.readEnvelope(r, TypeRotationKeySet)
 	if err != nil {
 		return nil, err
 	}
+	defer c.release(buf)
+	return c.decodeRotationKeySet(buf.Bytes())
+}
+
+// decodeRotationKeySet decodes a rotation-key-set payload.
+func (c *Codec) decodeRotationKeySet(payload []byte) (*ckks.RotationKeySet, error) {
 	cu := &cursor{b: payload}
 	count, err := cu.u32()
 	if err != nil {
@@ -273,14 +383,20 @@ func (c *Codec) ReadRotationKeySet(r io.Reader) (*ckks.RotationKeySet, error) {
 
 // MarshalRotationKeySet returns the wire encoding of rtks.
 func (c *Codec) MarshalRotationKeySet(rtks *ckks.RotationKeySet) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.WriteRotationKeySet(&buf, rtks); err != nil {
+	env, err := c.encodeRotationKeySet(rtks)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	c.countOut(len(env))
+	return env, nil
 }
 
-// UnmarshalRotationKeySet decodes a rotation-key-set envelope from b.
+// UnmarshalRotationKeySet decodes the rotation-key-set envelope at the
+// start of b, in place.
 func (c *Codec) UnmarshalRotationKeySet(b []byte) (*ckks.RotationKeySet, error) {
-	return c.ReadRotationKeySet(bytes.NewReader(b))
+	payload, err := c.envelopePayload(b, TypeRotationKeySet)
+	if err != nil {
+		return nil, err
+	}
+	return c.decodeRotationKeySet(payload)
 }

@@ -19,6 +19,16 @@
 // bound derived from the context before any allocation, bounding the memory
 // a hostile peer can make the decoder commit.
 //
+// Every envelope is one write: the encoder computes its byte count from the
+// object's level, N and dnum, stores header and residue rows into a buffer
+// of exactly that size with direct little-endian stores, and hands it to
+// the writer in a single Write (AppendCiphertext appends it to the caller's
+// slice instead). Every stream read is one read into a pooled buffer that
+// grows only as bytes arrive, at most doubling what has been received, so a
+// lying length costs its sender bandwidth, not this process memory; the
+// buffer goes back to the pool once the object is decoded, and no decoded
+// object aliases it. The byte-slice decoders (UnmarshalX) decode in place.
+//
 // Every object's payload nests polynomial bodies, each
 //
 //	uint32 N | uint32 rows | rows×N × uint64 residues (row-major)
@@ -30,8 +40,9 @@
 //
 // — only the b halves travel; the seed regenerates every a_j on the
 // receiving side (ckks.SwitchingKey), halving a key upload. A rotation-key
-// set is uint32 count | count × (uint64 Galois element | key body). Integers and floats are little-endian; scales travel as IEEE-754
-// bit patterns, so round trips are bit-exact.
+// set is uint32 count | count × (uint64 Galois element | key body).
+// Integers and floats are little-endian; scales travel as IEEE-754 bit
+// patterns, so round trips are bit-exact.
 //
 // In-memory polynomials hold their residues in Montgomery form (the ring
 // package's M-form invariant); the wire format does not. Encoding strips the
@@ -48,8 +59,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"bts/internal/ckks"
+	"bts/internal/mod"
 	"bts/internal/ring"
 	"bts/internal/telemetry"
 )
@@ -117,7 +130,10 @@ func NewCodec(ctx *ckks.Context) *Codec { return &Codec{ctx: ctx} }
 
 // NewPooledCodec returns a codec whose ReadCiphertext/UnmarshalCiphertext
 // draw the result from the context's ciphertext pool, so a serving loop that
-// returns results with Context.PutCiphertext decodes without allocating.
+// returns results with Context.PutCiphertext decodes without allocating:
+// the envelope is read into a pooled buffer and decoded straight into the
+// pooled ciphertext's rows. Every codec shares the envelope buffer pool;
+// this one also shares the context's ciphertexts.
 func NewPooledCodec(ctx *ckks.Context) *Codec { return &Codec{ctx: ctx, pooled: true} }
 
 // Context returns the context this codec validates against.
@@ -142,83 +158,161 @@ func PeekType(br *bufio.Reader) (Type, error) {
 	return Type(hdr[5]), nil
 }
 
-// writeEnvelope frames payload and writes it to w.
-func (c *Codec) writeEnvelope(w io.Writer, t Type, payload []byte) error {
-	if uint64(len(payload)) > math.MaxUint32 {
-		return fmt.Errorf("wire: %s payload of %d bytes exceeds the 4 GiB envelope limit", t, len(payload))
+// envelopeSize returns the byte count of a t envelope carrying payload
+// bytes, or an error if the length prefix cannot express it.
+func envelopeSize(t Type, payload int) (int, error) {
+	if uint64(payload) > math.MaxUint32 {
+		return 0, fmt.Errorf("wire: %s payload of %d bytes exceeds the 4 GiB envelope limit", t, payload)
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:4], magic[:])
-	hdr[4] = Version
-	hdr[5] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[6:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing %s header: %w", t, err)
+	return headerSize + payload, nil
+}
+
+// putHeader stores the envelope header of a t envelope into env, whose
+// length is the whole envelope's, and returns the payload that follows it.
+func putHeader(env []byte, t Type) []byte {
+	copy(env[:4], magic[:])
+	env[4] = Version
+	env[5] = byte(t)
+	binary.LittleEndian.PutUint32(env[6:headerSize], uint32(len(env)-headerSize))
+	return env[headerSize:]
+}
+
+// bufPool holds the envelope buffers of WriteCiphertext and the ReadX
+// decoders, so a serving loop encodes and decodes its ciphertexts without
+// allocating a buffer per envelope. A buffer is lent for one envelope
+// only: nothing decoded aliases it (every decoder copies out of the
+// payload), and the writer handed an encoded envelope must not retain it
+// (the io.Writer contract).
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// release returns buf to the pool, unless it grew larger than twice the
+// context's largest ciphertext envelope: a key envelope's buffer is dropped
+// rather than kept alive for the ciphertexts that follow.
+func (c *Codec) release(buf *bytes.Buffer) {
+	if uint64(buf.Cap()) > 2*(headerSize+c.maxPayload(TypeCiphertext)) {
+		return
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wire: writing %s payload: %w", t, err)
+	buf.Reset()
+	bufPool.Put(buf)
+}
+
+// send hands the encoded envelope env to w in one Write and counts it.
+func (c *Codec) send(w io.Writer, t Type, env []byte) error {
+	if _, err := w.Write(env); err != nil {
+		return fmt.Errorf("wire: writing %s: %w", t, err)
 	}
-	if st := c.stats; st != nil {
-		st.EnvelopesOut.Add(1)
-		st.BytesOut.Add(int64(headerSize + len(payload)))
-	}
+	c.countOut(len(env))
 	return nil
 }
 
-// readEnvelope reads one envelope of the expected type, enforcing the
-// per-type payload bound before allocating.
-func (c *Codec) readEnvelope(r io.Reader, want Type) ([]byte, error) {
+// countOut counts one encoded envelope of size bytes.
+func (c *Codec) countOut(size int) {
+	if st := c.stats; st != nil {
+		st.EnvelopesOut.Add(1)
+		st.BytesOut.Add(int64(size))
+	}
+}
+
+// countIn counts one decoded envelope of size bytes.
+func (c *Codec) countIn(size int) {
+	if st := c.stats; st != nil {
+		st.EnvelopesIn.Add(1)
+		st.BytesIn.Add(int64(size))
+	}
+}
+
+// checkHeader validates an envelope header against the expected type and
+// returns its payload length, enforcing the per-type bound.
+func (c *Codec) checkHeader(hdr []byte, want Type) (int, error) {
+	if !bytes.Equal(hdr[:4], magic[:]) {
+		return 0, fmt.Errorf("wire: bad magic %q", hdr[:4])
+	}
+	if hdr[4] != Version {
+		return 0, fmt.Errorf("wire: unsupported version %d (have %d)", hdr[4], Version)
+	}
+	if got := Type(hdr[5]); got != want {
+		return 0, fmt.Errorf("wire: expected %s envelope, got %s", want, got)
+	}
+	n := binary.LittleEndian.Uint32(hdr[6:headerSize])
+	if max := c.maxPayload(want); uint64(n) > max {
+		return 0, fmt.Errorf("wire: %s payload of %d bytes exceeds bound %d", want, n, max)
+	}
+	return int(n), nil
+}
+
+// readChunk is the first step by which readEnvelope grows its buffer.
+const readChunk = 64 << 10
+
+// readEnvelope reads one envelope of the expected type into a pooled
+// buffer, which holds the payload; the caller decodes it and hands the
+// buffer back with release. The per-type payload bound is enforced before
+// any byte of the payload is read.
+func (c *Codec) readEnvelope(r io.Reader, want Type) (*bytes.Buffer, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("wire: reading %s header: %w", want, err)
 	}
-	if !bytes.Equal(hdr[:4], magic[:]) {
-		return nil, fmt.Errorf("wire: bad magic %q", hdr[:4])
-	}
-	if hdr[4] != Version {
-		return nil, fmt.Errorf("wire: unsupported version %d (have %d)", hdr[4], Version)
-	}
-	if got := Type(hdr[5]); got != want {
-		return nil, fmt.Errorf("wire: expected %s envelope, got %s", want, got)
-	}
-	n := binary.LittleEndian.Uint32(hdr[6:])
-	if max := c.maxPayload(want); uint64(n) > max {
-		return nil, fmt.Errorf("wire: %s payload of %d bytes exceeds bound %d", want, n, max)
-	}
-	// Grow the buffer as bytes actually arrive rather than trusting the
-	// declared length for the allocation: a hostile header then costs its
-	// sender bandwidth, not this process memory.
-	var buf bytes.Buffer
-	m, err := io.Copy(&buf, io.LimitReader(r, int64(n)))
+	n, err := c.checkHeader(hdr[:], want)
 	if err != nil {
-		return nil, fmt.Errorf("wire: reading %s payload: %w", want, err)
+		return nil, err
 	}
-	if uint64(m) != uint64(n) {
-		return nil, fmt.Errorf("wire: %s payload truncated: got %d of %d bytes", want, m, n)
+	buf := bufPool.Get().(*bytes.Buffer)
+	// Grow the buffer as bytes actually arrive rather than trusting the
+	// declared length for the allocation: each step at most doubles what
+	// has been read, so a hostile header costs its sender bandwidth, not
+	// this process memory. A pooled buffer already large enough never
+	// grows. ReadFrom reads straight into the buffer; the MinRead of slack
+	// keeps its probe for more bytes, before it sees the limit's EOF, from
+	// growing the buffer.
+	lr := &io.LimitedReader{R: r}
+	for buf.Len() < n {
+		chunk := min(n-buf.Len(), max(buf.Len(), readChunk))
+		buf.Grow(chunk + bytes.MinRead)
+		lr.N = int64(chunk)
+		m, err := buf.ReadFrom(lr)
+		if err != nil {
+			c.release(buf)
+			return nil, fmt.Errorf("wire: reading %s payload: %w", want, err)
+		}
+		if m < int64(chunk) {
+			got := buf.Len()
+			c.release(buf)
+			return nil, fmt.Errorf("wire: %s payload truncated: got %d of %d bytes", want, got, n)
+		}
 	}
-	if st := c.stats; st != nil {
-		st.EnvelopesIn.Add(1)
-		st.BytesIn.Add(int64(headerSize) + m)
+	c.countIn(headerSize + n)
+	return buf, nil
+}
+
+// envelopePayload frames the envelope at the start of b in place: it
+// validates the header and returns the payload, which aliases b. Bytes
+// after the envelope are ignored, as a stream reader would leave them
+// unread.
+func (c *Codec) envelopePayload(b []byte, want Type) ([]byte, error) {
+	if len(b) < headerSize {
+		return nil, fmt.Errorf("wire: reading %s header: %w", want, io.ErrUnexpectedEOF)
 	}
-	return buf.Bytes(), nil
+	n, err := c.checkHeader(b[:headerSize], want)
+	if err != nil {
+		return nil, err
+	}
+	if len(b)-headerSize < n {
+		return nil, fmt.Errorf("wire: %s payload truncated: got %d of %d bytes", want, len(b)-headerSize, n)
+	}
+	c.countIn(headerSize + n)
+	return b[headerSize : headerSize+n], nil
 }
 
 // maxPayload returns the largest payload a well-formed envelope of type t can
 // carry under this codec's context.
 func (c *Codec) maxPayload(t Type) uint64 {
-	n := uint64(c.ctx.Params.N())
-	qRows := uint64(len(c.ctx.Params.Q))
-	pRows := uint64(len(c.ctx.Params.P))
-	polyQ := 8 + qRows*n*8 // N + rows header, then residues
-	polyP := 8 + pRows*n*8
-	swk := 4 + ring.SeedSize + uint64(c.ctx.Params.Dnum)*(polyQ+polyP)
 	switch t {
 	case TypeCiphertext:
-		return 12 + 2*polyQ
+		return uint64(c.ciphertextPayload(c.ctx.RingQ.MaxLevel()))
 	case TypeSwitchingKey:
-		return swk
+		return uint64(c.switchingKeyBody())
 	case TypeRotationKeySet:
-		return 4 + MaxRotationKeys*(8+swk)
+		return 4 + MaxRotationKeys*(8+uint64(c.switchingKeyBody()))
 	}
 	return 0
 }
@@ -261,27 +355,58 @@ func (cu *cursor) done() error {
 
 // --- Polynomial bodies ------------------------------------------------------
 
-// appendPolyBody serializes rows [0..level] of p (which must belong to r).
-func appendPolyBody(buf *bytes.Buffer, r *ring.Ring, p *ring.Poly, level int) error {
+// polyBodySize is the byte count of a body of rows [0..level] of an r
+// polynomial: N and row count, then the residues.
+func polyBodySize(r *ring.Ring, level int) int { return 8 + (level+1)*r.N*8 }
+
+// checkPoly reports whether p (which must belong to r) can be encoded at
+// the given level.
+func checkPoly(r *ring.Ring, p *ring.Poly, level int) error {
 	if level < 0 || level > r.MaxLevel() {
 		return fmt.Errorf("wire: level %d outside [0,%d]", level, r.MaxLevel())
 	}
 	if p.Levels() < level {
 		return fmt.Errorf("wire: polynomial has %d rows, need %d", p.Levels()+1, level+1)
 	}
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[0:4], uint32(r.N))
-	binary.LittleEndian.PutUint32(tmp[4:8], uint32(level+1))
-	buf.Write(tmp[:])
-	for i := 0; i <= level; i++ {
-		row := p.Coeffs[i]
-		mr := r.Moduli[i].MRed
-		for j := 0; j < r.N; j++ {
-			binary.LittleEndian.PutUint64(tmp[:], mr.IForm(row[j]))
-			buf.Write(tmp[:])
-		}
-	}
 	return nil
+}
+
+// putPolyBody stores rows [0..level] of p, checked by checkPoly, at the
+// start of b and returns what follows them.
+func putPolyBody(b []byte, r *ring.Ring, p *ring.Poly, level int) []byte {
+	binary.LittleEndian.PutUint32(b[0:4], uint32(r.N))
+	binary.LittleEndian.PutUint32(b[4:8], uint32(level+1))
+	b = b[8:]
+	rowBytes := r.N * 8
+	for i := 0; i <= level; i++ {
+		encodeRow(b[:rowBytes], p.Coeffs[i][:r.N], r.Moduli[i].MRed)
+		b = b[rowBytes:]
+	}
+	return b
+}
+
+// encodeRow stores row's residues, out of Montgomery form, into dst as
+// little-endian words; no bounds check (CI asserts that by name).
+func encodeRow(dst []byte, row []uint64, mr mod.Montgomery) {
+	for len(row) > 0 && len(dst) >= 8 {
+		binary.LittleEndian.PutUint64(dst, mr.IForm(row[0]))
+		dst, row = dst[8:], row[1:]
+	}
+}
+
+// decodeRow loads little-endian residues from src into row in Montgomery
+// form. It stops at the first word that is not below q and returns it with
+// false; no bounds check (CI asserts that by name).
+func decodeRow(row []uint64, src []byte, q uint64, mr mod.Montgomery) (uint64, bool) {
+	for len(row) > 0 && len(src) >= 8 {
+		v := binary.LittleEndian.Uint64(src)
+		if v >= q {
+			return v, false
+		}
+		row[0] = mr.MForm(v)
+		row, src = row[1:], src[8:]
+	}
+	return 0, true
 }
 
 // readPolyBody decodes one polynomial body from cu, validating the degree,
@@ -314,19 +439,13 @@ func readPolyBody(cu *cursor, r *ring.Ring, into *ring.Poly) (*ring.Poly, int, e
 	} else if p.Levels() < level {
 		return nil, 0, fmt.Errorf("wire: destination polynomial has %d rows, need %d", p.Levels()+1, rows)
 	}
+	rowBytes := r.N * 8
 	for i := 0; i <= level; i++ {
 		q := r.Moduli[i].Q
-		mr := r.Moduli[i].MRed
-		row := p.Coeffs[i]
-		src := cu.b[cu.off:]
-		for j := 0; j < r.N; j++ {
-			v := binary.LittleEndian.Uint64(src[j*8:])
-			if v >= q {
-				return nil, 0, fmt.Errorf("wire: residue %d out of range for modulus %d (row %d)", v, q, i)
-			}
-			row[j] = mr.MForm(v)
+		if v, ok := decodeRow(p.Coeffs[i][:r.N], cu.b[cu.off:cu.off+rowBytes], q, r.Moduli[i].MRed); !ok {
+			return nil, 0, fmt.Errorf("wire: residue %d out of range for modulus %d (row %d)", v, q, i)
 		}
-		cu.off += r.N * 8
+		cu.off += rowBytes
 	}
 	return p, level, nil
 }
