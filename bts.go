@@ -153,7 +153,7 @@
 //     bounds, residue canonicity), so malformed bytes error instead of
 //     corrupting memory, and round trips are bit-exact.
 //
-//   - internal/serve is the batch scheduler: clients open named sessions by
+//   - internal/serve is the job scheduler: clients open named sessions by
 //     uploading evaluation keys (never the secret key) and submit jobs —
 //     programs of Add/Sub/Mult/Rotate/Conjugate/Rescale/Bootstrap ops. On
 //     the wire every job is a DAG over named ciphertext registers: "$x"
@@ -167,12 +167,15 @@
 //     shared key-switch decomposition, bit-identically to the naive path.
 //     Ops the evaluator cannot run (mismatched scales, a missing key,
 //     rescale at level 0) fail as terminal bad_job errors. The dispatcher
-//     groups compatible jobs (same session) into batches, runs up to
-//     Parallel batches concurrently with one goroutine per job, and draws
-//     every result from the context's pooled ciphertext allocator
-//     (Context.GetCiphertext/PutCiphertext), so steady-state serving
-//     allocates nothing. Per-session statistics (jobs, ops, registers,
-//     queue depth, p50/p90/p99 latency) are exported as JSON.
+//     starts queued jobs in FIFO order, each on its own goroutine, with up
+//     to Parallel executing at once, and draws every result from the
+//     context's pooled ciphertext allocator
+//     (Context.GetCiphertext/PutCiphertext). Returned results and job-local
+//     values recycle; a replaced "$" register value goes to the garbage
+//     collector instead, because a job in flight may still read it, so
+//     serving does allocate ciphertext rows. Per-session statistics (jobs,
+//     ops, registers, queue depth, p50/p90/p99 latency) are exported as
+//     JSON.
 //
 //   - cmd/btsserve wraps the scheduler in an HTTP daemon speaking the wire
 //     format, and `btsbench -experiment serve -addr HOST:PORT -clients K`
@@ -200,10 +203,9 @@
 //     bts_pool_misses_total {ring="q"|"qp", kind="poly"|...}.
 //   - wire codec: bts_wire_bytes_total / bts_wire_envelopes_total
 //     {dir="in"|"out"}.
-//   - scheduler: bts_jobs_total{result="ok"|"error"}, bts_batches_total,
-//     bts_batches_inflight, bts_batch_size, bts_linger_wait_seconds,
+//   - scheduler: bts_jobs_total{result="ok"|"error"|"canceled"},
 //     bts_job_latency_seconds, bts_queue_depth, bts_sessions_open,
-//     bts_slow_jobs_total.
+//     bts_slow_jobs_total, bts_hoist_shared_decompositions_total.
 //   - per-op: bts_op_latency_seconds{op, level} histograms keyed op kind ×
 //     ciphertext level.
 //   - per-session: bts_session_jobs_total, bts_session_errors_total,
@@ -256,10 +258,10 @@
 //     count against the same tenant quota as keys.
 //
 //   - Request lifecycle. A context.Context follows each job from HTTP
-//     handler through queue to batch execution: per-job deadlines
+//     handler through queue to job execution: per-job deadlines
 //     (Config.DefaultJobTimeout or the request's timeout_ms), cancelled
-//     jobs that are still queued never execute, and a cancelled session
-//     never stalls other tenants' batches. A panic inside an op fails only
+//     jobs that are still queued never execute, and a cancelled job never
+//     stalls other tenants' jobs. A panic inside an op fails only
 //     the offending job (bts_job_panics_total{op}, span tree retained on
 //     /v1/traces when tracing); a session whose jobs panic repeatedly is
 //     quarantined until its keys are re-uploaded. Errors carry a stable
@@ -305,7 +307,7 @@ type (
 )
 
 // NewScheme generates NTT-friendly primes for lit and opens a context. The
-// context executes limb-parallel on the shared GOMAXPROCS-sized worker pool.
+// context executes limb-parallel on its own engine of GOMAXPROCS workers.
 func NewScheme(lit SchemeParams) (*ckks.Context, error) {
 	p, err := ckks.NewParameters(lit)
 	if err != nil {
@@ -314,14 +316,14 @@ func NewScheme(lit SchemeParams) (*ckks.Context, error) {
 	return ckks.NewContext(p)
 }
 
-// Serving runtime (wire serialization + multi-tenant batch scheduler).
+// Serving runtime (wire serialization + multi-tenant job scheduler).
 type (
 	// WireCodec marshals CKKS objects to the versioned wire format, validated
 	// against one Context.
 	WireCodec = wire.Codec
 	// ServeConfig parameterizes a serving runtime.
 	ServeConfig = serve.Config
-	// Server is the multi-tenant batch scheduler behind cmd/btsserve.
+	// Server is the multi-tenant job scheduler behind cmd/btsserve.
 	Server = serve.Server
 	// ServeOp is one step of a serving job program.
 	ServeOp = serve.Op

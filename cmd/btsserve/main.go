@@ -1,6 +1,6 @@
 // Command btsserve is the multi-tenant FHE serving daemon: an HTTP server
 // speaking the internal/wire binary format in front of the internal/serve
-// batch scheduler. Clients mirror the daemon's CKKS parameters (GET
+// job scheduler. Clients mirror the daemon's CKKS parameters (GET
 // /v1/params), open named sessions by uploading evaluation keys, and submit
 // jobs — programs of Add/Sub/Mult/Rotate/Conjugate/Rescale/Bootstrap ops —
 // over wire-format ciphertexts. The secret key never leaves the client.
@@ -8,10 +8,14 @@
 // Usage:
 //
 //	btsserve [-addr 127.0.0.1:8631] [-params toy|small|boot] [-workers N]
-//	         [-batch 8] [-batch-window 200us] [-queue 1024]
+//	         [-parallel 32] [-queue 1024]
 //	         [-store DIR] [-quota BYTES] [-key-cache BYTES]
 //	         [-job-timeout 0] [-drain-timeout 30s]
 //	         [-metrics] [-slow-job 0] [-pprof]
+//
+// Queued jobs start in FIFO order, each on its own goroutine, with at most
+// -parallel executing at once; each job's ops run on the context's engine of
+// -workers workers (0 = GOMAXPROCS).
 //
 // Fault-tolerance flags:
 //
@@ -40,8 +44,8 @@
 //	            GET /debug/vars (default true; -metrics=false opts out).
 //	            Exported series cover the execution engine (dispatches,
 //	            steal counts, RunBlocks shapes, pool hit/miss), the wire
-//	            codec (bytes/envelopes in and out), the scheduler (batch
-//	            sizes, linger waits, queue depth, job results), per-op
+//	            codec (bytes/envelopes in and out), the scheduler (queue
+//	            depth, job results and latency), per-op
 //	            latency histograms keyed op kind × level, the per-session
 //	            op mix, and each session's running noise floor.
 //	-slow-job   latency threshold above which a job's full span tree —
@@ -113,10 +117,8 @@ func presetLiteral(name string) (ckks.ParametersLiteral, bool, error) {
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8631", "listen address")
 	preset := flag.String("params", "small", "parameter preset (toy, small, boot)")
-	workers := flag.Int("workers", 0, "execution-engine workers (0 = shared GOMAXPROCS pool)")
-	batch := flag.Int("batch", 8, "max jobs per scheduler batch")
-	parallel := flag.Int("parallel", 4, "max batches in flight at once")
-	batchWindow := flag.Duration("batch-window", 200*time.Microsecond, "linger time to fill a batch")
+	workers := flag.Int("workers", 0, "workers of the context's execution engine (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 32, "max jobs executing at once")
 	queue := flag.Int("queue", 1024, "max queued jobs")
 	storeDir := flag.String("store", "", "durable session store directory (empty = RAM-only sessions)")
 	quota := flag.Int64("quota", 0, "per-session decoded key-byte quota (0 = unlimited)")
@@ -145,9 +147,7 @@ func main() {
 	cfg := serve.Config{
 		Params:            params,
 		Workers:           *workers,
-		BatchSize:         *batch,
 		Parallel:          *parallel,
-		BatchWindow:       *batchWindow,
 		MaxQueue:          *queue,
 		StoreDir:          *storeDir,
 		SessionQuotaBytes: *quota,
@@ -166,11 +166,11 @@ func main() {
 		log.Fatal(err)
 	}
 	if boot {
-		log.Printf("btsserve: preset %s (N=2^%d, L=%d, dnum=%d), batch=%d, window=%s, bootstrap on (%d rotation keys per session)",
-			*preset, params.LogN, params.MaxLevel(), params.Dnum, *batch, *batchWindow, len(srv.BootstrapRotations()))
+		log.Printf("btsserve: preset %s (N=2^%d, L=%d, dnum=%d), parallel=%d, bootstrap on (%d rotation keys per session)",
+			*preset, params.LogN, params.MaxLevel(), params.Dnum, *parallel, len(srv.BootstrapRotations()))
 	} else {
-		log.Printf("btsserve: preset %s (N=2^%d, L=%d, dnum=%d), batch=%d, window=%s, bootstrap=false",
-			*preset, params.LogN, params.MaxLevel(), params.Dnum, *batch, *batchWindow)
+		log.Printf("btsserve: preset %s (N=2^%d, L=%d, dnum=%d), parallel=%d, bootstrap=false",
+			*preset, params.LogN, params.MaxLevel(), params.Dnum, *parallel)
 	}
 
 	if *storeDir != "" {

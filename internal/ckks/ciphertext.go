@@ -23,9 +23,12 @@ type Plaintext struct {
 //   - plain ciphertexts (NewCiphertext) back both polynomials with one
 //     contiguous allocation each, and
 //   - pooled ciphertexts (Context.GetCiphertext) assemble their residue rows
-//     from the q-ring's row pool, so PutCiphertext and DropLevel can hand
-//     memory back to the scratch allocators and steady-state serving
-//     allocates nothing.
+//     from the q-ring's row pool. PutCiphertext recycles a ciphertext with
+//     its rows attached and DropLevel hands the dropped rows back, so a
+//     result that is Put allocates nothing the next time round. A pooled
+//     ciphertext that is never Put — a serving register value replaced
+//     while jobs may still read it — goes to the garbage collector rows and
+//     all, and the fresh ciphertext that takes its place borrows new rows.
 type Ciphertext struct {
 	C0, C1 *ring.Poly // b(X), a(X)
 	Level  int

@@ -43,11 +43,11 @@ const (
 	// ModeError makes Eval return an *Error naming the point.
 	ModeError Mode = iota
 	// ModePanic makes Eval panic with an *Error value; the surrounding
-	// recovery boundary (job runner, batch worker) must convert it into a
+	// recovery boundary (job runner, job dispatch) must convert it into a
 	// clean job failure.
 	ModePanic
 	// ModeDelay makes Eval sleep for Spec.Delay and return nil — the
-	// slow-path injection for deadline and linger testing.
+	// slow-path injection for deadline and queued-job testing.
 	ModeDelay
 )
 

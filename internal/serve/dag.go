@@ -261,76 +261,19 @@ func (p *program) buildStages() error {
 	return nil
 }
 
-// hoistCache shares key-switch decompositions across the jobs of one batch:
-// rotation fans reading the same resident register reuse one DecomposeNTT.
-// Keys are ciphertext pointers — sound because committed register values
-// are never returned to the ciphertext pool (an overwritten value is
-// dropped to the GC), so for the cache's lifetime a pointer names exactly
-// one value, and a register value's level never changes once committed.
-// Job inputs and intermediates do recycle through the pool and must NOT be
-// cached here; their fans use stage-local decompositions instead.
-type hoistCache struct {
-	mu      sync.Mutex
-	entries map[*ckks.Ciphertext]*ckks.HoistedDecomposition
-}
-
-func newHoistCache() *hoistCache {
-	return &hoistCache{entries: make(map[*ckks.Ciphertext]*ckks.HoistedDecomposition)}
-}
-
-// get returns the cached decomposition of ct, building it on first use.
-// The decomposition stays owned by the cache; callers must not Release it.
-func (hc *hoistCache) get(ev *ckks.Evaluator, ct *ckks.Ciphertext, tel *telemetryState) *ckks.HoistedDecomposition {
-	hc.mu.Lock()
-	if hd := hc.entries[ct]; hd != nil {
-		hc.mu.Unlock()
-		if tel != nil {
-			tel.hoistCacheHits.Add(1)
-		}
-		return hd
-	}
-	hc.mu.Unlock()
-	// Decompose outside the lock: it is milliseconds of NTT work and other
-	// jobs of the batch may need decompositions of other registers meanwhile.
-	hd := ev.DecomposeNTT(ct)
-	hc.mu.Lock()
-	if prior := hc.entries[ct]; prior != nil {
-		hc.mu.Unlock()
-		hd.Release() // lost the race; the first build wins
-		if tel != nil {
-			tel.hoistCacheHits.Add(1)
-		}
-		return prior
-	}
-	hc.entries[ct] = hd
-	hc.mu.Unlock()
-	return hd
-}
-
-// release returns every cached decomposition's scratch to the ring pools.
-// Called by the batch worker after all of the batch's jobs completed.
-func (hc *hoistCache) release() {
-	for _, hd := range hc.entries {
-		hd.Release()
-	}
-	hc.entries = nil
-}
-
-// stageHoists maps rotation nodes of one stage to their shared
-// decomposition. Decompositions of register-backed fans live in the batch's
-// hoistCache; fans over job inputs or intermediates (whose ciphertexts
-// recycle through the pool, so pointer-keyed caching would be unsound) are
-// stage-local and released when the stage ends.
+// stageHoists maps rotation nodes of one stage to their fan's shared
+// decomposition; the decompositions live for the stage and are released
+// when it ends.
 type stageHoists struct {
 	byNode map[int]*ckks.HoistedDecomposition
-	local  []*ckks.HoistedDecomposition
+	hds    []*ckks.HoistedDecomposition
 }
 
 func (sh *stageHoists) release() {
-	for _, hd := range sh.local {
+	for _, hd := range sh.hds {
 		hd.Release()
 	}
-	sh.local = nil
+	sh.hds = nil
 }
 
 // prepareFans detects rotation fans in a stage — two or more rot nodes
@@ -339,7 +282,7 @@ func (sh *stageHoists) release() {
 // hand-roll: a fan of n rotations costs 1 Decompose + n hoisted gather-MACs
 // instead of n full key-switch pipelines, and the outputs stay bit-identical
 // to naive rotation (see internal/ckks/hoisting.go).
-func (j *job) prepareFans(s *Server, ev *ckks.Evaluator, stage []int, resolve func(operand) *ckks.Ciphertext, hc *hoistCache) *stageHoists {
+func (j *job) prepareFans(s *Server, ev *ckks.Evaluator, stage []int, resolve func(operand) *ckks.Ciphertext) *stageHoists {
 	var groups map[operand][]int
 	for _, idx := range stage {
 		if n := &j.prog.nodes[idx]; n.kind == OpRotate {
@@ -358,13 +301,8 @@ func (j *job) prepareFans(s *Server, ev *ckks.Evaluator, stage []int, resolve fu
 		if src == nil {
 			continue // the nodes will fail with a typed error at execution
 		}
-		var hd *ckks.HoistedDecomposition
-		if o.reg != "" && hc != nil {
-			hd = hc.get(ev, src, s.tel)
-		} else {
-			hd = ev.DecomposeNTT(src)
-			sh.local = append(sh.local, hd)
-		}
+		hd := ev.DecomposeNTT(src)
+		sh.hds = append(sh.hds, hd)
 		if sh.byNode == nil {
 			sh.byNode = make(map[int]*ckks.HoistedDecomposition)
 		}
@@ -395,7 +333,7 @@ func (j *job) prepareFans(s *Server, ev *ckks.Evaluator, stage []int, resolve fu
 // read in place and "%" results stay in the job. Outputs are returned as
 // pooled ciphertexts: a job-local result is handed over as is, anything
 // else is copied — the session keeps owning its register values.
-func (j *job) run(s *Server, ev *ckks.Evaluator, bt *ckks.Bootstrapper, hc *hoistCache) (outs []*ckks.Ciphertext, err error) {
+func (j *job) run(s *Server, ev *ckks.Evaluator, bt *ckks.Bootstrapper) (outs []*ckks.Ciphertext, err error) {
 	prog := j.prog
 	ctx := s.ctx
 	vals := make([]*ckks.Ciphertext, len(prog.nodes))
@@ -468,7 +406,7 @@ func (j *job) run(s *Server, ev *ckks.Evaluator, bt *ckks.Bootstrapper, hc *hois
 			stageSpan = j.tr.Span(spanStage, j.root.ID())
 			stageParent = stageSpan.ID()
 		}
-		hds := j.prepareFans(s, ev, stage, resolveOperand, hc)
+		hds := j.prepareFans(s, ev, stage, resolveOperand)
 
 		runNode := func(idx int) (nerr error) {
 			n := &j.prog.nodes[idx]

@@ -31,12 +31,13 @@ func encryptConst(t testing.TB, cl *clientSide, params ckks.Parameters, v comple
 	return ct
 }
 
-// TestCancelledQueuedJobNeverExecutes cancels a job while its undersized
-// batch is still lingering: the submit must return immediately with a
-// typed canceled error, and the job must never execute an op.
+// TestCancelledQueuedJobNeverExecutes cancels a job while it waits in the
+// queue behind a job holding the server's only slot: the submit must return
+// immediately with a typed canceled error, and the job must never execute
+// an op.
 func TestCancelledQueuedJobNeverExecutes(t *testing.T) {
 	params := testParams(t)
-	srv, err := New(Config{Params: params, BatchSize: 8, BatchWindow: 400 * time.Millisecond})
+	srv, err := New(Config{Params: params, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,6 +47,7 @@ func TestCancelledQueuedJobNeverExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptConst(t, cl, params, 0.5)
+	_, flush := occupySlot(t, srv, params, 400*time.Millisecond)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -62,13 +64,13 @@ func TestCancelledQueuedJobNeverExecutes(t *testing.T) {
 		t.Fatal("a submitter-canceled job must not be marked retryable")
 	}
 	if elapsed > 200*time.Millisecond {
-		t.Fatalf("cancellation took %v: waited out the linger window", elapsed)
+		t.Fatalf("cancellation took %v: waited for the busy slot", elapsed)
 	}
 
-	// Let the linger window pass: if the canceled job were still dispatchable
-	// it would execute now and bump the session's op counters.
-	time.Sleep(500 * time.Millisecond)
-	ss := srv.Stats().Sessions[0]
+	// Run the queue dry: if the canceled job were still dispatchable it
+	// would execute before the flush job and bump the session's op counters.
+	flush()
+	ss := statsOf(t, srv, "t")
 	if ss.Jobs != 1 || ss.Errors != 1 || ss.QueueDepth != 0 {
 		t.Fatalf("stats jobs=%d errors=%d depth=%d, want 1/1/0", ss.Jobs, ss.Errors, ss.QueueDepth)
 	}
@@ -81,14 +83,13 @@ func TestCancelledQueuedJobNeverExecutes(t *testing.T) {
 }
 
 // TestDeadlineWhileQueued covers Config.DefaultJobTimeout: a job whose
-// deadline expires before its batch dispatches fails with a typed deadline
+// deadline expires while it waits for a slot fails with a typed deadline
 // error without executing.
 func TestDeadlineWhileQueued(t *testing.T) {
 	params := testParams(t)
 	srv, err := New(Config{
 		Params:            params,
-		BatchSize:         8,
-		BatchWindow:       400 * time.Millisecond,
+		Parallel:          1,
 		DefaultJobTimeout: 40 * time.Millisecond,
 	})
 	if err != nil {
@@ -100,23 +101,24 @@ func TestDeadlineWhileQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := encryptConst(t, cl, params, 0.5)
+	_, flush := occupySlot(t, srv, params, 400*time.Millisecond)
 	_, err = submitSlots(context.Background(), srv, "t", []Op{{Kind: OpMul, A: 0, B: 0}}, []*ckks.Ciphertext{ct})
 	if Code(err) != CodeDeadline {
 		t.Fatalf("got %v, want deadline", err)
 	}
-	time.Sleep(500 * time.Millisecond)
-	if mix := srv.Stats().Sessions[0].OpMix; mix.Mult != 0 {
+	flush()
+	if mix := statsOf(t, srv, "t").OpMix; mix.Mult != 0 {
 		t.Fatalf("deadline-expired job executed ops: %+v", mix)
 	}
 }
 
-// TestCancelDoesNotStallOtherTenants extends TestLingerIsPerSession with
-// cancellation: tenant A's job is canceled mid-linger, and tenant B's full
-// batch — queued behind it — must still dispatch promptly.
+// TestCancelDoesNotStallOtherTenants cancels tenant A's queued job and then
+// queues four jobs of tenant B behind it: once the slot frees, B's jobs must
+// dispatch promptly, and A's submit reports the cancellation.
 func TestCancelDoesNotStallOtherTenants(t *testing.T) {
 	params := testParams(t)
-	const window = 1200 * time.Millisecond
-	srv, err := New(Config{Params: params, BatchSize: 4, BatchWindow: window, Parallel: 2})
+	const hold = 300 * time.Millisecond
+	srv, err := New(Config{Params: params, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +132,16 @@ func TestCancelDoesNotStallOtherTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := []Op{{Kind: OpAdd, A: 0, B: 0}}
+	inA := encryptConst(t, clA, params, 0.1)
+	blocker, _ := occupySlot(t, srv, params, hold)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	aDone := make(chan error, 1)
 	go func() {
-		_, err := submitSlots(ctx, srv, "a", ops, []*ckks.Ciphertext{encryptConst(t, clA, params, 0.1)})
+		_, err := submitSlots(ctx, srv, "a", ops, []*ckks.Ciphertext{inA})
 		aDone <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let A's linger start
+	waitQueued(t, srv, 1)
 	cancel()
 
 	start := time.Now()
@@ -156,8 +160,10 @@ func TestCancelDoesNotStallOtherTenants(t *testing.T) {
 		}(f)
 	}
 	wg.Wait()
-	if el := time.Since(start); el >= window/2 {
-		t.Fatalf("tenant-b's batch took %v behind a canceled tenant-a job", el)
+	// B waited for the blocker's remaining hold at most; a canceled job in
+	// its way must add nothing near another hold on top.
+	if el := time.Since(start); el >= 2*hold {
+		t.Fatalf("tenant-b's jobs took %v behind a canceled tenant-a job", el)
 	}
 	for f, err := range bErrs {
 		if err != nil {
@@ -166,6 +172,9 @@ func TestCancelDoesNotStallOtherTenants(t *testing.T) {
 	}
 	if err := <-aDone; Code(err) != CodeCanceled {
 		t.Fatalf("tenant-a: got %v, want canceled", err)
+	}
+	if err := <-blocker; err != nil {
+		t.Fatalf("blocker job: %v", err)
 	}
 }
 
@@ -411,12 +420,12 @@ func TestFailpointsFailJobsCleanly(t *testing.T) {
 	srv.Context().PutCiphertext(out)
 }
 
-// TestDrainCompletesInFlight checks Drain: queued jobs complete, subsequent
-// submits fail with a retryable unavailable error, and Drain returns once
-// idle.
+// TestDrainCompletesInFlight checks Drain: jobs queued behind a busy slot
+// when Drain starts all complete, subsequent submits fail with a retryable
+// unavailable error, and Drain returns once idle.
 func TestDrainCompletesInFlight(t *testing.T) {
 	params := testParams(t)
-	srv, err := New(Config{Params: params, BatchWindow: 50 * time.Millisecond})
+	srv, err := New(Config{Params: params, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,6 +433,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	if err := srv.OpenSession("t", cl.rlk, cl.rtks); err != nil {
 		t.Fatal(err)
 	}
+	blocker, _ := occupySlot(t, srv, params, 200*time.Millisecond)
 	ops := []Op{{Kind: OpMul, A: 0, B: 0}, {Kind: OpRescale, A: 1}}
 	const flights = 4
 	errs := make([]error, flights)
@@ -440,19 +450,23 @@ func TestDrainCompletesInFlight(t *testing.T) {
 			errs[f] = err
 		}(f)
 	}
-	time.Sleep(10 * time.Millisecond) // let some jobs enqueue
+	waitQueued(t, srv, flights)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	wg.Wait()
+	if err := <-blocker; err != nil {
+		t.Fatalf("blocker job: %v", err)
+	}
 	for f, err := range errs {
-		// A job either completed or was refused at admission (unavailable) —
-		// never anything else.
-		if err != nil && Code(err) != CodeUnavailable {
-			t.Fatalf("flight %d: %v", f, err)
+		if err != nil {
+			t.Fatalf("queued flight %d: %v", f, err)
 		}
+	}
+	if ss := statsOf(t, srv, "t"); ss.Jobs != flights || ss.Errors != 0 || ss.QueueDepth != 0 {
+		t.Fatalf("after drain: jobs=%d errors=%d depth=%d, want %d/0/0", ss.Jobs, ss.Errors, ss.QueueDepth, flights)
 	}
 	if _, err := submitSlots(context.Background(), srv, "t", ops, []*ckks.Ciphertext{encryptConst(t, cl, params, 0.3)}); Code(err) != CodeUnavailable || !IsRetryable(err) {
 		t.Fatalf("submit after drain: got %v, want retryable unavailable", err)
@@ -470,7 +484,7 @@ func TestChaosKillRestart(t *testing.T) {
 	defer faultinject.Reset()
 	params := testParams(t)
 	dir := t.TempDir()
-	cfg := Config{Params: params, StoreDir: dir, BatchWindow: time.Millisecond}
+	cfg := Config{Params: params, StoreDir: dir}
 
 	start := func(addr string) (*Server, *http.Server, string) {
 		srv, err := New(cfg)

@@ -8,7 +8,7 @@ import (
 
 // keyCache governs the memory spent on decoded evaluation-key sets: an LRU
 // over resident sessions' keys, bounded by Config.KeyCacheBytes. Sessions
-// touch the cache on every batch dispatch; when the resident total exceeds
+// touch the cache on every job dispatch; when the resident total exceeds
 // the budget, the coldest evictable sessions' keys are dropped (their
 // wire blobs stay on disk) and reloaded on demand by the scheduler's
 // rehydration path. The cache only tracks sessions that hold keys and are

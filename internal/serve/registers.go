@@ -19,9 +19,10 @@ import (
 // encodings.
 
 // register is one committed session value. The ciphertext is immutable once
-// committed and is never returned to the pool: in-flight jobs may still
-// hold snapshots of it after an overwrite, so replaced values are dropped
-// to the garbage collector instead.
+// committed and is never returned to the pool: a job in flight reads the
+// value from the snapshot it took when it started, which a later commit may
+// replace under it, so a replaced value is dropped to the garbage collector
+// instead.
 type register struct {
 	ct    *ckks.Ciphertext
 	bytes int64

@@ -7,13 +7,13 @@
 // Clients open named sessions by uploading evaluation keys (relinearization
 // and rotation keys — never the secret key), then submit jobs: programs of
 // primitive HE ops (Add/Sub/Mult/Rotate/Conjugate/Rescale/Bootstrap, plus
-// plaintext products) over wire-format ciphertexts. A dispatcher batches
-// compatible jobs (same session: they share key material, keeping
-// key-switching tables hot) and executes each batch with one goroutine per
-// job, so several ciphertexts are in flight across the context's shared
-// limb-parallel ring.Engine at once. Results come from the context's
-// ciphertext pool and every intermediate returns to it, so steady-state
-// serving allocates nothing per job.
+// plaintext products) over wire-format ciphertexts. A dispatcher pops the
+// job queue in FIFO order and starts each job on its own goroutine, up to
+// Config.Parallel at once, so several ciphertexts are in flight across the
+// context's limb-parallel ring.Engine. Results come from the context's
+// ciphertext pool and job-local intermediates return to it; a replaced
+// register value does not, because a job in flight may still read it, so it
+// goes to the garbage collector (see the register type).
 //
 // # DAG jobs and ciphertext registers
 //
@@ -33,10 +33,9 @@
 // see:
 //
 //   - Auto-hoisting: two or more rotations of the same value in one stage
-//     share a single key-switch decomposition (internal/ckks hoisting) —
-//     and when the value is a resident register, the decomposition is
-//     reused across all jobs of the batch. The slot form's "roth" op lowers
-//     onto this path, bit-identical to a hand-hoisted fan.
+//     share a single key-switch decomposition (internal/ckks hoisting). The
+//     slot form's "roth" op lowers onto this path, bit-identical to a
+//     hand-hoisted fan.
 //   - Encoding cache: "pmul" plaintext vectors are encoded once per
 //     session (LRU of encodingCacheEntries) instead of per job.
 //
@@ -62,7 +61,7 @@
 //     persist to an on-disk store (wire blobs + checksummed manifest,
 //     committed by atomic rename — see store.go). A restarted daemon lists
 //     the manifests (~1 KiB each) and rehydrates a session's keys lazily on
-//     its first batch, so a rolling restart drops no tenant.
+//     its first job, so a rolling restart drops no tenant.
 //   - Key-memory governance: Config.SessionQuotaBytes rejects uploads whose
 //     decoded key footprint exceeds the per-tenant budget, and
 //     Config.KeyCacheBytes bounds the total decoded-key memory with an LRU
@@ -103,24 +102,14 @@ type Config struct {
 	// build the identical set (GET /v1/params serves it) or their wire
 	// objects will fail validation.
 	Params ckks.Parameters
-	// Workers sets the execution engine's worker count; 0 keeps the shared
-	// GOMAXPROCS-sized default pool.
+	// Workers sets the worker count of the context's own execution engine;
+	// 0 keeps the context's default of GOMAXPROCS workers.
 	Workers int
-	// BatchSize caps the number of jobs the dispatcher runs concurrently in
-	// one batch (default 8).
-	BatchSize int
-	// Parallel caps the number of batches in flight at once (default 4).
-	// Batches group jobs of one session; running several batches
-	// concurrently is what lets distinct tenants overlap on the shared
-	// engine, so total ciphertexts in flight ≤ BatchSize × Parallel.
+	// Parallel caps the number of jobs executing at once (default 32). The
+	// dispatcher starts queued jobs in FIFO order as slots free up, whatever
+	// their session, so jobs of one tenant and of distinct tenants overlap
+	// on the context's engine alike.
 	Parallel int
-	// BatchWindow is how long the dispatcher lingers for additional
-	// compatible jobs when a session's pending batch is smaller than
-	// BatchSize. The linger is tracked per session: while one session's
-	// undersized batch waits out its window, ready batches of other sessions
-	// dispatch immediately. 0 selects the 200µs default; a negative value
-	// disables lingering.
-	BatchWindow time.Duration
 	// MaxQueue bounds the number of queued jobs before Submit fails fast
 	// (default 1024).
 	MaxQueue int
@@ -139,7 +128,7 @@ type Config struct {
 	SessionQuotaBytes int64
 	// KeyCacheBytes bounds the total decoded evaluation-key bytes resident
 	// in memory across sessions (0 = unlimited). Requires StoreDir: evicted
-	// keys reload from disk on the session's next batch.
+	// keys reload from disk on the session's next job.
 	KeyCacheBytes int64
 	// DefaultJobTimeout is the per-job deadline applied when a request does
 	// not carry its own (0 = none). Expiry fails the job with CodeDeadline:
@@ -163,23 +152,15 @@ type Config struct {
 }
 
 func (cfg *Config) applyDefaults() {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 8
-	}
 	if cfg.Parallel <= 0 {
-		cfg.Parallel = 4
-	}
-	if cfg.BatchWindow < 0 {
-		cfg.BatchWindow = 0
-	} else if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = 200 * time.Microsecond
+		cfg.Parallel = 32
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 1024
 	}
 }
 
-// Server is the serving runtime: a session registry plus a batching
+// Server is the serving runtime: a session registry plus a FIFO job
 // dispatcher over one shared ckks.Context. All methods are safe for
 // concurrent use.
 type Server struct {
@@ -214,19 +195,11 @@ type Server struct {
 	pending  []*job
 	closed   bool
 	draining bool
-	// linger holds, per session with an undersized pending batch, the
-	// deadline until which the dispatcher waits for more of that session's
-	// jobs before dispatching the batch anyway. Tracking it per session —
-	// not server-wide — is what lets a ready (full or expired) batch of one
-	// tenant dispatch immediately while another tenant's half-full batch at
-	// the head of the queue is still lingering.
-	linger map[*session]time.Time
-	wakeAt time.Time  // earliest armed linger wakeup (zero = none armed)
-	cond   *sync.Cond // signals the dispatcher that pending/closed changed
+	cond     *sync.Cond // signals the dispatcher that pending/closed changed
 
-	// batches tracks in-flight batch executions; Drain waits on it after
-	// the queue empties.
-	batches sync.WaitGroup
+	// running tracks the jobs the dispatcher has popped and not yet
+	// finished; Drain waits on it after the queue empties.
+	running sync.WaitGroup
 
 	dispatcherDone chan struct{}
 }
@@ -255,7 +228,6 @@ func New(cfg Config) (*Server, error) {
 		started:  time.Now(),
 		keys:     newKeyCache(cfg.KeyCacheBytes),
 		sessions: make(map[string]*session),
-		linger:   make(map[*session]time.Time),
 
 		dispatcherDone: make(chan struct{}),
 	}
@@ -309,8 +281,8 @@ func (s *Server) newSession(name string) *session {
 	sess := &session{name: name, created: time.Now(), regsLoaded: true}
 	if s.tel != nil {
 		// Attach the session's running noise floor once, at open time, so
-		// steady-state jobs keep allocating nothing: evaluator copies share
-		// the floor (and the op counters) by pointer.
+		// jobs allocate no floor of their own: evaluator copies share the
+		// floor (and the op counters) by pointer.
 		sess.noise = ckks.NewNoiseFloor()
 	}
 	return sess
@@ -460,7 +432,7 @@ func (s *Server) session(name string) (*session, error) {
 // sessionRuntime returns the session's evaluator and bootstrapper,
 // rehydrating the decoded keys from the durable store when the session is
 // cold (restart, or evicted under key-memory pressure), and touches the
-// key-cache LRU. Called by the dispatcher once per batch.
+// key-cache LRU. Called by runJob once per job.
 func (s *Server) sessionRuntime(sess *session) (*ckks.Evaluator, *ckks.Bootstrapper, error) {
 	if ev, bt := sess.runtime(); ev != nil {
 		s.evictVictims(s.keys.touch(sess, sess.keyFootprint()))
@@ -524,7 +496,7 @@ func (s *Server) evictVictims(victims []*session) {
 // retry can resume from them.
 //
 // A job canceled while still queued never executes (it is unlinked from the
-// queue, or skipped at dispatch) and SubmitDAG returns immediately with
+// queue, or skipped by runJob) and SubmitDAG returns immediately with
 // CodeCanceled/CodeDeadline. Once the job is executing, SubmitDAG waits for
 // it to finish — the inputs are in use — then discards the outputs and
 // reports the context error.
@@ -608,9 +580,10 @@ func (s *Server) submitJob(ctx context.Context, sess *session, prog *program, in
 }
 
 // cancelJob handles a submitter's context expiring while its job is in the
-// system. Queued jobs are unlinked (or, if already claimed into a batch,
-// marked so the batch worker skips execution); a job already executing runs
-// to completion — its inputs are in use — and the result is discarded.
+// system. A queued job is unlinked; one the dispatcher already popped is
+// skipped by runJob, which checks the context before executing; a job
+// already executing runs to completion — its inputs are in use — and the
+// result is discarded.
 func (s *Server) cancelJob(j *job) ([]*ckks.Ciphertext, error) {
 	ctxErr := contextError(j.ctx.Err())
 	// Fast path: still in the pending queue — unlink it so it never
@@ -626,9 +599,7 @@ func (s *Server) cancelJob(j *job) ([]*ckks.Ciphertext, error) {
 		}
 	}
 	s.mu.Unlock()
-	// Already claimed by a batch: if the worker has not started executing,
-	// flag it to skip; either way the worker delivers, so wait for it.
-	j.cancelled.Store(true)
+	// Already popped: runJob delivers either way, so wait for it.
 	r := <-j.done
 	if r.err == nil {
 		// The job finished under us; the caller is gone, so recycle the
@@ -652,7 +623,7 @@ func contextError(err error) *Error {
 
 // Drain stops admission (submits and session opens fail with a retryable
 // CodeUnavailable error) and waits until the queue is empty and every
-// in-flight batch has completed, or until ctx expires — then closes the
+// in-flight job has completed, or until ctx expires — then closes the
 // server either way. A fully drained shutdown returns nil; an expired ctx
 // returns its error with the abandoned jobs failed cleanly by Close.
 //
@@ -677,7 +648,7 @@ func (s *Server) Drain(ctx context.Context) error {
 			empty := len(s.pending) == 0
 			s.mu.Unlock()
 			if empty {
-				s.batches.Wait()
+				s.running.Wait()
 				return
 			}
 			select {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"bts/internal/ckks"
+	"bts/internal/faultinject"
 	"bts/internal/wire"
 )
 
@@ -218,11 +219,11 @@ func TestRotateHoistedJob(t *testing.T) {
 }
 
 // TestServerDirect exercises the scheduler without HTTP: concurrent
-// submitters on one session must batch (≥2 ciphertexts in flight) and every
-// result must decrypt correctly.
+// submitters on one session must execute at once (≥2 jobs in flight) and
+// every result must decrypt correctly.
 func TestServerDirect(t *testing.T) {
 	params := testParams(t)
-	srv, err := New(Config{Params: params, BatchSize: 8, BatchWindow: 50 * time.Millisecond})
+	srv, err := New(Config{Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +255,15 @@ func TestServerDirect(t *testing.T) {
 		}
 		cts[f] = ct
 	}
+	// Every op sleeps opDelay first. One job at a time would take at least
+	// flights × 3 × opDelay; finishing sooner means two jobs overlapped.
+	const opDelay = 50 * time.Millisecond
+	defer faultinject.Reset()
+	faultinject.Arm("serve.op.exec", faultinject.Spec{Mode: faultinject.ModeDelay, Delay: opDelay})
 	var wg sync.WaitGroup
 	errs := make([]error, flights)
 	results := make([]*ckks.Ciphertext, flights)
+	start := time.Now()
 	for f := 0; f < flights; f++ {
 		wg.Add(1)
 		go func(f int) {
@@ -270,6 +277,8 @@ func TestServerDirect(t *testing.T) {
 		}(f)
 	}
 	wg.Wait()
+	elapsed := time.Since(start)
+	faultinject.Reset()
 
 	want := make([]complex128, slots)
 	for i := range want {
@@ -294,8 +303,8 @@ func TestServerDirect(t *testing.T) {
 	if ss.Jobs != flights || ss.Errors != 0 || ss.Ops != 3*flights {
 		t.Fatalf("stats jobs=%d errors=%d ops=%d, want %d/0/%d", ss.Jobs, ss.Errors, ss.Ops, flights, 3*flights)
 	}
-	if ss.MaxBatch < 2 {
-		t.Fatalf("max batch %d: scheduler never had 2 ciphertexts in flight", ss.MaxBatch)
+	if serial := flights * 3 * opDelay; elapsed >= serial {
+		t.Fatalf("%d jobs took %v, no less than the %v of one at a time: the scheduler never had 2 jobs in flight", flights, elapsed, serial)
 	}
 	if ss.QueueDepth != 0 {
 		t.Fatalf("queue depth %d after drain", ss.QueueDepth)
@@ -358,7 +367,7 @@ func TestJobErrorsDoNotCrash(t *testing.T) {
 // (rotation + multiply + rescale) from several concurrent tenants.
 func TestEndToEndHTTP(t *testing.T) {
 	params := testParams(t)
-	srv, err := New(Config{Params: params, BatchSize: 8, BatchWindow: 20 * time.Millisecond})
+	srv, err := New(Config{Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ var errServerClosed = &Error{Code: CodeUnavailable, Retryable: true, Msg: "serve
 // With the durable store configured, the evaluator and bootstrapper are
 // rebuildable state: eviction under key-memory pressure drops them (the
 // decoded keys are what costs gigabytes; the wire blobs stay on disk) and
-// the scheduler rehydrates them on the session's next batch. A session
+// the scheduler rehydrates them on the session's next job. A session
 // reloaded after a daemon restart starts in the evicted state and hydrates
 // lazily the same way. Everything else — statistics, the noise floor, the
 // quarantine state — is cheap and lives for the session's whole life.
@@ -29,7 +29,7 @@ type session struct {
 	stats   sessionStats
 
 	// hydMu serializes rehydration (store read + key decode, and the
-	// register reload of hydrateRegisters) so concurrent batches of an
+	// register reload of hydrateRegisters) so concurrent jobs of an
 	// evicted session load its state exactly once. Never held together
 	// with mu.
 	hydMu sync.Mutex
@@ -94,7 +94,7 @@ func (sess *session) idle() bool {
 // evict drops the decoded keys (evaluator + bootstrapper), folding the
 // evaluator's op tally into the base so counters stay monotonic. Jobs that
 // already captured the evaluator pointer keep using it safely — the key
-// material is immutable — but new batches will rehydrate from disk.
+// material is immutable — but new jobs will rehydrate from disk.
 func (sess *session) evict() {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -154,8 +154,6 @@ type sessionStats struct {
 	jobs       uint64
 	ops        uint64
 	errors     uint64
-	batches    uint64
-	maxBatch   int
 	queueDepth int
 	lat        [latSamples]float64 // milliseconds, ring buffer
 	latN       uint64              // total samples ever recorded
@@ -164,15 +162,6 @@ type sessionStats struct {
 func (st *sessionStats) enqueued() {
 	st.mu.Lock()
 	st.queueDepth++
-	st.mu.Unlock()
-}
-
-func (st *sessionStats) batchFormed(size int) {
-	st.mu.Lock()
-	st.batches++
-	if size > st.maxBatch {
-		st.maxBatch = size
-	}
 	st.mu.Unlock()
 }
 
@@ -206,8 +195,6 @@ type SessionStats struct {
 	Ops            uint64   `json:"ops"`
 	Errors         uint64   `json:"errors"`
 	QueueDepth     int      `json:"queue_depth"`
-	Batches        uint64   `json:"batches"`
-	MaxBatch       int      `json:"max_batch"`
 	Bootstrappable bool     `json:"bootstrappable"`
 	Resident       bool     `json:"resident"`
 	Durable        bool     `json:"durable"`
@@ -271,8 +258,6 @@ func (sess *session) snapshot() SessionStats {
 		Ops:        st.ops,
 		Errors:     st.errors,
 		QueueDepth: st.queueDepth,
-		Batches:    st.batches,
-		MaxBatch:   st.maxBatch,
 		LatWindow:  latSamples,
 	}
 	// Clamp on the uint64 side: converting latN to int first would go

@@ -53,21 +53,16 @@ type telemetryState struct {
 
 	jobsOK, jobsErr atomic.Int64
 	jobsCancelled   atomic.Int64 // canceled or deadline-expired before producing a result
-	batchesRun      atomic.Int64
-	batchesInflight atomic.Int64
 	slowJobs        atomic.Int64
 	quotaRejections atomic.Int64 // uploads rejected by SessionQuotaBytes
 	quarantines     atomic.Int64 // sessions quarantined after repeated faults
 
-	hoistShared    atomic.Int64 // rotation fans served by one shared decomposition
-	hoistCacheHits atomic.Int64 // fans that reused a batch-cached decomposition
-	encHits        atomic.Int64 // pmul encodings served from a session cache
-	encMisses      atomic.Int64 // pmul encodings computed (cache miss or disabled-cache path skips both)
-	regSpills      atomic.Int64 // registers spilled to the durable store
-	regReloads     atomic.Int64 // registers rehydrated from the durable store
+	hoistShared atomic.Int64 // rotation fans served by one shared decomposition
+	encHits     atomic.Int64 // pmul encodings served from a session cache
+	encMisses   atomic.Int64 // pmul encodings computed (cache miss or disabled-cache path skips both)
+	regSpills   atomic.Int64 // registers spilled to the durable store
+	regReloads  atomic.Int64 // registers rehydrated from the durable store
 
-	batchSize  *telemetry.Histogram // jobs per dispatched batch
-	lingerWait *telemetry.Histogram // seconds undersized batches lingered
 	jobLatency *telemetry.Histogram // submit-to-completion seconds
 
 	// opLat holds one latency histogram per (op kind, result level) pair,
@@ -106,10 +101,6 @@ type SlowJobDump struct {
 
 func newTelemetryState(cfg *Config) *telemetryState {
 	ts := &telemetryState{
-		batchSize: telemetry.NewHistogram(telemetry.LinearBuckets(1, 1, 16)),
-		lingerWait: telemetry.NewHistogram([]float64{
-			50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 50e-3, 100e-3,
-		}),
 		jobLatency: telemetry.NewHistogram(telemetry.LatencyBuckets()),
 		opLat:      make(map[opLatKey]*telemetry.Histogram),
 		panics:     make(map[OpKind]int64),
@@ -143,13 +134,10 @@ func (ts *telemetryState) collectScheduler(w *telemetry.Writer) {
 		[]telemetry.Label{{Name: "result", Value: "error"}}, float64(ts.jobsErr.Load()))
 	w.Counter("bts_jobs_total", "Jobs completed.",
 		[]telemetry.Label{{Name: "result", Value: "canceled"}}, float64(ts.jobsCancelled.Load()))
-	w.Counter("bts_batches_total", "Batches dispatched.", nil, float64(ts.batchesRun.Load()))
-	w.Gauge("bts_batches_inflight", "Batches currently executing.", nil, float64(ts.batchesInflight.Load()))
 	w.Counter("bts_slow_jobs_total", "Jobs that exceeded the slow-job threshold.", nil, float64(ts.slowJobs.Load()))
 	w.Counter("bts_quota_rejections_total", "Key uploads rejected by the per-tenant quota.", nil, float64(ts.quotaRejections.Load()))
 	w.Counter("bts_session_quarantines_total", "Sessions quarantined after repeated job faults.", nil, float64(ts.quarantines.Load()))
 	w.Counter("bts_hoist_shared_decompositions_total", "Rotation fans served by one shared key-switch decomposition (scheduler auto-hoisting).", nil, float64(ts.hoistShared.Load()))
-	w.Counter("bts_hoist_cache_hits_total", "Rotation fans that reused a batch-cached register decomposition.", nil, float64(ts.hoistCacheHits.Load()))
 	w.Counter("bts_encoding_cache_hits_total", "Plaintext (pmul) encodings served from a session's encoding cache.", nil, float64(ts.encHits.Load()))
 	w.Counter("bts_encoding_cache_misses_total", "Plaintext (pmul) encodings computed on cache miss.", nil, float64(ts.encMisses.Load()))
 	w.Counter("bts_register_spills_total", "Ciphertext registers spilled to the durable store.", nil, float64(ts.regSpills.Load()))
@@ -167,8 +155,6 @@ func (ts *telemetryState) collectScheduler(w *telemetry.Writer) {
 		w.Counter("bts_job_panics_total", "Job op panics recovered, per op kind.",
 			[]telemetry.Label{{Name: "op", Value: string(k)}}, float64(counts[k]))
 	}
-	w.Histogram("bts_batch_size", "Jobs per dispatched batch.", nil, ts.batchSize)
-	w.Histogram("bts_linger_wait_seconds", "Time undersized batches lingered for company before dispatch.", nil, ts.lingerWait)
 	w.Histogram("bts_job_latency_seconds", "Submit-to-completion job latency (queueing included).", nil, ts.jobLatency)
 	if ts.tracer != nil {
 		w.Counter("bts_trace_spans_total", "Spans recorded by the job tracer.", nil, float64(ts.tracer.Spans()))

@@ -36,7 +36,7 @@ func httpGet(t *testing.T, url string) (string, int) {
 // the op mix and reservoir metadata.
 func TestMetricsEndToEnd(t *testing.T) {
 	params := testParams(t)
-	srv, err := New(Config{Params: params, BatchWindow: -1})
+	srv, err := New(Config{Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +83,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`bts_wire_bytes_total{dir="in"}`,
 		`bts_wire_bytes_total{dir="out"}`,
 		`bts_jobs_total{result="ok"}`,
-		"bts_batches_total",
-		"bts_batch_size_count",
-		"bts_linger_wait_seconds_count",
 		"bts_job_latency_seconds_count",
 		`bts_op_latency_seconds_count{op="mul"`,
 		`bts_op_latency_seconds_count{op="rot"`,

@@ -73,7 +73,7 @@ func (c *Codec) WriteCiphertext(w io.Writer, ct *ckks.Ciphertext) error {
 
 // ReadCiphertext decodes one ciphertext envelope. A pooled codec draws the
 // result from the context's ciphertext pool; return it with
-// Context.PutCiphertext to serve without allocating.
+// Context.PutCiphertext so the next decode reuses it and its rows.
 func (c *Codec) ReadCiphertext(r io.Reader) (*ckks.Ciphertext, error) {
 	buf, err := c.readEnvelope(r, TypeCiphertext)
 	if err != nil {

@@ -129,10 +129,11 @@ func (c *Codec) SetStats(st *telemetry.WireStats) { c.stats = st }
 func NewCodec(ctx *ckks.Context) *Codec { return &Codec{ctx: ctx} }
 
 // NewPooledCodec returns a codec whose ReadCiphertext/UnmarshalCiphertext
-// draw the result from the context's ciphertext pool, so a serving loop that
-// returns results with Context.PutCiphertext decodes without allocating:
-// the envelope is read into a pooled buffer and decoded straight into the
-// pooled ciphertext's rows. Every codec shares the envelope buffer pool;
+// draw the result from the context's ciphertext pool: the envelope is read
+// into a pooled buffer and decoded straight into the pooled ciphertext's
+// rows. A decode reuses a ciphertext, rows included, only when one was
+// returned with Context.PutCiphertext; one drawn fresh borrows its rows from
+// the row pool, which allocates when the pool is dry. Every codec shares the envelope buffer pool;
 // this one also shares the context's ciphertexts.
 func NewPooledCodec(ctx *ckks.Context) *Codec { return &Codec{ctx: ctx, pooled: true} }
 
