@@ -200,7 +200,9 @@
 //   - ring.Engine / pools: bts_engine_runs_total, bts_engine_tasks_total,
 //     bts_engine_stolen_tasks_total, bts_engine_block_runs_total and the
 //     other dispatch-shape gauges; bts_pool_gets_total /
-//     bts_pool_misses_total {ring="q"|"qp", kind="poly"|...}.
+//     bts_pool_misses_total {ring="q"|"p", kind="poly"|"row"}: kind="poly"
+//     counts scratch-polynomial borrows, kind="row" the residue rows pooled
+//     ciphertexts grow (every row a miss: an allocation).
 //   - wire codec: bts_wire_bytes_total / bts_wire_envelopes_total
 //     {dir="in"|"out"}.
 //   - scheduler: bts_jobs_total{result="ok"|"error"|"canceled"},
@@ -333,8 +335,9 @@ type (
 	ServeStats = serve.Stats
 )
 
-// NewWireCodec returns a codec bound to ctx; see also wire.NewPooledCodec
-// for the allocation-free serving path.
+// NewWireCodec returns a codec bound to ctx. Decoded ciphertexts come from
+// the context's ciphertext pool; return them with PutCiphertext to reuse
+// their rows.
 func NewWireCodec(ctx *Context) *WireCodec { return wire.NewCodec(ctx) }
 
 // NewServer builds a serving runtime and starts its dispatcher.

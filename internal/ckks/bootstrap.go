@@ -379,21 +379,19 @@ func (ev *Evaluator) both(f0, f1 func(*Evaluator) error) error {
 // modRaise lifts a level-0 ciphertext to the full modulus chain: a BConv from
 // {q0} onto {q1..qL} (Context.raiseExt). The one-prime conversion is exact —
 // its digit is the coefficient itself and its centered representative is the
-// lift into (−q0/2, q0/2] — so each row i ≥ 1 holds that lift mod q_i. Row 0
-// is copied unchanged, and the forward NTT skips it: NTT(INTT(x)) = x word
-// for word.
+// lift into (−q0/2, q0/2] — so each row i ≥ 1 holds that lift mod q_i. The
+// output's own row 0 serves as the INTT scratch before row 0 is copied in
+// unchanged, and the forward NTT skips it: NTT(INTT(x)) = x word for word.
 func (ev *Evaluator) modRaise(ct *Ciphertext) *Ciphertext {
 	ev.counters.ModRaise.Add(1)
 	rq := ev.ctx.RingQ
 	L := rq.MaxLevel()
 	out := ev.ctx.NewCiphertext(L, ct.Scale)
-	tmp := rq.GetRow()
-	defer rq.PutRow(tmp)
 	for _, pair := range [][2]*ring.Poly{{ct.C0, out.C0}, {ct.C1, out.C1}} {
 		src, dst := pair[0], pair[1]
-		copy(tmp, src.Coeffs[0])
-		rq.INTTRow(tmp, 0)
-		ev.ctx.raiseExt.Convert([][]uint64{tmp}, dst.Coeffs[1:L+1])
+		copy(dst.Coeffs[0], src.Coeffs[0])
+		rq.INTTRow(dst.Coeffs[0], 0)
+		ev.ctx.raiseExt.Convert(dst.Coeffs[:1], dst.Coeffs[1:L+1])
 		copy(dst.Coeffs[0], src.Coeffs[0])
 		rq.NTTExcept(dst, L, 0, 0)
 	}

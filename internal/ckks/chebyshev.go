@@ -246,7 +246,7 @@ func (ev *Evaluator) chebLinearCombo(coeffs []float64, basis map[int]*Ciphertext
 		t := basis[k]
 		c := int64(math.Round(coeffs[k] * cScale))
 		if acc == nil {
-			acc = ev.ctx.getCiphertextNoZero(lvl, t.Scale*cScale)
+			acc = ev.ctx.GetCiphertextNoZero(lvl, t.Scale*cScale)
 			rq.MulScalarInt64(t.C0, c, acc.C0, lvl)
 			rq.MulScalarInt64(t.C1, c, acc.C1, lvl)
 		} else {

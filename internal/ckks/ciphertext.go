@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"fmt"
+	"slices"
 
 	"bts/internal/ring"
 )
@@ -22,20 +23,20 @@ type Plaintext struct {
 //
 //   - plain ciphertexts (NewCiphertext) back both polynomials with one
 //     contiguous allocation each, and
-//   - pooled ciphertexts (Context.GetCiphertext) assemble their residue rows
-//     from the q-ring's row pool. PutCiphertext recycles a ciphertext with
-//     its rows attached and DropLevel hands the dropped rows back, so a
-//     result that is Put allocates nothing the next time round. A pooled
-//     ciphertext that is never Put — a serving register value replaced
-//     while jobs may still read it — goes to the garbage collector rows and
-//     all, and the fresh ciphertext that takes its place borrows new rows.
+//   - pooled ciphertexts (Context.GetCiphertext) grow the residue rows a
+//     level needs on first use and keep them for life. Whole ciphertexts are
+//     the only thing that recycles: PutCiphertext returns one with its rows
+//     attached, so a result that is Put allocates nothing the next time
+//     round. A pooled ciphertext that is never Put — a serving register
+//     value replaced while jobs may still read it — goes to the garbage
+//     collector rows and all.
 type Ciphertext struct {
 	C0, C1 *ring.Poly // b(X), a(X)
 	Level  int
 	Scale  float64
 
 	// owner is non-nil for pooled ciphertexts and names the context whose
-	// row pool backs the residue rows.
+	// ciphertext pool PutCiphertext returns them to.
 	owner *Context
 }
 
@@ -51,11 +52,12 @@ func (ctx *Context) NewCiphertext(level int, scale float64) *Ciphertext {
 
 // GetCiphertext borrows a zeroed ciphertext usable up to the given level from
 // the context's pool (the pooled-Ciphertext discipline mirroring the ring's
-// GetPolyNoZero/PutPoly scratch pools). The caller must return it with
-// PutCiphertext when done; a pooled ciphertext is otherwise a drop-in
+// GetPolyNoZero/PutPoly scratch pools). Return it with PutCiphertext when
+// done so the next borrow reuses it, rows included; one never returned goes
+// to the garbage collector. A pooled ciphertext is otherwise a drop-in
 // replacement for one built by NewCiphertext.
 func (ctx *Context) GetCiphertext(level int, scale float64) *Ciphertext {
-	ct := ctx.getCiphertextNoZero(level, scale)
+	ct := ctx.GetCiphertextNoZero(level, scale)
 	ctx.RingQ.Zero(ct.C0, level)
 	ctx.RingQ.Zero(ct.C1, level)
 	return ct
@@ -67,10 +69,6 @@ func (ctx *Context) GetCiphertext(level int, scale float64) *Ciphertext {
 // evaluator uses it for every *New op output, and the wire decoder for
 // ciphertexts whose rows the decode loop overwrites.
 func (ctx *Context) GetCiphertextNoZero(level int, scale float64) *Ciphertext {
-	return ctx.getCiphertextNoZero(level, scale)
-}
-
-func (ctx *Context) getCiphertextNoZero(level int, scale float64) *Ciphertext {
 	ct, _ := ctx.ctPool.Get().(*Ciphertext)
 	if ct == nil {
 		ct = &Ciphertext{C0: &ring.Poly{}, C1: &ring.Poly{}, owner: ctx}
@@ -82,12 +80,25 @@ func (ctx *Context) getCiphertextNoZero(level int, scale float64) *Ciphertext {
 	return ct
 }
 
-// growRows extends p with rows from the q-ring's row pool until it can hold
-// the given level. Rows beyond the requested level are left attached: they
-// are scratch, exactly like the inactive rows of a full-chain pooled Poly.
+// growRows extends p with fresh rows, allocated as one slab, until it can
+// hold the given level, and counts each new row as one get and one miss of
+// the q-ring's row kind (see SetStats). Rows beyond the requested level stay
+// attached: they are scratch, exactly like the inactive rows of a full-chain
+// pooled Poly.
 func (ctx *Context) growRows(p *ring.Poly, level int) {
-	for len(p.Coeffs) <= level {
-		p.Coeffs = append(p.Coeffs, ctx.RingQ.GetRow())
+	missing := level + 1 - len(p.Coeffs)
+	if missing <= 0 {
+		return
+	}
+	n := ctx.RingQ.N
+	slab := make([]uint64, missing*n)
+	p.Coeffs = slices.Grow(p.Coeffs, missing)
+	for i := 0; i < missing; i++ {
+		p.Coeffs = append(p.Coeffs, slab[i*n:(i+1)*n:(i+1)*n])
+	}
+	if st := ctx.stats; st != nil {
+		st.PoolQ.RowGets.Add(int64(missing))
+		st.PoolQ.RowMisses.Add(int64(missing))
 	}
 }
 
@@ -123,57 +134,24 @@ func (ct *Ciphertext) CopyNew(ctx *Context) *Ciphertext {
 	return out
 }
 
-// CopyCiphertext copies src into dst in place — the pooled-allocation dual of
-// Ciphertext.CopyNew. A pooled dst grows rows on demand; a plain dst must
-// already hold enough rows or the copy errors instead of corrupting memory.
-func (ctx *Context) CopyCiphertext(dst, src *Ciphertext) error {
-	if dst == src {
-		return nil
-	}
-	if dst.owner != nil {
-		ctx.growRows(dst.C0, src.Level)
-		ctx.growRows(dst.C1, src.Level)
-	} else if dst.C0.Levels() < src.Level || dst.C1.Levels() < src.Level {
-		return fmt.Errorf("ckks: CopyCiphertext into a ciphertext with %d rows, need %d",
-			dst.C0.Levels()+1, src.Level+1)
-	}
-	ctx.RingQ.CopyLevel(dst.C0, src.C0, src.Level)
-	ctx.RingQ.CopyLevel(dst.C1, src.C1, src.Level)
-	dst.Level = src.Level
-	dst.Scale = src.Scale
-	return nil
-}
-
-// copyCiphertextPooled returns a pooled deep copy of ct.
-func (ctx *Context) copyCiphertextPooled(ct *Ciphertext) *Ciphertext {
-	out := ctx.getCiphertextNoZero(ct.Level, ct.Scale)
+// CopyPooled returns a pooled deep copy of ct — the pooled dual of
+// Ciphertext.CopyNew.
+func (ctx *Context) CopyPooled(ct *Ciphertext) *Ciphertext {
+	out := ctx.GetCiphertextNoZero(ct.Level, ct.Scale)
 	ctx.RingQ.CopyLevel(out.C0, ct.C0, ct.Level)
 	ctx.RingQ.CopyLevel(out.C1, ct.C1, ct.Level)
 	return out
 }
 
 // DropLevel truncates ct to the given lower level without rescaling (the
-// scale is unchanged; only residue rows are discarded). On a pooled
-// ciphertext the now-unused rows go straight back to the owning ring's
-// scratch row pool; on a plain ciphertext they stay attached (they are slices
-// of one contiguous allocation and cannot be freed independently).
+// scale is unchanged; only residue rows are discarded). The rows above the
+// new level stay attached on either flavor, so growing back allocates
+// nothing.
 func (ct *Ciphertext) DropLevel(to int) {
 	if to > ct.Level {
 		panic(fmt.Sprintf("ckks: DropLevel to %d above current level %d", to, ct.Level))
 	}
 	ct.Level = to
-	if ct.owner != nil {
-		releaseRowsAbove(ct.owner.RingQ, ct.C0, to)
-		releaseRowsAbove(ct.owner.RingQ, ct.C1, to)
-	}
-}
-
-func releaseRowsAbove(rq *ring.Ring, p *ring.Poly, level int) {
-	for i := len(p.Coeffs) - 1; i > level; i-- {
-		rq.PutRow(p.Coeffs[i])
-		p.Coeffs[i] = nil
-		p.Coeffs = p.Coeffs[:i]
-	}
 }
 
 // String summarizes the ciphertext's level and scale for diagnostics.

@@ -102,7 +102,7 @@ func checkScales(s0, s1 float64, op string) float64 {
 func (ev *Evaluator) Add(ct0, ct1 *Ciphertext) *Ciphertext {
 	lvl := alignLevels(ct0, ct1)
 	scale := checkScales(ct0.Scale, ct1.Scale, "Add")
-	out := ev.ctx.getCiphertextNoZero(lvl, scale)
+	out := ev.ctx.GetCiphertextNoZero(lvl, scale)
 	ev.ctx.RingQ.Add(ct0.C0, ct1.C0, out.C0, lvl)
 	ev.ctx.RingQ.Add(ct0.C1, ct1.C1, out.C1, lvl)
 	return out
@@ -124,7 +124,7 @@ func (ev *Evaluator) AddInPlace(ct0, ct1 *Ciphertext) {
 func (ev *Evaluator) Sub(ct0, ct1 *Ciphertext) *Ciphertext {
 	lvl := alignLevels(ct0, ct1)
 	scale := checkScales(ct0.Scale, ct1.Scale, "Sub")
-	out := ev.ctx.getCiphertextNoZero(lvl, scale)
+	out := ev.ctx.GetCiphertextNoZero(lvl, scale)
 	ev.ctx.RingQ.Sub(ct0.C0, ct1.C0, out.C0, lvl)
 	ev.ctx.RingQ.Sub(ct0.C1, ct1.C1, out.C1, lvl)
 	return out
@@ -132,7 +132,7 @@ func (ev *Evaluator) Sub(ct0, ct1 *Ciphertext) *Ciphertext {
 
 // Neg returns -ct.
 func (ev *Evaluator) Neg(ct *Ciphertext) *Ciphertext {
-	out := ev.ctx.getCiphertextNoZero(ct.Level, ct.Scale)
+	out := ev.ctx.GetCiphertextNoZero(ct.Level, ct.Scale)
 	ev.ctx.RingQ.Neg(ct.C0, out.C0, ct.Level)
 	ev.ctx.RingQ.Neg(ct.C1, out.C1, ct.Level)
 	return out
@@ -145,7 +145,7 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 		lvl = pt.Level
 	}
 	scale := checkScales(ct.Scale, pt.Scale, "AddPlain")
-	out := ev.ctx.getCiphertextNoZero(lvl, scale)
+	out := ev.ctx.GetCiphertextNoZero(lvl, scale)
 	ev.ctx.RingQ.Add(ct.C0, pt.Value, out.C0, lvl)
 	ev.ctx.RingQ.CopyLevel(out.C1, ct.C1, lvl)
 	return out
@@ -159,7 +159,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 	if pt.Level < lvl {
 		lvl = pt.Level
 	}
-	out := ev.ctx.getCiphertextNoZero(lvl, ct.Scale*pt.Scale)
+	out := ev.ctx.GetCiphertextNoZero(lvl, ct.Scale*pt.Scale)
 	ev.ctx.RingQ.MulCoeffs(ct.C0, pt.Value, out.C0, lvl)
 	ev.ctx.RingQ.MulCoeffs(ct.C1, pt.Value, out.C1, lvl)
 	ev.observeMargin(out)
@@ -170,7 +170,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 // real part (a constant polynomial) and uses the X^(N/2) monomial for the
 // imaginary part, so no level is consumed.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c complex128) *Ciphertext {
-	out := ev.ctx.copyCiphertextPooled(ct)
+	out := ev.ctx.CopyPooled(ct)
 	rq := ev.ctx.RingQ
 	re := int64(math.Round(real(c) * ct.Scale))
 	im := int64(math.Round(imag(c) * ct.Scale))
@@ -227,7 +227,7 @@ func (ev *Evaluator) MulConst(ct *Ciphertext, c complex128, constScale float64) 
 	lvl := ct.Level
 	re := int64(math.Round(real(c) * constScale))
 	im := int64(math.Round(imag(c) * constScale))
-	out := ev.ctx.getCiphertextNoZero(lvl, ct.Scale*constScale)
+	out := ev.ctx.GetCiphertextNoZero(lvl, ct.Scale*constScale)
 	rq.MulScalarInt64(ct.C0, re, out.C0, lvl)
 	rq.MulScalarInt64(ct.C1, re, out.C1, lvl)
 	if im != 0 {
@@ -251,7 +251,7 @@ func (ev *Evaluator) MulConst(ct *Ciphertext, c complex128, constScale float64) 
 // operation realized as multiplication by the monomial X^(N/2).
 func (ev *Evaluator) MulByI(ct *Ciphertext) *Ciphertext {
 	rq := ev.ctx.RingQ
-	out := ev.ctx.getCiphertextNoZero(ct.Level, ct.Scale)
+	out := ev.ctx.GetCiphertextNoZero(ct.Level, ct.Scale)
 	rq.MulByMonomialNTT(ct.C0, rq.N/2, out.C0, ct.Level)
 	rq.MulByMonomialNTT(ct.C1, rq.N/2, out.C1, ct.Level)
 	return out
@@ -319,7 +319,7 @@ func (ev *Evaluator) mulRelin(ct0, ct1 *Ciphertext, drop int) *Ciphertext {
 	for i := lvl; i > lvl-drop; i-- {
 		scale /= float64(rq.Moduli[i].Q)
 	}
-	out := ev.ctx.getCiphertextNoZero(lvl-drop, scale)
+	out := ev.ctx.GetCiphertextNoZero(lvl-drop, scale)
 	ev.keySwitchWith(lvl, drop, func(accQ0, accP0, accQ1, accP1 *ring.Poly) {
 		ksp := ev.begin(spanKeySwitch)
 		ksp.SetLevel(lvl)
@@ -352,7 +352,7 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 	}
 	ev.counters.Rescale.Add(1)
 	sp := ev.begin(spanRescale)
-	out := ev.ctx.copyCiphertextPooled(ct)
+	out := ev.ctx.CopyPooled(ct)
 	ev.divRound(out.C0, nil, ct.Level, 1, 0, out.C0)
 	ev.divRound(out.C1, nil, ct.Level, 1, 0, out.C1)
 	out.Level = ct.Level - 1
@@ -377,7 +377,7 @@ func (ev *Evaluator) Conjugate(ct *Ciphertext) *Ciphertext {
 
 func (ev *Evaluator) automorphism(ct *Ciphertext, g uint64) *Ciphertext {
 	if g == 1 {
-		return ev.ctx.copyCiphertextPooled(ct)
+		return ev.ctx.CopyPooled(ct)
 	}
 	ev.counters.FullRot.Add(1)
 	sp := ev.begin(spanRotate)
@@ -401,7 +401,7 @@ func (ev *Evaluator) automorphism(ct *Ciphertext, g uint64) *Ciphertext {
 func (ev *Evaluator) rotated(ct *Ciphertext, g uint64, mac func(accQ0, accP0, accQ1, accP1 *ring.Poly)) *Ciphertext {
 	rq := ev.ctx.RingQ
 	lvl := ct.Level
-	out := ev.ctx.getCiphertextNoZero(lvl, ct.Scale)
+	out := ev.ctx.GetCiphertextNoZero(lvl, ct.Scale)
 	ev.keySwitchWith(lvl, 0, mac, out.C0, out.C1)
 	rb := rq.GetPolyNoZero()
 	rq.AutomorphismNTT(ct.C0, g, rb, lvl)

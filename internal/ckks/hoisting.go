@@ -205,10 +205,10 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rotations []int) map[int]*Cip
 // decomposition (DecomposeNTT of the same ciphertext, which must still be at
 // the decomposition's level). The output is bit-identical to Rotate(ct, r).
 // This is the entry point for callers that manage decomposition reuse
-// themselves — the serving scheduler shares one decomposition across every
-// rotation fan of a batch that reads the same ciphertext register, where
-// RotateHoisted's one-call-per-fan shape would rebuild it per job. Missing
-// rotation keys panic with the same diagnostics as Rotate.
+// themselves — a serving job shares one decomposition across the rotations
+// of a stage that read the same operand, each of which is its own node
+// rather than one RotateHoisted call. Missing rotation keys panic with the
+// same diagnostics as Rotate.
 func (ev *Evaluator) RotateWithDecomposition(ct *Ciphertext, r int, hd *HoistedDecomposition) *Ciphertext {
 	if hd.level != ct.Level {
 		panic(fmt.Sprintf("ckks: decomposition at level %d applied to ciphertext at level %d", hd.level, ct.Level))
@@ -223,7 +223,7 @@ func (ev *Evaluator) RotateWithDecomposition(ct *Ciphertext, r int, hd *HoistedD
 func (ev *Evaluator) rotateHoisted(ct *Ciphertext, r int, hd *HoistedDecomposition) *Ciphertext {
 	g := ev.ctx.RingQ.GaloisElement(r)
 	if g == 1 {
-		return ev.ctx.copyCiphertextPooled(ct)
+		return ev.ctx.CopyPooled(ct)
 	}
 	ev.counters.HoistedRot.Add(1)
 	swk := ev.rotationKey(g)

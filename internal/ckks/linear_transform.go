@@ -314,7 +314,7 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphe
 		ev.counters.PMult.Add(int64(len(group))) // diagonal folds
 		// One deferred ModDown per component folds the whole giant step's
 		// baby products (rotated C0 included) out of the extended basis.
-		inner := ctx.getCiphertextNoZero(lvl, scale)
+		inner := ctx.GetCiphertextNoZero(lvl, scale)
 		acc := accs[g]
 		if acc != nil {
 			ev.modDown(acc.q0, acc.p0, lvl, 0, inner.C0)

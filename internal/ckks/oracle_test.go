@@ -181,7 +181,7 @@ func (ev *Evaluator) linearTransformPerGiant(ct *Ciphertext, lt *LinearTransform
 
 		// One deferred ModDown per component folds the whole giant step's
 		// baby products out of the extended basis at once.
-		inner := ctx.getCiphertextNoZero(lvl, scale)
+		inner := ctx.GetCiphertextNoZero(lvl, scale)
 		if hasExt {
 			ev.modDown(ext0, extP0, lvl, 0, inner.C0)
 			ev.modDown(ext1, extP1, lvl, 0, inner.C1)

@@ -312,7 +312,7 @@ type Context struct {
 
 	// cacheMu guards the lazily-populated extender caches below so several
 	// ciphertexts can be evaluated concurrently on one context (the serving
-	// runtime's batch scheduler keeps many jobs in flight per context).
+	// runtime runs many jobs at once per context).
 	cacheMu      sync.RWMutex
 	modUpCache   map[[2]int]*ring.BasisExtender // (group j, level) → extender
 	modDownCache map[[3]int]*modDownTables      // (level, drop, k) → divisor tables
@@ -330,9 +330,8 @@ type Context struct {
 	// cumLogQ[l] = log2(q_0···q_l), precomputed for NoiseMargin (noise.go).
 	cumLogQ []float64
 
-	// ctPool recycles pooled ciphertexts (see GetCiphertext/PutCiphertext);
-	// their residue rows come from the q-ring's row pool, so DropLevel can
-	// hand now-unused rows straight back to the scratch allocator.
+	// ctPool recycles pooled ciphertexts (see GetCiphertext/PutCiphertext)
+	// with the residue rows they have grown, which they keep for life.
 	ctPool sync.Pool
 }
 

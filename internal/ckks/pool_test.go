@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"bts/internal/telemetry"
 )
 
 // TestPooledCiphertextRoundTrip checks that pooled ciphertexts are drop-in
@@ -16,12 +18,9 @@ func TestPooledCiphertextRoundTrip(t *testing.T) {
 	pt, _ := s.encoder.Encode(values, s.params.MaxLevel(), s.params.Scale)
 	ct, _ := s.enc.EncryptNew(pt)
 
-	got := s.ctx.GetCiphertext(ct.Level, ct.Scale)
+	got := s.ctx.CopyPooled(ct)
 	if !got.Pooled() {
-		t.Fatal("GetCiphertext did not mark the ciphertext pooled")
-	}
-	if err := s.ctx.CopyCiphertext(got, ct); err != nil {
-		t.Fatal(err)
+		t.Fatal("CopyPooled did not mark the ciphertext pooled")
 	}
 	dec := s.encoder.Decode(s.dec.DecryptNew(got))
 	if e := maxErr(dec, values); e > 1e-6 {
@@ -67,62 +66,79 @@ func TestPooledCiphertextRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCopyCiphertextPlainTooSmall checks the error path: copying into a plain
-// ciphertext with too few rows must fail instead of corrupting memory.
-func TestCopyCiphertextPlainTooSmall(t *testing.T) {
-	s := newTestSetup(t, 1, nil)
-	small := s.ctx.NewCiphertext(0, s.params.Scale)
-	big := s.ctx.NewCiphertext(s.params.MaxLevel(), s.params.Scale)
-	if err := s.ctx.CopyCiphertext(small, big); err == nil {
-		t.Fatal("CopyCiphertext into an undersized plain ciphertext should error")
-	}
-	// A pooled destination grows instead.
-	pooled := s.ctx.GetCiphertext(0, s.params.Scale)
-	if err := s.ctx.CopyCiphertext(pooled, big); err != nil {
-		t.Fatal(err)
-	}
-	if pooled.Level != big.Level {
-		t.Fatalf("pooled dst level %d, want %d", pooled.Level, big.Level)
-	}
-	s.ctx.PutCiphertext(pooled)
-}
-
-// TestDropLevelReleasesPooledRows checks that DropLevel on a pooled
-// ciphertext returns the discarded limb rows to the scratch pool and keeps
-// the message intact, while a plain ciphertext keeps its rows attached.
-func TestDropLevelReleasesPooledRows(t *testing.T) {
+// TestDropLevelKeepsRows checks that DropLevel keeps the message and every
+// row attached on both flavors, and that a pooled ciphertext grown back to
+// its old level after a recycle allocates nothing.
+func TestDropLevelKeepsRows(t *testing.T) {
 	s := newTestSetup(t, 1, nil)
 	rng := rand.New(rand.NewSource(78))
 	values := randomComplex(rng, s.params.Slots(), 1)
-	pt, _ := s.encoder.Encode(values, s.params.MaxLevel(), s.params.Scale)
+	top := s.params.MaxLevel()
+	pt, _ := s.encoder.Encode(values, top, s.params.Scale)
 	ct, _ := s.enc.EncryptNew(pt)
 
-	pooled := s.ctx.GetCiphertext(ct.Level, ct.Scale)
-	if err := s.ctx.CopyCiphertext(pooled, ct); err != nil {
-		t.Fatal(err)
+	for _, c := range []*Ciphertext{s.ctx.CopyPooled(ct), ct.CopyNew(s.ctx)} {
+		row := &c.C1.Coeffs[top][0]
+		c.DropLevel(1)
+		if c.Level != 1 || len(c.C0.Coeffs) != top+1 || len(c.C1.Coeffs) != top+1 || &c.C1.Coeffs[top][0] != row {
+			t.Fatalf("pooled=%v: DropLevel left level %d with %d/%d rows, want level 1 with %d attached",
+				c.Pooled(), c.Level, len(c.C0.Coeffs), len(c.C1.Coeffs), top+1)
+		}
+		dec := s.encoder.Decode(s.dec.DecryptNew(c))
+		if e := maxErr(dec, values); e > 1e-6 {
+			t.Fatalf("pooled=%v: DropLevel changed the message: %g", c.Pooled(), e)
+		}
+		s.ctx.PutCiphertext(c)
 	}
-	pooled.DropLevel(1)
-	if len(pooled.C0.Coeffs) != 2 || len(pooled.C1.Coeffs) != 2 {
-		t.Fatalf("pooled DropLevel kept %d rows, want 2", len(pooled.C0.Coeffs))
-	}
-	dec := s.encoder.Decode(s.dec.DecryptNew(pooled))
-	if e := maxErr(dec, values); e > 1e-6 {
-		t.Fatalf("pooled DropLevel changed the message: %g", e)
-	}
-	// Growing back via CopyCiphertext reacquires rows.
-	if err := s.ctx.CopyCiphertext(pooled, ct); err != nil {
-		t.Fatal(err)
-	}
-	dec = s.encoder.Decode(s.dec.DecryptNew(pooled))
-	if e := maxErr(dec, values); e > 1e-6 {
-		t.Fatalf("regrown pooled ciphertext wrong: %g", e)
-	}
-	s.ctx.PutCiphertext(pooled)
 
-	plain := ct.CopyNew(s.ctx)
-	plain.DropLevel(1)
-	if len(plain.C0.Coeffs) != s.params.MaxLevel()+1 {
-		t.Fatal("plain DropLevel must not detach rows")
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race; allocation counts say nothing")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		c := s.ctx.GetCiphertextNoZero(top, s.params.Scale)
+		c.DropLevel(0)
+		s.ctx.PutCiphertext(c)
+	})
+	if allocs != 0 {
+		t.Fatalf("growing a recycled ciphertext back to level %d allocated %.1f times per run, want 0", top, allocs)
+	}
+}
+
+// TestPooledRowAccounting checks that a fresh pooled ciphertext counts each
+// row it grows as one get and one miss of the q-ring's row kind, and that a
+// recycled one that already holds the rows counts none.
+func TestPooledRowAccounting(t *testing.T) {
+	s := newTestSetup(t, 1, nil)
+	var st telemetry.ContextStats
+	s.ctx.SetStats(&st)
+	defer s.ctx.SetStats(nil)
+	rows := func() (int64, int64) { return st.PoolQ.RowGets.Load(), st.PoolQ.RowMisses.Load() }
+	top := s.params.MaxLevel()
+
+	ct := s.ctx.GetCiphertext(top, s.params.Scale)
+	if g, m := rows(); g != int64(2*(top+1)) || m != g {
+		t.Fatalf("fresh ciphertext at level %d counted %d row gets / %d misses, want %d each", top, g, m, 2*(top+1))
+	}
+	// Under the race detector sync.Pool drops a quarter of all Puts at
+	// random; retry with the fresh ciphertext a dropped Put leaves behind.
+	for round := 0; ; round++ {
+		s.ctx.PutCiphertext(ct)
+		g0, m0 := rows()
+		got := s.ctx.GetCiphertext(top-1, s.params.Scale)
+		g, m := rows()
+		if got == ct {
+			if g != g0 || m != m0 {
+				t.Fatalf("recycled ciphertext counted %d row gets / %d misses, want none", g-g0, m-m0)
+			}
+			return
+		}
+		if g-g0 != int64(2*top) || m-m0 != int64(2*top) {
+			t.Fatalf("fresh ciphertext at level %d counted %d row gets / %d misses, want %d each", top-1, g-g0, m-m0, 2*top)
+		}
+		if round == 8 {
+			t.Fatal("pool did not recycle a returned ciphertext")
+		}
+		ct = got
 	}
 }
 

@@ -287,12 +287,11 @@ func (r *Ring) ForEachLimbBlock(level int, fn func(i, lo, hi int)) {
 // Hot operations must not allocate: a single HMult at paper scale touches
 // dozens of temporary polynomials, and per-call make() both thrashes the
 // allocator and defeats cache residency (the scratchpad discipline of
-// Section 4.2). Each ring owns a sync.Pool of full-chain polynomials and a
-// pool of single residue rows; operations borrow with GetPolyNoZero/GetRow
-// and return with PutPoly/PutRow.
+// Section 4.2). Each ring owns a sync.Pool of full-chain polynomials;
+// operations borrow with GetPolyNoZero and return with PutPoly.
 
 // SetPoolStats attaches a scratch-pool counter sink to the ring (nil
-// detaches): every GetPolyNoZero/GetRow counts a borrow, and a borrow that
+// detaches): every GetPolyNoZero counts a borrow, and a borrow that
 // found the pool empty (allocating fresh memory) counts a miss. Attach before
 // serving traffic; must not race Get/Put calls.
 func (r *Ring) SetPoolStats(st *telemetry.PoolStats) { r.poolStats = st }
@@ -326,28 +325,4 @@ func (r *Ring) PutPoly(p *Poly) {
 		panic("ring: PutPoly of a polynomial not sized to the full chain")
 	}
 	r.polyPool.Put(p)
-}
-
-// GetRow borrows one length-N coefficient row (contents undefined) from the
-// ring's row pool. Return it with PutRow.
-func (r *Ring) GetRow() []uint64 {
-	v, _ := r.rowPool.Get().(*[]uint64)
-	if st := r.poolStats; st != nil {
-		st.RowGets.Add(1)
-		if v == nil {
-			st.RowMisses.Add(1)
-		}
-	}
-	if v != nil {
-		return *v
-	}
-	return make([]uint64, r.N)
-}
-
-// PutRow returns a row borrowed with GetRow.
-func (r *Ring) PutRow(row []uint64) {
-	if len(row) != r.N {
-		panic("ring: PutRow of a row with the wrong length")
-	}
-	r.rowPool.Put(&row)
 }

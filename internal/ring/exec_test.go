@@ -259,12 +259,6 @@ func TestGetPutPoly(t *testing.T) {
 	}
 	r.PutPoly(nz)
 
-	row := r.GetRow()
-	if len(row) != r.N {
-		t.Fatalf("GetRow returned %d coeffs, want %d", len(row), r.N)
-	}
-	r.PutRow(row)
-
 	defer func() {
 		if recover() == nil {
 			t.Fatal("PutPoly of a short polynomial should panic")

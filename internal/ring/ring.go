@@ -141,12 +141,11 @@ type Ring struct {
 
 	// exec fans limb-indexed kernels out across worker goroutines; a new
 	// ring is serial (nil) until SetEngine attaches one (see exec.go).
-	// polyPool and rowPool back the GetPolyNoZero/PutPoly zero-allocation
-	// scratch discipline; accPool holds the 128-bit lazy MAC accumulators
+	// polyPool backs the GetPolyNoZero/PutPoly zero-allocation scratch
+	// discipline; accPool holds the 128-bit lazy MAC accumulators
 	// (see acc.go).
 	exec     *Engine
 	polyPool sync.Pool
-	rowPool  sync.Pool
 	accPool  sync.Pool
 
 	// poolStats, when non-nil, counts scratch-pool traffic (hit/miss); every

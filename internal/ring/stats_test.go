@@ -102,15 +102,4 @@ func TestPoolStatsCountsHitsAndMisses(t *testing.T) {
 	if miss := st.PolyMisses.Load(); miss < 1 || miss > 2 {
 		t.Fatalf("PolyMisses = %d, want 1 (first borrow) allowing 2 (GC-cleared pool)", miss)
 	}
-
-	row := r.GetRow()
-	r.PutRow(row)
-	row = r.GetRow()
-	r.PutRow(row)
-	if got := st.RowGets.Load(); got != 2 {
-		t.Fatalf("RowGets = %d, want 2", got)
-	}
-	if miss := st.RowMisses.Load(); miss < 1 || miss > 2 {
-		t.Fatalf("RowMisses = %d, want 1 allowing 2", miss)
-	}
 }

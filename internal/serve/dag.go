@@ -374,12 +374,7 @@ func (j *job) run(s *Server, ev *ckks.Evaluator, bt *ckks.Bootstrapper) (outs []
 		if jobLocal(name) {
 			continue
 		}
-		cp := ctx.GetCiphertextNoZero(j.inputs[i].Level, j.inputs[i].Scale)
-		if cerr := ctx.CopyCiphertext(cp, j.inputs[i]); cerr != nil {
-			ctx.PutCiphertext(cp)
-			return nil, errf(CodeInternal, "copying input binding %q: %v", name, cerr)
-		}
-		if qerr := s.commitRegister(j.sess, name, cp); qerr != nil {
+		if qerr := s.commitRegister(j.sess, name, ctx.CopyPooled(j.inputs[i])); qerr != nil {
 			return nil, qerr
 		}
 	}
@@ -501,22 +496,13 @@ func (j *job) run(s *Server, ev *ckks.Evaluator, bt *ckks.Bootstrapper) (outs []
 	}
 
 	outs = make([]*ckks.Ciphertext, 0, len(prog.outputs))
-	for oi, o := range prog.outOps {
+	for _, o := range prog.outOps {
 		if o.node >= 0 && jobLocal(prog.nodes[o.node].out) {
 			outs = append(outs, vals[o.node])
 			kept[o.node] = true
 			continue
 		}
-		src := resolveOperand(o)
-		cp := ctx.GetCiphertextNoZero(src.Level, src.Scale)
-		if cerr := ctx.CopyCiphertext(cp, src); cerr != nil {
-			ctx.PutCiphertext(cp)
-			for _, ct := range outs {
-				ctx.PutCiphertext(ct)
-			}
-			return nil, errf(CodeInternal, "copying output %q: %v", prog.outputs[oi], cerr)
-		}
-		outs = append(outs, cp)
+		outs = append(outs, ctx.CopyPooled(resolveOperand(o)))
 	}
 	return outs, nil
 }

@@ -166,7 +166,7 @@ func (cfg *Config) applyDefaults() {
 type Server struct {
 	cfg     Config
 	ctx     *ckks.Context
-	codec   *wire.Codec // pooled: decoded ciphertexts recycle through the ctx pool
+	codec   *wire.Codec // decoded ciphertexts recycle through the ctx pool
 	encoder *ckks.Encoder
 	started time.Time
 
@@ -223,7 +223,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		ctx:      ctx,
-		codec:    wire.NewPooledCodec(ctx),
+		codec:    wire.NewCodec(ctx),
 		encoder:  ckks.NewEncoder(ctx),
 		started:  time.Now(),
 		keys:     newKeyCache(cfg.KeyCacheBytes),
@@ -292,7 +292,7 @@ func (s *Server) newSession(name string) *session {
 // server in-process, e.g. the load generator's verification path).
 func (s *Server) Context() *ckks.Context { return s.ctx }
 
-// Codec returns the server's pooled wire codec.
+// Codec returns the server's wire codec.
 func (s *Server) Codec() *wire.Codec { return s.codec }
 
 // BootstrapRotations returns the rotation amounts a session's key set must

@@ -455,9 +455,6 @@ func (st *Store) LoadRegisters(name string) (map[string]*ckks.Ciphertext, error)
 		if bl < 0 || len(p) < bl {
 			return nil, errf(CodeStore, "registers of %q: truncated ciphertext blob", name)
 		}
-		// st.codec is non-pooled, so loaded ciphertexts are plain heap
-		// allocations — exactly what registers.go needs: values that never
-		// pass through the context's pool.
 		ct, err := st.codec.UnmarshalCiphertext(p[:bl])
 		if err != nil {
 			return nil, errf(CodeStore, "registers of %q: decoding %q: %v", name, rn, err)

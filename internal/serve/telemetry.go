@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -260,33 +261,10 @@ func (ts *telemetryState) collectOpLatency(w *telemetry.Writer) {
 	for _, k := range keys {
 		labels := []telemetry.Label{
 			{Name: "op", Value: string(k.kind)},
-			{Name: "level", Value: itoa(k.level)},
+			{Name: "level", Value: strconv.Itoa(k.level)},
 		}
 		w.Histogram("bts_op_latency_seconds", "Per-op execution latency, keyed by op kind and result level.", labels, hists[k])
 	}
-}
-
-// itoa avoids importing strconv for the one small non-negative int we format.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [24]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 func (ts *telemetryState) observeOp(kind OpKind, level int, d time.Duration) {

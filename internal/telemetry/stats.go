@@ -42,7 +42,8 @@ func (es *EngineStats) Collect(w *Writer) {
 }
 
 // PoolStats counts a ring's scratch-pool traffic (sync.Pool hit/miss). A miss
-// is a Get that had to allocate fresh memory.
+// is a Get that had to allocate fresh memory. The row counters count the
+// residue rows a pooled ckks ciphertext grows, each one a get and a miss.
 type PoolStats struct {
 	PolyGets, PolyMisses atomic.Int64
 	RowGets, RowMisses   atomic.Int64

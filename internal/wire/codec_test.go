@@ -76,7 +76,7 @@ func TestCodecAllocs(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
 	ctx, _, sk := testContext(t)
-	c := NewPooledCodec(ctx)
+	c := NewCodec(ctx)
 	ct := seededCiphertext(t, ctx, sk, ctx.Params.MaxLevel(), 3)
 	b, err := c.MarshalCiphertext(ct)
 	if err != nil {
@@ -110,46 +110,47 @@ func TestCodecAllocs(t *testing.T) {
 // memory with the read buffer the codec reuses.
 func TestPooledReadDoesNotAlias(t *testing.T) {
 	ctx, kg, sk := testContext(t)
-	for _, c := range []*Codec{NewCodec(ctx), NewPooledCodec(ctx)} {
-		level := ctx.Params.MaxLevel()
-		a, bb := seededCiphertext(t, ctx, sk, level, 21), seededCiphertext(t, ctx, sk, level, 22)
-		ea, err := c.MarshalCiphertext(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eb, err := c.MarshalCiphertext(bb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotA, err := c.ReadCiphertext(bytes.NewReader(ea))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotB, err := c.ReadCiphertext(bytes.NewReader(eb))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ctx.RingQ.Equal(gotA.C0, a.C0, level) || !ctx.RingQ.Equal(gotA.C1, a.C1, level) {
-			t.Fatal("decoding B changed the words of A")
-		}
-		if !ctx.RingQ.Equal(gotB.C0, bb.C0, level) || !ctx.RingQ.Equal(gotB.C1, bb.C1, level) {
-			t.Fatal("B decoded wrong")
-		}
-		ctx.PutCiphertext(gotA)
-		ctx.PutCiphertext(gotB)
+	c := NewCodec(ctx)
+	level := ctx.Params.MaxLevel()
+	a, bb := seededCiphertext(t, ctx, sk, level, 21), seededCiphertext(t, ctx, sk, level, 22)
+	ea, err := c.MarshalCiphertext(a)
+	if err != nil {
+		t.Fatal(err)
 	}
+	eb, err := c.MarshalCiphertext(bb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotA, err := c.ReadCiphertext(bytes.NewReader(ea))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotB, err := c.ReadCiphertext(bytes.NewReader(eb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !gotA.Pooled() || !gotB.Pooled() {
+		t.Fatal("codec returned a plain ciphertext")
+	}
+	if !ctx.RingQ.Equal(gotA.C0, a.C0, level) || !ctx.RingQ.Equal(gotA.C1, a.C1, level) {
+		t.Fatal("decoding B changed the words of A")
+	}
+	if !ctx.RingQ.Equal(gotB.C0, bb.C0, level) || !ctx.RingQ.Equal(gotB.C1, bb.C1, level) {
+		t.Fatal("B decoded wrong")
+	}
+	ctx.PutCiphertext(gotA)
+	ctx.PutCiphertext(gotB)
 
-	c := NewPooledCodec(ctx)
 	ka, kb := kg.GenRelinearizationKey(sk), kg.GenRelinearizationKey(sk)
-	ea, err := c.MarshalSwitchingKey(ka)
+	ea, err = c.MarshalSwitchingKey(ka)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := c.MarshalSwitchingKey(kb)
+	eb, err = c.MarshalSwitchingKey(kb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotA, err := c.ReadSwitchingKey(bytes.NewReader(ea))
+	keyA, err := c.ReadSwitchingKey(bytes.NewReader(ea))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +159,11 @@ func TestPooledReadDoesNotAlias(t *testing.T) {
 	}
 	lq, lp := ctx.RingQ.MaxLevel(), ctx.RingP.MaxLevel()
 	for j := range ka.B {
-		if !ctx.RingQ.Equal(gotA.B[j].Q, ka.B[j].Q, lq) || !ctx.RingP.Equal(gotA.B[j].P, ka.B[j].P, lp) {
+		if !ctx.RingQ.Equal(keyA.B[j].Q, ka.B[j].Q, lq) || !ctx.RingP.Equal(keyA.B[j].P, ka.B[j].P, lp) {
 			t.Fatalf("decoding key B changed group %d of key A", j)
 		}
 	}
-	if gotA.Seed != ka.Seed {
+	if keyA.Seed != ka.Seed {
 		t.Fatal("decoding key B changed the seed of key A")
 	}
 }
@@ -187,7 +188,7 @@ func TestHostileHeaderCostsSenderBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewPooledCodec(ctx)
+	c := NewCodec(ctx)
 	declared := c.maxPayload(TypeCiphertext)
 	msg := make([]byte, headerSize+1024)
 	copy(msg, magic[:])

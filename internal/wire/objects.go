@@ -68,12 +68,16 @@ func (c *Codec) WriteCiphertext(w io.Writer, ct *ckks.Ciphertext) error {
 	buf.Grow(size)
 	env := buf.AvailableBuffer()[:size]
 	c.putCiphertext(env, ct)
-	return c.send(w, TypeCiphertext, env)
+	if _, err := w.Write(env); err != nil {
+		return fmt.Errorf("wire: writing %s: %w", TypeCiphertext, err)
+	}
+	c.countOut(size)
+	return nil
 }
 
-// ReadCiphertext decodes one ciphertext envelope. A pooled codec draws the
-// result from the context's ciphertext pool; return it with
-// Context.PutCiphertext so the next decode reuses it and its rows.
+// ReadCiphertext decodes one ciphertext envelope into a ciphertext drawn
+// from the context's pool; return it with Context.PutCiphertext so the next
+// decode reuses it and its rows.
 func (c *Codec) ReadCiphertext(r io.Reader) (*ckks.Ciphertext, error) {
 	buf, err := c.readEnvelope(r, TypeCiphertext)
 	if err != nil {
@@ -106,17 +110,12 @@ func (c *Codec) decodeCiphertext(payload []byte) (*ckks.Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ct *ckks.Ciphertext
-	if c.pooled {
-		// No zeroing pass: readPolyBody overwrites every active row, and on
-		// error the partially-filled ciphertext goes straight back to the
-		// pool (pool contents are scratch).
-		ct = c.ctx.GetCiphertextNoZero(level, scale)
-	} else {
-		ct = c.ctx.NewCiphertext(level, scale)
-	}
+	// No zeroing pass: readPolyBody overwrites every active row, and on
+	// error the partially-filled ciphertext goes straight back to the pool
+	// (pool contents are scratch).
+	ct := c.ctx.GetCiphertextNoZero(level, scale)
 	fail := func(err error) (*ckks.Ciphertext, error) {
-		c.ctx.PutCiphertext(ct) // no-op for plain ciphertexts
+		c.ctx.PutCiphertext(ct)
 		return nil, err
 	}
 	if _, got, err := readPolyBody(cu, c.ctx.RingQ, ct.C0); err != nil {
@@ -242,15 +241,6 @@ func (c *Codec) encodeSwitchingKey(swk *ckks.SwitchingKey) ([]byte, error) {
 	return env, nil
 }
 
-// WriteSwitchingKey frames swk and hands it to w in one Write.
-func (c *Codec) WriteSwitchingKey(w io.Writer, swk *ckks.SwitchingKey) error {
-	env, err := c.encodeSwitchingKey(swk)
-	if err != nil {
-		return err
-	}
-	return c.send(w, TypeSwitchingKey, env)
-}
-
 // ReadSwitchingKey decodes one switching-key envelope.
 func (c *Codec) ReadSwitchingKey(r io.Reader) (*ckks.SwitchingKey, error) {
 	buf, err := c.readEnvelope(r, TypeSwitchingKey)
@@ -324,15 +314,6 @@ func (c *Codec) encodeRotationKeySet(rtks *ckks.RotationKeySet) ([]byte, error) 
 		p = c.putSwitchingKeyBody(p[8:], rtks.Keys[g])
 	}
 	return env, nil
-}
-
-// WriteRotationKeySet frames rtks and hands it to w in one Write.
-func (c *Codec) WriteRotationKeySet(w io.Writer, rtks *ckks.RotationKeySet) error {
-	env, err := c.encodeRotationKeySet(rtks)
-	if err != nil {
-		return err
-	}
-	return c.send(w, TypeRotationKeySet, env)
 }
 
 // ReadRotationKeySet decodes one rotation-key-set envelope. Galois elements

@@ -110,8 +110,7 @@ const MaxRotationKeys = 4096
 // stateless apart from its context binding (and an optional stats sink) and
 // is safe for concurrent use.
 type Codec struct {
-	ctx    *ckks.Context
-	pooled bool
+	ctx *ckks.Context
 
 	// stats, when non-nil, counts envelopes and bytes through the codec
 	// (headers included); every hook is nil-guarded. See SetStats.
@@ -124,18 +123,12 @@ type Codec struct {
 // before serving traffic; must not race encode/decode calls.
 func (c *Codec) SetStats(st *telemetry.WireStats) { c.stats = st }
 
-// NewCodec returns a codec bound to ctx. Decoded ciphertexts are plain
-// allocations.
+// NewCodec returns a codec bound to ctx. ReadCiphertext/UnmarshalCiphertext
+// draw the result from the context's ciphertext pool and decode straight
+// into its rows. A pooled ciphertext is a drop-in for a plain one: return it
+// with Context.PutCiphertext so the next decode reuses it and its rows, or
+// leave it to the garbage collector.
 func NewCodec(ctx *ckks.Context) *Codec { return &Codec{ctx: ctx} }
-
-// NewPooledCodec returns a codec whose ReadCiphertext/UnmarshalCiphertext
-// draw the result from the context's ciphertext pool: the envelope is read
-// into a pooled buffer and decoded straight into the pooled ciphertext's
-// rows. A decode reuses a ciphertext, rows included, only when one was
-// returned with Context.PutCiphertext; one drawn fresh borrows its rows from
-// the row pool, which allocates when the pool is dry. Every codec shares the envelope buffer pool;
-// this one also shares the context's ciphertexts.
-func NewPooledCodec(ctx *ckks.Context) *Codec { return &Codec{ctx: ctx, pooled: true} }
 
 // Context returns the context this codec validates against.
 func (c *Codec) Context() *ckks.Context { return c.ctx }
@@ -195,15 +188,6 @@ func (c *Codec) release(buf *bytes.Buffer) {
 	}
 	buf.Reset()
 	bufPool.Put(buf)
-}
-
-// send hands the encoded envelope env to w in one Write and counts it.
-func (c *Codec) send(w io.Writer, t Type, env []byte) error {
-	if _, err := w.Write(env); err != nil {
-		return fmt.Errorf("wire: writing %s: %w", t, err)
-	}
-	c.countOut(len(env))
-	return nil
 }
 
 // countOut counts one encoded envelope of size bytes.

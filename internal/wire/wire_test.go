@@ -73,7 +73,7 @@ func TestCiphertextRoundTrip(t *testing.T) {
 
 func TestPooledCodecCiphertext(t *testing.T) {
 	ctx, _, sk := testContext(t)
-	c := NewPooledCodec(ctx)
+	c := NewCodec(ctx)
 	enc := ckks.NewEncoder(ctx)
 	encryptor := ckks.NewEncryptorSK(ctx, sk, 8)
 	pt, _ := enc.Encode([]complex128{0.5, -0.5}, ctx.Params.MaxLevel(), ctx.Params.Scale)
@@ -87,7 +87,7 @@ func TestPooledCodecCiphertext(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Pooled() {
-		t.Fatal("pooled codec returned a plain ciphertext")
+		t.Fatal("codec returned a plain ciphertext")
 	}
 	if !ctx.RingQ.Equal(got.C0, ct.C0, ct.Level) || !ctx.RingQ.Equal(got.C1, ct.C1, ct.Level) {
 		t.Fatal("pooled decode mismatch")
