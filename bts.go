@@ -200,9 +200,10 @@
 //   - ring.Engine / pools: bts_engine_runs_total, bts_engine_tasks_total,
 //     bts_engine_stolen_tasks_total, bts_engine_block_runs_total and the
 //     other dispatch-shape gauges; bts_pool_gets_total /
-//     bts_pool_misses_total {ring="q"|"p", kind="poly"|"row"}: kind="poly"
-//     counts scratch-polynomial borrows, kind="row" the residue rows pooled
-//     ciphertexts grow (every row a miss: an allocation).
+//     bts_pool_misses_total {ring="q"|"p", kind="poly"} and {ring="q",
+//     kind="row"}: kind="poly" counts scratch-polynomial borrows, kind="row"
+//     the residue rows pooled ciphertexts grow on the q ring (every row a
+//     miss: an allocation).
 //   - wire codec: bts_wire_bytes_total / bts_wire_envelopes_total
 //     {dir="in"|"out"}.
 //   - scheduler: bts_jobs_total{result="ok"|"error"|"canceled"},

@@ -6,6 +6,7 @@ package ring
 // as on amd64, so tests can force the Go path the same way everywhere.
 var useIFMA, useVAES, useLanes = false, false, false
 
-// noLanes stands in for the AVX-512 F/DQ lane kernels (the NTT passes and
-// the element-wise rows), which useLanes keeps unreachable off amd64.
+// noLanes stands in for the AVX-512 lane kernels of both tiers (the NTT
+// passes and the element-wise rows), which useLanes keeps unreachable off
+// amd64.
 func noLanes() { panic("ring: lane kernel without AVX-512") }

@@ -2,7 +2,8 @@ package ring
 
 // The lane rows of elem_amd64.s. Each takes its Go row's slices and the
 // constants it reads from the modulus, and runs over the rows' common
-// length rounded down to a multiple of 8.
+// length rounded down to a multiple of 8. The …IFMA Shoup rows are the IFMA
+// tier's, for q < 2^50 and multiplied words below 2^52.
 
 //go:noescape
 func mulRowLanes(a, b, out []uint64, q, qInv uint64)
@@ -27,3 +28,12 @@ func subMulShoupRowLanes(a, b, out []uint64, w, ws, q uint64)
 
 //go:noescape
 func reduceAccRowLanes(accLo, accHi, out []uint64, q, qInv, fold uint64)
+
+//go:noescape
+func mulShoupRowIFMA(a, out []uint64, w, ws, q uint64)
+
+//go:noescape
+func mulShoupAddRowIFMA(a, out []uint64, w, ws, q uint64)
+
+//go:noescape
+func subMulShoupRowIFMA(a, b, out []uint64, w, ws, q uint64)

@@ -1,20 +1,25 @@
 #include "textflag.h"
 #include "lanes_amd64.h"
 
-// The lane tier of the element-wise row kernels (ops.go, acc.go): eight
-// coefficients per zmm register, word for word the Go row each replaces,
-// for every 64-bit input. Each function runs over the common length of its
-// slices rounded down to a multiple of 8; the Go row takes the tail. Like
-// ntt_amd64.s it needs AVX-512F and DQ (VPMULLQ) only.
+// The lane tiers of the element-wise row kernels (ops.go, acc.go): eight
+// coefficients per zmm register, word for word the Go row each replaces.
+// Each function runs over the common length of its slices rounded down to
+// a multiple of 8; the Go row takes the tail. Every row has a DQ tier (…
+// Lanes; AVX-512F and DQ, like ntt_amd64.s's), exact for every 64-bit
+// input. The Shoup rows, whose bodies shoup_rows_amd64.h holds once, also
+// have an IFMA tier (…IFMA; AVX-512F and IFMA) for q < 2^50 and multiplied
+// words below 2^52, where SHOUP52's lazy product reduces to the same
+// canonical word.
 //
 // Register conventions, shared by every function:
 //
-//	Z31 = q, Z30 = 2q, Z29 = 2^32-1 (CONSTS)
+//	Z31 = q, Z30 = 2q, Z29 = the tier's mask (CONSTS, CONSTS52)
 //	Z28 = QInv, Z27 = q>>32, Z26 = 1 (REDCCONSTS)
-//	Z21-Z23 a broadcast constant: w, its Shoup companion s and s>>32
-//	        (Z22, Z23: ⌊2^64/q⌋ and its high half in reduceAccRowLanes)
+//	Z21-Z23 a broadcast constant: w, its Shoup companion s and sh, s>>32
+//	        in the DQ tier and s>>12 in the IFMA tier (SHOUPCONSTS; Z22,
+//	        Z23: ⌊2^64/q⌋ and its high half in reduceAccRowLanes)
 //	Z16-Z20 REDC and MONTMUL temporaries
-//	Z12-Z15 MULHI's temporaries
+//	Z12-Z15 MULHI's temporaries (Z15 = 2^52 − q in the IFMA tier)
 //	Z0-Z11  loads, stores and the gather's indexes
 //
 // A Montgomery product (mod.Montgomery.Mul) takes hi(a·b) from MULHI and
@@ -48,11 +53,11 @@
 	VPMULLQ b, a, Z20 \
 	REDC(Z12, Z20, r)
 
-// SHOUPCONSTS loads w, s and s>>32 into Z21-Z23.
+// SHOUPCONSTS loads w, s and sh = s>>SHSHIFT into Z21-Z23.
 #define SHOUPCONSTS(warg, sarg) \
 	VPBROADCASTQ warg, Z21 \
 	VPBROADCASTQ sarg, Z22 \
-	VPSRLQ       $32, Z22, Z23
+	VPSRLQ       SHSHIFT, Z22, Z23
 
 // func mulRowLanes(a, b, out []uint64, q, qInv uint64)
 //
@@ -197,103 +202,6 @@ loop:
 done:
 	RET
 
-// func mulShoupRowLanes(a, out []uint64, w, ws, q uint64)
-//
-// out[j] = mod.MulShoup(a[j], w, ws, q) (mulShoupRowGo).
-TEXT ·mulShoupRowLanes(SB), NOSPLIT, $0-72
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ out_base+24(FP), DI
-	MOVQ out_len+32(FP), AX
-	MINLEN(AX, CX)
-	ANDQ $-8, CX
-	JZ   done
-	CONSTS(q+64(FP))
-	SHOUPCONSTS(w+48(FP), ws+56(FP))
-
-loop:
-	VMOVDQU64 (SI), Z0
-	SHOUP(Z0, Z21, Z22, Z23, Z1)
-	CSUBQ(Z1, Z2)
-	VMOVDQU64 Z1, (DI)
-	ADDQ      $64, SI
-	ADDQ      $64, DI
-	SUBQ      $8, CX
-	JNZ       loop
-	VZEROUPPER
-
-done:
-	RET
-
-// func mulShoupAddRowLanes(a, out []uint64, w, ws, q uint64)
-//
-// out[j] = mod.Add(out[j], mod.MulShoup(a[j], w, ws, q), q)
-// (mulShoupAddRowGo).
-TEXT ·mulShoupAddRowLanes(SB), NOSPLIT, $0-72
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ out_base+24(FP), DI
-	MOVQ out_len+32(FP), AX
-	MINLEN(AX, CX)
-	ANDQ $-8, CX
-	JZ   done
-	CONSTS(q+64(FP))
-	SHOUPCONSTS(w+48(FP), ws+56(FP))
-
-loop:
-	VMOVDQU64 (SI), Z0
-	SHOUP(Z0, Z21, Z22, Z23, Z1)
-	CSUBQ(Z1, Z2)
-	VPADDQ    (DI), Z1, Z1
-	CSUBQ(Z1, Z2)
-	VMOVDQU64 Z1, (DI)
-	ADDQ      $64, SI
-	ADDQ      $64, DI
-	SUBQ      $8, CX
-	JNZ       loop
-	VZEROUPPER
-
-done:
-	RET
-
-// func subMulShoupRowLanes(a, b, out []uint64, w, ws, q uint64)
-//
-// out[j] = mod.MulShoup(mod.Sub(a[j], b[j], q), w, ws, q)
-// (subMulShoupRowGo). The subtraction is mod.Sub for every 64-bit a and b:
-// a − b, plus q where a < b.
-TEXT ·subMulShoupRowLanes(SB), NOSPLIT, $0-96
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DX
-	MOVQ b_len+32(FP), AX
-	MINLEN(AX, CX)
-	MOVQ out_base+48(FP), DI
-	MOVQ out_len+56(FP), AX
-	MINLEN(AX, CX)
-	ANDQ $-8, CX
-	JZ   done
-	CONSTS(q+88(FP))
-	SHOUPCONSTS(w+72(FP), ws+80(FP))
-
-loop:
-	VMOVDQU64 (SI), Z0
-	VMOVDQU64 (DX), Z1
-	VPCMPUQ   $1, Z1, Z0, K2
-	VPSUBQ    Z1, Z0, Z0
-	VPADDQ    Z31, Z0, K2, Z0
-	SHOUP(Z0, Z21, Z22, Z23, Z1)
-	CSUBQ(Z1, Z2)
-	VMOVDQU64 Z1, (DI)
-	ADDQ      $64, SI
-	ADDQ      $64, DX
-	ADDQ      $64, DI
-	SUBQ      $8, CX
-	JNZ       loop
-	VZEROUPPER
-
-done:
-	RET
-
 // func reduceAccRowLanes(accLo, accHi, out []uint64, q, qInv, fold uint64)
 //
 // out[j] = mr.Reduce128(accHi[j], accLo[j]) (reduceAccRowGo): the high
@@ -332,3 +240,22 @@ loop:
 
 done:
 	RET
+
+// The Shoup rows' DQ tier.
+#define SHSHIFT $32
+#define MUL_SHOUP_ROW ·mulShoupRowLanes
+#define MUL_SHOUP_ADD_ROW ·mulShoupAddRowLanes
+#define SUB_MUL_SHOUP_ROW ·subMulShoupRowLanes
+#include "shoup_rows_amd64.h"
+
+// The Shoup rows' IFMA tier, for q < 2^50 and rows whose multiplied words
+// are below 2^52 (every a[j]; a[j] − b[j], plus q where a[j] < b[j]).
+#undef CONSTS
+#undef SHOUP
+#define CONSTS(qarg) CONSTS52(qarg)
+#define SHOUP(x, w, s, sh, r) SHOUP52(x, w, s, sh, r)
+#define SHSHIFT $12
+#define MUL_SHOUP_ROW ·mulShoupRowIFMA
+#define MUL_SHOUP_ADD_ROW ·mulShoupAddRowIFMA
+#define SUB_MUL_SHOUP_ROW ·subMulShoupRowIFMA
+#include "shoup_rows_amd64.h"

@@ -17,3 +17,9 @@ func mulShoupAddRowLanes(a, out []uint64, w, ws, q uint64) { noLanes() }
 func subMulShoupRowLanes(a, b, out []uint64, w, ws, q uint64) { noLanes() }
 
 func reduceAccRowLanes(accLo, accHi, out []uint64, q, qInv, fold uint64) { noLanes() }
+
+func mulShoupRowIFMA(a, out []uint64, w, ws, q uint64) { noLanes() }
+
+func mulShoupAddRowIFMA(a, out []uint64, w, ws, q uint64) { noLanes() }
+
+func subMulShoupRowIFMA(a, b, out []uint64, w, ws, q uint64) { noLanes() }

@@ -48,13 +48,13 @@ var elemRows = []elemRow{
 		func(e elemArgs) { gatherMulAddRow(e.src, e.table, e.rows[0], e.rows[1], e.m.MRed) },
 		func(e elemArgs) { gatherMulAddRowGo(e.src, e.table, e.rows[0], e.rows[1], e.m.MRed) }},
 	{"mulShoupRow", "xo", false,
-		func(e elemArgs) { mulShoupRow(e.rows[0], e.rows[1], e.w, e.ws, e.m.Q) },
+		func(e elemArgs) { mulShoupRow(e.rows[0], e.rows[1], e.w, e.ws, e.m.Q, false) },
 		func(e elemArgs) { mulShoupRowGo(e.rows[0], e.rows[1], e.w, e.ws, e.m.Q) }},
 	{"mulShoupAddRow", "xo", false,
-		func(e elemArgs) { mulShoupAddRow(e.rows[0], e.rows[1], e.w, e.ws, e.m.Q) },
+		func(e elemArgs) { mulShoupAddRow(e.rows[0], e.rows[1], e.w, e.ws, e.m.Q, false) },
 		func(e elemArgs) { mulShoupAddRowGo(e.rows[0], e.rows[1], e.w, e.ws, e.m.Q) }},
 	{"subMulShoupRow", "xxo", false,
-		func(e elemArgs) { subMulShoupRow(e.rows[0], e.rows[1], e.rows[2], e.w, e.ws, e.m.Q) },
+		func(e elemArgs) { subMulShoupRow(e.rows[0], e.rows[1], e.rows[2], e.w, e.ws, e.m.Q, false) },
 		func(e elemArgs) { subMulShoupRowGo(e.rows[0], e.rows[1], e.rows[2], e.w, e.ws, e.m.Q) }},
 	{"reduceAccRow", "lho", false,
 		func(e elemArgs) { reduceAccRow(e.rows[0], e.rows[1], e.rows[2], e.m) },

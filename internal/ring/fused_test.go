@@ -253,18 +253,19 @@ func assertCanonical(t *testing.T, r *Ring, p *Poly, level int, where string) {
 	}
 }
 
-// nttPassPair is one pass of the fused row kernels on both tiers: the Go
-// pass and its AVX-512 counterpart, each applied in place to a whole row
-// whose words lie in [0, window·q).
+// nttPassPair is one pass of the fused row kernels on two tiers: the Go
+// pass and a lane tier's counterpart, each applied in place to a whole row
+// whose words lie in [0, window·q), leaving words in [0, out·q) (out = 1:
+// canonical).
 type nttPassPair struct {
 	name          string
-	window        uint64
+	window, out   uint64
 	goPass, lanes func(a []uint64)
 }
 
 // nttPassPairs lists every pass nttRowRadix4 and inttRowRadix4 run on r
-// under m, with the arguments they run it with.
-func nttPassPairs(r *Ring, m *Modulus) []nttPassPair {
+// under m, with the arguments they run it with, the lane side on tier k.
+func nttPassPairs(r *Ring, m *Modulus, k *nttLanes) []nttPassPair {
 	n, q := r.N, m.Q
 	tw, itw := m.psiShoup, m.psiInvShoup
 	ni, nis, wn, wns := m.nInvScaled(itw[2])
@@ -272,34 +273,34 @@ func nttPassPairs(r *Ring, m *Modulus) []nttPassPair {
 	var ps []nttPassPair
 	mLen := 1
 	if odd {
-		ps = append(ps, nttPassPair{"nttButterflies", 4,
+		ps = append(ps, nttPassPair{"nttButterflies", 4, 4,
 			func(a []uint64) { nttButterflies(a[:n/2], a[n/2:], tw[2], tw[3], q) },
-			func(a []uint64) { nttButterfliesLanes(a[:n/2], a[n/2:], tw[2], tw[3], q) }})
+			func(a []uint64) { k.butterflies(a[:n/2], a[n/2:], tw[2], tw[3], q) }})
 		mLen = 2
 	}
 	for ; mLen < n/4; mLen *= 4 {
 		mLen, h := mLen, n/(4*mLen)
-		ps = append(ps, nttPassPair{fmt.Sprintf("nttQuartets/h=%d", h), 4,
-			func(a []uint64) { nttPass(a, mLen, h, tw, q, false) },
-			func(a []uint64) { nttPass(a, mLen, h, tw, q, true) }})
+		ps = append(ps, nttPassPair{fmt.Sprintf("nttQuartets/h=%d", h), 4, 4,
+			func(a []uint64) { nttPass(a, mLen, h, tw, q, nil) },
+			func(a []uint64) { nttPass(a, mLen, h, tw, q, k) }})
 	}
-	ps = append(ps, nttPassPair{"nttLastPass", 4,
+	ps = append(ps, nttPassPair{"nttLastPass", 4, 1,
 		func(a []uint64) { nttLastPass(a, tw[n/2:n], tw[n:2*n], q) },
-		func(a []uint64) { nttLastPassLanes(a, tw[n/2:n], tw[n:2*n], q) }})
+		func(a []uint64) { k.lastPass(a, tw[n/2:n], tw[n:2*n], q) }})
 
-	ps = append(ps, nttPassPair{"inttFirstPass", 2,
+	ps = append(ps, nttPassPair{"inttFirstPass", 2, 2,
 		func(a []uint64) { inttFirstPass(a, itw[n:2*n], itw[n/2:n], q) },
-		func(a []uint64) { inttFirstPassLanes(a, itw[n:2*n], itw[n/2:n], q) }})
+		func(a []uint64) { k.firstPass(a, itw[n:2*n], itw[n/2:n], q) }})
 	for h2 := n / 16; h2 > 1; h2 /= 4 {
 		h2, t := h2, n/(4*h2)
-		ps = append(ps, nttPassPair{fmt.Sprintf("inttQuartets/t=%d", t), 2,
-			func(a []uint64) { inttPass(a, h2, t, itw, q, false) },
-			func(a []uint64) { inttPass(a, h2, t, itw, q, true) }})
+		ps = append(ps, nttPassPair{fmt.Sprintf("inttQuartets/t=%d", t), 2, 2,
+			func(a []uint64) { inttPass(a, h2, t, itw, q, nil) },
+			func(a []uint64) { inttPass(a, h2, t, itw, q, k) }})
 	}
 	if odd {
-		ps = append(ps, nttPassPair{"inttButterfliesLast", 2,
+		ps = append(ps, nttPassPair{"inttButterfliesLast", 2, 1,
 			func(a []uint64) { inttButterfliesLast(a[:n/2], a[n/2:], ni, nis, wn, wns, q) },
-			func(a []uint64) { inttButterfliesLastLanes(a[:n/2], a[n/2:], ni, nis, wn, wns, q) }})
+			func(a []uint64) { k.butterfliesLast(a[:n/2], a[n/2:], ni, nis, wn, wns, q) }})
 	} else {
 		t := n / 4
 		lastQuartets := func(f func(x0, x1, x2, x3 []uint64, wA0, wA0s, wA1, wA1s, ni, nis, wn, wns, q uint64)) func(a []uint64) {
@@ -307,7 +308,7 @@ func nttPassPairs(r *Ring, m *Modulus) []nttPassPair {
 				f(a[:t], a[t:2*t], a[2*t:3*t], a[3*t:4*t], itw[4], itw[5], itw[6], itw[7], ni, nis, wn, wns, q)
 			}
 		}
-		ps = append(ps, nttPassPair{"inttLastQuartets", 2, lastQuartets(inttLastQuartets), lastQuartets(inttLastQuartetsLanes)})
+		ps = append(ps, nttPassPair{"inttLastQuartets", 2, 1, lastQuartets(inttLastQuartets), lastQuartets(k.lastQuartets)})
 	}
 	return ps
 }
@@ -315,27 +316,30 @@ func nttPassPairs(r *Ring, m *Modulus) []nttPassPair {
 // largestNTTPrimeBelow62 returns the largest prime q < 2^62 with
 // q ≡ 1 mod 2N: the widest modulus the package takes, where 4q is within
 // one bit of overflowing the [0, 4q) window.
-func largestNTTPrimeBelow62(logN int) uint64 {
+func largestNTTPrimeBelow62(logN int) uint64 { return largestNTTPrimeBelow(1<<62, logN) }
+
+// largestNTTPrimeBelow returns the largest prime q < bound with
+// q ≡ 1 mod 2N, for a power-of-two bound above 2N.
+func largestNTTPrimeBelow(bound uint64, logN int) uint64 {
 	twoN := uint64(2) << logN
-	for q := uint64(1)<<62 - twoN + 1; ; q -= twoN {
+	for q := bound - twoN + 1; ; q -= twoN {
 		if mod.IsPrime(q) {
 			return q
 		}
 	}
 }
 
-// TestNTTLanePassWindowEdges pins every lane pass of ntt_amd64.s to the Go
-// pass it replaces, word for word, across the pass's input window — [0, 4q)
-// forward, [0, 2q) inverse: on random words, on rows at the window's top
-// value and on rows alternating top and zero. The primes are 50, 60 and 61
-// bits wide and the largest NTT prime below 2^62; the rings cover every
-// pass kind at both log2(N) parities. Guard words past each row must come
-// back untouched.
+// TestNTTLanePassWindowEdges pins every DQ-tier pass of ntt_amd64.s to the
+// Go pass it replaces, word for word, across the pass's input window —
+// [0, 4q) forward, [0, 2q) inverse: on random words, on rows at the
+// window's top value and on rows alternating top and zero. The primes are
+// 50, 60 and 61 bits wide and the largest NTT prime below 2^62; the rings
+// cover every pass kind at both log2(N) parities. Guard words past each
+// row must come back untouched.
 func TestNTTLanePassWindowEdges(t *testing.T) {
 	if !useLanes {
 		t.Skip("no AVX-512 F/DQ on this CPU: the lane NTT passes not checked")
 	}
-	const guard, sentinel = 8, 0x5a5a5a5a5a5a5a5a
 	for _, logN := range []int{5, 6, 7, 10} {
 		primes := []uint64{largestNTTPrimeBelow62(logN)}
 		for _, bits := range []int{50, 60, 61} {
@@ -345,48 +349,87 @@ func TestNTTLanePassWindowEdges(t *testing.T) {
 			}
 			primes = append(primes, ps...)
 		}
-		n := 1 << logN
 		for _, q := range primes {
-			r, err := NewRing(logN, []uint64{q})
+			nttPassWindowEdges(t, logN, q, &dqLanes, q == primes[0])
+		}
+	}
+}
+
+// TestNTTIFMAPassWindowEdges runs every IFMA-tier pass against the Go pass
+// on TestNTTLanePassWindowEdges' rows, under q of 30, 40, 45 and 49 bits
+// and the largest NTT prime below 2^50, where the window's top words are
+// the largest the 52-bit products take. Its quotient can fall one short of
+// the Go pass's, so a lazy output word may exceed the Go one by q: each
+// word must be the same residue below the pass's output bound (4q
+// forward, 2q inverse), which makes the last passes' canonical words equal.
+func TestNTTIFMAPassWindowEdges(t *testing.T) {
+	skipWithoutIFMA(t)
+	for _, logN := range []int{5, 6, 7, 10} {
+		primes := []uint64{largestNTTPrimeBelow(ifmaBound, logN)}
+		for _, bits := range []int{30, 40, 45, 49} {
+			ps, err := mod.GenerateNTTPrimes(bits, logN, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(int64(q)))
-			passes := nttPassPairs(r, r.Moduli[0])
-			if q == primes[0] {
-				names := make([]string, len(passes))
-				for i, p := range passes {
-					names[i] = p.name
+			primes = append(primes, ps...)
+		}
+		for _, q := range primes {
+			nttPassWindowEdges(t, logN, q, &ifmaLanes, q == primes[0])
+		}
+	}
+}
+
+// nttPassWindowEdges compares every pass of tier k with its Go pass on a
+// ring of degree 2^logN over q, on random, top-of-window and top-zero rows
+// with guard words: word for word for the DQ tier, as the same residue
+// below the pass's output bound for the IFMA tier. It logs the pass list
+// when logPasses is set.
+func nttPassWindowEdges(t *testing.T, logN int, q uint64, k *nttLanes, logPasses bool) {
+	t.Helper()
+	const guard, sentinel = 8, 0x5a5a5a5a5a5a5a5a
+	n := 1 << logN
+	r, err := NewRing(logN, []uint64{q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(q)))
+	passes := nttPassPairs(r, r.Moduli[0], k)
+	if logPasses {
+		names := make([]string, len(passes))
+		for i, p := range passes {
+			names[i] = p.name
+		}
+		t.Logf("logN=%d: %v", logN, names)
+	}
+	for _, p := range passes {
+		top := p.window*q - 1
+		inputs := []struct {
+			name string
+			word func(j int) uint64
+		}{
+			{"random", func(int) uint64 { return rng.Uint64() % (p.window * q) }},
+			{"top", func(int) uint64 { return top }},
+			{"top-zero", func(j int) uint64 { return top * uint64(1-j&1) }},
+		}
+		for _, in := range inputs {
+			want := make([]uint64, n+guard)
+			for j := range want {
+				want[j] = sentinel
+				if j < n {
+					want[j] = in.word(j)
 				}
-				t.Logf("logN=%d: %v", logN, names)
 			}
-			for _, p := range passes {
-				top := p.window*q - 1
-				inputs := []struct {
-					name string
-					word func(j int) uint64
-				}{
-					{"random", func(int) uint64 { return rng.Uint64() % (p.window * q) }},
-					{"top", func(int) uint64 { return top }},
-					{"top-zero", func(j int) uint64 { return top * uint64(1-j&1) }},
+			got := append([]uint64{}, want...)
+			p.goPass(want[:n])
+			p.lanes(got[:n])
+			for j := range want {
+				ok := got[j] == want[j]
+				if k == &ifmaLanes && j < n {
+					ok = got[j] < p.out*q && got[j]%q == want[j]%q
 				}
-				for _, in := range inputs {
-					want := make([]uint64, n+guard)
-					for j := range want {
-						want[j] = sentinel
-						if j < n {
-							want[j] = in.word(j)
-						}
-					}
-					got := append([]uint64{}, want...)
-					p.goPass(want[:n])
-					p.lanes(got[:n])
-					for j := range want {
-						if got[j] != want[j] {
-							t.Fatalf("logN=%d q=%d (%d bits) %s, %s row: word %d is %d, the Go pass gives %d",
-								logN, q, bits.Len64(q), p.name, in.name, j, got[j], want[j])
-						}
-					}
+				if !ok {
+					t.Fatalf("logN=%d q=%d (%d bits) %s, %s row: word %d is %d, the Go pass gives %d (output bound %dq)",
+						logN, q, bits.Len64(q), p.name, in.name, j, got[j], want[j], p.out)
 				}
 			}
 		}

@@ -35,21 +35,33 @@ import "bts/internal/mod"
 // one-row N=2^17 transform in 2.49–2.61 ms on a 2-CPU host, against
 // 1.99–2.19 ms for the fused kernel on one worker.
 //
-// Every pass has two tiers. nttRows and inttRows pick one per call: on amd64
-// CPUs with AVX-512F and DQ (useLanes, from the package's one CPUID
-// probe) and N ≥ 2^nttLanesMinLogN, each pass runs its assembly counterpart
-// in ntt_amd64.s, eight coefficients per zmm register, word for word the Go
-// pass — the same [0, 4q) window and the same canonical last-pass outputs.
-// The lane Shoup product takes the exact high word of x·w′ from four 32×32
-// VPMULUDQ partial products, so it holds for any q < 2^62, and each
-// conditional subtraction is one VPMINUQ. Passes with quartet stride ≥ 16
-// are straight loads; the stride-4 pass and the stride-1 passes
-// (nttLastPass, inttFirstPass), whose twiddles change every 16 or 4 words,
-// move data and twiddles between rows and lanes with in-register permutes
-// (VSHUFI64X2, VPERMT2Q). Otherwise the Go passes run; they stay as the
-// tier's oracle (fused_test.go). On a 2-CPU Xeon (Sapphire Rapids class)
-// the lanes transform an N=2^12 row 2.6–3.9× faster than the Go kernel
-// (interleaved minima of two sittings).
+// Every pass has three tiers, which nttRows and inttRows pick per row
+// (Ring.lanes). On amd64 CPUs with AVX-512F and DQ (useLanes, from the
+// package's one CPUID probe) and N ≥ 2^nttLanesMinLogN, each pass runs an
+// assembly counterpart (ntt_amd64.s, bodies in ntt_passes_amd64.h), eight
+// coefficients per zmm register, with the same [0, 4q) window and the same
+// canonical last-pass outputs. The DQ tier's Shoup product takes the exact
+// high word of x·w′ from four 32×32 VPMULUDQ partial products, so it holds
+// for any q < 2^62 and is word for word the Go pass. A modulus below 2^50
+// on a CPU that also has AVX-512 IFMA takes the IFMA tier instead
+// (Modulus.ifma, fixed when the modulus is built): the same pass bodies
+// with x·w − ⌊x·w″/2^52⌋·q from one VPMADD52HUQ and two VPMADD52LUQ, where
+// w″ = w′>>12 = ⌊w·2^52/q⌋, so no table is added. It is exact because
+// every word it multiplies lies in the [0, 4q) window, below 2^52; its
+// quotient can fall one short of the 64-bit one, so a lazy word may
+// exceed the Go pass's by q, but the last passes reduce and the
+// transform's words are the Go kernel's. Each conditional subtraction is
+// one VPMINUQ. Passes with quartet stride ≥ 16 are straight loads; the
+// stride-4 pass and the stride-1 passes (nttLastPass, inttFirstPass),
+// whose twiddles change every 16 or 4 words, move data and twiddles
+// between rows and lanes with in-register permutes (VSHUFI64X2,
+// VPERMT2Q). Otherwise the Go passes run; they stay as the tiers' oracle
+// (fused_test.go, tiers_test.go). On a 2-CPU Xeon (Sapphire
+// Rapids class) the DQ lanes transform an N=2^12 row 2.6–3.9× faster than
+// the Go kernel (interleaved minima of two sittings), and on a 45-bit row
+// the IFMA lanes 2.3–2.8× faster than the DQ lanes: 27 → 10.3 µs per
+// N=2^12 transform, 1.25 → 0.52 ms per N=2^17 one (BenchmarkNTTKernel,
+// -cpu 1, three runs).
 func (r *Ring) NTT(p *Poly, level int) {
 	r.nttRows(p.Coeffs[:level+1], r.Moduli[:level+1])
 }
@@ -92,16 +104,14 @@ func (r *Ring) INTTRow(row []uint64, i int) {
 }
 
 // nttRows forward-transforms rows[i] under moduli ms[i], one fused radix-4
-// row task per row, on the tier lanes() picks once for the call.
+// row task per row, each on the tier lanes picks for its modulus.
 func (r *Ring) nttRows(rows [][]uint64, ms []*Modulus) {
-	lanes := r.lanes()
-	r.exec.Run(len(rows), func(i int) { r.nttRowRadix4(rows[i], ms[i], lanes) })
+	r.exec.Run(len(rows), func(i int) { r.nttRowRadix4(rows[i], ms[i], r.lanes(ms[i])) })
 }
 
 // inttRows is the inverse counterpart of nttRows.
 func (r *Ring) inttRows(rows [][]uint64, ms []*Modulus) {
-	lanes := r.lanes()
-	r.exec.Run(len(rows), func(i int) { r.inttRowRadix4(rows[i], ms[i], lanes) })
+	r.exec.Run(len(rows), func(i int) { r.inttRowRadix4(rows[i], ms[i], r.lanes(ms[i])) })
 }
 
 // nttLanesMinLogN is the smallest ring the lane passes run on: at N = 32
@@ -109,10 +119,39 @@ func (r *Ring) inttRows(rows [][]uint64, ms []*Modulus) {
 // the stride-1 passes eight quartets, the radix-2 stage 16 pairs).
 const nttLanesMinLogN = 5
 
-// lanes reports whether the row kernels run their AVX-512 passes
-// (ntt_amd64.s): the CPU has them (useLanes) and N is at least
-// 2^nttLanesMinLogN.
-func (r *Ring) lanes() bool { return useLanes && r.LogN >= nttLanesMinLogN }
+// nttLanes is one lane tier's passes (ntt_amd64.s), each standing for the
+// Go pass of the same name, or for a whole nttPass or inttPass.
+type nttLanes struct {
+	butterflies     func(x, y []uint64, w, ws, q uint64)
+	quartets        func(a []uint64, groups, h int, tw1, tw23 []uint64, q uint64)
+	lastPass        func(a, tw1, tw2 []uint64, q uint64)
+	firstPass       func(a, twA, twB []uint64, q uint64)
+	invQuartets     func(a []uint64, groups, t int, twA, twB []uint64, q uint64)
+	lastQuartets    func(x0, x1, x2, x3 []uint64, wA0, wA0s, wA1, wA1s, ni, nis, wn, wns, q uint64)
+	butterfliesLast func(x, y []uint64, ni, nis, wn, wns, q uint64)
+}
+
+// dqLanes serve any modulus; ifmaLanes only moduli below ifmaBound.
+var (
+	dqLanes = nttLanes{nttButterfliesLanes, nttQuartetsLanes, nttLastPassLanes,
+		inttFirstPassLanes, inttQuartetsLanes, inttLastQuartetsLanes, inttButterfliesLastLanes}
+	ifmaLanes = nttLanes{nttButterfliesIFMA, nttQuartetsIFMA, nttLastPassIFMA,
+		inttFirstPassIFMA, inttQuartetsIFMA, inttLastQuartetsIFMA, inttButterfliesLastIFMA}
+)
+
+// lanes returns the lane passes the row kernels run under m, or nil for
+// the Go passes: nil unless the CPU has the lanes (useLanes) and N is at
+// least 2^nttLanesMinLogN, then the IFMA tier's where m takes it
+// (Modulus.ifma) and the DQ tier's otherwise.
+func (r *Ring) lanes(m *Modulus) *nttLanes {
+	switch {
+	case !useLanes || r.LogN < nttLanesMinLogN:
+		return nil
+	case m.ifma:
+		return &ifmaLanes
+	}
+	return &dqLanes
+}
 
 // nInvScaled returns the constants of the inverse transform's last stage,
 // which folds the N^-1 scaling into its butterflies: N^-1 for the sums and
@@ -170,16 +209,16 @@ func canonical4q(v, q uint64) uint64 {
 // nttRowRadix4 is the fused forward row kernel: each pass merges two
 // consecutive Cooley–Tukey stages into one sweep of radix-4 butterflies (see
 // nttQuartets), with the last pass (quartet stride 1) run by nttLastPass.
-// With lanes set every pass runs its AVX-512 counterpart instead, word for
-// word the same; the caller guarantees N ≥ 2^nttLanesMinLogN, so each lane
+// With lanes non-nil every pass runs that tier's counterpart instead, to
+// the same words; the caller guarantees N ≥ 2^nttLanesMinLogN, so each lane
 // pass gets whole registers.
-func (r *Ring) nttRowRadix4(a []uint64, m *Modulus, lanes bool) {
+func (r *Ring) nttRowRadix4(a []uint64, m *Modulus, lanes *nttLanes) {
 	n := r.N
 	q := m.Q
 	tw := m.psiShoup
 	butterflies, last := nttButterflies, nttLastPass
-	if lanes {
-		butterflies, last = nttButterfliesLanes, nttLastPassLanes
+	if lanes != nil {
+		butterflies, last = lanes.butterflies, lanes.lastPass
 	}
 	mLen := 1
 	if r.LogN&1 == 1 {
@@ -199,13 +238,14 @@ func (r *Ring) nttRowRadix4(a []uint64, m *Modulus, lanes bool) {
 
 // nttPass is one fused forward pass over the row a: nttQuartets on each of
 // its mLen groups of 4h words, group g with twiddle pair k = mLen+g of tw
-// and the second layer's pairs 2k, 2k+1. With lanes set nttQuartetsLanes
-// does the same wherever the groups fill whole registers: h a multiple of
-// 8, or 4 with mLen even. h is a power of 4, so in a ring with N ≥ 32 that
-// is every pass, the last fused one (h = 4, mLen = n/16) included.
-func nttPass(a []uint64, mLen, h int, tw []uint64, q uint64, lanes bool) {
-	if lanes && (h%8 == 0 || h == 4 && mLen%2 == 0) {
-		nttQuartetsLanes(a[:4*mLen*h], mLen, h, tw[2*mLen:4*mLen], tw[4*mLen:8*mLen], q)
+// and the second layer's pairs 2k, 2k+1. With lanes non-nil its quartets
+// pass does the same wherever the groups fill whole registers: h a
+// multiple of 8, or 4 with mLen even. h is a power of 4, so in a ring with
+// N ≥ 32 that is every pass, the last fused one (h = 4, mLen = n/16)
+// included.
+func nttPass(a []uint64, mLen, h int, tw []uint64, q uint64, lanes *nttLanes) {
+	if lanes != nil && (h%8 == 0 || h == 4 && mLen%2 == 0) {
+		lanes.quartets(a[:4*mLen*h], mLen, h, tw[2*mLen:4*mLen], tw[4*mLen:8*mLen], q)
 		return
 	}
 	t := 2 * h // first-layer half size
@@ -306,16 +346,16 @@ func nttLastPass(a, tw1, tw2 []uint64, q uint64) {
 // Gentleman–Sande stages per pass (see inttQuartets): the first pass
 // (quartet stride 1) is inttFirstPass, and the N^-1 scaling rides in the
 // last stage — the last radix-4 pass (inttLastQuartets) for an even log2(N),
-// the trailing radix-2 stage for an odd one. lanes selects the AVX-512
+// the trailing radix-2 stage for an odd one. lanes selects a lane tier's
 // passes as in nttRowRadix4.
-func (r *Ring) inttRowRadix4(a []uint64, m *Modulus, lanes bool) {
+func (r *Ring) inttRowRadix4(a []uint64, m *Modulus, lanes *nttLanes) {
 	n := r.N
 	q := m.Q
 	tw := m.psiInvShoup
 	ni, nis, wn, wns := m.nInvScaled(tw[2])
 	first, lastQuartets, butterflies := inttFirstPass, inttLastQuartets, inttButterfliesLast
-	if lanes {
-		first, lastQuartets, butterflies = inttFirstPassLanes, inttLastQuartetsLanes, inttButterfliesLastLanes
+	if lanes != nil {
+		first, lastQuartets, butterflies = lanes.firstPass, lanes.lastQuartets, lanes.butterfliesLast
 	}
 	t := 1
 	mLen := n
@@ -343,12 +383,12 @@ func (r *Ring) inttRowRadix4(a []uint64, m *Modulus, lanes bool) {
 
 // inttPass is one fused inverse pass over the row a: inttQuartets on each
 // of its h2 groups of 4t words, group g with the child pairs 2k, 2k+1 of
-// tw and the parent pair k = h2+g. With lanes set inttQuartetsLanes does
-// the same wherever the groups fill whole registers, as in nttPass: t a
-// multiple of 8, or 4 with h2 = n/16 even.
-func inttPass(a []uint64, h2, t int, tw []uint64, q uint64, lanes bool) {
-	if lanes && (t%8 == 0 || t == 4 && h2%2 == 0) {
-		inttQuartetsLanes(a[:4*h2*t], h2, t, tw[4*h2:8*h2], tw[2*h2:4*h2], q)
+// tw and the parent pair k = h2+g. With lanes non-nil its invQuartets pass
+// does the same wherever the groups fill whole registers, as in nttPass: t
+// a multiple of 8, or 4 with h2 = n/16 even.
+func inttPass(a []uint64, h2, t int, tw []uint64, q uint64, lanes *nttLanes) {
+	if lanes != nil && (t%8 == 0 || t == 4 && h2%2 == 0) {
+		lanes.invQuartets(a[:4*h2*t], h2, t, tw[4*h2:8*h2], tw[2*h2:4*h2], q)
 		return
 	}
 	for g := 0; g < h2; g++ {

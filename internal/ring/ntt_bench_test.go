@@ -19,12 +19,17 @@ import (
 // stage equivalent), making the fused kernels' traffic savings visible as a
 // higher MB/s at equal algorithmic bytes.
 
-// benchNTTKernel times the transform kernel(r) returns on one row; kernel
-// runs its set-up (the oracle's Montgomery tables) outside the timer.
-func benchNTTKernel(b *testing.B, logN, logQ int, kernel func(r *Ring) func(row []uint64)) {
+// benchNTTKernel times the transform kernel(r) returns on one row of a
+// modulus near 2^logQ; kernel runs its set-up (the oracle's Montgomery
+// tables) outside the timer. The ifma kernel skips a modulus it does not
+// serve.
+func benchNTTKernel(b *testing.B, logN, logQ int, name string, kernel func(r *Ring) func(row []uint64)) {
 	primes, err := mod.GenerateNTTPrimes(logQ, logN, 1)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if name == "ifma" && primes[0] >= ifmaBound {
+		b.Skipf("q = %d is not below 2^50: the IFMA tier does not serve it", primes[0])
 	}
 	r, err := NewRing(logN, primes)
 	if err != nil {
@@ -43,10 +48,16 @@ func benchNTTKernel(b *testing.B, logN, logQ int, kernel func(r *Ring) func(row 
 }
 
 func BenchmarkNTTKernel(b *testing.B) {
-	kernels := []struct {
+	// radix4 runs the fused row kernels on tier k (nil: the Go passes).
+	radix4 := func(k *nttLanes) (fwd, inv func(r *Ring) func([]uint64)) {
+		return func(r *Ring) func([]uint64) { return func(row []uint64) { r.nttRowRadix4(row, r.Moduli[0], k) } },
+			func(r *Ring) func([]uint64) { return func(row []uint64) { r.inttRowRadix4(row, r.Moduli[0], k) } }
+	}
+	type kernel struct {
 		name     string
 		fwd, inv func(r *Ring) func(row []uint64)
-	}{
+	}
+	kernels := []kernel{
 		{"radix2",
 			func(r *Ring) func([]uint64) {
 				m := r.Moduli[0]
@@ -58,33 +69,37 @@ func BenchmarkNTTKernel(b *testing.B) {
 				_, psiInvRev, nInvM := m.montTwiddles()
 				return func(row []uint64) { r.inttRowRadix2(row, m, psiInvRev, nInvM) }
 			}},
-		{"radix4",
-			func(r *Ring) func([]uint64) { return func(row []uint64) { r.nttRowRadix4(row, r.Moduli[0], false) } },
-			func(r *Ring) func([]uint64) { return func(row []uint64) { r.inttRowRadix4(row, r.Moduli[0], false) } }},
-		{"lanes",
-			func(r *Ring) func([]uint64) { return func(row []uint64) { r.nttRowRadix4(row, r.Moduli[0], true) } },
-			func(r *Ring) func([]uint64) { return func(row []uint64) { r.inttRowRadix4(row, r.Moduli[0], true) } }},
+	}
+	for _, k := range []struct {
+		name  string
+		lanes *nttLanes
+	}{{"radix4", nil}, {"lanes", &dqLanes}, {"ifma", &ifmaLanes}} {
+		fwd, inv := radix4(k.lanes)
+		kernels = append(kernels, kernel{k.name, fwd, inv})
 	}
 	for _, logN := range []int{12, 17} {
-		for _, logQ := range []int{50, 60} {
+		for _, logQ := range []int{45, 50, 60} {
 			for _, k := range kernels {
 				b.Run(fmt.Sprintf("NTT/%s/logN=%d/q=%d", k.name, logN, logQ), func(b *testing.B) {
 					skipWithoutLanes(b, k.name)
-					benchNTTKernel(b, logN, logQ, k.fwd)
+					benchNTTKernel(b, logN, logQ, k.name, k.fwd)
 				})
 				b.Run(fmt.Sprintf("INTT/%s/logN=%d/q=%d", k.name, logN, logQ), func(b *testing.B) {
 					skipWithoutLanes(b, k.name)
-					benchNTTKernel(b, logN, logQ, k.inv)
+					benchNTTKernel(b, logN, logQ, k.name, k.inv)
 				})
 			}
 		}
 	}
 }
 
-// skipWithoutLanes skips the lanes tier's benchmarks on a CPU without
-// AVX-512 F/DQ.
+// skipWithoutLanes skips the benchmarks of a lane tier ("lanes", the DQ
+// tier, or "ifma") on a CPU without it.
 func skipWithoutLanes(b *testing.B, kernel string) {
-	if kernel == "lanes" && !useLanes {
+	switch {
+	case (kernel == "lanes" || kernel == "ifma") && !useLanes:
 		b.Skip("no AVX-512 F/DQ on this CPU: the lane kernels cannot run")
+	case kernel == "ifma" && !useIFMA:
+		b.Skip("no AVX-512 IFMA on this CPU: the IFMA tier cannot run")
 	}
 }

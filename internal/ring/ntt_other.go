@@ -17,3 +17,19 @@ func inttLastQuartetsLanes(x0, x1, x2, x3 []uint64, wA0, wA0s, wA1, wA1s, ni, ni
 }
 
 func inttButterfliesLastLanes(x, y []uint64, ni, nis, wn, wns, q uint64) { noLanes() }
+
+func nttButterfliesIFMA(x, y []uint64, w, ws, q uint64) { noLanes() }
+
+func nttQuartetsIFMA(a []uint64, groups, h int, tw1, tw23 []uint64, q uint64) { noLanes() }
+
+func nttLastPassIFMA(a, tw1, tw2 []uint64, q uint64) { noLanes() }
+
+func inttFirstPassIFMA(a, twA, twB []uint64, q uint64) { noLanes() }
+
+func inttQuartetsIFMA(a []uint64, groups, t int, twA, twB []uint64, q uint64) { noLanes() }
+
+func inttLastQuartetsIFMA(x0, x1, x2, x3 []uint64, wA0, wA0s, wA1, wA1s, ni, nis, wn, wns, q uint64) {
+	noLanes()
+}
+
+func inttButterfliesLastIFMA(x, y []uint64, ni, nis, wn, wns, q uint64) { noLanes() }

@@ -192,43 +192,53 @@ func gatherMulAddRowGo(a []uint64, table []int, b, out []uint64, mr mod.Montgome
 // int64 (used to fold plaintext constants into polynomials). Multiplying by
 // a plain constant is form-preserving (a = xR gives a·s = x·s·R), so the
 // kernel uses the cheaper Shoup discipline rather than lifting the scalar
-// into Montgomery form.
+// into Montgomery form. a's rows must hold canonical residues, as every
+// row this package's kernels write and every row the wire decodes does.
 func (r *Ring) MulScalarInt64(a *Poly, s int64, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		m := r.Moduli[i]
 		w := m.reduceInt64(s)
-		mulShoupRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w, mod.ShoupPrecomp(w, m.Q), m.Q)
+		// a's words are canonical, below q, so below 2^52 where m.ifma.
+		mulShoupRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w, mod.ShoupPrecomp(w, m.Q), m.Q, m.ifma)
 	})
 }
 
 // MulScalarInt64AndAdd sets out += a * s on rows [0..level]: MulScalarInt64
 // and Add in one pass, with no temporary for the product. It is the term
 // c_k·T_k of a linear combination of ciphertexts (the Chebyshev leaves).
+// a's rows must hold canonical residues, as for MulScalarInt64.
 func (r *Ring) MulScalarInt64AndAdd(a *Poly, s int64, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		m := r.Moduli[i]
 		q := m.Q
 		w := m.reduceInt64(s)
-		mulShoupAddRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w, mod.ShoupPrecomp(w, q), q)
+		// a's words are canonical, below q, so below 2^52 where m.ifma.
+		mulShoupAddRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w, mod.ShoupPrecomp(w, q), q, m.ifma)
 	})
 }
 
 // MulLimbScalarsAndAdd sets out += a * w[i] on each row i of [0..level], for
 // per-prime plain constants w (canonical residues) with their Shoup
-// companions ws — a big integer such as P given by its residues.
+// companions ws — a big integer such as P given by its residues. a's rows
+// must hold canonical residues, as for MulScalarInt64.
 func (r *Ring) MulLimbScalarsAndAdd(a *Poly, w, ws []uint64, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		mulShoupAddRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w[i], ws[i], r.Moduli[i].Q)
+		m := r.Moduli[i]
+		// a's words are canonical, below q, so below 2^52 where m.ifma.
+		mulShoupAddRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w[i], ws[i], m.Q, m.ifma)
 	})
 }
 
 // MulLimbScalars sets out = a * w[i] on each row i of [lo..hi]: the
 // non-accumulating MulLimbScalarsAndAdd, for a copy that is scaled on the
 // way. w and ws are indexed by the row's prime, like the rows themselves.
+// a's rows must hold canonical residues, as for MulScalarInt64.
 func (r *Ring) MulLimbScalars(a *Poly, w, ws []uint64, out *Poly, lo, hi int) {
 	r.exec.RunBlocks(hi-lo+1, r.N, func(k, c0, c1 int) {
 		i := lo + k
-		mulShoupRow(a.Coeffs[i][c0:c1:c1], out.Coeffs[i][c0:c1:c1], w[i], ws[i], r.Moduli[i].Q)
+		m := r.Moduli[i]
+		// a's words are canonical, below q, so below 2^52 where m.ifma.
+		mulShoupRow(a.Coeffs[i][c0:c1:c1], out.Coeffs[i][c0:c1:c1], w[i], ws[i], m.Q, m.ifma)
 	})
 }
 
@@ -236,19 +246,30 @@ func (r *Ring) MulLimbScalars(a *Poly, w, ws []uint64, out *Poly, lo, hi int) {
 // for per-prime plain constants w (canonical residues) with their Shoup
 // companions ws: the last pass of the division by a product of primes
 // (ckks' divRound), which subtracts the converted remainder and scales by
-// the divisor's inverse.
+// the divisor's inverse. a's and b's rows must hold canonical residues, as
+// for MulScalarInt64.
 func (r *Ring) SubMulLimbScalars(a, b *Poly, w, ws []uint64, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		subMulShoupRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w[i], ws[i], r.Moduli[i].Q)
+		m := r.Moduli[i]
+		// a's and b's words are canonical, so a − b, plus q where negative,
+		// is below q, and below 2^52 where m.ifma.
+		subMulShoupRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w[i], ws[i], m.Q, m.ifma)
 	})
 }
 
 // mulShoupRow sets out[j] = a[j]·w mod q over the rows' common length, w with
 // its Shoup companion ws, on the lanes and then mulShoupRowGo as mulRow does.
-func mulShoupRow(a, out []uint64, w, ws, q uint64) {
+// The DQ lanes take every 64-bit a[j]; with ifma set — the modulus' own
+// flag (Modulus.ifma), passed only where every a[j] is below 2^52 — the
+// IFMA tier's lanes run instead, to the same words.
+func mulShoupRow(a, out []uint64, w, ws, q uint64, ifma bool) {
 	if useLanes {
 		n := min(len(a), len(out)) &^ 7
-		mulShoupRowLanes(a, out, w, ws, q)
+		if ifma {
+			mulShoupRowIFMA(a, out, w, ws, q)
+		} else {
+			mulShoupRowLanes(a, out, w, ws, q)
+		}
 		a, out = a[n:], out[n:]
 	}
 	mulShoupRowGo(a, out, w, ws, q)
@@ -263,12 +284,16 @@ func mulShoupRowGo(a, out []uint64, w, ws, q uint64) {
 }
 
 // mulShoupAddRow sets out[j] += a[j]·w mod q over the rows' common length, w
-// with its Shoup companion ws, on the lanes and then mulShoupAddRowGo as
-// mulRow does.
-func mulShoupAddRow(a, out []uint64, w, ws, q uint64) {
+// with its Shoup companion ws, on mulShoupRow's tiers and then
+// mulShoupAddRowGo.
+func mulShoupAddRow(a, out []uint64, w, ws, q uint64, ifma bool) {
 	if useLanes {
 		n := min(len(a), len(out)) &^ 7
-		mulShoupAddRowLanes(a, out, w, ws, q)
+		if ifma {
+			mulShoupAddRowIFMA(a, out, w, ws, q)
+		} else {
+			mulShoupAddRowLanes(a, out, w, ws, q)
+		}
 		a, out = a[n:], out[n:]
 	}
 	mulShoupAddRowGo(a, out, w, ws, q)
@@ -283,12 +308,17 @@ func mulShoupAddRowGo(a, out []uint64, w, ws, q uint64) {
 }
 
 // subMulShoupRow sets out[j] = (a[j] − b[j])·w mod q over the rows' common
-// length, w with its Shoup companion ws, on the lanes and then
-// subMulShoupRowGo as mulRow does.
-func subMulShoupRow(a, b, out []uint64, w, ws, q uint64) {
+// length, w with its Shoup companion ws, on mulShoupRow's tiers and then
+// subMulShoupRowGo; ifma may be set only where every difference the row
+// multiplies (a[j] − b[j], plus q where a[j] < b[j]) is below 2^52.
+func subMulShoupRow(a, b, out []uint64, w, ws, q uint64, ifma bool) {
 	if useLanes {
 		n := min(len(a), len(b), len(out)) &^ 7
-		subMulShoupRowLanes(a, b, out, w, ws, q)
+		if ifma {
+			subMulShoupRowIFMA(a, b, out, w, ws, q)
+		} else {
+			subMulShoupRowLanes(a, b, out, w, ws, q)
+		}
 		a, b, out = a[n:], b[n:], out[n:]
 	}
 	subMulShoupRowGo(a, b, out, w, ws, q)

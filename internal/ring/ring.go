@@ -65,13 +65,16 @@
 //   - The NTT and iNTT row kernels (ntt_amd64.s) on AVX-512F/DQ: every
 //     radix-4 pass, the odd-log2(N) radix-2 stage and the N^-1-scaled last
 //     stage with eight coefficients per 512-bit register, word for word
-//     equal to the Go passes, for N ≥ 32 (see NTT).
+//     equal to the Go passes, for N ≥ 32. Moduli below 2^50 take a third
+//     tier where the CPU also has AVX-512 IFMA: the same passes with 52-bit
+//     Shoup products, ending in the same words (see NTT).
 //   - The element-wise rows (elem_amd64.s) on the same AVX-512F/DQ: the
 //     Montgomery products and MACs (mulRow, mulAddRow and the gather rows
 //     gatherMulRow, gatherMulAddRow that MulKeyPair runs for every
 //     key-switch; mulRow and mulAddRow fold the linear transform's
 //     diagonals), the Shoup scalar rows (mulShoupRow, mulShoupAddRow), the
-//     division's subtract-scale (SubMulLimbScalars) and the Acc128
+//     division's subtract-scale (SubMulLimbScalars; these three also on
+//     the IFMA tier for moduli below 2^50 and canonical rows) and the Acc128
 //     reduction (reduceAccRow), which only the benchmark's ring.mac128_gbps
 //     kernel runs. Each runs its 8-word-aligned prefix eight coefficients
 //     per register, word for word its Go row, which takes the tail; both
@@ -87,9 +90,9 @@
 //     UniformSource).
 //
 // TestKernelPaths logs which tier this CPU runs; the assembly tiers' own
-// tests skip, saying so, where the CPU lacks the instructions, and a
-// test-only switch (forceGo) runs any test on the Go kernels alone, all four
-// families at once.
+// tests skip, saying so, where the CPU lacks the instructions, and
+// test-only switches run any test on the Go kernels alone, all four
+// families at once (forceGo), or with the IFMA tier off (forceDQ).
 package ring
 
 import (
@@ -123,7 +126,18 @@ type Modulus struct {
 	// adjacent pairs 2k, 2k+1 (its children in the next layer): two streams.
 	psiShoup    []uint64
 	psiInvShoup []uint64
+
+	// ifma says whether the IFMA lane tier serves this modulus: the CPU
+	// has AVX-512 IFMA (useIFMA, read when the modulus is built) and
+	// q < ifmaBound. Its NTT passes and canonical-input Shoup rows then
+	// run 52-bit products on the tables above (see NTT).
+	ifma bool
 }
+
+// ifmaBound bounds the moduli the IFMA tier serves: for q < 2^50 the NTT's
+// [0, 4q) window lies below 2^52, so every word a Shoup product multiplies
+// is a whole VPMADD52 operand.
+const ifmaBound = 1 << 50
 
 // Ring is R_Q for a fixed degree N and a chain of prime moduli. CKKS uses two
 // rings: one over the q-chain and one over the special p-chain (Section 2.5).
@@ -201,6 +215,7 @@ func newModulus(q uint64, logN int, brv []int) (*Modulus, error) {
 		Psi:    psi,
 		PsiInv: mod.Inv(psi, q),
 		NInv:   mod.Inv(uint64(n), q),
+		ifma:   useIFMA && q < ifmaBound,
 	}
 	m.psiShoup = make([]uint64, 2*n)
 	m.psiInvShoup = make([]uint64, 2*n)

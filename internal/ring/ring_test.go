@@ -419,13 +419,18 @@ func TestBasisExtenderNegationEquivariance(t *testing.T) {
 }
 
 // TestKernelPaths logs which CPUID-selected kernels this CPU runs — the
-// NTT, the element-wise rows, BConv and the seeded-key keystream — so a CI
-// log says when an assembly kernel went unexercised.
+// NTT tier per modulus class, the element-wise rows, BConv and the
+// seeded-key keystream — so a CI log says when an assembly kernel went
+// unexercised.
 func TestKernelPaths(t *testing.T) {
 	ntt, elem, bconv, keystream := "go (no AVX-512 F/DQ)", "go (no AVX-512 F/DQ)", "go (no AVX-512 IFMA)", "crypto/aes (no VAES)"
 	if useLanes {
-		ntt = fmt.Sprintf("lanes (ntt_amd64.s, N >= 2^%d)", nttLanesMinLogN)
-		elem = "lanes (elem_amd64.s)"
+		lanes := fmt.Sprintf("lanes (ntt_amd64.s DQ tier, N >= 2^%d), go (N < 2^%d)", nttLanesMinLogN, nttLanesMinLogN)
+		ntt, elem = lanes+", no ifma (no AVX-512 IFMA)", "lanes (elem_amd64.s)"
+		if useIFMA {
+			ntt = "ifma (q < 2^50), " + lanes
+			elem = "lanes (elem_amd64.s; Shoup rows ifma for q < 2^50)"
+		}
 	}
 	if useIFMA {
 		bconv = "ifma (bconvDigits, bconvLanes)"
@@ -450,14 +455,34 @@ func forceGo(t testing.TB) {
 	t.Cleanup(func() { useLanes, useIFMA, useVAES = lanes, ifma, vaes })
 }
 
-// onPaths runs f twice, as the subtests "lanes" (the kernels CPUID selects)
-// and "go" (forceGo). The lanes subtest skips, saying why, on a CPU without
-// AVX-512 F/DQ, so a green run there does not pass for its coverage.
+// forceDQ runs the rest of t with the IFMA tier off for the moduli and
+// BConv extenders built afterwards: their NTT passes and Shoup rows run on
+// the DQ lanes, whatever q, and BConv on Go. It restores the flag when t
+// ends; tests that call it must not run in parallel.
+func forceDQ(t testing.TB) {
+	ifma := useIFMA
+	useIFMA = false
+	t.Cleanup(func() { useIFMA = ifma })
+}
+
+// onPaths runs f three times, as the subtests "lanes" (the kernels CPUID
+// selects: the IFMA tier for q < 2^50 where the CPU has it, the DQ tier
+// otherwise), "dq" (forceDQ) and "go" (forceGo). f must build its rings
+// itself. The lanes subtest skips, saying why, on a CPU without AVX-512
+// F/DQ, and the dq subtest also on one without IFMA, where lanes already
+// is the DQ tier, so a green run there does not pass for its coverage.
 func onPaths(t *testing.T, f func(t *testing.T)) {
 	t.Run("lanes", func(t *testing.T) {
 		if !useLanes {
 			t.Skip("no AVX-512 F/DQ on this CPU: the lane kernels not checked")
 		}
+		f(t)
+	})
+	t.Run("dq", func(t *testing.T) {
+		if !useLanes || !useIFMA {
+			t.Skip("no AVX-512 IFMA (with F/DQ) on this CPU: the lanes subtest covers the DQ tier alone")
+		}
+		forceDQ(t)
 		f(t)
 	})
 	t.Run("go", func(t *testing.T) {

@@ -101,12 +101,17 @@ func TestStatsCollectors(t *testing.T) {
 		"bts_engine_stolen_tasks_total 5",
 		`bts_pool_gets_total{ring="q",kind="poly"} 9`,
 		`bts_pool_misses_total{ring="q",kind="poly"} 2`,
-		`bts_pool_gets_total{ring="p",kind="row"} 0`,
+		`bts_pool_gets_total{ring="q",kind="row"} 0`,
+		`bts_pool_gets_total{ring="p",kind="poly"} 0`,
 		`bts_wire_bytes_total{dir="in"} 1000`,
 		`bts_wire_envelopes_total{dir="out"} 4`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+	// Rows grow on the q ring only: the p ring has no row series.
+	if strings.Contains(out, `ring="p",kind="row"`) {
+		t.Errorf("output renders a row series for the p ring:\n%s", out)
 	}
 }

@@ -49,7 +49,9 @@ type PoolStats struct {
 	RowGets, RowMisses   atomic.Int64
 }
 
-// Collect renders the pool series for one ring (label ring="q"|"p").
+// Collect renders the pool series for one ring (label ring="q"|"p"). Rows
+// grow only on the q ring, where pooled ciphertexts live, so the row kind
+// is rendered for ring="q" alone; the p ring's row counters stay 0.
 func (ps *PoolStats) Collect(w *Writer, ringLabel string) {
 	for _, s := range []struct {
 		kind         string
@@ -58,6 +60,9 @@ func (ps *PoolStats) Collect(w *Writer, ringLabel string) {
 		{"poly", &ps.PolyGets, &ps.PolyMisses},
 		{"row", &ps.RowGets, &ps.RowMisses},
 	} {
+		if s.kind == "row" && ringLabel != "q" {
+			continue
+		}
 		labels := []Label{{"ring", ringLabel}, {"kind", s.kind}}
 		w.Counter("bts_pool_gets_total", "Scratch-pool borrows.", labels, float64(s.gets.Load()))
 		w.Counter("bts_pool_misses_total", "Scratch-pool borrows that allocated fresh memory.", labels, float64(s.misses.Load()))
