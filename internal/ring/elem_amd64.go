@@ -2,8 +2,9 @@ package ring
 
 // The lane rows of elem_amd64.s. Each takes its Go row's slices and the
 // constants it reads from the modulus, and runs over the rows' common
-// length rounded down to a multiple of 8. The …IFMA Shoup rows are the IFMA
-// tier's, for q < 2^50 and multiplied words below 2^52.
+// length rounded down to a multiple of 8. The …IFMA rows are the IFMA
+// tier's: the Montgomery rows for q < 2^51 and first operands below q, the
+// Shoup rows for q < 2^50 and multiplied words below 2^52.
 
 //go:noescape
 func mulRowLanes(a, b, out []uint64, q, qInv uint64)
@@ -37,3 +38,15 @@ func mulShoupAddRowIFMA(a, out []uint64, w, ws, q uint64)
 
 //go:noescape
 func subMulShoupRowIFMA(a, b, out []uint64, w, ws, q uint64)
+
+//go:noescape
+func mulRowIFMA(a, b, out []uint64, q, qInv uint64)
+
+//go:noescape
+func mulAddRowIFMA(a, b, out []uint64, q, qInv uint64)
+
+//go:noescape
+func gatherMulRowIFMA(a []uint64, table []int, b, out []uint64, q, qInv uint64)
+
+//go:noescape
+func gatherMulAddRowIFMA(a []uint64, table []int, b, out []uint64, q, qInv uint64)

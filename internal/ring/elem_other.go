@@ -23,3 +23,11 @@ func mulShoupRowIFMA(a, out []uint64, w, ws, q uint64) { noLanes() }
 func mulShoupAddRowIFMA(a, out []uint64, w, ws, q uint64) { noLanes() }
 
 func subMulShoupRowIFMA(a, b, out []uint64, w, ws, q uint64) { noLanes() }
+
+func mulRowIFMA(a, b, out []uint64, q, qInv uint64) { noLanes() }
+
+func mulAddRowIFMA(a, b, out []uint64, q, qInv uint64) { noLanes() }
+
+func gatherMulRowIFMA(a []uint64, table []int, b, out []uint64, q, qInv uint64) { noLanes() }
+
+func gatherMulAddRowIFMA(a []uint64, table []int, b, out []uint64, q, qInv uint64) { noLanes() }

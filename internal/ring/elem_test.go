@@ -21,48 +21,55 @@ type elemArgs struct {
 	w, ws uint64
 }
 
-// elemRow is one element-wise row kernel on both tiers. kinds names each of
+// elemRow is one element-wise row kernel on its tiers. kinds names each of
 // its rows: 'x' an operand, 'o' an output (read first by the accumulating
 // kernels), 'l' and 'h' the low and high words of 128-bit sums. row calls
-// the kernel as the package does (the lanes on the 8-word-aligned prefix
-// where useLanes is set, the Go row on the tail), goRow the Go row alone.
-// gather kernels read their first operand from src through table.
+// the kernel as the package does (the DQ lanes on the 8-word-aligned prefix
+// where useLanes is set, the Go row on the tail), goRow the Go row alone,
+// and ifmaRow, which only the Montgomery rows have, the kernel with its
+// IFMA tier on. gather kernels read their first operand from src through
+// table.
 type elemRow struct {
-	name       string
-	kinds      string
-	gather     bool
-	row, goRow func(e elemArgs)
+	name                string
+	kinds               string
+	gather              bool
+	row, goRow, ifmaRow func(e elemArgs)
 }
 
 var elemRows = []elemRow{
 	{"mulRow", "xxo", false,
-		func(e elemArgs) { mulRow(e.rows[0], e.rows[1], e.rows[2], e.m.MRed) },
-		func(e elemArgs) { mulRowGo(e.rows[0], e.rows[1], e.rows[2], e.m.MRed) }},
+		func(e elemArgs) { mulRow(e.rows[0], e.rows[1], e.rows[2], e.m.MRed, false) },
+		func(e elemArgs) { mulRowGo(e.rows[0], e.rows[1], e.rows[2], e.m.MRed) },
+		func(e elemArgs) { mulRow(e.rows[0], e.rows[1], e.rows[2], e.m.MRed, true) }},
 	{"mulAddRow", "xxo", false,
-		func(e elemArgs) { mulAddRow(e.rows[0], e.rows[1], e.rows[2], e.m.MRed) },
-		func(e elemArgs) { mulAddRowGo(e.rows[0], e.rows[1], e.rows[2], e.m.MRed) }},
+		func(e elemArgs) { mulAddRow(e.rows[0], e.rows[1], e.rows[2], e.m.MRed, false) },
+		func(e elemArgs) { mulAddRowGo(e.rows[0], e.rows[1], e.rows[2], e.m.MRed) },
+		func(e elemArgs) { mulAddRow(e.rows[0], e.rows[1], e.rows[2], e.m.MRed, true) }},
 	{"gatherMulRow", "xo", true,
-		func(e elemArgs) { gatherMulRow(e.src, e.table, e.rows[0], e.rows[1], e.m.MRed) },
-		func(e elemArgs) { gatherMulRowGo(e.src, e.table, e.rows[0], e.rows[1], e.m.MRed) }},
+		func(e elemArgs) { gatherMulRow(e.src, e.table, e.rows[0], e.rows[1], e.m.MRed, false) },
+		func(e elemArgs) { gatherMulRowGo(e.src, e.table, e.rows[0], e.rows[1], e.m.MRed) },
+		func(e elemArgs) { gatherMulRow(e.src, e.table, e.rows[0], e.rows[1], e.m.MRed, true) }},
 	{"gatherMulAddRow", "xo", true,
-		func(e elemArgs) { gatherMulAddRow(e.src, e.table, e.rows[0], e.rows[1], e.m.MRed) },
-		func(e elemArgs) { gatherMulAddRowGo(e.src, e.table, e.rows[0], e.rows[1], e.m.MRed) }},
+		func(e elemArgs) { gatherMulAddRow(e.src, e.table, e.rows[0], e.rows[1], e.m.MRed, false) },
+		func(e elemArgs) { gatherMulAddRowGo(e.src, e.table, e.rows[0], e.rows[1], e.m.MRed) },
+		func(e elemArgs) { gatherMulAddRow(e.src, e.table, e.rows[0], e.rows[1], e.m.MRed, true) }},
 	{"mulShoupRow", "xo", false,
 		func(e elemArgs) { mulShoupRow(e.rows[0], e.rows[1], e.w, e.ws, e.m.Q, false) },
-		func(e elemArgs) { mulShoupRowGo(e.rows[0], e.rows[1], e.w, e.ws, e.m.Q) }},
+		func(e elemArgs) { mulShoupRowGo(e.rows[0], e.rows[1], e.w, e.ws, e.m.Q) }, nil},
 	{"mulShoupAddRow", "xo", false,
 		func(e elemArgs) { mulShoupAddRow(e.rows[0], e.rows[1], e.w, e.ws, e.m.Q, false) },
-		func(e elemArgs) { mulShoupAddRowGo(e.rows[0], e.rows[1], e.w, e.ws, e.m.Q) }},
+		func(e elemArgs) { mulShoupAddRowGo(e.rows[0], e.rows[1], e.w, e.ws, e.m.Q) }, nil},
 	{"subMulShoupRow", "xxo", false,
 		func(e elemArgs) { subMulShoupRow(e.rows[0], e.rows[1], e.rows[2], e.w, e.ws, e.m.Q, false) },
-		func(e elemArgs) { subMulShoupRowGo(e.rows[0], e.rows[1], e.rows[2], e.w, e.ws, e.m.Q) }},
+		func(e elemArgs) { subMulShoupRowGo(e.rows[0], e.rows[1], e.rows[2], e.w, e.ws, e.m.Q) }, nil},
 	{"reduceAccRow", "lho", false,
 		func(e elemArgs) { reduceAccRow(e.rows[0], e.rows[1], e.rows[2], e.m) },
-		func(e elemArgs) { reduceAccRowGo(e.rows[0], e.rows[1], e.rows[2], e.m) }},
+		func(e elemArgs) { reduceAccRowGo(e.rows[0], e.rows[1], e.rows[2], e.m) }, nil},
 }
 
-// TestElemLanesMatchGo pins every element-wise row to its Go row, word for
-// word, on both tiers: q of 50, 60 and 61 bits and the largest NTT prime
+// TestElemLanesMatchGo pins every element-wise row's DQ lanes to its Go row,
+// word for word (the IFMA tiers, whose inputs are narrower, have their own
+// tests: TestMontRowTiersAgree, TestShoupRowTiersAgree): q of 50, 60 and 61 bits and the largest NTT prime
 // below 2^62; rows of 0 to 40 words and one of 259, so the Go tail runs
 // after the lanes at every remainder; and four fills — residues, all q − 1
 // (and the 128-bit sum 2^128 − 1, the largest reduceAccRow folds), the
@@ -209,90 +216,140 @@ func TestAutoIndexNTTIsPermutation(t *testing.T) {
 
 // TestMulKeyPairRejectsShortGather checks that MulKeyPair refuses an index
 // table that is not N entries long, and a row of d shorter than N, with a
-// panic before any row runs: the outputs stay untouched.
+// panic before any row runs: the outputs stay untouched. Each case runs on
+// every path (onPaths).
 func TestMulKeyPairRejectsShortGather(t *testing.T) {
-	r := testRing(t, 6, 2)
-	lvl := r.MaxLevel()
-	rng := rand.New(rand.NewSource(7))
-	d, b, out0, out1 := r.NewPoly(lvl+1), r.NewPoly(lvl+1), r.NewPoly(lvl+1), r.NewPoly(lvl+1)
-	for _, p := range []*Poly{d, b, out0, out1} {
-		r.SampleUniform(rng, p, lvl)
-	}
-	u := NewUniformSource(testSeed(6)).Poly(0)
-	full := r.AutoIndexNTT(r.GaloisElement(1))
-	short := r.CopyNew(d, lvl)
-	short.Coeffs[lvl] = short.Coeffs[lvl][:r.N-1]
 	for _, c := range []struct {
-		name  string
-		d     *Poly
-		table []int
-		want  string
+		name string
+		want string
+		bad  func(r *Ring, d *Poly, full []int) (*Poly, []int) // the d and table to pass
 	}{
-		{"short table", d, full[:r.N-1], "index table"},
-		{"long table", d, append(append([]int{}, full...), 0), "index table"},
-		{"short row", short, full, "gathers from row"},
+		{"short table", "index table", func(r *Ring, d *Poly, full []int) (*Poly, []int) { return d, full[:r.N-1] }},
+		{"long table", "index table", func(_ *Ring, d *Poly, full []int) (*Poly, []int) {
+			return d, append(append([]int{}, full...), 0)
+		}},
+		{"short row", "gathers from row", func(r *Ring, d *Poly, full []int) (*Poly, []int) {
+			lvl := r.MaxLevel()
+			short := r.CopyNew(d, lvl)
+			short.Coeffs[lvl] = short.Coeffs[lvl][:r.N-1]
+			return short, full
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			w0, w1 := r.CopyNew(out0, lvl), r.CopyNew(out1, lvl)
-			func() {
-				defer func() {
-					msg, _ := recover().(string)
-					if !strings.Contains(msg, c.want) {
-						t.Fatalf("MulKeyPair: recovered %q, want a panic naming the %s", msg, c.want)
-					}
+			onPaths(t, func(t *testing.T) {
+				r := testRing(t, 6, 2)
+				lvl := r.MaxLevel()
+				rng := rand.New(rand.NewSource(7))
+				d, b, out0, out1 := r.NewPoly(lvl+1), r.NewPoly(lvl+1), r.NewPoly(lvl+1), r.NewPoly(lvl+1)
+				for _, p := range []*Poly{d, b, out0, out1} {
+					r.SampleUniform(rng, p, lvl)
+				}
+				u := NewUniformSource(testSeed(6)).Poly(0)
+				bd, table := c.bad(r, d, r.AutoIndexNTT(r.GaloisElement(1)))
+				w0, w1 := r.CopyNew(out0, lvl), r.CopyNew(out1, lvl)
+				func() {
+					defer func() {
+						msg, _ := recover().(string)
+						if !strings.Contains(msg, c.want) {
+							t.Fatalf("MulKeyPair: recovered %q, want a panic naming the %s", msg, c.want)
+						}
+					}()
+					r.MulKeyPair(bd, table, b, u, w0, w1, lvl, true)
 				}()
-				r.MulKeyPair(c.d, c.table, b, u, w0, w1, lvl, true)
-			}()
-			if !r.Equal(w0, out0, lvl) || !r.Equal(w1, out1, lvl) {
-				t.Fatal("MulKeyPair wrote an output before panicking")
-			}
+				if !r.Equal(w0, out0, lvl) || !r.Equal(w1, out1, lvl) {
+					t.Fatal("MulKeyPair wrote an output before panicking")
+				}
+			})
 		})
 	}
 }
 
-// BenchmarkElemKernel times every element-wise row on both tiers over one
-// row of N = 2^12 and 2^17 words under a 60-bit prime — serial, no
-// dispatch — and reports ns per word. The gather rows read through a real
-// automorphism table.
+// BenchmarkElemKernel times the element-wise rows serially, with no
+// dispatch, and reports ns per word: every row on the Go row and the DQ
+// lanes over one row of N = 2^12 and 2^17 words under a 60-bit prime, and
+// the Montgomery rows on the DQ lanes and the IFMA tier under a 45-bit
+// prime over a 256-word keystream chunk (MulKeyPair's unit) and rows of
+// N = 2^12, 2^14 and 2^17, with the raw 64-bit second operands of the
+// MAC's a half. The gather rows read through a real automorphism table.
 func BenchmarkElemKernel(b *testing.B) {
+	run := func(b *testing.B, tier string, f func(elemArgs), args elemArgs, words int) {
+		skipWithoutLanes(b, tier)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f(args)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*words), "ns/word")
+	}
 	for _, logN := range []int{12, 17} {
-		primes, err := mod.GenerateNTTPrimes(60, logN, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := NewRing(logN, primes)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r, rng := benchRing(b, 60, logN)
 		q := r.Moduli[0].Q
-		rng := rand.New(rand.NewSource(42))
-		row := func() []uint64 {
-			v := make([]uint64, r.N)
-			for j := range v {
-				v[j] = rng.Uint64() % q
-			}
-			return v
-		}
 		w := rng.Uint64() % q
-		args := elemArgs{src: row(), table: r.AutoIndexNTT(r.GaloisElement(1)), m: r.Moduli[0], w: w, ws: mod.ShoupPrecomp(w, q)}
+		args := elemArgs{src: residueRow(rng, q, r.N), table: r.AutoIndexNTT(r.GaloisElement(1)), m: r.Moduli[0], w: w, ws: mod.ShoupPrecomp(w, q)}
 		for range 4 {
-			args.rows = append(args.rows, row())
+			args.rows = append(args.rows, residueRow(rng, q, r.N))
 		}
 		for _, k := range elemRows {
 			for _, tier := range []string{"go", "lanes"} {
 				b.Run(fmt.Sprintf("%s/%s/logN=%d", k.name, tier, logN), func(b *testing.B) {
-					skipWithoutLanes(b, tier)
 					f := k.goRow
 					if tier == "lanes" {
 						f = k.row
 					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						f(args)
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.N), "ns/word")
+					run(b, tier, f, args, r.N)
 				})
 			}
 		}
 	}
+	for _, c := range []struct{ n, logN int }{{256, 12}, {1 << 12, 12}, {1 << 14, 14}, {1 << 17, 17}} {
+		r, rng := benchRing(b, 45, c.logN)
+		q := r.Moduli[0].Q
+		for _, k := range elemRows {
+			if k.ifmaRow == nil {
+				continue
+			}
+			// The first operand is canonical, the others raw, outputs canonical.
+			args := elemArgs{src: residueRow(rng, q, r.N), table: r.AutoIndexNTT(r.GaloisElement(1))[:c.n], m: r.Moduli[0]}
+			for i, kind := range k.kinds {
+				row := residueRow(rng, q, c.n)
+				if kind == 'x' && (i > 0 || k.gather) {
+					for j := range row {
+						row[j] = rng.Uint64()
+					}
+				}
+				args.rows = append(args.rows, row)
+			}
+			for _, tier := range []string{"lanes", "ifma"} {
+				b.Run(fmt.Sprintf("%s/%s/q=45/n=%d", k.name, tier, c.n), func(b *testing.B) {
+					f := k.row
+					if tier == "ifma" {
+						f = k.ifmaRow
+					}
+					run(b, tier, f, args, c.n)
+				})
+			}
+		}
+	}
+}
+
+// benchRing returns a one-prime ring of degree 2^logN under a logQ-bit NTT
+// prime, and a seeded source for its rows.
+func benchRing(b *testing.B, logQ, logN int) (*Ring, *rand.Rand) {
+	primes, err := mod.GenerateNTTPrimes(logQ, logN, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := NewRing(logN, primes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r, rand.New(rand.NewSource(42))
+}
+
+// residueRow returns n random residues mod q.
+func residueRow(rng *rand.Rand, q uint64, n int) []uint64 {
+	v := make([]uint64, n)
+	for j := range v {
+		v[j] = rng.Uint64() % q
+	}
+	return v
 }

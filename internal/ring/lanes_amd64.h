@@ -7,7 +7,10 @@
 // product from 52-bit multiplies: it needs q < 2^50 and every multiplied
 // word below 2^52, and then leaves the same canonical words as the DQ tier
 // wherever a kernel ends in a reduction (its [0, 2q) lazy products are the
-// same residues but may differ from the DQ tier's by q).
+// same residues but may differ from the DQ tier's by q). The Montgomery
+// product of either tier (MONTMUL, MONTMUL52) is elem_amd64.s's, the only
+// file that multiplies two data words; MONTMUL52 needs q < 2^51 and loads
+// CONSTS52 too.
 //
 // Registers the macros assume:
 //

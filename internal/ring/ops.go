@@ -60,18 +60,30 @@ func (r *Ring) Neg(a, out *Poly, level int) {
 // domain this is polynomial multiplication. Both operands are in Montgomery
 // form, so the fused REDC multiply lands the product back in Montgomery form
 // — one 3-multiply reduction where the Barrett path paid roughly twice that.
+// a's rows must hold canonical residues, as for MulScalarInt64; b's may hold
+// any 64-bit words.
 func (r *Ring) MulCoeffs(a, b, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		mulRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], r.Moduli[i].MRed)
+		m := r.Moduli[i]
+		// a's words are canonical, below q, as m.ifmaMont needs.
+		mulRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], m.MRed, m.ifmaMont)
 	})
 }
 
 // mulRow sets out[j] = a[j]·b[j] (M-form) over the rows' common length: the
 // lanes (useLanes) take its 8-word-aligned prefix and mulRowGo the rest.
-func mulRow(a, b, out []uint64, mr mod.Montgomery) {
+// Every a[j] must be below q (mr.Mul's contract for a 64-bit b[j]); b[j]
+// may be any 64-bit word. The DQ lanes run unless ifma is set — the
+// modulus' own flag (Modulus.ifmaMont) — where the IFMA tier's lanes run
+// instead, to the same words.
+func mulRow(a, b, out []uint64, mr mod.Montgomery, ifma bool) {
 	if useLanes {
 		n := min(len(a), len(b), len(out)) &^ 7
-		mulRowLanes(a, b, out, mr.Q, mr.QInv)
+		if ifma {
+			mulRowIFMA(a, b, out, mr.Q, mr.QInv)
+		} else {
+			mulRowLanes(a, b, out, mr.Q, mr.QInv)
+		}
 		a, b, out = a[n:], b[n:], out[n:]
 	}
 	mulRowGo(a, b, out, mr)
@@ -109,18 +121,21 @@ const foldTile = 1024
 // streaming each op over whole rows it walks every row block tile by tile
 // and runs the whole list on a tile before moving to the next, so a
 // polynomial that several ops read or accumulate into is fetched once per
-// tile rather than once per op.
+// tile rather than once per op. Every op's A must hold canonical residues,
+// as MulCoeffs' a does; B may hold any 64-bit words.
 func (r *Ring) Fold(ops []FoldOp, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		mr := r.Moduli[i].MRed
+		m := r.Moduli[i]
+		mr, ifma := m.MRed, m.ifmaMont
 		for t := lo; t < hi; t += foldTile {
 			e := min(t+foldTile, hi)
 			for _, op := range ops {
+				// A's words are canonical, below q, as m.ifmaMont needs.
 				a, b, acc := op.A.Coeffs[i][t:e], op.B.Coeffs[i][t:e], op.Acc.Coeffs[i][t:e]
 				if op.First {
-					mulRow(a, b, acc, mr)
+					mulRow(a, b, acc, mr, ifma)
 				} else {
-					mulAddRow(a, b, acc, mr)
+					mulAddRow(a, b, acc, mr, ifma)
 				}
 			}
 		}
@@ -128,11 +143,15 @@ func (r *Ring) Fold(ops []FoldOp, level int) {
 }
 
 // mulAddRow sets out[j] += a[j]·b[j] (M-form) over the rows' common length,
-// on the lanes and then mulAddRowGo as mulRow does.
-func mulAddRow(a, b, out []uint64, mr mod.Montgomery) {
+// on mulRow's tiers, with its contract, and then mulAddRowGo.
+func mulAddRow(a, b, out []uint64, mr mod.Montgomery, ifma bool) {
 	if useLanes {
 		n := min(len(a), len(b), len(out)) &^ 7
-		mulAddRowLanes(a, b, out, mr.Q, mr.QInv)
+		if ifma {
+			mulAddRowIFMA(a, b, out, mr.Q, mr.QInv)
+		} else {
+			mulAddRowLanes(a, b, out, mr.Q, mr.QInv)
+		}
 		a, b, out = a[n:], b[n:], out[n:]
 	}
 	mulAddRowGo(a, b, out, mr)
@@ -148,13 +167,17 @@ func mulAddRowGo(a, b, out []uint64, mr mod.Montgomery) {
 }
 
 // gatherMulRow sets out[j] = a[table[j]]·b[j] (M-form) over the common length
-// of table, b and out, on the lanes and then gatherMulRowGo as mulRow does.
-// The lanes' gather checks no index: every table[j] must index a, which
-// MulKeyPair checks before any row runs.
-func gatherMulRow(a []uint64, table []int, b, out []uint64, mr mod.Montgomery) {
+// of table, b and out, on mulRow's tiers, with its contract on the gathered
+// words, and then gatherMulRowGo. The lanes' gather checks no index: every
+// table[j] must index a, which MulKeyPair checks before any row runs.
+func gatherMulRow(a []uint64, table []int, b, out []uint64, mr mod.Montgomery, ifma bool) {
 	if useLanes {
 		n := min(len(table), len(b), len(out)) &^ 7
-		gatherMulRowLanes(a, table, b, out, mr.Q, mr.QInv)
+		if ifma {
+			gatherMulRowIFMA(a, table, b, out, mr.Q, mr.QInv)
+		} else {
+			gatherMulRowLanes(a, table, b, out, mr.Q, mr.QInv)
+		}
 		table, b, out = table[n:], b[n:], out[n:]
 	}
 	gatherMulRowGo(a, table, b, out, mr)
@@ -169,11 +192,15 @@ func gatherMulRowGo(a []uint64, table []int, b, out []uint64, mr mod.Montgomery)
 }
 
 // gatherMulAddRow sets out[j] += a[table[j]]·b[j] (M-form) over the common
-// length of table, b and out, with gatherMulRow's tiers and precondition.
-func gatherMulAddRow(a []uint64, table []int, b, out []uint64, mr mod.Montgomery) {
+// length of table, b and out, with gatherMulRow's tiers and preconditions.
+func gatherMulAddRow(a []uint64, table []int, b, out []uint64, mr mod.Montgomery, ifma bool) {
 	if useLanes {
 		n := min(len(table), len(b), len(out)) &^ 7
-		gatherMulAddRowLanes(a, table, b, out, mr.Q, mr.QInv)
+		if ifma {
+			gatherMulAddRowIFMA(a, table, b, out, mr.Q, mr.QInv)
+		} else {
+			gatherMulAddRowLanes(a, table, b, out, mr.Q, mr.QInv)
+		}
 		table, b, out = table[n:], b[n:], out[n:]
 	}
 	gatherMulAddRowGo(a, table, b, out, mr)

@@ -125,7 +125,8 @@ func (r *Ring) MulCoeffsBarrett(a, b, out *Poly, level int) {
 // and the Montgomery counterpart of MulCoeffsAndAddBarrett.
 func (r *Ring) MulCoeffsAndAdd(a, b, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		mulAddRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], r.Moduli[i].MRed)
+		m := r.Moduli[i]
+		mulAddRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], m.MRed, m.ifmaMont)
 	})
 }
 

@@ -273,14 +273,15 @@ func (u UniformPoly) resampleChunk(s *uniformScratch, hi uint64, c int, lim uint
 // out0 += σ(d) ⊙ b and out1 += σ(d) ⊙ a — the multiply-accumulate
 // (Fig. 3a) every key-switch runs. σ(d)[j] = d[table[j]] is the NTT-domain
 // automorphism given by its index table (AutoIndexNTT), fused into the reads
-// of d, or d itself when table is nil. b is stored; a is
-// expanded chunk by chunk inside each task, and both products run per chunk,
-// so d's chunk is read from the cache the second time. d must be reduced
-// below q (a's raw candidates are not). A table must be the ring's: N
-// entries, each below N (AutoIndexNTT's permutations are), over rows of d
-// holding N words. The gather rows' lanes check no index, so MulKeyPair
-// panics on a table of another length or a short row of d before any row
-// runs.
+// of d, or d itself when table is nil. b is stored; a is expanded chunk by
+// chunk inside each task, and both products run per chunk, so d's chunk is
+// read from the cache the second time. d must be reduced below q: it is
+// the first operand of every product (mulRow's contract), while b's stored
+// words and a's raw candidates, the second, may be any 64-bit word. A
+// table must be the ring's: N entries, each below N (AutoIndexNTT's
+// permutations are), over rows of d holding N words. The gather rows'
+// lanes check no index, so MulKeyPair panics on a table of another length
+// or a short row of d before any row runs.
 func (r *Ring) MulKeyPair(d *Poly, table []int, b *Poly, a UniformPoly, out0, out1 *Poly, level int, add bool) {
 	if table != nil {
 		if len(table) != r.N {
@@ -297,16 +298,19 @@ func (r *Ring) MulKeyPair(d *Poly, table []int, b *Poly, a UniformPoly, out0, ou
 		mul, gather = mulAddRow, gatherMulAddRow
 	}
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
-		mr := r.Moduli[i].MRed
+		m := r.Moduli[i]
+		mr, ifma := m.MRed, m.ifmaMont
 		rd, rb, o0, o1 := d.Coeffs[i], b.Coeffs[i], out0.Coeffs[i], out1.Coeffs[i]
 		r.eachUniformChunk(a, i, lo, hi, func(c0 int, va []uint64) {
 			c1 := c0 + len(va)
+			// d's words, the first operand, are below q, as m.ifmaMont
+			// needs; b's and a's raw candidates may be any 64-bit word.
 			if table == nil {
-				mul(rd[c0:c1:c1], rb[c0:c1:c1], o0[c0:c1:c1], mr)
-				mul(rd[c0:c1:c1], va, o1[c0:c1:c1], mr)
+				mul(rd[c0:c1:c1], rb[c0:c1:c1], o0[c0:c1:c1], mr, ifma)
+				mul(rd[c0:c1:c1], va, o1[c0:c1:c1], mr, ifma)
 			} else {
-				gather(rd, table[c0:c1:c1], rb[c0:c1:c1], o0[c0:c1:c1], mr)
-				gather(rd, table[c0:c1:c1], va, o1[c0:c1:c1], mr)
+				gather(rd, table[c0:c1:c1], rb[c0:c1:c1], o0[c0:c1:c1], mr, ifma)
+				gather(rd, table[c0:c1:c1], va, o1[c0:c1:c1], mr, ifma)
 			}
 		})
 	})
