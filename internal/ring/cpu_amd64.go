@@ -4,9 +4,8 @@ package ring
 // support the AVX-512 IFMA instructions (52-bit multiply-accumulate over
 // 512-bit registers) that bconvDigits and bconvLanes run on, and with them
 // the IFMA tier of the lane rows, which a modulus takes when it is built
-// and which runs where the lanes run: the NTT passes and Shoup rows below
-// 2^50 (Modulus.ifma), the Montgomery rows below 2^51 (Modulus.ifmaMont);
-// without them every conversion runs the Go convertTile and every modulus
+// and which runs where the lanes run: the NTT passes, Shoup rows and
+// Montgomery rows of every modulus below 2^51 (Modulus.ifma); without them every conversion runs the Go convertTile and every modulus
 // keeps the DQ tier. useVAES says whether they support the
 // 256-bit AES instructions (VAES with AVX2 state) keystreamVAES runs on;
 // without them the keystream comes from crypto/aes. useLanes says whether

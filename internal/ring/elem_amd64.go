@@ -3,8 +3,8 @@ package ring
 // The lane rows of elem_amd64.s. Each takes its Go row's slices and the
 // constants it reads from the modulus, and runs over the rows' common
 // length rounded down to a multiple of 8. The …IFMA rows are the IFMA
-// tier's: the Montgomery rows for q < 2^51 and first operands below q, the
-// Shoup rows for q < 2^50 and multiplied words below 2^52.
+// tier's, for q < 2^51: the Montgomery rows for first operands below q,
+// the Shoup rows for multiplied words below 2^52.
 
 //go:noescape
 func mulRowLanes(a, b, out []uint64, q, qInv uint64)

@@ -12,7 +12,7 @@
 //   - the Montgomery rows (mont_rows_amd64.h), for q < 2^51, a first
 //     operand below q and any 64-bit second operand, where MONTMUL52's
 //     two-step 52-bit REDC leaves the canonical word REDC64 leaves;
-//   - the Shoup rows (shoup_rows_amd64.h), for q < 2^50 and multiplied
+//   - the Shoup rows (shoup_rows_amd64.h), for q < 2^51 and multiplied
 //     words below 2^52, where SHOUP52's lazy product reduces to the same
 //     canonical word.
 //
@@ -168,9 +168,9 @@ done:
 #define SUB_MUL_SHOUP_ROW ·subMulShoupRowLanes
 #include "shoup_rows_amd64.h"
 
-// The IFMA tier: the Montgomery rows for q < 2^51 and first operands below
-// q; the Shoup rows for q < 2^50 and rows whose multiplied words are below
-// 2^52 (every a[j]; a[j] − b[j], plus q where a[j] < b[j]).
+// The IFMA tier, for q < 2^51: the Montgomery rows for first operands
+// below q; the Shoup rows for rows whose multiplied words are below 2^52
+// (every a[j]; a[j] − b[j], plus q where a[j] < b[j]).
 #undef CONSTS
 #undef REDCCONSTS
 #undef MONTMUL

@@ -355,17 +355,21 @@ func TestNTTLanePassWindowEdges(t *testing.T) {
 	}
 }
 
-// TestNTTIFMAPassWindowEdges runs every IFMA-tier pass against the Go pass
-// on TestNTTLanePassWindowEdges' rows, under q of 30, 40, 45 and 49 bits
-// and the largest NTT prime below 2^50, where the window's top words are
-// the largest the 52-bit products take. Its quotient can fall one short of
-// the Go pass's, so a lazy output word may exceed the Go one by q: each
-// word must be the same residue below the pass's output bound (4q
-// forward, 2q inverse), which makes the last passes' canonical words equal.
+// TestNTTIFMAPassWindowEdges runs every pass of both IFMA pass sets
+// against the Go pass on TestNTTLanePassWindowEdges' rows: ifmaLanes under
+// q of 30, 40, 45 and 49 bits and the largest NTT prime below 2^50, where
+// the window's top words are the largest the 52-bit products take as they
+// stand, and ifma51Lanes under the smallest NTT prime above 2^50 and the
+// largest below 2^51, where the top words (4q − 1 forward, 2q − 1
+// inverse) pass 2^52 until the pass reduces them. The 52-bit quotient can
+// fall one short of the Go pass's, so a lazy output word may exceed the Go
+// one by q: each word must be the same residue below the pass's output
+// bound (4q forward, 2q inverse), which makes the last passes' canonical
+// words equal.
 func TestNTTIFMAPassWindowEdges(t *testing.T) {
 	skipWithoutIFMA(t)
 	for _, logN := range []int{5, 6, 7, 10} {
-		primes := []uint64{largestNTTPrimeBelow(ifmaBound, logN)}
+		primes := []uint64{largestNTTPrimeBelow(ifmaNarrowBound, logN)}
 		for _, bits := range []int{30, 40, 45, 49} {
 			ps, err := mod.GenerateNTTPrimes(bits, logN, 1)
 			if err != nil {
@@ -376,13 +380,16 @@ func TestNTTIFMAPassWindowEdges(t *testing.T) {
 		for _, q := range primes {
 			nttPassWindowEdges(t, logN, q, &ifmaLanes, q == primes[0])
 		}
+		for _, q := range []uint64{smallestNTTPrimeAbove(ifmaNarrowBound, logN), largestNTTPrimeBelow(ifmaBound, logN)} {
+			nttPassWindowEdges(t, logN, q, &ifma51Lanes, false)
+		}
 	}
 }
 
 // nttPassWindowEdges compares every pass of tier k with its Go pass on a
 // ring of degree 2^logN over q, on random, top-of-window and top-zero rows
 // with guard words: word for word for the DQ tier, as the same residue
-// below the pass's output bound for the IFMA tier. It logs the pass list
+// below the pass's output bound for the IFMA pass sets. It logs the pass list
 // when logPasses is set.
 func nttPassWindowEdges(t *testing.T, logN int, q uint64, k *nttLanes, logPasses bool) {
 	t.Helper()
@@ -424,7 +431,7 @@ func nttPassWindowEdges(t *testing.T, logN int, q uint64, k *nttLanes, logPasses
 			p.lanes(got[:n])
 			for j := range want {
 				ok := got[j] == want[j]
-				if k == &ifmaLanes && j < n {
+				if k != &dqLanes && j < n {
 					ok = got[j] < p.out*q && got[j]%q == want[j]%q
 				}
 				if !ok {

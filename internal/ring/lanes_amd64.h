@@ -4,7 +4,7 @@
 // The DQ tier (CONSTS, SHOUP; AVX-512F and DQ) is exact for every 64-bit
 // input, so each lane kernel is word for word the Go row it replaces.
 // The IFMA tier (CONSTS52, SHOUP52; AVX-512F and IFMA) computes a Shoup
-// product from 52-bit multiplies: it needs q < 2^50 and every multiplied
+// product from 52-bit multiplies: it needs q < 2^51 and every multiplied
 // word below 2^52, and then leaves the same canonical words as the DQ tier
 // wherever a kernel ends in a reduction (its [0, 2q) lazy products are the
 // same residues but may differ from the DQ tier's by q). The Montgomery
@@ -64,11 +64,11 @@
 	MOVQ         $0xfffffffffffff, AX \
 	VPBROADCASTQ AX, Z29
 
-// SHOUP52 sets r = x·w − ⌊x·s′/2^52⌋·q, in [0, 2q), for q < 2^50, w < q
+// SHOUP52 sets r = x·w − ⌊x·s′/2^52⌋·q, in [0, 2q), for q < 2^51, w < q
 // and x < 2^52, where sh = s′ = s>>12 = ⌊w·2^52/q⌋ (s, the 64-bit Shoup
 // companion, is not read). x·s′/2^52 falls short of x·w/q by less than
-// x/2^52 < 1, so the quotient is ⌊x·w/q⌋ or one less, and r < 2q < 2^52 is
-// its value mod 2^52: lo52(x·w) + lo52(⌊x·s′/2^52⌋·(2^52 − q)), masked.
+// x/2^52 < 1, so the quotient is ⌊x·w/q⌋ or one less, and r < 2q < 2^52
+// (q < 2^51) is its value mod 2^52: lo52(x·w) + lo52(⌊x·s′/2^52⌋·(2^52 − q)), masked.
 // Every VPMADD52 source is below 2^52, so each reads its whole operand.
 // r may be x; clobbers Z12-Z13.
 #define SHOUP52(x, w, s, sh, r) \

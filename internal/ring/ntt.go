@@ -42,26 +42,33 @@ import "bts/internal/mod"
 // coefficients per zmm register, with the same [0, 4q) window and the same
 // canonical last-pass outputs. The DQ tier's Shoup product takes the exact
 // high word of x·w′ from four 32×32 VPMULUDQ partial products, so it holds
-// for any q < 2^62 and is word for word the Go pass. A modulus below 2^50
-// on a CPU that also has AVX-512 IFMA takes the IFMA tier instead
+// for any q < 2^62 and is word for word the Go pass. A modulus below 2^51
+// on a CPU that also has AVX-512 IFMA takes an IFMA tier instead
 // (Modulus.ifma, fixed when the modulus is built): the same pass bodies
 // with x·w − ⌊x·w″/2^52⌋·q from one VPMADD52HUQ and two VPMADD52LUQ, where
-// w″ = w′>>12 = ⌊w·2^52/q⌋, so no table is added. It is exact because
-// every word it multiplies lies in the [0, 4q) window, below 2^52; its
-// quotient can fall one short of the 64-bit one, so a lazy word may
-// exceed the Go pass's by q, but the last passes reduce and the
-// transform's words are the Go kernel's. Each conditional subtraction is
-// one VPMINUQ. Passes with quartet stride ≥ 16 are straight loads; the
-// stride-4 pass and the stride-1 passes (nttLastPass, inttFirstPass),
-// whose twiddles change every 16 or 4 words, move data and twiddles
-// between rows and lanes with in-register permutes (VSHUFI64X2,
-// VPERMT2Q). Otherwise the Go passes run; they stay as the tiers' oracle
-// (fused_test.go, tiers_test.go). On a 2-CPU Xeon (Sapphire
+// w″ = w′>>12 = ⌊w·2^52/q⌋, so no table is added. The product is exact
+// for every multiplied word below 2^52. Below 2^50 (ifmaLanes) the
+// [0, 4q) window already keeps them there; from 2^50 (ifma51Lanes) 4q
+// passes 2^52, so each multiplicand first drops into [0, 2q) by one
+// conditional subtraction of 2q, and the window between passes stays as
+// it is. Putting that subtraction on the narrow rows as well cost them
+// 17–24 % (N=2^12 NTT 6.9–7.1 → 8.2–9.0 µs on a 45-bit row, interleaved),
+// hence two pass sets from one source. The 52-bit quotient can fall one short of the 64-bit one,
+// so a lazy word may exceed the Go pass's by q, but the last passes
+// reduce and the transform's words are the Go kernel's. Each conditional
+// subtraction is one VPMINUQ. Passes with quartet stride ≥ 16 are
+// straight loads; the stride-4 pass and the stride-1 passes (nttLastPass,
+// inttFirstPass), whose twiddles change every 16 or 4 words, move data
+// and twiddles between rows and lanes with in-register permutes
+// (VSHUFI64X2, VPERMT2Q). Otherwise the Go passes run; they stay as the
+// tiers' oracle (fused_test.go, tiers_test.go). On a 2-CPU Xeon (Sapphire
 // Rapids class) the DQ lanes transform an N=2^12 row 2.6–3.9× faster than
-// the Go kernel (interleaved minima of two sittings), and on a 45-bit row
-// the IFMA lanes 2.3–2.8× faster than the DQ lanes: 27 → 10.3 µs per
-// N=2^12 transform, 1.25 → 0.52 ms per N=2^17 one (BenchmarkNTTKernel,
-// -cpu 1, three runs).
+// the Go kernel (interleaved minima of two sittings); on a 45-bit row the
+// IFMA lanes run 2.3–2.8× faster than the DQ lanes, 27 → 10.3 µs per
+// N=2^12 transform and 1.25 → 0.52 ms per N=2^17 one, and on the largest
+// NTT prime below 2^51 the wide IFMA passes 2.0–2.4× faster, 17.1–18.1 →
+// 8.0–8.5 µs and 0.75–0.92 → 0.36–0.38 ms (BenchmarkNTTKernel, -cpu 1,
+// three runs).
 func (r *Ring) NTT(p *Poly, level int) {
 	r.nttRows(p.Coeffs[:level+1], r.Moduli[:level+1])
 }
@@ -131,24 +138,35 @@ type nttLanes struct {
 	butterfliesLast func(x, y []uint64, ni, nis, wn, wns, q uint64)
 }
 
-// dqLanes serve any modulus; ifmaLanes only moduli below ifmaBound.
+// dqLanes serve any modulus, ifmaLanes only moduli below ifmaNarrowBound
+// and ifma51Lanes those below ifmaBound.
 var (
 	dqLanes = nttLanes{nttButterfliesLanes, nttQuartetsLanes, nttLastPassLanes,
 		inttFirstPassLanes, inttQuartetsLanes, inttLastQuartetsLanes, inttButterfliesLastLanes}
 	ifmaLanes = nttLanes{nttButterfliesIFMA, nttQuartetsIFMA, nttLastPassIFMA,
 		inttFirstPassIFMA, inttQuartetsIFMA, inttLastQuartetsIFMA, inttButterfliesLastIFMA}
+	ifma51Lanes = nttLanes{nttButterfliesIFMA51, nttQuartetsIFMA51, nttLastPassIFMA51,
+		inttFirstPassIFMA51, inttQuartetsIFMA51, inttLastQuartetsIFMA51, inttButterfliesLastIFMA51}
 )
+
+// ifmaNarrowBound bounds the moduli ifmaLanes serve: for q < 2^50 the
+// [0, 4q) window lies below 2^52, so every word the passes multiply is a
+// whole VPMADD52 operand as it stands.
+const ifmaNarrowBound = 1 << 50
 
 // lanes returns the lane passes the row kernels run under m, or nil for
 // the Go passes: nil unless the CPU has the lanes (useLanes) and N is at
-// least 2^nttLanesMinLogN, then the IFMA tier's where m takes it
-// (Modulus.ifma) and the DQ tier's otherwise.
+// least 2^nttLanesMinLogN, then, where m takes the IFMA tier
+// (Modulus.ifma), ifmaLanes below ifmaNarrowBound and ifma51Lanes above
+// it, and the DQ tier's otherwise.
 func (r *Ring) lanes(m *Modulus) *nttLanes {
 	switch {
 	case !useLanes || r.LogN < nttLanesMinLogN:
 		return nil
-	case m.ifma:
+	case m.ifma && m.Q < ifmaNarrowBound:
 		return &ifmaLanes
+	case m.ifma:
+		return &ifma51Lanes
 	}
 	return &dqLanes
 }

@@ -4,7 +4,7 @@
 // The lane tiers of the fused NTT row kernels (ntt.go): every pass of
 // nttRowRadix4 and inttRowRadix4 with eight coefficients per zmm register.
 // ntt_passes_amd64.h holds the pass bodies once; this file instantiates
-// them twice, with the Shoup product as the only difference:
+// them three times, with the Shoup product as the only difference:
 //
 //   - The DQ tier (nttButterfliesLanes, …; AVX-512F and DQ) takes the exact
 //     high word of the 64×64-bit product x·s from four 32×32 VPMULUDQ
@@ -17,6 +17,11 @@
 //     Its lazy words are the Go pass's residues in the same window but may
 //     differ from them by q; the passes that end a transform reduce, so the
 //     transform's words are the Go kernel's.
+//   - The wide IFMA tier (nttButterfliesIFMA51, …) serves 2^50 ≤ q < 2^51,
+//     where 4q passes 2^52: each multiplicand, below 4q in every pass,
+//     first drops into [0, 2q) by one CSUB2Q on Z14, which SHOUP52 leaves
+//     free, and SHOUP52 then holds as in the IFMA tier. The window between
+//     passes is unchanged, and so are the transform's words.
 //
 // Register conventions, shared by every function (the macros of
 // lanes_amd64.h take Z29-Z31 and Z12-Z15):
@@ -25,9 +30,10 @@
 //	Z0-Z3   the four coefficients of a quartet (or x, y of a radix-2 pair)
 //	Z4-Z7   butterfly temporaries
 //	Z8-Z11  loads and stores around the in-register permutes
-//	Z12-Z15 SHOUP's temporaries (Z15 = 2^52 − q in the IFMA tier)
+//	Z12-Z15 SHOUP's temporaries (Z15 = 2^52 − q in the IFMA tiers, Z14
+//	        the wide IFMA tier's CSUB2Q temporary)
 //	Z16-Z24 twiddles, each as w, its Shoup companion s and sh, s>>32 in
-//	        the DQ tier and s>>12 in the IFMA tier (Z16-Z27 in
+//	        the DQ tier and s>>12 in the IFMA tiers (Z16-Z27 in
 //	        inttLastQuartets, which has four)
 //	Z25-Z28 the permute index vectors (the stride-1 passes)
 //
@@ -232,4 +238,20 @@ GLOBL nttIdx<>(SB), RODATA|NOPTR, $256
 #define INTT_QUARTETS ·inttQuartetsIFMA
 #define INTT_LAST_QUARTETS ·inttLastQuartetsIFMA
 #define INTT_BUTTERFLIES_LAST ·inttButterfliesLastIFMA
+#include "ntt_passes_amd64.h"
+
+// The wide IFMA tier: CONSTS52 as above, SHOUP52 on the multiplicand
+// reduced below 2q.
+#undef SHOUP
+#define SHOUP(x, w, s, sh, r) \
+	CSUB2Q(x, Z14) \
+	SHOUP52(x, w, s, sh, r)
+#define SHSHIFT $12
+#define NTT_BUTTERFLIES ·nttButterfliesIFMA51
+#define NTT_QUARTETS ·nttQuartetsIFMA51
+#define NTT_LAST_PASS ·nttLastPassIFMA51
+#define INTT_FIRST_PASS ·inttFirstPassIFMA51
+#define INTT_QUARTETS ·inttQuartetsIFMA51
+#define INTT_LAST_QUARTETS ·inttLastQuartetsIFMA51
+#define INTT_BUTTERFLIES_LAST ·inttButterfliesLastIFMA51
 #include "ntt_passes_amd64.h"

@@ -1,5 +1,6 @@
 // The bodies of the fused NTT row passes (ntt.go), one source for every
-// lane tier: ntt_amd64.s includes this file once per tier, after defining
+// lane pass set: ntt_amd64.s includes this file once per set (DQ, IFMA and
+// the wide IFMA51), after defining
 //
 //	NTT_BUTTERFLIES … INTT_BUTTERFLIES_LAST  the seven function names
 //	SHSHIFT  the shift that makes sh from a twiddle's Shoup companion s

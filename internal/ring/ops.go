@@ -65,8 +65,8 @@ func (r *Ring) Neg(a, out *Poly, level int) {
 func (r *Ring) MulCoeffs(a, b, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		m := r.Moduli[i]
-		// a's words are canonical, below q, as m.ifmaMont needs.
-		mulRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], m.MRed, m.ifmaMont)
+		// a's words are canonical, below q, as the IFMA Montgomery rows need.
+		mulRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], m.MRed, m.ifma)
 	})
 }
 
@@ -74,7 +74,7 @@ func (r *Ring) MulCoeffs(a, b, out *Poly, level int) {
 // lanes (useLanes) take its 8-word-aligned prefix and mulRowGo the rest.
 // Every a[j] must be below q (mr.Mul's contract for a 64-bit b[j]); b[j]
 // may be any 64-bit word. The DQ lanes run unless ifma is set — the
-// modulus' own flag (Modulus.ifmaMont) — where the IFMA tier's lanes run
+// modulus' own flag (Modulus.ifma) — where the IFMA tier's lanes run
 // instead, to the same words.
 func mulRow(a, b, out []uint64, mr mod.Montgomery, ifma bool) {
 	if useLanes {
@@ -126,11 +126,11 @@ const foldTile = 1024
 func (r *Ring) Fold(ops []FoldOp, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		m := r.Moduli[i]
-		mr, ifma := m.MRed, m.ifmaMont
+		mr, ifma := m.MRed, m.ifma
 		for t := lo; t < hi; t += foldTile {
 			e := min(t+foldTile, hi)
 			for _, op := range ops {
-				// A's words are canonical, below q, as m.ifmaMont needs.
+				// A's words are canonical, below q, as the IFMA Montgomery rows need.
 				a, b, acc := op.A.Coeffs[i][t:e], op.B.Coeffs[i][t:e], op.Acc.Coeffs[i][t:e]
 				if op.First {
 					mulRow(a, b, acc, mr, ifma)
@@ -225,7 +225,7 @@ func (r *Ring) MulScalarInt64(a *Poly, s int64, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		m := r.Moduli[i]
 		w := m.reduceInt64(s)
-		// a's words are canonical, below q, so below 2^52 where m.ifma.
+		// a's words are canonical, below q < 2^51 where m.ifma, so below 2^52.
 		mulShoupRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w, mod.ShoupPrecomp(w, m.Q), m.Q, m.ifma)
 	})
 }
@@ -239,7 +239,7 @@ func (r *Ring) MulScalarInt64AndAdd(a *Poly, s int64, out *Poly, level int) {
 		m := r.Moduli[i]
 		q := m.Q
 		w := m.reduceInt64(s)
-		// a's words are canonical, below q, so below 2^52 where m.ifma.
+		// a's words are canonical, below q < 2^51 where m.ifma, so below 2^52.
 		mulShoupAddRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w, mod.ShoupPrecomp(w, q), q, m.ifma)
 	})
 }
@@ -251,7 +251,7 @@ func (r *Ring) MulScalarInt64AndAdd(a *Poly, s int64, out *Poly, level int) {
 func (r *Ring) MulLimbScalarsAndAdd(a *Poly, w, ws []uint64, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		m := r.Moduli[i]
-		// a's words are canonical, below q, so below 2^52 where m.ifma.
+		// a's words are canonical, below q < 2^51 where m.ifma, so below 2^52.
 		mulShoupAddRow(a.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w[i], ws[i], m.Q, m.ifma)
 	})
 }
@@ -264,7 +264,7 @@ func (r *Ring) MulLimbScalars(a *Poly, w, ws []uint64, out *Poly, lo, hi int) {
 	r.exec.RunBlocks(hi-lo+1, r.N, func(k, c0, c1 int) {
 		i := lo + k
 		m := r.Moduli[i]
-		// a's words are canonical, below q, so below 2^52 where m.ifma.
+		// a's words are canonical, below q < 2^51 where m.ifma, so below 2^52.
 		mulShoupRow(a.Coeffs[i][c0:c1:c1], out.Coeffs[i][c0:c1:c1], w[i], ws[i], m.Q, m.ifma)
 	})
 }
@@ -279,7 +279,7 @@ func (r *Ring) SubMulLimbScalars(a, b *Poly, w, ws []uint64, out *Poly, level in
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		m := r.Moduli[i]
 		// a's and b's words are canonical, so a − b, plus q where negative,
-		// is below q, and below 2^52 where m.ifma.
+		// is below q < 2^51 where m.ifma, so below 2^52.
 		subMulShoupRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], w[i], ws[i], m.Q, m.ifma)
 	})
 }

@@ -126,7 +126,7 @@ func (r *Ring) MulCoeffsBarrett(a, b, out *Poly, level int) {
 func (r *Ring) MulCoeffsAndAdd(a, b, out *Poly, level int) {
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		m := r.Moduli[i]
-		mulAddRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], m.MRed, m.ifmaMont)
+		mulAddRow(a.Coeffs[i][lo:hi:hi], b.Coeffs[i][lo:hi:hi], out.Coeffs[i][lo:hi:hi], m.MRed, m.ifma)
 	})
 }
 

@@ -65,24 +65,25 @@
 //   - The NTT and iNTT row kernels (ntt_amd64.s) on AVX-512F/DQ: every
 //     radix-4 pass, the odd-log2(N) radix-2 stage and the N^-1-scaled last
 //     stage with eight coefficients per 512-bit register, word for word
-//     equal to the Go passes, for N ≥ 32. Moduli below 2^50 take a third
+//     equal to the Go passes, for N ≥ 32. Moduli below 2^51 take a third
 //     tier where the CPU also has AVX-512 IFMA: the same passes with 52-bit
-//     Shoup products, ending in the same words (see NTT).
+//     Shoup products, ending in the same words, in two pass sets, one below
+//     2^50 and one from 2^50 that first reduces each multiplicand (see NTT).
 //   - The element-wise rows (elem_amd64.s) on the same AVX-512F/DQ: the
 //     Montgomery products and MACs (mulRow, mulAddRow and the gather rows
 //     gatherMulRow, gatherMulAddRow that MulKeyPair runs for every
 //     key-switch; mulRow and mulAddRow fold the linear transform's
-//     diagonals; these four also on the IFMA tier for moduli below 2^51,
-//     a two-step 52-bit REDC for a first operand below q and any 64-bit
-//     second one), the Shoup scalar rows (mulShoupRow, mulShoupAddRow),
-//     the division's subtract-scale (SubMulLimbScalars; these three also
-//     on the IFMA tier for moduli below 2^50 and canonical rows) and the
-//     Acc128 reduction (reduceAccRow), which only the benchmark's
-//     ring.mac128_gbps kernel runs. Each runs its 8-word-aligned prefix
+//     diagonals; these four also on the IFMA tier, a two-step 52-bit REDC
+//     for a first operand below q and any 64-bit second one), the Shoup
+//     scalar rows (mulShoupRow, mulShoupAddRow), the division's
+//     subtract-scale (SubMulLimbScalars; these three also on the IFMA tier
+//     for canonical rows) and the Acc128 reduction (reduceAccRow), which
+//     only the benchmark's ring.mac128_gbps kernel runs. Each runs its 8-word-aligned prefix
 //     eight coefficients per register, word for word its Go row, which
 //     takes the tail; the DQ tiers share lanes_amd64.h's exact 64×64-bit
-//     product with ntt_amd64.s. The lane gather checks no index, so
-//     MulKeyPair checks its table and rows once per call.
+//     product with ntt_amd64.s. The IFMA tier serves moduli below 2^51
+//     (Modulus.ifma). The lane gather checks no index, so MulKeyPair
+//     checks its table and rows once per call.
 //   - BConv (bconvDigits and bconvLanes, bconv_amd64.s) on AVX-512 IFMA:
 //     eight coefficients of one limb per 512-bit register, 52-bit
 //     multiply-accumulates and an in-lane Montgomery reduction, word for
@@ -129,25 +130,20 @@ type Modulus struct {
 	psiShoup    []uint64
 	psiInvShoup []uint64
 
-	// ifma and ifmaMont say whether the IFMA lane tier serves this
-	// modulus, both fixed when it is built from useIFMA (the CPU has
-	// AVX-512 IFMA). ifma: q < ifmaBound, and its NTT passes and
-	// canonical-input Shoup rows run 52-bit products on the tables above
-	// (see NTT). ifmaMont: q < ifmaMontBound, and its Montgomery rows
-	// (MulCoeffs, Fold, MulKeyPair) run a two-step 52-bit REDC.
-	ifma, ifmaMont bool
+	// ifma says whether the IFMA lane tier serves this modulus, fixed when
+	// it is built from useIFMA (the CPU has AVX-512 IFMA): q < ifmaBound.
+	// Its NTT passes (see NTT) and canonical-input Shoup rows then run
+	// 52-bit Shoup products on the tables above, and its Montgomery rows
+	// (MulCoeffs, Fold, MulKeyPair) a two-step 52-bit REDC.
+	ifma bool
 }
 
-// ifmaBound bounds the moduli the IFMA tier's Shoup products serve: for
-// q < 2^50 the NTT's [0, 4q) window lies below 2^52, so every word a Shoup
-// product multiplies is a whole VPMADD52 operand.
-const ifmaBound = 1 << 50
-
-// ifmaMontBound bounds the moduli the IFMA tier's Montgomery rows serve:
-// for q < 2^51 every word MONTMUL52 (elem_amd64.s) multiplies is a whole
-// VPMADD52 operand or is read for its low bits only, and its two-step
-// REDC ends below 2q.
-const ifmaMontBound = 1 << 51
+// ifmaBound bounds the moduli the IFMA tier serves: for q < 2^51 a 52-bit
+// Shoup product (SHOUP52, lanes_amd64.h) of any word below 2^52 ends
+// below 2q < 2^52, and every word MONTMUL52 (elem_amd64.s) multiplies is
+// a whole VPMADD52 operand or is read for its low bits only, with its
+// two-step REDC ending below 2q.
+const ifmaBound = 1 << 51
 
 // Ring is R_Q for a fixed degree N and a chain of prime moduli. CKKS uses two
 // rings: one over the q-chain and one over the special p-chain (Section 2.5).
@@ -219,14 +215,13 @@ func newModulus(q uint64, logN int, brv []int) (*Modulus, error) {
 	}
 	n := 1 << logN
 	m := &Modulus{
-		Q:        q,
-		BRed:     mod.NewBarrett(q),
-		MRed:     mod.NewMontgomery(q),
-		Psi:      psi,
-		PsiInv:   mod.Inv(psi, q),
-		NInv:     mod.Inv(uint64(n), q),
-		ifma:     useIFMA && q < ifmaBound,
-		ifmaMont: useIFMA && q < ifmaMontBound,
+		Q:      q,
+		BRed:   mod.NewBarrett(q),
+		MRed:   mod.NewMontgomery(q),
+		Psi:    psi,
+		PsiInv: mod.Inv(psi, q),
+		NInv:   mod.Inv(uint64(n), q),
+		ifma:   useIFMA && q < ifmaBound,
 	}
 	m.psiShoup = make([]uint64, 2*n)
 	m.psiInvShoup = make([]uint64, 2*n)

@@ -428,8 +428,8 @@ func TestKernelPaths(t *testing.T) {
 		lanes := fmt.Sprintf("lanes (ntt_amd64.s DQ tier, N >= 2^%d), go (N < 2^%d)", nttLanesMinLogN, nttLanesMinLogN)
 		ntt, elem = lanes+", no ifma (no AVX-512 IFMA)", "lanes (elem_amd64.s)"
 		if useIFMA {
-			ntt = "ifma (q < 2^50), " + lanes
-			elem = "lanes (elem_amd64.s; Montgomery rows ifma for q < 2^51, Shoup rows ifma for q < 2^50)"
+			ntt = "ifma (q < 2^50), ifma51 (2^50 <= q < 2^51), " + lanes
+			elem = "lanes (elem_amd64.s; Montgomery and Shoup rows ifma for q < 2^51)"
 		}
 	}
 	if useIFMA {
@@ -456,9 +456,10 @@ func forceGo(t testing.TB) {
 }
 
 // forceDQ runs the rest of t with the IFMA tier off for the moduli and
-// BConv extenders built afterwards: their NTT passes, Montgomery rows and
-// Shoup rows run on the DQ lanes, whatever q, and BConv on Go. It restores the flag when t
-// ends; tests that call it must not run in parallel.
+// BConv extenders built afterwards: their NTT passes (both IFMA pass sets),
+// Montgomery rows and Shoup rows run on the DQ lanes, whatever q, and
+// BConv on Go. It restores the flag when t ends; tests that call it must
+// not run in parallel.
 func forceDQ(t testing.TB) {
 	ifma := useIFMA
 	useIFMA = false
@@ -466,8 +467,8 @@ func forceDQ(t testing.TB) {
 }
 
 // onPaths runs f three times, as the subtests "lanes" (the kernels CPUID
-// selects: the IFMA tier for q < 2^50, and for the Montgomery rows
-// q < 2^51, where the CPU has it, the DQ tier otherwise), "dq" (forceDQ) and "go" (forceGo). f must build its rings
+// selects: the IFMA tier for q < 2^51 where the CPU has it, the DQ tier
+// otherwise), "dq" (forceDQ) and "go" (forceGo). f must build its rings
 // itself. The lanes subtest skips, saying why, on a CPU without AVX-512
 // F/DQ, and the dq subtest also on one without IFMA, where lanes already
 // is the DQ tier, so a green run there does not pass for its coverage.

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -9,14 +10,16 @@ import (
 )
 
 // This file pins the three tiers of the kernels that have an IFMA tier —
-// the NTT and iNTT row kernels and the Shoup rows on the moduli below 2^50,
-// the Montgomery rows on those below 2^51 — to each other: the Go kernel,
-// the DQ lanes and the IFMA lanes must leave the same words. Each tier runs
-// explicitly, so the tests cover the DQ tier on these moduli whatever
-// CPUID selects.
+// the NTT and iNTT row kernels, the Shoup rows and the Montgomery rows, on
+// the moduli below 2^51 — to each other: the Go kernel, the DQ lanes and
+// the IFMA lanes must leave the same words. Each tier runs explicitly, so
+// the tests cover the DQ tier on these moduli whatever CPUID selects.
 
-// ifmaTestPrimes returns one NTT prime each of 30, 35, 40, 45 and 49 bits
-// and the largest NTT prime below 2^50 for rings of degree 2^logN.
+// ifmaTestPrimes returns one NTT prime each of 30, 35, 40, 45 and 49 bits,
+// the largest NTT prime below 2^50 and the smallest above it, and the
+// largest below 2^51, for rings of degree 2^logN: the moduli the IFMA tier
+// serves, from 30 bits to its bound, with both edges of the NTT's two IFMA
+// pass sets.
 func ifmaTestPrimes(t *testing.T, logN int) []uint64 {
 	t.Helper()
 	var primes []uint64
@@ -27,15 +30,8 @@ func ifmaTestPrimes(t *testing.T, logN int) []uint64 {
 		}
 		primes = append(primes, ps...)
 	}
-	return append(primes, largestNTTPrimeBelow(ifmaBound, logN))
-}
-
-// montTestPrimes returns ifmaTestPrimes, the smallest NTT prime above 2^50
-// and the largest below 2^51 for rings of degree 2^logN: the moduli the
-// Montgomery rows' IFMA tier serves, from 30 bits to its bound.
-func montTestPrimes(t *testing.T, logN int) []uint64 {
-	t.Helper()
-	return append(ifmaTestPrimes(t, logN), smallestNTTPrimeAbove(1<<50, logN), largestNTTPrimeBelow(1<<51, logN))
+	return append(primes, largestNTTPrimeBelow(1<<50, logN), smallestNTTPrimeAbove(1<<50, logN),
+		largestNTTPrimeBelow(1<<51, logN))
 }
 
 // smallestNTTPrimeAbove returns the smallest prime q > bound with
@@ -59,17 +55,22 @@ func skipWithoutIFMA(t testing.TB) {
 // TestNTTTiersAgree transforms canonical rows — random, and every word
 // q − 1 — forward and back on the DQ and the IFMA tier and compares the
 // words with the Go kernel's, at every log2(N) from 5 (the smallest lane
-// ring) to 17 (the paper's), both parities, under ifmaTestPrimes.
+// ring) to 17 (the paper's), both parities, under ifmaTestPrimes. The
+// IFMA tier runs the pass set the ring picks for each modulus (Ring.lanes):
+// ifmaLanes below 2^50, ifma51Lanes above.
 func TestNTTTiersAgree(t *testing.T) {
 	for _, tier := range []struct {
 		name  string
-		lanes *nttLanes
-	}{{"dq", &dqLanes}, {"ifma", &ifmaLanes}} {
+		lanes func(r *Ring, m *Modulus) *nttLanes
+	}{
+		{"dq", func(*Ring, *Modulus) *nttLanes { return &dqLanes }},
+		{"ifma", (*Ring).lanes},
+	} {
 		t.Run(tier.name, func(t *testing.T) {
 			if !useLanes {
 				t.Skip("no AVX-512 F/DQ on this CPU: the lane NTT passes not checked")
 			}
-			if tier.lanes == &ifmaLanes {
+			if tier.name == "ifma" {
 				skipWithoutIFMA(t)
 			}
 			for logN := nttLanesMinLogN; logN <= 17; logN++ {
@@ -95,7 +96,7 @@ func TestNTTTiersAgree(t *testing.T) {
 							want := append([]uint64{}, in.row...)
 							dir.run(want, m, nil)
 							got := append([]uint64{}, in.row...)
-							dir.run(got, m, tier.lanes)
+							dir.run(got, m, tier.lanes(r, m))
 							for j := range want {
 								if got[j] != want[j] {
 									t.Fatalf("logN=%d q=%d (%d bits) %s row: %s word %d is %d, the Go kernel gives %d",
@@ -204,7 +205,7 @@ func TestShoupRowTiersAgree(t *testing.T) {
 
 // TestMontRowTiersAgree runs the four Montgomery rows on each tier — the Go
 // row, the DQ lanes (ifma false) and the IFMA lanes (ifma true) — and
-// compares the words, under montTestPrimes at logN 6, on rows of 0 to 40
+// compares the words, under ifmaTestPrimes at logN 6, on rows of 0 to 40
 // words and one of 259 (so the Go tail runs after the lanes at every
 // remainder), with guard words. The first operand (the gathered word in
 // the gather rows) is a canonical residue, as the IFMA tier needs. The
@@ -221,7 +222,7 @@ func TestMontRowTiersAgree(t *testing.T) {
 		lengths = append(lengths, n)
 	}
 	lengths = append(lengths, 259)
-	for _, q := range montTestPrimes(t, logN) {
+	for _, q := range ifmaTestPrimes(t, logN) {
 		r, err := NewRing(logN, []uint64{q})
 		if err != nil {
 			t.Fatal(err)
@@ -347,7 +348,7 @@ func montMul52(a, b, q, qInv uint64) (r, t1, v uint64) {
 // 2^53, the word before the subtraction below 2q, and after it mr.Mul's
 // word. The operands are the bound's edges — first operands 0, 1, q/2 and
 // q − 1, second operands around q, 2^52, 2^63, the keystream's bound and
-// 2^64 − 1 — under montTestPrimes at logN 10, then 10^6 random pairs
+// 2^64 − 1 — under ifmaTestPrimes at logN 10, then 10^6 random pairs
 // (a < q, any 64-bit b, every sixth 2^64 − 1) under those primes and
 // random odd moduli below 2^51.
 func TestMontMul52Model(t *testing.T) {
@@ -360,7 +361,7 @@ func TestMontMul52Model(t *testing.T) {
 			t.Fatalf("q=%d a=%d b=%d: model gives %d, mr.Mul %d", q, a, b, got, want)
 		}
 	}
-	primes := montTestPrimes(t, 10)
+	primes := ifmaTestPrimes(t, 10)
 	for _, q := range primes {
 		mr := mod.NewMontgomery(q)
 		lim := ^(-q % q)
@@ -384,16 +385,18 @@ func TestMontMul52Model(t *testing.T) {
 	}
 }
 
-// TestModulusTier checks which moduli take the IFMA tiers on a CPU with
-// IFMA: the NTT passes' and Shoup rows' (ifma) exactly those below 2^50,
-// the Montgomery rows' (ifmaMont) exactly those below 2^51 — the largest
-// NTT primes below 2^50 and 2^51 and the smallest above 2^51 — and neither
-// once forceDQ has turned the tiers off for moduli built afterwards.
+// TestModulusTier checks which moduli take the IFMA tier on a CPU with
+// IFMA (ifma: its NTT passes, Shoup rows and Montgomery rows) and which
+// NTT pass set each runs: the largest NTT prime below 2^50 ifmaLanes, the
+// smallest above 2^50 and the largest below 2^51 ifma51Lanes, the smallest
+// above 2^51 the DQ tier — and every one the DQ tier once forceDQ has
+// turned the IFMA tier off for moduli built afterwards.
 func TestModulusTier(t *testing.T) {
 	const logN = 10
 	// The bounds are written out, so a changed constant fails here.
 	primes := []uint64{
 		largestNTTPrimeBelow(1<<50, logN),
+		smallestNTTPrimeAbove(1<<50, logN),
 		largestNTTPrimeBelow(1<<51, logN),
 		smallestNTTPrimeAbove(1<<51, logN),
 	}
@@ -402,17 +405,25 @@ func TestModulusTier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, want := range []struct{ ifma, mont bool }{{on, on}, {false, on}, {false, false}} {
+		for i, want := range []struct {
+			ifma  bool
+			lanes *nttLanes
+			name  string
+		}{
+			{on, &ifmaLanes, "ifma"},
+			{on, &ifma51Lanes, "ifma51"},
+			{on, &ifma51Lanes, "ifma51"},
+			{false, nil, ""},
+		} {
 			m := r.Moduli[i]
-			if m.ifma != want.ifma || m.ifmaMont != want.mont {
-				t.Errorf("q=%d (%d bits): ifma %v, ifmaMont %v, want %v, %v", m.Q, bits.Len64(m.Q), m.ifma, m.ifmaMont, want.ifma, want.mont)
+			if m.ifma != want.ifma {
+				t.Errorf("q=%d (%d bits): ifma %v, want %v", m.Q, bits.Len64(m.Q), m.ifma, want.ifma)
 			}
-			wantLanes, name := &dqLanes, "dq"
-			if want.ifma {
-				wantLanes, name = &ifmaLanes, "ifma"
+			if !want.ifma {
+				want.lanes, want.name = &dqLanes, "dq"
 			}
-			if useLanes && r.lanes(m) != wantLanes {
-				t.Errorf("q=%d: lanes does not pick the %s tier", m.Q, name)
+			if useLanes && r.lanes(m) != want.lanes {
+				t.Errorf("q=%d (%d bits): lanes does not pick the %s tier", m.Q, bits.Len64(m.Q), want.name)
 			}
 		}
 	}
@@ -424,38 +435,36 @@ func TestModulusTier(t *testing.T) {
 }
 
 // BenchmarkShoupRowTiers times mulShoupRow on each tier over one row of
-// N = 2^12 canonical words under a 45-bit prime — serial, no dispatch —
-// and reports ns per word.
+// N = 2^12 canonical words — serial, no dispatch — under a 45-bit prime
+// and the largest NTT prime below 2^51 (q=51), and reports ns per word.
 func BenchmarkShoupRowTiers(b *testing.B) {
-	const logN = 12
-	primes, err := mod.GenerateNTTPrimes(45, logN, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, n := primes[0], 1<<logN
-	rng := rand.New(rand.NewSource(42))
-	a, out := make([]uint64, n), make([]uint64, n)
-	for j := range a {
-		a[j] = rng.Uint64() % q
-	}
-	w := rng.Uint64() % q
-	ws := mod.ShoupPrecomp(w, q)
-	for _, tier := range []string{"go", "dq", "ifma"} {
-		b.Run(tier, func(b *testing.B) {
-			switch {
-			case tier == "dq" && !useLanes:
-				b.Skip("no AVX-512 F/DQ on this CPU: the lane rows cannot run")
-			case tier == "ifma":
-				skipWithoutIFMA(b)
-			}
-			for i := 0; i < b.N; i++ {
-				if tier == "go" {
-					mulShoupRowGo(a, out, w, ws, q)
-				} else {
-					mulShoupRow(a, out, w, ws, q, tier == "ifma")
+	const logN, n = 12, 1 << 12
+	for _, logQ := range []int{45, 51} {
+		q := benchPrime(b, logQ, logN)
+		rng := rand.New(rand.NewSource(42))
+		a, out := make([]uint64, n), make([]uint64, n)
+		for j := range a {
+			a[j] = rng.Uint64() % q
+		}
+		w := rng.Uint64() % q
+		ws := mod.ShoupPrecomp(w, q)
+		for _, tier := range []string{"go", "dq", "ifma"} {
+			b.Run(fmt.Sprintf("q=%d/%s", logQ, tier), func(b *testing.B) {
+				switch {
+				case tier == "dq" && !useLanes:
+					b.Skip("no AVX-512 F/DQ on this CPU: the lane rows cannot run")
+				case tier == "ifma":
+					skipWithoutIFMA(b)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/word")
-		})
+				for i := 0; i < b.N; i++ {
+					if tier == "go" {
+						mulShoupRowGo(a, out, w, ws, q)
+					} else {
+						mulShoupRow(a, out, w, ws, q, tier == "ifma")
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/word")
+			})
+		}
 	}
 }

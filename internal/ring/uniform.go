@@ -299,12 +299,13 @@ func (r *Ring) MulKeyPair(d *Poly, table []int, b *Poly, a UniformPoly, out0, ou
 	}
 	r.exec.RunBlocks(level+1, r.N, func(i, lo, hi int) {
 		m := r.Moduli[i]
-		mr, ifma := m.MRed, m.ifmaMont
+		mr, ifma := m.MRed, m.ifma
 		rd, rb, o0, o1 := d.Coeffs[i], b.Coeffs[i], out0.Coeffs[i], out1.Coeffs[i]
 		r.eachUniformChunk(a, i, lo, hi, func(c0 int, va []uint64) {
 			c1 := c0 + len(va)
-			// d's words, the first operand, are below q, as m.ifmaMont
-			// needs; b's and a's raw candidates may be any 64-bit word.
+			// d's words, the first operand, are below q, as the IFMA
+			// Montgomery rows need; b's and a's raw candidates may be any
+			// 64-bit word.
 			if table == nil {
 				mul(rd[c0:c1:c1], rb[c0:c1:c1], o0[c0:c1:c1], mr, ifma)
 				mul(rd[c0:c1:c1], va, o1[c0:c1:c1], mr, ifma)
